@@ -6,7 +6,8 @@
 //! releases through the coordinator, and times the full all-pairs
 //! matrix three ways per shard count:
 //!
-//! * **local** — the in-process tiled kernel (`QueryEngine::pairwise`).
+//! * **local** — the in-process tiled kernel (`QueryEngine::pairwise_all`
+//!   on a cold engine, so no memo answers).
 //! * **coordinator** — `Pairwise([])` against the coordinator: shard
 //!   the plan, `ExecuteTiles` per worker, gather by tile id, one
 //!   response frame back.
@@ -263,16 +264,17 @@ fn main() {
         spec.kernel().name()
     );
 
-    // Local reference + baseline timing (fresh tiled kernel per call).
+    // Local reference + baseline timing: every call runs the full tiled
+    // kernel on a cold engine over a clone of the store, which shares
+    // the store's sealed rows and so costs little next to the kernel.
     let mut local_engine = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
     for r in releases {
         local_engine.ingest(r).expect("ingest");
     }
-    let all_ids: Vec<u64> = local_engine.store().party_ids().to_vec();
     let local_matrix = local_engine.pairwise_all();
     let iters = if quick { 3 } else { 8 };
     let ns_local = time_per_op(iters, || {
-        std::hint::black_box(local_engine.pairwise(&all_ids).expect("pairwise"));
+        std::hint::black_box(QueryEngine::new(local_engine.store().clone()).pairwise_all());
     }) / pairs as f64;
 
     let mut measurements = Vec::new();

@@ -1023,7 +1023,7 @@ pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
 /// row-major matrix with a zero diagonal. This is the layer shared by
 /// [`pairwise_sq_distances_with_par`] (which first validates sketch
 /// compatibility and hoists the debias constants) and the `dp-engine`
-/// sketch store (whose flat arena validates at ingest time); both are
+/// sketch store (whose arena validates at ingest time); both are
 /// bit-identical to [`pairwise_sq_distances_reference`] because the
 /// inner expression is exactly the per-pair estimator's.
 ///

@@ -7,7 +7,8 @@
 //!
 //! * [`SketchStore`] — owns the shared [`dp_core::SketcherSpec`], one
 //!   [`dp_core::wire::TagInterner`], and every ingested sketch in a
-//!   flat `n × k` arena. Ingest accepts decoded
+//!   chunked `n × k` arena whose sealed chunks every clone shares
+//!   (each row is still one contiguous slice). Ingest accepts decoded
 //!   [`dp_core::release::Release`] frames or raw `DPRL` bytes, and
 //!   rejects incompatible sketches and duplicate party ids with typed
 //!   [`EngineError`]s. All validation happens once, at ingest.

@@ -11,10 +11,15 @@
 //!
 //! * **Mutations** ([`SharedEngine::mutate`]) lock the engine, run, and
 //!   — iff the engine's [`QueryEngine::generation`] moved — **publish**
-//!   a fresh immutable [`EngineSnapshot`]: a clone of the store (flat
-//!   arenas copied, interned tags shared), the memoized all-pairs
-//!   matrix when warm, and the hoisted debias constants, stamped with a
-//!   monotonically increasing *epoch*.
+//!   a fresh immutable [`EngineSnapshot`]: a clone of the store, the
+//!   memoized all-pairs matrix when warm, and the hoisted debias
+//!   constants, stamped with a monotonically increasing *epoch*. The
+//!   clone shares every sealed chunk of sketch values (and the interned
+//!   tags) with the engine and with older snapshots, so a publish costs
+//!   the store's open tail plus 8 B per row for each flat per-row
+//!   column and the party index — never a copy of the `n × k` values.
+//!   It is built before the snapshot slot is locked, and the snapshot
+//!   it replaces is freed after the slot is unlocked.
 //! * **Reads** run against a published snapshot. The hot path
 //!   ([`SharedEngine::refresh`]) is one atomic epoch load: when the
 //!   caller's cached `Arc<EngineSnapshot>` is still current, no lock is
@@ -212,11 +217,11 @@ pub struct SharedEngine {
     /// bumped (`Release`), so a reader observing the new epoch always
     /// finds a snapshot at least that new under the lock.
     epoch: AtomicU64,
-    /// The latest published snapshot. Locked only to swap or clone the
-    /// `Arc` — never while computing anything.
+    /// The latest published snapshot. Locked only to read, swap or
+    /// clone the `Arc` — never while building or freeing a snapshot.
     current: Mutex<Arc<EngineSnapshot>>,
     /// The single mutable engine. Lock order: `engine` before
-    /// `current` (publish happens under both).
+    /// `current` (a publish swaps the slot under both).
     engine: Mutex<QueryEngine>,
 }
 
@@ -273,11 +278,17 @@ impl SharedEngine {
         let mut engine = recover(self.engine.lock());
         let out = f(&mut engine);
         let generation = engine.generation();
-        let mut current = recover(self.current.lock());
-        if current.generation() != generation {
+        // Only this method writes the slot, and it holds the engine
+        // lock, so the slot cannot change between the two brief locks:
+        // the snapshot is built before the second and the replaced one
+        // freed after it, and a reader whose epoch moved waits on
+        // neither.
+        if recover(self.current.lock()).generation() != generation {
             let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-            *current = Arc::new(EngineSnapshot::of(&engine, epoch));
+            let fresh = Arc::new(EngineSnapshot::of(&engine, epoch));
+            let replaced = std::mem::replace(&mut *recover(self.current.lock()), fresh);
             self.epoch.store(epoch, Ordering::Release);
+            drop(replaced);
         }
         out
     }
@@ -295,6 +306,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::CHUNK_ROWS;
     use dp_core::config::SketchConfig;
     use dp_core::release::Release;
     use dp_core::sketcher::{Construction, PrivateSketcher, SketcherSpec};
@@ -346,21 +358,45 @@ mod tests {
 
     #[test]
     fn old_snapshots_survive_new_publishes() {
+        // The second input grows the engine across two chunk seals, the
+        // first of which seals the rows the old snapshot holds in its
+        // open tail.
+        for grown in [4, 2 * CHUNK_ROWS + 1] {
+            let shared = SharedEngine::new(QueryEngine::default());
+            let rels = releases(grown, 12);
+            for r in &rels[..2] {
+                shared.mutate(|e| e.ingest(r).unwrap());
+            }
+            let old = shared.snapshot();
+            assert_eq!(old.n(), 2);
+            let before = old.pair(100, 101).unwrap();
+            for r in &rels[2..] {
+                shared.mutate(|e| e.ingest(r).unwrap());
+            }
+            assert_eq!(shared.snapshot().n(), grown);
+            // The old view is frozen: same rows, bitwise-same answer.
+            assert_eq!(old.n(), 2);
+            assert_eq!(old.pair(100, 101).unwrap().to_bits(), before.to_bits());
+            assert_eq!(old.store().row_values(1), rels[1].sketch.values());
+        }
+    }
+
+    #[test]
+    fn snapshots_share_sealed_rows() {
         let shared = SharedEngine::new(QueryEngine::default());
-        let rels = releases(4, 12);
-        for r in &rels[..2] {
+        let rels = releases(CHUNK_ROWS + 2, 12);
+        for r in &rels[..=CHUNK_ROWS] {
             shared.mutate(|e| e.ingest(r).unwrap());
         }
-        let old = shared.snapshot();
-        assert_eq!(old.n(), 2);
-        let before = old.pair(100, 101).unwrap();
-        for r in &rels[2..] {
-            shared.mutate(|e| e.ingest(r).unwrap());
-        }
-        assert_eq!(shared.snapshot().n(), 4);
-        // The old view is frozen: same rows, bitwise-same answer.
-        assert_eq!(old.n(), 2);
-        assert_eq!(old.pair(100, 101).unwrap().to_bits(), before.to_bits());
+        let first = shared.snapshot();
+        shared.mutate(|e| e.ingest(&rels[CHUNK_ROWS + 1]).unwrap());
+        let second = shared.snapshot();
+        assert_ne!(first.epoch(), second.epoch());
+        // Row 0 sits in a sealed chunk: both snapshots (and the engine)
+        // point at the same storage instead of each holding a copy.
+        let row0 = first.store().row_values(0).as_ptr();
+        assert_eq!(second.store().row_values(0).as_ptr(), row0);
+        assert_eq!(shared.mutate(|e| e.store().row_values(0).as_ptr()), row0);
     }
 
     #[test]

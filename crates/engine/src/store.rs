@@ -1,9 +1,10 @@
 //! The persistent, incremental home of released sketches.
 //!
 //! A [`SketchStore`] owns the shared [`SketcherSpec`], one
-//! [`TagInterner`], and every ingested sketch in a **flat arena**: one
-//! contiguous `n × k` `Vec<f64>` of sketch coordinates plus per-row
-//! metadata (party id, noise moments, hoisted debias constant). All
+//! [`TagInterner`], and every ingested sketch in a **chunked arena**:
+//! the `n × k` sketch coordinates as immutable `Arc`-shared chunks of
+//! `CHUNK_ROWS` rows plus one open tail, beside flat per-row metadata
+//! (party id, noise moments, hoisted debias constant). All
 //! compatibility checking happens **once, at ingest** — the exact
 //! vs-anchor + moment-span discipline of the tiled all-pairs kernel —
 //! so the query layer ([`crate::QueryEngine`]) never re-validates and
@@ -79,12 +80,73 @@ struct Identity {
     k: usize,
 }
 
-/// A flat-arena store of released sketches sharing one transform.
+/// Rows per sealed chunk of the value arena (106 KiB at k = 208).
+pub(crate) const CHUNK_ROWS: usize = 64;
+
+/// The `n × k` sketch values in row order: immutable sealed chunks of
+/// exactly [`CHUNK_ROWS`] rows behind `Arc`, then one open tail that
+/// only the owning store appends to. A row never straddles two chunks,
+/// so every row is one contiguous slice, and a clone shares every
+/// sealed chunk and copies only the tail.
+#[derive(Debug, Default, Clone)]
+struct Arena {
+    sealed: Vec<Arc<[f64]>>,
+    tail: Vec<f64>,
+    tail_rows: usize,
+}
+
+impl Arena {
+    fn push(&mut self, row: &[f64]) {
+        self.tail.extend_from_slice(row);
+        self.tail_rows += 1;
+        if self.tail_rows == CHUNK_ROWS {
+            self.sealed.push(Arc::from(self.tail.as_slice()));
+            self.tail.clear();
+            self.tail_rows = 0;
+        }
+    }
+
+    /// Row `row` of a `k`-wide arena.
+    fn row(&self, row: usize, k: usize) -> &[f64] {
+        let (chunk, at) = (row / CHUNK_ROWS, row % CHUNK_ROWS * k);
+        let rows: &[f64] = match self.sealed.get(chunk) {
+            Some(sealed) => sealed,
+            None if chunk == self.sealed.len() => &self.tail,
+            None => panic!("row {row} is out of range"),
+        };
+        &rows[at..at + k]
+    }
+}
+
+type ArenaIter<'a> = std::iter::Chain<
+    std::iter::FlatMap<
+        std::slice::Iter<'a, Arc<[f64]>>,
+        &'a [f64],
+        fn(&'a Arc<[f64]>) -> &'a [f64],
+    >,
+    std::slice::Iter<'a, f64>,
+>;
+
+/// Every value in row order, as the frozen snapshot codec writes them.
+impl<'a> IntoIterator for &'a Arena {
+    type Item = &'a f64;
+    type IntoIter = ArenaIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let sealed: fn(&'a Arc<[f64]>) -> &'a [f64] = |chunk| chunk;
+        self.sealed.iter().flat_map(sealed).chain(&self.tail)
+    }
+}
+
+/// A chunked-arena store of released sketches sharing one transform.
 ///
-/// Cloning a store copies the flat arenas (`O(n·k)`) but *shares* the
-/// interned tag allocations — this is what snapshot publication
-/// ([`crate::SharedEngine`]) does on every mutation, so the cost is
-/// paid once per ingest, never per query.
+/// Cloning a store shares every sealed chunk of sketch values and the
+/// interned tag allocations. It copies only the open tail (fewer than
+/// `CHUNK_ROWS` rows), the flat per-row columns (8 B per row each for
+/// party id, both noise moments and the debias constant) and the party
+/// index. Snapshot publication ([`crate::SharedEngine`]) clones the
+/// store on every mutation, so an ingest pays that, never a copy of
+/// the `n × k` values, and no query pays it at all.
 #[derive(Debug, Default, Clone)]
 pub struct SketchStore {
     /// The shared public parameters, when the store was built from them.
@@ -96,8 +158,8 @@ pub struct SketchStore {
     /// through it, so a million releases of one sketcher hold one tag
     /// allocation.
     interner: TagInterner,
-    /// Flat `n × k` arena of sketch coordinates.
-    values: Vec<f64>,
+    /// Chunked `n × k` arena of sketch coordinates.
+    values: Arena,
     /// Per-row noise second moment `E[η²]`.
     m2: Vec<f64>,
     /// Per-row noise fourth moment `E[η⁴]`.
@@ -213,7 +275,7 @@ impl SketchStore {
     #[must_use]
     pub fn row_values(&self, row: usize) -> &[f64] {
         let k = self.identity.as_ref().expect("rows imply identity").k;
-        &self.values[row * k..(row + 1) * k]
+        self.values.row(row, k)
     }
 
     /// A row's hoisted debias constant `2k·E[η²]`.
@@ -358,7 +420,7 @@ impl SketchStore {
                 self.debias_uniform && debias.to_bits() == self.debias[0].to_bits();
         }
         let row = self.n();
-        self.values.extend_from_slice(sketch.values());
+        self.values.push(sketch.values());
         self.m2.push(m2);
         self.m4.push(sketch.noise_fourth_moment());
         self.debias.push(debias);
@@ -644,6 +706,7 @@ mod tests {
     use super::*;
     use dp_core::config::SketchConfig;
     use dp_core::sketcher::Construction;
+    use dp_core::KernelId;
     use dp_hashing::Seed;
 
     fn spec(d: usize) -> SketcherSpec {
@@ -658,7 +721,12 @@ mod tests {
     }
 
     fn releases(n: usize, d: usize) -> Vec<Release> {
-        let sk = spec(d).build().unwrap();
+        releases_under(&spec(d), n)
+    }
+
+    fn releases_under(spec: &SketcherSpec, n: usize) -> Vec<Release> {
+        let sk = spec.build().unwrap();
+        let d = spec.config().input_dim();
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| (0..d).map(|j| ((i * d + j) % 7) as f64 - 3.0).collect())
             .collect();
@@ -712,7 +780,15 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_bit_identically() {
         for with_spec in [true, false] {
-            for n in [0usize, 1, 5] {
+            for n in [
+                0usize,
+                1,
+                5,
+                CHUNK_ROWS - 1,
+                CHUNK_ROWS,
+                CHUNK_ROWS + 1,
+                2 * CHUNK_ROWS + 1,
+            ] {
                 let store = loaded_store(with_spec, n);
                 let bytes = store.encode_snapshot(42);
                 let (back, generation) = SketchStore::decode_snapshot(&bytes).unwrap();
@@ -729,21 +805,40 @@ mod tests {
     #[test]
     fn snapshot_preserves_positional_duplicates_and_first_wins_index() {
         let mut store = SketchStore::adopting();
-        let rels = releases(3, 24);
-        store.ingest_row(&rels[0]).unwrap();
-        store.ingest_row(&rels[1]).unwrap();
-        // Same party id again, positionally appended (lenient path).
+        let rels = releases(CHUNK_ROWS + 1, 24);
+        for r in &rels[..CHUNK_ROWS] {
+            store.ingest_row(r).unwrap();
+        }
+        // Same party id again, positionally appended (lenient path) in
+        // the chunk after the sealed one holding its first row.
         let dup = Release {
             party_id: rels[0].party_id,
-            sketch: rels[2].sketch.clone(),
+            sketch: rels[CHUNK_ROWS].sketch.clone(),
         };
         store.ingest_row(&dup).unwrap();
-        assert_eq!(store.n(), 3);
+        assert_eq!(store.n(), CHUNK_ROWS + 1);
         assert_eq!(store.row_of(rels[0].party_id), Some(0));
+        assert_eq!(store.sketch_at(CHUNK_ROWS), dup.sketch);
         let bytes = store.encode_snapshot(1);
         let (back, _) = SketchStore::decode_snapshot(&bytes).unwrap();
         assert_stores_bit_identical(&store, &back);
         assert_eq!(back.row_of(rels[0].party_id), Some(0));
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_golden_digest() {
+        // The freeze lint pins the codec's source text, not the bytes
+        // it writes for a given arena type. This digest pins the DPSS
+        // bytes of a V1-pinned store with two sealed chunks and an open
+        // tail; it was taken from the single flat `Vec<f64>` arena, so
+        // the chunked arena must write exactly what that one wrote.
+        let spec = spec(24).with_kernel(KernelId::V1Scalar);
+        let mut store = SketchStore::with_spec(spec.clone()).unwrap();
+        for r in releases_under(&spec, 133) {
+            store.ingest(&r).unwrap();
+        }
+        assert!(store.n() > 2 * CHUNK_ROWS);
+        assert_eq!(fnv1a64(&store.encode_snapshot(42)), 0x9103_9f9f_555a_7379);
     }
 
     #[test]
