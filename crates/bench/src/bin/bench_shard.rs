@@ -8,9 +8,12 @@
 //!
 //! * **local** — the in-process tiled kernel (`QueryEngine::pairwise_all`
 //!   on a cold engine, so no memo answers).
-//! * **coordinator** — `Pairwise([])` against the coordinator: shard
-//!   the plan, `ExecuteTiles` per worker, gather by tile id, one
-//!   response frame back.
+//! * **coordinator, cold** — `Pairwise([])` against the coordinator:
+//!   shard the plan, one `ExecuteTilesStream` per worker, gather the
+//!   streamed parts by tile id, one response frame back.
+//! * **coordinator, warm** — the same query repeated: the coordinator's
+//!   engine adopted the gathered matrix as its all-pairs memo, so the
+//!   published snapshot answers with no worker I/O.
 //!
 //! Every coordinator answer is verified **bit-identical** to the local
 //! matrix before timing. On a single-core host the sharded path is
@@ -39,8 +42,8 @@ struct Measurement {
     ns_per_pair_local: f64,
     /// The cold sharded query: plan, fan-out, gather, one response.
     ns_per_pair_sharded: f64,
-    /// A repeated query on the unchanged store (the gathered-matrix
-    /// memo answers; no worker I/O).
+    /// A repeated query on the unchanged store (the engine memo the
+    /// cold pass was adopted into answers; no worker I/O).
     ns_per_pair_warm: f64,
     sharded_over_local: f64,
 }
@@ -297,7 +300,8 @@ fn main() {
                 for (a, b) in values.iter().zip(local_matrix.as_flat()) {
                     identical &= a.to_bits() == b.to_bits();
                 }
-                // Repeats answer from the gathered-matrix memo.
+                // Repeats answer from the engine memo the cold pass was
+                // adopted into, off the published snapshot.
                 let ns_warm = time_per_op(iters, || {
                     std::hint::black_box(client.pairwise(&[]).expect("warm pairwise"));
                 }) / pairs as f64;
@@ -320,7 +324,7 @@ fn main() {
     }
 
     // Growth scenario: ingest-then-requery. The incremental path seeds
-    // the coordinator's gather from the cached matrix and re-executes
+    // the coordinator's gather from its engine memo and re-executes
     // only the frontier tiles; "full" is a cold coordinator computing
     // the same final matrix from scratch. Both verified bit-identical
     // to a local engine over all rows before timing.
@@ -345,7 +349,7 @@ fn main() {
             for r in releases {
                 client.ingest(r).expect("ingest");
             }
-            // Prime the gather cache at the pre-growth row count.
+            // Prime the engine memo at the pre-growth row count.
             client.pairwise(&[]).expect("prime");
             for r in &all_releases[rows..] {
                 client.ingest(r).expect("ingest growth");

@@ -1,4 +1,4 @@
-//! Wire codec v4: the request/response protocol of the sketch service.
+//! Wire codec v5: the request/response protocol of the sketch service.
 //!
 //! Versions 1–2 of the wire codec defined *payload* frames — sketches
 //! (`DPNS`, [`crate::wire`]) and releases (`DPRL`, [`crate::release`]).
@@ -6,8 +6,9 @@
 //! length-prefixed request and response frames that a `dp-server`
 //! speaks over a TCP or unix-socket byte stream and that a
 //! `SketchStore` answers. Version 4 adds capability negotiation on
-//! `Hello` and the streamed tile-result mode. Sketch and release
-//! payloads stay at v2 and travel embedded inside v4 frames.
+//! `Hello` and the streamed tile-result mode; version 5 makes the
+//! kernel id part of the negotiated spec. Sketch and release payloads
+//! stay at v2 and travel embedded inside v5 frames.
 //!
 //! ## Frame grammar
 //!
@@ -22,7 +23,7 @@
 //!
 //! ```text
 //! magic    4 bytes  b"DPRQ" (request) | b"DPRS" (response)
-//! version  1 byte   currently 4
+//! version  1 byte   currently 5
 //! kind     1 byte   frame discriminant (see below)
 //! body     …        kind-specific fields
 //! checksum 8 bytes  u64 LE, FNV-1a-64 over every preceding payload byte
@@ -46,7 +47,7 @@
 //! TopPairs             5   t (u32)
 //! Shutdown             6   —
 //! PlanPairwise         7   tile side (u32)
-//! ExecuteTiles         8   rows (u64), tile (u32), tile-id list
+//! (retired)            8   was the monolithic ExecuteTiles; reserved
 //! ExecuteTilesStream   9   rows (u64), tile (u32), tile-id list —
 //!                          answered with a *stream* of TileResultPart
 //!                          frames, one per tile, closed by one
@@ -73,8 +74,7 @@
 //! Bye                  7   — (acknowledges Shutdown)
 //! Plan                 8   rows (u64), tile (u32), tile count (u64),
 //!                          pair count (u64)
-//! TileResult           9   rows (u64), tile (u32), segments: per tile
-//!                          its id (u64) + pair-estimate list
+//! (retired)            9   was the monolithic TileResult; reserved
 //! TileResultPart      10   rows (u64), tile (u32), ONE segment
 //! TileResultSummary   11   rows (u64), tile (u32), part count (u64),
 //!                          stream checksum (u64, see below)
@@ -101,32 +101,35 @@
 //!
 //! ## Sharded pairwise
 //!
-//! `PlanPairwise`/`ExecuteTiles`/`TileResult` carry the plan → execute
-//! → gather pipeline across sockets. A `TilePlan` is pure `(rows,
+//! `PlanPairwise`/`ExecuteTilesStream` carry the plan → execute →
+//! gather pipeline across sockets. A `TilePlan` is pure `(rows,
 //! tile)` geometry, so the wire never ships tile coordinates — only the
 //! two plan integers plus stable tile *ids* (row-major block order over
 //! the upper triangle, see [`dp_parallel::TilePlan`]). `PlanPairwise`
 //! asks a server to project the plan a given tile side induces over its
-//! current store; `ExecuteTiles` names an explicit id set under an
-//! explicit plan and comes back as one `TileResult` whose scattered
-//! segments a coordinator gathers by id. The executing server rejects a
+//! current store; `ExecuteTilesStream` names an explicit id set under
+//! an explicit plan and comes back as one segment per tile, which a
+//! coordinator gathers by id. The executing server rejects a
 //! plan whose row count differs from its store
 //! (`Error(ERR_PLAN)`) — the guard that catches a worker that missed an
 //! ingest broadcast.
 //!
 //! ## Streamed tile results
 //!
-//! A `TileResult` for a big shard of a millions-of-sketches matrix
-//! would materialize one giant frame (and trip [`MAX_FRAME_LEN`]).
-//! `ExecuteTilesStream` instead returns one `TileResultPart` frame per
-//! requested tile — each a complete, checksummed payload of its own —
-//! terminated by a `TileResultSummary` carrying the part **count** and
+//! One result frame for a big shard of a millions-of-sketches matrix
+//! would trip [`MAX_FRAME_LEN`], so `ExecuteTilesStream` returns one
+//! `TileResultPart` frame per requested tile — each a complete,
+//! checksummed payload of its own — terminated by a
+//! `TileResultSummary` carrying the part **count** and
 //! a running **FNV-1a-64 over the stream** (each part's tile id as 8 LE
 //! bytes, then each estimate as 8 LE bytes, folded in transmission
 //! order — see [`tile_stream_checksum`]). The per-frame trailers catch
 //! corruption inside a part; the summary digest catches a lost,
 //! duplicated, or reordered part, so a gather fed from the stream is
-//! exactly as trustworthy as one fed from a monolithic `TileResult`.
+//! exactly as trustworthy as one fed from a single checksummed frame.
+//! The monolithic `ExecuteTiles`/`TileResult` exchange (request kind 8,
+//! response kind 9) is retired; both kinds stay reserved and decode as
+//! unknown.
 //!
 //! ## Snapshot resync
 //!
@@ -276,21 +279,11 @@ pub enum Request {
         /// Requested tile side length (clamped ≥ 1 by the plan).
         tile: u32,
     },
-    /// Execute an explicit set of plan tiles over the server's store
-    /// (answered with [`Response::TileResult`]).
-    ExecuteTiles {
-        /// The plan's matrix side — must equal the store's row count.
-        rows: u64,
-        /// The plan's tile side.
-        tile: u32,
-        /// Stable tile ids to execute, in the requested order.
-        tile_ids: Vec<u64>,
-    },
-    /// Like [`Request::ExecuteTiles`], but answered with one
-    /// [`Response::TileResultPart`] frame per tile followed by a
-    /// [`Response::TileResultSummary`] — no monolithic result frame
-    /// ever materializes. Only valid against a server whose `Hello`
-    /// advertised [`CAP_TILE_STREAM`].
+    /// Execute an explicit set of plan tiles over the server's store,
+    /// answered with one [`Response::TileResultPart`] frame per tile
+    /// followed by a [`Response::TileResultSummary`] — no monolithic
+    /// result frame ever materializes. Only valid against a server
+    /// whose `Hello` advertised [`CAP_TILE_STREAM`].
     ExecuteTilesStream {
         /// The plan's matrix side — must equal the store's row count.
         rows: u64,
@@ -400,15 +393,6 @@ pub enum Response {
         tile_count: u64,
         /// Total `(i, j)`, `i < j` pairs the plan covers.
         pair_count: u64,
-    },
-    /// Executed tile segments, keyed by stable tile id.
-    TileResult {
-        /// Echo of the executed plan's matrix side.
-        rows: u64,
-        /// Echo of the executed plan's tile side.
-        tile: u32,
-        /// One segment per requested tile, in request order.
-        segments: Vec<TileSegment>,
     },
     /// One tile of a streamed [`Request::ExecuteTilesStream`] answer.
     TileResultPart {
@@ -533,13 +517,15 @@ fn header(magic: [u8; 4], kind: u8) -> Vec<u8> {
 
 // dp-lint: freeze(protocol-frame-codec) begin
 //
-// The kind bytes and field order below are load-bearing beyond the
-// live wire: coordinator journals persist encoded `Ingest` requests to
-// disk, and resync streams replay them against future servers.
-// Changing an existing arm breaks every stored journal; new frames
-// append new kinds.
+// The kind bytes and field order below are the live wire contract
+// between every peer of a fleet (coordinator, workers, standby,
+// clients). Journals persist `DPRL` release frames — the payload of
+// `Ingest`, not encoded requests — so stored state never depends on
+// this region. Changing an existing arm breaks mixed-build fleets; new
+// frames append new kinds, and retired kinds (8 and 9) are never
+// reused.
 
-/// Encode a request into a v3 payload (no length prefix; see
+/// Encode a request into a protocol payload (no length prefix; see
 /// [`write_frame`]).
 ///
 /// # Errors
@@ -579,19 +565,6 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, CoreError> {
         Request::PlanPairwise { tile } => {
             out = header(REQUEST_MAGIC, 7);
             out.extend_from_slice(&tile.to_le_bytes());
-        }
-        Request::ExecuteTiles {
-            rows,
-            tile,
-            tile_ids,
-        } => {
-            out = header(REQUEST_MAGIC, 8);
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&tile.to_le_bytes());
-            put_count(&mut out, tile_ids.len())?;
-            for id in tile_ids {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
         }
         Request::ExecuteTilesStream {
             rows,
@@ -638,7 +611,7 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, CoreError> {
     Ok(seal(out))
 }
 
-/// Encode a response into a v3 payload (no length prefix; see
+/// Encode a response into a protocol payload (no length prefix; see
 /// [`write_frame`]).
 ///
 /// # Errors
@@ -712,23 +685,6 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, CoreError> {
             out.extend_from_slice(&tile.to_le_bytes());
             out.extend_from_slice(&tile_count.to_le_bytes());
             out.extend_from_slice(&pair_count.to_le_bytes());
-        }
-        Response::TileResult {
-            rows,
-            tile,
-            segments,
-        } => {
-            out = header(RESPONSE_MAGIC, 9);
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&tile.to_le_bytes());
-            put_count(&mut out, segments.len())?;
-            for segment in segments {
-                out.extend_from_slice(&segment.tile_id.to_le_bytes());
-                put_count(&mut out, segment.values.len())?;
-                for &v in &segment.values {
-                    put_f64(&mut out, v)?;
-                }
-            }
         }
         Response::TileResultPart {
             rows,
@@ -924,7 +880,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CoreError> {
         5 => Request::TopPairs { t: r.u32()? },
         6 => Request::Shutdown,
         7 => Request::PlanPairwise { tile: r.u32()? },
-        8 | 9 => {
+        9 => {
             let rows = r.u64()?;
             let tile = r.u32()?;
             let n = r.count(8)?;
@@ -932,18 +888,10 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CoreError> {
             for _ in 0..n {
                 tile_ids.push(r.u64()?);
             }
-            if kind == 8 {
-                Request::ExecuteTiles {
-                    rows,
-                    tile,
-                    tile_ids,
-                }
-            } else {
-                Request::ExecuteTilesStream {
-                    rows,
-                    tile,
-                    tile_ids,
-                }
+            Request::ExecuteTilesStream {
+                rows,
+                tile,
+                tile_ids,
             }
         }
         10 => Request::FetchSnapshot {
@@ -966,6 +914,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CoreError> {
             total_len: r.u64()?,
             checksum: r.u64()?,
         },
+        // Kind 8 (the retired monolithic `ExecuteTiles`) stays reserved.
         other => {
             return Err(CoreError::Wire(format!("unknown request kind {other}")));
         }
@@ -1045,27 +994,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
             tile_count: r.u64()?,
             pair_count: r.u64()?,
         },
-        9 => {
-            let rows = r.u64()?;
-            let tile = r.u32()?;
-            // Each segment is at least an id plus an empty value list.
-            let n = r.count(8 + 4)?;
-            let mut segments = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tile_id = r.u64()?;
-                let count = r.count(8)?;
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(r.f64()?);
-                }
-                segments.push(TileSegment { tile_id, values });
-            }
-            Response::TileResult {
-                rows,
-                tile,
-                segments,
-            }
-        }
         10 => {
             let rows = r.u64()?;
             let tile = r.u32()?;
@@ -1103,6 +1031,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
             total_len: r.u64()?,
             checksum: r.u64()?,
         },
+        // Kind 9 (the retired monolithic `TileResult`) stays reserved.
         other => {
             return Err(CoreError::Wire(format!("unknown response kind {other}")));
         }
@@ -1188,16 +1117,6 @@ mod tests {
             Request::TopPairs { t: 10 },
             Request::Shutdown,
             Request::PlanPairwise { tile: 64 },
-            Request::ExecuteTiles {
-                rows: 9,
-                tile: 4,
-                tile_ids: vec![0, 5, 2],
-            },
-            Request::ExecuteTiles {
-                rows: 0,
-                tile: 1,
-                tile_ids: vec![],
-            },
             Request::ExecuteTilesStream {
                 rows: 9,
                 tile: 4,
@@ -1260,20 +1179,6 @@ mod tests {
                 tile: 4,
                 tile_count: 6,
                 pair_count: 36,
-            },
-            Response::TileResult {
-                rows: 9,
-                tile: 4,
-                segments: vec![
-                    TileSegment {
-                        tile_id: 0,
-                        values: vec![0.5, -1.25, 3.0],
-                    },
-                    TileSegment {
-                        tile_id: 5,
-                        values: vec![],
-                    },
-                ],
             },
             Response::TileResultPart {
                 rows: 9,
@@ -1382,35 +1287,13 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let bytes = seal(bytes);
         assert!(matches!(decode_response(&bytes), Err(CoreError::Wire(_))));
-        // Same for a tile-result segment list…
-        let mut bytes = header(RESPONSE_MAGIC, 9);
+        // An execute-tiles request declaring a huge id list, likewise.
+        let mut bytes = header(REQUEST_MAGIC, 9);
         bytes.extend_from_slice(&9u64.to_le_bytes());
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let bytes = seal(bytes);
-        assert!(matches!(decode_response(&bytes), Err(CoreError::Wire(_))));
-        // …and for one segment's value list.
-        let mut bytes = header(RESPONSE_MAGIC, 9);
-        bytes.extend_from_slice(&9u64.to_le_bytes());
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one segment
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // its tile id
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // hostile values
-        let bytes = seal(bytes);
-        assert!(matches!(decode_response(&bytes), Err(CoreError::Wire(_))));
-        // An execute-tiles request declaring a huge id list, likewise —
-        // in both the monolithic and the streamed request kinds.
-        for kind in [8u8, 9] {
-            let mut bytes = header(REQUEST_MAGIC, kind);
-            bytes.extend_from_slice(&9u64.to_le_bytes());
-            bytes.extend_from_slice(&4u32.to_le_bytes());
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-            let bytes = seal(bytes);
-            assert!(
-                matches!(decode_request(&bytes), Err(CoreError::Wire(_))),
-                "kind {kind}"
-            );
-        }
+        assert!(matches!(decode_request(&bytes), Err(CoreError::Wire(_))));
         // A streamed part declaring a huge value list, likewise.
         let mut bytes = header(RESPONSE_MAGIC, 10);
         bytes.extend_from_slice(&9u64.to_le_bytes());

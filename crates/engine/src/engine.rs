@@ -50,14 +50,13 @@ pub struct Neighbor {
 pub struct QueryEngine {
     store: SketchStore,
     par: Parallelism,
-    /// Rows covered by `cache`.
-    cached_rows: usize,
-    /// The cached `cached_rows × cached_rows` all-pairs matrix, shared
-    /// out cheaply (`Arc`) so a warm query copies nothing.
+    /// The all-pairs matrix over the first `cache.n()` store rows,
+    /// shared out cheaply (`Arc`) so a warm query copies nothing.
     cache: Arc<PairwiseDistances>,
     /// Bumped on every observable mutation (successful ingest, cache
-    /// growth) — the signal [`crate::SharedEngine`] uses to decide
-    /// whether a fresh [`crate::EngineSnapshot`] must be published.
+    /// growth or adoption) — the signal [`crate::SharedEngine`] uses to
+    /// decide whether a fresh [`crate::EngineSnapshot`] must be
+    /// published.
     generation: u64,
 }
 
@@ -82,7 +81,6 @@ impl QueryEngine {
         Self {
             store,
             par,
-            cached_rows: 0,
             cache: Arc::new(PairwiseDistances::from_flat(0, Vec::new())),
             generation: 0,
         }
@@ -103,10 +101,10 @@ impl QueryEngine {
     }
 
     /// The mutation generation: bumped on every successful ingest and
-    /// every all-pairs cache growth. Two calls returning the same value
-    /// bracket a window with no observable engine mutation — what
-    /// [`crate::SharedEngine::mutate`] compares to skip republishing an
-    /// unchanged snapshot.
+    /// every all-pairs cache growth or adoption. Two calls returning the
+    /// same value bracket a window with no observable engine mutation —
+    /// what [`crate::SharedEngine::mutate`] compares to skip
+    /// republishing an unchanged snapshot.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -218,17 +216,6 @@ impl QueryEngine {
         self.ingest_batch(&releases)
     }
 
-    /// Ingest positionally, tolerating duplicate party ids (legacy
-    /// slice semantics; see [`SketchStore::ingest_row`]).
-    ///
-    /// # Errors
-    /// See [`SketchStore::ingest_row`].
-    pub fn ingest_row(&mut self, release: &Release) -> Result<usize, EngineError> {
-        let row = self.store.ingest_row(release)?;
-        self.generation += 1;
-        Ok(row)
-    }
-
     /// The debiased squared-distance estimate between two ingested
     /// parties: a pure O(k) pass, no validation, no allocation.
     /// Bit-identical to the corresponding [`QueryEngine::pairwise_all`]
@@ -262,7 +249,7 @@ impl QueryEngine {
     #[must_use]
     pub fn pairwise_all(&mut self) -> Arc<PairwiseDistances> {
         let n = self.store.n();
-        if self.cached_rows < n {
+        if self.cache.n() < n {
             self.extend_cache(n);
         }
         Arc::clone(&self.cache)
@@ -274,7 +261,37 @@ impl QueryEngine {
     /// anything; a stale cache yields `None`.
     #[must_use]
     pub fn cached_matrix(&self) -> Option<Arc<PairwiseDistances>> {
-        (self.cached_rows == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.cache))
+        (self.cache.n() == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.cache))
+    }
+
+    /// The all-pairs memo as it stands, even when rows ingested since
+    /// have made it stale: the matrix over the store's first `n()` rows
+    /// (empty before any all-pairs pass). A coordinator seeds its
+    /// sharded gather from this ([`Gather::seeded`]). Never computes
+    /// anything.
+    #[must_use]
+    pub fn memo(&self) -> Arc<PairwiseDistances> {
+        Arc::clone(&self.cache)
+    }
+
+    /// Adopt an all-pairs matrix computed elsewhere — a coordinator's
+    /// sharded gather — as the memo, iff it covers more rows than the
+    /// memo does and no more than the store holds. The store is
+    /// append-only, so a matrix over its first `matrix.n()` rows stays
+    /// valid as it grows; later growth extends it incrementally like a
+    /// locally computed one. Returns whether the matrix was adopted (an
+    /// adoption bumps the generation, so the next publish carries it).
+    ///
+    /// The caller vouches that the matrix was computed over this
+    /// store's rows under this engine's kernel.
+    pub fn adopt_matrix(&mut self, matrix: Arc<PairwiseDistances>) -> bool {
+        let rows = matrix.n();
+        if rows <= self.cache.n() || rows > self.store.n() {
+            return false;
+        }
+        self.cache = matrix;
+        self.generation += 1;
+        true
     }
 
     /// All pairwise estimates among an explicit subset of parties, in
@@ -341,9 +358,10 @@ impl QueryEngine {
 
     /// Execute an explicit set of plan tiles over this engine's store,
     /// returning one [`TileSegment`] per id — the worker half of the
-    /// plan → execute → gather pipeline, and exactly what a server
-    /// answers a protocol `ExecuteTiles` request with. Bit-identical to
-    /// the corresponding entries of [`QueryEngine::pairwise_all`].
+    /// plan → execute → gather pipeline, and exactly the segments a
+    /// server streams back for a protocol `ExecuteTilesStream` request.
+    /// Bit-identical to the corresponding entries of
+    /// [`QueryEngine::pairwise_all`].
     ///
     /// # Errors
     /// [`EngineError::PlanMismatch`] if `plan_rows` differs from the
@@ -375,9 +393,9 @@ impl QueryEngine {
         validate_tiles_over(&self.store, plan_rows, tile, ids)
     }
 
-    /// Grow the cached all-pairs matrix from `cached_rows` to `n` rows
+    /// Grow the cached all-pairs matrix from `cache.n()` to `n` rows
     /// through one pipeline: plan → execute → gather. Cold start
-    /// (`cached_rows == 0`) executes every tile; warm growth seeds the
+    /// (`cache.n() == 0`) executes every tile; warm growth seeds the
     /// gather from the previous matrix ([`Gather::seeded`]) and
     /// executes only the tiles touching the new rows
     /// ([`TilePlan::tiles_touching_rows`]) — the same frontier logic a
@@ -386,7 +404,7 @@ impl QueryEngine {
     /// per-pair expression, so the matrix is bit-identical to a
     /// from-scratch computation for any growth step sequence.
     fn extend_cache(&mut self, n: usize) {
-        let old = self.cached_rows;
+        let old = self.cache.n();
         let plan = effective_plan(n, &self.par);
         let ids: Vec<u64> = if old == 0 {
             (0..plan.tile_count() as u64).collect()
@@ -408,7 +426,6 @@ impl QueryEngine {
                 .finish()
                 .expect("the frontier covers every missing tile"),
         );
-        self.cached_rows = n;
         self.generation += 1;
     }
 }
@@ -561,8 +578,8 @@ pub(crate) fn validate_tiles_over(
 }
 
 /// Execute plan tiles against a store — the one call site of the tiled
-/// kernel shared by the engine's cache growth, its `ExecuteTiles`
-/// surface, and the snapshot's.
+/// kernel shared by the engine's cache growth, its tile surface, and
+/// the snapshot's.
 pub(crate) fn execute_tiles_over(
     store: &SketchStore,
     plan: &TilePlan,

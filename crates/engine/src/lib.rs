@@ -18,7 +18,8 @@
 //!   new rows arrive, the next query computes only the new pairs. The
 //!   cold all-pairs pass runs the plan → execute → gather pipeline
 //!   ([`QueryEngine::execute_tiles`] is the worker half a server
-//!   exposes over protocol v3).
+//!   streams over protocol v5), and a matrix gathered across sockets
+//!   can be adopted as the cache ([`QueryEngine::adopt_matrix`]).
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
 //!   into the full matrix with typed [`GatherError`]s for
 //!   missing/duplicate/misshapen tiles — what a sharding coordinator
@@ -31,10 +32,10 @@
 //!   with each other and with ingest, bit-identical to the locked
 //!   surface by construction.
 //!
-//! One engine backs the library surface (`dp_stream`'s old free
-//! functions are thin wrappers), the `dp-server` protocol-v3 service,
-//! and the bench harness — per the repo's determinism contract, all
-//! of them bit-identical to the naive per-pair reference.
+//! One engine backs the library surface, the `dp-server` protocol-v5
+//! service, and the bench harness — per the repo's determinism
+//! contract, all of them bit-identical to the naive per-pair
+//! reference.
 
 pub mod engine;
 pub mod error;
@@ -58,6 +59,7 @@ mod tests {
     };
     use dp_core::{NoisySketch, Parallelism};
     use dp_hashing::Seed;
+    use std::sync::Arc;
 
     fn spec(d: usize) -> SketcherSpec {
         let config = SketchConfig::builder()
@@ -138,7 +140,7 @@ mod tests {
         // Rows rebuild as sketches sharing the interned tag.
         let a = store.sketch_at(0);
         let b = store.sketch_at(4);
-        assert!(std::sync::Arc::ptr_eq(&a.shared_tag(), &b.shared_tag()));
+        assert!(Arc::ptr_eq(&a.shared_tag(), &b.shared_tag()));
     }
 
     #[test]
@@ -213,6 +215,66 @@ mod tests {
         let warm_matrix = warm.pairwise_all();
         assert_eq!(cold_matrix.n(), warm_matrix.n());
         for (a, b) in cold_matrix.as_flat().iter().zip(warm_matrix.as_flat()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn adopted_matrix_is_published_and_grows_like_a_local_one() {
+        let (_, rs) = releases(9, 48);
+        // The matrix a coordinator gathers elsewhere over the first six
+        // rows, while its own engine has already ingested a seventh.
+        let mut elsewhere = QueryEngine::new(SketchStore::adopting());
+        for r in &rs[..6] {
+            elsewhere.ingest(r).unwrap();
+        }
+        let gathered = elsewhere.pairwise_all();
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        for r in &rs[..7] {
+            engine.ingest(r).unwrap();
+        }
+        assert_eq!(engine.memo().n(), 0);
+        let generation = engine.generation();
+        assert!(engine.adopt_matrix(Arc::clone(&gathered)));
+        assert_eq!(engine.generation(), generation + 1);
+        assert!(Arc::ptr_eq(&engine.memo(), &gathered));
+        // Stale against the seventh row, so not a full-matrix memo; and
+        // never replaced by a matrix covering no more rows, nor by one
+        // covering rows the store does not hold.
+        assert!(engine.cached_matrix().is_none());
+        assert!(!engine.adopt_matrix(Arc::clone(&gathered)));
+        for r in &rs[6..] {
+            elsewhere.ingest(r).unwrap();
+        }
+        assert!(!engine.adopt_matrix(elsewhere.pairwise_all()));
+        assert_eq!(engine.generation(), generation + 1);
+
+        // A full-coverage adoption is what the next publish carries.
+        let shared = SharedEngine::new(engine);
+        let mut seven = QueryEngine::new(SketchStore::adopting());
+        for r in &rs[..7] {
+            seven.ingest(r).unwrap();
+        }
+        let full = seven.pairwise_all();
+        let epoch = shared.epoch();
+        assert!(shared.mutate(|e| e.adopt_matrix(Arc::clone(&full))));
+        assert_eq!(shared.epoch(), epoch + 1);
+        let published = shared
+            .snapshot()
+            .full_matrix()
+            .expect("adopted memo published");
+        assert!(Arc::ptr_eq(&published, &full));
+
+        // Growth extends the adopted memo bit-identically to a cold pass.
+        let grown = shared.mutate(|e| {
+            for r in &rs[7..] {
+                e.ingest(r).unwrap();
+            }
+            e.pairwise_all()
+        });
+        let cold = elsewhere.pairwise_all();
+        assert_eq!(grown.n(), 9);
+        for (a, b) in cold.as_flat().iter().zip(grown.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

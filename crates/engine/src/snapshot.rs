@@ -103,9 +103,11 @@ impl EngineSnapshot {
     }
 
     /// The full all-pairs matrix, when the memo was warm at publish
-    /// time. `None` means the cache was stale — the caller must fall
-    /// back to the mutation path to fill it (which publishes a new
-    /// snapshot carrying the matrix).
+    /// time. `None` means the cache was stale — the caller must fill it
+    /// through the mutation path (a local [`QueryEngine::pairwise_all`],
+    /// or a coordinator's sharded pass handed to
+    /// [`QueryEngine::adopt_matrix`]), which publishes a new snapshot
+    /// carrying the matrix.
     #[must_use]
     pub fn full_matrix(&self) -> Option<Arc<PairwiseDistances>> {
         self.matrix.as_ref().map(Arc::clone)
@@ -181,25 +183,11 @@ impl EngineSnapshot {
         validate_tiles_over(&self.store, plan_rows, tile, ids)
     }
 
-    /// Execute plan tiles against this snapshot — bit-identical to
-    /// [`QueryEngine::execute_tiles`], and safe to run tile-by-tile
-    /// over a long stream: the snapshot cannot change underneath the
-    /// stream, so a streamed answer is internally consistent by
-    /// construction.
-    ///
-    /// # Errors
-    /// As [`EngineSnapshot::validate_tiles`].
-    pub fn execute_tiles(
-        &self,
-        plan_rows: usize,
-        tile: usize,
-        ids: &[u64],
-    ) -> Result<Vec<TileSegment>, EngineError> {
-        let plan = self.validate_tiles(plan_rows, tile, ids)?;
-        Ok(execute_tiles_over(&self.store, &plan, ids, &self.par))
-    }
-
-    /// Execute one tile of an **already validated** plan.
+    /// Execute one tile of an **already validated** plan — bit-identical
+    /// to the matching segment of [`QueryEngine::execute_tiles`], and
+    /// safe to run tile by tile over a long stream: the snapshot cannot
+    /// change underneath the stream, so a streamed answer is internally
+    /// consistent by construction.
     #[must_use]
     pub fn execute_tile(&self, plan: &TilePlan, id: u64) -> Vec<TileSegment> {
         execute_tiles_over(&self.store, plan, &[id], &self.par)
@@ -444,11 +432,15 @@ mod tests {
         let engine_top = shared.mutate(|e| e.top_pairs(4));
         let snap_top = snap.top_pairs(4).expect("memo published");
         assert_eq!(engine_top, snap_top);
-        // Tile execution over the snapshot matches the engine's.
+        // Tile execution over the snapshot, one id at a time, matches
+        // the engine's batch execution.
         let plan = snap.pairwise_plan();
         let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
         let engine_tiles = shared.mutate(|e| e.execute_tiles(plan.n(), plan.tile(), &ids).unwrap());
-        let snap_tiles = snap.execute_tiles(plan.n(), plan.tile(), &ids).unwrap();
+        let snap_tiles: Vec<TileSegment> = ids
+            .iter()
+            .flat_map(|&id| snap.execute_tile(&plan, id))
+            .collect();
         assert_eq!(engine_tiles, snap_tiles);
     }
 

@@ -351,10 +351,8 @@ impl SketchStore {
 
     /// Ingest a release **without** the duplicate-id check: rows are
     /// positional and later duplicates are not reachable by
-    /// [`SketchStore::row_of`]. This is the semantics of the old
-    /// slice-based surface (which happily ranked duplicate ids) and is
-    /// what its wrappers use; services should prefer
-    /// [`SketchStore::ingest`].
+    /// [`SketchStore::row_of`]. [`SketchStore::ingest`] is this plus
+    /// the duplicate check; services should prefer it.
     ///
     /// # Errors
     /// [`EngineError::Incompatible`] as for [`SketchStore::ingest`].

@@ -3,8 +3,8 @@
 //!
 //! A panicking thread that held such a mutex poisons it, and every
 //! later `.unwrap()` turns into a panic — the permanent
-//! denial-of-service the coordinator hardening PRs removed (one dead
-//! connection thread must never take the gather cache down with it).
+//! denial-of-service the coordinator hardening removed (one dead
+//! connection thread must never take a shared lock down with it).
 //! The sanctioned patterns are healing (`clear_poison` +
 //! `PoisonError::into_inner`, with a comment arguing why the guarded
 //! state is safe to reuse or discard) or an explicit waiver:

@@ -253,6 +253,10 @@ fn main() {
     // coordinator's replication log over the wire; when the coordinator
     // is SIGKILLed, the standby notices the silence, binds its own
     // socket, reconnects the worker pool, and answers the same matrix.
+    // The phase-3 client hangs up first: in threads mode an idle
+    // connection pins the coordinator's only serving thread (--workers
+    // 1), and the standby's tail must be answered to catch up.
+    drop(client);
     let mut standby = Command::new(&bin)
         .args(["--listen", &format!("unix:{}", sock_standby.display())])
         .args(["--standby", &format!("unix:{}", sock_coord.display())])
@@ -268,7 +272,6 @@ fn main() {
         .expect("spawn standby dp-server");
     // Let the standby catch up on the full log before the murder.
     std::thread::sleep(Duration::from_secs(1));
-    drop(client);
     coord2.kill().expect("SIGKILL recovered coordinator");
     coord2.wait().expect("reap recovered coordinator");
     let mut client = connect_retry(&Endpoint::Unix(sock_standby.clone()), "promoted standby");

@@ -97,17 +97,10 @@ fn desynchronizes(e: &ClientError) -> bool {
     !matches!(e, ClientError::Remote { .. })
 }
 
-/// One connected worker of the coordinator's pool, plus the
-/// capabilities its last `Hello` advertised.
-struct PooledWorker {
-    client: Client,
-    caps: u32,
-}
-
 /// One worker's pool slot: the live connection (or `None` after a
 /// poisoning failure) plus the identity needed to revive it.
 struct WorkerState {
-    slot: Mutex<Option<PooledWorker>>,
+    slot: Mutex<Option<Client>>,
     /// Where to reconnect after a failure; `None` disables revival for
     /// this worker (the slot stays poisoned until coordinator restart).
     endpoint: Option<Endpoint>,
@@ -247,8 +240,8 @@ impl WorkerEntry {
 }
 
 /// The coordinator role's worker pool: one connection slot per worker
-/// server, the tile side sharded plans use, the replication journal,
-/// and the incremental gather cache.
+/// server, the tile side sharded plans use, and the replication
+/// journal. The all-pairs memo lives in the engine, not here.
 ///
 /// A worker slot is **poisoned** (set to `None`) after any failure that
 /// may have desynchronized its stream or its replica. A poisoned slot
@@ -274,13 +267,6 @@ struct Shards {
     /// journal suffix, optionally persisted to disk
     /// ([`CoordinatorConfig::data_dir`]).
     journal: Mutex<ReplicationLog>,
-    /// The last gathered full matrix, keyed by the store row count it
-    /// covered. The store is append-only with a fixed ingest order, so
-    /// row count alone identifies the matrix; a repeated `Pairwise([])`
-    /// on an unchanged store answers from here, and a *grown* store
-    /// seeds an incremental gather from it (only frontier tiles
-    /// re-execute).
-    gathered: Mutex<Option<(usize, Vec<f64>)>>,
     stats: StatsCells,
 }
 
@@ -317,24 +303,10 @@ impl Shards {
     /// connection thread that panicked mid-exchange leaves the stream
     /// in an unknown state, so the slot content is discarded (the
     /// worker revives like any other failure) and the mutex healed.
-    fn slot_lock(&self, w: usize) -> MutexGuard<'_, Option<PooledWorker>> {
+    fn slot_lock(&self, w: usize) -> MutexGuard<'_, Option<Client>> {
         let mutex = &self.workers[w].slot;
         mutex.lock().unwrap_or_else(|poison| {
             mutex.clear_poison();
-            let mut guard = poison.into_inner();
-            *guard = None;
-            guard
-        })
-    }
-
-    /// Lock the gather cache, recovering from a poisoned mutex. The
-    /// cache is pure (recomputable from the store), so recovery is
-    /// simply discarding possibly-torn contents — a panicking
-    /// connection thread must never turn every later `Pairwise([])`
-    /// into a panic.
-    fn cache_lock(&self) -> MutexGuard<'_, Option<(usize, Vec<f64>)>> {
-        self.gathered.lock().unwrap_or_else(|poison| {
-            self.gathered.clear_poison();
             let mut guard = poison.into_inner();
             *guard = None;
             guard
@@ -364,7 +336,7 @@ impl Shards {
     fn with_worker<T>(
         &self,
         w: usize,
-        exchange: impl FnOnce(&mut PooledWorker) -> Result<T, ClientError>,
+        exchange: impl FnOnce(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, String> {
         let mut slot = self.slot_lock(w);
         let worker = slot
@@ -398,11 +370,8 @@ impl Shards {
             let Some(worker) = slot.as_mut() else {
                 continue;
             };
-            match worker.client.call(request) {
+            match worker.call(request) {
                 Ok(response) => {
-                    if let Response::Hello { caps, .. } = &response {
-                        worker.caps = *caps;
-                    }
                     if !accept(&response) {
                         // Refused or diverged (wrong row echo): the
                         // replica no longer mirrors the local store.
@@ -457,11 +426,7 @@ impl Shards {
     /// The connect itself is bounded by the worker's configured timeout
     /// (this runs under the order lock, so an unbounded TCP connect to
     /// a black-holed host would stall every mutation with it).
-    fn resync(
-        &self,
-        endpoint: &Endpoint,
-        timeout: Option<Duration>,
-    ) -> Result<PooledWorker, String> {
+    fn resync(&self, endpoint: &Endpoint, timeout: Option<Duration>) -> Result<Client, String> {
         let mut client = match timeout {
             Some(t) => Client::connect_timeout(endpoint, t),
             None => Client::connect(endpoint),
@@ -473,16 +438,14 @@ impl Shards {
                 .map_err(|e| format!("set timeout: {e}"))?;
         }
         let journal = self.journal_lock();
-        let mut caps = 0u32;
         let mut have;
         if let Some(spec_json) = journal.spec_json.clone() {
             match client.call(&Request::Hello {
                 spec_json,
                 caps: CLIENT_CAPS,
             }) {
-                Ok(Response::Hello { rows, caps: c, .. }) => {
+                Ok(Response::Hello { rows, .. }) => {
                     have = usize::try_from(rows).unwrap_or(usize::MAX);
-                    caps = c;
                 }
                 Ok(Response::Error { code, message }) => {
                     return Err(format!("refused the journaled spec ({code}): {message}"))
@@ -558,13 +521,13 @@ impl Shards {
                 .replayed_frames
                 .fetch_add((journal.frames.len() - skip) as u64, Ordering::SeqCst);
         }
-        Ok(PooledWorker { client, caps })
+        Ok(client)
     }
 
-    /// Execute one chunk of tile ids on worker `w`, feeding segments
-    /// into the shared gather as they arrive — streamed frame-per-tile
-    /// when the worker advertised [`CAP_TILE_STREAM`], one monolithic
-    /// `TileResult` otherwise.
+    /// Execute one chunk of tile ids on worker `w` over the streamed
+    /// exchange, feeding segments into the shared gather as they
+    /// arrive. Every worker speaks it: [`CAP_TILE_STREAM`] is part of
+    /// every protocol-v5 server's `Hello`.
     ///
     /// **Any** failure poisons the slot: transport failures via
     /// [`Shards::with_worker`], and completed exchanges whose content
@@ -580,51 +543,43 @@ impl Shards {
         ids: &[u64],
         gather: &Mutex<Gather>,
     ) -> Result<(), String> {
-        let rows = plan.n() as u64;
-        let tile = plan.tile() as u32;
         let mut semantic: Option<String> = None;
         let exchanged = self.with_worker(w, |worker| {
-            if worker.caps & CAP_TILE_STREAM != 0 {
-                worker
-                    .client
-                    .execute_tiles_streamed(rows, tile, ids, &mut |segment| {
-                        if semantic.is_some() {
-                            return;
-                        }
-                        let mut g = gather_lock(gather);
-                        if let Err(e) = g.accept(&segment) {
-                            semantic = Some(format!("worker {w}: bad streamed segment: {e}"));
-                        }
-                    })
-                    .map(|_| ())
-            } else {
-                let segments = worker.client.execute_tiles(rows, tile, ids)?;
-                let mut g = gather_lock(gather);
-                for segment in &segments {
-                    if let Err(e) = g.accept(segment) {
-                        semantic = Some(format!("worker {w}: bad segment: {e}"));
-                        break;
+            worker.execute_tiles_streamed(
+                plan.n() as u64,
+                plan.tile() as u32,
+                ids,
+                &mut |segment| {
+                    if semantic.is_some() {
+                        return;
                     }
-                }
-                Ok(())
-            }
+                    if let Err(e) = gather_lock(gather).accept(&segment) {
+                        semantic = Some(format!("worker {w}: bad streamed segment: {e}"));
+                    }
+                },
+            )
         });
-        if let Err(message) = exchanged {
+        let outcome = match (exchanged, semantic) {
+            (Err(message), _) | (Ok(_), Some(message)) => Err(message),
+            (Ok(_), None) => Ok(()),
+        };
+        if outcome.is_err() {
             self.poison(w);
-            return Err(message);
         }
-        if let Some(message) = semantic {
-            self.poison(w);
-            return Err(message);
-        }
-        Ok(())
+        outcome
     }
 
-    /// The fault-tolerant sharded all-pairs pass.
+    /// The fault-tolerant sharded all-pairs pass over the first `n`
+    /// rows of `shared`'s store, answered over `party_ids`.
     ///
-    /// * **Incremental**: a store grown since the last gather seeds the
-    ///   new gather from the cached matrix and executes only the tiles
-    ///   touching the new rows ([`Gather::seeded`]).
+    /// * **One memo**: the gather is seeded from the engine's all-pairs
+    ///   memo, read under a brief [`SharedEngine::mutate`], and the
+    ///   finished matrix goes back to the engine
+    ///   ([`QueryEngine::adopt_matrix`]). The publish that follows
+    ///   carries it, so repeat `Pairwise([])`, `TopPairs` and subset
+    ///   reads answer lock-free from the snapshot.
+    /// * **Incremental**: a store grown since the last pass executes
+    ///   only the tiles touching the new rows ([`Gather::seeded`]).
     /// * **Re-dispatch**: a failed or timed-out shard poisons its
     ///   worker; the gather's [`Gather::missing_ids`] are re-cut across
     ///   the surviving (or revived) workers, bounded by a round budget.
@@ -639,20 +594,7 @@ impl Shards {
     /// local queries. A store that grows mid-flight shows up as a
     /// worker-side `ERR_PLAN` (row-count guard), never as a torn
     /// matrix.
-    fn sharded_pairwise(&self, n: usize, party_ids: Vec<u64>) -> Response {
-        let seed: Option<(usize, Vec<f64>)> = {
-            let guard = self.cache_lock();
-            match guard.as_ref() {
-                Some((rows, values)) if *rows == n => {
-                    return Response::Pairwise {
-                        parties: party_ids,
-                        values: values.clone(),
-                    };
-                }
-                Some((rows, values)) if *rows < n => Some((*rows, values.clone())),
-                _ => None,
-            }
-        };
+    fn sharded_pairwise(&self, shared: &SharedEngine, n: usize, party_ids: Vec<u64>) -> Response {
         let plan = TilePlan::new(n, self.tile);
         if !plan.is_enumerable() {
             return Response::Error {
@@ -660,10 +602,16 @@ impl Shards {
                 message: format!("a plan over {n} rows is too large to enumerate"),
             };
         }
-        let gather = match seed {
-            Some((rows, values)) => Gather::seeded(plan, rows, &values),
-            None => Gather::new(plan),
+        let memo = shared.mutate(|engine| engine.memo());
+        // A memo wider than this pass (a concurrent pass over a grown
+        // store adopted it first) cannot seed it.
+        let gather = if memo.n() <= n {
+            Gather::seeded(plan, memo.n(), memo.as_flat())
+        } else {
+            Gather::new(plan)
         };
+        // Let the adoption below free the old matrix.
+        drop(memo);
         let mut pending = gather.missing_ids();
         self.stats
             .last_query_tiles
@@ -716,11 +664,11 @@ impl Shards {
         let gather = gather.into_inner().expect("gather mutex");
         match gather.finish() {
             Ok(matrix) => {
-                let values = matrix.into_flat();
-                *self.cache_lock() = Some((n, values.clone()));
+                let matrix = Arc::new(matrix);
+                shared.mutate(|engine| engine.adopt_matrix(Arc::clone(&matrix)));
                 Response::Pairwise {
                     parties: party_ids,
-                    values,
+                    values: matrix.as_flat().to_vec(),
                 }
             }
             Err(e) => worker_error(format!("gather failed: {e}")),
@@ -793,15 +741,15 @@ pub struct ServerStats {
     pub coordinator: Option<CoordinatorStats>,
 }
 
-/// The protocol-v4 sketch service.
+/// The protocol-v5 sketch service.
 ///
 /// In its plain role the server answers every request from its own
 /// engine. Bound via [`Server::bind_coordinator`] it additionally
 /// **fans out**: ingests are broadcast to a pool of worker servers, and
 /// a full all-pairs query is answered by sharding the engine's
-/// [`TilePlan`] across the pool (`ExecuteTiles` per worker, gathered by
-/// tile id) — bit-identical to the local answer, because every path
-/// runs the same per-tile kernel.
+/// [`TilePlan`] across the pool (`ExecuteTilesStream` per worker,
+/// gathered by tile id) — bit-identical to the local answer, because
+/// every path runs the same per-tile kernel.
 pub struct Server {
     endpoint: Endpoint,
     listener: Listener,
@@ -1021,10 +969,7 @@ impl Server {
                 workers: workers
                     .into_iter()
                     .map(|entry| WorkerState {
-                        slot: Mutex::new(Some(PooledWorker {
-                            client: entry.client,
-                            caps: 0,
-                        })),
+                        slot: Mutex::new(Some(entry.client)),
                         endpoint: entry.endpoint,
                         timeout: entry.timeout,
                     })
@@ -1032,7 +977,6 @@ impl Server {
                 tile: tile.max(1),
                 order: Mutex::new(()),
                 journal: Mutex::new(journal),
-                gathered: Mutex::new(None),
                 stats,
             });
         }
@@ -1374,53 +1318,46 @@ impl Server {
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Pairwise { parties } => {
-                if parties.is_empty() {
-                    let snapshot = self.current_snapshot();
-                    match &self.shards {
-                        // The quadratic pass fans out across the pool
-                        // (2+ rows; below that the plan has no pairs).
-                        // The snapshot fixes the store geometry with no
-                        // lock at all: a slow worker never blocks other
-                        // clients. The store is append-only, so a
-                        // mid-flight ingest can only surface as a
-                        // worker-side ERR_PLAN.
-                        Some(shards) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
-                            let party_ids = snapshot.store().party_ids().to_vec();
-                            shards.sharded_pairwise(snapshot.n(), party_ids)
-                        }
-                        _ => {
-                            // Warm memo: answer straight off the
-                            // snapshot. Cold: fill the memo through the
-                            // mutation path — which *publishes* a
-                            // snapshot carrying the matrix, so the next
-                            // full-matrix (and top-pairs) reads are
-                            // lock-free again.
-                            let (parties, values) = match snapshot.full_matrix() {
-                                Some(matrix) => (
-                                    snapshot.store().party_ids().to_vec(),
-                                    matrix.as_flat().to_vec(),
-                                ),
-                                None => self.shared.mutate(|engine| {
-                                    (
-                                        engine.store().party_ids().to_vec(),
-                                        engine.pairwise_all().as_flat().to_vec(),
-                                    )
-                                }),
-                            };
-                            Response::Pairwise { parties, values }
-                        }
+            Request::Pairwise { parties } if parties.is_empty() => {
+                let snapshot = self.current_snapshot();
+                match (snapshot.full_matrix(), &self.shards) {
+                    // Warm memo: answer straight off the snapshot.
+                    (Some(matrix), _) => Response::Pairwise {
+                        parties: snapshot.store().party_ids().to_vec(),
+                        values: matrix.as_flat().to_vec(),
+                    },
+                    // The quadratic pass fans out across the pool (2+
+                    // rows; below that the plan has no pairs). The
+                    // snapshot fixes the store geometry with no lock at
+                    // all: a slow worker never blocks other clients. The
+                    // store is append-only, so a mid-flight ingest can
+                    // only surface as a worker-side ERR_PLAN.
+                    (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
+                        let party_ids = snapshot.store().party_ids().to_vec();
+                        shards.sharded_pairwise(&self.shared, snapshot.n(), party_ids)
                     }
-                } else {
-                    match self.current_snapshot().pairwise(parties) {
-                        Ok(matrix) => Response::Pairwise {
-                            parties: parties.clone(),
-                            values: matrix.into_flat(),
-                        },
-                        Err(e) => error_response(&e),
+                    // Cold: fill the memo through the mutation path. Both
+                    // fills *publish* a snapshot carrying the matrix, so
+                    // the next full-matrix, top-pairs and subset reads are
+                    // lock-free again.
+                    (None, _) => {
+                        let (parties, values) = self.shared.mutate(|engine| {
+                            (
+                                engine.store().party_ids().to_vec(),
+                                engine.pairwise_all().as_flat().to_vec(),
+                            )
+                        });
+                        Response::Pairwise { parties, values }
                     }
                 }
             }
+            Request::Pairwise { parties } => match self.current_snapshot().pairwise(parties) {
+                Ok(matrix) => Response::Pairwise {
+                    parties: parties.clone(),
+                    values: matrix.into_flat(),
+                },
+                Err(e) => error_response(&e),
+            },
             Request::PlanPairwise { tile } => {
                 let plan = TilePlan::new(self.current_snapshot().n(), *tile as usize);
                 Response::Plan {
@@ -1428,24 +1365,6 @@ impl Server {
                     tile: plan.tile() as u32,
                     tile_count: plan.tile_count() as u64,
                     pair_count: plan.pair_count() as u64,
-                }
-            }
-            Request::ExecuteTiles {
-                rows,
-                tile,
-                tile_ids,
-            } => {
-                let plan_rows = usize::try_from(*rows).unwrap_or(usize::MAX);
-                match self
-                    .current_snapshot()
-                    .execute_tiles(plan_rows, *tile as usize, tile_ids)
-                {
-                    Ok(segments) => Response::TileResult {
-                        rows: *rows,
-                        tile: *tile,
-                        segments,
-                    },
-                    Err(e) => error_response(&e),
                 }
             }
             Request::Knn { party, k } => match self.current_snapshot().knn(*party, *k as usize) {
@@ -2084,7 +2003,7 @@ impl From<CoreError> for ClientError {
     }
 }
 
-/// A small blocking protocol-v3 client over one connection.
+/// A small blocking protocol-v5 client over one connection.
 pub struct Client {
     conn: Conn,
 }
@@ -2279,47 +2198,17 @@ impl Client {
         })
     }
 
-    /// Execute an explicit set of plan tiles on the server, returning
-    /// the scattered segments keyed by tile id. The response must echo
-    /// the requested plan `(rows, tile)` — a mismatched echo is
-    /// [`ClientError::UnexpectedResponse`], so a gather can never mix
-    /// plans.
-    ///
-    /// # Errors
-    /// [`ClientError::Remote`] (`ERR_PLAN`) when the plan doesn't match
-    /// the server's store; transport/codec failures;
-    /// [`ClientError::Timeout`] past the read timeout.
-    pub fn execute_tiles(
-        &mut self,
-        rows: u64,
-        tile: u32,
-        tile_ids: &[u64],
-    ) -> Result<Vec<TileSegment>, ClientError> {
-        self.expect(
-            &Request::ExecuteTiles {
-                rows,
-                tile,
-                tile_ids: tile_ids.to_vec(),
-            },
-            |r| match r {
-                Response::TileResult {
-                    rows: got_rows,
-                    tile: got_tile,
-                    segments,
-                } if got_rows == rows && got_tile == tile => Some(segments),
-                _ => None,
-            },
-        )
-    }
-
-    /// Execute plan tiles in **streamed** mode: the server answers with
-    /// one `TileResultPart` frame per tile and a closing
+    /// Execute an explicit set of plan tiles on the server: it answers
+    /// with one `TileResultPart` frame per tile and a closing
     /// `TileResultSummary`, so no monolithic result frame ever
     /// materializes on either side. Each segment is handed to `sink` as
     /// it arrives (a coordinator scatters it straight into its gather).
-    /// Returns the number of parts received after verifying the
-    /// summary's part count and stream digest — a lost, duplicated, or
-    /// reordered part fails the exchange like a corrupted frame.
+    /// Every part must echo the requested plan `(rows, tile)` — a
+    /// mismatched echo is [`ClientError::UnexpectedResponse`], so a
+    /// gather can never mix plans. Returns the number of parts received
+    /// after verifying the summary's part count and stream digest — a
+    /// lost, duplicated, or reordered part fails the exchange like a
+    /// corrupted frame.
     ///
     /// Only valid against a server whose `Hello` advertised
     /// [`CAP_TILE_STREAM`].
@@ -2543,45 +2432,8 @@ mod tests {
             tile: 4,
             order: Mutex::new(()),
             journal: Mutex::new(ReplicationLog::in_memory(0)),
-            gathered: Mutex::new(None),
             stats: StatsCells::default(),
         }
-    }
-
-    /// Regression: one panicking connection thread used to poison the
-    /// gather-cache mutex forever, turning every later `Pairwise([])`
-    /// into a panic — a permanent denial of service. The cache is pure,
-    /// so recovery is discarding it and healing the mutex.
-    #[test]
-    fn poisoned_gather_cache_recovers_instead_of_panicking() {
-        let shards = bare_shards();
-        *shards.cache_lock() = Some((3, vec![0.0; 9]));
-        // Poison: a thread panics while holding the cache lock.
-        let _ = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    // dp-lint: allow(lock-unwrap) — poisoning this mutex is the point of the test.
-                    let _guard = shards.gathered.lock().unwrap();
-                    panic!("connection thread dies mid-cache-write");
-                })
-                .join()
-        });
-        assert!(shards.gathered.is_poisoned());
-        // Used to panic here; now the torn cache is dropped and, with
-        // no workers to recompute on, the query fails *typed*.
-        let response = shards.sharded_pairwise(3, vec![1, 2, 3]);
-        assert!(
-            matches!(response, Response::Error { code, .. } if code == ERR_WORKER),
-            "{response:?}"
-        );
-        assert!(!shards.gathered.is_poisoned(), "mutex not healed");
-        // The cache works again after recovery: a warm hit answers.
-        *shards.cache_lock() = Some((2, vec![0.0; 4]));
-        let response = shards.sharded_pairwise(2, vec![7, 8]);
-        assert!(
-            matches!(response, Response::Pairwise { .. }),
-            "{response:?}"
-        );
     }
 
     #[test]

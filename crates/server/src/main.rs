@@ -55,7 +55,7 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// How many consecutive failed probes of the primary a standby
+/// How many consecutive failed probes of the primary a synced standby
 /// tolerates before promoting itself. At the default 100 ms tail
 /// cadence this is ~half a second of silence — long enough to ride out
 /// a restart-level blip, short enough that takeover is prompt.
@@ -69,6 +69,11 @@ const STANDBY_TICK: Duration = Duration::from_millis(100);
 /// worker pool, and serve as the coordinator. The standby does **not**
 /// bind its listen endpoint until promotion — there is exactly one
 /// coordinator at a time.
+///
+/// Failed probes count toward promotion only once a `FetchSnapshot`
+/// has succeeded (a zero-part answer counts): a standby that never
+/// synced holds nothing, and promoting it would serve an empty store
+/// while the workers hold every row. Until then it keeps probing.
 #[allow(clippy::too_many_arguments)]
 fn run_standby(
     primary: Endpoint,
@@ -81,6 +86,7 @@ fn run_standby(
 ) -> ExitCode {
     let mut engine = QueryEngine::new(SketchStore::adopting());
     let mut conn: Option<Client> = None;
+    let mut synced = false;
     let mut failures = 0u32;
     println!("dp-server: standby tailing {primary}");
     while failures < STANDBY_PROMOTE_AFTER {
@@ -90,13 +96,17 @@ fn run_standby(
             None => match Client::connect(&primary) {
                 Ok(client) => {
                     if client.set_read_timeout(Some(worker_timeout)).is_err() {
-                        failures += 1;
+                        if synced {
+                            failures += 1;
+                        }
                         continue;
                     }
                     conn.insert(client)
                 }
                 Err(_) => {
-                    failures += 1;
+                    if synced {
+                        failures += 1;
+                    }
                     continue;
                 }
             },
@@ -136,6 +146,7 @@ fn run_standby(
                         break;
                     }
                 }
+                synced = true;
             }
             Err(ClientError::Remote { message, .. }) => {
                 // The primary is alive but refused the tail — the
@@ -143,10 +154,13 @@ fn run_standby(
                 // older snapshot). Drop local state and refetch from 0.
                 eprintln!("dp-server: standby diverged ({message}); refetching from scratch");
                 failures = 0;
+                synced = false;
                 engine = QueryEngine::new(SketchStore::adopting());
             }
             Err(_) => {
-                failures += 1;
+                if synced {
+                    failures += 1;
+                }
                 conn = None;
             }
         }

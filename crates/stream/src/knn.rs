@@ -2,24 +2,16 @@
 //!
 //! The JL lemma's original application (paper §1: "nearest-neighbor
 //! search [2, 24]") on top of the private protocol: given a set of
-//! released sketches, answer top-k queries and build full neighbor
-//! rankings — all as post-processing of already-private data, so no
-//! further privacy cost is incurred.
+//! released sketches, answer top-k queries — post-processing of
+//! already-private data, so no further privacy cost is incurred.
 //!
-//! The all-queries surface ([`neighbor_rankings`]) is data-parallel on
-//! the [`Parallelism`] knob: queries are independent, so workers rank
-//! them concurrently and the results are identical to the sequential
-//! pass for every thread count.
-//!
-//! The slice-based rankings are now thin deprecated wrappers over
-//! [`dp_engine::QueryEngine::knn`]; the per-release [`top_k`] /
-//! [`knn_classify`] helpers remain for one-off queries against
-//! transient candidate sets.
+//! The per-release [`top_k`] / [`knn_classify`] helpers serve one-off
+//! queries against transient candidate sets; a long-lived set of
+//! releases belongs in a [`dp_engine::QueryEngine`], whose `knn` ranks
+//! every query against one ingested store.
 
 use crate::distributed::Release;
 use dp_core::error::CoreError;
-use dp_core::Parallelism;
-use dp_parallel::par_map;
 
 // The scored-neighbor type now lives beside the engine that mints it.
 pub use dp_engine::Neighbor;
@@ -53,58 +45,6 @@ pub fn top_k(
     Ok(scored)
 }
 
-/// For every release, its full neighbor ranking (ids only) — the
-/// all-pairs analogue of [`top_k`], useful for clustering
-/// post-processing. Runs on the environment-default [`Parallelism`].
-///
-/// Deprecated: a thin wrapper loading the slice into a transient
-/// [`dp_engine::SketchStore`]; long-lived services should hold a
-/// [`dp_engine::QueryEngine`] and call `knn` directly.
-///
-/// # Errors
-/// Propagates sketch incompatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `dp_engine::QueryEngine` and call `knn` instead"
-)]
-pub fn neighbor_rankings(releases: &[Release]) -> Result<Vec<Vec<u64>>, CoreError> {
-    rankings_via_engine(releases, &Parallelism::default())
-}
-
-/// [`neighbor_rankings`] with an explicit [`Parallelism`] knob: each
-/// query's ranking is an independent task, so workers process queries
-/// concurrently. Identical output to the sequential pass for every
-/// thread count (rankings are assembled in query order, and each
-/// ranking's sort is independent of scheduling).
-///
-/// # Errors
-/// Propagates sketch incompatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `dp_engine::QueryEngine` and call `knn` instead"
-)]
-pub fn neighbor_rankings_par(
-    releases: &[Release],
-    par: &Parallelism,
-) -> Result<Vec<Vec<u64>>, CoreError> {
-    rankings_via_engine(releases, par)
-}
-
-fn rankings_via_engine(
-    releases: &[Release],
-    par: &Parallelism,
-) -> Result<Vec<Vec<u64>>, CoreError> {
-    let engine = crate::distributed::engine_over(releases, par)?;
-    let queries: Vec<usize> = (0..releases.len()).collect();
-    Ok(par_map(&queries, par.threads(), |_, &row| {
-        engine
-            .knn_row(row, releases.len())
-            .into_iter()
-            .map(|n| n.party_id)
-            .collect()
-    }))
-}
-
 /// Majority vote over the labels of the `k` nearest neighbors — the
 /// classic k-NN classifier run entirely on private releases.
 ///
@@ -131,9 +71,6 @@ pub fn knn_classify(
 }
 
 #[cfg(test)]
-// The deprecated slice-based wrappers stay under test: they must keep
-// answering exactly like the engine they delegate to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::distributed::{Party, PublicParams};
@@ -184,27 +121,6 @@ mod tests {
         let nn = top_k(&rs[0], &rs, 10).expect("topk");
         assert_eq!(nn.len(), 5);
         assert!(nn.iter().all(|n| n.party_id != 0));
-    }
-
-    #[test]
-    fn rankings_are_complete() {
-        let rs = releases();
-        let ranks = neighbor_rankings(&rs).expect("ranks");
-        assert_eq!(ranks.len(), 6);
-        for (i, r) in ranks.iter().enumerate() {
-            assert_eq!(r.len(), 5);
-            assert!(!r.contains(&(i as u64)));
-        }
-    }
-
-    #[test]
-    fn parallel_rankings_match_sequential() {
-        let rs = releases();
-        let sequential = neighbor_rankings_par(&rs, &Parallelism::sequential()).expect("ranks");
-        for threads in [2usize, 3, 8] {
-            let parallel = neighbor_rankings_par(&rs, &Parallelism::new(threads)).expect("ranks");
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
     }
 
     #[test]

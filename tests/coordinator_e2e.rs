@@ -140,10 +140,9 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
         assert_eq!(tile_count, 10); // b = 4 blocks → 4·5/2
         assert_eq!(pair_count, 17 * 16 / 2);
 
-        // Acceptance: the sharded full matrix over 2 workers is
-        // bit-identical to the naive per-pair reference. (The relayed
-        // Hello advertised CAP_TILE_STREAM on both sides, so this also
-        // exercises the streamed TileResultPart path end to end.)
+        // Acceptance: the sharded full matrix over 2 workers — every
+        // shard streamed back as TileResultPart frames — is
+        // bit-identical to the naive per-pair reference.
         let (ids, values) = client.pairwise(&[]).expect("sharded pairwise");
         assert_eq!(ids.len(), 17);
         assert_bits(&values, reference.as_flat());
@@ -151,10 +150,36 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
         assert_eq!(stats.last_query_tiles, tile_count, "cold query = full plan");
         assert_eq!(stats.last_query_rounds, 1, "no failures, one round");
 
-        // A repeated query answers from the coordinator's gathered
-        // cache — still bit-identical.
+        // The pass handed its matrix to the coordinator's engine and
+        // the publish carried it: a repeat, TopPairs, and a subset read
+        // are lock-free memo hits — bit-identical to a local engine,
+        // and publishing nothing, so the snapshot epoch stays put.
+        let mut local = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+        for r in rs {
+            local.ingest(r).expect("ingest");
+        }
+        let epoch = coordinator.stats().snapshot_epoch;
         let (_, warm) = client.pairwise(&[]).expect("warm pairwise");
         assert_bits(&warm, &values);
+        let top = client.top_pairs(5).expect("top pairs");
+        let local_top = local.top_pairs(5);
+        assert_eq!(top.len(), local_top.len());
+        for (r, l) in top.iter().zip(&local_top) {
+            assert_eq!((r.0, r.1), (l.0, l.1));
+            assert_eq!(r.2.to_bits(), l.2.to_bits());
+        }
+        let subset = [rs[9].party_id, rs[2].party_id, rs[14].party_id];
+        let (subset_ids, subset_values) = client.pairwise(&subset).expect("subset pairwise");
+        assert_eq!(subset_ids, subset);
+        assert_bits(
+            &subset_values,
+            local.pairwise(&subset).expect("subset").as_flat(),
+        );
+        assert_eq!(
+            coordinator.stats().snapshot_epoch,
+            epoch,
+            "memo hits must not recompute or republish"
+        );
 
         // A further ingest grows the store; the regathered 18-row
         // matrix matches the reference again, and — the incremental
@@ -180,52 +205,36 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
             "frontier ({frontier}) must be a strict subset of the plan ({grown_tile_count})"
         );
 
-        // Remote ExecuteTiles against a stale plan is a typed error.
-        let err = direct.execute_tiles(16, 5, &[0]).expect_err("stale plan");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        let err = direct
-            .execute_tiles(18, 5, &[grown_tile_count])
-            .expect_err("alien tile id");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        // The streamed mode answers a stale plan with a single typed
-        // error frame too, leaving the connection usable.
-        let err = direct
-            .execute_tiles_streamed(16, 5, &[0], &mut |_| {})
-            .expect_err("stale streamed plan");
-        assert!(
-            matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
-            "{err:?}"
-        );
-        // Streamed and monolithic execution agree bit for bit.
+        // A stale plan and an alien tile id are each answered with a
+        // single typed ERR_PLAN frame, leaving the connection usable.
+        for (rows, bad_ids) in [(16, vec![0]), (18, vec![grown_tile_count])] {
+            let err = direct
+                .execute_tiles_streamed(rows, 5, &bad_ids, &mut |_| {})
+                .expect_err("refused plan");
+            assert!(
+                matches!(err, ClientError::Remote { code, .. } if code == dp_euclid::core::protocol::ERR_PLAN),
+                "{err:?}"
+            );
+        }
+        // The worker streams exactly the in-process engine's tiles.
+        local.ingest(&held_back[0]).expect("ingest");
         let all_ids: Vec<u64> = (0..grown_tile_count).collect();
-        let mono = direct
-            .execute_tiles(18, 5, &all_ids)
-            .expect("monolithic tiles");
         let mut streamed = Vec::new();
         let parts = direct
             .execute_tiles_streamed(18, 5, &all_ids, &mut |segment| streamed.push(segment))
             .expect("streamed tiles");
         assert_eq!(parts, grown_tile_count);
-        assert_eq!(mono.len(), streamed.len());
-        for (m, s) in mono.iter().zip(&streamed) {
-            assert_eq!(m.tile_id, s.tile_id);
-            assert_bits(&s.values, &m.values);
+        let expected = local.execute_tiles(18, 5, &all_ids).expect("valid plan");
+        assert_eq!(expected.len(), streamed.len());
+        for (e, s) in expected.iter().zip(&streamed) {
+            assert_eq!(e.tile_id, s.tile_id);
+            assert_bits(&s.values, &e.values);
         }
         drop(direct);
 
         // Non-pairwise queries stay local on the coordinator and still
         // answer bit-identically to an in-process engine (over all 18
         // ingested rows).
-        let mut local = QueryEngine::new(SketchStore::adopting());
-        for r in &all {
-            local.ingest(r).expect("ingest");
-        }
         let remote_knn = client.knn(rs[3].party_id, 4).expect("knn");
         let local_knn = local.knn(rs[3].party_id, 4).expect("knn");
         for (r, l) in remote_knn.iter().zip(&local_knn) {
@@ -385,8 +394,8 @@ fn dead_worker_is_redispatched_to_the_survivor() {
         );
         assert!(stats.redispatches >= 1, "{stats:?}");
 
-        // A repeat answers from the gathered cache — no worker I/O, so
-        // it is fast and identical even with B gone.
+        // A repeat answers from the memo the pass published — no worker
+        // I/O, so it is fast and identical even with B gone.
         let started = std::time::Instant::now();
         let (_, warm) = client.pairwise(&[]).expect("warm pairwise");
         assert_bits(&warm, &values);

@@ -1,22 +1,28 @@
 //! Integration tests of the multi-party protocol over the wire (binary
 //! and JSON), including construction selection purely via `SketcherSpec`,
-//! streaming parties, and privacy accounting across releases.
-//!
-//! The deprecated slice-based `pairwise_sq_distances` wrapper stays
-//! exercised here on purpose: it must keep answering exactly like the
-//! `dp_engine::QueryEngine` it now delegates to.
-#![allow(deprecated)]
+//! streaming parties, and privacy accounting across releases. The
+//! observer estimates every pair by ingesting the received releases into
+//! a `QueryEngine`.
 
 use dp_euclid::core::variance::var_sjlt_laplace;
 use dp_euclid::core::wire::TagInterner;
 use dp_euclid::hashing::Seed;
 use dp_euclid::noise::mechanism::LaplaceMechanism;
 use dp_euclid::prelude::*;
-use dp_euclid::stream::distributed::{
-    pairwise_sq_distances, parse_release, parse_release_bytes, Release,
-};
+use dp_euclid::stream::distributed::{parse_release, parse_release_bytes, Release};
 use dp_euclid::transforms::sjlt::Sjlt;
 use dp_euclid::transforms::LinearTransform;
+use std::sync::Arc;
+
+/// The observer's view: every received release ingested into one
+/// engine, all pairs estimated in arrival order.
+fn observe(releases: &[Release]) -> Arc<PairwiseDistances> {
+    let mut engine = QueryEngine::new(SketchStore::adopting());
+    for r in releases {
+        engine.ingest(r).expect("compatible release");
+    }
+    engine.pairwise_all()
+}
 
 fn params(d: usize) -> PublicParams {
     let config = SketchConfig::builder()
@@ -56,7 +62,7 @@ fn full_protocol_over_the_wire() {
         .collect();
     assert_eq!(interner.len(), 1, "one shared transform tag");
 
-    let est = pairwise_sq_distances(&releases).expect("pairwise");
+    let est = observe(&releases);
     // Single-shot estimates: gate on the construction's own predicted
     // standard deviation (noise dominates at eps = 1 and small dists).
     let sketcher = p.sketcher().expect("sketcher");
@@ -134,7 +140,7 @@ fn protocol_runs_multiple_constructions_selected_by_spec() {
         }
         // The observer estimates from releases alone, gated on the
         // construction's own predicted deviation.
-        let m = pairwise_sq_distances(&releases).expect("pairwise");
+        let m = observe(&releases);
         let true_d = 4.0 * d as f64;
         let sketcher = p.sketcher().expect("sketcher");
         let sd = sketcher.predicted_variance(true_d).predicted_stddev();

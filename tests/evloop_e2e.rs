@@ -1,5 +1,5 @@
 //! End-to-end tests of the event-loop serve mode: the reactor must
-//! answer every protocol-v4 frame **byte-identically** to thread mode
+//! answer every protocol-v5 frame **byte-identically** to thread mode
 //! (and hence to the in-process engine, which `server_e2e.rs` pins
 //! thread mode against), including the streamed tile path; overload
 //! must surface as the typed `ERR_BUSY` frame; and the thread-mode
@@ -98,8 +98,8 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
 
     // The scripted conversation covers every request kind: negotiation,
     // ingest (including a duplicate → error frame), full + subset
-    // pairwise, knn (plus an unknown id), top pairs, plan + monolithic
-    // + streamed tile execution, and a garbage payload.
+    // pairwise, knn (plus an unknown id), top pairs, plan + streamed
+    // tile execution, and a garbage payload.
     let plan = dp_euclid::core::TilePlan::new(rs.len(), 2);
     let all_ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
     let mut steps = vec![Step::Request(
@@ -140,14 +140,6 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
     steps.push(Step::Request(Request::Knn { party: 9999, k: 2 }, 0));
     steps.push(Step::Request(Request::TopPairs { t: 4 }, 0));
     steps.push(Step::Request(Request::PlanPairwise { tile: 2 }, 0));
-    steps.push(Step::Request(
-        Request::ExecuteTiles {
-            rows: rs.len() as u64,
-            tile: 2,
-            tile_ids: all_ids.clone(),
-        },
-        0,
-    ));
     // The stream answers one part frame per tile plus the summary.
     steps.push(Step::Request(
         Request::ExecuteTilesStream {
@@ -196,7 +188,7 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
 fn evloop_client_surface_works_end_to_end() {
     // The blocking Client speaks to the reactor exactly as it does to
     // thread mode — including the streamed tile exchange with its
-    // digest verification.
+    // digest verification, whose segments are the in-process engine's.
     let spec = spec(64);
     let rs = releases(&spec, 5);
     let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
@@ -217,8 +209,14 @@ fn evloop_client_surface_works_end_to_end() {
             .execute_tiles_streamed(rows, tile, &ids, &mut |s| segments.push(s))
             .expect("stream");
         assert_eq!(parts, tile_count);
-        let monolithic = client.execute_tiles(rows, tile, &ids).expect("monolithic");
-        assert_eq!(segments, monolithic);
+        let mut local = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+        for r in &rs {
+            local.ingest(r).expect("ingest");
+        }
+        let expected = local
+            .execute_tiles(rows as usize, tile as usize, &ids)
+            .expect("valid plan");
+        assert_eq!(segments, expected);
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
     });

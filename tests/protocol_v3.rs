@@ -1,15 +1,16 @@
-//! Round-trip and corruption tests for the wire protocol v3 frames
-//! (`dp_euclid::core::protocol`), mirroring the v2 sketch-codec suite
-//! in `tests/wire_codec.rs`: every frame kind must round-trip
-//! identically, re-encode byte-identically, and reject every
-//! single-byte corruption.
+//! Round-trip and corruption tests for the wire protocol frames
+//! (`dp_euclid::core::protocol`, currently v5), mirroring the v2
+//! sketch-codec suite in `tests/wire_codec.rs`: every frame kind must
+//! round-trip identically, re-encode byte-identically, and reject every
+//! single-byte corruption; retired kinds must never decode again.
 
+use dp_euclid::core::error::CoreError;
 use dp_euclid::core::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     Request, Response, CAP_SKETCH_F32, CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY,
     ERR_DUPLICATE_PARTY, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_KERNEL, ERR_MALFORMED, ERR_PLAN,
-    ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, SNAPSHOT_LAYER_JOURNAL,
-    SNAPSHOT_LAYER_STORE,
+    ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, PROTOCOL_VERSION, REQUEST_MAGIC,
+    RESPONSE_MAGIC, SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
 };
 use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
@@ -55,16 +56,6 @@ fn all_requests() -> Vec<Request> {
         Request::TopPairs { t: 3 },
         Request::Shutdown,
         Request::PlanPairwise { tile: 64 },
-        Request::ExecuteTiles {
-            rows: 17,
-            tile: 5,
-            tile_ids: vec![9, 0, 3],
-        },
-        Request::ExecuteTiles {
-            rows: 0,
-            tile: 1,
-            tile_ids: vec![],
-        },
         Request::ExecuteTilesStream {
             rows: 17,
             tile: 5,
@@ -130,25 +121,6 @@ fn all_responses() -> Vec<Response> {
             tile: 5,
             tile_count: 10,
             pair_count: 136,
-        },
-        Response::TileResult {
-            rows: 17,
-            tile: 5,
-            segments: vec![
-                dp_euclid::core::TileSegment {
-                    tile_id: 3,
-                    values: vec![-0.75, 2.5],
-                },
-                dp_euclid::core::TileSegment {
-                    tile_id: 0,
-                    values: vec![],
-                },
-            ],
-        },
-        Response::TileResult {
-            rows: 0,
-            tile: 1,
-            segments: vec![],
         },
         Response::TileResultPart {
             rows: 17,
@@ -226,6 +198,48 @@ fn every_byte_corruption_of_every_response_is_rejected() {
             assert!(decode_response(&bad).is_err(), "{resp:?}: byte {i} decoded");
         }
     }
+}
+
+/// Seal a hand-built payload: magic, the current version, `kind`, the
+/// body, and the FNV-1a-64 trailer — a frame the codec itself can no
+/// longer produce.
+fn sealed(magic: [u8; 4], kind: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.push(PROTOCOL_VERSION);
+    out.push(kind);
+    out.extend_from_slice(body);
+    let checksum = dp_euclid::core::wire::fnv1a64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn retired_monolithic_tile_kinds_decode_as_unknown() {
+    // The monolithic ExecuteTiles (request kind 8) and TileResult
+    // (response kind 9) are retired and reserved: a correctly sealed
+    // frame carrying their old body layout (rows, tile, an empty list)
+    // is refused as an unknown kind, never decoded as something else.
+    let mut body = 17u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&5u32.to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    match decode_request(&sealed(REQUEST_MAGIC, 8, &body)) {
+        Err(CoreError::Wire(why)) => assert!(why.contains("unknown request kind 8"), "{why}"),
+        other => panic!("retired request kind 8 decoded: {other:?}"),
+    }
+    match decode_response(&sealed(RESPONSE_MAGIC, 9, &body)) {
+        Err(CoreError::Wire(why)) => assert!(why.contains("unknown response kind 9"), "{why}"),
+        other => panic!("retired response kind 9 decoded: {other:?}"),
+    }
+    // The neighbours stay live: the same body under the streamed
+    // request kind decodes.
+    assert!(matches!(
+        decode_request(&sealed(REQUEST_MAGIC, 9, &body)),
+        Ok(Request::ExecuteTilesStream {
+            rows: 17,
+            tile: 5,
+            ..
+        })
+    ));
 }
 
 #[test]
