@@ -1,7 +1,7 @@
 //! Benchmark the `dp-engine` query surface against the slice-based path
 //! it replaced, and record the perf trajectory.
 //!
-//! Three measurements per store size:
+//! Two measurements per store size:
 //!
 //! * **pair query**: `QueryEngine::pair` (ingest-time validation, flat
 //!   arena, hoisted debias) versus the old per-call
@@ -12,8 +12,15 @@
 //!   recomputing the whole matrix the way the slice-based surface had
 //!   to.
 //!
+//! Plus one measurement of **ranked reads** on a 2,048-row store (the
+//! size of the benchmark of record's `analyst_matrix` workload):
+//! `top_pairs(100)` over the warm matrix memo and `knn(10)`, each
+//! versus scoring every candidate, stable-sorting and truncating.
+//!
 //! Every engine answer is verified bit-identical to the slice path
-//! before timing. Writes machine-readable `BENCH_engine.json`.
+//! (pairs, under the engine's kernel) or to the stable-sort reference
+//! (ranked reads) before timing; any mismatch exits 1. Writes
+//! machine-readable `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
@@ -25,6 +32,13 @@ use dp_core::release::Release;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
+
+/// Rows in the ranked-read store: `analyst_matrix`'s full matrix.
+const RANKED_ROWS: usize = 2048;
+/// Pairs per `top_pairs` read, as `analyst_matrix` asks.
+const TOP_T: usize = 100;
+/// Neighbours per `knn` read, as `online_point` asks.
+const KNN_K: usize = 10;
 
 struct Measurement {
     rows: usize,
@@ -61,7 +75,7 @@ fn main() {
     let row_counts: &[usize] = if quick { &[64] } else { &[64, 256] };
     // One extra row beyond the largest sweep: the incremental bench
     // grows each store by one release.
-    let max_rows = *row_counts.iter().max().expect("nonempty") + 1;
+    let max_rows = (*row_counts.iter().max().expect("nonempty") + 1).max(RANKED_ROWS);
     let rows: Vec<Vec<f64>> = (0..max_rows)
         .map(|r| gaussian_vec(d, Seed::new(1000 + r as u64)))
         .collect();
@@ -85,7 +99,9 @@ fn main() {
             engine.ingest(r).expect("ingest");
         }
 
-        // Verify: every engine pair answer equals the slice path's.
+        // Verify: every engine pair answer equals the slice path's
+        // under the engine's kernel.
+        let kernel = engine.parallelism().kernel();
         for i in 0..n.min(16) {
             for j in 0..n.min(16) {
                 let via_engine = engine.pair(i as u64, j as u64).expect("pair");
@@ -95,7 +111,7 @@ fn main() {
                     let (lo, hi) = if i < j { (i, j) } else { (j, i) };
                     slice[lo]
                         .sketch
-                        .estimate_sq_distance(&slice[hi].sketch)
+                        .estimate_sq_distance_with(&slice[hi].sketch, kernel)
                         .expect("estimate")
                 };
                 all_identical &= via_engine.to_bits() == via_slice.to_bits();
@@ -180,6 +196,23 @@ fn main() {
         if all_identical { "PASS" } else { "FAIL" }
     );
 
+    let ranked = ranked_reads(&releases[..RANKED_ROWS], quick);
+    println!(
+        "n = {RANKED_ROWS}  top_pairs({TOP_T}): engine {:8.2} ms vs sort {:8.2} ms ({:5.1}x)  \
+         knn({KNN_K}): engine {:7.1} us vs sort {:7.1} us ({:4.2}x)",
+        ranked.ms_top_pairs,
+        ranked.ms_top_pairs_sort,
+        ranked.ms_top_pairs_sort / ranked.ms_top_pairs,
+        ranked.us_knn,
+        ranked.us_knn_sort,
+        ranked.us_knn_sort / ranked.us_knn,
+    );
+    println!(
+        "CHECK [{}] ranked reads bit-identical to the stable-sort reference",
+        if ranked.identical { "PASS" } else { "FAIL" }
+    );
+    all_identical &= ranked.identical;
+
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
@@ -192,6 +225,27 @@ fn main() {
         ("d".to_string(), JsonValue::UInt(d as u64)),
         ("k".to_string(), JsonValue::UInt(k as u64)),
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
+        (
+            "ranked".to_string(),
+            JsonValue::Object(vec![
+                ("rows".to_string(), JsonValue::UInt(RANKED_ROWS as u64)),
+                ("t".to_string(), JsonValue::UInt(TOP_T as u64)),
+                ("k".to_string(), JsonValue::UInt(KNN_K as u64)),
+                (
+                    "ms_top_pairs".to_string(),
+                    JsonValue::Number(ranked.ms_top_pairs),
+                ),
+                (
+                    "ms_top_pairs_sort".to_string(),
+                    JsonValue::Number(ranked.ms_top_pairs_sort),
+                ),
+                ("us_knn".to_string(), JsonValue::Number(ranked.us_knn)),
+                (
+                    "us_knn_sort".to_string(),
+                    JsonValue::Number(ranked.us_knn_sort),
+                ),
+            ]),
+        ),
         (
             "measurements".to_string(),
             JsonValue::Array(
@@ -234,5 +288,105 @@ fn main() {
     println!("wrote {out_path}");
     if !all_identical {
         std::process::exit(1);
+    }
+}
+
+struct RankedReads {
+    identical: bool,
+    ms_top_pairs: f64,
+    ms_top_pairs_sort: f64,
+    us_knn: f64,
+    us_knn_sort: f64,
+}
+
+/// Time `top_pairs(TOP_T)` over a warm matrix memo and `knn(KNN_K)` on
+/// a store of `releases` (party id = row), each checked bit-identical
+/// to, and timed against, scoring every candidate, stable-sorting and
+/// truncating.
+fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
+    let mut engine = QueryEngine::new(SketchStore::adopting());
+    for r in releases {
+        engine.ingest(r).expect("ingest");
+    }
+    let kernel = engine.parallelism().kernel();
+    let matrix = engine.pairwise_all();
+    let n = matrix.n();
+    let top_pairs_reference = || {
+        let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
+        for i in 0..n {
+            for j in i + 1..n {
+                pairs.push((i as u64, j as u64, matrix.at(i, j)));
+            }
+        }
+        pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite estimates"));
+        pairs.truncate(TOP_T);
+        pairs
+    };
+    let knn_reference = |q: usize| {
+        let query = &releases[q];
+        let mut scored: Vec<(u64, f64)> = releases
+            .iter()
+            .filter(|c| c.party_id != query.party_id)
+            .map(|c| {
+                let d = query
+                    .sketch
+                    .estimate_sq_distance_with(&c.sketch, kernel)
+                    .expect("estimate");
+                (c.party_id, d)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
+        scored.truncate(KNN_K);
+        scored
+    };
+    let knn = |engine: &QueryEngine, q: usize| -> Vec<(u64, f64)> {
+        engine
+            .knn(q as u64, KNN_K)
+            .expect("knn")
+            .into_iter()
+            .map(|nb| (nb.party_id, nb.estimated_sq_distance))
+            .collect()
+    };
+    let queries: Vec<usize> = (0..16).map(|q| (q * 131 + 7) % n).collect();
+
+    let top = engine.top_pairs(TOP_T);
+    let mut identical = top.len() == TOP_T.min(n * (n - 1) / 2)
+        && top
+            .iter()
+            .zip(top_pairs_reference())
+            .all(|(a, b)| (a.0, a.1, a.2.to_bits()) == (b.0, b.1, b.2.to_bits()));
+    for &q in &queries {
+        let got = knn(&engine, q);
+        let want = knn_reference(q);
+        identical &= got.len() == want.len()
+            && got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| (a.0, a.1.to_bits()) == (b.0, b.1.to_bits()));
+    }
+
+    let iters = if quick { 2 } else { 5 };
+    let ns_top_pairs = time_per_op(iters, || {
+        std::hint::black_box(engine.top_pairs(TOP_T));
+    });
+    let ns_top_pairs_sort = time_per_op(iters, || {
+        std::hint::black_box(top_pairs_reference());
+    });
+    let ns_knn = time_per_op(iters, || {
+        for &q in &queries {
+            std::hint::black_box(knn(&engine, q));
+        }
+    }) / queries.len() as f64;
+    let ns_knn_sort = time_per_op(iters, || {
+        for &q in &queries {
+            std::hint::black_box(knn_reference(q));
+        }
+    }) / queries.len() as f64;
+    RankedReads {
+        identical,
+        ms_top_pairs: ns_top_pairs / 1e6,
+        ms_top_pairs_sort: ns_top_pairs_sort / 1e6,
+        us_knn: ns_knn / 1e3,
+        us_knn_sort: ns_knn_sort / 1e3,
     }
 }

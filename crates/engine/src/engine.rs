@@ -24,6 +24,14 @@
 //! row's* constant (exactly like the old per-query `top_k`). The two
 //! agree bit-for-bit whenever the batch was released by one sketcher,
 //! which is the only kind the workspace produces.
+//!
+//! ## Ranked reads
+//!
+//! `knn` and `top_pairs` rank through one bounded selector,
+//! [`select_smallest`]: one pass over the candidates in O(t) memory,
+//! never a full sort, with ties kept in input order (ingest order for
+//! k-NN, row then column for pairs). Answers equal a stable sort by
+//! estimate truncated to `t`, bit for bit.
 
 use crate::error::EngineError;
 use crate::gather::Gather;
@@ -32,6 +40,8 @@ use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
 use dp_core::PrivateSketcher;
 use dp_core::{KernelId, PairwiseDistances, Parallelism, TilePlan, TileSegment};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A scored neighbor returned by [`QueryEngine::knn`].
@@ -315,9 +325,10 @@ impl QueryEngine {
     }
 
     /// The `k` nearest ingested parties to `party` (excluding every row
-    /// sharing the query's party id), ascending by estimate. Estimates
-    /// use the query row's debias constant, exactly like the per-query
-    /// surface this engine replaced.
+    /// sharing the query's party id), ascending by estimate, ties in
+    /// ingest order. Estimates use the query row's debias constant,
+    /// exactly like the per-query surface this engine replaced. One
+    /// pass over the candidates in O(k) memory ([`select_smallest`]).
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
@@ -340,8 +351,9 @@ impl QueryEngine {
     }
 
     /// The `t` globally closest pairs `(party a, party b, estimate)`,
-    /// ascending by estimate (ties in ingest order). Runs on the
-    /// incremental all-pairs cache.
+    /// ascending by estimate, ties by row then column in ingest order.
+    /// Runs on the incremental all-pairs cache: one pass over its upper
+    /// triangle in O(t) memory ([`select_smallest`]).
     #[must_use]
     pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
         let matrix = self.pairwise_all();
@@ -503,10 +515,88 @@ fn rows_distinct(rows: &[usize], n: usize) -> bool {
     rows.iter().all(|&r| !std::mem::replace(&mut seen[r], true))
 }
 
+/// The `t` candidates with the smallest estimates, ascending — the one
+/// ranking rule behind every k-NN and closest-pairs answer.
+///
+/// The answer is exactly what a stable `sort_by(partial_cmp)` followed
+/// by `truncate(t)` returns: the same items in the same order with the
+/// same estimate bits. Estimates compare with `partial_cmp`, so `-0.0`
+/// and `+0.0` tie, and ties keep input order: an equal estimate never
+/// displaces an earlier candidate.
+///
+/// Cost: one pass over the candidates, holding at most `t` of them in
+/// a max-heap keyed by (estimate, input position); a candidate not
+/// strictly below the current worst is skipped. Memory is
+/// O(min(t, candidates)) whatever `t` is, so a `t` read off the wire
+/// cannot size an allocation.
+///
+/// # Panics
+/// `"finite estimates"` when a comparison meets a NaN estimate, as the
+/// sort's would.
+pub fn select_smallest<T>(
+    t: usize,
+    candidates: impl IntoIterator<Item = (f64, T)>,
+) -> Vec<(f64, T)> {
+    let candidates = candidates.into_iter();
+    let mut heap = BinaryHeap::with_capacity(t.min(candidates.size_hint().0));
+    for (position, (estimate, item)) in candidates.enumerate() {
+        let ranked = Ranked {
+            estimate,
+            position,
+            item,
+        };
+        if heap.len() < t {
+            heap.push(ranked);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if estimate
+                .partial_cmp(&worst.estimate)
+                .expect("finite estimates")
+                .is_lt()
+            {
+                *worst = ranked;
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|r| (r.estimate, r.item))
+        .collect()
+}
+
+/// A [`select_smallest`] heap entry, ordered by (estimate, position).
+struct Ranked<T> {
+    estimate: f64,
+    position: usize,
+    item: T,
+}
+
+impl<T> Ord for Ranked<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.estimate
+            .partial_cmp(&other.estimate)
+            .expect("finite estimates")
+            .then(self.position.cmp(&other.position))
+    }
+}
+
+impl<T> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<T> Eq for Ranked<T> {}
+
 /// The k-NN scan behind [`QueryEngine::knn_row`] and
 /// [`crate::EngineSnapshot::knn`]: every candidate not sharing the
 /// query row's party id, scored with the **query row's** debias
-/// constant, ascending, truncated to `k`.
+/// constant, ranked by [`select_smallest`] (ties in ingest order).
 pub(crate) fn knn_over(
     store: &SketchStore,
     row: usize,
@@ -516,39 +606,42 @@ pub(crate) fn knn_over(
     let query_id = store.party_at(row);
     let query = store.row_values(row);
     let debias = store.debias_at(row);
-    let mut scored: Vec<Neighbor> = (0..store.n())
+    let scored = (0..store.n())
         .filter(|&c| store.party_at(c) != query_id)
-        .map(|c| Neighbor {
-            party_id: store.party_at(c),
-            estimated_sq_distance: raw_sq_distance(kernel, query, store.row_values(c)) - debias,
+        .map(|c| {
+            let estimate = raw_sq_distance(kernel, query, store.row_values(c)) - debias;
+            (estimate, store.party_at(c))
+        });
+    select_smallest(k, scored)
+        .into_iter()
+        .map(|(estimated_sq_distance, party_id)| Neighbor {
+            party_id,
+            estimated_sq_distance,
         })
-        .collect();
-    scored.sort_by(|a, b| {
-        a.estimated_sq_distance
-            .partial_cmp(&b.estimated_sq_distance)
-            .expect("finite estimates")
-    });
-    scored.truncate(k);
-    scored
+        .collect()
 }
 
 /// The `t` globally closest pairs over an already-materialized matrix,
-/// ascending by estimate (ties in ingest order).
+/// ranked by [`select_smallest`] over the upper triangle in row-major
+/// order (ties by row, then column). Party ids are looked up only for
+/// the survivors.
 pub(crate) fn top_pairs_over(
     store: &SketchStore,
     matrix: &PairwiseDistances,
     t: usize,
 ) -> Vec<(u64, u64, f64)> {
     let n = matrix.n();
-    let mut pairs: Vec<(u64, u64, f64)> = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs.push((store.party_at(i), store.party_at(j), matrix.at(i, j)));
-        }
-    }
-    pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite estimates"));
-    pairs.truncate(t);
-    pairs
+    let flat = matrix.as_flat();
+    let upper = (0..n).flat_map(|i| {
+        flat[i * n + i + 1..(i + 1) * n]
+            .iter()
+            .zip(i + 1..)
+            .map(move |(&estimate, j)| (estimate, (i, j)))
+    });
+    select_smallest(t, upper)
+        .into_iter()
+        .map(|(estimate, (i, j))| (store.party_at(i), store.party_at(j), estimate))
+        .collect()
 }
 
 /// The plan-vs-store and id-vs-plan validation behind

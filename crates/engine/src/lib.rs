@@ -43,7 +43,7 @@ pub mod gather;
 pub mod snapshot;
 pub mod store;
 
-pub use engine::{Neighbor, QueryEngine};
+pub use engine::{select_smallest, Neighbor, QueryEngine};
 pub use error::EngineError;
 pub use gather::{Gather, GatherError};
 pub use snapshot::{EngineSnapshot, SharedEngine};
@@ -58,7 +58,7 @@ mod tests {
         pairwise_sq_distances_reference, Construction, PrivateSketcher, SketcherSpec,
     };
     use dp_core::{NoisySketch, Parallelism};
-    use dp_hashing::Seed;
+    use dp_hashing::{Prng, Seed};
     use std::sync::Arc;
 
     fn spec(d: usize) -> SketcherSpec {
@@ -474,6 +474,73 @@ mod tests {
         }
         // Asking for more pairs than exist returns them all.
         assert_eq!(engine.top_pairs(1000).len(), 15);
+    }
+
+    /// The ranking contract: `select_smallest` returns exactly what a
+    /// stable `sort_by(partial_cmp)` + `truncate(t)` returns, kept here
+    /// as the reference.
+    #[test]
+    fn selection_matches_the_stable_sort_reference() {
+        // Few distinct values, so most estimates tie, with -0.0 and
+        // +0.0 mixed (they tie under partial_cmp but differ in bits).
+        const VALUES: [f64; 6] = [-1.5, -0.0, 0.0, 0.25, 0.25, 3.0];
+        let mut rng = Seed::new(0x5eed).rng();
+        for case in 0..400 {
+            let n = case % 37;
+            let input: Vec<(f64, usize)> = (0..n)
+                .map(|i| (VALUES[rng.next_range(VALUES.len() as u64) as usize], i))
+                .collect();
+            for t in [0, 1, n.saturating_sub(1), n, n + 1, u32::MAX as usize] {
+                let mut reference = input.clone();
+                reference.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"));
+                reference.truncate(t);
+                let got = select_smallest(t, input.iter().copied());
+                let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                    v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
+                };
+                assert_eq!(bits(&got), bits(&reference), "case {case}, n {n}, t {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_reads_list_ties_in_ingest_order() {
+        // Rows 0, 2, 4 share one sketch and rows 1, 3 another, so
+        // every pair within a group ties at the smallest estimate.
+        // Party ids fall with ingest order, so id order would differ.
+        let a = [1.0, 2.0, 3.0];
+        let b = [4.0, -1.0, 0.5];
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        for (id, values) in [(50, a), (40, b), (30, a), (20, b), (10, a)] {
+            let sketch = NoisySketch::new(values.to_vec(), "t", 0.5, 0.75);
+            engine
+                .ingest(&Release {
+                    party_id: id,
+                    sketch,
+                })
+                .unwrap();
+        }
+        let tied = -engine.store().debias_at(0);
+        let top = engine.top_pairs(5);
+        let ids: Vec<(u64, u64)> = top.iter().map(|&(p, q, _)| (p, q)).collect();
+        // Rows (0, 2), (0, 4), (1, 3), (2, 4): row-major order.
+        assert_eq!(ids[..4], [(50, 30), (50, 10), (40, 20), (30, 10)]);
+        assert!(top[..4].iter().all(|p| p.2.to_bits() == tied.to_bits()));
+        assert!(top[4].2 > tied);
+        // A cut through the tie keeps the earliest pairs.
+        let cut: Vec<(u64, u64)> = engine
+            .top_pairs(2)
+            .iter()
+            .map(|&(p, q, _)| (p, q))
+            .collect();
+        assert_eq!(cut, [(50, 30), (50, 10)]);
+        // knn: the two identical-sketch neighbours in ingest order.
+        let nn = engine.knn(50, 3).unwrap();
+        assert_eq!(nn[0].party_id, 30);
+        assert_eq!(nn[1].party_id, 10);
+        assert_eq!(nn[0].estimated_sq_distance.to_bits(), tied.to_bits());
+        assert_eq!(nn[1].estimated_sq_distance.to_bits(), tied.to_bits());
+        assert_eq!(engine.knn(20, 1).unwrap()[0].party_id, 40);
     }
 
     #[test]

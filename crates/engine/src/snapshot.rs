@@ -37,7 +37,10 @@
 //! Every snapshot query delegates to the same free functions as the
 //! locked [`QueryEngine`] surface (`knn_over`, `subset_pairwise`, …),
 //! so the two paths are bit-identical by construction, for any
-//! interleaving of reads and publishes.
+//! interleaving of reads and publishes. Ranked reads (`knn`,
+//! `top_pairs`) share the engine's bounded selector,
+//! [`crate::select_smallest`]: one pass over the candidates in O(t)
+//! memory, ties in input order.
 
 use crate::engine::{
     execute_tiles_over, knn_over, pair_rows_over, resolve_rows, subset_pairwise, top_pairs_over,
@@ -140,7 +143,9 @@ impl EngineSnapshot {
         ))
     }
 
-    /// The `k` nearest parties — bit-identical to [`QueryEngine::knn`].
+    /// The `k` nearest parties — bit-identical to [`QueryEngine::knn`]:
+    /// ascending, ties in ingest order, one pass over the candidates in
+    /// O(k) memory.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
@@ -154,7 +159,9 @@ impl EngineSnapshot {
 
     /// The `t` globally closest pairs, when the matrix memo is present
     /// (`None` signals the stale-cache fallback, exactly like
-    /// [`EngineSnapshot::full_matrix`]).
+    /// [`EngineSnapshot::full_matrix`]) — bit-identical to
+    /// [`QueryEngine::top_pairs`]: ascending, ties by row then column,
+    /// one pass over the memo's upper triangle in O(t) memory.
     #[must_use]
     pub fn top_pairs(&self, t: usize) -> Option<Vec<(u64, u64, f64)>> {
         self.matrix

@@ -12,12 +12,14 @@
 
 use crate::distributed::Release;
 use dp_core::error::CoreError;
+use dp_engine::select_smallest;
 
 // The scored-neighbor type now lives beside the engine that mints it.
 pub use dp_engine::Neighbor;
 
 /// The `k` nearest released sketches to `query` (excluding any candidate
-/// with the query's own party id), sorted ascending by estimate.
+/// with the query's own party id), ascending by estimate, ranked by
+/// [`dp_engine::select_smallest`] (ties in candidate order).
 ///
 /// # Errors
 /// Propagates sketch incompatibility.
@@ -26,23 +28,18 @@ pub fn top_k(
     candidates: &[Release],
     k: usize,
 ) -> Result<Vec<Neighbor>, CoreError> {
-    let mut scored: Vec<Neighbor> = candidates
+    let scored = candidates
         .iter()
         .filter(|c| c.party_id != query.party_id)
-        .map(|c| {
-            Ok(Neighbor {
-                party_id: c.party_id,
-                estimated_sq_distance: query.sketch.estimate_sq_distance(&c.sketch)?,
-            })
+        .map(|c| Ok((query.sketch.estimate_sq_distance(&c.sketch)?, c.party_id)))
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    Ok(select_smallest(k, scored)
+        .into_iter()
+        .map(|(estimated_sq_distance, party_id)| Neighbor {
+            party_id,
+            estimated_sq_distance,
         })
-        .collect::<Result<_, CoreError>>()?;
-    scored.sort_by(|a, b| {
-        a.estimated_sq_distance
-            .partial_cmp(&b.estimated_sq_distance)
-            .expect("finite estimates")
-    });
-    scored.truncate(k);
-    Ok(scored)
+        .collect())
 }
 
 /// Majority vote over the labels of the `k` nearest neighbors — the

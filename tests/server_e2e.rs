@@ -230,3 +230,57 @@ fn malformed_frames_get_error_responses_not_hangups() {
     });
     let _ = std::fs::remove_file(&socket);
 }
+
+#[test]
+fn wire_sized_ranked_reads_answer_every_candidate() {
+    // `TopPairs.t` and `Knn.k` arrive as u32 straight off the wire:
+    // the largest must return every pair / every other party, sizing
+    // nothing by the request, and leave the connection serving.
+    let spec = spec(96);
+    let rs = releases(&spec, 6);
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        reference.ingest(r).expect("ingest");
+    }
+
+    let socket = scratch_socket("maxrank");
+    let endpoint = Endpoint::Unix(socket.clone());
+    let server =
+        Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(1));
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.hello(&spec).expect("hello");
+        for r in &rs {
+            client.ingest(r).expect("ingest");
+        }
+
+        let remote_top = client.top_pairs(u32::MAX).expect("top");
+        let local_top = reference.top_pairs(usize::MAX);
+        assert_eq!(remote_top.len(), 15);
+        assert_eq!(local_top.len(), 15);
+        for (r, l) in remote_top.iter().zip(&local_top) {
+            assert_eq!((r.0, r.1, r.2.to_bits()), (l.0, l.1, l.2.to_bits()));
+        }
+
+        let party = rs[2].party_id;
+        let remote_nn = client.knn(party, u32::MAX).expect("knn");
+        let local_nn = reference.knn(party, usize::MAX).expect("knn");
+        assert_eq!(remote_nn.len(), 5);
+        assert_eq!(local_nn.len(), 5);
+        for (r, l) in remote_nn.iter().zip(&local_nn) {
+            assert_eq!(
+                (r.0, r.1.to_bits()),
+                (l.party_id, l.estimated_sq_distance.to_bits())
+            );
+        }
+
+        // The same connection still answers an ordinary query.
+        let (ids, _) = client.pairwise(&[]).expect("pairwise after u32::MAX reads");
+        assert_eq!(ids, reference.store().party_ids());
+
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    });
+    let _ = std::fs::remove_file(&socket);
+}
