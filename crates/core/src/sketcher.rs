@@ -212,7 +212,7 @@ pub enum Construction {
     /// Kenthapadi et al. baseline with the given σ calibration
     /// (requires δ).
     Kenthapadi(SigmaCalibration),
-    /// Private Achlioptas sparse ±1 projection (reference [1]; Laplace
+    /// Private Achlioptas sparse ±1 projection (reference \[1\]; Laplace
     /// noise without a δ budget, Gaussian with one). The second
     /// column-streaming construction after the SJLT.
     Achlioptas,
@@ -966,6 +966,8 @@ pub fn pairwise_sq_distances_reference(
 /// Batches released by one sketcher — the only kind the workspace
 /// produces — carry identical moments, where the two checks agree
 /// exactly.
+///
+/// [`TileScheduler`]: crate::TileScheduler
 pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
     items: &'a [T],
     sketch_of: impl Fn(&'a T) -> &'a NoisySketch + Sync,
@@ -1143,7 +1145,7 @@ fn fill_tile_segment<'a, R>(
 }
 
 /// Scatter one tile's row-major segment (plus its mirror) into a flat
-/// `n × n` matrix — the inverse of [`fill_tile_segment`]'s walk, shared
+/// `n × n` matrix — the inverse of `fill_tile_segment`'s walk, shared
 /// by the local kernel and the `dp-engine` gather assembler.
 pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut [f64]) {
     let mut idx = 0usize;
@@ -1166,7 +1168,7 @@ pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut
 /// half of the plan → execute → gather pipeline: a worker server runs
 /// exactly this over its own store and ships the segments back keyed by
 /// tile id, and the result is bit-identical to the local kernel because
-/// both run [`fill_tile_segment`].
+/// both run `fill_tile_segment`.
 ///
 /// Tiles are executed as dynamic tasks on `par.threads()` workers;
 /// output order is id-list order regardless of scheduling.

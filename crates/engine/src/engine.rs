@@ -307,7 +307,7 @@ impl QueryEngine {
     /// All pairwise estimates among an explicit subset of parties, in
     /// the given order. When the full-matrix memo is warm and slicing
     /// it is provably bit-identical to recomputing (uniform debias
-    /// constant, distinct rows — see [`subset_pairwise`]), the answer
+    /// constant, distinct rows — see `subset_pairwise`), the answer
     /// is sliced out of the cache in O(|subset|²); otherwise it is
     /// computed fresh via the tiled kernel.
     ///

@@ -6,7 +6,12 @@
 //! itself: it moves `u32 LE length + payload` frames in and out of
 //! per-connection buffers and hands complete payloads to a
 //! [`FrameService`] — `dp-server` supplies the service that decodes
-//! `DPRQ`, asks the engine, and encodes `DPRS`.
+//! `DPRQ`, asks the engine, and encodes `DPRS`. A service keeps what a
+//! connection must remember between frames in its own per-connection
+//! state ([`FrameService::Conn`], created on accept and dropped with the
+//! connection) and answers through an emitter, so the same service can
+//! also be driven by a blocking loop that writes each frame to the
+//! socket as it is produced.
 //!
 //! Three pieces:
 //!
@@ -41,5 +46,5 @@ pub mod stats;
 mod sys;
 
 pub use endpoint::{connect, connect_with_timeout, Conn, Endpoint, Listener};
-pub use reactor::{serve_loop, Control, FrameService, NetConfig, ServiceReply};
+pub use reactor::{serve_loop, Control, FrameService, NetConfig};
 pub use stats::{ReactorCounters, ReactorStats};

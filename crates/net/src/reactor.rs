@@ -8,9 +8,13 @@
 //!
 //! Per connection the loop keeps a read buffer (bytes in, frames
 //! extracted by a boundary state machine: 4-byte `u32 LE` length, then
-//! that many payload bytes) and a write buffer (reply frames queued,
-//! drained as the socket accepts them). A complete request payload is
-//! handed to the [`FrameService`] *on the reactor thread* — the
+//! that many payload bytes), a write buffer (reply frames queued,
+//! drained as the socket accepts them), and the service's own
+//! per-connection state ([`FrameService::Conn`]), which lives and dies
+//! with the connection. A complete request payload is handed to the
+//! [`FrameService`] *on the reactor thread* together with that state
+//! and an emitter; the loop collects every emitted frame and judges the
+//! whole reply against the write budget before queueing any of it. The
 //! service's answer time is the loop's latency floor, which is the
 //! design trade: queries against an immutable snapshot are pure CPU,
 //! and N loops give N concurrent computations without any
@@ -21,69 +25,49 @@ use crate::stats::ReactorStats;
 use crate::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Source of reactor-wide unique connection ids: every accepted
-/// connection gets one, across every loop and listener in the process,
-/// so a [`FrameService`] keeping per-connection state (e.g. a staged
-/// snapshot install) can key it without collisions.
-static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// What a [`FrameService`] tells the reactor after handling a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// Keep the connection open.
     Continue,
-    /// Flush queued replies, then close this connection.
-    Close,
     /// Flush, close, and shut the whole reactor down (every loop).
     Shutdown,
 }
 
-/// Reply frames plus connection disposition.
-#[derive(Debug)]
-pub struct ServiceReply {
-    /// Response payloads, queued in order; the reactor adds each
-    /// frame's `u32 LE` length prefix.
-    pub frames: Vec<Vec<u8>>,
-    /// What happens to the connection afterwards.
-    pub control: Control,
-}
-
-impl ServiceReply {
-    /// One reply frame, keep the connection.
-    #[must_use]
-    pub fn reply(payload: Vec<u8>) -> Self {
-        Self {
-            frames: vec![payload],
-            control: Control::Continue,
-        }
-    }
-}
-
 /// The protocol brain the reactor drives. Implementations must be
-/// callable from several reactor threads at once.
+/// callable from several reactor threads at once; whatever one
+/// connection must remember between its frames lives in that
+/// connection's own [`FrameService::Conn`], never in the service.
 pub trait FrameService: Sync {
+    /// Per-connection protocol state (e.g. a staged snapshot install):
+    /// created with `Default` when a connection is accepted, handed to
+    /// every frame it sends, and dropped with the connection.
+    type Conn: Default;
+
     /// Handle one complete request payload (the bytes after the length
-    /// prefix), returning reply frames and the connection disposition.
-    /// `conn` is a reactor-wide unique id for the sending connection,
-    /// stable across its lifetime — the key for any per-connection
-    /// protocol state the service keeps. Malformed payloads are the
-    /// service's to answer (e.g. with a typed error frame) — the
-    /// reactor only kills a connection on transport-level problems
-    /// (unparseable length, i/o errors).
-    fn handle_frame(&self, conn: u64, payload: &[u8]) -> ServiceReply;
+    /// prefix) from the connection whose state is `conn`, passing each
+    /// reply payload to `emit` in order (the transport adds the `u32 LE`
+    /// length prefix), and say what happens to the connection next.
+    /// Malformed payloads are the service's to answer (e.g. with a
+    /// typed error frame) — the reactor only kills a connection on
+    /// transport-level problems (unparseable length, i/o errors).
+    ///
+    /// # Errors
+    /// Whatever `emit` returns; the connection is then dropped.
+    fn handle_frame(
+        &self,
+        conn: &mut Self::Conn,
+        payload: &[u8],
+        emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+    ) -> io::Result<Control>;
 
     /// The payload substituted when a reply exceeds the write budget
     /// or a connection is rejected at the connection cap (the sketch
     /// protocol answers `ERR_BUSY`). Must be small.
     fn busy_payload(&self) -> Vec<u8>;
-
-    /// The connection is gone (clean goodbye, i/o error, idle reap, or
-    /// reactor shutdown): drop any per-connection state keyed by its
-    /// id. Default: nothing kept, nothing to do.
-    fn conn_closed(&self, _conn: u64) {}
 }
 
 /// Reactor tuning knobs.
@@ -125,10 +109,10 @@ impl Default for NetConfig {
 /// replies before dropping the connections mid-stream.
 const DRAIN_TICKS: u32 = 20;
 
-struct ConnState {
+struct ConnState<C> {
     conn: Conn,
-    /// Reactor-wide unique id, handed to the service with every frame.
-    id: u64,
+    /// The service's state for this connection ([`FrameService::Conn`]).
+    state: C,
     /// Bytes received, not yet framed.
     rbuf: Vec<u8>,
     /// Bytes queued to send; `wpos` already sent.
@@ -143,11 +127,11 @@ struct ConnState {
     last_activity: Instant,
 }
 
-impl ConnState {
+impl<C: Default> ConnState<C> {
     fn new(conn: Conn) -> Self {
         Self {
             conn,
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
+            state: C::default(),
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
@@ -221,9 +205,9 @@ impl ConnState {
     /// service, stopping early on backpressure or a connection-ending
     /// control verdict. Returns `true` if the service asked for a
     /// reactor-wide shutdown.
-    fn process(
+    fn process<S: FrameService<Conn = C>>(
         &mut self,
-        service: &dyn FrameService,
+        service: &S,
         config: &NetConfig,
         stats: &ReactorStats,
     ) -> bool {
@@ -248,9 +232,19 @@ impl ConnState {
                 break;
             };
             stats.frame_in();
-            let reply = service.handle_frame(self.id, payload);
+            // The emitter only collects: the write budget below judges
+            // the whole reply before any of it is queued.
+            let mut frames = Vec::new();
+            let control = service.handle_frame(&mut self.state, payload, &mut |frame| {
+                frames.push(frame);
+                Ok(())
+            });
             pos += 4 + len;
-            let reply_bytes: usize = reply.frames.iter().map(|f| 4 + f.len()).sum();
+            let Ok(control) = control else {
+                self.dead = true;
+                break;
+            };
+            let reply_bytes: usize = frames.iter().map(|f| 4 + f.len()).sum();
             if reply_bytes > config.write_budget {
                 // The reply can never fit the budget: substitute the
                 // typed busy frame instead of buffering unboundedly.
@@ -262,18 +256,14 @@ impl ConnState {
                 stats.busy_rejection();
                 stats.frames_out(1);
             } else {
-                for frame in &reply.frames {
+                for frame in &frames {
                     self.queue_frame(frame);
                 }
-                stats.frames_out(reply.frames.len() as u64);
+                stats.frames_out(frames.len() as u64);
             }
-            match reply.control {
-                Control::Continue => {}
-                Control::Close => self.closing = true,
-                Control::Shutdown => {
-                    self.closing = true;
-                    shutdown = true;
-                }
+            if control == Control::Shutdown {
+                self.closing = true;
+                shutdown = true;
             }
         }
         self.rbuf.drain(..pos);
@@ -284,10 +274,10 @@ impl ConnState {
 /// Accept every connection the listener has ready. Connections beyond
 /// `max_conns` (measured across all loops via the shared stats gauge)
 /// are sent the busy frame best-effort and dropped.
-fn accept_ready(
+fn accept_ready<S: FrameService>(
     listener: &Listener,
-    conns: &mut Vec<ConnState>,
-    service: &dyn FrameService,
+    conns: &mut Vec<ConnState<S::Conn>>,
+    service: &S,
     config: &NetConfig,
     stats: &ReactorStats,
 ) {
@@ -297,9 +287,9 @@ fn accept_ready(
                 if stats.open_connections() >= config.max_conns {
                     stats.conn_rejected();
                     let _ = conn.set_nonblocking(true);
-                    let mut state = ConnState::new(conn);
-                    state.queue_frame(&service.busy_payload());
-                    state.flush();
+                    let mut rejected: ConnState<S::Conn> = ConnState::new(conn);
+                    rejected.queue_frame(&service.busy_payload());
+                    rejected.flush();
                     // Dropped regardless of how much was written: an
                     // overloaded reactor spends no further effort here.
                     continue;
@@ -325,16 +315,16 @@ fn accept_ready(
 /// # Errors
 /// Setup failures (listener options) and poll(2) failures; per-
 /// connection i/o errors just drop the connection.
-pub fn serve_loop(
+pub fn serve_loop<S: FrameService>(
     listener: &Listener,
-    service: &dyn FrameService,
+    service: &S,
     config: &NetConfig,
     shutdown: &AtomicBool,
     stats: &ReactorStats,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let tick_ms = i32::try_from(config.tick.as_millis().clamp(1, 60_000)).expect("clamped");
-    let mut conns: Vec<ConnState> = Vec::new();
+    let mut conns: Vec<ConnState<S::Conn>> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
     let mut fds: Vec<PollFd> = Vec::new();
     let mut draining: u32 = 0;
@@ -352,15 +342,13 @@ pub fn serve_loop(
             conns.retain(|c| {
                 if c.dead {
                     stats.conn_closed();
-                    service.conn_closed(c.id);
                 }
                 !c.dead
             });
             draining += 1;
             if conns.is_empty() || draining > DRAIN_TICKS {
-                for c in &conns {
+                for _ in &conns {
                     stats.conn_closed();
-                    service.conn_closed(c.id);
                 }
                 return Ok(());
             }
@@ -430,7 +418,6 @@ pub fn serve_loop(
         conns.retain(|c| {
             if c.dead {
                 stats.conn_closed();
-                service.conn_closed(c.id);
             }
             !c.dead
         });
@@ -444,24 +431,27 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     /// Echoes each payload back; `b"quit"` shuts the reactor down,
-    /// `b"close"` closes the connection, `b"big"` answers with a 1 MiB
-    /// frame (for budget tests).
+    /// `b"big"` answers with a 1 MiB frame (for budget tests).
     struct Echo;
 
     impl FrameService for Echo {
-        fn handle_frame(&self, _conn: u64, payload: &[u8]) -> ServiceReply {
+        type Conn = ();
+
+        fn handle_frame(
+            &self,
+            _conn: &mut (),
+            payload: &[u8],
+            emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+        ) -> io::Result<Control> {
             match payload {
-                b"quit" => ServiceReply {
-                    frames: vec![b"bye".to_vec()],
-                    control: Control::Shutdown,
-                },
-                b"close" => ServiceReply {
-                    frames: vec![b"closed".to_vec()],
-                    control: Control::Close,
-                },
-                b"big" => ServiceReply::reply(vec![0xAB; 1 << 20]),
-                other => ServiceReply::reply(other.to_vec()),
+                b"quit" => {
+                    emit(b"bye".to_vec())?;
+                    return Ok(Control::Shutdown);
+                }
+                b"big" => emit(vec![0xAB; 1 << 20])?,
+                other => emit(other.to_vec())?,
             }
+            Ok(Control::Continue)
         }
 
         fn busy_payload(&self) -> Vec<u8> {
@@ -625,77 +615,66 @@ mod tests {
     }
 
     #[test]
-    fn conn_closed_fires_for_every_departed_connection() {
-        use std::sync::Mutex;
+    fn each_connection_carries_its_own_state() {
+        /// Answers every frame with how many frames its connection has
+        /// sent so far; `b"quit"` shuts the reactor down.
+        struct Counter;
 
-        struct Tracking {
-            closed: Mutex<Vec<u64>>,
-            seen: Mutex<Vec<u64>>,
-        }
+        impl FrameService for Counter {
+            type Conn = u8;
 
-        impl FrameService for Tracking {
-            fn handle_frame(&self, conn: u64, payload: &[u8]) -> ServiceReply {
-                match self.seen.lock() {
-                    Ok(mut seen) => seen.push(conn),
-                    Err(poisoned) => poisoned.into_inner().push(conn),
-                }
-                match payload {
-                    b"quit" => ServiceReply {
-                        frames: vec![b"bye".to_vec()],
-                        control: Control::Shutdown,
-                    },
-                    other => ServiceReply::reply(other.to_vec()),
-                }
+            fn handle_frame(
+                &self,
+                seen: &mut u8,
+                payload: &[u8],
+                emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+            ) -> io::Result<Control> {
+                *seen += 1;
+                emit(vec![*seen])?;
+                Ok(if payload == b"quit" {
+                    Control::Shutdown
+                } else {
+                    Control::Continue
+                })
             }
 
             fn busy_payload(&self) -> Vec<u8> {
                 b"BUSY".to_vec()
             }
-
-            fn conn_closed(&self, conn: u64) {
-                match self.closed.lock() {
-                    Ok(mut closed) => closed.push(conn),
-                    Err(poisoned) => poisoned.into_inner().push(conn),
-                }
-            }
         }
 
-        let service = Tracking {
-            closed: Mutex::new(Vec::new()),
-            seen: Mutex::new(Vec::new()),
-        };
         let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
         let listener = Listener::bind(&requested).unwrap();
         let local = listener.local_endpoint(&requested);
         let shutdown = AtomicBool::new(false);
         let stats = ReactorStats::new();
         let config = NetConfig::default();
-        std::thread::scope(|scope| {
-            scope.spawn(|| serve_loop(&listener, &service, &config, &shutdown, &stats).unwrap());
-            // One clean goodbye (drop), then one that shuts down while
-            // still open: both must be reported closed.
-            let mut first = connect(&local).unwrap();
-            first.write_all(&frame(b"a")).unwrap();
-            assert_eq!(read_exact_frame(&mut first), b"a");
-            drop(first);
-            let mut second = connect(&local).unwrap();
-            second.write_all(&frame(b"quit")).unwrap();
-            assert_eq!(read_exact_frame(&mut second), b"bye");
+        // Checked after the reactor is down: a failed check inside the
+        // scope would leave the loop serving.
+        let (interleaved, fresh) = std::thread::scope(|scope| {
+            scope.spawn(|| serve_loop(&listener, &Counter, &config, &shutdown, &stats).unwrap());
+            let ask = |conn: &mut Conn, payload: &[u8]| {
+                conn.write_all(&frame(payload)).unwrap();
+                read_exact_frame(conn)[0]
+            };
+            let mut a = connect(&local).unwrap();
+            let mut b = connect(&local).unwrap();
+            let interleaved = [
+                ask(&mut a, b"x"),
+                ask(&mut a, b"x"),
+                ask(&mut b, b"x"),
+                ask(&mut a, b"x"),
+            ];
+            drop(a);
+            let mut c = connect(&local).unwrap();
+            (interleaved, ask(&mut c, b"quit"))
         });
-        let seen = match service.seen.lock() {
-            Ok(s) => s.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
-        let mut closed = match service.closed.lock() {
-            Ok(c) => c.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
-        let mut distinct = seen.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), 2, "two distinct connection ids");
-        closed.sort_unstable();
-        assert_eq!(closed, distinct, "every id seen was reported closed");
+        // Two connections each count only their own frames, and a new
+        // connection starts from the default: a departed connection's
+        // state leaves with it.
+        assert_eq!(interleaved, [1, 2, 1, 3]);
+        assert_eq!(fresh, 1);
+        assert_eq!(stats.snapshot().open_connections, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Serializable tile plans: the pairwise computation as a first-class
 //! object.
 //!
-//! [`TileScheduler`](crate::TileScheduler) answers "what are the tiles?"
+//! [`TileScheduler`] answers "what are the tiles?"
 //! as an iterator; a [`TilePlan`] makes the *assignment* itself a value:
 //! a pure `(n, tile)` pair under which every tile of the all-pairs upper
 //! triangle has a **stable integer id** (its index in row-major block

@@ -18,16 +18,24 @@
 //! thread by one atomic epoch load — the hot read path acquires **no
 //! lock** and runs concurrently with ingest and with other reads.
 //!
-//! Two serve modes drive the same request brain ([`ServeMode`]):
+//! Two serve modes ([`ServeMode`]) drive one request brain, a private
+//! [`dp_net::FrameService`] that decodes each frame once and answers it
+//! with one `match` over every request kind. What a connection must
+//! remember between frames (the staged parts of a push-install) is that
+//! connection's own state, created with it and dropped with it; replies
+//! leave through an emitter the serve mode supplies:
 //!
 //! * **Threads** — a fixed pool of blocking accept/serve loops, one
-//!   connection per thread. Accepted sockets carry the configured
-//!   read/write timeouts ([`Server::with_conn_timeout`]) so a half-open
-//!   client cannot pin its worker thread forever.
+//!   connection per thread; the emitter writes each reply frame (each
+//!   tile or snapshot part of a stream) to the socket as soon as it is
+//!   produced. Accepted sockets carry the configured read/write
+//!   timeouts ([`Server::with_conn_timeout`]) so a half-open client
+//!   cannot pin its worker thread forever.
 //! * **EvLoop** — `dp_net`'s poll-driven nonblocking reactor: the same
 //!   thread count runs event loops over a shared listener, with
 //!   per-connection buffers, write backpressure, and a typed
-//!   [`dp_core::protocol::ERR_BUSY`] overload answer.
+//!   [`dp_core::protocol::ERR_BUSY`] overload answer for a reply too
+//!   large for the write budget as a whole.
 //!
 //! ```text
 //! client ──frames──▶ Server ──▶ SharedEngine ──▶ EngineSnapshot (reads)
@@ -47,10 +55,9 @@ use dp_core::sketcher::SketcherSpec;
 use dp_core::wire::FNV1A64_INIT;
 use dp_core::{TilePlan, TileSegment};
 use dp_engine::{EngineError, EngineSnapshot, Gather, QueryEngine, SharedEngine, SketchStore};
-use dp_net::{serve_loop, Control, FrameService, Listener, ServiceReply};
+use dp_net::{serve_loop, Control, FrameService, Listener};
 use dp_parallel::{par_map, scope_workers};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1070,10 +1077,7 @@ impl Server {
     }
 
     fn serve_evloop(&self, workers: usize) {
-        let service = SnapshotService {
-            server: self,
-            installs: Mutex::new(BTreeMap::new()),
-        };
+        let service = Service(self);
         scope_workers(workers, |_| {
             // Per-loop failures (poll itself failing) end that loop;
             // the listener teardown below unblocks nothing because
@@ -1091,104 +1095,26 @@ impl Server {
         let _ = self.listener.set_nonblocking(false);
     }
 
-    /// Serve one connection (thread mode): one response per request (or
-    /// a part stream for `ExecuteTilesStream`/`FetchSnapshot`; no
-    /// response at all for a staged push-install `SnapshotPart`), until
-    /// the peer hangs up, times out, or asks for shutdown.
+    /// Serve one connection (thread mode): hand each request frame to
+    /// the [`Service`], whose emitter writes every reply frame to the
+    /// socket as soon as it is produced, until the peer hangs up, times
+    /// out, or asks for shutdown.
     fn serve_conn(&self, mut conn: Conn) {
-        // Push-install staging: `Request::SnapshotPart` frames
-        // accumulate here (unacknowledged) until the closing
-        // `Request::SnapshotSummary` verifies and installs them.
-        let mut staging: Option<InstallStaging> = None;
-        loop {
-            let payload = match read_frame(&mut conn) {
-                Ok(Some(payload)) => payload,
-                Ok(None) | Err(_) => return,
-            };
+        let service = Service(self);
+        let mut staging = None;
+        while let Ok(Some(payload)) = read_frame(&mut conn) {
             self.reactor_stats.frame_in();
-            let decoded = decode_request(&payload);
-            match &decoded {
-                Ok(Request::ExecuteTilesStream {
-                    rows,
-                    tile,
-                    tile_ids,
-                }) => {
-                    let snapshot = self.current_snapshot();
-                    let stats = &self.reactor_stats;
-                    let streamed =
-                        stream_tile_frames(&snapshot, *rows, *tile, tile_ids, &mut |bytes| {
-                            stats.frames_out(1);
-                            write_frame(&mut conn, &bytes)
-                        });
-                    if streamed.is_err() {
-                        return;
-                    }
-                    continue;
+            let control = service.handle_frame(&mut staging, &payload, &mut |bytes| {
+                self.reactor_stats.frames_out(1);
+                write_frame(&mut conn, &bytes)
+            });
+            match control {
+                Ok(Control::Continue) => {}
+                Ok(Control::Shutdown) => {
+                    self.wake_sleeping_workers();
+                    return;
                 }
-                Ok(Request::FetchSnapshot {
-                    have_rows,
-                    part_len,
-                }) => {
-                    let stats = &self.reactor_stats;
-                    let streamed =
-                        self.stream_snapshot_frames(*have_rows, *part_len, &mut |bytes| {
-                            stats.frames_out(1);
-                            write_frame(&mut conn, &bytes)
-                        });
-                    if streamed.is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(Request::SnapshotPart { seq, layer, chunk }) => {
-                    if let Err(refusal) = stage_snapshot_part(&mut staging, *seq, *layer, chunk) {
-                        self.reactor_stats.frames_out(1);
-                        if write_frame(&mut conn, &encode_bounded(&refusal)).is_err() {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                Ok(Request::SnapshotSummary {
-                    generation,
-                    rows,
-                    count,
-                    total_len,
-                    checksum,
-                }) => {
-                    let response = self.finish_snapshot_install(
-                        staging.take(),
-                        *generation,
-                        *rows,
-                        *count,
-                        *total_len,
-                        *checksum,
-                    );
-                    self.reactor_stats.frames_out(1);
-                    if write_frame(&mut conn, &encode_bounded(&response)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-            let (response, bye) = match decoded {
-                Ok(request) => self.handle(&request),
-                Err(e) => (
-                    Response::Error {
-                        code: ERR_MALFORMED,
-                        message: e.to_string(),
-                    },
-                    false,
-                ),
-            };
-            self.reactor_stats.frames_out(1);
-            if write_frame(&mut conn, &encode_bounded(&response)).is_err() {
-                return;
-            }
-            if bye {
-                self.wake_sleeping_workers();
-                return;
+                Err(_) => return,
             }
         }
     }
@@ -1221,262 +1147,11 @@ impl Server {
         })
     }
 
-    /// Answer one request against the shared engine. Returns the
-    /// response and whether the connection (and server) should wind
-    /// down.
-    ///
-    /// Mutations run through [`SharedEngine::mutate`] (serialized, and
-    /// publishing a fresh snapshot); every read-only arm answers from a
-    /// published snapshot with no lock on the hot path.
-    fn handle(&self, request: &Request) -> (Response, bool) {
-        // Replicated mutations (coordinator Hello/Ingest) serialize on
-        // the shards' order lock, acquired *before* the engine lock:
-        // the local append, the journal append, and the worker
-        // broadcast form one ordered unit, but the engine lock is
-        // released (inside `mutate`) before the broadcast, so a wedged
-        // worker stalls only other mutations — local queries keep
-        // answering from snapshots.
-        let _order = match (&self.shards, request) {
-            (Some(shards), Request::Hello { .. } | Request::Ingest { .. }) => {
-                Some(shards.order_lock())
-            }
-            _ => None,
-        };
-        let response = match request {
-            Request::Hello { spec_json, .. } => {
-                let response = self.shared.mutate(|engine| hello(engine, spec_json));
-                // A coordinator journals the accepted spec and relays
-                // it (with its own caps) so the worker replicas
-                // negotiate the same store identity. A worker that
-                // fails the relay or echoes a diverged row count is
-                // poisoned — the journal lets it catch up later — but
-                // the client's Hello still succeeds: the coordinator's
-                // local engine is the source of truth.
-                if let (Response::Hello { rows, .. }, Some(shards)) = (&response, &self.shards) {
-                    let rows = *rows;
-                    shards.journal_lock().set_spec(spec_json);
-                    let relay = Request::Hello {
-                        spec_json: spec_json.clone(),
-                        caps: CLIENT_CAPS,
-                    };
-                    shards.broadcast_mutation(
-                        &relay,
-                        &|r| matches!(r, Response::Hello { rows: got, .. } if *got == rows),
-                    );
-                }
-                response
-            }
-            Request::Ingest { release_frame } => {
-                let accepted = self.shared.mutate(|engine| {
-                    engine
-                        .ingest_bytes(release_frame)
-                        .map(|row| (row as u64, engine.store().n() as u64))
-                });
-                match accepted {
-                    Ok((row, rows)) => {
-                        // Journal and broadcast only what the local
-                        // engine accepted — a rejected release never
-                        // reaches a worker. Live workers must echo the
-                        // coordinator's row count (a different echo
-                        // means the replica missed an earlier mutation
-                        // → poisoned, caught up from the journal at the
-                        // next revival); poisoned workers are skipped,
-                        // not waited on. Either way the client's ingest
-                        // succeeds.
-                        if let Some(shards) = &self.shards {
-                            let mut log = shards.journal_lock();
-                            log.append(release_frame.clone());
-                            if log.needs_compaction() {
-                                // Fold the journal into a fresh snapshot.
-                                // The published snapshot reflects this
-                                // ingest (mutate published before we got
-                                // here) and no other mutation can run —
-                                // we hold the order lock — so its row
-                                // count is exactly the log's tip.
-                                let snap = self.shared.snapshot();
-                                let bytes = snap.store().encode_snapshot(snap.generation());
-                                log.install_snapshot(bytes, snap.n(), snap.generation());
-                                log.compactions += 1;
-                                shards.stats.compactions.fetch_add(1, Ordering::SeqCst);
-                                shards
-                                    .stats
-                                    .snapshot_generation
-                                    .store(snap.generation(), Ordering::SeqCst);
-                            }
-                            shards
-                                .stats
-                                .journal_len
-                                .store(log.frames.len() as u64, Ordering::SeqCst);
-                            drop(log);
-                            shards.broadcast_mutation(
-                                request,
-                                &|r| matches!(r, Response::Ingested { rows: got, .. } if *got == rows),
-                            );
-                        }
-                        Response::Ingested { row, rows }
-                    }
-                    Err(e) => error_response(&e),
-                }
-            }
-            Request::Pairwise { parties } if parties.is_empty() => {
-                let snapshot = self.current_snapshot();
-                match (snapshot.full_matrix(), &self.shards) {
-                    // Warm memo: answer straight off the snapshot.
-                    (Some(matrix), _) => Response::Pairwise {
-                        parties: snapshot.store().party_ids().to_vec(),
-                        values: matrix.as_flat().to_vec(),
-                    },
-                    // The quadratic pass fans out across the pool (2+
-                    // rows; below that the plan has no pairs). The
-                    // snapshot fixes the store geometry with no lock at
-                    // all: a slow worker never blocks other clients. The
-                    // store is append-only, so a mid-flight ingest can
-                    // only surface as a worker-side ERR_PLAN.
-                    (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
-                        let party_ids = snapshot.store().party_ids().to_vec();
-                        shards.sharded_pairwise(&self.shared, snapshot.n(), party_ids)
-                    }
-                    // Cold: fill the memo through the mutation path. Both
-                    // fills *publish* a snapshot carrying the matrix, so
-                    // the next full-matrix, top-pairs and subset reads are
-                    // lock-free again.
-                    (None, _) => {
-                        let (parties, values) = self.shared.mutate(|engine| {
-                            (
-                                engine.store().party_ids().to_vec(),
-                                engine.pairwise_all().as_flat().to_vec(),
-                            )
-                        });
-                        Response::Pairwise { parties, values }
-                    }
-                }
-            }
-            Request::Pairwise { parties } => match self.current_snapshot().pairwise(parties) {
-                Ok(matrix) => Response::Pairwise {
-                    parties: parties.clone(),
-                    values: matrix.into_flat(),
-                },
-                Err(e) => error_response(&e),
-            },
-            Request::PlanPairwise { tile } => {
-                let plan = TilePlan::new(self.current_snapshot().n(), *tile as usize);
-                Response::Plan {
-                    rows: plan.n() as u64,
-                    tile: plan.tile() as u32,
-                    tile_count: plan.tile_count() as u64,
-                    pair_count: plan.pair_count() as u64,
-                }
-            }
-            Request::Knn { party, k } => match self.current_snapshot().knn(*party, *k as usize) {
-                Ok(neighbors) => Response::Knn {
-                    neighbors: neighbors
-                        .into_iter()
-                        .map(|n| (n.party_id, n.estimated_sq_distance))
-                        .collect(),
-                },
-                Err(e) => error_response(&e),
-            },
-            Request::TopPairs { t } => {
-                let pairs = match self.current_snapshot().top_pairs(*t as usize) {
-                    Some(pairs) => pairs,
-                    // Stale memo: fill it through the mutation path
-                    // (publishing a matrix-carrying snapshot).
-                    None => self.shared.mutate(|engine| engine.top_pairs(*t as usize)),
-                };
-                Response::TopPairs { pairs }
-            }
-            Request::ExecuteTilesStream { .. }
-            | Request::FetchSnapshot { .. }
-            | Request::SnapshotPart { .. }
-            | Request::SnapshotSummary { .. } => {
-                // Intercepted at the transport layer (they answer with a
-                // frame stream, or are parts of one); reaching here is a
-                // bug.
-                Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "streamed exchanges are handled at the transport layer".to_string(),
-                }
-            }
-            Request::Shutdown => {
-                // A coordinator winds its worker pool down with it
-                // (best-effort: a dead worker can't block shutdown).
-                if let Some(shards) = &self.shards {
-                    shards.broadcast_mutation(request, &|r| matches!(r, Response::Bye));
-                }
-                self.shutdown.store(true, Ordering::SeqCst);
-                return (Response::Bye, true);
-            }
-        };
-        (response, false)
-    }
-
     /// Unblock workers stuck in `accept` after shutdown was requested:
     /// a burst of no-op connections, one per running accept loop.
     fn wake_sleeping_workers(&self) {
         for _ in 0..self.active_workers.load(Ordering::SeqCst) {
             let _ = connect(&self.local_endpoint());
-        }
-    }
-
-    /// The event-loop entry point: decode one request payload and
-    /// answer with encoded reply frames. Shares every code path with
-    /// thread mode ([`Server::handle`], [`stream_tile_frames`],
-    /// [`encode_bounded`]), which is what makes the two modes
-    /// bit-identical frame for frame.
-    fn handle_payload(&self, payload: &[u8]) -> ServiceReply {
-        let decoded = decode_request(payload);
-        if let Ok(Request::ExecuteTilesStream {
-            rows,
-            tile,
-            tile_ids,
-        }) = &decoded
-        {
-            let snapshot = self.current_snapshot();
-            let mut frames = Vec::new();
-            // The emitter is infallible here (it only buffers); the
-            // reactor applies its write budget to the whole reply, so a
-            // stream too large to buffer answers ERR_BUSY instead.
-            let _ = stream_tile_frames(&snapshot, *rows, *tile, tile_ids, &mut |bytes| {
-                frames.push(bytes);
-                Ok(())
-            });
-            return ServiceReply {
-                frames,
-                control: Control::Continue,
-            };
-        }
-        if let Ok(Request::FetchSnapshot {
-            have_rows,
-            part_len,
-        }) = &decoded
-        {
-            let mut frames = Vec::new();
-            let _ = self.stream_snapshot_frames(*have_rows, *part_len, &mut |bytes| {
-                frames.push(bytes);
-                Ok(())
-            });
-            return ServiceReply {
-                frames,
-                control: Control::Continue,
-            };
-        }
-        let (response, bye) = match decoded {
-            Ok(request) => self.handle(&request),
-            Err(e) => (
-                Response::Error {
-                    code: ERR_MALFORMED,
-                    message: e.to_string(),
-                },
-                false,
-            ),
-        };
-        ServiceReply {
-            frames: vec![encode_bounded(&response)],
-            control: if bye {
-                Control::Shutdown
-            } else {
-                Control::Continue
-            },
         }
     }
 
@@ -1517,6 +1192,9 @@ impl Server {
                 let log = shards.journal_lock();
                 let tip = log.tip() as u64;
                 if have_rows > tip {
+                    // Emit nothing under the journal lock: a slow reader
+                    // would stall every coordinator ingest behind it.
+                    drop(log);
                     let refusal = Response::Error {
                         code: ERR_PLAN,
                         message: format!(
@@ -1529,6 +1207,7 @@ impl Server {
                 let mut parts = Vec::new();
                 if (have_rows as usize) < log.base {
                     let Some(snapshot) = &log.snapshot else {
+                        drop(log);
                         let refusal = Response::Error {
                             code: ERR_INTERNAL,
                             message: "log has a non-zero base but no snapshot".to_string(),
@@ -1679,11 +1358,7 @@ fn stage_snapshot_part(
             message: "push-install parts must carry the store layer".to_string(),
         });
     }
-    let staged = staging.get_or_insert_with(|| InstallStaging {
-        next_seq: 0,
-        digest: FNV1A64_INIT,
-        bytes: Vec::new(),
-    });
+    let staged = staging.get_or_insert_with(InstallStaging::default);
     if seq != staged.next_seq {
         let got = staged.next_seq;
         *staging = None;
@@ -1708,75 +1383,247 @@ impl Default for InstallStaging {
     }
 }
 
-/// The [`FrameService`] the reactor drives: the server's request brain
-/// behind the `dp_net` frame boundary, plus the per-connection
-/// push-install staging (thread mode keeps the equivalent staging as a
-/// local in [`Server::serve_conn`]; the reactor is connection-agnostic,
-/// so staging is keyed by the reactor's connection id and cleared by
-/// [`FrameService::conn_closed`]).
-struct SnapshotService<'a> {
-    server: &'a Server,
-    installs: Mutex<BTreeMap<u64, InstallStaging>>,
-}
+/// The server's one request brain, driven by both serve modes: the
+/// reactor calls it from [`serve_loop`], thread mode from
+/// [`Server::serve_conn`]. Each frame is decoded once and answered by
+/// one `match` over every request kind, and every reply frame leaves
+/// through the emitter — thread mode writes it to the socket at once,
+/// the reactor collects the whole reply against its write budget. A
+/// newtype over the server because its per-connection state is private.
+struct Service<'a>(&'a Server);
 
-impl SnapshotService<'_> {
-    /// Lock the install staging map, healing a poisoned mutex by
-    /// discarding all staged state (every affected install then fails
-    /// its summary check — never half-installs).
-    fn installs_lock(&self) -> MutexGuard<'_, BTreeMap<u64, InstallStaging>> {
-        self.installs.lock().unwrap_or_else(|poison| {
-            self.installs.clear_poison();
-            let mut guard = poison.into_inner();
-            guard.clear();
-            guard
-        })
-    }
-}
+impl FrameService for Service<'_> {
+    /// A push-install in progress: `Request::SnapshotPart` frames
+    /// accumulate here (unacknowledged) until the closing
+    /// `Request::SnapshotSummary` verifies and installs them.
+    type Conn = Option<InstallStaging>;
 
-impl FrameService for SnapshotService<'_> {
-    fn handle_frame(&self, conn: u64, payload: &[u8]) -> ServiceReply {
-        match decode_request(payload) {
-            Ok(Request::SnapshotPart { seq, layer, chunk }) => {
-                let mut map = self.installs_lock();
-                let mut staging = map.remove(&conn);
-                match stage_snapshot_part(&mut staging, seq, layer, &chunk) {
-                    Ok(()) => {
-                        if let Some(staged) = staging {
-                            map.insert(conn, staged);
+    /// Mutations run through [`SharedEngine::mutate`] (serialized, and
+    /// publishing a fresh snapshot); every read-only arm answers from a
+    /// published snapshot with no lock on the hot path. No reply byte is
+    /// emitted while the order or engine lock is held.
+    fn handle_frame(
+        &self,
+        staging: &mut Option<InstallStaging>,
+        payload: &[u8],
+        emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+    ) -> io::Result<Control> {
+        let server = self.0;
+        let request = match decode_request(payload) {
+            Ok(request) => request,
+            Err(e) => {
+                let refusal = Response::Error {
+                    code: ERR_MALFORMED,
+                    message: e.to_string(),
+                };
+                emit(encode_bounded(&refusal))?;
+                return Ok(Control::Continue);
+            }
+        };
+        let response = match &request {
+            Request::Hello { spec_json, .. } => {
+                // Replicated mutations (coordinator Hello/Ingest)
+                // serialize on the shards' order lock, acquired *before*
+                // the engine lock: the local append, the journal append,
+                // and the worker broadcast form one ordered unit, but the
+                // engine lock is released (inside `mutate`) before the
+                // broadcast, so a wedged worker stalls only other
+                // mutations — local queries keep answering from
+                // snapshots. The guard ends with the arm, before the
+                // reply is emitted.
+                let _order = server.shards.as_ref().map(Shards::order_lock);
+                let response = server.shared.mutate(|engine| hello(engine, spec_json));
+                // A coordinator journals the accepted spec and relays
+                // it (with its own caps) so the worker replicas
+                // negotiate the same store identity. A worker that
+                // fails the relay or echoes a diverged row count is
+                // poisoned — the journal lets it catch up later — but
+                // the client's Hello still succeeds: the coordinator's
+                // local engine is the source of truth.
+                if let (Response::Hello { rows, .. }, Some(shards)) = (&response, &server.shards) {
+                    let rows = *rows;
+                    shards.journal_lock().set_spec(spec_json);
+                    let relay = Request::Hello {
+                        spec_json: spec_json.clone(),
+                        caps: CLIENT_CAPS,
+                    };
+                    shards.broadcast_mutation(
+                        &relay,
+                        &|r| matches!(r, Response::Hello { rows: got, .. } if *got == rows),
+                    );
+                }
+                response
+            }
+            Request::Ingest { release_frame } => {
+                let _order = server.shards.as_ref().map(Shards::order_lock);
+                let accepted = server.shared.mutate(|engine| {
+                    engine
+                        .ingest_bytes(release_frame)
+                        .map(|row| (row as u64, engine.store().n() as u64))
+                });
+                match accepted {
+                    Ok((row, rows)) => {
+                        // Journal and broadcast only what the local
+                        // engine accepted — a rejected release never
+                        // reaches a worker. Live workers must echo the
+                        // coordinator's row count (a different echo
+                        // means the replica missed an earlier mutation
+                        // → poisoned, caught up from the journal at the
+                        // next revival); poisoned workers are skipped,
+                        // not waited on. Either way the client's ingest
+                        // succeeds.
+                        if let Some(shards) = &server.shards {
+                            let mut log = shards.journal_lock();
+                            log.append(release_frame.clone());
+                            if log.needs_compaction() {
+                                // Fold the journal into a fresh snapshot.
+                                // The published snapshot reflects this
+                                // ingest (mutate published before we got
+                                // here) and no other mutation can run —
+                                // we hold the order lock — so its row
+                                // count is exactly the log's tip.
+                                let snap = server.shared.snapshot();
+                                let bytes = snap.store().encode_snapshot(snap.generation());
+                                log.install_snapshot(bytes, snap.n(), snap.generation());
+                                log.compactions += 1;
+                                shards.stats.compactions.fetch_add(1, Ordering::SeqCst);
+                                shards
+                                    .stats
+                                    .snapshot_generation
+                                    .store(snap.generation(), Ordering::SeqCst);
+                            }
+                            shards
+                                .stats
+                                .journal_len
+                                .store(log.frames.len() as u64, Ordering::SeqCst);
+                            drop(log);
+                            shards.broadcast_mutation(
+                                &request,
+                                &|r| matches!(r, Response::Ingested { rows: got, .. } if *got == rows),
+                            );
                         }
-                        ServiceReply {
-                            frames: Vec::new(),
-                            control: Control::Continue,
-                        }
+                        Response::Ingested { row, rows }
                     }
-                    Err(refusal) => ServiceReply {
-                        frames: vec![encode_bounded(&refusal)],
-                        control: Control::Continue,
-                    },
+                    Err(e) => error_response(&e),
                 }
             }
-            Ok(Request::SnapshotSummary {
+            Request::Pairwise { parties } if parties.is_empty() => {
+                let snapshot = server.current_snapshot();
+                match (snapshot.full_matrix(), &server.shards) {
+                    // Warm memo: answer straight off the snapshot.
+                    (Some(matrix), _) => Response::Pairwise {
+                        parties: snapshot.store().party_ids().to_vec(),
+                        values: matrix.as_flat().to_vec(),
+                    },
+                    // The quadratic pass fans out across the pool (2+
+                    // rows; below that the plan has no pairs). The
+                    // snapshot fixes the store geometry with no lock at
+                    // all: a slow worker never blocks other clients. The
+                    // store is append-only, so a mid-flight ingest can
+                    // only surface as a worker-side ERR_PLAN.
+                    (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
+                        let party_ids = snapshot.store().party_ids().to_vec();
+                        shards.sharded_pairwise(&server.shared, snapshot.n(), party_ids)
+                    }
+                    // Cold: fill the memo through the mutation path. Both
+                    // fills *publish* a snapshot carrying the matrix, so
+                    // the next full-matrix, top-pairs and subset reads are
+                    // lock-free again.
+                    (None, _) => {
+                        let (parties, values) = server.shared.mutate(|engine| {
+                            (
+                                engine.store().party_ids().to_vec(),
+                                engine.pairwise_all().as_flat().to_vec(),
+                            )
+                        });
+                        Response::Pairwise { parties, values }
+                    }
+                }
+            }
+            Request::Pairwise { parties } => match server.current_snapshot().pairwise(parties) {
+                Ok(matrix) => Response::Pairwise {
+                    parties: parties.clone(),
+                    values: matrix.into_flat(),
+                },
+                Err(e) => error_response(&e),
+            },
+            Request::PlanPairwise { tile } => {
+                let plan = TilePlan::new(server.current_snapshot().n(), *tile as usize);
+                Response::Plan {
+                    rows: plan.n() as u64,
+                    tile: plan.tile() as u32,
+                    tile_count: plan.tile_count() as u64,
+                    pair_count: plan.pair_count() as u64,
+                }
+            }
+            Request::Knn { party, k } => match server.current_snapshot().knn(*party, *k as usize) {
+                Ok(neighbors) => Response::Knn {
+                    neighbors: neighbors
+                        .into_iter()
+                        .map(|n| (n.party_id, n.estimated_sq_distance))
+                        .collect(),
+                },
+                Err(e) => error_response(&e),
+            },
+            Request::TopPairs { t } => {
+                let pairs = match server.current_snapshot().top_pairs(*t as usize) {
+                    Some(pairs) => pairs,
+                    // Stale memo: fill it through the mutation path
+                    // (publishing a matrix-carrying snapshot).
+                    None => server.shared.mutate(|engine| engine.top_pairs(*t as usize)),
+                };
+                Response::TopPairs { pairs }
+            }
+            Request::ExecuteTilesStream {
+                rows,
+                tile,
+                tile_ids,
+            } => {
+                let snapshot = server.current_snapshot();
+                stream_tile_frames(&snapshot, *rows, *tile, tile_ids, emit)?;
+                return Ok(Control::Continue);
+            }
+            Request::FetchSnapshot {
+                have_rows,
+                part_len,
+            } => {
+                server.stream_snapshot_frames(*have_rows, *part_len, emit)?;
+                return Ok(Control::Continue);
+            }
+            Request::SnapshotPart { seq, layer, chunk } => {
+                match stage_snapshot_part(staging, *seq, *layer, chunk) {
+                    // Parts are unacknowledged.
+                    Ok(()) => return Ok(Control::Continue),
+                    Err(refusal) => refusal,
+                }
+            }
+            Request::SnapshotSummary {
                 generation,
                 rows,
                 count,
                 total_len,
                 checksum,
-            }) => {
-                let staging = self.installs_lock().remove(&conn);
-                let response = self
-                    .server
-                    .finish_snapshot_install(staging, generation, rows, count, total_len, checksum);
-                ServiceReply {
-                    frames: vec![encode_bounded(&response)],
-                    control: Control::Continue,
+            } => server.finish_snapshot_install(
+                staging.take(),
+                *generation,
+                *rows,
+                *count,
+                *total_len,
+                *checksum,
+            ),
+            Request::Shutdown => {
+                // A coordinator winds its worker pool down with it
+                // (best-effort: a dead worker can't block shutdown).
+                if let Some(shards) = &server.shards {
+                    shards.broadcast_mutation(&request, &|r| matches!(r, Response::Bye));
                 }
+                server.shutdown.store(true, Ordering::SeqCst);
+                emit(encode_bounded(&Response::Bye))?;
+                return Ok(Control::Shutdown);
             }
-            _ => self.server.handle_payload(payload),
-        }
-    }
-
-    fn conn_closed(&self, conn: u64) {
-        self.installs_lock().remove(&conn);
+        };
+        emit(encode_bounded(&response))?;
+        Ok(Control::Continue)
     }
 
     fn busy_payload(&self) -> Vec<u8> {
@@ -2057,15 +1904,30 @@ impl Client {
     /// Transport and codec failures; *not* server `Error` frames, which
     /// are returned as values for the typed wrappers to interpret.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let payload = encode_request(request)?;
-        write_frame(&mut self.conn, &payload)?;
-        let reply = read_frame(&mut self.conn)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            ))
-        })?;
-        Ok(decode_response(&reply)?)
+        self.exchange(request, |response| Ok(Some(response)))
+    }
+
+    /// The one reply reader: write `request`, then hand each decoded
+    /// reply frame to `on_frame` until it returns `Some` — the
+    /// exchange's result. The server hanging up first is a transport
+    /// error.
+    fn exchange<T>(
+        &mut self,
+        request: &Request,
+        mut on_frame: impl FnMut(Response) -> Result<Option<T>, ClientError>,
+    ) -> Result<T, ClientError> {
+        write_frame(&mut self.conn, &encode_request(request)?)?;
+        loop {
+            let reply = read_frame(&mut self.conn)?.ok_or_else(|| {
+                ClientError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before answering",
+                ))
+            })?;
+            if let Some(done) = on_frame(decode_response(&reply)?)? {
+                return Ok(done);
+            }
+        }
     }
 
     fn expect<T>(
@@ -2074,15 +1936,15 @@ impl Client {
         pick: impl FnOnce(Response) -> Option<T>,
     ) -> Result<T, ClientError> {
         match self.call(request)? {
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            error @ Response::Error { .. } => Err(refused(error)),
             other => pick(other).ok_or(ClientError::UnexpectedResponse),
         }
     }
 
     /// Negotiate the shared spec; returns `(k, rows, tag)`. The client
-    /// advertises every capability it implements (currently
-    /// [`CAP_TILE_STREAM`]); use [`Client::hello_caps`] to also learn
-    /// the server's.
+    /// advertises every capability it implements ([`CAP_TILE_STREAM`],
+    /// [`CAP_SKETCH_F32`] and [`CAP_SNAPSHOT`]); use
+    /// [`Client::hello_caps`] to also learn the server's.
     ///
     /// # Errors
     /// [`ClientError::Remote`] with `ERR_SPEC`/`ERR_SPEC_MISMATCH` on a
@@ -2127,9 +1989,8 @@ impl Client {
 
     /// Ingest one release with the quantized `f32` sketch framing —
     /// half the bytes per sketch on the wire. Only valid against a
-    /// server whose `Hello` advertised
-    /// [`CAP_SKETCH_F32`](dp_core::protocol::CAP_SKETCH_F32); the
-    /// caller checks the caps word from [`Client::hello_caps`].
+    /// server whose `Hello` advertised [`CAP_SKETCH_F32`]; the caller
+    /// checks the caps word from [`Client::hello_caps`].
     ///
     /// # Errors
     /// [`ClientError::Remote`] on rejection; transport/codec failures,
@@ -2231,52 +2092,40 @@ impl Client {
             tile,
             tile_ids: tile_ids.to_vec(),
         };
-        let payload = encode_request(&request)?;
-        write_frame(&mut self.conn, &payload)?;
         let mut digest = FNV1A64_INIT;
         let mut count = 0u64;
-        loop {
-            let reply = read_frame(&mut self.conn)?.ok_or_else(|| {
-                ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-stream",
-                ))
-            })?;
-            match decode_response(&reply)? {
-                Response::TileResultPart {
-                    rows: got_rows,
-                    tile: got_tile,
-                    segment,
-                } if got_rows == rows && got_tile == tile => {
-                    // More parts than tiles asked for can only be a
-                    // runaway or malicious stream; stop reading.
-                    if count >= tile_ids.len() as u64 {
-                        return Err(ClientError::UnexpectedResponse);
-                    }
-                    digest = tile_stream_checksum(digest, &segment);
-                    count += 1;
-                    sink(segment);
+        self.exchange(&request, |response| match response {
+            Response::TileResultPart {
+                rows: got_rows,
+                tile: got_tile,
+                segment,
+            } if got_rows == rows && got_tile == tile => {
+                // More parts than tiles asked for can only be a runaway
+                // or malicious stream; stop reading.
+                if count >= tile_ids.len() as u64 {
+                    return Err(ClientError::UnexpectedResponse);
                 }
-                Response::TileResultSummary {
-                    rows: got_rows,
-                    tile: got_tile,
-                    count: sent,
-                    checksum,
-                } if got_rows == rows && got_tile == tile => {
-                    if sent != count || checksum != digest {
-                        return Err(ClientError::Codec(CoreError::ChecksumMismatch {
-                            stored: checksum,
-                            computed: digest,
-                        }));
-                    }
-                    return Ok(count);
-                }
-                Response::Error { code, message } => {
-                    return Err(ClientError::Remote { code, message })
-                }
-                _ => return Err(ClientError::UnexpectedResponse),
+                digest = tile_stream_checksum(digest, &segment);
+                count += 1;
+                sink(segment);
+                Ok(None)
             }
-        }
+            Response::TileResultSummary {
+                rows: got_rows,
+                tile: got_tile,
+                count: sent,
+                checksum,
+            } if got_rows == rows && got_tile == tile => {
+                if sent != count || checksum != digest {
+                    return Err(ClientError::Codec(CoreError::ChecksumMismatch {
+                        stored: checksum,
+                        computed: digest,
+                    }));
+                }
+                Ok(Some(count))
+            }
+            other => Err(refused(other)),
+        })
     }
 
     /// Fetch everything past `have_rows` from the server's layered
@@ -2307,49 +2156,37 @@ impl Client {
             have_rows,
             part_len,
         };
-        let payload = encode_request(&request)?;
-        write_frame(&mut self.conn, &payload)?;
         let mut digest = FNV1A64_INIT;
         let mut count = 0u64;
         let mut received = 0u64;
-        loop {
-            let reply = read_frame(&mut self.conn)?.ok_or_else(|| {
-                ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-stream",
-                ))
-            })?;
-            match decode_response(&reply)? {
-                Response::SnapshotPart { seq, layer, chunk } => {
-                    if seq != count {
-                        return Err(ClientError::UnexpectedResponse);
-                    }
-                    digest = snapshot_stream_checksum(digest, seq, layer, &chunk);
-                    count += 1;
-                    received += chunk.len() as u64;
-                    sink(layer, chunk);
+        self.exchange(&request, |response| match response {
+            Response::SnapshotPart { seq, layer, chunk } => {
+                if seq != count {
+                    return Err(ClientError::UnexpectedResponse);
                 }
-                Response::SnapshotSummary {
-                    generation,
-                    rows,
-                    count: sent,
-                    total_len,
-                    checksum,
-                } => {
-                    if sent != count || total_len != received || checksum != digest {
-                        return Err(ClientError::Codec(CoreError::ChecksumMismatch {
-                            stored: checksum,
-                            computed: digest,
-                        }));
-                    }
-                    return Ok((generation, rows, count));
-                }
-                Response::Error { code, message } => {
-                    return Err(ClientError::Remote { code, message })
-                }
-                _ => return Err(ClientError::UnexpectedResponse),
+                digest = snapshot_stream_checksum(digest, seq, layer, &chunk);
+                count += 1;
+                received += chunk.len() as u64;
+                sink(layer, chunk);
+                Ok(None)
             }
-        }
+            Response::SnapshotSummary {
+                generation,
+                rows,
+                count: sent,
+                total_len,
+                checksum,
+            } => {
+                if sent != count || total_len != received || checksum != digest {
+                    return Err(ClientError::Codec(CoreError::ChecksumMismatch {
+                        stored: checksum,
+                        computed: digest,
+                    }));
+                }
+                Ok(Some((generation, rows, count)))
+            }
+            other => Err(refused(other)),
+        })
     }
 
     /// Push-install a store snapshot image onto the server, replacing
@@ -2409,11 +2246,18 @@ impl Client {
     /// # Errors
     /// Transport/codec failures.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown)? {
-            Response::Bye => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.expect(&Request::Shutdown, |r| {
+            matches!(r, Response::Bye).then_some(())
+        })
+    }
+}
+
+/// How a reply frame outside an exchange's vocabulary ends it: the
+/// server's own refusal, or a frame of the wrong kind.
+fn refused(response: Response) -> ClientError {
+    match response {
+        Response::Error { code, message } => ClientError::Remote { code, message },
+        _ => ClientError::UnexpectedResponse,
     }
 }
 

@@ -171,21 +171,10 @@ fn run_standby(
          holding {} row(s)",
         engine.store().n()
     );
-    let mut worker_clients = Vec::with_capacity(worker_endpoints.len());
-    for text in worker_endpoints {
-        let worker_endpoint = match Endpoint::parse(text) {
-            Ok(e) => e,
-            Err(e) => return fail(&e),
-        };
-        match connect_worker(&worker_endpoint, worker_timeout) {
-            Ok(client) => worker_clients.push(WorkerEntry::reconnectable(
-                client,
-                worker_endpoint,
-                Some(worker_timeout),
-            )),
-            Err(e) => return fail(&format!("cannot reach worker {worker_endpoint}: {e}")),
-        }
-    }
+    let worker_clients = match connect_workers(worker_endpoints, worker_timeout) {
+        Ok(w) => w,
+        Err(e) => return fail(&e),
+    };
     let server = match Server::bind_coordinator_with(listen, engine, worker_clients, config) {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot bind after promotion: {e}")),
@@ -219,6 +208,21 @@ fn connect_worker(endpoint: &Endpoint, timeout: Duration) -> std::io::Result<Cli
         }
     }
     Err(last_err.expect("at least one attempt"))
+}
+
+/// Connect the `--worker` pool. Keeping each endpoint makes its slot
+/// revivable: after a failure the coordinator reconnects and replays
+/// its ingest journal instead of requiring a restart.
+fn connect_workers(endpoints: &[String], timeout: Duration) -> Result<Vec<WorkerEntry>, String> {
+    endpoints
+        .iter()
+        .map(|text| {
+            let endpoint = Endpoint::parse(text)?;
+            let client = connect_worker(&endpoint, timeout)
+                .map_err(|e| format!("cannot reach worker {endpoint}: {e}"))?;
+            Ok(WorkerEntry::reconnectable(client, endpoint, Some(timeout)))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -364,24 +368,10 @@ fn main() -> ExitCode {
     };
     let engine = QueryEngine::new(store);
 
-    let mut worker_clients = Vec::with_capacity(worker_endpoints.len());
-    for text in &worker_endpoints {
-        let worker_endpoint = match Endpoint::parse(text) {
-            Ok(e) => e,
-            Err(e) => return fail(&e),
-        };
-        match connect_worker(&worker_endpoint, worker_timeout) {
-            // Keeping the endpoint makes the slot revivable: after a
-            // failure the coordinator reconnects and replays its ingest
-            // journal instead of requiring a restart.
-            Ok(client) => worker_clients.push(WorkerEntry::reconnectable(
-                client,
-                worker_endpoint,
-                Some(worker_timeout),
-            )),
-            Err(e) => return fail(&format!("cannot reach worker {worker_endpoint}: {e}")),
-        }
-    }
+    let worker_clients = match connect_workers(&worker_endpoints, worker_timeout) {
+        Ok(w) => w,
+        Err(e) => return fail(&e),
+    };
 
     let coordinator =
         !worker_clients.is_empty() || config.data_dir.is_some() || config.compact_threshold > 0;

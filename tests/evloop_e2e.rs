@@ -1,18 +1,22 @@
 //! End-to-end tests of the event-loop serve mode: the reactor must
 //! answer every protocol-v5 frame **byte-identically** to thread mode
 //! (and hence to the in-process engine, which `server_e2e.rs` pins
-//! thread mode against), including the streamed tile path; overload
-//! must surface as the typed `ERR_BUSY` frame; and the thread-mode
-//! wedged-client regression (no socket timeouts) must stay fixed.
+//! thread mode against), including the streamed tile and snapshot
+//! paths; push-install staging must belong to one connection in both
+//! modes; overload must surface as the typed `ERR_BUSY` frame; and the
+//! thread-mode wedged-client regression (no socket timeouts) must stay
+//! fixed.
 
 use dp_euclid::core::protocol::{
-    decode_request, decode_response, encode_request, read_frame, write_frame, Request, Response,
-    CAP_TILE_STREAM, ERR_BUSY, ERR_MALFORMED,
+    decode_request, decode_response, encode_request, read_frame, snapshot_stream_checksum,
+    write_frame, Request, Response, CAP_TILE_STREAM, ERR_BUSY, ERR_MALFORMED,
+    SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
 };
 use dp_euclid::core::release::Release;
+use dp_euclid::core::wire::FNV1A64_INIT;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
-use dp_server::{connect, Client, ClientError, Endpoint, NetConfig, ServeMode, Server};
+use dp_server::{connect, Client, ClientError, Conn, Endpoint, NetConfig, ServeMode, Server};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -46,17 +50,20 @@ fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
 }
 
 /// One scripted exchange: a raw request payload plus how many response
-/// frames it is answered with (only the tile stream answers several).
+/// frames it is answered with (streams answer several, push-install
+/// parts none).
 enum Step {
     /// A well-formed request answered by `1 + extra_frames` frames.
     Request(Request, usize),
+    /// A well-formed request answered by no frame at all.
+    Unanswered(Request),
     /// A garbage payload (not a protocol frame); one error frame back.
     Garbage(Vec<u8>),
 }
 
-/// Run the script against a fresh server in `mode`, returning every
-/// raw response payload in order.
-fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<u8>> {
+/// Run the script against a fresh server in `mode`, returning the raw
+/// response payloads of each step in order, then the shutdown's `Bye`.
+fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<Vec<u8>>> {
     let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
     let server = Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
     let endpoint = server.local_endpoint();
@@ -65,29 +72,35 @@ fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<u8>> {
         let handle = scope.spawn(|| server.serve_mode(mode, 2));
         let mut conn = connect(&endpoint).expect("connect");
         for step in steps {
-            let frames = match step {
+            let (payload, frames) = match step {
                 Step::Request(request, extra) => {
-                    let payload = encode_request(request).expect("encode");
-                    write_frame(&mut conn, &payload).expect("write");
-                    1 + extra
+                    (encode_request(request).expect("encode"), 1 + extra)
                 }
-                Step::Garbage(payload) => {
-                    write_frame(&mut conn, payload).expect("write");
-                    1
-                }
+                Step::Unanswered(request) => (encode_request(request).expect("encode"), 0),
+                Step::Garbage(payload) => (payload.clone(), 1),
             };
-            for _ in 0..frames {
-                let reply = read_frame(&mut conn).expect("read").expect("frame");
-                replies.push(reply);
-            }
+            write_frame(&mut conn, &payload).expect("write");
+            replies.push(
+                (0..frames)
+                    .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
+                    .collect(),
+            );
         }
         // Wind the server down so the scope joins.
         let payload = encode_request(&Request::Shutdown).expect("encode");
         write_frame(&mut conn, &payload).expect("write");
-        replies.push(read_frame(&mut conn).expect("read").expect("bye"));
+        replies.push(vec![read_frame(&mut conn).expect("read").expect("bye")]);
         handle.join().expect("server thread");
     });
     replies
+}
+
+/// Decode a reply that must be a typed `ERR_MALFORMED` refusal.
+fn assert_malformed(frame: &[u8], what: &str) {
+    match decode_response(frame).expect("decode") {
+        Response::Error { code, .. } => assert_eq!(code, ERR_MALFORMED, "{what}"),
+        other => panic!("{what}: expected ERR_MALFORMED, got {other:?}"),
+    }
 }
 
 #[test]
@@ -95,11 +108,16 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
     let spec = spec(96);
     let rs = releases(&spec, 6);
     let subset = [rs[3].party_id, rs[0].party_id, rs[5].party_id];
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        reference.ingest(r).expect("ingest");
+    }
 
     // The scripted conversation covers every request kind: negotiation,
     // ingest (including a duplicate → error frame), full + subset
     // pairwise, knn (plus an unknown id), top pairs, plan + streamed
-    // tile execution, and a garbage payload.
+    // tile execution, the snapshot fetch and push-install exchanges
+    // (with their refusals), and a garbage payload.
     let plan = dp_euclid::core::TilePlan::new(rs.len(), 2);
     let all_ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
     let mut steps = vec![Step::Request(
@@ -123,6 +141,7 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
         },
         0,
     ));
+    let pairwise = steps.len();
     steps.push(Step::Request(Request::Pairwise { parties: vec![] }, 0));
     steps.push(Step::Request(
         Request::Pairwise {
@@ -149,24 +168,112 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
         },
         all_ids.len(),
     ));
+    // A multi-part fetch of the whole store: one part per `part_len`
+    // bytes of the store image (whose length does not depend on the
+    // generation stamped into it), then the summary.
+    let part_len = 512u32;
+    let parts = reference
+        .store()
+        .encode_snapshot(0)
+        .len()
+        .div_ceil(part_len as usize);
+    assert!(parts >= 2, "the fetch must stream several parts");
+    let fetch = steps.len();
+    steps.push(Step::Request(
+        Request::FetchSnapshot {
+            have_rows: 0,
+            part_len,
+        },
+        parts,
+    ));
+
+    // The rest of the script pushes the fetched image back, so learn it
+    // first: the conversation so far is deterministic, so this run
+    // fetches the very bytes the two full runs below fetch.
+    let probe = run_script(ServeMode::Threads, &steps);
+    let mut image = Vec::new();
+    for frame in &probe[fetch][..parts] {
+        match decode_response(frame).expect("decode") {
+            Response::SnapshotPart { layer, chunk, .. } => {
+                assert_eq!(layer, SNAPSHOT_LAYER_STORE);
+                image.extend_from_slice(&chunk);
+            }
+            other => panic!("expected a snapshot part, got {other:?}"),
+        }
+    }
+    let (generation, rows, count, total_len, checksum) =
+        match decode_response(&probe[fetch][parts]).expect("decode") {
+            Response::SnapshotSummary {
+                generation,
+                rows,
+                count,
+                total_len,
+                checksum,
+            } => (generation, rows, count, total_len, checksum),
+            other => panic!("expected the snapshot summary, got {other:?}"),
+        };
+    assert_eq!(rows, rs.len() as u64);
+    assert_eq!(count, parts as u64);
+    let part = |seq: usize, layer: u8| Request::SnapshotPart {
+        seq: seq as u64,
+        layer,
+        chunk: image
+            .chunks(part_len as usize)
+            .nth(seq)
+            .expect("part")
+            .to_vec(),
+    };
+    let summary = |count: u64| Request::SnapshotSummary {
+        generation,
+        rows,
+        count,
+        total_len,
+        checksum,
+    };
+
+    // A replica already holding every row gets an empty stream: the
+    // summary alone.
+    let empty_fetch = steps.len();
+    steps.push(Step::Request(
+        Request::FetchSnapshot {
+            have_rows: rows,
+            part_len,
+        },
+        0,
+    ));
+    // Three refused installs: a journal-layer part, a part out of
+    // order, and a summary whose count disagrees with the parts staged.
+    let journal_part = steps.len();
+    steps.push(Step::Request(part(0, SNAPSHOT_LAYER_JOURNAL), 0));
+    let out_of_order = steps.len();
+    steps.push(Step::Request(part(1, SNAPSHOT_LAYER_STORE), 0));
+    for seq in 0..parts {
+        steps.push(Step::Unanswered(part(seq, SNAPSHOT_LAYER_STORE)));
+    }
+    let miscounted = steps.len();
+    steps.push(Step::Request(summary(count + 1), 0));
+    // Then the valid push-install of the fetched image: unacknowledged
+    // parts, one `Hello` ack.
+    for seq in 0..parts {
+        steps.push(Step::Unanswered(part(seq, SNAPSHOT_LAYER_STORE)));
+    }
+    let installed = steps.len();
+    steps.push(Step::Request(summary(count), 0));
+    let garbage = steps.len();
     steps.push(Step::Garbage(b"not a protocol frame".to_vec()));
 
     let threads = run_script(ServeMode::Threads, &steps);
     let evloop = run_script(ServeMode::EvLoop, &steps);
     assert_eq!(threads.len(), evloop.len());
     for (i, (a, b)) in threads.iter().zip(&evloop).enumerate() {
-        assert_eq!(a, b, "response frame {i} differs between serve modes");
+        assert_eq!(a, b, "the replies to step {i} differ between serve modes");
     }
+    assert_eq!(evloop[fetch], probe[fetch], "the fetch is deterministic");
 
     // Belt and braces: the full-pairwise frame decodes to the exact
     // bits the in-process engine computes.
-    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
-    for r in &rs {
-        reference.ingest(r).expect("ingest");
-    }
     let full = reference.pairwise_all();
-    let pairwise_frame = &evloop[rs.len() + 2]; // hello + 6 ingests + dup error
-    match decode_response(pairwise_frame).expect("decode") {
+    match decode_response(&evloop[pairwise][0]).expect("decode") {
         Response::Pairwise { parties, values } => {
             assert_eq!(parties, reference.store().party_ids());
             assert_eq!(values.len(), full.as_flat().len());
@@ -176,11 +283,98 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
         }
         other => panic!("expected the full pairwise frame, got {other:?}"),
     }
-    // And the garbage payload was answered with the typed error (last
-    // frame before the bye).
-    match decode_response(&evloop[evloop.len() - 2]).expect("decode") {
-        Response::Error { code, .. } => assert_eq!(code, ERR_MALFORMED),
-        other => panic!("expected ERR_MALFORMED, got {other:?}"),
+    match decode_response(&evloop[empty_fetch][0]).expect("decode") {
+        Response::SnapshotSummary {
+            rows: got, count, ..
+        } => assert_eq!((got, count), (rows, 0)),
+        other => panic!("expected an empty snapshot stream, got {other:?}"),
+    }
+    assert_malformed(&evloop[journal_part][0], "journal-layer push part");
+    assert_malformed(&evloop[out_of_order][0], "part 1 sent first");
+    assert_malformed(&evloop[miscounted][0], "summary count mismatch");
+    match decode_response(&evloop[installed][0]).expect("decode") {
+        Response::Hello { rows: got, .. } => assert_eq!(got, rows),
+        other => panic!("expected the install's Hello ack, got {other:?}"),
+    }
+    assert_malformed(&evloop[garbage][0], "garbage payload");
+}
+
+/// Push-install staging belongs to the connection that sent the parts:
+/// a summary on another connection finds nothing staged there, and a
+/// connection that hangs up mid-install leaves nothing behind.
+#[test]
+fn install_staging_is_per_connection() {
+    let spec = spec(64);
+    let rs = releases(&spec, 5);
+    let mut source = QueryEngine::new(SketchStore::with_spec(spec).expect("store"));
+    for r in &rs {
+        source.ingest(r).expect("ingest");
+    }
+    let generation = 9;
+    let image = source.store().encode_snapshot(generation);
+    let part_len = 256;
+    let parts: Vec<Request> = image
+        .chunks(part_len)
+        .enumerate()
+        .map(|(seq, chunk)| Request::SnapshotPart {
+            seq: seq as u64,
+            layer: SNAPSHOT_LAYER_STORE,
+            chunk: chunk.to_vec(),
+        })
+        .collect();
+    assert!(parts.len() >= 2, "the install must span several parts");
+    let checksum = image
+        .chunks(part_len)
+        .enumerate()
+        .fold(FNV1A64_INIT, |digest, (seq, chunk)| {
+            snapshot_stream_checksum(digest, seq as u64, SNAPSHOT_LAYER_STORE, chunk)
+        });
+    let summary = Request::SnapshotSummary {
+        generation,
+        rows: rs.len() as u64,
+        count: parts.len() as u64,
+        total_len: image.len() as u64,
+        checksum,
+    };
+    let send = |conn: &mut Conn, request: &Request| {
+        write_frame(conn, &encode_request(request).expect("encode")).expect("write");
+    };
+    for mode in [ServeMode::Threads, ServeMode::EvLoop] {
+        let requested = Endpoint::Tcp("127.0.0.1:0".to_string());
+        let server =
+            Server::bind(requested, QueryEngine::new(SketchStore::adopting())).expect("bind");
+        let endpoint = server.local_endpoint();
+        // Answers are checked after the server is down: a failed check
+        // inside the scope would leave the server thread serving.
+        let (refusal, installed) = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve_mode(mode, 2));
+            // Connection A stages every part; the answer to a request
+            // sent after them proves they were all handled.
+            let mut a = connect(&endpoint).expect("connect a");
+            for part in &parts {
+                send(&mut a, part);
+            }
+            send(&mut a, &Request::PlanPairwise { tile: 1 });
+            read_frame(&mut a).expect("read").expect("plan");
+            // Connection B's summary finds nothing staged on B.
+            let mut b = connect(&endpoint).expect("connect b");
+            send(&mut b, &summary);
+            let refusal = read_frame(&mut b).expect("read").expect("refusal");
+            drop(b);
+            // A hangs up mid-install; a full install on a fresh
+            // connection still succeeds.
+            drop(a);
+            let mut client = Client::connect(&endpoint).expect("connect c");
+            let installed = client.install_snapshot(&image, rs.len() as u64, generation, part_len);
+            client.shutdown().expect("shutdown");
+            handle.join().expect("server thread");
+            (refusal, installed)
+        });
+        assert_malformed(
+            &refusal,
+            &format!("{mode:?}: summary on another connection"),
+        );
+        assert_eq!(installed.expect("install"), rs.len() as u64, "{mode:?}");
     }
 }
 
