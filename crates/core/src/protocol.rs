@@ -1,4 +1,4 @@
-//! Wire codec v5: the request/response protocol of the sketch service.
+//! Wire codec v6: the request/response protocol of the sketch service.
 //!
 //! Versions 1–2 of the wire codec defined *payload* frames — sketches
 //! (`DPNS`, [`crate::wire`]) and releases (`DPRL`, [`crate::release`]).
@@ -7,8 +7,9 @@
 //! speaks over a TCP or unix-socket byte stream and that a
 //! `SketchStore` answers. Version 4 adds capability negotiation on
 //! `Hello` and the streamed tile-result mode; version 5 makes the
-//! kernel id part of the negotiated spec. Sketch and release payloads
-//! stay at v2 and travel embedded inside v5 frames.
+//! kernel id part of the negotiated spec; version 6 answers `Pairwise`
+//! with a part stream of the matrix's upper triangle. Sketch and
+//! release payloads stay at v2 and travel embedded inside v6 frames.
 //!
 //! ## Frame grammar
 //!
@@ -23,7 +24,7 @@
 //!
 //! ```text
 //! magic    4 bytes  b"DPRQ" (request) | b"DPRS" (response)
-//! version  1 byte   currently 5
+//! version  1 byte   currently 6
 //! kind     1 byte   frame discriminant (see below)
 //! body     …        kind-specific fields
 //! checksum 8 bytes  u64 LE, FNV-1a-64 over every preceding payload byte
@@ -33,7 +34,10 @@
 //! payload byte is always rejected ([`CoreError::ChecksumMismatch`]),
 //! and a corrupted length prefix is caught by the payload checks of the
 //! misframed bytes. Strings are `u32 LE length + UTF-8 bytes`; lists are
-//! `u32 LE count + items`; floats are `f64 LE` and must be finite.
+//! `u32 LE count + items`; floats are `f64 LE` and must be finite. A
+//! run of floats (a tile segment, a kind-3 matrix) is encoded and
+//! decoded in bulk after one finiteness pass over the run; the bytes
+//! are exactly those of a value-by-value loop.
 //!
 //! ## Conversation
 //!
@@ -42,7 +46,10 @@
 //! ─────────────────  ────  ──────────────────────────────────────────
 //! Hello                1   spec JSON (string), caps (u32 bitfield)
 //! Ingest               2   one DPRL release frame (bytes)
-//! Pairwise             3   party-id list (empty = all ingested rows)
+//! Pairwise             3   party-id list (empty = all ingested rows) —
+//!                          answered with one PairwiseHead, then a
+//!                          stream of TileResultPart frames, closed by
+//!                          one TileResultSummary
 //! Knn                  4   party id (u64), k (u32)
 //! TopPairs             5   t (u32)
 //! Shutdown             6   —
@@ -68,6 +75,8 @@
 //!                          (string), caps (u32 bitfield)
 //! Ingested             2   row index (u64), rows (u64)
 //! Pairwise             3   party-id list, row-major n×n estimates
+//!                          (kept in the codec; `dp-server` no longer
+//!                          sends it)
 //! Knn                  4   (party id, estimate) pairs, ascending
 //! TopPairs             5   (a, b, estimate) triples, ascending
 //! Error                6   code (u16, see `ERR_*`), message (string)
@@ -81,14 +90,19 @@
 //! SnapshotPart        12   seq (u64), layer (u8), chunk (bytes)
 //! SnapshotSummary     13   generation (u64), rows (u64), count (u64),
 //!                          total_len (u64), checksum (u64)
+//! PairwiseHead        14   party-id list, tile (u32) — opens the
+//!                          answer to a Pairwise request
 //! ```
 //!
 //! A server answers every request with exactly one response — except
-//! `ExecuteTilesStream`, which is answered with zero or more
-//! `TileResultPart` frames followed by exactly one `TileResultSummary`
-//! (or a single `Error` frame, which terminates the stream). `Error`
-//! never closes the connection (the client may retry), `Bye` always
-//! does. The first request on a fresh store SHOULD be `Hello` carrying
+//! the streamed exchanges. `ExecuteTilesStream` is answered with zero
+//! or more `TileResultPart` frames followed by exactly one
+//! `TileResultSummary`; `Pairwise` with one `PairwiseHead`, then the
+//! same part stream; `FetchSnapshot` with `SnapshotPart` frames closed
+//! by one `SnapshotSummary`. A single `Error` frame may answer in
+//! place of a stream, or end one early. `Error` never closes the
+//! connection (the client may retry), `Bye` always does. The first
+//! request on a fresh store SHOULD be `Hello` carrying
 //! the shared [`crate::sketcher::SketcherSpec`]; a `Hello` against a
 //! store that already holds a different spec is answered with
 //! `Error(ERR_SPEC_MISMATCH)` — or, when the *only* difference is the
@@ -131,6 +145,22 @@
 //! response kind 9) is retired; both kinds stay reserved and decode as
 //! unknown.
 //!
+//! ## Streamed pairwise replies
+//!
+//! The pairwise estimate matrix is symmetric with an exact zero
+//! diagonal, so its upper triangle says everything. A `Pairwise`
+//! request (full or subset) is answered with one
+//! `Response::PairwiseHead { parties, tile }` — the party ids the
+//! matrix is indexed by (the request's own list for a subset) and the
+//! tile side of the reply plan `TilePlan(parties.len(), tile)` — then
+//! one `TileResultPart` per tile of that plan, in id order, each
+//! echoing `(rows = parties.len(), tile)`, closed by the
+//! `TileResultSummary` of the tile-stream grammar above. The receiver
+//! scatters each part and its mirror into an `n × n` buffer whose
+//! diagonal stays zero. No frame ever carries the whole matrix, so no
+//! matrix size trips [`MAX_FRAME_LEN`]. Kind 3 `Response::Pairwise`
+//! stays in the codec, but a server no longer sends it.
+//!
 //! ## Snapshot resync
 //!
 //! Replicated state moves as **snapshot + journal suffix** under
@@ -157,7 +187,7 @@
 use crate::error::CoreError;
 use crate::wire::{fnv1a64, fnv1a64_update, CHECKSUM_LEN};
 use dp_parallel::TileSegment;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Magic prefix of a protocol request payload.
 pub const REQUEST_MAGIC: [u8; 4] = *b"DPRQ";
@@ -171,8 +201,10 @@ pub const RESPONSE_MAGIC: [u8; 4] = *b"DPRS";
 /// `TileResultSummary`). Version 5 made the kernel id part of the
 /// `Hello` spec identity (mismatch → [`ERR_KERNEL`], not
 /// [`ERR_SPEC_MISMATCH`]) and added the [`CAP_SKETCH_F32`] capability
-/// for quantized `f32` sketch frames.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// for quantized `f32` sketch frames. Version 6 answers `Pairwise` with
+/// a [`Response::PairwiseHead`] and a tile-part stream of the upper
+/// triangle, so a v5 peer fails at its first frame, not mid-exchange.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Capability bit: the peer speaks the streamed tile-result mode
 /// (`ExecuteTilesStream` → `TileResultPart`* + `TileResultSummary`).
@@ -357,7 +389,9 @@ pub enum Response {
         /// Rows ingested after this one.
         rows: u64,
     },
-    /// A pairwise submatrix, row-major over `parties`.
+    /// A pairwise submatrix, row-major over `parties`, in one frame.
+    /// Kept in the codec; a server answers `Pairwise` with
+    /// [`Response::PairwiseHead`] and a part stream instead.
     Pairwise {
         /// The party ids the matrix is indexed by.
         parties: Vec<u64>,
@@ -442,6 +476,18 @@ pub enum Response {
         /// FNV-1a-64 folded over every part in transmission order.
         checksum: u64,
     },
+    /// Opens the answer to a [`Request::Pairwise`]: the matrix is
+    /// indexed by `parties`, and its upper triangle follows as one
+    /// [`Response::TileResultPart`] per tile of
+    /// `TilePlan(parties.len(), tile)`, in id order, closed by a
+    /// [`Response::TileResultSummary`].
+    PairwiseHead {
+        /// The party ids the matrix is indexed by (the request's list
+        /// for a subset, every ingested party in row order otherwise).
+        parties: Vec<u64>,
+        /// The reply plan's tile side.
+        tile: u32,
+    },
 }
 
 /// Fold one streamed tile segment into the running stream digest: the
@@ -491,13 +537,37 @@ fn put_count(out: &mut Vec<u8>, count: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
+fn non_finite(v: f64) -> CoreError {
+    CoreError::Wire(format!("non-finite value on the wire ({v})"))
+}
+
 fn put_f64(out: &mut Vec<u8>, v: f64) -> Result<(), CoreError> {
     if !v.is_finite() {
-        return Err(CoreError::Wire(format!(
-            "non-finite value on the wire ({v})"
-        )));
+        return Err(non_finite(v));
     }
     out.extend_from_slice(&v.to_le_bytes());
+    Ok(())
+}
+
+/// Append a run of floats as `f64 LE`: one finiteness pass over the
+/// run, then one bulk copy — the same bytes as [`put_f64`] per value.
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) -> Result<(), CoreError> {
+    if let Some(&v) = values.iter().find(|v| !v.is_finite()) {
+        return Err(non_finite(v));
+    }
+    let start = out.len();
+    out.resize(start + 8 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    Ok(())
+}
+
+fn put_u64s(out: &mut Vec<u8>, values: &[u64]) -> Result<(), CoreError> {
+    put_count(out, values.len())?;
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
     Ok(())
 }
 
@@ -545,10 +615,7 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, CoreError> {
         }
         Request::Pairwise { parties } => {
             out = header(REQUEST_MAGIC, 3);
-            put_count(&mut out, parties.len())?;
-            for p in parties {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
+            put_u64s(&mut out, parties)?;
         }
         Request::Knn { party, k } => {
             out = header(REQUEST_MAGIC, 4);
@@ -574,10 +641,7 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, CoreError> {
             out = header(REQUEST_MAGIC, 9);
             out.extend_from_slice(&rows.to_le_bytes());
             out.extend_from_slice(&tile.to_le_bytes());
-            put_count(&mut out, tile_ids.len())?;
-            for id in tile_ids {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+            put_u64s(&mut out, tile_ids)?;
         }
         Request::FetchSnapshot {
             have_rows,
@@ -641,13 +705,8 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, CoreError> {
                 )));
             }
             out = header(RESPONSE_MAGIC, 3);
-            put_count(&mut out, parties.len())?;
-            for p in parties {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-            for &v in values {
-                put_f64(&mut out, v)?;
-            }
+            put_u64s(&mut out, parties)?;
+            put_f64s(&mut out, values)?;
         }
         Response::Knn { neighbors } => {
             out = header(RESPONSE_MAGIC, 4);
@@ -696,9 +755,7 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, CoreError> {
             out.extend_from_slice(&tile.to_le_bytes());
             out.extend_from_slice(&segment.tile_id.to_le_bytes());
             put_count(&mut out, segment.values.len())?;
-            for &v in &segment.values {
-                put_f64(&mut out, v)?;
-            }
+            put_f64s(&mut out, &segment.values)?;
         }
         Response::TileResultSummary {
             rows,
@@ -732,6 +789,11 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, CoreError> {
             out.extend_from_slice(&total_len.to_le_bytes());
             out.extend_from_slice(&checksum.to_le_bytes());
         }
+        Response::PairwiseHead { parties, tile } => {
+            out = header(RESPONSE_MAGIC, 14);
+            put_u64s(&mut out, parties)?;
+            out.extend_from_slice(&tile.to_le_bytes());
+        }
     }
     Ok(seal(out))
 }
@@ -749,8 +811,9 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
         let slice = self
-            .bytes
-            .get(self.pos..self.pos + n)
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
             .ok_or_else(|| CoreError::Wire("truncated protocol frame".to_string()))?;
         self.pos += n;
         Ok(slice)
@@ -777,11 +840,37 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, CoreError> {
         let v = f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
         if !v.is_finite() {
-            return Err(CoreError::Wire(format!(
-                "non-finite value on the wire ({v})"
-            )));
+            return Err(non_finite(v));
         }
         Ok(v)
+    }
+
+    /// A run of `n` floats: one bulk copy, then one finiteness pass —
+    /// the same values and the same refusals as [`Reader::f64`] per
+    /// value.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CoreError> {
+        let len = n
+            .checked_mul(8)
+            .ok_or_else(|| CoreError::Wire("truncated protocol frame".to_string()))?;
+        let values: Vec<f64> = self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect();
+        if let Some(&v) = values.iter().find(|v| !v.is_finite()) {
+            return Err(non_finite(v));
+        }
+        Ok(values)
+    }
+
+    /// A `u32 LE` count, then that many `u64 LE` items.
+    fn u64s(&mut self) -> Result<Vec<u64>, CoreError> {
+        let n = self.count(8)?;
+        Ok(self
+            .take(8 * n)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// A list length, bounded by the bytes actually remaining (a hostile
@@ -865,14 +954,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CoreError> {
         2 => Request::Ingest {
             release_frame: r.bytes_field()?.to_vec(),
         },
-        3 => {
-            let n = r.count(8)?;
-            let mut parties = Vec::with_capacity(n);
-            for _ in 0..n {
-                parties.push(r.u64()?);
-            }
-            Request::Pairwise { parties }
-        }
+        3 => Request::Pairwise { parties: r.u64s()? },
         4 => Request::Knn {
             party: r.u64()?,
             k: r.u32()?,
@@ -880,20 +962,11 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CoreError> {
         5 => Request::TopPairs { t: r.u32()? },
         6 => Request::Shutdown,
         7 => Request::PlanPairwise { tile: r.u32()? },
-        9 => {
-            let rows = r.u64()?;
-            let tile = r.u32()?;
-            let n = r.count(8)?;
-            let mut tile_ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                tile_ids.push(r.u64()?);
-            }
-            Request::ExecuteTilesStream {
-                rows,
-                tile,
-                tile_ids,
-            }
-        }
+        9 => Request::ExecuteTilesStream {
+            rows: r.u64()?,
+            tile: r.u32()?,
+            tile_ids: r.u64s()?,
+        },
         10 => Request::FetchSnapshot {
             have_rows: r.u64()?,
             part_len: r.u32()?,
@@ -950,22 +1023,15 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
             rows: r.u64()?,
         },
         3 => {
-            let n = r.count(8)?;
-            let mut parties = Vec::with_capacity(n);
-            for _ in 0..n {
-                parties.push(r.u64()?);
-            }
-            let cells = n
-                .checked_mul(n)
+            let parties = r.u64s()?;
+            let cells = parties
+                .len()
+                .checked_mul(parties.len())
                 .ok_or_else(|| CoreError::Wire("pairwise response too large".to_string()))?;
-            if r.bytes.len().saturating_sub(r.pos) < cells.saturating_mul(8) {
-                return Err(CoreError::Wire("truncated protocol frame".to_string()));
+            Response::Pairwise {
+                parties,
+                values: r.f64s(cells)?,
             }
-            let mut values = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                values.push(r.f64()?);
-            }
-            Response::Pairwise { parties, values }
         }
         4 => {
             let n = r.count(16)?;
@@ -999,14 +1065,13 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
             let tile = r.u32()?;
             let tile_id = r.u64()?;
             let count = r.count(8)?;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(r.f64()?);
-            }
             Response::TileResultPart {
                 rows,
                 tile,
-                segment: TileSegment { tile_id, values },
+                segment: TileSegment {
+                    tile_id,
+                    values: r.f64s(count)?,
+                },
             }
         }
         11 => Response::TileResultSummary {
@@ -1031,6 +1096,10 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
             total_len: r.u64()?,
             checksum: r.u64()?,
         },
+        14 => Response::PairwiseHead {
+            parties: r.u64s()?,
+            tile: r.u32()?,
+        },
         // Kind 9 (the retired monolithic `TileResult`) stays reserved.
         other => {
             return Err(CoreError::Wire(format!("unknown response kind {other}")));
@@ -1043,7 +1112,10 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, CoreError> {
 // Stream framing
 // ---------------------------------------------------------------------
 
-/// Write one length-prefixed frame (`u32 LE length | payload`).
+/// Write one length-prefixed frame (`u32 LE length | payload`). The
+/// prefix and the payload leave in one vectored write loop, without
+/// copying the payload, so a frame on a `TCP_NODELAY` socket is one
+/// segment train, not a 4-byte segment followed by the rest.
 ///
 /// # Errors
 /// Propagates I/O failures; `InvalidData` if the payload exceeds
@@ -1055,9 +1127,22 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<(
             format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
         ));
     }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let len = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write a whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -1206,6 +1291,14 @@ mod tests {
                 total_len: 0,
                 checksum: 0xcbf2_9ce4_8422_2325,
             },
+            Response::PairwiseHead {
+                parties: vec![3, 1, 4],
+                tile: 64,
+            },
+            Response::PairwiseHead {
+                parties: vec![],
+                tile: 64,
+            },
         ]
     }
 
@@ -1279,6 +1372,50 @@ mod tests {
         assert!(matches!(decode_response(&bad), Err(CoreError::Wire(_))));
     }
 
+    /// The bulk float paths refuse NaN and ±inf exactly as the
+    /// per-value path does: on encode, and on decode of a hand-sealed
+    /// frame, wherever in the run the bad value sits.
+    #[test]
+    fn bulk_float_runs_reject_non_finite_values_on_both_sides() {
+        let part = |values: Vec<f64>| Response::TileResultPart {
+            rows: 9,
+            tile: 4,
+            segment: TileSegment { tile_id: 1, values },
+        };
+        let matrix = |values: Vec<f64>| Response::Pairwise {
+            parties: vec![1, 2],
+            values,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..4 {
+                let mut values = vec![0.0, 1.5, 1.5, 0.0];
+                values[at] = bad;
+                for resp in [part(values.clone()), matrix(values)] {
+                    assert!(
+                        matches!(encode_response(&resp), Err(CoreError::Wire(_))),
+                        "{resp:?} encoded"
+                    );
+                }
+                // Seal a finite frame, then overwrite one value's bytes
+                // (the values are the body's last bytes) and re-seal.
+                for resp in [
+                    part(vec![0.0, 1.5, 1.5, 0.0]),
+                    matrix(vec![0.0, 1.5, 1.5, 0.0]),
+                ] {
+                    let good = encode_response(&resp).unwrap();
+                    let mut body = good[..good.len() - CHECKSUM_LEN].to_vec();
+                    let off = body.len() - 8 * (4 - at);
+                    body[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+                    let sealed = seal(body);
+                    assert!(
+                        matches!(decode_response(&sealed), Err(CoreError::Wire(_))),
+                        "{resp:?} with {bad} at {at} decoded"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn hostile_counts_rejected_without_allocation() {
         // A pairwise response declaring u32::MAX parties with no bytes
@@ -1294,6 +1431,11 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let bytes = seal(bytes);
         assert!(matches!(decode_request(&bytes), Err(CoreError::Wire(_))));
+        // A pairwise head declaring a huge id list, likewise.
+        let mut bytes = header(RESPONSE_MAGIC, 14);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let bytes = seal(bytes);
+        assert!(matches!(decode_response(&bytes), Err(CoreError::Wire(_))));
         // A streamed part declaring a huge value list, likewise.
         let mut bytes = header(RESPONSE_MAGIC, 10);
         bytes.extend_from_slice(&9u64.to_le_bytes());
@@ -1390,5 +1532,62 @@ mod tests {
         partial.truncate(partial.len() - 1);
         let mut cursor = io::Cursor::new(partial);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A writer that records each `write_vectored` call and accepts at
+    /// most `limit` bytes per call.
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_prefix_and_payload_in_one_vectored_write() {
+        let payload = encode_response(&Response::TopPairs {
+            pairs: vec![(1, 2, 0.5)],
+        })
+        .unwrap();
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        let mut whole = Recorder {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: usize::MAX,
+        };
+        write_frame(&mut whole, &payload).unwrap();
+        assert_eq!(whole.bytes, expected);
+        assert_eq!(whole.calls, 1, "prefix and payload must share one write");
+        // Short writes resume where the last one stopped, across the
+        // prefix/payload boundary too.
+        let mut trickle = Recorder {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: 3,
+        };
+        write_frame(&mut trickle, &payload).unwrap();
+        assert_eq!(trickle.bytes, expected);
+        assert_eq!(trickle.calls, expected.len().div_ceil(3));
     }
 }

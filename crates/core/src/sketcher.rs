@@ -1147,20 +1147,47 @@ fn fill_tile_segment<'a, R>(
 /// Scatter one tile's row-major segment (plus its mirror) into a flat
 /// `n × n` matrix — the inverse of `fill_tile_segment`'s walk, shared
 /// by the local kernel and the `dp-engine` gather assembler.
+///
+/// Two passes, each writing contiguous runs: the tile's rows of the
+/// upper triangle as slice copies, then the mirror one matrix row `j`
+/// at a time (its cells `(j, i)` for the tile's rows `i < j` sit side
+/// by side). Writing the mirror in the segment's own order instead
+/// strides a whole matrix row per value, which on a power-of-two `n`
+/// lands every write of a tile column in the same cache set.
 pub fn scatter_tile_segment(tile: &Tile, segment: &[f64], n: usize, values: &mut [f64]) {
+    // `bases[r] + j` is the segment index of pair (row_start + r, j).
+    let mut bases = Vec::with_capacity(tile.rows().len());
     let mut idx = 0usize;
     for i in tile.rows() {
-        for j in tile.cols() {
-            if j <= i {
-                continue;
-            }
-            let est = segment[idx];
-            idx += 1;
-            values[i * n + j] = est;
-            values[j * n + i] = est;
-        }
+        let from = tile.col_start.max(i + 1);
+        let run = &segment[idx..idx + (tile.col_end - from)];
+        values[i * n + from..i * n + tile.col_end].copy_from_slice(run);
+        bases.push(idx.wrapping_sub(from));
+        idx += run.len();
     }
     debug_assert_eq!(idx, segment.len(), "segment length matches the tile");
+    for j in tile.cols() {
+        let rows = tile.row_start..tile.row_end.min(j);
+        let mirror = &mut values[j * n + rows.start..j * n + rows.end];
+        for (cell, base) in mirror.iter_mut().zip(&bases) {
+            *cell = segment[base.wrapping_add(j)];
+        }
+    }
+}
+
+/// Read one tile's row-major segment back out of a flat `n × n` matrix
+/// — the inverse of [`scatter_tile_segment`], and bit-identical to the
+/// segment the kernel filled when the matrix came from it. A server
+/// streams a cached matrix's upper triangle with it.
+#[must_use]
+pub fn slice_tile_segment(tile: &Tile, values: &[f64], n: usize) -> Vec<f64> {
+    let mut segment = Vec::with_capacity(tile.pair_count());
+    for i in tile.rows() {
+        let row = &values[i * n..(i + 1) * n];
+        segment.extend_from_slice(&row[tile.col_start.max(i + 1)..tile.col_end]);
+    }
+    debug_assert_eq!(segment.len(), tile.pair_count(), "segment fills the tile");
+    segment
 }
 
 /// Execute an explicit set of a plan's tiles over row slices, returning
@@ -1603,6 +1630,35 @@ mod tests {
             pairwise_sq_distances(&sketches),
             Err(CoreError::IncompatibleSketches(_))
         ));
+    }
+
+    #[test]
+    fn sliced_segments_are_the_kernel_segments_under_any_tile_side() {
+        // A matrix built by one plan, read back tile by tile under
+        // other plans (sides that do and do not divide n): every slice
+        // is the segment the kernel fills for that tile, bit for bit.
+        let n = 11;
+        let data: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..5).map(|j| ((i * 5 + j) % 7) as f64 - 3.25).collect())
+            .collect();
+        let debias: Vec<f64> = (0..n).map(|i| 0.125 * i as f64).collect();
+        let par = Parallelism::sequential();
+        let matrix = pairwise_sq_distances_rows(n, |i| data[i].as_slice(), &debias, &par);
+        for side in [1, 3, 4, 11, 64] {
+            let plan = TilePlan::new(n, side);
+            let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
+            let kernel = execute_tiles(&plan, &ids, |i| data[i].as_slice(), &debias, &par);
+            let mut rebuilt = vec![0.0; n * n];
+            for (segment, (_, tile)) in kernel.iter().zip(plan.tiles()) {
+                let sliced = slice_tile_segment(&tile, matrix.as_flat(), n);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sliced), bits(&segment.values), "side {side}");
+                scatter_tile_segment(&tile, &sliced, n, &mut rebuilt);
+            }
+            for (a, b) in rebuilt.iter().zip(matrix.as_flat()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "side {side}");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,12 @@ pub enum GatherError {
         /// The length the segment actually carried.
         actual: usize,
     },
+    /// The plan's `n × n` buffer (or its tile bookkeeping) cannot be
+    /// allocated — a receiver sized it from a peer's frame.
+    TooLarge {
+        /// The plan's matrix side.
+        rows: usize,
+    },
     /// [`Gather::finish`] was called with tiles still unplaced.
     Incomplete {
         /// Segments placed so far.
@@ -73,6 +79,9 @@ impl fmt::Display for GatherError {
                 f,
                 "segment for tile {id} carries {actual} estimates, plan dictates {expected}"
             ),
+            Self::TooLarge { rows } => {
+                write!(f, "a {rows} × {rows} matrix cannot be allocated")
+            }
             Self::Incomplete {
                 received,
                 expected,
@@ -109,6 +118,34 @@ impl Gather {
             placed: vec![false; plan.tile_count()],
             received: 0,
         }
+    }
+
+    /// [`Gather::new`] for a plan that came off the wire: the buffers
+    /// are reserved fallibly, so a plan too large for this process is
+    /// a typed error rather than an abort. (`new` keeps its lazily
+    /// zeroed allocation for the plans a process builds itself; this
+    /// one zeroes the reserved buffer explicitly.)
+    ///
+    /// # Errors
+    /// [`GatherError::TooLarge`] when the `n × n` matrix or the
+    /// per-tile bookkeeping cannot be allocated.
+    pub fn try_new(plan: TilePlan) -> Result<Self, GatherError> {
+        let n = plan.n();
+        let too_large = || GatherError::TooLarge { rows: n };
+        let cells = n.checked_mul(n).ok_or_else(too_large)?;
+        let tiles = plan.checked_tile_count().ok_or_else(too_large)?;
+        let mut values = Vec::new();
+        values.try_reserve_exact(cells).map_err(|_| too_large())?;
+        let mut placed = Vec::new();
+        placed.try_reserve_exact(tiles).map_err(|_| too_large())?;
+        values.resize(cells, 0.0);
+        placed.resize(tiles, false);
+        Ok(Self {
+            plan,
+            values,
+            placed,
+            received: 0,
+        })
     }
 
     /// An **incremental** gather over a grown store: seed the matrix
@@ -404,6 +441,31 @@ mod tests {
     #[should_panic(expected = "seed matrix is not")]
     fn seeded_rejects_a_misshapen_seed() {
         let _ = Gather::seeded(TilePlan::new(6, 2), 3, &[0.0; 4]);
+    }
+
+    #[test]
+    fn try_new_refuses_unallocatable_plans_with_a_typed_error() {
+        // n² overflows usize; n² f64s overflow the address space.
+        for n in [usize::MAX / 2, 1 << 31] {
+            assert_eq!(
+                Gather::try_new(TilePlan::new(n, 64)).err(),
+                Some(GatherError::TooLarge { rows: n })
+            );
+        }
+        // A plan that fits gathers exactly like `Gather::new`'s.
+        let (n, data) = (5, rows(5, 3));
+        let plan = TilePlan::new(n, 2);
+        let mut gather = Gather::try_new(plan).unwrap();
+        for s in &segments_for(&plan, &data, &[0.5; 5]) {
+            gather.accept(s).unwrap();
+        }
+        let reference = dp_core::pairwise_sq_distances_rows(
+            n,
+            |i| data[i].as_slice(),
+            &[0.5; 5],
+            &Parallelism::sequential(),
+        );
+        assert_eq!(gather.finish().unwrap(), reference);
     }
 
     #[test]

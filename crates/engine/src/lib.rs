@@ -18,12 +18,13 @@
 //!   new rows arrive, the next query computes only the new pairs. The
 //!   cold all-pairs pass runs the plan → execute → gather pipeline
 //!   ([`QueryEngine::execute_tiles`] is the worker half a server
-//!   streams over protocol v5), and a matrix gathered across sockets
+//!   streams over protocol v6), and a matrix gathered across sockets
 //!   can be adopted as the cache ([`QueryEngine::adopt_matrix`]).
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
 //!   into the full matrix with typed [`GatherError`]s for
 //!   missing/duplicate/misshapen tiles — what a sharding coordinator
-//!   runs over worker answers.
+//!   runs over worker answers, and what a client rebuilds a streamed
+//!   `Pairwise` reply with.
 //! * [`SharedEngine`] / [`EngineSnapshot`] — snapshot isolation for
 //!   read-heavy serving: mutations serialize through one lock and
 //!   publish immutable epoch-stamped snapshots; readers run `pair` /
@@ -32,7 +33,7 @@
 //!   with each other and with ingest, bit-identical to the locked
 //!   surface by construction.
 //!
-//! One engine backs the library surface, the `dp-server` protocol-v5
+//! One engine backs the library surface, the `dp-server` protocol-v6
 //! service, and the bench harness — per the repo's determinism
 //! contract, all of them bit-identical to the naive per-pair
 //! reference.

@@ -115,6 +115,15 @@ impl Write for Conn {
         }
     }
 
+    /// Forwarded so a frame's length prefix and payload leave in one
+    /// `writev` (the default would write only the first slice).
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Self::Tcp(s) => s.write_vectored(bufs),
+            Self::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Self::Tcp(s) => s.flush(),

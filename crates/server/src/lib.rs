@@ -1,4 +1,4 @@
-//! # dp-server — the protocol-v5 sketch service
+//! # dp-server — the protocol-v6 sketch service
 //!
 //! A shell around [`dp_engine::QueryEngine`]: accept connections on a
 //! TCP or unix socket, speak the length-prefixed request/response
@@ -27,10 +27,12 @@
 //!
 //! * **Threads** — a fixed pool of blocking accept/serve loops, one
 //!   connection per thread; the emitter writes each reply frame (each
-//!   tile or snapshot part of a stream) to the socket as soon as it is
-//!   produced. Accepted sockets carry the configured read/write
-//!   timeouts ([`Server::with_conn_timeout`]) so a half-open client
-//!   cannot pin its worker thread forever.
+//!   tile or snapshot part of a stream, each part of a `Pairwise`
+//!   matrix) to the socket as soon as it is produced, so the client
+//!   decodes one part while the next is encoded. Accepted sockets
+//!   carry the configured read/write timeouts
+//!   ([`Server::with_conn_timeout`]) so a half-open client cannot pin
+//!   its worker thread forever.
 //! * **EvLoop** — `dp_net`'s poll-driven nonblocking reactor: the same
 //!   thread count runs event loops over a shared listener, with
 //!   per-connection buffers, write backpressure, and a typed
@@ -51,10 +53,12 @@ use dp_core::protocol::{
     ERR_WORKER, MAX_FRAME_LEN, SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
 };
 use dp_core::release::Release;
-use dp_core::sketcher::SketcherSpec;
+use dp_core::sketcher::{slice_tile_segment, SketcherSpec};
 use dp_core::wire::FNV1A64_INIT;
-use dp_core::{TilePlan, TileSegment};
-use dp_engine::{EngineError, EngineSnapshot, Gather, QueryEngine, SharedEngine, SketchStore};
+use dp_core::{PairwiseDistances, TilePlan, TileSegment};
+use dp_engine::{
+    EngineError, EngineSnapshot, Gather, GatherError, QueryEngine, SharedEngine, SketchStore,
+};
 use dp_net::{serve_loop, Control, FrameService, Listener};
 use dp_parallel::{par_map, scope_workers};
 use std::cell::RefCell;
@@ -534,7 +538,7 @@ impl Shards {
     /// Execute one chunk of tile ids on worker `w` over the streamed
     /// exchange, feeding segments into the shared gather as they
     /// arrive. Every worker speaks it: [`CAP_TILE_STREAM`] is part of
-    /// every protocol-v5 server's `Hello`.
+    /// every protocol-v6 server's `Hello`.
     ///
     /// **Any** failure poisons the slot: transport failures via
     /// [`Shards::with_worker`], and completed exchanges whose content
@@ -577,7 +581,8 @@ impl Shards {
     }
 
     /// The fault-tolerant sharded all-pairs pass over the first `n`
-    /// rows of `shared`'s store, answered over `party_ids`.
+    /// rows of `shared`'s store. A failure comes back as the error
+    /// frame to send.
     ///
     /// * **One memo**: the gather is seeded from the engine's all-pairs
     ///   memo, read under a brief [`SharedEngine::mutate`], and the
@@ -596,18 +601,23 @@ impl Shards {
     ///   the shared kernel, so the answer is bit-identical to the local
     ///   engine no matter which worker computed what, in which round.
     ///
-    /// Runs **outside** the engine lock (the callers pass a snapshot of
-    /// `(n, party_ids)`), so a slow worker never blocks other clients'
-    /// local queries. A store that grows mid-flight shows up as a
-    /// worker-side `ERR_PLAN` (row-count guard), never as a torn
+    /// Runs **outside** the engine lock (the caller passes the row
+    /// count of a snapshot), so a slow worker never blocks other
+    /// clients' local queries. A store that grows mid-flight shows up
+    /// as a worker-side `ERR_PLAN` (row-count guard), never as a torn
     /// matrix.
-    fn sharded_pairwise(&self, shared: &SharedEngine, n: usize, party_ids: Vec<u64>) -> Response {
+    #[allow(clippy::result_large_err)]
+    fn sharded_pairwise(
+        &self,
+        shared: &SharedEngine,
+        n: usize,
+    ) -> Result<Arc<PairwiseDistances>, Response> {
         let plan = TilePlan::new(n, self.tile);
         if !plan.is_enumerable() {
-            return Response::Error {
+            return Err(Response::Error {
                 code: ERR_PLAN,
                 message: format!("a plan over {n} rows is too large to enumerate"),
-            };
+            });
         }
         let memo = shared.mutate(|engine| engine.memo());
         // A memo wider than this pass (a concurrent pass over a grown
@@ -632,7 +642,7 @@ impl Shards {
                 .collect();
             if live.is_empty() {
                 self.stats.last_query_rounds.store(rounds, Ordering::SeqCst);
-                return worker_error(format!(
+                return Err(worker_error(format!(
                     "no live worker can serve ({} tiles undone{})",
                     pending.len(),
                     if last_error.is_empty() {
@@ -640,16 +650,16 @@ impl Shards {
                     } else {
                         format!("; last failure: {last_error}")
                     }
-                ));
+                )));
             }
             rounds += 1;
             if rounds > self.workers.len() as u64 + 2 {
                 self.stats.last_query_rounds.store(rounds, Ordering::SeqCst);
-                return worker_error(format!(
+                return Err(worker_error(format!(
                     "re-dispatch budget exhausted after {rounds} rounds \
                      ({} tiles undone; last failure: {last_error})",
                     pending.len()
-                ));
+                )));
             }
             if rounds > 1 {
                 self.stats.redispatches.fetch_add(1, Ordering::SeqCst);
@@ -669,17 +679,13 @@ impl Shards {
         }
         self.stats.last_query_rounds.store(rounds, Ordering::SeqCst);
         let gather = gather.into_inner().expect("gather mutex");
-        match gather.finish() {
-            Ok(matrix) => {
-                let matrix = Arc::new(matrix);
-                shared.mutate(|engine| engine.adopt_matrix(Arc::clone(&matrix)));
-                Response::Pairwise {
-                    parties: party_ids,
-                    values: matrix.as_flat().to_vec(),
-                }
-            }
-            Err(e) => worker_error(format!("gather failed: {e}")),
-        }
+        let matrix = Arc::new(
+            gather
+                .finish()
+                .map_err(|e| worker_error(format!("gather failed: {e}")))?,
+        );
+        shared.mutate(|engine| engine.adopt_matrix(Arc::clone(&matrix)));
+        Ok(matrix)
     }
 }
 
@@ -748,7 +754,7 @@ pub struct ServerStats {
     pub coordinator: Option<CoordinatorStats>,
 }
 
-/// The protocol-v5 sketch service.
+/// The protocol-v6 sketch service.
 ///
 /// In its plain role the server answers every request from its own
 /// engine. Bound via [`Server::bind_coordinator`] it additionally
@@ -1147,6 +1153,46 @@ impl Server {
         })
     }
 
+    /// The matrix a `Pairwise` request is answered from, with the party
+    /// ids it is indexed by — shared, never copied:
+    ///
+    /// * a subset: the snapshot's slice of the memo, or a recompute;
+    /// * the full matrix, warm: the published snapshot's memo;
+    /// * cold, coordinating: the sharded gather across the pool (2+
+    ///   rows; below that the plan has no pairs), adopted as the memo;
+    /// * cold, locally: the memo filled under the engine lock, which is
+    ///   released before a byte of the reply is encoded.
+    ///
+    /// Both cold fills publish a snapshot carrying the matrix, so the
+    /// next full-matrix, top-pairs and subset reads are lock-free. The
+    /// snapshot fixes the store geometry with no lock at all, so a slow
+    /// worker never blocks other clients; the store is append-only, so
+    /// a mid-flight ingest can only surface as a worker-side
+    /// `ERR_PLAN`. A refusal comes back as the error frame to send.
+    #[allow(clippy::result_large_err)]
+    fn pairwise_matrix(
+        &self,
+        parties: &[u64],
+    ) -> Result<(Vec<u64>, Arc<PairwiseDistances>), Response> {
+        let snapshot = self.current_snapshot();
+        if !parties.is_empty() {
+            return match snapshot.pairwise(parties) {
+                Ok(matrix) => Ok((parties.to_vec(), Arc::new(matrix))),
+                Err(e) => Err(error_response(&e)),
+            };
+        }
+        let ids = || snapshot.store().party_ids().to_vec();
+        match (snapshot.full_matrix(), &self.shards) {
+            (Some(matrix), _) => Ok((ids(), matrix)),
+            (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => shards
+                .sharded_pairwise(&self.shared, snapshot.n())
+                .map(|matrix| (ids(), matrix)),
+            (None, _) => Ok(self
+                .shared
+                .mutate(|engine| (engine.store().party_ids().to_vec(), engine.pairwise_all()))),
+        }
+    }
+
     /// Unblock workers stuck in `accept` after shutdown was requested:
     /// a burst of no-op connections, one per running accept loop.
     fn wake_sleeping_workers(&self) {
@@ -1507,45 +1553,12 @@ impl FrameService for Service<'_> {
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Pairwise { parties } if parties.is_empty() => {
-                let snapshot = server.current_snapshot();
-                match (snapshot.full_matrix(), &server.shards) {
-                    // Warm memo: answer straight off the snapshot.
-                    (Some(matrix), _) => Response::Pairwise {
-                        parties: snapshot.store().party_ids().to_vec(),
-                        values: matrix.as_flat().to_vec(),
-                    },
-                    // The quadratic pass fans out across the pool (2+
-                    // rows; below that the plan has no pairs). The
-                    // snapshot fixes the store geometry with no lock at
-                    // all: a slow worker never blocks other clients. The
-                    // store is append-only, so a mid-flight ingest can
-                    // only surface as a worker-side ERR_PLAN.
-                    (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
-                        let party_ids = snapshot.store().party_ids().to_vec();
-                        shards.sharded_pairwise(&server.shared, snapshot.n(), party_ids)
-                    }
-                    // Cold: fill the memo through the mutation path. Both
-                    // fills *publish* a snapshot carrying the matrix, so
-                    // the next full-matrix, top-pairs and subset reads are
-                    // lock-free again.
-                    (None, _) => {
-                        let (parties, values) = server.shared.mutate(|engine| {
-                            (
-                                engine.store().party_ids().to_vec(),
-                                engine.pairwise_all().as_flat().to_vec(),
-                            )
-                        });
-                        Response::Pairwise { parties, values }
-                    }
+            Request::Pairwise { parties } => match server.pairwise_matrix(parties) {
+                Ok((ids, matrix)) => {
+                    stream_pairwise_frames(ids, &matrix, emit)?;
+                    return Ok(Control::Continue);
                 }
-            }
-            Request::Pairwise { parties } => match server.current_snapshot().pairwise(parties) {
-                Ok(matrix) => Response::Pairwise {
-                    parties: parties.clone(),
-                    values: matrix.into_flat(),
-                },
-                Err(e) => error_response(&e),
+                Err(refusal) => refusal,
             },
             Request::PlanPairwise { tile } => {
                 let plan = TilePlan::new(server.current_snapshot().n(), *tile as usize);
@@ -1579,9 +1592,22 @@ impl FrameService for Service<'_> {
                 tile,
                 tile_ids,
             } => {
+                // One immutable snapshot validates and executes every
+                // tile, so the stream is consistent by construction even
+                // while ingests publish newer snapshots.
                 let snapshot = server.current_snapshot();
-                stream_tile_frames(&snapshot, *rows, *tile, tile_ids, emit)?;
-                return Ok(Control::Continue);
+                let plan_rows = usize::try_from(*rows).unwrap_or(usize::MAX);
+                match snapshot.validate_tiles(plan_rows, *tile as usize, tile_ids) {
+                    Ok(plan) => {
+                        let kernel = |id| {
+                            let mut segments = snapshot.execute_tile(&plan, id);
+                            segments.pop().expect("one id, one segment")
+                        };
+                        stream_tile_frames(*rows, *tile, tile_ids.iter().copied(), kernel, emit)?;
+                        return Ok(Control::Continue);
+                    }
+                    Err(e) => error_response(&e),
+                }
             }
             Request::FetchSnapshot {
                 have_rows,
@@ -1638,67 +1664,99 @@ impl FrameService for Service<'_> {
 }
 
 /// Encode a response, substituting a typed error when the frame would
-/// exceed [`MAX_FRAME_LEN`] (a huge all-pairs matrix must come back as
-/// an error the client can act on — query a smaller subset — not a
-/// silent hangup) or fails to encode at all. Both serve modes encode
-/// through here, keeping their bytes identical.
+/// exceed [`MAX_FRAME_LEN`] or fails to encode at all. Both serve modes
+/// encode through here, keeping their bytes identical.
 fn encode_bounded(response: &Response) -> Vec<u8> {
-    if let Ok(bytes) = encode_response(response) {
-        if bytes.len() <= MAX_FRAME_LEN {
-            return bytes;
-        }
-        let oversize = Response::Error {
-            code: ERR_INTERNAL,
-            message: format!(
-                "response of {} bytes exceeds the {} byte frame limit; \
-                 query a smaller subset",
-                bytes.len(),
-                MAX_FRAME_LEN
-            ),
-        };
-        return encode_response(&oversize).expect("error frames are small");
-    }
-    encode_response(&Response::Error {
-        code: ERR_INTERNAL,
-        message: "response failed to encode".to_string(),
-    })
-    .expect("error frames are small")
+    encode_checked(response).unwrap_or_else(|refusal| refusal)
 }
 
-/// Produce one `ExecuteTilesStream` answer as encoded frames over ONE
-/// immutable snapshot: validate once, then a `TileResultPart` frame per
-/// tile, closed by a `TileResultSummary` carrying the part count and
-/// the running stream digest. The snapshot cannot change underneath the
-/// stream, so the answer is internally consistent by construction (the
-/// old per-tile-engine-lock path could race a concurrent ingest). A
-/// monolithic result frame never materializes; each frame goes to
-/// `emit` as soon as it is ready (thread mode writes it to the socket,
-/// the event loop queues it). Both serve modes stream through here,
-/// keeping their bytes identical.
+/// [`encode_bounded`] telling the two outcomes apart: the frame, or
+/// the encoded `ERR_INTERNAL` refusal to send in its place.
+fn encode_checked(response: &Response) -> Result<Vec<u8>, Vec<u8>> {
+    let message = match encode_response(response) {
+        Ok(bytes) if bytes.len() <= MAX_FRAME_LEN => return Ok(bytes),
+        Ok(bytes) => format!(
+            "response of {} bytes exceeds the {} byte frame limit; \
+             query a smaller subset",
+            bytes.len(),
+            MAX_FRAME_LEN
+        ),
+        Err(_) => "response failed to encode".to_string(),
+    };
+    let refusal = Response::Error {
+        code: ERR_INTERNAL,
+        message,
+    };
+    Err(encode_response(&refusal).expect("error frames are small"))
+}
+
+/// The tile side of every `Pairwise` reply stream. A constant of the
+/// server, not a knob: it fixes the reply's bytes, so both serve modes
+/// and every engine configuration answer alike. Measured on warm
+/// thread-mode reads over TCP loopback (2-CPU host), sides 64–256 were
+/// within a few percent of each other at 1,024–2,048 rows, 32 was
+/// slower everywhere and 256 slower at 1,024 rows; 128 was never more
+/// than 2% off the fastest side.
+pub const PAIRWISE_REPLY_TILE: u32 = 128;
+
+/// Answer a `Pairwise` request off `matrix` (indexed by `parties`):
+/// one `PairwiseHead`, then the matrix's upper triangle as the part
+/// stream of `TilePlan(n, PAIRWISE_REPLY_TILE)`, each segment sliced
+/// straight from the shared matrix. No frame holds more than one tile,
+/// so no matrix size trips the frame limit, and in thread mode each
+/// part is on the wire while the next is encoded.
+///
+/// # Errors
+/// Only what `emit` returns (transport failures in thread mode).
+fn stream_pairwise_frames(
+    parties: Vec<u64>,
+    matrix: &PairwiseDistances,
+    emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let n = matrix.n();
+    let head = Response::PairwiseHead {
+        parties,
+        tile: PAIRWISE_REPLY_TILE,
+    };
+    match encode_checked(&head) {
+        Ok(bytes) => emit(bytes)?,
+        Err(refusal) => return emit(refusal),
+    }
+    let plan = TilePlan::new(n, PAIRWISE_REPLY_TILE as usize);
+    let slice = |id: u64| {
+        let tile = plan.tile_at(id as usize).expect("ids come from the plan");
+        TileSegment {
+            tile_id: id,
+            values: slice_tile_segment(&tile, matrix.as_flat(), n),
+        }
+    };
+    let ids = 0..plan.tile_count() as u64;
+    stream_tile_frames(n as u64, PAIRWISE_REPLY_TILE, ids, slice, emit)
+}
+
+/// The one tile-part emitter: a `TileResultPart` frame per id, each
+/// segment drawn from `segment_of` (the kernel over a snapshot for an
+/// `ExecuteTilesStream`, a matrix slice for a `Pairwise` reply), closed
+/// by a `TileResultSummary` carrying the part count and the running
+/// stream digest. Each frame goes to `emit` as soon as it is ready
+/// (thread mode writes it to the socket, the event loop queues it), so
+/// a whole-stream frame never materializes; both serve modes stream
+/// through here, keeping their bytes identical.
 ///
 /// # Errors
 /// Only what `emit` returns (transport failures in thread mode);
 /// protocol-level failures travel as `Error` frames.
 fn stream_tile_frames(
-    snapshot: &EngineSnapshot,
     rows: u64,
     tile: u32,
-    tile_ids: &[u64],
+    ids: impl IntoIterator<Item = u64>,
+    mut segment_of: impl FnMut(u64) -> TileSegment,
     emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
 ) -> io::Result<()> {
-    let plan_rows = usize::try_from(rows).unwrap_or(usize::MAX);
-    let plan = match snapshot.validate_tiles(plan_rows, tile as usize, tile_ids) {
-        Ok(plan) => plan,
-        Err(e) => {
-            let bytes = encode_response(&error_response(&e)).expect("error frames encode");
-            return emit(bytes);
-        }
-    };
     let mut checksum = FNV1A64_INIT;
     let mut count = 0u64;
-    for &id in tile_ids {
-        let mut segments = snapshot.execute_tile(&plan, id);
-        let segment = segments.pop().expect("one id, one segment");
+    for id in ids {
+        let segment = segment_of(id);
         checksum = tile_stream_checksum(checksum, &segment);
         count += 1;
         let part = Response::TileResultPart {
@@ -1711,8 +1769,7 @@ fn stream_tile_frames(
                 code: ERR_INTERNAL,
                 message: format!("tile {id} exceeds a single frame; use a smaller tile side"),
             };
-            let bytes = encode_response(&oversize).expect("error frames encode");
-            return emit(bytes);
+            return emit(encode_bounded(&oversize));
         };
         emit(bytes)?;
     }
@@ -1722,7 +1779,7 @@ fn stream_tile_frames(
         count,
         checksum,
     };
-    emit(encode_response(&summary).expect("summary frames are small"))
+    emit(encode_bounded(&summary))
 }
 
 /// The capabilities this server advertises on every `Hello` answer.
@@ -1850,7 +1907,7 @@ impl From<CoreError> for ClientError {
     }
 }
 
-/// A small blocking protocol-v5 client over one connection.
+/// A small blocking protocol-v6 client over one connection.
 pub struct Client {
     conn: Conn,
 }
@@ -2006,18 +2063,51 @@ impl Client {
     /// All pairwise estimates among `parties` (empty = every ingested
     /// row); returns `(ids, row-major values)`.
     ///
+    /// The server answers with a `PairwiseHead` and the matrix's upper
+    /// triangle as a tile-part stream; each part is scattered (with
+    /// its mirror) into the `n × n` buffer as it arrives, through the
+    /// same [`Gather`] a coordinator assembles shards with, and the
+    /// closing summary's part count and stream digest are verified.
+    ///
     /// # Errors
     /// [`ClientError::Remote`] on rejection; transport/codec failures.
+    /// A malformed stream is typed too: a subset head that does not
+    /// echo `parties`, or more parts than the head's plan holds, is
+    /// [`ClientError::UnexpectedResponse`]; a part the plan does not
+    /// fit, a head whose matrix cannot be allocated, or a stream that
+    /// ends with tiles missing is [`ClientError::Codec`]; a summary
+    /// count or digest mismatch is [`ClientError::Codec`] with
+    /// [`CoreError::ChecksumMismatch`].
     pub fn pairwise(&mut self, parties: &[u64]) -> Result<(Vec<u64>, Vec<f64>), ClientError> {
-        self.expect(
-            &Request::Pairwise {
-                parties: parties.to_vec(),
-            },
-            |r| match r {
-                Response::Pairwise { parties, values } => Some((parties, values)),
-                _ => None,
-            },
-        )
+        let request = Request::Pairwise {
+            parties: parties.to_vec(),
+        };
+        let stream_error = |e: GatherError| ClientError::Codec(CoreError::Wire(e.to_string()));
+        let mut open: Option<(Vec<u64>, Gather, PartStream)> = None;
+        self.exchange(&request, |response| {
+            let Some((_, gather, stream)) = open.as_mut() else {
+                let Response::PairwiseHead { parties: ids, tile } = response else {
+                    return Err(refused(response));
+                };
+                if !parties.is_empty() && ids != parties {
+                    return Err(ClientError::UnexpectedResponse);
+                }
+                let plan = TilePlan::new(ids.len(), tile as usize);
+                let gather = Gather::try_new(plan).map_err(stream_error)?;
+                let stream = PartStream::new(ids.len() as u64, tile, plan.tile_count() as u64);
+                open = Some((ids, gather, stream));
+                return Ok(None);
+            };
+            let closed = stream.read(response, &mut |segment| {
+                gather.accept(&segment).map_err(stream_error)
+            })?;
+            if closed.is_none() {
+                return Ok(None);
+            }
+            let (ids, gather, _) = open.take().expect("the stream is open");
+            let matrix = gather.finish().map_err(stream_error)?;
+            Ok(Some((ids, matrix.into_flat())))
+        })
     }
 
     /// The `k` nearest neighbors of `party`.
@@ -2092,39 +2182,12 @@ impl Client {
             tile,
             tile_ids: tile_ids.to_vec(),
         };
-        let mut digest = FNV1A64_INIT;
-        let mut count = 0u64;
-        self.exchange(&request, |response| match response {
-            Response::TileResultPart {
-                rows: got_rows,
-                tile: got_tile,
-                segment,
-            } if got_rows == rows && got_tile == tile => {
-                // More parts than tiles asked for can only be a runaway
-                // or malicious stream; stop reading.
-                if count >= tile_ids.len() as u64 {
-                    return Err(ClientError::UnexpectedResponse);
-                }
-                digest = tile_stream_checksum(digest, &segment);
-                count += 1;
+        let mut stream = PartStream::new(rows, tile, tile_ids.len() as u64);
+        self.exchange(&request, |response| {
+            stream.read(response, &mut |segment| {
                 sink(segment);
-                Ok(None)
-            }
-            Response::TileResultSummary {
-                rows: got_rows,
-                tile: got_tile,
-                count: sent,
-                checksum,
-            } if got_rows == rows && got_tile == tile => {
-                if sent != count || checksum != digest {
-                    return Err(ClientError::Codec(CoreError::ChecksumMismatch {
-                        stored: checksum,
-                        computed: digest,
-                    }));
-                }
-                Ok(Some(count))
-            }
-            other => Err(refused(other)),
+                Ok(())
+            })
         })
     }
 
@@ -2249,6 +2312,73 @@ impl Client {
         self.expect(&Request::Shutdown, |r| {
             matches!(r, Response::Bye).then_some(())
         })
+    }
+}
+
+/// The reader of one tile-part stream, shared by
+/// [`Client::execute_tiles_streamed`] and [`Client::pairwise`]: every
+/// part must echo the plan `(rows, tile)` and stay within the `limit`
+/// the request allows, and the closing summary must carry the part
+/// count and the stream digest folded here — so a lost, duplicated,
+/// reordered or runaway part fails the exchange like a corrupted frame.
+struct PartStream {
+    rows: u64,
+    tile: u32,
+    limit: u64,
+    count: u64,
+    digest: u64,
+}
+
+impl PartStream {
+    fn new(rows: u64, tile: u32, limit: u64) -> Self {
+        Self {
+            rows,
+            tile,
+            limit,
+            count: 0,
+            digest: FNV1A64_INIT,
+        }
+    }
+
+    /// Read one reply frame: a part goes to `sink`, and the verified
+    /// summary closes the stream with the part count.
+    fn read(
+        &mut self,
+        response: Response,
+        sink: &mut dyn FnMut(TileSegment) -> Result<(), ClientError>,
+    ) -> Result<Option<u64>, ClientError> {
+        match response {
+            Response::TileResultPart {
+                rows,
+                tile,
+                segment,
+            } if rows == self.rows && tile == self.tile => {
+                // More parts than the request allows can only be a
+                // runaway or malicious stream; stop reading.
+                if self.count >= self.limit {
+                    return Err(ClientError::UnexpectedResponse);
+                }
+                self.digest = tile_stream_checksum(self.digest, &segment);
+                self.count += 1;
+                sink(segment)?;
+                Ok(None)
+            }
+            Response::TileResultSummary {
+                rows,
+                tile,
+                count,
+                checksum,
+            } if rows == self.rows && tile == self.tile => {
+                if count != self.count || checksum != self.digest {
+                    return Err(ClientError::Codec(CoreError::ChecksumMismatch {
+                        stored: checksum,
+                        computed: self.digest,
+                    }));
+                }
+                Ok(Some(self.count))
+            }
+            other => Err(refused(other)),
+        }
     }
 }
 

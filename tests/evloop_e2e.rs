@@ -1,5 +1,5 @@
 //! End-to-end tests of the event-loop serve mode: the reactor must
-//! answer every protocol-v5 frame **byte-identically** to thread mode
+//! answer every protocol-v6 frame **byte-identically** to thread mode
 //! (and hence to the in-process engine, which `server_e2e.rs` pins
 //! thread mode against), including the streamed tile and snapshot
 //! paths; push-install staging must belong to one connection in both
@@ -55,6 +55,9 @@ fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
 enum Step {
     /// A well-formed request answered by `1 + extra_frames` frames.
     Request(Request, usize),
+    /// A `Pairwise` request, answered by a head, tile parts and one
+    /// closing summary (or by one error frame).
+    Stream(Request),
     /// A well-formed request answered by no frame at all.
     Unanswered(Request),
     /// A garbage payload (not a protocol frame); one error frame back.
@@ -72,19 +75,32 @@ fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<Vec<u8>>> {
         let handle = scope.spawn(|| server.serve_mode(mode, 2));
         let mut conn = connect(&endpoint).expect("connect");
         for step in steps {
-            let (payload, frames) = match step {
+            let (payload, counted) = match step {
                 Step::Request(request, extra) => {
                     (encode_request(request).expect("encode"), 1 + extra)
                 }
+                Step::Stream(request) => (encode_request(request).expect("encode"), 0),
                 Step::Unanswered(request) => (encode_request(request).expect("encode"), 0),
                 Step::Garbage(payload) => (payload.clone(), 1),
             };
             write_frame(&mut conn, &payload).expect("write");
-            replies.push(
-                (0..frames)
-                    .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
-                    .collect(),
-            );
+            let mut frames: Vec<Vec<u8>> = (0..counted)
+                .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
+                .collect();
+            if matches!(step, Step::Stream(_)) {
+                loop {
+                    let frame = read_frame(&mut conn).expect("read").expect("frame");
+                    let closed = matches!(
+                        decode_response(&frame).expect("decode"),
+                        Response::TileResultSummary { .. } | Response::Error { .. }
+                    );
+                    frames.push(frame);
+                    if closed {
+                        break;
+                    }
+                }
+            }
+            replies.push(frames);
         }
         // Wind the server down so the scope joins.
         let payload = encode_request(&Request::Shutdown).expect("encode");
@@ -93,6 +109,38 @@ fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<Vec<u8>>> {
         handle.join().expect("server thread");
     });
     replies
+}
+
+/// Rebuild a `Pairwise` reply stream: the head's party ids, and the
+/// `n × n` matrix its parts and their mirrors fill (zero diagonal).
+fn rebuild(frames: &[Vec<u8>]) -> (Vec<u64>, Vec<f64>) {
+    let Response::PairwiseHead { parties, tile } = decode_response(&frames[0]).expect("decode")
+    else {
+        panic!("a pairwise reply opens with its head");
+    };
+    let n = parties.len();
+    let plan = dp_euclid::core::TilePlan::new(n, tile as usize);
+    assert_eq!(
+        frames.len(),
+        plan.tile_count() + 2,
+        "head, one part per tile, summary"
+    );
+    let mut values = vec![0.0; n * n];
+    for frame in &frames[1..=plan.tile_count()] {
+        let Response::TileResultPart { segment, .. } = decode_response(frame).expect("decode")
+        else {
+            panic!("expected a tile part");
+        };
+        let tile = plan
+            .tile_at(segment.tile_id as usize)
+            .expect("tile in plan");
+        dp_euclid::core::sketcher::scatter_tile_segment(&tile, &segment.values, n, &mut values);
+    }
+    assert!(matches!(
+        decode_response(frames.last().expect("summary")).expect("decode"),
+        Response::TileResultSummary { .. }
+    ));
+    (parties, values)
 }
 
 /// Decode a reply that must be a typed `ERR_MALFORMED` refusal.
@@ -142,13 +190,11 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
         0,
     ));
     let pairwise = steps.len();
-    steps.push(Step::Request(Request::Pairwise { parties: vec![] }, 0));
-    steps.push(Step::Request(
-        Request::Pairwise {
-            parties: subset.to_vec(),
-        },
-        0,
-    ));
+    steps.push(Step::Stream(Request::Pairwise { parties: vec![] }));
+    let subset_pairwise = steps.len();
+    steps.push(Step::Stream(Request::Pairwise {
+        parties: subset.to_vec(),
+    }));
     steps.push(Step::Request(
         Request::Knn {
             party: rs[2].party_id,
@@ -270,18 +316,20 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
     }
     assert_eq!(evloop[fetch], probe[fetch], "the fetch is deterministic");
 
-    // Belt and braces: the full-pairwise frame decodes to the exact
-    // bits the in-process engine computes.
+    // Belt and braces: the full and subset pairwise streams rebuild to
+    // the exact bits the in-process engine computes.
     let full = reference.pairwise_all();
-    match decode_response(&evloop[pairwise][0]).expect("decode") {
-        Response::Pairwise { parties, values } => {
-            assert_eq!(parties, reference.store().party_ids());
-            assert_eq!(values.len(), full.as_flat().len());
-            for (a, b) in values.iter().zip(full.as_flat()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+    let sub = reference.pairwise(&subset).expect("subset");
+    for (step, ids, matrix) in [
+        (pairwise, reference.store().party_ids(), full.as_flat()),
+        (subset_pairwise, &subset[..], sub.as_flat()),
+    ] {
+        let (parties, values) = rebuild(&evloop[step]);
+        assert_eq!(parties, ids);
+        assert_eq!(values.len(), matrix.len());
+        for (a, b) in values.iter().zip(matrix) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-        other => panic!("expected the full pairwise frame, got {other:?}"),
     }
     match decode_response(&evloop[empty_fetch][0]).expect("decode") {
         Response::SnapshotSummary {

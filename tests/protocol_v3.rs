@@ -1,5 +1,5 @@
 //! Round-trip and corruption tests for the wire protocol frames
-//! (`dp_euclid::core::protocol`, currently v5), mirroring the v2
+//! (`dp_euclid::core::protocol`, currently v6), mirroring the v2
 //! sketch-codec suite in `tests/wire_codec.rs`: every frame kind must
 //! round-trip identically, re-encode byte-identically, and reject every
 //! single-byte corruption; retired kinds must never decode again.
@@ -152,6 +152,14 @@ fn all_responses() -> Vec<Response> {
             count: 3,
             total_len: 12_345,
             checksum: 0x0bad_cafe_1234_5678,
+        },
+        Response::PairwiseHead {
+            parties: vec![42, 0, 7],
+            tile: 64,
+        },
+        Response::PairwiseHead {
+            parties: vec![],
+            tile: 1,
         },
     ]
 }
@@ -386,4 +394,99 @@ fn stream_framing_roundtrips_mixed_frames() {
         assert_eq!(decode_response(&payload).expect("decode"), resp);
     }
     assert!(read_frame(&mut cursor).expect("eof").is_none());
+}
+
+/// Floats with awkward bit patterns (signed zeros, subnormals, the
+/// extremes) among pseudo-random ones, so a bulk codec that reorders,
+/// truncates or canonicalizes any byte changes a digest below.
+fn awkward(n: usize, salt: u64) -> Vec<f64> {
+    let specials = [
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e-300,
+        -2.5,
+    ];
+    (0..n)
+        .map(|i| {
+            if i % 97 < specials.len() {
+                specials[i % 97]
+            } else {
+                let x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
+                (x >> 11) as f64 / (1u64 << 40) as f64 - 2048.0
+            }
+        })
+        .collect()
+}
+
+/// FNV-1a-64 over a response payload without its version byte and its
+/// checksum trailer: the magic, the kind and the body.
+fn body_digest(bytes: &[u8]) -> u64 {
+    let mut covered = bytes[..4].to_vec();
+    covered.extend_from_slice(&bytes[5..bytes.len() - 8]);
+    dp_euclid::core::wire::fnv1a64(&covered)
+}
+
+/// The float-carrying kinds encode exactly the bytes the protocol-v5
+/// codec wrote value by value: these lengths and body digests were
+/// taken from that codec. Only the version byte (and so the trailer)
+/// moved with v6.
+#[test]
+fn float_carrying_frames_keep_their_v5_bytes() {
+    let knn = awkward(24, 3);
+    let top = awkward(24, 4);
+    let golden = [
+        (
+            Response::TileResultPart {
+                rows: 1824,
+                tile: 64,
+                segment: dp_euclid::core::TileSegment {
+                    tile_id: 17,
+                    values: awkward(4096, 1),
+                },
+            },
+            32_806,
+            0x9b32_9b41_e53a_07c2u64,
+        ),
+        (
+            Response::Pairwise {
+                parties: (0..19u64).map(|i| i * 7 + 3).collect(),
+                values: awkward(19 * 19, 2),
+            },
+            3_058,
+            0x8aa5_8c68_89e5_13bc,
+        ),
+        (
+            Response::Knn {
+                neighbors: knn
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| (i as u64 * 11, d))
+                    .collect(),
+            },
+            402,
+            0x2c1a_7ff3_b378_e8c5,
+        ),
+        (
+            Response::TopPairs {
+                pairs: top
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| (i as u64, i as u64 * 5 + 1, d))
+                    .collect(),
+            },
+            594,
+            0xd2cb_8c2a_2a00_21ae,
+        ),
+    ];
+    for (resp, len, digest) in golden {
+        let bytes = encode_response(&resp).expect("encode");
+        assert_eq!(bytes[4], PROTOCOL_VERSION);
+        assert_eq!(bytes.len(), len, "{resp:?}");
+        assert_eq!(body_digest(&bytes), digest, "{resp:?}");
+        assert_eq!(decode_response(&bytes).expect("decode"), resp);
+    }
 }
