@@ -1,4 +1,4 @@
-//! Run every experiment in the DESIGN.md index and summarize.
+//! Run every experiment (E1–E13, listed below) and summarize.
 //! Usage: `run_all [--quick]`.
 
 type Experiment = (&'static str, fn(f64) -> bool);

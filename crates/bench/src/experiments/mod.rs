@@ -1,9 +1,10 @@
-//! One module per experiment in the DESIGN.md index (E1–E13).
+//! One module per experiment (E1–E13) in the list in
+//! `src/bin/run_all.rs`.
 //!
 //! Each module exposes `run(scale) -> bool`: `scale` multiplies the
-//! Monte-Carlo repetition counts (1.0 = the defaults recorded in
-//! EXPERIMENTS.md; smaller for smoke runs), and the return value is the
-//! overall pass/fail of the experiment's `CHECK` gates.
+//! Monte-Carlo repetition counts (1.0 = each module's defaults; smaller
+//! for smoke runs), and the return value is the overall pass/fail of the
+//! experiment's `CHECK` gates.
 
 pub mod e10_sensitivity;
 pub mod e11_jl_accuracy;

@@ -47,8 +47,8 @@ pub fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
     rounds[2]
 }
 
-/// A pass/fail ledger for an experiment binary. Prints `CHECK` lines the
-/// run_all driver and EXPERIMENTS.md extraction grep for.
+/// A pass/fail ledger for an experiment binary. Prints one `CHECK` line
+/// per check; [`CheckList::finish`] gives `run_all` the verdict.
 #[derive(Debug, Default)]
 pub struct CheckList {
     checks: Vec<(String, bool)>,

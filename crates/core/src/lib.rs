@@ -73,6 +73,6 @@ pub use sketcher::{
     scatter_tile_segment, sketch_batch_par, sketch_batch_sequential, AnySketcher, Construction,
     PairwiseDistances, PrivateSketcher, SketcherSpec,
 };
-// The execution knob and tile plan/scheduler, re-exported so downstream
+// The execution knob and tile plan, re-exported so downstream
 // crates need not depend on dp-parallel directly.
-pub use dp_parallel::{Parallelism, Tile, TilePlan, TileScheduler, TileSegment};
+pub use dp_parallel::{Parallelism, Tile, TilePlan, TileSegment};

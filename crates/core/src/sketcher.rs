@@ -52,9 +52,7 @@ use crate::sjlt_private::PrivateSjlt;
 use dp_hashing::Seed;
 use dp_linalg::SparseVector;
 use dp_noise::PrivacyGuarantee;
-use dp_parallel::{
-    par_chunks_mut, par_map, par_split_mut, Parallelism, Tile, TilePlan, TileSegment,
-};
+use dp_parallel::{par_chunks_mut, par_map, Parallelism, Tile, TilePlan, TileSegment};
 use dp_transforms::LinearTransform;
 
 /// One object-safe interface over every private-sketch construction.
@@ -932,15 +930,10 @@ pub fn pairwise_sq_distances_reference(
 
 /// The cache-blocked tile kernel behind the all-pairs surface.
 ///
-/// The matrix's upper triangle is decomposed by a
-/// [`TileScheduler`] into `par.tile()`-sided `(row_block, col_block)`
-/// tasks. All upper-triangle estimates land in **one flat buffer**
-/// (tiles map to contiguous segments via a pair-count prefix sum);
-/// workers take contiguous tile groups balanced by pair count — static
-/// partitioning is well balanced here because per-pair cost is uniform
-/// in `k` — and write their segments directly, then a sequential pass
-/// scatters (plus mirrors) into the row-major matrix. Per-sketch
-/// invariants are hoisted out
+/// The matrix's upper triangle is decomposed by a [`TilePlan`] into
+/// `par.tile()`-sided `(row_block, col_block)` tiles, which
+/// [`pairwise_sq_distances_rows`] executes and scatters (plus mirrors)
+/// into the row-major matrix. Per-sketch invariants are hoisted out
 /// of the inner loop: compatibility is checked once per sketch against
 /// the first (n−1 checks instead of one per pair), and each sketch's
 /// debias constant `2k·E[η²]` is computed once per *row* instead of
@@ -966,8 +959,6 @@ pub fn pairwise_sq_distances_reference(
 /// Batches released by one sketcher — the only kind the workspace
 /// produces — carry identical moments, where the two checks agree
 /// exactly.
-///
-/// [`TileScheduler`]: crate::TileScheduler
 pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
     items: &'a [T],
     sketch_of: impl Fn(&'a T) -> &'a NoisySketch + Sync,
@@ -1025,9 +1016,13 @@ pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
 /// row-major matrix with a zero diagonal. This is the layer shared by
 /// [`pairwise_sq_distances_with_par`] (which first validates sketch
 /// compatibility and hoists the debias constants) and the `dp-engine`
-/// sketch store (whose arena validates at ingest time); both are
+/// subset recompute (whose arena validates at ingest time); both are
 /// bit-identical to [`pairwise_sq_distances_reference`] because the
 /// inner expression is exactly the per-pair estimator's.
+///
+/// It runs the one tile pipeline every all-pairs matrix runs:
+/// [`execute_tiles`] over every tile of [`effective_plan`], then
+/// [`scatter_tile_segment`] per segment, in tile-id order.
 ///
 /// # Panics
 /// If `debias.len() != n` or any row slice is shorter than row 0 (rows
@@ -1041,51 +1036,12 @@ pub fn pairwise_sq_distances_rows<'a, R>(
 where
     R: Fn(usize) -> &'a [f64] + Sync,
 {
-    assert_eq!(debias.len(), n, "one debias constant per row");
-    if n == 0 {
-        return PairwiseDistances {
-            n: 0,
-            values: Vec::new(),
-        };
-    }
-    // One flat allocation for the whole upper triangle; tile → segment
-    // via the plan's pair-count prefix sums.
     let plan = effective_plan(n, par);
-    let tiles: Vec<Tile> = plan.tiles().map(|(_, t)| t).collect();
-    let offsets = plan.segment_offsets();
-    let total = plan.pair_count();
-    let mut flat = vec![0.0f64; total];
-
-    // Contiguous tile groups, one per worker, balanced by pair count
-    // (diagonal tiles hold half the pairs of off-diagonal ones, so
-    // balancing by tile count would skew) — the same cut the plan hands
-    // remote shards, applied to local threads.
-    let workers = par.threads().min(tiles.len()).max(1);
-    let groups = plan.shard(workers);
-    let boundaries: Vec<usize> = groups[..groups.len() - 1]
-        .iter()
-        .map(|g| offsets[g.end])
-        .collect();
-
-    let kernel = par.kernel();
-    par_split_mut(&mut flat, &boundaries, |group, _, segment| {
-        let mut w = 0usize;
-        for tile in &tiles[groups[group].clone()] {
-            let len = tile.pair_count();
-            fill_tile_segment(tile, &row_values, debias, kernel, &mut segment[w..w + len]);
-            w += len;
-        }
-        debug_assert_eq!(w, segment.len(), "group fills its segment exactly");
-    });
-
+    let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
+    let segments = execute_tiles(&plan, &ids, row_values, debias, par);
     let mut values = vec![0.0; n * n];
-    for (tile, &start) in tiles.iter().zip(&offsets) {
-        scatter_tile_segment(
-            tile,
-            &flat[start..start + tile.pair_count()],
-            n,
-            &mut values,
-        );
+    for (tile, segment) in plan.into_iter().zip(&segments) {
+        scatter_tile_segment(&tile, &segment.values, n, &mut values);
     }
     PairwiseDistances { n, values }
 }
@@ -1107,9 +1063,9 @@ pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
 
 /// The kernel's per-tile inner loop: write the tile's `(i, j)`, `i < j`
 /// pair estimates into `out` in row-major order under the given
-/// [`KernelId`]. One shared function is what keeps the local kernel,
-/// the remote tile executor, and therefore every gathered matrix
-/// bit-identical (within a kernel version).
+/// [`KernelId`]. It is the estimator's only tiled implementation, which
+/// keeps every matrix, local or gathered, bit-identical (within a
+/// kernel version).
 ///
 /// Both `row_values` lookups are hoisted out of the pair loop: every
 /// column slice is resolved once per tile (not once per pair) and each
@@ -1191,11 +1147,11 @@ pub fn slice_tile_segment(tile: &Tile, values: &[f64], n: usize) -> Vec<f64> {
 }
 
 /// Execute an explicit set of a plan's tiles over row slices, returning
-/// one [`TileSegment`] per id (in the given order). This is the remote
-/// half of the plan → execute → gather pipeline: a worker server runs
-/// exactly this over its own store and ships the segments back keyed by
-/// tile id, and the result is bit-identical to the local kernel because
-/// both run `fill_tile_segment`.
+/// one [`TileSegment`] per id (in the given order). This is the one
+/// all-pairs executor: the slice API and the engine's fills run it
+/// in process, and a worker server runs it over its own store and
+/// ships the segments back keyed by tile id, so every matrix is
+/// bit-identical however its tiles were distributed.
 ///
 /// Tiles are executed as dynamic tasks on `par.threads()` workers;
 /// output order is id-list order regardless of scheduling.

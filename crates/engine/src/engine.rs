@@ -21,9 +21,9 @@
 //! agree bit-for-bit under `V2Simd` too. In the all-pairs matrix, pair
 //! `(i, j)` with `i < j` is debiased with row `i`'s constant (exactly
 //! like the tiled kernel); a k-NN query is debiased with the *query
-//! row's* constant (exactly like the old per-query `top_k`). The two
-//! agree bit-for-bit whenever the batch was released by one sketcher,
-//! which is the only kind the workspace produces.
+//! row's* constant (exactly like `query.estimate_sq_distance(candidate)`).
+//! The two agree bit-for-bit whenever the batch was released by one
+//! sketcher, which is the only kind the workspace produces.
 //!
 //! ## Ranked reads
 //!

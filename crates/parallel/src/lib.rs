@@ -9,8 +9,8 @@
 //! 1. **Determinism is non-negotiable.** Results must be bit-identical to
 //!    the sequential reference for every thread count and tile size. All
 //!    primitives therefore assign *what* is computed independently of
-//!    *who* computes it: seeds derive from row indices, tile buffers
-//!    scatter back in schedule order, and error selection picks the
+//!    *who* computes it: seeds derive from row indices, tile segments
+//!    come back in tile-id order, and error selection picks the
 //!    lowest task index, exactly what a sequential loop would hit first.
 //! 2. **Scoped borrowing, no `unsafe`.** Workers are scoped threads
 //!    (`std::thread::scope`) that borrow inputs and disjoint `&mut`
@@ -21,16 +21,15 @@
 //!    single-core hosts and `DP_THREADS=1` CI lanes exercise the same
 //!    code paths without spawning.
 //!
-//! [`TileScheduler`] decomposes the all-pairs distance matrix into
-//! cache-blocked `(row_block, col_block)` tiles over the upper triangle.
-//! A tile is both the unit of intra-process parallelism (workers take
-//! contiguous tile groups balanced by pair count and write disjoint
-//! segments of one flat result buffer) and the unit of *cross-worker
-//! sharding*: [`TilePlan`] names every tile with a stable id under a
-//! pure `(n, tile)` plan, [`TilePlan::shard`] cuts the id space into
-//! pair-count-balanced contiguous ranges, and executors return
-//! [`TileSegment`]s a gatherer concatenates without reconciliation,
-//! because tiles partition the pair set exactly.
+//! A [`TilePlan`] decomposes the all-pairs distance matrix into
+//! cache-blocked `(row_block, col_block)` [`Tile`]s over the upper
+//! triangle, each named by a stable id under the pure `(n, tile)` plan.
+//! A tile is both the unit of intra-process parallelism (local workers
+//! claim tiles from [`par_map`]'s task queue) and the unit of
+//! *cross-worker sharding* ([`TilePlan::split`] cuts a list of tile ids
+//! into pair-count-balanced chunks, one per remote worker). Executors
+//! return [`TileSegment`]s a gatherer scatters by id without
+//! reconciliation, because tiles partition the pair set exactly.
 
 pub mod config;
 pub mod plan;
@@ -39,5 +38,5 @@ pub mod tile;
 
 pub use config::{KernelId, Parallelism, DEFAULT_TILE, MAX_THREADS};
 pub use plan::{TilePlan, TileSegment};
-pub use pool::{par_chunks_mut, par_map, par_split_mut, scope_workers};
-pub use tile::{Tile, TileScheduler};
+pub use pool::{par_chunks_mut, par_map, scope_workers};
+pub use tile::Tile;

@@ -1,24 +1,22 @@
 //! Serializable tile plans: the pairwise computation as a first-class
 //! object.
 //!
-//! [`TileScheduler`] answers "what are the tiles?"
-//! as an iterator; a [`TilePlan`] makes the *assignment* itself a value:
-//! a pure `(n, tile)` pair under which every tile of the all-pairs upper
-//! triangle has a **stable integer id** (its index in row-major block
-//! order — exactly the order the scheduler emits). Because the plan is
-//! two integers, it serializes trivially (the wire carries `(n, tile)`
-//! and lists of tile ids), and any two processes holding equal plans
-//! agree on every tile's geometry without exchanging geometry.
+//! A [`TilePlan`] is a pure `(n, tile)` pair under which every tile of
+//! the all-pairs upper triangle has a **stable integer id**: its index
+//! in row-major block order, the order the plan iterates its [`Tile`]s.
+//! Because the plan is two integers, it serializes trivially (the wire
+//! carries `(n, tile)` and lists of tile ids), and any two processes
+//! holding equal plans agree on every tile's geometry without
+//! exchanging geometry.
 //!
-//! The plan is the unit of *distribution*: [`TilePlan::shard`] cuts the
-//! id space into contiguous ranges balanced by pair count, one per
-//! worker (local thread or remote server); executors return one
-//! [`TileSegment`] per tile (the tile's pair estimates in row-major,
-//! `j > i` order), and a gatherer scatters segments back into the full
-//! matrix by id. Tiles partition the pair set exactly (proptested), so
-//! gathering needs no reconciliation.
+//! The plan is the unit of *distribution*: [`TilePlan::split`] cuts a
+//! list of tile ids into chunks balanced by pair count, one per remote
+//! worker; executors return one [`TileSegment`] per tile (the tile's
+//! pair estimates in row-major, `j > i` order), and a gatherer scatters
+//! segments back into the full matrix by id. Tiles partition the pair
+//! set exactly (proptested), so gathering needs no reconciliation.
 
-use crate::tile::{Tile, TileScheduler, Tiles};
+use crate::tile::Tile;
 use std::ops::Range;
 
 /// A pure, serializable description of one all-pairs tiling: matrix side
@@ -164,70 +162,46 @@ impl TilePlan {
         })
     }
 
-    /// Iterate `(id, tile)` in id order (row-major block order — the
-    /// exact order [`TileScheduler::tiles`] emits).
-    pub fn tiles(&self) -> impl Iterator<Item = (usize, Tile)> + '_ {
-        self.scheduler().tiles().enumerate()
+    /// Iterate `(id, tile)` in id order (row-major block order, the
+    /// order the plan's [`IntoIterator`] yields tiles).
+    pub fn tiles(&self) -> impl Iterator<Item = (usize, Tile)> {
+        self.into_iter().enumerate()
     }
 
-    /// The equivalent iterator-style scheduler.
-    #[must_use]
-    pub fn scheduler(&self) -> TileScheduler {
-        TileScheduler::new(self.n, self.tile)
-    }
-
-    /// Per-tile segment offsets into one flat buffer covering every
-    /// upper-triangle pair: `offsets[id]..offsets[id + 1]` is tile
-    /// `id`'s segment; `offsets[tile_count]` is the total pair count.
-    #[must_use]
-    pub fn segment_offsets(&self) -> Vec<usize> {
-        let mut offsets = Vec::with_capacity(self.tile_count() + 1);
-        let mut total = 0usize;
-        for (_, t) in self.tiles() {
-            offsets.push(total);
-            total += t.pair_count();
-        }
-        offsets.push(total);
-        offsets
-    }
-
-    /// Cut the tile-id space into exactly `shards` contiguous ranges
-    /// (some possibly empty) balanced by pair count, covering
-    /// `0..tile_count` exactly once in order. Deterministic: depends
-    /// only on `(n, tile, shards)`, so a coordinator and its workers —
-    /// or two runs of the same coordinator — always agree.
+    /// Cut a list of this plan's tile ids into exactly `shards` chunks
+    /// (`shards` clamped ≥ 1, some chunks possibly empty) balanced by
+    /// pair count. The chunks concatenate back to `ids` in order, and
+    /// none holds more than `⌈total / shards⌉` pairs plus one tile's.
+    /// The list may be any subset: the whole id space for a cold pass,
+    /// or a gather's sparse missing ids when a lost shard is
+    /// re-dispatched. Deterministic: the cut depends only on the plan,
+    /// the ids and `shards`.
     ///
-    /// Balancing is by *pair* count, not tile count: diagonal tiles hold
-    /// roughly half the pairs of off-diagonal ones, so tile-count
-    /// balancing would skew.
+    /// Balancing is by *pair* count, not tile count: diagonal tiles
+    /// hold roughly half the pairs of off-diagonal ones, so tile-count
+    /// balancing would skew. An id outside the plan weighs nothing.
     #[must_use]
-    pub fn shard(&self, shards: usize) -> Vec<Range<usize>> {
+    pub fn split(&self, ids: &[u64], shards: usize) -> Vec<Vec<u64>> {
         let shards = shards.max(1);
-        let total = self.pair_count();
-        let tile_count = self.tile_count();
-        let mut ranges = Vec::with_capacity(shards);
-        if shards == 1 || total == 0 {
-            ranges.push(0..tile_count);
-        } else {
-            let target = total.div_ceil(shards);
-            let mut acc = 0usize;
-            let mut start = 0usize;
-            for (id, t) in self.tiles() {
-                acc += t.pair_count();
-                if acc >= target * (ranges.len() + 1)
-                    && id + 1 < tile_count
-                    && ranges.len() + 1 < shards
-                {
-                    ranges.push(start..id + 1);
-                    start = id + 1;
-                }
+        let pairs_of = |id: u64| {
+            usize::try_from(id)
+                .ok()
+                .and_then(|id| self.tile_at(id))
+                .map_or(0, |t| t.pair_count())
+        };
+        let total: usize = ids.iter().map(|&id| pairs_of(id)).sum();
+        let target = total.div_ceil(shards).max(1);
+        let mut chunks: Vec<Vec<u64>> = vec![Vec::new()];
+        let mut acc = 0usize;
+        for &id in ids {
+            if acc >= target * chunks.len() && chunks.len() < shards {
+                chunks.push(Vec::new());
             }
-            ranges.push(start..tile_count);
+            chunks.last_mut().expect("chunks start non-empty").push(id);
+            acc += pairs_of(id);
         }
-        while ranges.len() < shards {
-            ranges.push(tile_count..tile_count);
-        }
-        ranges
+        chunks.resize_with(shards, Vec::new);
+        chunks
     }
 
     /// The ids of every tile whose row **or** column span intersects
@@ -263,7 +237,45 @@ impl IntoIterator for TilePlan {
     type IntoIter = Tiles;
 
     fn into_iter(self) -> Tiles {
-        self.scheduler().tiles()
+        Tiles {
+            plan: self,
+            row_block: 0,
+            col_block: 0,
+        }
+    }
+}
+
+/// Iterator over a [`TilePlan`]'s tiles in id order.
+#[derive(Debug, Clone)]
+pub struct Tiles {
+    plan: TilePlan,
+    row_block: usize,
+    col_block: usize,
+}
+
+impl Iterator for Tiles {
+    type Item = Tile;
+
+    fn next(&mut self) -> Option<Tile> {
+        let TilePlan { n, tile } = self.plan;
+        let row_start = self.row_block * tile;
+        if row_start >= n {
+            return None;
+        }
+        let col_start = self.col_block * tile;
+        let out = Tile {
+            row_start,
+            row_end: (row_start + tile).min(n),
+            col_start,
+            col_end: (col_start + tile).min(n),
+        };
+        // Advance along the block row, then to the next diagonal start.
+        self.col_block += 1;
+        if self.col_block * tile >= n {
+            self.row_block += 1;
+            self.col_block = self.row_block;
+        }
+        Some(out)
     }
 }
 
@@ -301,53 +313,34 @@ mod tests {
         assert_eq!(plan.id_of(0, 5), None, "column out of range");
     }
 
-    #[test]
-    fn plan_matches_scheduler_exactly() {
-        for (n, tile) in [(0usize, 3usize), (1, 3), (7, 3), (16, 4), (17, 4)] {
-            let plan = TilePlan::new(n, tile);
-            let from_plan: Vec<Tile> = plan.tiles().map(|(_, t)| t).collect();
-            let from_scheduler: Vec<Tile> = TileScheduler::new(n, tile).tiles().collect();
-            assert_eq!(from_plan, from_scheduler, "n = {n}, tile = {tile}");
-            assert_eq!(from_plan.len(), plan.tile_count());
-        }
-    }
-
-    #[test]
-    fn segment_offsets_are_pair_count_prefix_sums() {
-        let plan = TilePlan::new(10, 3);
-        let offsets = plan.segment_offsets();
-        assert_eq!(offsets.len(), plan.tile_count() + 1);
-        assert_eq!(*offsets.last().unwrap(), plan.pair_count());
-        for (id, t) in plan.tiles() {
-            assert_eq!(offsets[id + 1] - offsets[id], t.pair_count());
-        }
-    }
-
-    /// Shards cover the id space exactly once, in order, and every pair
-    /// is owned by exactly one shard.
-    fn assert_shard_cover(n: usize, tile: usize, shards: usize) {
+    /// Splitting the whole id space yields chunks that cover it exactly
+    /// once, in order, and every pair is owned by exactly one chunk.
+    fn assert_split_cover(n: usize, tile: usize, shards: usize) {
         let plan = TilePlan::new(n, tile);
-        let ranges = plan.shard(shards);
-        assert_eq!(ranges.len(), shards.max(1));
-        let mut next = 0usize;
+        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
+        let chunks = plan.split(&all, shards);
+        assert_eq!(chunks.len(), shards.max(1));
+        assert_eq!(chunks.concat(), all, "ids not covered in order");
         let mut pairs = HashSet::new();
-        for range in &ranges {
-            assert_eq!(range.start, next.min(plan.tile_count()));
-            assert!(range.start <= range.end);
-            next = range.end.max(next);
-            for id in range.clone() {
-                let t = plan.tile_at(id).expect("in range");
-                for i in t.rows() {
-                    for j in t.cols() {
-                        if j > i {
-                            assert!(pairs.insert((i, j)), "pair ({i},{j}) in two shards");
-                        }
+        for &id in chunks.iter().flatten() {
+            let t = plan.tile_at(id as usize).expect("in range");
+            for i in t.rows() {
+                for j in t.cols() {
+                    if j > i {
+                        assert!(pairs.insert((i, j)), "pair ({i},{j}) in two chunks");
                     }
                 }
             }
         }
-        assert_eq!(next, plan.tile_count(), "ids not fully covered");
         assert_eq!(pairs.len(), plan.pair_count(), "missing pairs");
+    }
+
+    /// Pairs held by one chunk of a split.
+    fn load(plan: &TilePlan, chunk: &[u64]) -> usize {
+        chunk
+            .iter()
+            .map(|&id| plan.tile_at(id as usize).unwrap().pair_count())
+            .sum()
     }
 
     #[test]
@@ -355,7 +348,7 @@ mod tests {
         for n in [0usize, 1, 2, 5, 16, 17] {
             for tile in [1usize, 3, 16] {
                 for shards in [1usize, 2, 3, 7] {
-                    assert_shard_cover(n, tile, shards);
+                    assert_split_cover(n, tile, shards);
                 }
             }
         }
@@ -365,31 +358,48 @@ mod tests {
     fn sharding_balances_by_pair_count() {
         let plan = TilePlan::new(64, 4);
         let shards = 4;
-        let ranges = plan.shard(shards);
-        let loads: Vec<usize> = ranges
+        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
+        let loads: Vec<usize> = plan
+            .split(&all, shards)
             .iter()
-            .map(|r| {
-                r.clone()
-                    .map(|id| plan.tile_at(id).unwrap().pair_count())
-                    .sum()
-            })
+            .map(|chunk| load(&plan, chunk))
             .collect();
         let target = plan.pair_count().div_ceil(shards);
         for (s, load) in loads.iter().enumerate() {
-            // Greedy cuts at tile edges: a shard overshoots by at most
+            // Greedy cuts at tile edges: a chunk overshoots by at most
             // one tile's pairs.
-            assert!(*load <= target + 16 * 16, "shard {s} holds {load}");
+            assert!(*load <= target + 16 * 16, "chunk {s} holds {load}");
         }
         assert_eq!(loads.iter().sum::<usize>(), plan.pair_count());
     }
 
     #[test]
-    fn more_shards_than_tiles_pads_with_empty_ranges() {
-        let plan = TilePlan::new(4, 4); // one tile
-        let ranges = plan.shard(5);
-        assert_eq!(ranges.len(), 5);
-        assert_eq!(ranges[0], 0..1);
-        assert!(ranges[1..].iter().all(std::ops::Range::is_empty));
+    fn split_balances_by_pair_count_and_pads() {
+        let plan = TilePlan::new(32, 4);
+        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
+        let chunks = plan.split(&all, 3);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks.concat(), all, "chunks must cover the ids in order");
+        // Non-contiguous re-dispatch sets split too.
+        let sparse: Vec<u64> = all.iter().copied().step_by(3).collect();
+        assert_eq!(plan.split(&sparse, 2).concat(), sparse);
+        // More shards than ids: empty padding, never a panic.
+        let chunks = plan.split(&[7], 4);
+        assert_eq!(chunks.len(), 4);
+        assert_eq!(chunks[0], vec![7]);
+        assert!(chunks[1..].iter().all(Vec::is_empty));
+        // No ids at all.
+        let chunks = plan.split(&[], 2);
+        assert_eq!(chunks.len(), 2);
+        assert!(chunks.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn more_shards_than_tiles_pads_with_empty_chunks() {
+        let chunks = TilePlan::new(4, 4).split(&[0], 5); // one tile
+        assert_eq!(chunks.len(), 5);
+        assert_eq!(chunks[0], vec![0]);
+        assert!(chunks[1..].iter().all(Vec::is_empty));
     }
 
     /// The frontier ids after growing from `old` to `n` rows, checked
@@ -478,7 +488,39 @@ mod tests {
             tile in 1usize..12,
             shards in 1usize..9,
         ) {
-            assert_shard_cover(n, tile, shards);
+            assert_split_cover(n, tile, shards);
+        }
+
+        // The coordinator re-cuts a gather's missing ids after losing a
+        // worker: a sparse, non-contiguous subset of the id space.
+        #[test]
+        fn any_id_subset_splits_in_order_within_the_bound(
+            n in 0usize..48,
+            tile in 1usize..12,
+            keep in proptest::collection::vec(any::<bool>(), 1..64),
+            shards in 0usize..9,
+        ) {
+            let plan = TilePlan::new(n, tile);
+            let ids: Vec<u64> = (0..plan.tile_count())
+                .filter(|&id| keep[id % keep.len()])
+                .map(|id| id as u64)
+                .collect();
+            let chunks = plan.split(&ids, shards);
+            prop_assert_eq!(chunks.len(), shards.max(1));
+            prop_assert_eq!(chunks.concat(), ids.clone());
+            let total = load(&plan, &ids);
+            let largest = ids
+                .iter()
+                .map(|&id| load(&plan, &[id]))
+                .max()
+                .unwrap_or(0);
+            let bound = total.div_ceil(shards.max(1)) + largest;
+            for chunk in &chunks {
+                prop_assert!(
+                    load(&plan, chunk) <= bound,
+                    "chunk holds {} pairs, bound {}", load(&plan, chunk), bound
+                );
+            }
         }
 
         #[test]

@@ -7,18 +7,15 @@
 //! work — the borrow checker proves race freedom from the chunk
 //! decomposition itself.
 //!
-//! Three distribution strategies cover the workspace's workloads:
+//! Two distribution strategies cover the workspace's workloads:
 //!
 //! * **Static chunking** ([`par_chunks_mut`]) — contiguous, balanced
 //!   chunks of an output slice, one per worker. Right for uniform-cost
 //!   items (rows of a sketch batch).
-//! * **Caller-weighted chunking** ([`par_split_mut`]) — contiguous
-//!   parts at caller-chosen boundaries, so unevenly-costed elements can
-//!   be balanced by weight (pairwise tile groups balanced by pair
-//!   count).
 //! * **Dynamic task queue** ([`par_map`]) — workers claim task indices
-//!   from an atomic counter. Right when per-item cost is unpredictable
-//!   (per-query k-NN rankings, Monte-Carlo reps).
+//!   from an atomic counter. Right when per-item cost is uneven or
+//!   unpredictable (pairwise tiles, whose pair counts differ on and off
+//!   the diagonal; Monte-Carlo reps).
 //!
 //! Error determinism: when tasks can fail, the error returned is the one
 //! at the **lowest task index** among all failures — exactly the error a
@@ -98,47 +95,6 @@ where
         }
     });
     finish(failure)
-}
-
-/// Split `out` at the given ascending interior `boundaries` (each
-/// `≤ out.len()`) into `boundaries.len() + 1` contiguous parts and run
-/// `f(part_index, part_offset, part)` on every part in parallel, the
-/// first part on the calling thread. The caller chooses the boundaries,
-/// so unevenly-sized parts can balance unevenly-costed elements (e.g.
-/// pairwise tiles grouped by pair count).
-///
-/// # Panics
-/// If `boundaries` is not ascending or a boundary exceeds `out.len()`.
-pub fn par_split_mut<T, F>(out: &mut [T], boundaries: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    if boundaries.is_empty() {
-        f(0, 0, out);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = out;
-        let mut offset = 0;
-        let mut first_part = None;
-        for part in 0..=boundaries.len() {
-            let end = boundaries.get(part).copied().unwrap_or(offset + rest.len());
-            assert!(end >= offset, "boundaries must be ascending");
-            let (chunk, tail) = rest.split_at_mut(end - offset);
-            rest = tail;
-            let part_offset = offset;
-            offset = end;
-            if part == 0 {
-                first_part = Some((part_offset, chunk));
-                continue;
-            }
-            scope.spawn(move || f(part, part_offset, chunk));
-        }
-        let (part_offset, chunk) = first_part.expect("at least one part");
-        f(0, part_offset, chunk);
-    });
 }
 
 /// Map `f` over `items` on up to `threads` workers with dynamic task
@@ -264,38 +220,6 @@ mod tests {
             });
             assert_eq!(got2.unwrap_err(), expected, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn par_split_mut_respects_boundaries() {
-        // Parts: [0..3), [3..3), [3..7), [7..10).
-        let mut out = vec![(0usize, 0usize); 10];
-        par_split_mut(&mut out, &[3, 3, 7], |part, offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = (part, offset + i);
-            }
-        });
-        let expected: Vec<(usize, usize)> = (0..10)
-            .map(|i| {
-                let part = match i {
-                    0..=2 => 0,
-                    3..=6 => 2,
-                    _ => 3,
-                };
-                (part, i)
-            })
-            .collect();
-        assert_eq!(out, expected);
-        // No boundaries → one sequential part covering everything.
-        let mut whole = vec![0usize; 4];
-        par_split_mut(&mut whole, &[], |part, offset, chunk| {
-            assert_eq!((part, offset, chunk.len()), (0, 0, 4));
-            chunk.fill(7);
-        });
-        assert_eq!(whole, vec![7; 4]);
-        // Empty slice, boundary at 0.
-        let mut empty: Vec<u8> = Vec::new();
-        par_split_mut(&mut empty, &[0], |_, _, chunk| assert!(chunk.is_empty()));
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Cache-blocked tiling of the all-pairs upper triangle.
+//! One cache-blocked tile of the all-pairs upper triangle.
 //!
 //! The all-pairs distance matrix is symmetric with a zero diagonal, so
 //! the unit of work is the *unordered pair set* `{(i, j) : i < j}`.
-//! [`TileScheduler`] partitions that set into `(row_block, col_block)`
-//! tiles of a configurable side length: exactly the blocks a cache-aware
-//! kernel walks (both sketch blocks stay resident while the tile's
-//! `tile²` pair estimates are produced), and exactly the work items a
-//! future cross-worker sharding layer would distribute, because the
-//! tiles partition the pair set — every pair lands in precisely one
-//! tile.
+//! A [`TilePlan`] partitions that set into `(row_block, col_block)`
+//! [`Tile`]s of a configurable side length: exactly the blocks a
+//! cache-aware kernel walks (both sketch blocks stay resident while the
+//! tile's `tile²` pair estimates are produced), and exactly the work
+//! items threads and remote workers take, because the tiles partition
+//! the pair set — every pair lands in precisely one tile.
 //!
 //! Only blocks on or above the diagonal are emitted (`row_block ≤
 //! col_block`); within a diagonal tile the kernel still skips `j ≤ i`.
+//!
+//! [`TilePlan`]: crate::TilePlan
 
 use std::ops::Range;
 
@@ -64,117 +65,20 @@ impl Tile {
     }
 }
 
-/// Produces the upper-triangle tiles of an `n × n` pairwise matrix in
-/// deterministic row-major block order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileScheduler {
-    n: usize,
-    tile: usize,
-}
-
-impl TileScheduler {
-    /// Tile an `n × n` matrix into blocks of side `tile` (clamped ≥ 1;
-    /// edge blocks are smaller when `tile` does not divide `n`).
-    #[must_use]
-    pub fn new(n: usize, tile: usize) -> Self {
-        Self {
-            n,
-            tile: tile.max(1),
-        }
-    }
-
-    /// Matrix side length.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Tile side length.
-    #[must_use]
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
-    /// Number of blocks along one axis.
-    #[must_use]
-    pub fn blocks_per_axis(&self) -> usize {
-        self.n.div_ceil(self.tile)
-    }
-
-    /// Total number of tiles emitted (`b·(b+1)/2` for `b` blocks).
-    #[must_use]
-    pub fn tile_count(&self) -> usize {
-        let b = self.blocks_per_axis();
-        b * (b + 1) / 2
-    }
-
-    /// Iterate the tiles in row-major block order.
-    #[must_use]
-    pub fn tiles(&self) -> Tiles {
-        Tiles {
-            scheduler: *self,
-            row_block: 0,
-            col_block: 0,
-        }
-    }
-}
-
-impl IntoIterator for TileScheduler {
-    type Item = Tile;
-    type IntoIter = Tiles;
-
-    fn into_iter(self) -> Tiles {
-        self.tiles()
-    }
-}
-
-/// Iterator over a [`TileScheduler`]'s tiles.
-#[derive(Debug, Clone)]
-pub struct Tiles {
-    scheduler: TileScheduler,
-    row_block: usize,
-    col_block: usize,
-}
-
-impl Iterator for Tiles {
-    type Item = Tile;
-
-    fn next(&mut self) -> Option<Tile> {
-        let TileScheduler { n, tile } = self.scheduler;
-        let row_start = self.row_block * tile;
-        if row_start >= n {
-            return None;
-        }
-        let col_start = self.col_block * tile;
-        let out = Tile {
-            row_start,
-            row_end: (row_start + tile).min(n),
-            col_start,
-            col_end: (col_start + tile).min(n),
-        };
-        // Advance along the block row, then to the next diagonal start.
-        self.col_block += 1;
-        if self.col_block * tile >= n {
-            self.row_block += 1;
-            self.col_block = self.row_block;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TilePlan;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
     /// Every `i < j` pair appears in exactly one tile, and pair_count
     /// agrees with an explicit enumeration.
     fn assert_exact_cover(n: usize, tile: usize) {
-        let scheduler = TileScheduler::new(n, tile);
+        let plan = TilePlan::new(n, tile);
         let mut seen = HashSet::new();
         let mut tiles = 0;
-        for t in scheduler.tiles() {
+        for t in plan {
             tiles += 1;
             let mut pairs_here = 0;
             for i in t.rows() {
@@ -188,7 +92,7 @@ mod tests {
             }
             assert_eq!(pairs_here, t.pair_count(), "{t:?}");
         }
-        assert_eq!(tiles, scheduler.tile_count(), "n = {n}, tile = {tile}");
+        assert_eq!(tiles, plan.tile_count(), "n = {n}, tile = {tile}");
         assert_eq!(seen.len(), n * n.saturating_sub(1) / 2, "missing pairs");
     }
 
@@ -203,20 +107,19 @@ mod tests {
 
     #[test]
     fn tile_zero_is_clamped() {
-        let s = TileScheduler::new(8, 0);
-        assert_eq!(s.tile(), 1);
+        assert_eq!(TilePlan::new(8, 0).tile(), 1);
         assert_exact_cover(8, 0);
     }
 
     #[test]
     fn empty_matrix_yields_no_tiles() {
-        assert_eq!(TileScheduler::new(0, 4).tiles().count(), 0);
-        assert_eq!(TileScheduler::new(0, 4).tile_count(), 0);
+        assert_eq!(TilePlan::new(0, 4).into_iter().count(), 0);
+        assert_eq!(TilePlan::new(0, 4).tile_count(), 0);
     }
 
     #[test]
     fn single_element_matrix_has_no_pairs() {
-        let tiles: Vec<Tile> = TileScheduler::new(1, 4).tiles().collect();
+        let tiles: Vec<Tile> = TilePlan::new(1, 4).into_iter().collect();
         assert_eq!(tiles.len(), 1);
         assert_eq!(tiles[0].pair_count(), 0);
         assert!(tiles[0].is_diagonal());
@@ -224,7 +127,7 @@ mod tests {
 
     #[test]
     fn diagonal_detection() {
-        let tiles: Vec<Tile> = TileScheduler::new(8, 4).tiles().collect();
+        let tiles: Vec<Tile> = TilePlan::new(8, 4).into_iter().collect();
         assert_eq!(tiles.len(), 3);
         assert!(tiles[0].is_diagonal());
         assert!(!tiles[1].is_diagonal());

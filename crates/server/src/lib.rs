@@ -281,34 +281,6 @@ struct Shards {
     stats: StatsCells,
 }
 
-/// Cut an explicit (not necessarily contiguous) tile-id set into
-/// `shards` chunks balanced by pair count — the re-dispatch analogue of
-/// [`TilePlan::shard`], which only cuts the full contiguous id space.
-fn split_ids(plan: &TilePlan, ids: &[u64], shards: usize) -> Vec<Vec<u64>> {
-    let shards = shards.max(1);
-    let pairs_of = |id: u64| {
-        usize::try_from(id)
-            .ok()
-            .and_then(|id| plan.tile_at(id))
-            .map_or(0, |t| t.pair_count())
-    };
-    let total: usize = ids.iter().map(|&id| pairs_of(id)).sum();
-    let target = total.div_ceil(shards).max(1);
-    let mut chunks: Vec<Vec<u64>> = vec![Vec::new()];
-    let mut acc = 0usize;
-    for &id in ids {
-        if acc >= target * chunks.len() && chunks.len() < shards {
-            chunks.push(Vec::new());
-        }
-        chunks.last_mut().expect("chunks start non-empty").push(id);
-        acc += pairs_of(id);
-    }
-    while chunks.len() < shards {
-        chunks.push(Vec::new());
-    }
-    chunks
-}
-
 impl Shards {
     /// Lock worker `w`'s slot, recovering from a poisoned mutex: a
     /// connection thread that panicked mid-exchange leaves the stream
@@ -593,8 +565,9 @@ impl Shards {
     /// * **Incremental**: a store grown since the last pass executes
     ///   only the tiles touching the new rows ([`Gather::seeded`]).
     /// * **Re-dispatch**: a failed or timed-out shard poisons its
-    ///   worker; the gather's [`Gather::missing_ids`] are re-cut across
-    ///   the surviving (or revived) workers, bounded by a round budget.
+    ///   worker; the gather's [`Gather::missing_ids`] are re-cut by
+    ///   [`TilePlan::split`] across the surviving (or revived) workers,
+    ///   bounded by a round budget.
     ///   The query fails with a typed `ERR_WORKER` only when *no*
     ///   worker can serve.
     /// * **Bit-identity**: every tile is still executed exactly once by
@@ -664,7 +637,7 @@ impl Shards {
             if rounds > 1 {
                 self.stats.redispatches.fetch_add(1, Ordering::SeqCst);
             }
-            let chunks = split_ids(&plan, &pending, live.len());
+            let chunks = plan.split(&pending, live.len());
             let shards: Vec<(usize, Vec<u64>)> = live.into_iter().zip(chunks).collect();
             let results: Vec<Result<(), String>> = par_map(&shards, shards.len(), |_, (w, ids)| {
                 if ids.is_empty() {
@@ -2472,30 +2445,6 @@ mod tests {
             "connect was not bounded: {:?}",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn split_ids_balances_by_pair_count_and_pads() {
-        let plan = TilePlan::new(32, 4);
-        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
-        let chunks = split_ids(&plan, &all, 3);
-        assert_eq!(chunks.len(), 3);
-        let flat: Vec<u64> = chunks.iter().flatten().copied().collect();
-        assert_eq!(flat, all, "chunks must cover the ids in order");
-        // Non-contiguous re-dispatch sets split too.
-        let sparse: Vec<u64> = all.iter().copied().step_by(3).collect();
-        let chunks = split_ids(&plan, &sparse, 2);
-        let flat: Vec<u64> = chunks.iter().flatten().copied().collect();
-        assert_eq!(flat, sparse);
-        // More shards than ids: empty padding, never a panic.
-        let chunks = split_ids(&plan, &[7], 4);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0], vec![7]);
-        assert!(chunks[1..].iter().all(Vec::is_empty));
-        // No ids at all.
-        let chunks = split_ids(&plan, &[], 2);
-        assert_eq!(chunks.len(), 2);
-        assert!(chunks.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Minimal ASCII table rendering for harness output.
 //!
 //! Every `exp_*` binary prints its paper-vs-measured rows through this
-//! type so EXPERIMENTS.md extracts are uniform.
+//! type so experiment reports are uniform.
 
 use std::fmt;
 

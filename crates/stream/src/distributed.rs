@@ -9,7 +9,7 @@
 //! mechanism-agnostic [`PrivateSketcher`] trait, and any observer
 //! computes pairwise distance estimates from the released objects alone —
 //! privacy follows by post-processing. An observer holding many releases
-//! ingests them into a [`dp_engine::QueryEngine`] and queries that.
+//! ingests them into a `dp_engine::QueryEngine` and queries that.
 //!
 //! The construction is selected purely by the spec: the same protocol
 //! code runs the SJLT+Laplace headline construction, the Gaussian/FJLT

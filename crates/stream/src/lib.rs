@@ -16,7 +16,6 @@
 //! constructions all run the identical multi-party code.
 
 pub mod distributed;
-pub mod knn;
 pub mod streaming;
 
 pub use distributed::{

@@ -4,7 +4,7 @@
 //! Definition 4): `E[‖apply(x)‖²] = ‖x‖²`, so a single estimator shape
 //! `‖sketch(x) − sketch(y)‖² − 2k·E[η²]` is unbiased for all of them. The
 //! paper statements that normalize differently (e.g. Corollary 1's
-//! `(1/k)‖Φ·‖²`) are absorbed into the transform here — see DESIGN.md.
+//! `(1/k)‖Φ·‖²`) are absorbed into the transform here.
 //!
 //! Implemented families:
 //!

@@ -5,7 +5,7 @@
 //! block). The paper remarks (§6.1) that "similar arguments apply for the
 //! b)-construction"; we include it so the block choice can be ablated.
 //!
-//! **Substitution note (documented in DESIGN.md)**: Kane–Nelson draw the
+//! **Substitution note**: Kane–Nelson draw the
 //! row sets from a limited-independence family; we use per-column seeded
 //! partial Fisher–Yates sampling, which is *fully* independent across
 //! columns. Full independence subsumes the required `O(log 1/β)`-wise

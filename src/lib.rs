@@ -69,7 +69,7 @@
 //! | [`dp_linalg`] | dense/sparse vectors, matrices, fast Walsh–Hadamard transform |
 //! | [`dp_noise`] | Laplace/Gaussian/discrete mechanisms, moments, privacy accounting |
 //! | [`dp_transforms`] | iid-Gaussian, Achlioptas, FJLT and SJLT projections |
-//! | [`dp_parallel`] | scoped thread pool, `Parallelism` knob, pairwise tile scheduler |
+//! | [`dp_parallel`] | scoped thread pool, `Parallelism` knob, pairwise tile plan |
 //! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v6 protocol) |
 //! | [`dp_engine`] | the persistent `SketchStore` and incremental `QueryEngine` over released sketches |
 //! | [`dp_stream`] | streaming (turnstile) sketches and the spec-driven distributed protocol |
@@ -110,7 +110,7 @@ pub mod prelude {
         mechanism::{GaussianMechanism, LaplaceMechanism, NoiseMechanism},
         privacy::PrivacyGuarantee,
     };
-    pub use dp_parallel::{KernelId, Parallelism, TilePlan, TileScheduler, TileSegment};
+    pub use dp_parallel::{KernelId, Parallelism, TilePlan, TileSegment};
     pub use dp_stream::{
         distributed::{Party, PublicParams, Release},
         streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher},

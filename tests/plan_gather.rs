@@ -4,8 +4,9 @@
 //! checked here across arbitrary shapes:
 //!
 //! 1. **Exact partition** — a [`TilePlan`]'s tiles cover every `(i, j)`,
-//!    `i < j` pair of the upper triangle exactly once, for any `n`,
-//!    tile side, and shard count (so sharded execution never needs
+//!    `i < j` pair of the upper triangle exactly once, and
+//!    [`TilePlan::split`] puts every tile in exactly one shard, for any
+//!    `n`, tile side, and shard count (so sharded execution never needs
 //!    reconciliation).
 //! 2. **Order-free gather** — gathering a plan's executed
 //!    [`dp_euclid::core::TileSegment`]s in *any* order (any shard
@@ -92,14 +93,15 @@ proptest! {
         shards in 1usize..9,
     ) {
         let plan = TilePlan::new(n, tile);
-        let ranges = plan.shard(shards);
-        prop_assert_eq!(ranges.len(), shards);
+        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
+        let chunks = plan.split(&all, shards);
+        prop_assert_eq!(chunks.len(), shards);
         let mut covered_ids = 0usize;
         let mut pairs = HashSet::new();
-        for range in &ranges {
-            for id in range.clone() {
+        for chunk in &chunks {
+            for &id in chunk {
                 covered_ids += 1;
-                let t = plan.tile_at(id).expect("shard ids lie in the plan");
+                let t = plan.tile_at(id as usize).expect("shard ids lie in the plan");
                 let mut in_tile = 0usize;
                 for i in t.rows() {
                     for j in t.cols() {
@@ -119,7 +121,7 @@ proptest! {
         prop_assert_eq!(pairs.len(), n * n.saturating_sub(1) / 2, "pairs missing");
     }
 
-    // Law 2: shard + execute + shuffled gather is bit-identical to the
+    // Law 2: split + execute + shuffled gather is bit-identical to the
     // naive per-pair reference, for arbitrary store sizes, tile sides,
     // shard counts, and arrival orders.
     #[test]
@@ -142,9 +144,9 @@ proptest! {
 
         // Execute shard by shard (as N workers would), pool the
         // segments, then deliver them in a shuffled order.
+        let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
         let mut segments = Vec::new();
-        for range in plan.shard(shards) {
-            let ids: Vec<u64> = (range.start as u64..range.end as u64).collect();
+        for ids in plan.split(&all, shards) {
             segments.extend(
                 engine.execute_tiles(n, tile, &ids).expect("valid plan"),
             );
@@ -291,17 +293,16 @@ fn gather_reports_missing_tiles_per_shard() {
         engine.ingest(r).expect("ingest");
     }
     let plan = TilePlan::new(n, 4);
-    let ranges = plan.shard(3);
+    let all: Vec<u64> = (0..plan.tile_count() as u64).collect();
+    let chunks = plan.split(&all, 3);
     let mut gather = Gather::new(plan);
-    for range in &ranges[..2] {
-        let ids: Vec<u64> = (range.start as u64..range.end as u64).collect();
-        for segment in engine.execute_tiles(n, 4, &ids).expect("valid plan") {
+    for ids in &chunks[..2] {
+        for segment in engine.execute_tiles(n, 4, ids).expect("valid plan") {
             gather.accept(&segment).expect("fits");
         }
     }
-    let expected_missing: Vec<u64> = (ranges[2].start as u64..ranges[2].end as u64).collect();
-    assert!(!expected_missing.is_empty(), "third shard must own tiles");
-    assert_eq!(gather.missing_ids(), expected_missing);
+    assert!(!chunks[2].is_empty(), "third shard must own tiles");
+    assert_eq!(gather.missing_ids(), chunks[2]);
     assert!(matches!(
         gather.finish(),
         Err(dp_euclid::engine::GatherError::Incomplete { .. })
