@@ -16,6 +16,13 @@
 //! trajectory to watch is evloop holding throughput as clients exceed
 //! serving threads, where thread mode must queue at accept.
 //!
+//! A second probe times the bulk read: a thread-mode server over TCP
+//! loopback answers `Pairwise([])` over 1,024 and 1,824 rows (1,024
+//! only under `--quick`) once cold, then 11 times (5 quick) off its
+//! warm matrix memo, recording p50 and IQR per size. Every read —
+//! cold and warm — must equal the in-process engine's matrix bit for
+//! bit, or the run exits 1.
+//!
 //! Usage: `bench_server [--quick] [--out <path>]`
 
 use dp_bench::workload::gaussian_vec;
@@ -35,6 +42,15 @@ struct Measurement {
     throughput_qps: f64,
     p50_ns: f64,
     p99_ns: f64,
+}
+
+/// One warm-read probe: a full-matrix `Pairwise([])` over `rows` rows.
+struct WarmReads {
+    rows: usize,
+    cold_ms: f64,
+    p50_ms: f64,
+    iqr_ms: f64,
+    identical: bool,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -115,6 +131,59 @@ fn run_mode(
         setup.shutdown().expect("shutdown");
         serve.join().expect("server thread");
         (wall, latencies, identical)
+    })
+}
+
+/// Serve `releases` in thread mode over TCP loopback, read the whole
+/// matrix once cold (the server fills its memo), then `warm` more times
+/// off the memo. Each read is timed end to end through
+/// `Client::pairwise` and then checked bit for bit against the
+/// in-process engine's matrix.
+fn warm_reads(spec: &SketcherSpec, releases: &[Release], warm: usize) -> WarmReads {
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in releases {
+        reference.ingest(r).expect("ingest");
+    }
+    let expected = reference.pairwise_all();
+    let expected_ids = reference.store().party_ids();
+    let server = Server::bind(
+        Endpoint::Tcp("127.0.0.1:0".to_string()),
+        QueryEngine::new(SketchStore::adopting()),
+    )
+    .expect("bind");
+    let endpoint = server.local_endpoint();
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| server.serve_mode(ServeMode::Threads, 2));
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.hello(spec).expect("hello");
+        for r in releases {
+            client.ingest(r).expect("ingest");
+        }
+        let mut identical = true;
+        let mut read = || {
+            let started = Instant::now();
+            let (ids, values) = client.pairwise(&[]).expect("pairwise");
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            identical &= ids == expected_ids
+                && values.len() == expected.as_flat().len()
+                && values
+                    .iter()
+                    .zip(expected.as_flat())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            ms
+        };
+        let cold_ms = read();
+        let mut warm_ms: Vec<f64> = (0..warm).map(|_| read()).collect();
+        client.shutdown().expect("shutdown");
+        serve.join().expect("server thread");
+        warm_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        WarmReads {
+            rows: releases.len(),
+            cold_ms,
+            p50_ms: percentile(&warm_ms, 0.50),
+            iqr_ms: percentile(&warm_ms, 0.75) - percentile(&warm_ms, 0.25),
+            identical,
+        }
     })
 }
 
@@ -204,6 +273,40 @@ fn main() {
         "CHECK [{}] every transport knn answer bit-identical to the in-process engine",
         if all_identical { "PASS" } else { "FAIL" }
     );
+
+    // The bulk read: the full matrix streamed off a warm memo.
+    let sizes: &[usize] = if quick { &[1024] } else { &[1024, 1824] };
+    let warm = if quick { 5 } else { 11 };
+    let max_rows = sizes.iter().copied().max().unwrap_or(0);
+    let bulk_data: Vec<Vec<f64>> = (0..max_rows)
+        .map(|r| gaussian_vec(d, Seed::new(9000 + r as u64)))
+        .collect();
+    let bulk: Vec<Release> = sketcher
+        .sketch_batch(&bulk_data, Seed::new(92))
+        .expect("batch")
+        .into_iter()
+        .enumerate()
+        .map(|(i, sketch)| Release {
+            party_id: i as u64,
+            sketch,
+        })
+        .collect();
+    let mut probes = Vec::new();
+    for &rows in sizes {
+        let probe = warm_reads(&spec, &bulk[..rows], warm);
+        println!(
+            "pairwise  rows = {rows:5}  cold {:7.1} ms  warm p50 {:7.1} ms  IQR {:5.1} ms \
+             ({warm} reads)  bit-identical: {}",
+            probe.cold_ms, probe.p50_ms, probe.iqr_ms, probe.identical,
+        );
+        probes.push(probe);
+    }
+    let reads_identical = probes.iter().all(|p| p.identical);
+    println!(
+        "CHECK [{}] every cold and warm Pairwise([]) read bit-identical to the in-process engine",
+        if reads_identical { "PASS" } else { "FAIL" }
+    );
+    all_identical &= reads_identical;
     println!(
         "NOTE single-host record: clients and server share one CPU budget, so req/s \
          measures protocol + scheduling overhead, not scale-out"
@@ -216,7 +319,11 @@ fn main() {
         ),
         (
             "workload".to_string(),
-            JsonValue::String("knn(k=4) point queries over loopback TCP".to_string()),
+            JsonValue::String(
+                "knn(k=4) point queries over loopback TCP; warm_reads: full-matrix \
+                 Pairwise([]) reads off a warm memo, thread mode over loopback TCP"
+                    .to_string(),
+            ),
         ),
         (
             "note".to_string(),
@@ -234,6 +341,24 @@ fn main() {
             JsonValue::UInt(queries as u64),
         ),
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
+        (
+            "warm_reads".to_string(),
+            JsonValue::Array(
+                probes
+                    .iter()
+                    .map(|p| {
+                        JsonValue::Object(vec![
+                            ("rows".to_string(), JsonValue::UInt(p.rows as u64)),
+                            ("cold_ms".to_string(), JsonValue::Number(p.cold_ms)),
+                            ("reads".to_string(), JsonValue::UInt(warm as u64)),
+                            ("p50_ms".to_string(), JsonValue::Number(p.p50_ms)),
+                            ("iqr_ms".to_string(), JsonValue::Number(p.iqr_ms)),
+                            ("bit_identical".to_string(), JsonValue::Bool(p.identical)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         (
             "measurements".to_string(),
             JsonValue::Array(

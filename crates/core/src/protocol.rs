@@ -1,4 +1,4 @@
-//! Wire codec v6: the request/response protocol of the sketch service.
+//! Wire codec v7: the request/response protocol of the sketch service.
 //!
 //! Versions 1–2 of the wire codec defined *payload* frames — sketches
 //! (`DPNS`, [`crate::wire`]) and releases (`DPRL`, [`crate::release`]).
@@ -8,8 +8,10 @@
 //! `SketchStore` answers. Version 4 adds capability negotiation on
 //! `Hello` and the streamed tile-result mode; version 5 makes the
 //! kernel id part of the negotiated spec; version 6 answers `Pairwise`
-//! with a part stream of the matrix's upper triangle. Sketch and
-//! release payloads stay at v2 and travel embedded inside v6 frames.
+//! with a part stream of the matrix's upper triangle; version 7 seals
+//! every frame with an XXH64 trailer and folds part trailers, not part
+//! contents, into the stream digests. Sketch and release payloads stay
+//! at v2 and travel embedded inside v7 frames.
 //!
 //! ## Frame grammar
 //!
@@ -24,20 +26,28 @@
 //!
 //! ```text
 //! magic    4 bytes  b"DPRQ" (request) | b"DPRS" (response)
-//! version  1 byte   currently 6
+//! version  1 byte   currently 7
 //! kind     1 byte   frame discriminant (see below)
 //! body     …        kind-specific fields
-//! checksum 8 bytes  u64 LE, FNV-1a-64 over every preceding payload byte
+//! checksum 8 bytes  u64 LE, XXH64 (seed 0) over every preceding payload
+//!                   byte (see [`frame_digest`])
 //! ```
 //!
-//! exactly mirroring the v2 trailer discipline: a single corrupted
-//! payload byte is always rejected ([`CoreError::ChecksumMismatch`]),
-//! and a corrupted length prefix is caught by the payload checks of the
-//! misframed bytes. Strings are `u32 LE length + UTF-8 bytes`; lists are
-//! `u32 LE count + items`; floats are `f64 LE` and must be finite. A
-//! run of floats (a tile segment, a kind-3 matrix) is encoded and
-//! decoded in bulk after one finiteness pass over the run; the bytes
-//! are exactly those of a value-by-value loop.
+//! A corrupted payload is rejected ([`CoreError::ChecksumMismatch`],
+//! or a [`CoreError::Wire`] error when the corruption hits the magic or
+//! version byte, which are checked first), and a corrupted length
+//! prefix is caught by the payload checks of the misframed bytes. The
+//! guarantee is probabilistic: XXH64 lets a corruption through with
+//! probability about 2⁻⁶⁴, where the byte-serial FNV-1a-64 trailer of
+//! v6 (which the persisted `DPNS`/`DPRL`/`DPSS`/journal frames keep)
+//! rejected any single corrupted byte deterministically. XXH64 reads
+//! the payload a 64-bit word at a time over four independent lanes,
+//! over ten times faster than FNV over a bulk part. Strings are
+//! `u32 LE length + UTF-8 bytes`; lists are `u32 LE count + items`;
+//! floats are `f64 LE` and must be finite. A run of floats (a tile
+//! segment, a kind-3 matrix) is encoded and decoded in bulk after one
+//! finiteness pass over the run; the bytes are exactly those of a
+//! value-by-value loop.
 //!
 //! ## Conversation
 //!
@@ -134,16 +144,19 @@
 //! would trip [`MAX_FRAME_LEN`], so `ExecuteTilesStream` returns one
 //! `TileResultPart` frame per requested tile — each a complete,
 //! checksummed payload of its own — terminated by a
-//! `TileResultSummary` carrying the part **count** and
-//! a running **FNV-1a-64 over the stream** (each part's tile id as 8 LE
-//! bytes, then each estimate as 8 LE bytes, folded in transmission
-//! order — see [`tile_stream_checksum`]). The per-frame trailers catch
-//! corruption inside a part; the summary digest catches a lost,
-//! duplicated, or reordered part, so a gather fed from the stream is
-//! exactly as trustworthy as one fed from a single checksummed frame.
-//! The monolithic `ExecuteTiles`/`TileResult` exchange (request kind 8,
-//! response kind 9) is retired; both kinds stay reserved and decode as
-//! unknown.
+//! `TileResultSummary` carrying the part **count** and a running
+//! **FNV-1a-64 over the part trailers** (each part frame's 8-byte
+//! XXH64 trailer, folded in transmission order — see
+//! [`stream_checksum`]). The sender folds a part right after encoding
+//! it, the receiver right after decoding has verified it. A trailer
+//! covers its part's plan echo, tile id and every estimate, so the
+//! per-frame trailers catch corruption inside a part and the summary
+//! digest catches a lost, duplicated, reordered, or altered part,
+//! while the stream hashes 8 bytes per part rather than its content a
+//! second time. A gather fed from the stream is as trustworthy as one
+//! fed from a single checksummed frame. The monolithic
+//! `ExecuteTiles`/`TileResult` exchange (request kind 8, response
+//! kind 9) is retired; both kinds stay reserved and decode as unknown.
 //!
 //! ## Streamed pairwise replies
 //!
@@ -174,18 +187,20 @@
 //!   `DPRL` release frame of the journal suffix) and an opaque chunk —
 //!   closed by one `Response::SnapshotSummary` carrying the part count,
 //!   the total chunk byte length, the server's engine generation and
-//!   row count, and the folded stream digest
-//!   ([`snapshot_stream_checksum`], same discipline as the tile
-//!   stream). A caller already at the tip receives zero parts.
+//!   row count, and the stream digest folded from the part frames'
+//!   trailers ([`stream_checksum`], the tile stream's discipline: a
+//!   trailer covers its part's `seq`, `layer` and chunk). A caller
+//!   already at the tip receives zero parts.
 //! * **Push** — a coordinator reviving a worker whose rows predate the
 //!   compacted journal sends `Request::SnapshotPart` frames
-//!   (unacknowledged) closed by one `Request::SnapshotSummary`; the
-//!   worker verifies count/length/digest, installs the decoded store,
+//!   (unacknowledged) closed by one `Request::SnapshotSummary`, whose
+//!   digest folds the *request* parts' trailers; the worker verifies
+//!   count/length/digest, installs the decoded store,
 //!   and answers with exactly one `Hello` (or `Error`). The journal
 //!   suffix then replays over ordinary `Ingest` frames.
 
 use crate::error::CoreError;
-use crate::wire::{fnv1a64, fnv1a64_update, CHECKSUM_LEN};
+use crate::wire::{fnv1a64_update, CHECKSUM_LEN};
 use dp_parallel::TileSegment;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -204,7 +219,10 @@ pub const RESPONSE_MAGIC: [u8; 4] = *b"DPRS";
 /// for quantized `f32` sketch frames. Version 6 answers `Pairwise` with
 /// a [`Response::PairwiseHead`] and a tile-part stream of the upper
 /// triangle, so a v5 peer fails at its first frame, not mid-exchange.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// Version 7 seals every frame with an XXH64 trailer ([`frame_digest`])
+/// and folds part trailers into the stream digests
+/// ([`stream_checksum`]); no body byte moved.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Capability bit: the peer speaks the streamed tile-result mode
 /// (`ExecuteTilesStream` → `TileResultPart`* + `TileResultSummary`).
@@ -361,8 +379,8 @@ pub enum Request {
         count: u64,
         /// Total chunk bytes across every part.
         total_len: u64,
-        /// FNV-1a-64 folded over every part in transmission order
-        /// ([`snapshot_stream_checksum`]).
+        /// FNV-1a-64 folded over every part frame's trailer in
+        /// transmission order ([`stream_checksum`]).
         checksum: u64,
     },
 }
@@ -438,9 +456,9 @@ pub enum Response {
         segment: TileSegment,
     },
     /// Terminates a streamed tile-result answer: how many parts were
-    /// sent and the running FNV-1a-64 over them (see
-    /// [`tile_stream_checksum`]) — the guard against lost, duplicated,
-    /// or reordered parts.
+    /// sent and the running FNV-1a-64 over their frame trailers (see
+    /// [`stream_checksum`]) — the guard against lost, duplicated,
+    /// reordered, or altered parts.
     TileResultSummary {
         /// Echo of the executed plan's matrix side.
         rows: u64,
@@ -448,7 +466,8 @@ pub enum Response {
         tile: u32,
         /// Number of `TileResultPart` frames that preceded this one.
         count: u64,
-        /// FNV-1a-64 folded over every part in transmission order.
+        /// FNV-1a-64 folded over every part frame's trailer in
+        /// transmission order.
         checksum: u64,
     },
     /// One chunk of a streamed [`Request::FetchSnapshot`] answer.
@@ -462,7 +481,7 @@ pub enum Response {
     },
     /// Terminates a streamed snapshot answer: the part count, total
     /// chunk byte length, the folded stream digest
-    /// ([`snapshot_stream_checksum`]), and where the server's state
+    /// ([`stream_checksum`]), and where the server's state
     /// stands (generation + rows) once every part is applied.
     SnapshotSummary {
         /// The engine generation the snapshot was encoded under.
@@ -473,7 +492,8 @@ pub enum Response {
         count: u64,
         /// Total chunk bytes across every part.
         total_len: u64,
-        /// FNV-1a-64 folded over every part in transmission order.
+        /// FNV-1a-64 folded over every part frame's trailer in
+        /// transmission order.
         checksum: u64,
     },
     /// Opens the answer to a [`Request::Pairwise`]: the matrix is
@@ -490,32 +510,19 @@ pub enum Response {
     },
 }
 
-/// Fold one streamed tile segment into the running stream digest: the
-/// tile id as 8 LE bytes, then each estimate as 8 LE bytes — applied
-/// part by part in transmission order, starting from
-/// [`FNV1A64_INIT`](crate::wire::FNV1A64_INIT). Sender and receiver
-/// compute it independently; the summary frame carries the sender's.
+/// Fold one encoded part frame (a `TileResultPart` or `SnapshotPart`
+/// payload, either direction) into the running stream digest: its
+/// 8-byte trailer goes through FNV-1a-64, part by part in transmission
+/// order, starting from [`FNV1A64_INIT`](crate::wire::FNV1A64_INIT).
+/// The sender folds each part right after encoding it, the receiver
+/// right after decoding has verified it; the summary frame carries the
+/// sender's. The trailer covers every byte of its part — the tile id
+/// or `seq` and `layer`, and every value — so a lost, duplicated,
+/// reordered, relayered, or altered part still changes the summary,
+/// while the stream hashes 8 bytes per part instead of its content.
 #[must_use]
-pub fn tile_stream_checksum(h: u64, segment: &TileSegment) -> u64 {
-    let mut h = fnv1a64_update(h, &segment.tile_id.to_le_bytes());
-    for &v in &segment.values {
-        h = fnv1a64_update(h, &v.to_le_bytes());
-    }
-    h
-}
-
-/// Fold one snapshot part into the running stream digest: the `seq` as
-/// 8 LE bytes, the `layer` byte, then the chunk bytes — applied part by
-/// part in transmission order, starting from
-/// [`FNV1A64_INIT`](crate::wire::FNV1A64_INIT). Sender and receiver
-/// compute it independently; the summary frame carries the sender's,
-/// so a lost, duplicated, reordered, or layer-confused part is always
-/// caught.
-#[must_use]
-pub fn snapshot_stream_checksum(h: u64, seq: u64, layer: u8, chunk: &[u8]) -> u64 {
-    let h = fnv1a64_update(h, &seq.to_le_bytes());
-    let h = fnv1a64_update(h, &[layer]);
-    fnv1a64_update(h, chunk)
+pub fn stream_checksum(h: u64, frame: &[u8]) -> u64 {
+    fnv1a64_update(h, &frame[frame.len().saturating_sub(CHECKSUM_LEN)..])
 }
 
 // ---------------------------------------------------------------------
@@ -571,10 +578,88 @@ fn put_u64s(out: &mut Vec<u8>, values: &[u64]) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn seal(mut out: Vec<u8>) -> Vec<u8> {
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+// dp-lint: freeze(protocol-frame-envelope) begin
+//
+// The envelope every protocol frame shares — the header bytes, the
+// XXH64 trailer and the check that opens a frame — is the live wire
+// contract of a fleet as much as the codec arms below. Changing it is
+// a protocol version bump.
+
+const XXH_PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// XXH64 with seed 0 — the protocol frame trailer, over every payload
+/// byte before it. Four independent 64-bit lanes consume the input in
+/// 32-byte stripes, then an 8/4/1-byte tail and a final avalanche mix
+/// it in, so a bulk part is hashed a word at a time rather than a byte
+/// at a time. A corruption escapes it with probability about 2⁻⁶⁴;
+/// the persisted frames keep FNV-1a-64 ([`crate::wire::fnv1a64`]).
+#[must_use]
+pub fn frame_digest(bytes: &[u8]) -> u64 {
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(XXH_PRIME64_2))
+            .rotate_left(31)
+            .wrapping_mul(XXH_PRIME64_1)
+    }
+    fn merge(h: u64, acc: u64) -> u64 {
+        (h ^ round(0, acc))
+            .wrapping_mul(XXH_PRIME64_1)
+            .wrapping_add(XXH_PRIME64_4)
+    }
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+    }
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v1 = XXH_PRIME64_1.wrapping_add(XXH_PRIME64_2);
+        let mut v2 = XXH_PRIME64_2;
+        let mut v3 = 0u64;
+        let mut v4 = XXH_PRIME64_1.wrapping_neg();
+        for stripe in &mut stripes {
+            v1 = round(v1, word(&stripe[0..]));
+            v2 = round(v2, word(&stripe[8..]));
+            v3 = round(v3, word(&stripe[16..]));
+            v4 = round(v4, word(&stripe[24..]));
+        }
+        let h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        [v1, v2, v3, v4].into_iter().fold(h, merge)
+    } else {
+        XXH_PRIME64_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ round(0, word(tail)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME64_1)
+            .wrapping_add(XXH_PRIME64_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(half).wrapping_mul(XXH_PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME64_2)
+            .wrapping_add(XXH_PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_PRIME64_3);
+    h ^ (h >> 32)
 }
 
 fn header(magic: [u8; 4], kind: u8) -> Vec<u8> {
@@ -584,6 +669,45 @@ fn header(magic: [u8; 4], kind: u8) -> Vec<u8> {
     out.push(kind);
     out
 }
+
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let checksum = frame_digest(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Validate the payload envelope (magic, version, checksum) and return
+/// `(kind, body reader)`.
+fn open(bytes: &[u8], magic: [u8; 4]) -> Result<(u8, Reader<'_>), CoreError> {
+    if bytes.len() < 4 + 1 + 1 + CHECKSUM_LEN {
+        return Err(CoreError::Wire("truncated protocol frame".to_string()));
+    }
+    if bytes[..4] != magic {
+        return Err(CoreError::Wire(
+            "bad magic (not a protocol frame of the expected direction)".to_string(),
+        ));
+    }
+    let version = bytes[4];
+    if version != PROTOCOL_VERSION {
+        return Err(CoreError::Wire(format!(
+            "unsupported protocol version {version} (expected {PROTOCOL_VERSION})"
+        )));
+    }
+    let covered = bytes.len() - CHECKSUM_LEN;
+    let stored = u64::from_le_bytes(bytes[covered..].try_into().expect("8 bytes"));
+    let computed = frame_digest(&bytes[..covered]);
+    if stored != computed {
+        return Err(CoreError::ChecksumMismatch { stored, computed });
+    }
+    Ok((
+        bytes[5],
+        Reader {
+            bytes: &bytes[..covered],
+            pos: 6,
+        },
+    ))
+}
+// dp-lint: freeze(protocol-frame-envelope) end
 
 // dp-lint: freeze(protocol-frame-codec) begin
 //
@@ -894,38 +1018,6 @@ impl<'a> Reader<'a> {
             .map(str::to_string)
             .map_err(|e| CoreError::Wire(format!("string not UTF-8: {e}")))
     }
-}
-
-/// Validate the payload envelope (magic, version, checksum) and return
-/// `(kind, body reader)`.
-fn open(bytes: &[u8], magic: [u8; 4]) -> Result<(u8, Reader<'_>), CoreError> {
-    if bytes.len() < 4 + 1 + 1 + CHECKSUM_LEN {
-        return Err(CoreError::Wire("truncated protocol frame".to_string()));
-    }
-    if bytes[..4] != magic {
-        return Err(CoreError::Wire(
-            "bad magic (not a protocol frame of the expected direction)".to_string(),
-        ));
-    }
-    let version = bytes[4];
-    if version != PROTOCOL_VERSION {
-        return Err(CoreError::Wire(format!(
-            "unsupported protocol version {version} (expected {PROTOCOL_VERSION})"
-        )));
-    }
-    let covered = bytes.len() - CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(bytes[covered..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..covered]);
-    if stored != computed {
-        return Err(CoreError::ChecksumMismatch { stored, computed });
-    }
-    Ok((
-        bytes[5],
-        Reader {
-            bytes: &bytes[..covered],
-            pos: 6,
-        },
-    ))
 }
 
 fn finish<T>(r: Reader<'_>, value: T) -> Result<T, CoreError> {
@@ -1471,44 +1563,130 @@ mod tests {
         assert!(matches!(decode_request(&bytes), Err(CoreError::Wire(_))));
     }
 
+    /// Published XXH64 (seed 0) vectors: the empty input, inputs that
+    /// only reach the 1-byte tail, and a 39-byte input that runs one
+    /// stripe and then the 4- and 1-byte tails.
     #[test]
-    fn snapshot_stream_checksum_is_order_layer_and_content_sensitive() {
-        let base = snapshot_stream_checksum(FNV1A64_INIT, 0, SNAPSHOT_LAYER_STORE, b"abc");
-        let two = snapshot_stream_checksum(base, 1, SNAPSHOT_LAYER_JOURNAL, b"def");
-        let swapped = snapshot_stream_checksum(
-            snapshot_stream_checksum(FNV1A64_INIT, 1, SNAPSHOT_LAYER_JOURNAL, b"def"),
-            0,
-            SNAPSHOT_LAYER_STORE,
-            b"abc",
+    fn frame_digest_matches_the_published_xxh64_vectors() {
+        assert_eq!(frame_digest(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(frame_digest(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(frame_digest(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            frame_digest(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
         );
-        assert_ne!(two, swapped, "reordered parts must change the digest");
-        assert_ne!(two, base, "a dropped part must change the digest");
-        let relayered = snapshot_stream_checksum(FNV1A64_INIT, 0, SNAPSHOT_LAYER_JOURNAL, b"abc");
-        assert_ne!(base, relayered, "a layer flip must change the digest");
-        let mutated = snapshot_stream_checksum(FNV1A64_INIT, 0, SNAPSHOT_LAYER_STORE, b"abd");
-        assert_ne!(base, mutated, "a mutated chunk must change the digest");
     }
 
+    /// Every length from 0 to 100 bytes — below one stripe, one to
+    /// three stripes, and every 8/4/1-byte tail after them — moves the
+    /// digest under each single-bit flip, a dropped trailing byte, and
+    /// an appended byte.
+    #[test]
+    fn frame_digest_moves_under_every_bit_flip_and_length_change() {
+        let input: Vec<u8> = (0..=100u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+            .collect();
+        for len in 0..=100 {
+            let bytes = &input[..len];
+            let digest = frame_digest(bytes);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = bytes.to_vec();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(
+                        frame_digest(&flipped),
+                        digest,
+                        "len {len} byte {i} bit {bit}"
+                    );
+                }
+            }
+            if let Some((_, shorter)) = bytes.split_last() {
+                assert_ne!(frame_digest(shorter), digest, "len {len} dropped a byte");
+            }
+            let mut longer = bytes.to_vec();
+            longer.push(0);
+            assert_ne!(frame_digest(&longer), digest, "len {len} appended a byte");
+        }
+    }
+
+    /// Fold encoded part frames into a stream digest, as sender and
+    /// receiver do.
+    fn fold(frames: &[&Vec<u8>]) -> u64 {
+        frames
+            .iter()
+            .fold(FNV1A64_INIT, |h, frame| stream_checksum(h, frame))
+    }
+
+    /// A snapshot stream's digest, folded from its part trailers, moves
+    /// under a reorder, a dropped part, a layer flip, a changed `seq`,
+    /// and a changed chunk byte.
+    #[test]
+    fn snapshot_stream_checksum_is_order_layer_and_content_sensitive() {
+        let part = |seq: u64, layer: u8, chunk: &[u8]| {
+            encode_response(&Response::SnapshotPart {
+                seq,
+                layer,
+                chunk: chunk.to_vec(),
+            })
+            .unwrap()
+        };
+        let base = part(0, SNAPSHOT_LAYER_STORE, b"abc");
+        let next = part(1, SNAPSHOT_LAYER_JOURNAL, b"def");
+        let two = fold(&[&base, &next]);
+        let one = fold(&[&base]);
+        assert_ne!(
+            two,
+            fold(&[&next, &base]),
+            "reordered parts must change the digest"
+        );
+        assert_ne!(two, one, "a dropped part must change the digest");
+        let relayered = part(0, SNAPSHOT_LAYER_JOURNAL, b"abc");
+        assert_ne!(
+            one,
+            fold(&[&relayered]),
+            "a layer flip must change the digest"
+        );
+        let reseq = part(2, SNAPSHOT_LAYER_STORE, b"abc");
+        assert_ne!(one, fold(&[&reseq]), "a seq change must change the digest");
+        let mutated = part(0, SNAPSHOT_LAYER_STORE, b"abd");
+        assert_ne!(
+            one,
+            fold(&[&mutated]),
+            "a mutated chunk must change the digest"
+        );
+    }
+
+    /// A tile stream's digest, folded from its part trailers, moves
+    /// under a reorder, a dropped or duplicated part, and one changed
+    /// estimate.
     #[test]
     fn tile_stream_checksum_is_order_and_content_sensitive() {
-        let a = TileSegment {
-            tile_id: 1,
-            values: vec![0.5, -2.0],
+        let tile = |tile_id: u64, values: Vec<f64>| {
+            encode_response(&Response::TileResultPart {
+                rows: 9,
+                tile: 4,
+                segment: TileSegment { tile_id, values },
+            })
+            .unwrap()
         };
-        let b = TileSegment {
-            tile_id: 2,
-            values: vec![3.25],
-        };
-        let ab = tile_stream_checksum(tile_stream_checksum(FNV1A64_INIT, &a), &b);
-        let ba = tile_stream_checksum(tile_stream_checksum(FNV1A64_INIT, &b), &a);
-        assert_ne!(ab, ba, "reordered parts must change the digest");
-        let a_only = tile_stream_checksum(FNV1A64_INIT, &a);
-        assert_ne!(ab, a_only, "a dropped part must change the digest");
-        let mut mutated = a.clone();
-        mutated.values[0] = 0.75;
+        let a = tile(1, vec![0.5, -2.0]);
+        let b = tile(2, vec![3.25]);
+        let ab = fold(&[&a, &b]);
         assert_ne!(
-            tile_stream_checksum(FNV1A64_INIT, &mutated),
-            a_only,
+            ab,
+            fold(&[&b, &a]),
+            "reordered parts must change the digest"
+        );
+        assert_ne!(ab, fold(&[&a]), "a dropped part must change the digest");
+        assert_ne!(
+            ab,
+            fold(&[&a, &a, &b]),
+            "a duplicated part must change the digest"
+        );
+        let mutated = tile(1, vec![0.75, -2.0]);
+        assert_ne!(
+            ab,
+            fold(&[&mutated, &b]),
             "a mutated estimate must change the digest"
         );
     }

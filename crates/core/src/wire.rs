@@ -61,10 +61,17 @@ pub const WIRE_VERSION_F32: u8 = 3;
 /// Size in bytes of the checksum trailer.
 pub const CHECKSUM_LEN: usize = 8;
 
-/// FNV-1a 64-bit hash — the frame checksum. A single corrupted byte in
-/// the covered region always changes the digest (each step xors the
-/// byte into the state and multiplies by an odd — hence invertible mod
-/// 2⁶⁴ — prime).
+// dp-lint: freeze(persisted-digest) begin
+//
+// Every persisted trailer — `DPNS` sketches, `DPRL` releases, `DPSS`
+// store snapshots and journal records — is this FNV-1a-64, so a byte
+// moved here would orphan every frame already on disk. The protocol
+// frames on the wire use `protocol::frame_digest` instead.
+
+/// FNV-1a 64-bit hash — the persisted frames' checksum. A single
+/// corrupted byte in the covered region always changes the digest
+/// (each step xors the byte into the state and multiplies by an odd —
+/// hence invertible mod 2⁶⁴ — prime).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_update(FNV1A64_INIT, bytes)
@@ -76,8 +83,9 @@ pub const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Fold more bytes into a running FNV-1a-64 state. Feeding a byte
 /// string in any number of chunks yields the same digest as one
-/// [`fnv1a64`] call over the concatenation — the property the streamed
-/// tile-result summary frame relies on.
+/// [`fnv1a64`] call over the concatenation — the property the
+/// streamed summary digests rely on when they fold one part trailer
+/// at a time ([`crate::protocol::stream_checksum`]).
 #[must_use]
 pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -86,6 +94,7 @@ pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     }
     h
 }
+// dp-lint: freeze(persisted-digest) end
 
 /// Deduplicates transform tags while decoding streams of sketches.
 ///

@@ -18,7 +18,7 @@
 //!   new rows arrive, the next query computes only the new pairs. The
 //!   cold all-pairs pass runs the plan → execute → gather pipeline
 //!   ([`QueryEngine::execute_tiles`] is the worker half a server
-//!   streams over protocol v6), and a matrix gathered across sockets
+//!   streams over protocol v7), and a matrix gathered across sockets
 //!   can be adopted as the cache ([`QueryEngine::adopt_matrix`]).
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
 //!   into the full matrix with typed [`GatherError`]s for
@@ -33,7 +33,7 @@
 //!   with each other and with ingest, bit-identical to the locked
 //!   surface by construction.
 //!
-//! One engine backs the library surface, the `dp-server` protocol-v6
+//! One engine backs the library surface, the `dp-server` protocol-v7
 //! service, and the bench harness — per the repo's determinism
 //! contract, all of them bit-identical to the naive per-pair
 //! reference.

@@ -93,8 +93,10 @@ pub const REQUIRED_FREEZE_REGIONS: &[&str] = &[
     "pairwise-reference",
     "sketch-batch-v1",
     "sketch-wire-codec",
+    "protocol-frame-envelope",
     "protocol-frame-codec",
     "snapshot-codec-v1",
+    "persisted-digest",
 ];
 
 /// The protocol definition the exhaustiveness rule parses.

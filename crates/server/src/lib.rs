@@ -1,4 +1,4 @@
-//! # dp-server — the protocol-v6 sketch service
+//! # dp-server — the protocol-v7 sketch service
 //!
 //! A shell around [`dp_engine::QueryEngine`]: accept connections on a
 //! TCP or unix socket, speak the length-prefixed request/response
@@ -46,11 +46,11 @@
 
 use dp_core::error::CoreError;
 use dp_core::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame,
-    snapshot_stream_checksum, tile_stream_checksum, write_frame, Request, Response, CAP_SKETCH_F32,
-    CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY, ERR_DUPLICATE_PARTY, ERR_INCOMPATIBLE, ERR_INTERNAL,
-    ERR_KERNEL, ERR_MALFORMED, ERR_PLAN, ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY,
-    ERR_WORKER, MAX_FRAME_LEN, SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
+    decode_request, decode_response, encode_request, encode_response, read_frame, stream_checksum,
+    write_frame, Request, Response, CAP_SKETCH_F32, CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY,
+    ERR_DUPLICATE_PARTY, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_KERNEL, ERR_MALFORMED, ERR_PLAN,
+    ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, MAX_FRAME_LEN,
+    SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
 };
 use dp_core::release::Release;
 use dp_core::sketcher::{slice_tile_segment, SketcherSpec};
@@ -510,7 +510,7 @@ impl Shards {
     /// Execute one chunk of tile ids on worker `w` over the streamed
     /// exchange, feeding segments into the shared gather as they
     /// arrive. Every worker speaks it: [`CAP_TILE_STREAM`] is part of
-    /// every protocol-v6 server's `Hello`.
+    /// every protocol-v7 server's `Hello`.
     ///
     /// **Any** failure poisons the slot: transport failures via
     /// [`Shards::with_worker`], and completed exchanges whose content
@@ -727,7 +727,7 @@ pub struct ServerStats {
     pub coordinator: Option<CoordinatorStats>,
 }
 
-/// The protocol-v6 sketch service.
+/// The protocol-v7 sketch service.
 ///
 /// In its plain role the server answers every request from its own
 /// engine. Bound via [`Server::bind_coordinator`] it additionally
@@ -1265,10 +1265,10 @@ impl Server {
         let count = parts.len() as u64;
         for (seq, (layer, chunk)) in parts.into_iter().enumerate() {
             let seq = seq as u64;
-            checksum = snapshot_stream_checksum(checksum, seq, layer, &chunk);
             total_len += chunk.len() as u64;
-            let part = Response::SnapshotPart { seq, layer, chunk };
-            emit(encode_bounded(&part))?;
+            let part = encode_bounded(&Response::SnapshotPart { seq, layer, chunk });
+            checksum = stream_checksum(checksum, &part);
+            emit(part)?;
         }
         let summary = Response::SnapshotSummary {
             generation,
@@ -1284,8 +1284,9 @@ impl Server {
     /// summary (count, byte total, folded digest, and the generation
     /// embedded in the snapshot itself), decode, and **replace** the
     /// engine with the decoded store — the coordinator is the source of
-    /// truth, and every byte was checksummed twice (stream digest +
-    /// the snapshot's own trailer). Answers one `Hello` (the ack the
+    /// truth, and every byte was checksummed twice (its part's verified
+    /// frame trailer, folded into the stream digest, and the snapshot's
+    /// own trailer). Answers one `Hello` (the ack the
     /// installing coordinator verifies the row count from) or a typed
     /// error; a failed install never half-applies.
     fn finish_snapshot_install(
@@ -1359,13 +1360,16 @@ struct InstallStaging {
     bytes: Vec<u8>,
 }
 
-/// Stage one push-install `Request::SnapshotPart`. Parts are
-/// unacknowledged, so success emits nothing; a refusal clears the
-/// staging (a later summary then fails its count check rather than
-/// installing a gapped image) and returns the error frame to send.
+/// Stage one push-install `Request::SnapshotPart`, decoded (and so
+/// verified) from `payload`, whose trailer is folded into the staged
+/// stream digest. Parts are unacknowledged, so success emits nothing;
+/// a refusal clears the staging (a later summary then fails its count
+/// check rather than installing a gapped image) and returns the error
+/// frame to send.
 #[allow(clippy::result_large_err)]
 fn stage_snapshot_part(
     staging: &mut Option<InstallStaging>,
+    payload: &[u8],
     seq: u64,
     layer: u8,
     chunk: &[u8],
@@ -1386,7 +1390,7 @@ fn stage_snapshot_part(
             message: format!("snapshot part {seq} arrived out of order (expected {got})"),
         });
     }
-    staged.digest = snapshot_stream_checksum(staged.digest, seq, layer, chunk);
+    staged.digest = stream_checksum(staged.digest, payload);
     staged.bytes.extend_from_slice(chunk);
     staged.next_seq += 1;
     Ok(())
@@ -1590,7 +1594,7 @@ impl FrameService for Service<'_> {
                 return Ok(Control::Continue);
             }
             Request::SnapshotPart { seq, layer, chunk } => {
-                match stage_snapshot_part(staging, *seq, *layer, chunk) {
+                match stage_snapshot_part(staging, payload, *seq, *layer, chunk) {
                     // Parts are unacknowledged.
                     Ok(()) => return Ok(Control::Continue),
                     Err(refusal) => refusal,
@@ -1711,7 +1715,8 @@ fn stream_pairwise_frames(
 /// segment drawn from `segment_of` (the kernel over a snapshot for an
 /// `ExecuteTilesStream`, a matrix slice for a `Pairwise` reply), closed
 /// by a `TileResultSummary` carrying the part count and the running
-/// stream digest. Each frame goes to `emit` as soon as it is ready
+/// stream digest, folded from each part's trailer right after it is
+/// encoded. Each frame goes to `emit` as soon as it is ready
 /// (thread mode writes it to the socket, the event loop queues it), so
 /// a whole-stream frame never materializes; both serve modes stream
 /// through here, keeping their bytes identical.
@@ -1729,13 +1734,10 @@ fn stream_tile_frames(
     let mut checksum = FNV1A64_INIT;
     let mut count = 0u64;
     for id in ids {
-        let segment = segment_of(id);
-        checksum = tile_stream_checksum(checksum, &segment);
-        count += 1;
         let part = Response::TileResultPart {
             rows,
             tile,
-            segment,
+            segment: segment_of(id),
         };
         let Ok(bytes) = encode_response(&part) else {
             let oversize = Response::Error {
@@ -1744,6 +1746,8 @@ fn stream_tile_frames(
             };
             return emit(encode_bounded(&oversize));
         };
+        checksum = stream_checksum(checksum, &bytes);
+        count += 1;
         emit(bytes)?;
     }
     let summary = Response::TileResultSummary {
@@ -1880,7 +1884,7 @@ impl From<CoreError> for ClientError {
     }
 }
 
-/// A small blocking protocol-v6 client over one connection.
+/// A small blocking protocol-v7 client over one connection.
 pub struct Client {
     conn: Conn,
 }
@@ -1934,17 +1938,17 @@ impl Client {
     /// Transport and codec failures; *not* server `Error` frames, which
     /// are returned as values for the typed wrappers to interpret.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.exchange(request, |response| Ok(Some(response)))
+        self.exchange(request, |response, _| Ok(Some(response)))
     }
 
     /// The one reply reader: write `request`, then hand each decoded
-    /// reply frame to `on_frame` until it returns `Some` — the
-    /// exchange's result. The server hanging up first is a transport
-    /// error.
+    /// reply frame, with the raw payload its trailer was verified
+    /// over, to `on_frame` until it returns `Some` — the exchange's
+    /// result. The server hanging up first is a transport error.
     fn exchange<T>(
         &mut self,
         request: &Request,
-        mut on_frame: impl FnMut(Response) -> Result<Option<T>, ClientError>,
+        mut on_frame: impl FnMut(Response, &[u8]) -> Result<Option<T>, ClientError>,
     ) -> Result<T, ClientError> {
         write_frame(&mut self.conn, &encode_request(request)?)?;
         loop {
@@ -1954,7 +1958,7 @@ impl Client {
                     "server closed the connection before answering",
                 ))
             })?;
-            if let Some(done) = on_frame(decode_response(&reply)?)? {
+            if let Some(done) = on_frame(decode_response(&reply)?, &reply)? {
                 return Ok(done);
             }
         }
@@ -2057,7 +2061,7 @@ impl Client {
         };
         let stream_error = |e: GatherError| ClientError::Codec(CoreError::Wire(e.to_string()));
         let mut open: Option<(Vec<u64>, Gather, PartStream)> = None;
-        self.exchange(&request, |response| {
+        self.exchange(&request, |response, payload| {
             let Some((_, gather, stream)) = open.as_mut() else {
                 let Response::PairwiseHead { parties: ids, tile } = response else {
                     return Err(refused(response));
@@ -2071,7 +2075,7 @@ impl Client {
                 open = Some((ids, gather, stream));
                 return Ok(None);
             };
-            let closed = stream.read(response, &mut |segment| {
+            let closed = stream.read(response, payload, &mut |segment| {
                 gather.accept(&segment).map_err(stream_error)
             })?;
             if closed.is_none() {
@@ -2156,8 +2160,8 @@ impl Client {
             tile_ids: tile_ids.to_vec(),
         };
         let mut stream = PartStream::new(rows, tile, tile_ids.len() as u64);
-        self.exchange(&request, |response| {
-            stream.read(response, &mut |segment| {
+        self.exchange(&request, |response, payload| {
+            stream.read(response, payload, &mut |segment| {
                 sink(segment);
                 Ok(())
             })
@@ -2195,12 +2199,12 @@ impl Client {
         let mut digest = FNV1A64_INIT;
         let mut count = 0u64;
         let mut received = 0u64;
-        self.exchange(&request, |response| match response {
+        self.exchange(&request, |response, payload| match response {
             Response::SnapshotPart { seq, layer, chunk } => {
                 if seq != count {
                     return Err(ClientError::UnexpectedResponse);
                 }
-                digest = snapshot_stream_checksum(digest, seq, layer, &chunk);
+                digest = stream_checksum(digest, payload);
                 count += 1;
                 received += chunk.len() as u64;
                 sink(layer, chunk);
@@ -2252,13 +2256,13 @@ impl Client {
         let mut digest = FNV1A64_INIT;
         let mut count = 0u64;
         for chunk in snapshot.chunks(part_len) {
-            digest = snapshot_stream_checksum(digest, count, SNAPSHOT_LAYER_STORE, chunk);
             let part = Request::SnapshotPart {
                 seq: count,
                 layer: SNAPSHOT_LAYER_STORE,
                 chunk: chunk.to_vec(),
             };
             let payload = encode_request(&part)?;
+            digest = stream_checksum(digest, &payload);
             write_frame(&mut self.conn, &payload)?;
             count += 1;
         }
@@ -2292,8 +2296,9 @@ impl Client {
 /// [`Client::execute_tiles_streamed`] and [`Client::pairwise`]: every
 /// part must echo the plan `(rows, tile)` and stay within the `limit`
 /// the request allows, and the closing summary must carry the part
-/// count and the stream digest folded here — so a lost, duplicated,
-/// reordered or runaway part fails the exchange like a corrupted frame.
+/// count and the stream digest folded here from each verified part's
+/// trailer — so a lost, duplicated, reordered, altered or runaway part
+/// fails the exchange like a corrupted frame.
 struct PartStream {
     rows: u64,
     tile: u32,
@@ -2313,11 +2318,13 @@ impl PartStream {
         }
     }
 
-    /// Read one reply frame: a part goes to `sink`, and the verified
-    /// summary closes the stream with the part count.
+    /// Read one reply frame, decoded from `payload`: a part goes to
+    /// `sink`, and the verified summary closes the stream with the part
+    /// count.
     fn read(
         &mut self,
         response: Response,
+        payload: &[u8],
         sink: &mut dyn FnMut(TileSegment) -> Result<(), ClientError>,
     ) -> Result<Option<u64>, ClientError> {
         match response {
@@ -2331,7 +2338,7 @@ impl PartStream {
                 if self.count >= self.limit {
                     return Err(ClientError::UnexpectedResponse);
                 }
-                self.digest = tile_stream_checksum(self.digest, &segment);
+                self.digest = stream_checksum(self.digest, payload);
                 self.count += 1;
                 sink(segment)?;
                 Ok(None)

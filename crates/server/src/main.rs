@@ -1,4 +1,4 @@
-//! The `dp-server` binary: a protocol-v6 sketch service.
+//! The `dp-server` binary: a protocol-v7 sketch service.
 //!
 //! ```text
 //! dp-server [--listen tcp:HOST:PORT | --listen unix:PATH]

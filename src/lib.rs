@@ -70,13 +70,13 @@
 //! | [`dp_noise`] | Laplace/Gaussian/discrete mechanisms, moments, privacy accounting |
 //! | [`dp_transforms`] | iid-Gaussian, Achlioptas, FJLT and SJLT projections |
 //! | [`dp_parallel`] | scoped thread pool, `Parallelism` knob, pairwise tile plan |
-//! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v6 protocol) |
+//! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v7 protocol) |
 //! | [`dp_engine`] | the persistent `SketchStore` and incremental `QueryEngine` over released sketches |
 //! | [`dp_stream`] | streaming (turnstile) sketches and the spec-driven distributed protocol |
 //! | [`dp_stats`] | measurement utilities used by tests and the experiment harness |
 //!
 //! A standalone `dp-server` crate (not re-exported here) serves the
-//! engine over TCP/unix sockets speaking the wire protocol v6 of
+//! engine over TCP/unix sockets speaking the wire protocol v7 of
 //! [`dp_core::protocol`].
 
 pub use dp_core as core;

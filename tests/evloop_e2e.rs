@@ -1,5 +1,5 @@
 //! End-to-end tests of the event-loop serve mode: the reactor must
-//! answer every protocol-v6 frame **byte-identically** to thread mode
+//! answer every protocol-v7 frame **byte-identically** to thread mode
 //! (and hence to the in-process engine, which `server_e2e.rs` pins
 //! thread mode against), including the streamed tile and snapshot
 //! paths; push-install staging must belong to one connection in both
@@ -8,9 +8,9 @@
 //! fixed.
 
 use dp_euclid::core::protocol::{
-    decode_request, decode_response, encode_request, read_frame, snapshot_stream_checksum,
-    write_frame, Request, Response, CAP_TILE_STREAM, ERR_BUSY, ERR_MALFORMED,
-    SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
+    decode_request, decode_response, encode_request, read_frame, stream_checksum, write_frame,
+    Request, Response, CAP_TILE_STREAM, ERR_BUSY, ERR_MALFORMED, SNAPSHOT_LAYER_JOURNAL,
+    SNAPSHOT_LAYER_STORE,
 };
 use dp_euclid::core::release::Release;
 use dp_euclid::core::wire::FNV1A64_INIT;
@@ -60,7 +60,8 @@ enum Step {
     Stream(Request),
     /// A well-formed request answered by no frame at all.
     Unanswered(Request),
-    /// A garbage payload (not a protocol frame); one error frame back.
+    /// A payload the server must refuse — garbage, or a frame of
+    /// another protocol version; one error frame back.
     Garbage(Vec<u8>),
 }
 
@@ -247,15 +248,15 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
             other => panic!("expected a snapshot part, got {other:?}"),
         }
     }
-    let (generation, rows, count, total_len, checksum) =
+    let (generation, rows, count, total_len) =
         match decode_response(&probe[fetch][parts]).expect("decode") {
             Response::SnapshotSummary {
                 generation,
                 rows,
                 count,
                 total_len,
-                checksum,
-            } => (generation, rows, count, total_len, checksum),
+                ..
+            } => (generation, rows, count, total_len),
             other => panic!("expected the snapshot summary, got {other:?}"),
         };
     assert_eq!(rows, rs.len() as u64);
@@ -269,6 +270,12 @@ fn evloop_frames_are_byte_identical_to_thread_mode() {
             .expect("part")
             .to_vec(),
     };
+    // The push's digest folds the trailers of the request frames it
+    // sends, not the fetched response frames.
+    let checksum = (0..parts).fold(FNV1A64_INIT, |digest, seq| {
+        let frame = encode_request(&part(seq, SNAPSHOT_LAYER_STORE)).expect("encode");
+        stream_checksum(digest, &frame)
+    });
     let summary = |count: u64| Request::SnapshotSummary {
         generation,
         rows,
@@ -371,12 +378,9 @@ fn install_staging_is_per_connection() {
         })
         .collect();
     assert!(parts.len() >= 2, "the install must span several parts");
-    let checksum = image
-        .chunks(part_len)
-        .enumerate()
-        .fold(FNV1A64_INIT, |digest, (seq, chunk)| {
-            snapshot_stream_checksum(digest, seq as u64, SNAPSHOT_LAYER_STORE, chunk)
-        });
+    let checksum = parts.iter().fold(FNV1A64_INIT, |digest, part| {
+        stream_checksum(digest, &encode_request(part).expect("encode"))
+    });
     let summary = Request::SnapshotSummary {
         generation,
         rows: rs.len() as u64,
@@ -462,6 +466,41 @@ fn evloop_client_surface_works_end_to_end() {
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
     });
+}
+
+/// A protocol-v6 peer fails at its first frame in both serve modes:
+/// its `Hello` (version byte 6, sealed with the v6 FNV-1a-64 trailer)
+/// is answered with the typed version refusal, and the same connection
+/// then negotiates over v7.
+#[test]
+fn a_v6_hello_is_refused_and_the_connection_then_serves_v7() {
+    let hello = Request::Hello {
+        spec_json: spec(64).to_json(),
+        caps: CAP_TILE_STREAM,
+    };
+    let v7 = encode_request(&hello).expect("encode");
+    let mut v6 = v7[..v7.len() - 8].to_vec();
+    v6[4] = 6;
+    let trailer = dp_euclid::core::wire::fnv1a64(&v6);
+    v6.extend_from_slice(&trailer.to_le_bytes());
+    let steps = [Step::Garbage(v6), Step::Request(hello, 0)];
+    for mode in [ServeMode::Threads, ServeMode::EvLoop] {
+        let replies = run_script(mode, &steps);
+        match decode_response(&replies[0][0]).expect("decode") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ERR_MALFORMED, "{mode:?}");
+                assert!(
+                    message.contains("unsupported protocol version 6"),
+                    "{mode:?}: {message}"
+                );
+            }
+            other => panic!("{mode:?}: expected the version refusal, got {other:?}"),
+        }
+        match decode_response(&replies[1][0]).expect("decode") {
+            Response::Hello { rows, .. } => assert_eq!(rows, 0, "{mode:?}"),
+            other => panic!("{mode:?}: expected the v7 Hello answer, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! End-to-end tests of the streamed `Pairwise` reply (protocol v6): a
+//! End-to-end tests of the streamed `Pairwise` reply (since protocol v6): a
 //! server answers a full or subset matrix with one `PairwiseHead`, the
 //! upper triangle as `TileResultPart` frames, and one closing
 //! `TileResultSummary`; `Client::pairwise` rebuilds the `n × n` matrix.
@@ -11,8 +11,8 @@
 
 use dp_euclid::core::error::CoreError;
 use dp_euclid::core::protocol::{
-    decode_request, encode_response, read_frame, tile_stream_checksum, write_frame, Request,
-    Response, ERR_BUSY, ERR_UNKNOWN_PARTY, MAX_FRAME_LEN,
+    decode_request, encode_response, read_frame, stream_checksum, write_frame, Request, Response,
+    ERR_BUSY, ERR_UNKNOWN_PARTY, MAX_FRAME_LEN,
 };
 use dp_euclid::core::release::Release;
 use dp_euclid::core::sketcher::slice_tile_segment;
@@ -277,26 +277,31 @@ fn stream_of(parties: &[u64], tile: u32, values: &[f64]) -> Vec<Response> {
         parties: parties.to_vec(),
         tile,
     }];
-    let mut checksum = FNV1A64_INIT;
     for (id, t) in plan.tiles() {
-        let segment = TileSegment {
-            tile_id: id as u64,
-            values: slice_tile_segment(&t, values, n),
-        };
-        checksum = tile_stream_checksum(checksum, &segment);
         frames.push(Response::TileResultPart {
             rows: n as u64,
             tile,
-            segment,
+            segment: TileSegment {
+                tile_id: id as u64,
+                values: slice_tile_segment(&t, values, n),
+            },
         });
     }
-    frames.push(Response::TileResultSummary {
-        rows: n as u64,
-        tile,
-        count: plan.tile_count() as u64,
-        checksum,
-    });
+    frames.push(honest_summary(n as u64, tile, &frames[1..]));
     frames
+}
+
+/// The summary an honest server sends after `parts`: their count and
+/// the stream digest folded over their encoded trailers.
+fn honest_summary(rows: u64, tile: u32, parts: &[Response]) -> Response {
+    Response::TileResultSummary {
+        rows,
+        tile,
+        count: parts.len() as u64,
+        checksum: encoded(parts)
+            .iter()
+            .fold(FNV1A64_INIT, |h, frame| stream_checksum(h, frame)),
+    }
 }
 
 /// What `Client::pairwise(parties)` makes of a fake server answering
@@ -398,21 +403,30 @@ fn the_client_rejects_malformed_streams_with_typed_errors() {
 
     // An honest summary over a stream that skipped a tile.
     let mut short = good[..3].to_vec();
-    let mut checksum = FNV1A64_INIT;
-    for part in &short[1..] {
-        if let Response::TileResultPart { segment, .. } = part {
-            checksum = tile_stream_checksum(checksum, segment);
-        }
-    }
-    short.push(Response::TileResultSummary {
-        rows: 3,
-        tile: 2,
-        count: 2,
-        checksum,
-    });
+    short.push(honest_summary(3, 2, &good[1..3]));
     assert!(matches!(
         against(&parties, encoded(&short)),
         Err(ClientError::Codec(CoreError::Wire(_)))
+    ));
+
+    // Under the honest summary of the good stream: two parts swapped,
+    // which the gather accepts in any order, so only the digest can
+    // catch it…
+    let mut swapped = good.clone();
+    swapped.swap(1, 2);
+    assert!(matches!(
+        against(&parties, encoded(&swapped)),
+        Err(ClientError::Codec(CoreError::ChecksumMismatch { .. }))
+    ));
+    // …and one correctly sealed part whose values changed.
+    let mut altered = good.clone();
+    let Response::TileResultPart { segment, .. } = &mut altered[2] else {
+        panic!("a part");
+    };
+    segment.values[0] += 1.0;
+    assert!(matches!(
+        against(&parties, encoded(&altered)),
+        Err(ClientError::Codec(CoreError::ChecksumMismatch { .. }))
     ));
 }
 

@@ -1,13 +1,13 @@
 //! Round-trip and corruption tests for the wire protocol frames
-//! (`dp_euclid::core::protocol`, currently v6), mirroring the v2
+//! (`dp_euclid::core::protocol`, currently v7), mirroring the v2
 //! sketch-codec suite in `tests/wire_codec.rs`: every frame kind must
 //! round-trip identically, re-encode byte-identically, and reject every
 //! single-byte corruption; retired kinds must never decode again.
 
 use dp_euclid::core::error::CoreError;
 use dp_euclid::core::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    Request, Response, CAP_SKETCH_F32, CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY,
+    decode_request, decode_response, encode_request, encode_response, frame_digest, read_frame,
+    write_frame, Request, Response, CAP_SKETCH_F32, CAP_SNAPSHOT, CAP_TILE_STREAM, ERR_BUSY,
     ERR_DUPLICATE_PARTY, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_KERNEL, ERR_MALFORMED, ERR_PLAN,
     ERR_SPEC, ERR_SPEC_MISMATCH, ERR_UNKNOWN_PARTY, ERR_WORKER, PROTOCOL_VERSION, REQUEST_MAGIC,
     RESPONSE_MAGIC, SNAPSHOT_LAYER_JOURNAL, SNAPSHOT_LAYER_STORE,
@@ -209,16 +209,51 @@ fn every_byte_corruption_of_every_response_is_rejected() {
 }
 
 /// Seal a hand-built payload: magic, the current version, `kind`, the
-/// body, and the FNV-1a-64 trailer — a frame the codec itself can no
+/// body, and the XXH64 trailer — a frame the codec itself can no
 /// longer produce.
 fn sealed(magic: [u8; 4], kind: u8, body: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
     out.push(PROTOCOL_VERSION);
     out.push(kind);
     out.extend_from_slice(body);
+    let checksum = frame_digest(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// A frame as a protocol-v6 peer sealed it: version byte 6 and the
+/// FNV-1a-64 trailer v6 used, over the body of `payload` (a current
+/// frame).
+fn as_v6(payload: &[u8]) -> Vec<u8> {
+    let mut out = payload[..payload.len() - 8].to_vec();
+    out[4] = 6;
     let checksum = dp_euclid::core::wire::fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
+}
+
+/// The version byte gates every frame: what a v6 peer sends, in either
+/// direction, is refused with the typed version error before its
+/// trailer or body is read, so a mixed v6/v7 fleet fails at its first
+/// frame.
+#[test]
+fn a_v6_frame_is_refused_with_the_typed_version_error() {
+    assert_eq!(PROTOCOL_VERSION, 7);
+    let expected = "unsupported protocol version 6 (expected 7)";
+    for req in all_requests() {
+        let frame = as_v6(&encode_request(&req).expect("encode"));
+        match decode_request(&frame) {
+            Err(CoreError::Wire(why)) => assert_eq!(why, expected, "{req:?}"),
+            other => panic!("a v6 {req:?} decoded as {other:?}"),
+        }
+    }
+    for resp in all_responses() {
+        let frame = as_v6(&encode_response(&resp).expect("encode"));
+        match decode_response(&frame) {
+            Err(CoreError::Wire(why)) => assert_eq!(why, expected, "{resp:?}"),
+            other => panic!("a v6 {resp:?} decoded as {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -433,7 +468,8 @@ fn body_digest(bytes: &[u8]) -> u64 {
 /// The float-carrying kinds encode exactly the bytes the protocol-v5
 /// codec wrote value by value: these lengths and body digests were
 /// taken from that codec. Only the version byte (and so the trailer)
-/// moved with v6.
+/// moved with v6, and only the trailer's digest with v7, which pins
+/// each frame's XXH64 trailer in the last column.
 #[test]
 fn float_carrying_frames_keep_their_v5_bytes() {
     let knn = awkward(24, 3);
@@ -450,6 +486,7 @@ fn float_carrying_frames_keep_their_v5_bytes() {
             },
             32_806,
             0x9b32_9b41_e53a_07c2u64,
+            0x1f1c_1bdf_9093_13da,
         ),
         (
             Response::Pairwise {
@@ -458,6 +495,7 @@ fn float_carrying_frames_keep_their_v5_bytes() {
             },
             3_058,
             0x8aa5_8c68_89e5_13bc,
+            0xb38a_2118_a052_2321,
         ),
         (
             Response::Knn {
@@ -469,6 +507,7 @@ fn float_carrying_frames_keep_their_v5_bytes() {
             },
             402,
             0x2c1a_7ff3_b378_e8c5,
+            0xf739_2b32_0887_8591,
         ),
         (
             Response::TopPairs {
@@ -480,13 +519,16 @@ fn float_carrying_frames_keep_their_v5_bytes() {
             },
             594,
             0xd2cb_8c2a_2a00_21ae,
+            0x228d_5d2b_6f21_19c4,
         ),
     ];
-    for (resp, len, digest) in golden {
+    for (resp, len, digest, trailer) in golden {
         let bytes = encode_response(&resp).expect("encode");
         assert_eq!(bytes[4], PROTOCOL_VERSION);
         assert_eq!(bytes.len(), len, "{resp:?}");
         assert_eq!(body_digest(&bytes), digest, "{resp:?}");
+        let sealed = u64::from_le_bytes(bytes[len - 8..].try_into().expect("8 bytes"));
+        assert_eq!(sealed, trailer, "{resp:?}");
         assert_eq!(decode_response(&bytes).expect("decode"), resp);
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end test of the protocol-v6 sketch service: spawn a
+//! End-to-end test of the protocol-v7 sketch service: spawn a
 //! `dp-server` on a unix socket, ingest releases through the blocking
 //! client, and assert that every socket answer is **bit-identical** to
 //! the in-process `SketchStore`/`QueryEngine` answers for the same
