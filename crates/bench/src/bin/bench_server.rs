@@ -19,9 +19,13 @@
 //! A second probe times the bulk read: a thread-mode server over TCP
 //! loopback answers `Pairwise([])` over 1,024 and 1,824 rows (1,024
 //! only under `--quick`) once cold, then 11 times (5 quick) off its
-//! warm matrix memo, recording p50 and IQR per size. Every read —
-//! cold and warm — must equal the in-process engine's matrix bit for
-//! bit, or the run exits 1.
+//! warm matrix memo, recording p50 and IQR per size. A third probe
+//! times the grown read at the same sizes: a server whose memo covers
+//! all but the last 64 rows ingests them, then answers `Pairwise([])`,
+//! growing its memo first; each of the 11 reads (5 quick) runs on a
+//! fresh server, so every one grows the memo by the same step. Every
+//! read — cold, warm and grown — must equal the in-process engine's
+//! matrix bit for bit, or the run exits 1.
 //!
 //! Usage: `bench_server [--quick] [--out <path>]`
 
@@ -44,6 +48,18 @@ struct Measurement {
     p99_ns: f64,
 }
 
+/// Rows the grown-read probe ingests before each read.
+const GROWTH: usize = 64;
+
+/// One grown-read probe: `Pairwise([])` over `rows` rows right after the
+/// last [`GROWTH`] of them were ingested.
+struct GrownReads {
+    rows: usize,
+    p50_ms: f64,
+    iqr_ms: f64,
+    identical: bool,
+}
+
 /// One warm-read probe: a full-matrix `Pairwise([])` over `rows` rows.
 struct WarmReads {
     rows: usize,
@@ -59,6 +75,15 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Whether two matrices hold the same values, bit for bit.
+fn same_bits(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// Serve `mode`, ingest the batch, then drive `clients` concurrent
@@ -164,12 +189,7 @@ fn warm_reads(spec: &SketcherSpec, releases: &[Release], warm: usize) -> WarmRea
             let started = Instant::now();
             let (ids, values) = client.pairwise(&[]).expect("pairwise");
             let ms = started.elapsed().as_secs_f64() * 1e3;
-            identical &= ids == expected_ids
-                && values.len() == expected.as_flat().len()
-                && values
-                    .iter()
-                    .zip(expected.as_flat())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            identical &= ids == expected_ids && same_bits(&values, expected.as_flat());
             ms
         };
         let cold_ms = read();
@@ -185,6 +205,54 @@ fn warm_reads(spec: &SketcherSpec, releases: &[Release], warm: usize) -> WarmRea
             identical,
         }
     })
+}
+
+/// Time `reads` grown reads over `releases`, each on a fresh thread-mode
+/// server over TCP loopback whose engine already holds the memo over
+/// all but the last [`GROWTH`] rows: the client ingests those rows and
+/// reads the whole matrix, so the server grows its memo before it
+/// streams. Each read is checked bit for bit against the in-process
+/// engine's matrix.
+fn grown_reads(spec: &SketcherSpec, releases: &[Release], reads: usize) -> GrownReads {
+    let base = releases.len() - GROWTH;
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in releases {
+        reference.ingest(r).expect("ingest");
+    }
+    let expected = reference.pairwise_all();
+    let expected_ids = reference.store().party_ids();
+    let mut identical = true;
+    let mut grown_ms = Vec::with_capacity(reads);
+    for _ in 0..reads {
+        let mut engine = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+        for r in &releases[..base] {
+            engine.ingest(r).expect("ingest");
+        }
+        let _ = engine.pairwise_all();
+        let server = Server::bind(Endpoint::Tcp("127.0.0.1:0".to_string()), engine).expect("bind");
+        let endpoint = server.local_endpoint();
+        std::thread::scope(|scope| {
+            let serve = scope.spawn(|| server.serve_mode(ServeMode::Threads, 2));
+            let mut client = Client::connect(&endpoint).expect("connect");
+            client.hello(spec).expect("hello");
+            for r in &releases[base..] {
+                client.ingest(r).expect("ingest");
+            }
+            let started = Instant::now();
+            let (ids, values) = client.pairwise(&[]).expect("pairwise");
+            grown_ms.push(started.elapsed().as_secs_f64() * 1e3);
+            identical &= ids == expected_ids && same_bits(&values, expected.as_flat());
+            client.shutdown().expect("shutdown");
+            serve.join().expect("server thread");
+        });
+    }
+    grown_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    GrownReads {
+        rows: releases.len(),
+        p50_ms: percentile(&grown_ms, 0.50),
+        iqr_ms: percentile(&grown_ms, 0.75) - percentile(&grown_ms, 0.25),
+        identical,
+    }
 }
 
 fn main() {
@@ -301,9 +369,20 @@ fn main() {
         );
         probes.push(probe);
     }
-    let reads_identical = probes.iter().all(|p| p.identical);
+    let mut grown = Vec::new();
+    for &rows in sizes {
+        let probe = grown_reads(&spec, &bulk[..rows], warm);
+        println!(
+            "pairwise  rows = {rows:5}  grown by {GROWTH} rows  p50 {:7.1} ms  IQR {:5.1} ms \
+             ({warm} reads)  bit-identical: {}",
+            probe.p50_ms, probe.iqr_ms, probe.identical,
+        );
+        grown.push(probe);
+    }
+    let reads_identical = probes.iter().all(|p| p.identical) && grown.iter().all(|p| p.identical);
     println!(
-        "CHECK [{}] every cold and warm Pairwise([]) read bit-identical to the in-process engine",
+        "CHECK [{}] every cold, warm and grown Pairwise([]) read bit-identical to the \
+         in-process engine",
         if reads_identical { "PASS" } else { "FAIL" }
     );
     all_identical &= reads_identical;
@@ -321,7 +400,9 @@ fn main() {
             "workload".to_string(),
             JsonValue::String(
                 "knn(k=4) point queries over loopback TCP; warm_reads: full-matrix \
-                 Pairwise([]) reads off a warm memo, thread mode over loopback TCP"
+                 Pairwise([]) reads off a warm memo, thread mode over loopback TCP; \
+                 grown_reads: the same read right after 64 rows were ingested, so the \
+                 server grows its memo first (a fresh server per read)"
                     .to_string(),
             ),
         ),
@@ -350,6 +431,24 @@ fn main() {
                         JsonValue::Object(vec![
                             ("rows".to_string(), JsonValue::UInt(p.rows as u64)),
                             ("cold_ms".to_string(), JsonValue::Number(p.cold_ms)),
+                            ("reads".to_string(), JsonValue::UInt(warm as u64)),
+                            ("p50_ms".to_string(), JsonValue::Number(p.p50_ms)),
+                            ("iqr_ms".to_string(), JsonValue::Number(p.iqr_ms)),
+                            ("bit_identical".to_string(), JsonValue::Bool(p.identical)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "grown_reads".to_string(),
+            JsonValue::Array(
+                grown
+                    .iter()
+                    .map(|p| {
+                        JsonValue::Object(vec![
+                            ("rows".to_string(), JsonValue::UInt(p.rows as u64)),
+                            ("grown_by".to_string(), JsonValue::UInt(GROWTH as u64)),
                             ("reads".to_string(), JsonValue::UInt(warm as u64)),
                             ("p50_ms".to_string(), JsonValue::Number(p.p50_ms)),
                             ("iqr_ms".to_string(), JsonValue::Number(p.iqr_ms)),

@@ -870,7 +870,7 @@ impl PairwiseDistances {
 
     /// Wrap an externally assembled flat row-major `n × n` buffer (the
     /// inverse of [`PairwiseDistances::into_flat`]; used by the
-    /// `dp-engine` incremental cache).
+    /// `dp-engine` dense gather and memo).
     ///
     /// # Panics
     /// If `values.len() != n²`.

@@ -3,10 +3,11 @@
 //! Every query is post-processing of already-private releases, so no
 //! query costs privacy budget. The engine adds what the slice-based
 //! free functions could not: **persistence** (the all-pairs matrix is
-//! cached and only the pairs involving newly ingested rows are
-//! computed on the next query) and **hoisting** (compatibility and
-//! debias constants were resolved at ingest, so a point query is a pure
-//! O(k) fused subtract-square-accumulate).
+//! memoized as its upper triangle, a [`PairwiseMemo`], and only the
+//! pairs involving newly ingested rows are computed on the next query)
+//! and **hoisting** (compatibility and debias constants were resolved
+//! at ingest, so a point query is a pure O(k) fused
+//! subtract-square-accumulate).
 //!
 //! ## Determinism
 //!
@@ -35,6 +36,7 @@
 
 use crate::error::EngineError;
 use crate::gather::Gather;
+use crate::memo::PairwiseMemo;
 use crate::store::SketchStore;
 use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
@@ -60,10 +62,10 @@ pub struct Neighbor {
 pub struct QueryEngine {
     store: SketchStore,
     par: Parallelism,
-    /// The all-pairs matrix over the first `cache.n()` store rows,
-    /// shared out cheaply (`Arc`) so a warm query copies nothing.
-    cache: Arc<PairwiseDistances>,
-    /// Bumped on every observable mutation (successful ingest, cache
+    /// The all-pairs memo over the first `memo.n()` store rows, shared
+    /// out cheaply (`Arc`) so a warm query copies nothing.
+    memo: Arc<PairwiseMemo>,
+    /// Bumped on every observable mutation (successful ingest, memo
     /// growth or adoption) — the signal [`crate::SharedEngine`] uses to
     /// decide whether a fresh [`crate::EngineSnapshot`] must be
     /// published.
@@ -91,7 +93,7 @@ impl QueryEngine {
         Self {
             store,
             par,
-            cache: Arc::new(PairwiseDistances::from_flat(0, Vec::new())),
+            memo: Arc::default(),
             generation: 0,
         }
     }
@@ -111,7 +113,7 @@ impl QueryEngine {
     }
 
     /// The mutation generation: bumped on every successful ingest and
-    /// every all-pairs cache growth or adoption. Two calls returning the
+    /// every all-pairs memo growth or adoption. Two calls returning the
     /// same value bracket a window with no observable engine mutation —
     /// what [`crate::SharedEngine::mutate`] compares to skip
     /// republishing an unchanged snapshot.
@@ -137,7 +139,7 @@ impl QueryEngine {
     }
 
     /// Mutable access to the store (e.g. its interner). The engine's
-    /// incremental cache stays valid under any store mutation because
+    /// incremental memo stays valid under any store mutation because
     /// the store is append-only.
     pub fn store_mut(&mut self) -> &mut SketchStore {
         &mut self.store
@@ -170,7 +172,7 @@ impl QueryEngine {
     }
 
     /// Ingest a batch of releases with **one** generation bump, so
-    /// snapshot republication and cache invalidation cost once per bulk
+    /// snapshot republication and memo invalidation cost once per bulk
     /// load instead of once per row. Row assignment and validation are
     /// bit-identical to one [`QueryEngine::ingest`] per release.
     ///
@@ -249,57 +251,68 @@ impl QueryEngine {
         pair_rows_over(&self.store, i, j, self.par.kernel())
     }
 
-    /// All pairwise estimates among every ingested row, as a flat
-    /// row-major matrix in ingest order — **incremental**: the matrix
-    /// over previously queried rows is cached, and only pairs touching
-    /// rows ingested since the last call are computed (each new row is
-    /// one data-parallel task). A cold call runs the tiled kernel; a
-    /// warm call with no new rows is O(1) — the returned handle shares
-    /// the cache, copying nothing.
+    /// The all-pairs memo over every ingested row — **incremental**:
+    /// only pairs touching rows ingested since the last call are
+    /// computed, into a memo that shares every complete panel with the
+    /// previous one ([`Gather::grow`]). A cold call runs the tiled
+    /// kernel; a warm call with no new rows is O(1) — the returned
+    /// handle shares the memo, copying nothing. Every serving path
+    /// reads this, never [`QueryEngine::pairwise_all`].
     #[must_use]
-    pub fn pairwise_all(&mut self) -> Arc<PairwiseDistances> {
+    pub fn pairwise_memo(&mut self) -> Arc<PairwiseMemo> {
         let n = self.store.n();
-        if self.cache.n() < n {
-            self.extend_cache(n);
+        if self.memo.n() < n {
+            self.grow_memo(n);
         }
-        Arc::clone(&self.cache)
+        Arc::clone(&self.memo)
     }
 
-    /// The cached all-pairs matrix, **iff** it currently covers every
-    /// ingested row — the memo a published [`crate::EngineSnapshot`]
-    /// carries, and what the subset fast path slices. Never computes
-    /// anything; a stale cache yields `None`.
+    /// All pairwise estimates among every ingested row, as a dense flat
+    /// row-major `n × n` matrix in ingest order, for in-process callers.
+    /// It grows the memo exactly as [`QueryEngine::pairwise_memo`] does
+    /// (the new pairs only), then builds the dense matrix from it, so
+    /// even a warm call costs an `n × n` allocation and copy. A server
+    /// streams the memo instead.
     #[must_use]
-    pub fn cached_matrix(&self) -> Option<Arc<PairwiseDistances>> {
-        (self.cache.n() == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.cache))
+    pub fn pairwise_all(&mut self) -> Arc<PairwiseDistances> {
+        Arc::new(self.pairwise_memo().to_dense())
+    }
+
+    /// The all-pairs memo, **iff** it currently covers every ingested
+    /// row — the memo a published [`crate::EngineSnapshot`] carries,
+    /// and what the subset fast path slices. Never computes anything; a
+    /// stale memo yields `None`.
+    #[must_use]
+    pub fn cached_matrix(&self) -> Option<Arc<PairwiseMemo>> {
+        (self.memo.n() == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.memo))
     }
 
     /// The all-pairs memo as it stands, even when rows ingested since
-    /// have made it stale: the matrix over the store's first `n()` rows
-    /// (empty before any all-pairs pass). A coordinator seeds its
-    /// sharded gather from this ([`Gather::seeded`]). Never computes
+    /// have made it stale: the upper triangle over the store's first
+    /// `n()` rows (empty before any all-pairs pass). A coordinator grows
+    /// its sharded gather from this ([`Gather::grow`]). Never computes
     /// anything.
     #[must_use]
-    pub fn memo(&self) -> Arc<PairwiseDistances> {
-        Arc::clone(&self.cache)
+    pub fn memo(&self) -> Arc<PairwiseMemo> {
+        Arc::clone(&self.memo)
     }
 
-    /// Adopt an all-pairs matrix computed elsewhere — a coordinator's
-    /// sharded gather — as the memo, iff it covers more rows than the
-    /// memo does and no more than the store holds. The store is
-    /// append-only, so a matrix over its first `matrix.n()` rows stays
-    /// valid as it grows; later growth extends it incrementally like a
-    /// locally computed one. Returns whether the matrix was adopted (an
-    /// adoption bumps the generation, so the next publish carries it).
+    /// Adopt an all-pairs memo computed elsewhere — a coordinator's
+    /// sharded gather — iff it covers more rows than the memo does and
+    /// no more than the store holds. The store is append-only, so a
+    /// memo over its first `matrix.n()` rows stays valid as it grows;
+    /// later growth extends it incrementally like a locally computed
+    /// one. Returns whether the memo was adopted (an adoption bumps the
+    /// generation, so the next publish carries it).
     ///
-    /// The caller vouches that the matrix was computed over this
-    /// store's rows under this engine's kernel.
-    pub fn adopt_matrix(&mut self, matrix: Arc<PairwiseDistances>) -> bool {
+    /// The caller vouches that the memo was computed over this store's
+    /// rows under this engine's kernel.
+    pub fn adopt_matrix(&mut self, matrix: Arc<PairwiseMemo>) -> bool {
         let rows = matrix.n();
-        if rows <= self.cache.n() || rows > self.store.n() {
+        if rows <= self.memo.n() || rows > self.store.n() {
             return false;
         }
-        self.cache = matrix;
+        self.memo = matrix;
         self.generation += 1;
         true
     }
@@ -308,7 +321,7 @@ impl QueryEngine {
     /// the given order. When the full-matrix memo is warm and slicing
     /// it is provably bit-identical to recomputing (uniform debias
     /// constant, distinct rows — see `subset_pairwise`), the answer
-    /// is sliced out of the cache in O(|subset|²); otherwise it is
+    /// is sliced out of the memo in O(|subset|²); otherwise it is
     /// computed fresh via the tiled kernel.
     ///
     /// # Errors
@@ -352,12 +365,12 @@ impl QueryEngine {
 
     /// The `t` globally closest pairs `(party a, party b, estimate)`,
     /// ascending by estimate, ties by row then column in ingest order.
-    /// Runs on the incremental all-pairs cache: one pass over its upper
+    /// Runs on the incremental all-pairs memo: one pass over its upper
     /// triangle in O(t) memory ([`select_smallest`]).
     #[must_use]
     pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
-        let matrix = self.pairwise_all();
-        top_pairs_over(&self.store, &matrix, t)
+        let memo = self.pairwise_memo();
+        top_pairs_over(&self.store, &memo, t)
     }
 
     /// The [`TilePlan`] this engine's cold-start all-pairs pass executes
@@ -405,35 +418,25 @@ impl QueryEngine {
         validate_tiles_over(&self.store, plan_rows, tile, ids)
     }
 
-    /// Grow the cached all-pairs matrix from `cache.n()` to `n` rows
-    /// through one pipeline: plan → execute → gather. Cold start
-    /// (`cache.n() == 0`) executes every tile; warm growth seeds the
-    /// gather from the previous matrix ([`Gather::seeded`]) and
-    /// executes only the tiles touching the new rows
+    /// Grow the memo from `memo.n()` to `n` rows through one pipeline:
+    /// plan → execute → gather. The gather grows the memo
+    /// ([`Gather::grow`]), so cold start (`memo.n() == 0`) executes
+    /// every tile and warm growth only the tiles touching the new rows
     /// ([`TilePlan::tiles_touching_rows`]) — the same frontier logic a
     /// coordinator runs across sockets, so local and distributed growth
     /// are literally one code path. Every tile runs the kernel's exact
-    /// per-pair expression, so the matrix is bit-identical to a
+    /// per-pair expression, so the memo is bit-identical to a
     /// from-scratch computation for any growth step sequence.
-    fn extend_cache(&mut self, n: usize) {
-        let old = self.cache.n();
+    fn grow_memo(&mut self, n: usize) {
         let plan = effective_plan(n, &self.par);
-        let ids: Vec<u64> = if old == 0 {
-            (0..plan.tile_count() as u64).collect()
-        } else {
-            plan.tiles_touching_rows(old..n)
-                .into_iter()
-                .map(|id| id as u64)
-                .collect()
-        };
-        let segments = execute_tiles_over(&self.store, &plan, &ids, &self.par);
-        let mut gather = Gather::seeded(plan, old, self.cache.as_flat());
+        let mut gather = Gather::grow(plan, &self.memo);
+        let segments = execute_tiles_over(&self.store, &plan, &gather.missing_ids(), &self.par);
         for segment in &segments {
             gather
                 .accept(segment)
                 .expect("locally executed segments always fit their plan");
         }
-        self.cache = Arc::new(
+        self.memo = Arc::new(
             gather
                 .finish()
                 .expect("the frontier covers every missing tile"),
@@ -489,7 +492,7 @@ pub(crate) fn pair_rows_over(store: &SketchStore, i: usize, j: usize, kernel: Ke
 pub(crate) fn subset_pairwise(
     store: &SketchStore,
     rows: &[usize],
-    memo: Option<&PairwiseDistances>,
+    memo: Option<&PairwiseMemo>,
     par: &Parallelism,
 ) -> PairwiseDistances {
     if let Some(matrix) = memo {
@@ -539,24 +542,28 @@ pub fn select_smallest<T>(
 ) -> Vec<(f64, T)> {
     let candidates = candidates.into_iter();
     let mut heap = BinaryHeap::with_capacity(t.min(candidates.size_hint().0));
-    for (position, (estimate, item)) in candidates.enumerate() {
-        let ranked = Ranked {
-            estimate,
-            position,
-            item,
-        };
-        if heap.len() < t {
-            heap.push(ranked);
-        } else if let Some(mut worst) = heap.peek_mut() {
-            if estimate
-                .partial_cmp(&worst.estimate)
-                .expect("finite estimates")
-                .is_lt()
-            {
-                *worst = ranked;
+    // Internal iteration: a nested candidate iterator (the memo's rows
+    // of panel runs) runs as plain loops.
+    candidates
+        .enumerate()
+        .for_each(|(position, (estimate, item))| {
+            let ranked = Ranked {
+                estimate,
+                position,
+                item,
+            };
+            if heap.len() < t {
+                heap.push(ranked);
+            } else if let Some(mut worst) = heap.peek_mut() {
+                if estimate
+                    .partial_cmp(&worst.estimate)
+                    .expect("finite estimates")
+                    .is_lt()
+                {
+                    *worst = ranked;
+                }
             }
-        }
-    }
+        });
     heap.into_sorted_vec()
         .into_iter()
         .map(|r| (r.estimate, r.item))
@@ -621,24 +628,16 @@ pub(crate) fn knn_over(
         .collect()
 }
 
-/// The `t` globally closest pairs over an already-materialized matrix,
-/// ranked by [`select_smallest`] over the upper triangle in row-major
-/// order (ties by row, then column). Party ids are looked up only for
-/// the survivors.
+/// The `t` globally closest pairs over a memo, ranked by
+/// [`select_smallest`] over its pairs row by row, then column by column
+/// (ties by row, then column, as a row-major scan of the dense matrix
+/// lists them). Party ids are looked up only for the survivors.
 pub(crate) fn top_pairs_over(
     store: &SketchStore,
-    matrix: &PairwiseDistances,
+    memo: &PairwiseMemo,
     t: usize,
 ) -> Vec<(u64, u64, f64)> {
-    let n = matrix.n();
-    let flat = matrix.as_flat();
-    let upper = (0..n).flat_map(|i| {
-        flat[i * n + i + 1..(i + 1) * n]
-            .iter()
-            .zip(i + 1..)
-            .map(move |(&estimate, j)| (estimate, (i, j)))
-    });
-    select_smallest(t, upper)
+    select_smallest(t, memo.upper_pairs())
         .into_iter()
         .map(|(estimate, (i, j))| (store.party_at(i), store.party_at(j), estimate))
         .collect()
@@ -671,7 +670,7 @@ pub(crate) fn validate_tiles_over(
 }
 
 /// Execute plan tiles against a store — the one call site of the tiled
-/// kernel shared by the engine's cache growth, its tile surface, and
+/// kernel shared by the engine's memo growth, its tile surface, and
 /// the snapshot's.
 pub(crate) fn execute_tiles_over(
     store: &SketchStore,

@@ -3,20 +3,25 @@
 //! A [`Gather`] is constructed over one [`TilePlan`] and accepts the
 //! plan's executed [`TileSegment`]s **in any order** — from local
 //! threads, from remote shards, interleaved, shuffled — scattering each
-//! into the flat row-major matrix as it arrives. Because the plan's
-//! tiles partition the pair set exactly (proptested in `dp-parallel`),
-//! a completed gather is bit-identical to the sequential reference: no
-//! reconciliation, no averaging, no ordering sensitivity.
+//! into its destination as it arrives: the flat row-major `n × n`
+//! matrix (a client rebuilding a reply, [`Gather::new`]), or a growing
+//! [`PairwiseMemo`] (the engine's memo and a coordinator's sharded pass,
+//! [`Gather::grow`]). Because the plan's tiles partition the pair set
+//! exactly (proptested in `dp-parallel`), a completed gather is
+//! bit-identical to the sequential reference: no reconciliation, no
+//! averaging, no ordering sensitivity.
 //!
 //! Everything that can go wrong is a typed [`GatherError`]: a segment
 //! for a tile the plan doesn't contain, a second segment for a tile
 //! already placed (the only way two segments could overlap under a
 //! partition plan), a segment whose length doesn't match its tile's
 //! pair count (a worker executing a *different* plan), and finishing
-//! with tiles still missing (a shard that never reported).
+//! with tiles still missing (a shard that never reported). The
+//! bookkeeping is one implementation for both destinations.
 
+use crate::memo::{MemoGrowth, PairwiseMemo};
 use dp_core::sketcher::scatter_tile_segment;
-use dp_core::{PairwiseDistances, TilePlan, TileSegment};
+use dp_core::{PairwiseDistances, Tile, TilePlan, TileSegment};
 use std::fmt;
 
 /// A typed failure of the gather assembler.
@@ -97,12 +102,41 @@ impl fmt::Display for GatherError {
 
 impl std::error::Error for GatherError {}
 
-/// Assembles out-of-order [`TileSegment`]s into the full
-/// [`PairwiseDistances`] matrix of one [`TilePlan`].
+/// Where a [`Gather`] puts the pairs of each segment it accepts: the
+/// dense `n × n` buffer (`Vec<f64>`, yielding [`PairwiseDistances`]) or
+/// a growing memo ([`MemoGrowth`], yielding [`PairwiseMemo`]).
+pub trait GatherSink {
+    /// What a complete gather yields.
+    type Output;
+
+    /// Write one tile's row-major segment, whose length
+    /// [`Gather::accept`] has checked against the tile, for a plan over
+    /// `n` rows.
+    fn scatter(&mut self, tile: &Tile, segment: &[f64], n: usize);
+
+    /// The gathered result over `n` rows.
+    fn assemble(self, n: usize) -> Self::Output;
+}
+
+impl GatherSink for Vec<f64> {
+    type Output = PairwiseDistances;
+
+    fn scatter(&mut self, tile: &Tile, segment: &[f64], n: usize) {
+        scatter_tile_segment(tile, segment, n, self);
+    }
+
+    fn assemble(self, n: usize) -> PairwiseDistances {
+        PairwiseDistances::from_flat(n, self)
+    }
+}
+
+/// Assembles out-of-order [`TileSegment`]s of one [`TilePlan`] into a
+/// [`GatherSink`]: the dense [`PairwiseDistances`] matrix by default,
+/// or a grown [`PairwiseMemo`].
 #[derive(Debug)]
-pub struct Gather {
+pub struct Gather<S = Vec<f64>> {
     plan: TilePlan,
-    values: Vec<f64>,
+    sink: S,
     placed: Vec<bool>,
     received: usize,
 }
@@ -112,12 +146,7 @@ impl Gather {
     #[must_use]
     pub fn new(plan: TilePlan) -> Self {
         let n = plan.n();
-        Self {
-            plan,
-            values: vec![0.0; n * n],
-            placed: vec![false; plan.tile_count()],
-            received: 0,
-        }
+        Self::over(plan, vec![0.0; n * n], vec![false; plan.tile_count()], 0)
     }
 
     /// [`Gather::new`] for a plan that came off the wire: the buffers
@@ -140,23 +169,18 @@ impl Gather {
         placed.try_reserve_exact(tiles).map_err(|_| too_large())?;
         values.resize(cells, 0.0);
         placed.resize(tiles, false);
-        Ok(Self {
-            plan,
-            values,
-            placed,
-            received: 0,
-        })
+        Ok(Self::over(plan, values, placed, 0))
     }
 
-    /// An **incremental** gather over a grown store: seed the matrix
-    /// with the previous `old_rows × old_rows` result and pre-place
-    /// every tile lying entirely inside the old rows — their pairs are
-    /// all in `old`, copied bit-for-bit. What remains missing is
-    /// exactly [`TilePlan::tiles_touching_rows`]`(old_rows..n)`: the
-    /// `O(new·n)` frontier a coordinator re-executes after ingesting
-    /// new rows, instead of the whole quadratic plan. A completed
-    /// seeded gather is bit-identical to a cold full gather because the
-    /// seed rows were produced by the same kernel.
+    /// The **dense** incremental gather over a grown store: seed the
+    /// matrix with the previous `old_rows × old_rows` result and
+    /// pre-place every tile lying entirely inside the old rows — their
+    /// pairs are all in `old`, copied bit-for-bit. What remains missing
+    /// is exactly [`TilePlan::tiles_touching_rows`]`(old_rows..n)`. It
+    /// copies the whole old matrix into a fresh `n × n` one, so no
+    /// server path uses it: the engine and a coordinator grow their
+    /// memo with [`Gather::grow`]. It stays for callers that hold a
+    /// dense matrix, such as a replay of a coordinator's passes.
     ///
     /// `old_rows == 0` degenerates to [`Gather::new`].
     ///
@@ -175,22 +199,52 @@ impl Gather {
             old_rows * old_rows,
             "seed matrix is not {old_rows}×{old_rows}"
         );
-        let mut gather = Self::new(plan);
-        if old_rows == 0 {
-            return gather;
-        }
         let n = plan.n();
+        let mut values = vec![0.0; n * n];
         for i in 0..old_rows {
-            gather.values[i * n..i * n + old_rows]
-                .copy_from_slice(&old[i * old_rows..(i + 1) * old_rows]);
+            values[i * n..i * n + old_rows].copy_from_slice(&old[i * old_rows..(i + 1) * old_rows]);
         }
-        for (id, t) in plan.tiles() {
-            if t.row_end <= old_rows && t.col_end <= old_rows {
-                gather.placed[id] = true;
-                gather.received += 1;
+        Self::over(plan, values, vec![false; plan.tile_count()], old_rows)
+    }
+}
+
+impl Gather<MemoGrowth> {
+    /// Grow a memo to the plan's rows: every tile lying entirely inside
+    /// `old`'s rows is pre-placed, so what remains missing is exactly
+    /// [`TilePlan::tiles_touching_rows`]`(old.n()..n)`, the `O(new·n)`
+    /// frontier. The finished memo shares every complete panel of
+    /// `old` and copies at most its partial last panel; a completed
+    /// growth is bit-identical to a cold gather because `old` was
+    /// produced by the same kernel. An empty `old` makes a cold gather.
+    ///
+    /// # Panics
+    /// If `old` covers more rows than the plan.
+    #[must_use]
+    pub fn grow(plan: TilePlan, old: &PairwiseMemo) -> Self {
+        let sink = MemoGrowth::new(old, plan.n());
+        Self::over(plan, sink, vec![false; plan.tile_count()], old.n())
+    }
+}
+
+impl<S: GatherSink> Gather<S> {
+    /// A gather into `sink` with every tile inside the first `old_rows`
+    /// rows already placed (the sink holds their pairs).
+    fn over(plan: TilePlan, sink: S, mut placed: Vec<bool>, old_rows: usize) -> Self {
+        let mut received = 0;
+        if old_rows > 0 {
+            for (id, t) in plan.tiles() {
+                if t.col_end <= old_rows {
+                    placed[id] = true;
+                    received += 1;
+                }
             }
         }
-        gather
+        Self {
+            plan,
+            sink,
+            placed,
+            received,
+        }
     }
 
     /// The governing plan.
@@ -223,7 +277,7 @@ impl Gather {
             .collect()
     }
 
-    /// Scatter one segment into the matrix.
+    /// Scatter one segment into the destination.
     ///
     /// # Errors
     /// [`GatherError::UnknownTile`], [`GatherError::DuplicateTile`], or
@@ -250,17 +304,17 @@ impl Gather {
                 actual: segment.values.len(),
             });
         }
-        scatter_tile_segment(&tile, &segment.values, self.plan.n(), &mut self.values);
+        self.sink.scatter(&tile, &segment.values, self.plan.n());
         self.placed[id] = true;
         self.received += 1;
         Ok(())
     }
 
-    /// Finish the gather, returning the assembled matrix.
+    /// Finish the gather, returning the assembled matrix or memo.
     ///
     /// # Errors
     /// [`GatherError::Incomplete`] if any tile is still missing.
-    pub fn finish(self) -> Result<PairwiseDistances, GatherError> {
+    pub fn finish(self) -> Result<S::Output, GatherError> {
         if !self.is_complete() {
             let first_missing = self
                 .placed
@@ -273,7 +327,7 @@ impl Gather {
                 first_missing,
             });
         }
-        Ok(PairwiseDistances::from_flat(self.plan.n(), self.values))
+        Ok(self.sink.assemble(self.plan.n()))
     }
 }
 

@@ -14,24 +14,33 @@
 //!   [`EngineError`]s. All validation happens once, at ingest.
 //! * [`QueryEngine`] — `pair`, `pairwise`, `knn`, `top_pairs` over the
 //!   store, reusing the tiled `dp_parallel` kernel with its hoisted
-//!   debias constants, plus an **incremental** all-pairs cache: after
+//!   debias constants, plus an **incremental** all-pairs memo: after
 //!   new rows arrive, the next query computes only the new pairs. The
 //!   cold all-pairs pass runs the plan → execute → gather pipeline
 //!   ([`QueryEngine::execute_tiles`] is the worker half a server
-//!   streams over protocol v7), and a matrix gathered across sockets
-//!   can be adopted as the cache ([`QueryEngine::adopt_matrix`]).
+//!   streams over protocol v7), and a memo gathered across sockets
+//!   can be adopted ([`QueryEngine::adopt_matrix`]).
+//! * [`PairwiseMemo`] — the memo's layout: only the upper triangle
+//!   (`i < j`), in immutable `Arc`-shared column panels of
+//!   [`PAIRWISE_REPLY_TILE`] = 128 columns, each row-major with stride
+//!   128. About `n²/2` cells instead of `n²` (17.0 MiB at 2,048 rows
+//!   against 32 MiB dense). A complete panel never changes as rows
+//!   arrive, so growth shares every complete panel with the previous
+//!   memo (and every snapshot holding it), copies at most the last
+//!   partial panel, and costs `O(new·n)`. A `Pairwise` reply tile of
+//!   `TilePlan(n, 128)` is a run of rows of one panel.
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
-//!   into the full matrix with typed [`GatherError`]s for
-//!   missing/duplicate/misshapen tiles — what a sharding coordinator
-//!   runs over worker answers, and what a client rebuilds a streamed
-//!   `Pairwise` reply with.
+//!   with typed [`GatherError`]s for missing/duplicate/misshapen tiles,
+//!   into either the dense matrix (what a client rebuilds a streamed
+//!   `Pairwise` reply with) or a growing memo (what the engine and a
+//!   sharding coordinator run over executed tiles, [`Gather::grow`]).
 //! * [`SharedEngine`] / [`EngineSnapshot`] — snapshot isolation for
 //!   read-heavy serving: mutations serialize through one lock and
-//!   publish immutable epoch-stamped snapshots; readers run `pair` /
-//!   `pairwise` / `knn` / `top_pairs` against a snapshot with **zero
-//!   locks** on the hot path (one atomic epoch load), concurrently
-//!   with each other and with ingest, bit-identical to the locked
-//!   surface by construction.
+//!   publish immutable epoch-stamped snapshots carrying the memo;
+//!   readers run `pair` / `pairwise` / `knn` / `top_pairs` against a
+//!   snapshot with **zero locks** on the hot path (one atomic epoch
+//!   load), concurrently with each other and with ingest,
+//!   bit-identical to the locked surface by construction.
 //!
 //! One engine backs the library surface, the `dp-server` protocol-v7
 //! service, and the bench harness — per the repo's determinism
@@ -41,12 +50,14 @@
 pub mod engine;
 pub mod error;
 pub mod gather;
+pub mod memo;
 pub mod snapshot;
 pub mod store;
 
 pub use engine::{select_smallest, Neighbor, QueryEngine};
 pub use error::EngineError;
-pub use gather::{Gather, GatherError};
+pub use gather::{Gather, GatherError, GatherSink};
+pub use memo::{MemoGrowth, PairwiseMemo, PAIRWISE_REPLY_TILE};
 pub use snapshot::{EngineSnapshot, SharedEngine};
 pub use store::SketchStore;
 
@@ -223,13 +234,13 @@ mod tests {
     #[test]
     fn adopted_matrix_is_published_and_grows_like_a_local_one() {
         let (_, rs) = releases(9, 48);
-        // The matrix a coordinator gathers elsewhere over the first six
+        // The memo a coordinator gathers elsewhere over the first six
         // rows, while its own engine has already ingested a seventh.
         let mut elsewhere = QueryEngine::new(SketchStore::adopting());
         for r in &rs[..6] {
             elsewhere.ingest(r).unwrap();
         }
-        let gathered = elsewhere.pairwise_all();
+        let gathered = elsewhere.pairwise_memo();
         let mut engine = QueryEngine::new(SketchStore::adopting());
         for r in &rs[..7] {
             engine.ingest(r).unwrap();
@@ -247,7 +258,7 @@ mod tests {
         for r in &rs[6..] {
             elsewhere.ingest(r).unwrap();
         }
-        assert!(!engine.adopt_matrix(elsewhere.pairwise_all()));
+        assert!(!engine.adopt_matrix(elsewhere.pairwise_memo()));
         assert_eq!(engine.generation(), generation + 1);
 
         // A full-coverage adoption is what the next publish carries.
@@ -256,7 +267,7 @@ mod tests {
         for r in &rs[..7] {
             seven.ingest(r).unwrap();
         }
-        let full = seven.pairwise_all();
+        let full = seven.pairwise_memo();
         let epoch = shared.epoch();
         assert!(shared.mutate(|e| e.adopt_matrix(Arc::clone(&full))));
         assert_eq!(shared.epoch(), epoch + 1);

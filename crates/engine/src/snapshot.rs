@@ -12,8 +12,9 @@
 //! * **Mutations** ([`SharedEngine::mutate`]) lock the engine, run, and
 //!   — iff the engine's [`QueryEngine::generation`] moved — **publish**
 //!   a fresh immutable [`EngineSnapshot`]: a clone of the store, the
-//!   memoized all-pairs matrix when warm, and the hoisted debias
-//!   constants, stamped with a monotonically increasing *epoch*. The
+//!   all-pairs memo ([`crate::PairwiseMemo`]) when warm, and the
+//!   hoisted debias constants, stamped with a monotonically increasing
+//!   *epoch*. The
 //!   clone shares every sealed chunk of sketch values (and the interned
 //!   tags) with the engine and with older snapshots, so a publish costs
 //!   the store's open tail plus 8 B per row for each flat per-row
@@ -47,6 +48,7 @@ use crate::engine::{
     validate_tiles_over, Neighbor, QueryEngine,
 };
 use crate::error::EngineError;
+use crate::memo::PairwiseMemo;
 use crate::store::SketchStore;
 use dp_core::sketcher::effective_plan;
 use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
@@ -54,16 +56,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// An immutable point-in-time view of a [`QueryEngine`]: the store's
-/// rows, the memoized all-pairs matrix when it was warm at publish
-/// time, and the hoisted debias constants. Every query on a snapshot
-/// is pure — no lock, no interior mutability — so any number of
-/// readers run concurrently with each other and with ingest.
+/// rows, the all-pairs memo when it was warm at publish time, and the
+/// hoisted debias constants. Every query on a snapshot is pure — no
+/// lock, no interior mutability — so any number of readers run
+/// concurrently with each other and with ingest.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     store: SketchStore,
-    /// The full-matrix memo, present iff the engine's incremental
-    /// cache covered every row when this snapshot was published.
-    matrix: Option<Arc<PairwiseDistances>>,
+    /// The all-pairs memo, present iff the engine's incremental memo
+    /// covered every row when this snapshot was published.
+    matrix: Option<Arc<PairwiseMemo>>,
     epoch: u64,
     generation: u64,
     par: Parallelism,
@@ -105,14 +107,14 @@ impl EngineSnapshot {
         self.store.n()
     }
 
-    /// The full all-pairs matrix, when the memo was warm at publish
-    /// time. `None` means the cache was stale — the caller must fill it
-    /// through the mutation path (a local [`QueryEngine::pairwise_all`],
-    /// or a coordinator's sharded pass handed to
-    /// [`QueryEngine::adopt_matrix`]), which publishes a new snapshot
-    /// carrying the matrix.
+    /// The all-pairs memo over every row, when it was warm at publish
+    /// time. `None` means the memo was stale — the caller must fill it
+    /// through the mutation path (a local
+    /// [`QueryEngine::pairwise_memo`], or a coordinator's sharded pass
+    /// handed to [`QueryEngine::adopt_matrix`]), which publishes a new
+    /// snapshot carrying the memo.
     #[must_use]
-    pub fn full_matrix(&self) -> Option<Arc<PairwiseDistances>> {
+    pub fn full_matrix(&self) -> Option<Arc<PairwiseMemo>> {
         self.matrix.as_ref().map(Arc::clone)
     }
 
@@ -421,7 +423,7 @@ mod tests {
         let full = shared.mutate(|e| e.pairwise_all());
         let snap = shared.snapshot();
         let snap_full = snap.full_matrix().expect("memo published");
-        assert_eq!(snap_full.as_flat(), full.as_flat());
+        assert_eq!(snap_full.to_dense().as_flat(), full.as_flat());
         let engine_knn = shared.mutate(|e| e.knn(102, 3).unwrap());
         let snap_knn = snap.knn(102, 3).unwrap();
         assert_eq!(engine_knn.len(), snap_knn.len());

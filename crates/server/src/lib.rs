@@ -55,9 +55,10 @@ use dp_core::protocol::{
 use dp_core::release::Release;
 use dp_core::sketcher::{slice_tile_segment, SketcherSpec};
 use dp_core::wire::FNV1A64_INIT;
-use dp_core::{PairwiseDistances, TilePlan, TileSegment};
+use dp_core::{PairwiseDistances, Tile, TilePlan, TileSegment};
 use dp_engine::{
-    EngineError, EngineSnapshot, Gather, GatherError, QueryEngine, SharedEngine, SketchStore,
+    EngineError, EngineSnapshot, Gather, GatherError, MemoGrowth, PairwiseMemo, QueryEngine,
+    SharedEngine, SketchStore,
 };
 use dp_net::{serve_loop, Control, FrameService, Listener};
 use dp_parallel::{par_map, scope_workers};
@@ -78,6 +79,10 @@ pub use replication::{CoordinatorConfig, RecoveryNote};
 // Conn}` users are untouched.
 pub use dp_net::{connect, connect_with_timeout, Conn, Endpoint};
 pub use dp_net::{NetConfig, ReactorCounters};
+
+/// The tile side of every `Pairwise` reply stream; it lives beside the
+/// memo whose panel width it is.
+pub use dp_engine::PAIRWISE_REPLY_TILE;
 
 /// Map an engine failure onto a protocol error frame.
 fn error_response(e: &EngineError) -> Response {
@@ -524,7 +529,7 @@ impl Shards {
         w: usize,
         plan: &TilePlan,
         ids: &[u64],
-        gather: &Mutex<Gather>,
+        gather: &Mutex<Gather<MemoGrowth>>,
     ) -> Result<(), String> {
         let mut semantic: Option<String> = None;
         let exchanged = self.with_worker(w, |worker| {
@@ -556,14 +561,14 @@ impl Shards {
     /// rows of `shared`'s store. A failure comes back as the error
     /// frame to send.
     ///
-    /// * **One memo**: the gather is seeded from the engine's all-pairs
-    ///   memo, read under a brief [`SharedEngine::mutate`], and the
-    ///   finished matrix goes back to the engine
-    ///   ([`QueryEngine::adopt_matrix`]). The publish that follows
-    ///   carries it, so repeat `Pairwise([])`, `TopPairs` and subset
-    ///   reads answer lock-free from the snapshot.
+    /// * **One memo**: the gather grows the engine's all-pairs memo,
+    ///   read under a brief [`SharedEngine::mutate`], and the finished
+    ///   memo goes back to the engine ([`QueryEngine::adopt_matrix`]).
+    ///   The publish that follows carries it, so repeat `Pairwise([])`,
+    ///   `TopPairs` and subset reads answer lock-free from the snapshot.
     /// * **Incremental**: a store grown since the last pass executes
-    ///   only the tiles touching the new rows ([`Gather::seeded`]).
+    ///   only the tiles touching the new rows, and the grown memo
+    ///   shares every complete panel of the old one ([`Gather::grow`]).
     /// * **Re-dispatch**: a failed or timed-out shard poisons its
     ///   worker; the gather's [`Gather::missing_ids`] are re-cut by
     ///   [`TilePlan::split`] across the surviving (or revived) workers,
@@ -584,7 +589,7 @@ impl Shards {
         &self,
         shared: &SharedEngine,
         n: usize,
-    ) -> Result<Arc<PairwiseDistances>, Response> {
+    ) -> Result<Arc<PairwiseMemo>, Response> {
         let plan = TilePlan::new(n, self.tile);
         if !plan.is_enumerable() {
             return Err(Response::Error {
@@ -595,13 +600,10 @@ impl Shards {
         let memo = shared.mutate(|engine| engine.memo());
         // A memo wider than this pass (a concurrent pass over a grown
         // store adopted it first) cannot seed it.
-        let gather = if memo.n() <= n {
-            Gather::seeded(plan, memo.n(), memo.as_flat())
-        } else {
-            Gather::new(plan)
-        };
-        // Let the adoption below free the old matrix.
-        drop(memo);
+        let seed = if memo.n() <= n { memo } else { Arc::default() };
+        let gather = Gather::grow(plan, &seed);
+        // Let the adoption below free the old partial panel.
+        drop(seed);
         let mut pending = gather.missing_ids();
         self.stats
             .last_query_tiles
@@ -652,24 +654,24 @@ impl Shards {
         }
         self.stats.last_query_rounds.store(rounds, Ordering::SeqCst);
         let gather = gather.into_inner().expect("gather mutex");
-        let matrix = Arc::new(
+        let memo = Arc::new(
             gather
                 .finish()
                 .map_err(|e| worker_error(format!("gather failed: {e}")))?,
         );
-        shared.mutate(|engine| engine.adopt_matrix(Arc::clone(&matrix)));
-        Ok(matrix)
+        shared.mutate(|engine| engine.adopt_matrix(Arc::clone(&memo)));
+        Ok(memo)
     }
 }
 
 /// Lock a per-query gather, recovering from a poisoned mutex.
 ///
 /// Healing is sound here because [`Gather::accept`] marks a tile placed
-/// only *after* its values are fully scattered into the buffer — a
+/// only *after* its values are fully scattered into the memo — a
 /// shard thread that panicked mid-accept leaves that tile missing, so
 /// the re-dispatch loop simply re-executes it; the poison flag carries
 /// no torn state worth preserving, only a permanent denial of service.
-fn gather_lock(gather: &Mutex<Gather>) -> MutexGuard<'_, Gather> {
+fn gather_lock(gather: &Mutex<Gather<MemoGrowth>>) -> MutexGuard<'_, Gather<MemoGrowth>> {
     gather.lock().unwrap_or_else(|poison| {
         gather.clear_poison();
         poison.into_inner()
@@ -1133,37 +1135,35 @@ impl Server {
     /// * the full matrix, warm: the published snapshot's memo;
     /// * cold, coordinating: the sharded gather across the pool (2+
     ///   rows; below that the plan has no pairs), adopted as the memo;
-    /// * cold, locally: the memo filled under the engine lock, which is
+    /// * cold, locally: the memo grown under the engine lock, which is
     ///   released before a byte of the reply is encoded.
     ///
-    /// Both cold fills publish a snapshot carrying the matrix, so the
+    /// Both cold fills publish a snapshot carrying the memo, so the
     /// next full-matrix, top-pairs and subset reads are lock-free. The
     /// snapshot fixes the store geometry with no lock at all, so a slow
     /// worker never blocks other clients; the store is append-only, so
     /// a mid-flight ingest can only surface as a worker-side
     /// `ERR_PLAN`. A refusal comes back as the error frame to send.
     #[allow(clippy::result_large_err)]
-    fn pairwise_matrix(
-        &self,
-        parties: &[u64],
-    ) -> Result<(Vec<u64>, Arc<PairwiseDistances>), Response> {
+    fn pairwise_matrix(&self, parties: &[u64]) -> Result<(Vec<u64>, ReplyMatrix), Response> {
         let snapshot = self.current_snapshot();
         if !parties.is_empty() {
             return match snapshot.pairwise(parties) {
-                Ok(matrix) => Ok((parties.to_vec(), Arc::new(matrix))),
+                Ok(matrix) => Ok((parties.to_vec(), ReplyMatrix::Dense(matrix))),
                 Err(e) => Err(error_response(&e)),
             };
         }
         let ids = || snapshot.store().party_ids().to_vec();
-        match (snapshot.full_matrix(), &self.shards) {
-            (Some(matrix), _) => Ok((ids(), matrix)),
-            (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => shards
-                .sharded_pairwise(&self.shared, snapshot.n())
-                .map(|matrix| (ids(), matrix)),
-            (None, _) => Ok(self
+        let (ids, memo) = match (snapshot.full_matrix(), &self.shards) {
+            (Some(memo), _) => (ids(), memo),
+            (None, Some(shards)) if snapshot.n() >= 2 && !shards.workers.is_empty() => {
+                (ids(), shards.sharded_pairwise(&self.shared, snapshot.n())?)
+            }
+            (None, _) => self
                 .shared
-                .mutate(|engine| (engine.store().party_ids().to_vec(), engine.pairwise_all()))),
-        }
+                .mutate(|engine| (engine.store().party_ids().to_vec(), engine.pairwise_memo())),
+        };
+        Ok((ids, ReplyMatrix::Memo(memo)))
     }
 
     /// Unblock workers stuck in `accept` after shutdown was requested:
@@ -1667,27 +1667,43 @@ fn encode_checked(response: &Response) -> Result<Vec<u8>, Vec<u8>> {
     Err(encode_response(&refusal).expect("error frames are small"))
 }
 
-/// The tile side of every `Pairwise` reply stream. A constant of the
-/// server, not a knob: it fixes the reply's bytes, so both serve modes
-/// and every engine configuration answer alike. Measured on warm
-/// thread-mode reads over TCP loopback (2-CPU host), sides 64–256 were
-/// within a few percent of each other at 1,024–2,048 rows, 32 was
-/// slower everywhere and 256 slower at 1,024 rows; 128 was never more
-/// than 2% off the fastest side.
-pub const PAIRWISE_REPLY_TILE: u32 = 128;
+/// What a `Pairwise` reply is read from: the all-pairs memo for the
+/// full matrix, or a subset's dense matrix.
+enum ReplyMatrix {
+    Memo(Arc<PairwiseMemo>),
+    Dense(PairwiseDistances),
+}
+
+impl ReplyMatrix {
+    fn n(&self) -> usize {
+        match self {
+            Self::Memo(memo) => memo.n(),
+            Self::Dense(matrix) => matrix.n(),
+        }
+    }
+
+    /// One tile's row-major segment of the upper triangle.
+    fn segment(&self, tile: &Tile) -> Vec<f64> {
+        match self {
+            Self::Memo(memo) => memo.segment(tile),
+            Self::Dense(matrix) => slice_tile_segment(tile, matrix.as_flat(), matrix.n()),
+        }
+    }
+}
 
 /// Answer a `Pairwise` request off `matrix` (indexed by `parties`):
 /// one `PairwiseHead`, then the matrix's upper triangle as the part
-/// stream of `TilePlan(n, PAIRWISE_REPLY_TILE)`, each segment sliced
-/// straight from the shared matrix. No frame holds more than one tile,
-/// so no matrix size trips the frame limit, and in thread mode each
-/// part is on the wire while the next is encoded.
+/// stream of `TilePlan(n, PAIRWISE_REPLY_TILE)`, each segment read
+/// straight off the memo's panels (or the subset's matrix). No frame
+/// holds more than one tile, so no matrix size trips the frame limit,
+/// and in thread mode each part is on the wire while the next is
+/// encoded.
 ///
 /// # Errors
 /// Only what `emit` returns (transport failures in thread mode).
 fn stream_pairwise_frames(
     parties: Vec<u64>,
-    matrix: &PairwiseDistances,
+    matrix: &ReplyMatrix,
     emit: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
 ) -> io::Result<()> {
     let n = matrix.n();
@@ -1704,7 +1720,7 @@ fn stream_pairwise_frames(
         let tile = plan.tile_at(id as usize).expect("ids come from the plan");
         TileSegment {
             tile_id: id,
-            values: slice_tile_segment(&tile, matrix.as_flat(), n),
+            values: matrix.segment(&tile),
         }
     };
     let ids = 0..plan.tile_count() as u64;

@@ -269,6 +269,58 @@ fn the_coordinator_gather_streams_bit_identically_in_both_serve_modes() {
     }
 }
 
+/// A coordinator grows its memo through the sharded gather across
+/// every kind of panel edge (the reply tile is the memo's panel width;
+/// the shard tile is not), and each grown `Pairwise([])` equals a cold
+/// local engine bit for bit.
+#[test]
+fn the_coordinator_grows_its_memo_across_panel_edges_bit_identically() {
+    let steps = [0, 1, 2, 100, 127, 128, 129, 255, 256, 300];
+    let spec = spec(24, 0.45, 0.2);
+    let rs = releases(&spec, 300);
+    let worker = || Server::bind(tcp(), QueryEngine::new(SketchStore::adopting())).expect("bind");
+    let (a, b) = (worker(), worker());
+    let pool = [&a, &b]
+        .iter()
+        .map(|w| WorkerEntry::new(Client::connect(&w.local_endpoint()).expect("connect")))
+        .collect();
+    let coordinator =
+        Server::bind_coordinator(tcp(), QueryEngine::new(SketchStore::adopting()), pool, 9)
+            .expect("bind coordinator");
+    let (answers, stats) = std::thread::scope(|scope| {
+        let ha = scope.spawn(|| a.serve_mode(ServeMode::Threads, 1));
+        let hb = scope.spawn(|| b.serve_mode(ServeMode::Threads, 1));
+        let answers = serve(&coordinator, ServeMode::Threads, |client| {
+            client.hello(&spec).expect("hello");
+            let mut ingested = 0;
+            steps.map(|n| {
+                for r in &rs[ingested..n] {
+                    client.ingest(r).expect("ingest");
+                }
+                ingested = n;
+                client.pairwise(&[])
+            })
+        });
+        ha.join().expect("worker a");
+        hb.join().expect("worker b");
+        (answers, coordinator.coordinator_stats())
+    });
+    let stats = stats.expect("coordinator role");
+    assert!(
+        stats.last_query_tiles > 0,
+        "the growth was sharded: {stats:?}"
+    );
+    for (n, got) in steps.into_iter().zip(&answers) {
+        let mut reference = engine_over(
+            &rs[..n],
+            SketchStore::with_spec(spec.clone()).expect("store"),
+        );
+        let ids = reference.store().party_ids().to_vec();
+        let want = reference.pairwise_all();
+        assert_matrix(got, &ids, &want, &format!("grown to {n} rows"));
+    }
+}
+
 /// A well-formed reply stream over `values` (row-major `n × n`).
 fn stream_of(parties: &[u64], tile: u32, values: &[f64]) -> Vec<Response> {
     let n = parties.len();
