@@ -1050,7 +1050,7 @@ where
 /// of side `par.tile()`, capped when several workers are requested so
 /// the plan emits enough tiles to feed them on small matrices — results
 /// are tile-size independent, so the cap only changes scheduling
-/// (`DP_TILE` acts as an upper bound).
+/// (`par.tile()` acts as an upper bound).
 #[must_use]
 pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
     let tile = if par.threads() > 1 {

@@ -44,7 +44,7 @@ use dp_core::PrivateSketcher;
 use dp_core::{KernelId, PairwiseDistances, Parallelism, TilePlan, TileSegment};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A scored neighbor returned by [`QueryEngine::knn`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,7 @@ impl QueryEngine {
         Self {
             store,
             par,
-            memo: Arc::default(),
+            memo: no_memo(),
             generation: 0,
         }
     }
@@ -122,16 +122,6 @@ impl QueryEngine {
         self.generation
     }
 
-    /// Override the mutation generation — for callers that *replace* an
-    /// engine wholesale (the server's `Hello` spec adoption builds a
-    /// fresh engine) and must keep the generation moving forward so
-    /// snapshot publication notices the swap.
-    #[must_use]
-    pub fn with_generation(mut self, generation: u64) -> Self {
-        self.generation = generation;
-        self
-    }
-
     /// The underlying store.
     #[must_use]
     pub fn store(&self) -> &SketchStore {
@@ -145,10 +135,22 @@ impl QueryEngine {
         &mut self.store
     }
 
-    /// Consume the engine, returning the store.
-    #[must_use]
-    pub fn into_store(self) -> SketchStore {
-        self.store
+    /// Replace the store wholesale — a spec adoption, a disk recovery, a
+    /// snapshot install — under the one rule every such swap follows:
+    /// the threads and tile of the execution knob stay, a spec-carrying
+    /// store pins the kernel to its spec's (as in [`QueryEngine::new`]),
+    /// the memo empties (it covered other rows), and the generation
+    /// moves past both its current value and `stamped_generation` (the
+    /// generation the store was persisted at, `0` for a fresh store) —
+    /// to `max(current, stamped) + 1` — so the next publish notices the
+    /// swap and no later one reuses a generation.
+    pub fn replace_store(&mut self, store: SketchStore, stamped_generation: u64) {
+        if let Some(spec) = store.spec() {
+            self.par = self.par.with_kernel(spec.kernel());
+        }
+        self.store = store;
+        self.memo = no_memo();
+        self.generation = self.generation.max(stamped_generation) + 1;
     }
 
     /// Ingest a release (strict: duplicate party ids rejected).
@@ -241,14 +243,19 @@ impl QueryEngine {
         Ok(self.pair_rows(i, j))
     }
 
-    /// [`QueryEngine::pair`] by row index. The pair `(i, j)` is debiased
-    /// with the lower row's constant, matching the all-pairs matrix.
-    ///
-    /// # Panics
-    /// If a row is out of range.
-    #[must_use]
-    pub fn pair_rows(&self, i: usize, j: usize) -> f64 {
-        pair_rows_over(&self.store, i, j, self.par.kernel())
+    /// [`QueryEngine::pair`] by row index: pair `(i, j)` is debiased
+    /// with the **lower** row's constant, matching the all-pairs matrix.
+    fn pair_rows(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
+        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+        let raw = raw_sq_distance(
+            self.par.kernel(),
+            self.store.row_values(lo),
+            self.store.row_values(hi),
+        );
+        raw - self.store.debias_at(lo)
     }
 
     /// The all-pairs memo over every ingested row — **incremental**:
@@ -278,12 +285,16 @@ impl QueryEngine {
         Arc::new(self.pairwise_memo().to_dense())
     }
 
-    /// The all-pairs memo, **iff** it currently covers every ingested
-    /// row — the memo a published [`crate::EngineSnapshot`] carries,
-    /// and what the subset fast path slices. Never computes anything; a
-    /// stale memo yields `None`.
+    /// The all-pairs memo, **iff** it covers every ingested row — what
+    /// a published [`crate::EngineSnapshot`] carries, and what the
+    /// subset fast path slices. Never computes anything. `None` means
+    /// the memo is stale (or the store empty): a snapshot reader must
+    /// fill it through the mutation path (a local
+    /// [`QueryEngine::pairwise_memo`], or a coordinator's sharded pass
+    /// handed to [`QueryEngine::adopt_matrix`]), which publishes a new
+    /// snapshot carrying the memo.
     #[must_use]
-    pub fn cached_matrix(&self) -> Option<Arc<PairwiseMemo>> {
+    pub fn full_matrix(&self) -> Option<Arc<PairwiseMemo>> {
         (self.memo.n() == self.store.n() && self.store.n() > 0).then(|| Arc::clone(&self.memo))
     }
 
@@ -318,21 +329,49 @@ impl QueryEngine {
     }
 
     /// All pairwise estimates among an explicit subset of parties, in
-    /// the given order. When the full-matrix memo is warm and slicing
-    /// it is provably bit-identical to recomputing (uniform debias
-    /// constant, distinct rows — see `subset_pairwise`), the answer
-    /// is sliced out of the memo in O(|subset|²); otherwise it is
-    /// computed fresh via the tiled kernel.
+    /// the given order. The answer is sliced out of the memo in
+    /// O(|subset|²) only when that is **provably bit-identical** to a
+    /// cold tiled recompute over the subset, which runs otherwise:
+    ///
+    /// * the memo covers every store row ([`QueryEngine::full_matrix`]),
+    ///   and
+    /// * the store's debias constant is bitwise uniform across rows — the
+    ///   matrix debiases pair `(i, j)` with store-row `min(i, j)`'s
+    ///   constant while a recompute uses the subset-order-first row's, and
+    ///   those agree for every ordering only under one shared constant, and
+    /// * the resolved rows are distinct — a duplicated row yields `0.0` on
+    ///   the matrix diagonal but `-debias` from a recompute (the raw
+    ///   distance of a row to itself is exactly `0.0` *before* debiasing).
+    ///
+    /// The raw kernel expression itself is orientation-proof: a zip-order
+    /// sum of `(x − y)²` is bitwise symmetric in its arguments, so matrix
+    /// entry `(a, b)` equals the subset's `(b, a)` exactly.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] on an id that was never ingested.
     pub fn pairwise(&self, parties: &[u64]) -> Result<PairwiseDistances, EngineError> {
-        let rows = resolve_rows(&self.store, parties)?;
-        let memo = self.cached_matrix();
-        Ok(subset_pairwise(
-            &self.store,
-            &rows,
-            memo.as_deref(),
+        let store = &self.store;
+        let rows = parties
+            .iter()
+            .map(|&p| store.row_of(p).ok_or(EngineError::UnknownParty(p)))
+            .collect::<Result<Vec<usize>, _>>()?;
+        if let Some(matrix) = self.full_matrix() {
+            if store.debias_uniform() && rows_distinct(&rows, store.n()) {
+                let m = rows.len();
+                let mut flat = Vec::with_capacity(m * m);
+                for &a in &rows {
+                    for &b in &rows {
+                        flat.push(matrix.at(a, b));
+                    }
+                }
+                return Ok(PairwiseDistances::from_flat(m, flat));
+            }
+        }
+        let debias: Vec<f64> = rows.iter().map(|&r| store.debias_at(r)).collect();
+        Ok(pairwise_sq_distances_rows(
+            rows.len(),
+            |i| store.row_values(rows[i]),
+            &debias,
             &self.par,
         ))
     }
@@ -353,14 +392,28 @@ impl QueryEngine {
         Ok(self.knn_row(row, k))
     }
 
-    /// [`QueryEngine::knn`] by row index (candidates sharing the query
-    /// row's party id are excluded).
-    ///
-    /// # Panics
-    /// If `row` is out of range.
-    #[must_use]
-    pub fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
-        knn_over(&self.store, row, k, self.par.kernel())
+    /// [`QueryEngine::knn`] by row index: every candidate not sharing
+    /// the query row's party id, scored with the **query row's** debias
+    /// constant, ranked by [`select_smallest`] (ties in ingest order).
+    fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
+        let store = &self.store;
+        let kernel = self.par.kernel();
+        let query_id = store.party_at(row);
+        let query = store.row_values(row);
+        let debias = store.debias_at(row);
+        let scored = (0..store.n())
+            .filter(|&c| store.party_at(c) != query_id)
+            .map(|c| {
+                let estimate = raw_sq_distance(kernel, query, store.row_values(c)) - debias;
+                (estimate, store.party_at(c))
+            });
+        select_smallest(k, scored)
+            .into_iter()
+            .map(|(estimated_sq_distance, party_id)| Neighbor {
+                party_id,
+                estimated_sq_distance,
+            })
+            .collect()
     }
 
     /// The `t` globally closest pairs `(party a, party b, estimate)`,
@@ -370,7 +423,19 @@ impl QueryEngine {
     #[must_use]
     pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
         let memo = self.pairwise_memo();
-        top_pairs_over(&self.store, &memo, t)
+        self.closest_pairs(&memo, t)
+    }
+
+    /// The `t` globally closest pairs over a memo of this store's rows,
+    /// ranked by [`select_smallest`] over its pairs row by row, then
+    /// column by column (ties by row, then column, as a row-major scan
+    /// of the dense matrix lists them). Party ids are looked up only for
+    /// the survivors.
+    pub(crate) fn closest_pairs(&self, memo: &PairwiseMemo, t: usize) -> Vec<(u64, u64, f64)> {
+        select_smallest(t, memo.upper_pairs())
+            .into_iter()
+            .map(|(estimate, (i, j))| (self.store.party_at(i), self.store.party_at(j), estimate))
+            .collect()
     }
 
     /// The [`TilePlan`] this engine's cold-start all-pairs pass executes
@@ -399,7 +464,7 @@ impl QueryEngine {
         ids: &[u64],
     ) -> Result<Vec<TileSegment>, EngineError> {
         let plan = self.validate_tiles(plan_rows, tile, ids)?;
-        Ok(execute_tiles_over(&self.store, &plan, ids, &self.par))
+        Ok(self.run_tiles(&plan, ids))
     }
 
     /// The validation half of [`QueryEngine::execute_tiles`], without
@@ -415,7 +480,45 @@ impl QueryEngine {
         tile: usize,
         ids: &[u64],
     ) -> Result<TilePlan, EngineError> {
-        validate_tiles_over(&self.store, plan_rows, tile, ids)
+        let n = self.store.n();
+        if plan_rows != n {
+            return Err(EngineError::PlanMismatch {
+                store_rows: n,
+                plan_rows,
+            });
+        }
+        let plan = TilePlan::new(n, tile);
+        let tile_count = plan.tile_count() as u64;
+        if let Some(&id) = ids.iter().find(|&&id| id >= tile_count) {
+            return Err(EngineError::UnknownTile { id, tile_count });
+        }
+        Ok(plan)
+    }
+
+    /// Execute tiles of an already validated plan against the store —
+    /// the one call site of the tiled kernel, shared by memo growth,
+    /// [`QueryEngine::execute_tiles`] and a snapshot's streamed tiles.
+    pub(crate) fn run_tiles(&self, plan: &TilePlan, ids: &[u64]) -> Vec<TileSegment> {
+        execute_tiles(
+            plan,
+            ids,
+            |i| self.store.row_values(i),
+            self.store.debias(),
+            &self.par,
+        )
+    }
+
+    /// A copy of this engine frozen for publication as a snapshot: the
+    /// store clone (which shares every sealed chunk), the knob, the
+    /// generation, and the memo only when it covers every row, so no
+    /// snapshot keeps a stale memo alive.
+    pub(crate) fn frozen(&self) -> Self {
+        Self {
+            store: self.store.clone(),
+            par: self.par,
+            memo: self.full_matrix().unwrap_or_else(no_memo),
+            generation: self.generation,
+        }
     }
 
     /// Grow the memo from `memo.n()` to `n` rows through one pipeline:
@@ -430,8 +533,7 @@ impl QueryEngine {
     fn grow_memo(&mut self, n: usize) {
         let plan = effective_plan(n, &self.par);
         let mut gather = Gather::grow(plan, &self.memo);
-        let segments = execute_tiles_over(&self.store, &plan, &gather.missing_ids(), &self.par);
-        for segment in &segments {
+        for segment in &self.run_tiles(&plan, &gather.missing_ids()) {
             gather
                 .accept(segment)
                 .expect("locally executed segments always fit their plan");
@@ -445,70 +547,12 @@ impl QueryEngine {
     }
 }
 
-/// Resolve party ids to store rows, in the caller's order.
-///
-/// # Errors
-/// [`EngineError::UnknownParty`] on an id that was never ingested.
-pub(crate) fn resolve_rows(
-    store: &SketchStore,
-    parties: &[u64],
-) -> Result<Vec<usize>, EngineError> {
-    parties
-        .iter()
-        .map(|&p| store.row_of(p).ok_or(EngineError::UnknownParty(p)))
-        .collect()
-}
-
-/// The per-pair estimate between two store rows: pair `(i, j)` is
-/// debiased with the **lower** row's constant, matching the all-pairs
-/// matrix. The single expression behind [`QueryEngine::pair`] and
-/// [`crate::EngineSnapshot::pair`] — one body, so the locked and the
-/// snapshot read paths cannot drift.
-pub(crate) fn pair_rows_over(store: &SketchStore, i: usize, j: usize, kernel: KernelId) -> f64 {
-    if i == j {
-        return 0.0;
-    }
-    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-    let raw = raw_sq_distance(kernel, store.row_values(lo), store.row_values(hi));
-    raw - store.debias_at(lo)
-}
-
-/// Subset pairwise with the memo fast path. Slicing the full matrix is
-/// used only when it is **provably bit-identical** to a cold tiled
-/// recompute over the subset:
-///
-/// * `memo` covers every store row (the caller checked), and
-/// * the store's debias constant is bitwise uniform across rows — the
-///   matrix debiases pair `(i, j)` with store-row `min(i, j)`'s
-///   constant while a recompute uses the subset-order-first row's, and
-///   those agree for every ordering only under one shared constant, and
-/// * the resolved rows are distinct — a duplicated row yields `0.0` on
-///   the matrix diagonal but `-debias` from a recompute (the raw
-///   distance of a row to itself is exactly `0.0` *before* debiasing).
-///
-/// The raw kernel expression itself is orientation-proof: a zip-order
-/// sum of `(x − y)²` is bitwise symmetric in its arguments, so matrix
-/// entry `(a, b)` equals the subset's `(b, a)` exactly.
-pub(crate) fn subset_pairwise(
-    store: &SketchStore,
-    rows: &[usize],
-    memo: Option<&PairwiseMemo>,
-    par: &Parallelism,
-) -> PairwiseDistances {
-    if let Some(matrix) = memo {
-        if store.debias_uniform() && rows_distinct(rows, store.n()) {
-            let m = rows.len();
-            let mut flat = Vec::with_capacity(m * m);
-            for &a in rows {
-                for &b in rows {
-                    flat.push(matrix.at(a, b));
-                }
-            }
-            return PairwiseDistances::from_flat(m, flat);
-        }
-    }
-    let debias: Vec<f64> = rows.iter().map(|&r| store.debias_at(r)).collect();
-    pairwise_sq_distances_rows(rows.len(), |i| store.row_values(rows[i]), &debias, par)
+/// The memo of an engine with no all-pairs pass over its rows: one
+/// process-wide empty memo, so emptying a memo (a fresh engine, a
+/// replaced store, a snapshot of a stale memo) allocates nothing.
+fn no_memo() -> Arc<PairwiseMemo> {
+    static EMPTY: OnceLock<Arc<PairwiseMemo>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Arc::default))
 }
 
 /// Whether every row index appears at most once (`n` = store rows, for
@@ -599,87 +643,6 @@ impl<T> PartialEq for Ranked<T> {
 }
 
 impl<T> Eq for Ranked<T> {}
-
-/// The k-NN scan behind [`QueryEngine::knn_row`] and
-/// [`crate::EngineSnapshot::knn`]: every candidate not sharing the
-/// query row's party id, scored with the **query row's** debias
-/// constant, ranked by [`select_smallest`] (ties in ingest order).
-pub(crate) fn knn_over(
-    store: &SketchStore,
-    row: usize,
-    k: usize,
-    kernel: KernelId,
-) -> Vec<Neighbor> {
-    let query_id = store.party_at(row);
-    let query = store.row_values(row);
-    let debias = store.debias_at(row);
-    let scored = (0..store.n())
-        .filter(|&c| store.party_at(c) != query_id)
-        .map(|c| {
-            let estimate = raw_sq_distance(kernel, query, store.row_values(c)) - debias;
-            (estimate, store.party_at(c))
-        });
-    select_smallest(k, scored)
-        .into_iter()
-        .map(|(estimated_sq_distance, party_id)| Neighbor {
-            party_id,
-            estimated_sq_distance,
-        })
-        .collect()
-}
-
-/// The `t` globally closest pairs over a memo, ranked by
-/// [`select_smallest`] over its pairs row by row, then column by column
-/// (ties by row, then column, as a row-major scan of the dense matrix
-/// lists them). Party ids are looked up only for the survivors.
-pub(crate) fn top_pairs_over(
-    store: &SketchStore,
-    memo: &PairwiseMemo,
-    t: usize,
-) -> Vec<(u64, u64, f64)> {
-    select_smallest(t, memo.upper_pairs())
-        .into_iter()
-        .map(|(estimate, (i, j))| (store.party_at(i), store.party_at(j), estimate))
-        .collect()
-}
-
-/// The plan-vs-store and id-vs-plan validation behind
-/// [`QueryEngine::validate_tiles`] and the snapshot's tile surface.
-///
-/// # Errors
-/// [`EngineError::PlanMismatch`] / [`EngineError::UnknownTile`].
-pub(crate) fn validate_tiles_over(
-    store: &SketchStore,
-    plan_rows: usize,
-    tile: usize,
-    ids: &[u64],
-) -> Result<TilePlan, EngineError> {
-    let n = store.n();
-    if plan_rows != n {
-        return Err(EngineError::PlanMismatch {
-            store_rows: n,
-            plan_rows,
-        });
-    }
-    let plan = TilePlan::new(n, tile);
-    let tile_count = plan.tile_count() as u64;
-    if let Some(&id) = ids.iter().find(|&&id| id >= tile_count) {
-        return Err(EngineError::UnknownTile { id, tile_count });
-    }
-    Ok(plan)
-}
-
-/// Execute plan tiles against a store — the one call site of the tiled
-/// kernel shared by the engine's memo growth, its tile surface, and
-/// the snapshot's.
-pub(crate) fn execute_tiles_over(
-    store: &SketchStore,
-    plan: &TilePlan,
-    ids: &[u64],
-    par: &Parallelism,
-) -> Vec<TileSegment> {
-    execute_tiles(plan, ids, |i| store.row_values(i), store.debias(), par)
-}
 
 /// The kernel's inner expression: the versioned accumulator from
 /// [`dp_core::kernel`]. `V1Scalar` is the historic zip-order sum of

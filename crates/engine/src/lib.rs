@@ -36,11 +36,14 @@
 //!   sharding coordinator run over executed tiles, [`Gather::grow`]).
 //! * [`SharedEngine`] / [`EngineSnapshot`] — snapshot isolation for
 //!   read-heavy serving: mutations serialize through one lock and
-//!   publish immutable epoch-stamped snapshots carrying the memo;
+//!   publish immutable epoch-stamped snapshots, each a frozen
+//!   [`QueryEngine`] carrying the memo when it covers every row;
 //!   readers run `pair` / `pairwise` / `knn` / `top_pairs` against a
 //!   snapshot with **zero locks** on the hot path (one atomic epoch
-//!   load), concurrently with each other and with ingest,
-//!   bit-identical to the locked surface by construction.
+//!   load), concurrently with each other and with ingest. A snapshot
+//!   derefs to its frozen engine, so its reads are the engine's own
+//!   methods: one code path, bit-identical to the locked surface by
+//!   construction.
 //!
 //! One engine backs the library surface, the `dp-server` protocol-v7
 //! service, and the bench harness — per the repo's determinism
@@ -69,7 +72,7 @@ mod tests {
     use dp_core::sketcher::{
         pairwise_sq_distances_reference, Construction, PrivateSketcher, SketcherSpec,
     };
-    use dp_core::{NoisySketch, Parallelism};
+    use dp_core::{KernelId, NoisySketch, Parallelism};
     use dp_hashing::{Prng, Seed};
     use std::sync::Arc;
 
@@ -253,7 +256,7 @@ mod tests {
         // Stale against the seventh row, so not a full-matrix memo; and
         // never replaced by a matrix covering no more rows, nor by one
         // covering rows the store does not hold.
-        assert!(engine.cached_matrix().is_none());
+        assert!(engine.full_matrix().is_none());
         assert!(!engine.adopt_matrix(Arc::clone(&gathered)));
         for r in &rs[6..] {
             elsewhere.ingest(r).unwrap();
@@ -289,6 +292,52 @@ mod tests {
         for (a, b) in cold.as_flat().iter().zip(grown.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn replacing_the_store_keeps_the_knob_and_moves_the_generation_past_both() {
+        let (spec, rs) = releases(4, 48);
+        let spec = spec.with_kernel(KernelId::V1Scalar);
+        let par = Parallelism::new(3)
+            .with_tile(5)
+            .with_kernel(KernelId::V2Simd);
+        let warm = || {
+            let mut engine = QueryEngine::new(SketchStore::adopting()).with_parallelism(par);
+            for r in &rs {
+                engine.ingest(r).unwrap();
+            }
+            let _ = engine.pairwise_memo();
+            engine
+        };
+
+        // A spec-carrying store stamped behind the engine: threads and
+        // tile stay, the spec pins the kernel, the memo empties, and the
+        // generation moves one past the engine's own.
+        let mut engine = warm();
+        let generation = engine.generation();
+        let mut store = SketchStore::with_spec(spec.clone()).unwrap();
+        store.ingest(&rs[0]).unwrap();
+        engine.replace_store(store, generation - 1);
+        assert_eq!(engine.parallelism(), par.with_kernel(KernelId::V1Scalar));
+        assert_eq!(engine.generation(), generation + 1);
+        assert_eq!(engine.store().spec(), Some(&spec));
+        assert_eq!(engine.store().n(), 1);
+        assert_eq!(engine.memo().n(), 0);
+        assert!(engine.full_matrix().is_none());
+
+        // A spec-less store stamped ahead of the engine: the whole knob
+        // stays, and the generation moves one past the stamp.
+        let mut engine = warm();
+        let stamped = engine.generation() + 10;
+        let mut store = SketchStore::adopting();
+        store.ingest(&rs[1]).unwrap();
+        engine.replace_store(store, stamped);
+        assert_eq!(engine.parallelism(), par);
+        assert_eq!(engine.generation(), stamped + 1);
+        assert_eq!(engine.store().party_ids(), [rs[1].party_id]);
+        assert_eq!(engine.memo().n(), 0);
+        // The replaced store answers from scratch.
+        assert_eq!(engine.pairwise_all().n(), 1);
     }
 
     #[test]
@@ -369,12 +418,12 @@ mod tests {
         let picks = [8usize, 0, 5, 3];
         let ids: Vec<u64> = picks.iter().map(|&i| rs[i].party_id).collect();
         // Cold: no memo yet, so this runs the tiled kernel.
-        assert!(engine.cached_matrix().is_none());
+        assert!(engine.full_matrix().is_none());
         let cold = engine.pairwise(&ids).unwrap();
         // Warm the memo; the same subset must now slice it — and the
         // slice must be bitwise the cold answer, in the same order.
         let _ = engine.pairwise_all();
-        assert!(engine.cached_matrix().is_some());
+        assert!(engine.full_matrix().is_some());
         let warm = engine.pairwise(&ids).unwrap();
         assert_eq!(cold.as_flat(), warm.as_flat());
         for (a, b) in cold.as_flat().iter().zip(warm.as_flat()) {

@@ -11,16 +11,16 @@
 //!
 //! * **Mutations** ([`SharedEngine::mutate`]) lock the engine, run, and
 //!   — iff the engine's [`QueryEngine::generation`] moved — **publish**
-//!   a fresh immutable [`EngineSnapshot`]: a clone of the store, the
-//!   all-pairs memo ([`crate::PairwiseMemo`]) when warm, and the
-//!   hoisted debias constants, stamped with a monotonically increasing
-//!   *epoch*. The
-//!   clone shares every sealed chunk of sketch values (and the interned
-//!   tags) with the engine and with older snapshots, so a publish costs
-//!   the store's open tail plus 8 B per row for each flat per-row
-//!   column and the party index — never a copy of the `n × k` values.
-//!   It is built before the snapshot slot is locked, and the snapshot
-//!   it replaces is freed after the slot is unlocked.
+//!   a fresh [`EngineSnapshot`]: a frozen copy of the engine (its store,
+//!   execution knob and generation, plus the all-pairs memo
+//!   ([`crate::PairwiseMemo`]) only when it covers every row), stamped
+//!   with a monotonically increasing *epoch*. The store copy shares
+//!   every sealed chunk of sketch values (and the interned tags) with
+//!   the engine and with older snapshots, so a publish costs the
+//!   store's open tail plus 8 B per row for each flat per-row column
+//!   and the party index — never a copy of the `n × k` values. It is
+//!   built before the snapshot slot is locked, and the snapshot it
+//!   replaces is freed after the slot is unlocked.
 //! * **Reads** run against a published snapshot. The hot path
 //!   ([`SharedEngine::refresh`]) is one atomic epoch load: when the
 //!   caller's cached `Arc<EngineSnapshot>` is still current, no lock is
@@ -35,50 +35,49 @@
 //!
 //! ## Determinism
 //!
-//! Every snapshot query delegates to the same free functions as the
-//! locked [`QueryEngine`] surface (`knn_over`, `subset_pairwise`, …),
-//! so the two paths are bit-identical by construction, for any
-//! interleaving of reads and publishes. Ranked reads (`knn`,
+//! A snapshot derefs to its frozen [`QueryEngine`] (never mutably), so
+//! every snapshot read — `pair`, `pairwise`, `knn`, `pairwise_plan`,
+//! `validate_tiles` — *is* the engine's method: the locked and the
+//! lock-free surfaces run one code path, bit-identical by construction
+//! for any interleaving of reads and publishes. The snapshot defines
+//! only what a frozen engine answers differently: `top_pairs` yields
+//! `None` instead of growing a stale memo, and `execute_tile` runs one
+//! tile of an already validated plan. Ranked reads (`knn`,
 //! `top_pairs`) share the engine's bounded selector,
 //! [`crate::select_smallest`]: one pass over the candidates in O(t)
 //! memory, ties in input order.
 
-use crate::engine::{
-    execute_tiles_over, knn_over, pair_rows_over, resolve_rows, subset_pairwise, top_pairs_over,
-    validate_tiles_over, Neighbor, QueryEngine,
-};
-use crate::error::EngineError;
-use crate::memo::PairwiseMemo;
-use crate::store::SketchStore;
-use dp_core::sketcher::effective_plan;
-use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
+use crate::engine::QueryEngine;
+use dp_core::{TilePlan, TileSegment};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// An immutable point-in-time view of a [`QueryEngine`]: the store's
-/// rows, the all-pairs memo when it was warm at publish time, and the
-/// hoisted debias constants. Every query on a snapshot is pure — no
-/// lock, no interior mutability — so any number of readers run
-/// concurrently with each other and with ingest.
+/// An immutable point-in-time [`QueryEngine`], stamped with its publish
+/// epoch: the store's rows, the execution knob, the generation, and the
+/// all-pairs memo when it covered every row at publish time. It derefs
+/// to the frozen engine (never mutably), so every engine read is a
+/// snapshot read — pure, no lock, no interior mutability — and any
+/// number of readers run concurrently with each other and with ingest.
 #[derive(Debug)]
 pub struct EngineSnapshot {
-    store: SketchStore,
-    /// The all-pairs memo, present iff the engine's incremental memo
-    /// covered every row when this snapshot was published.
-    matrix: Option<Arc<PairwiseMemo>>,
+    engine: QueryEngine,
     epoch: u64,
-    generation: u64,
-    par: Parallelism,
+}
+
+impl Deref for EngineSnapshot {
+    type Target = QueryEngine;
+
+    fn deref(&self) -> &QueryEngine {
+        &self.engine
+    }
 }
 
 impl EngineSnapshot {
     fn of(engine: &QueryEngine, epoch: u64) -> Self {
         Self {
-            store: engine.store().clone(),
-            matrix: engine.cached_matrix(),
+            engine: engine.frozen(),
             epoch,
-            generation: engine.generation(),
-            par: engine.parallelism(),
         }
     }
 
@@ -89,107 +88,22 @@ impl EngineSnapshot {
         self.epoch
     }
 
-    /// The engine generation this snapshot was built from.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The snapshot's store view.
-    #[must_use]
-    pub fn store(&self) -> &SketchStore {
-        &self.store
-    }
-
     /// Number of rows in this snapshot.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.store.n()
+        self.store().n()
     }
 
-    /// The all-pairs memo over every row, when it was warm at publish
-    /// time. `None` means the memo was stale — the caller must fill it
-    /// through the mutation path (a local
-    /// [`QueryEngine::pairwise_memo`], or a coordinator's sharded pass
-    /// handed to [`QueryEngine::adopt_matrix`]), which publishes a new
-    /// snapshot carrying the memo.
-    #[must_use]
-    pub fn full_matrix(&self) -> Option<Arc<PairwiseMemo>> {
-        self.matrix.as_ref().map(Arc::clone)
-    }
-
-    /// The debiased squared-distance estimate between two parties —
-    /// bit-identical to [`QueryEngine::pair`].
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] if either id was never ingested.
-    pub fn pair(&self, a: u64, b: u64) -> Result<f64, EngineError> {
-        let i = self.store.row_of(a).ok_or(EngineError::UnknownParty(a))?;
-        let j = self.store.row_of(b).ok_or(EngineError::UnknownParty(b))?;
-        Ok(pair_rows_over(&self.store, i, j, self.par.kernel()))
-    }
-
-    /// Subset pairwise in the caller's order — slices the memo when
-    /// provably bit-identical, else recomputes via the tiled kernel
-    /// (same gates and same kernel as [`QueryEngine::pairwise`]).
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] on an unknown id.
-    pub fn pairwise(&self, parties: &[u64]) -> Result<PairwiseDistances, EngineError> {
-        let rows = resolve_rows(&self.store, parties)?;
-        Ok(subset_pairwise(
-            &self.store,
-            &rows,
-            self.matrix.as_deref(),
-            &self.par,
-        ))
-    }
-
-    /// The `k` nearest parties — bit-identical to [`QueryEngine::knn`]:
-    /// ascending, ties in ingest order, one pass over the candidates in
-    /// O(k) memory.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownParty`] if the id was never ingested.
-    pub fn knn(&self, party: u64, k: usize) -> Result<Vec<Neighbor>, EngineError> {
-        let row = self
-            .store
-            .row_of(party)
-            .ok_or(EngineError::UnknownParty(party))?;
-        Ok(knn_over(&self.store, row, k, self.par.kernel()))
-    }
-
-    /// The `t` globally closest pairs, when the matrix memo is present
-    /// (`None` signals the stale-cache fallback, exactly like
-    /// [`EngineSnapshot::full_matrix`]) — bit-identical to
-    /// [`QueryEngine::top_pairs`]: ascending, ties by row then column,
-    /// one pass over the memo's upper triangle in O(t) memory.
+    /// The `t` globally closest pairs, when the snapshot carries the
+    /// memo — bit-identical to [`QueryEngine::top_pairs`]: ascending,
+    /// ties by row then column, one pass over the memo's upper triangle
+    /// in O(t) memory. `None` signals the stale-memo fallback, exactly
+    /// like [`QueryEngine::full_matrix`]: a frozen engine never grows
+    /// its memo.
     #[must_use]
     pub fn top_pairs(&self, t: usize) -> Option<Vec<(u64, u64, f64)>> {
-        self.matrix
-            .as_deref()
-            .map(|matrix| top_pairs_over(&self.store, matrix, t))
-    }
-
-    /// The [`TilePlan`] a cold all-pairs pass over this snapshot
-    /// executes — same geometry as [`QueryEngine::pairwise_plan`].
-    #[must_use]
-    pub fn pairwise_plan(&self) -> TilePlan {
-        effective_plan(self.store.n(), &self.par)
-    }
-
-    /// Validate a remote tile plan against this snapshot's rows —
-    /// see [`QueryEngine::validate_tiles`].
-    ///
-    /// # Errors
-    /// [`EngineError::PlanMismatch`] / [`EngineError::UnknownTile`].
-    pub fn validate_tiles(
-        &self,
-        plan_rows: usize,
-        tile: usize,
-        ids: &[u64],
-    ) -> Result<TilePlan, EngineError> {
-        validate_tiles_over(&self.store, plan_rows, tile, ids)
+        self.full_matrix()
+            .map(|memo| self.engine.closest_pairs(&memo, t))
     }
 
     /// Execute one tile of an **already validated** plan — bit-identical
@@ -199,7 +113,7 @@ impl EngineSnapshot {
     /// consistent by construction.
     #[must_use]
     pub fn execute_tile(&self, plan: &TilePlan, id: u64) -> Vec<TileSegment> {
-        execute_tiles_over(&self.store, plan, &[id], &self.par)
+        self.engine.run_tiles(plan, &[id])
     }
 }
 
@@ -288,15 +202,6 @@ impl SharedEngine {
             drop(replaced);
         }
         out
-    }
-
-    /// Consume the shared engine, returning the inner [`QueryEngine`].
-    ///
-    /// # Panics
-    /// If a lock is held elsewhere (callers tear down after readers).
-    #[must_use]
-    pub fn into_engine(self) -> QueryEngine {
-        recover(self.engine.into_inner())
     }
 }
 

@@ -13,9 +13,6 @@ pub const DEFAULT_TILE: usize = 64;
 /// (`0` or unset → one worker per available hardware thread).
 pub const THREADS_ENV: &str = "DP_THREADS";
 
-/// Environment variable overriding the pairwise tile side length.
-pub const TILE_ENV: &str = "DP_TILE";
-
 /// Environment variable selecting the distance-kernel version
 /// (`scalar`/`v1`/`v1-scalar` → [`KernelId::V1Scalar`];
 /// `simd`/`v2`/`v2-simd` → [`KernelId::V2Simd`]; unset/garbage → V1).
@@ -141,10 +138,10 @@ impl Parallelism {
     }
 
     /// Read the knob from the environment: [`THREADS_ENV`] for the
-    /// worker count (`0`/unset/garbage → auto), [`TILE_ENV`] for the
-    /// tile side length (unset/garbage → [`DEFAULT_TILE`]), and
-    /// [`KERNEL_ENV`] for the kernel version (unset/garbage →
-    /// [`KernelId::V1Scalar`]).
+    /// worker count (`0`/unset/garbage → auto) and [`KERNEL_ENV`] for
+    /// the kernel version (unset/garbage → [`KernelId::V1Scalar`]). The
+    /// tile side is [`DEFAULT_TILE`]; [`Parallelism::with_tile`] sets
+    /// another.
     ///
     /// The environment is read **once per process** and cached — the
     /// default-parallelism APIs sit on per-request paths, and two
@@ -157,12 +154,11 @@ impl Parallelism {
         static CACHED: OnceLock<Parallelism> = OnceLock::new();
         *CACHED.get_or_init(|| {
             let threads = env_usize(THREADS_ENV).unwrap_or(0);
-            let tile = env_usize(TILE_ENV).unwrap_or(DEFAULT_TILE);
             let kernel = std::env::var(KERNEL_ENV)
                 .ok()
                 .and_then(|v| KernelId::parse(&v))
                 .unwrap_or_default();
-            Self::new(threads).with_tile(tile).with_kernel(kernel)
+            Self::new(threads).with_kernel(kernel)
         })
     }
 

@@ -897,14 +897,7 @@ impl Server {
                 // caller at a restart passes a fresh empty engine, and
                 // the store row order (hence every matrix) must come
                 // from what the dead process had accepted.
-                let par = match store.spec() {
-                    Some(spec) => engine.parallelism().with_kernel(spec.kernel()),
-                    None => engine.parallelism(),
-                };
-                let next_generation = engine.generation().max(generation) + 1;
-                engine = QueryEngine::new(store)
-                    .with_parallelism(par)
-                    .with_generation(next_generation);
+                engine.replace_store(store, generation);
                 snapshot_bytes = Some(bytes);
                 snapshot_generation = generation;
             }
@@ -1187,9 +1180,10 @@ impl Server {
     /// closed by one `SnapshotSummary` carrying the part count, total
     /// chunk bytes, the folded stream digest, and the log's tip. In the
     /// plain role (no replication log) the store itself is the
-    /// "snapshot" and there is never a journal layer. A replica
-    /// claiming more rows than the coordinator's tip gets a typed
-    /// `ERR_PLAN` refusal — it diverged, and guessing would be worse.
+    /// "snapshot" and there is never a journal layer. In either role, a
+    /// replica claiming more rows than the tip (the log's, or the
+    /// store's row count) gets one typed `ERR_PLAN` refusal — it
+    /// diverged, and guessing would be worse.
     ///
     /// # Errors
     /// Only what `emit` returns (transport failures in thread mode).
@@ -1206,23 +1200,22 @@ impl Server {
         };
         let snapshot = self.current_snapshot();
         let generation = snapshot.generation();
-        let (rows, parts): (u64, Vec<(u8, Vec<u8>)>) = match &self.shards {
-            Some(shards) => {
-                let log = shards.journal_lock();
-                let tip = log.tip() as u64;
-                if have_rows > tip {
-                    // Emit nothing under the journal lock: a slow reader
-                    // would stall every coordinator ingest behind it.
-                    drop(log);
-                    let refusal = Response::Error {
-                        code: ERR_PLAN,
-                        message: format!(
-                            "replica claims {have_rows} rows but the log tip is {tip} — \
-                             diverged ahead"
-                        ),
-                    };
-                    return emit(encode_bounded(&refusal));
-                }
+        let log = self.shards.as_ref().map(Shards::journal_lock);
+        let tip = log.as_ref().map_or(snapshot.n(), |log| log.tip()) as u64;
+        if have_rows > tip {
+            // Emit nothing under the journal lock: a slow reader would
+            // stall every coordinator ingest behind it.
+            drop(log);
+            let refusal = Response::Error {
+                code: ERR_PLAN,
+                message: format!(
+                    "replica claims {have_rows} rows but the tip is {tip} — diverged ahead"
+                ),
+            };
+            return emit(encode_bounded(&refusal));
+        }
+        let parts: Vec<(u8, Vec<u8>)> = match log {
+            Some(log) => {
                 let mut parts = Vec::new();
                 if (have_rows as usize) < log.base {
                     let Some(snapshot) = &log.snapshot else {
@@ -1244,21 +1237,15 @@ impl Server {
                         parts.push((SNAPSHOT_LAYER_JOURNAL, frame.clone()));
                     }
                 }
-                (tip, parts)
+                parts
             }
-            None => {
-                let n = snapshot.n() as u64;
-                if have_rows >= n {
-                    (n, Vec::new())
-                } else {
-                    let bytes = snapshot.store().encode_snapshot(generation);
-                    let parts = bytes
-                        .chunks(part_len)
-                        .map(|chunk| (SNAPSHOT_LAYER_STORE, chunk.to_vec()))
-                        .collect();
-                    (n, parts)
-                }
-            }
+            None if have_rows == tip => Vec::new(),
+            None => snapshot
+                .store()
+                .encode_snapshot(generation)
+                .chunks(part_len)
+                .map(|chunk| (SNAPSHOT_LAYER_STORE, chunk.to_vec()))
+                .collect(),
         };
         let mut checksum = FNV1A64_INIT;
         let mut total_len = 0u64;
@@ -1272,7 +1259,7 @@ impl Server {
         }
         let summary = Response::SnapshotSummary {
             generation,
-            rows,
+            rows: tip,
             count,
             total_len,
             checksum,
@@ -1329,14 +1316,7 @@ impl Server {
             };
         }
         self.shared.mutate(move |engine| {
-            let par = match store.spec() {
-                Some(spec) => engine.parallelism().with_kernel(spec.kernel()),
-                None => engine.parallelism(),
-            };
-            let next_generation = engine.generation().max(snapshot_generation) + 1;
-            *engine = QueryEngine::new(store)
-                .with_parallelism(par)
-                .with_generation(next_generation);
+            engine.replace_store(store, snapshot_generation);
             Response::Hello {
                 k: engine.store().k().unwrap_or(0) as u32,
                 rows: engine.store().n() as u64,
@@ -1815,18 +1795,11 @@ fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
         None if engine.store().is_empty() => {
             // Adopt: the spec's kernel becomes the engine's executing
             // kernel (the negotiated identity wins over the local
-            // environment's DP_KERNEL).
-            let par = engine.parallelism().with_kernel(proposed.kernel());
-            // Bump the generation through the replacement so the
-            // mutation path publishes a snapshot carrying the adopted
-            // spec.
-            let generation = engine.generation() + 1;
+            // environment's DP_KERNEL), and the replacement's generation
+            // bump makes the mutation path publish a snapshot carrying
+            // the adopted spec.
             match SketchStore::with_spec(proposed) {
-                Ok(store) => {
-                    *engine = QueryEngine::new(store)
-                        .with_parallelism(par)
-                        .with_generation(generation);
-                }
+                Ok(store) => engine.replace_store(store, 0),
                 Err(e) => return error_response(&e),
             }
         }

@@ -10,7 +10,7 @@
 //!
 //! Without `--spec` the store adopts the spec proposed by the first
 //! client `Hello`. The engine's all-pairs kernel runs on the usual
-//! `DP_THREADS` / `DP_TILE` environment knobs; `--workers` sets how
+//! `DP_THREADS` environment knob; `--workers` sets how
 //! many connections (threads mode) or event loops (evloop mode) are
 //! served concurrently. The server exits cleanly when a client sends
 //! the protocol `Shutdown` request.
@@ -125,15 +125,7 @@ fn run_standby(
                 failures = 0;
                 if !store_bytes.is_empty() {
                     match SketchStore::decode_snapshot(&store_bytes) {
-                        Ok((store, generation)) => {
-                            let par = match store.spec() {
-                                Some(spec) => engine.parallelism().with_kernel(spec.kernel()),
-                                None => engine.parallelism(),
-                            };
-                            engine = QueryEngine::new(store)
-                                .with_parallelism(par)
-                                .with_generation(generation);
-                        }
+                        Ok((store, generation)) => engine.replace_store(store, generation),
                         Err(e) => {
                             eprintln!("dp-server: standby snapshot decode failed: {e}");
                             continue;

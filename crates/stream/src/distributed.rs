@@ -172,25 +172,6 @@ impl Party {
     }
 }
 
-/// Index of the released sketch nearest to `query` (by estimated squared
-/// distance), excluding `query` itself when it appears in the list.
-///
-/// # Errors
-/// Propagates incompatibility errors.
-pub fn nearest_neighbor(query: &Release, candidates: &[Release]) -> Result<Option<u64>, CoreError> {
-    let mut best: Option<(u64, f64)> = None;
-    for c in candidates {
-        if c.party_id == query.party_id {
-            continue;
-        }
-        let est = query.sketch.estimate_sq_distance(&c.sketch)?;
-        if best.is_none_or(|(_, b)| est < b) {
-            best = Some((c.party_id, est));
-        }
-    }
-    Ok(best.map(|(id, _)| id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,36 +338,6 @@ mod tests {
             (d02.mean() - 1.0).abs() / d02.stderr() < 4.0,
             "{}",
             d02.mean()
-        );
-    }
-
-    #[test]
-    fn nearest_neighbor_finds_close_party() {
-        let d = 256;
-        let p = params(d);
-        // Query near party 1, far from party 2.
-        let query_vec = vec![1.0; d];
-        let mut near = vec![1.0; d];
-        near[0] = 0.0;
-        let far = vec![-1.0; d];
-        let query = Party::new(0, query_vec, Seed::new(1)).release(&p).unwrap();
-        let candidates = vec![
-            Party::new(1, near, Seed::new(2)).release(&p).unwrap(),
-            Party::new(2, far, Seed::new(3)).release(&p).unwrap(),
-        ];
-        assert_eq!(nearest_neighbor(&query, &candidates).unwrap(), Some(1));
-    }
-
-    #[test]
-    fn nearest_neighbor_excludes_self() {
-        let d = 64;
-        let p = params(d);
-        let a = Party::new(0, vec![0.0; d], Seed::new(1))
-            .release(&p)
-            .unwrap();
-        assert_eq!(
-            nearest_neighbor(&a, std::slice::from_ref(&a)).unwrap(),
-            None
         );
     }
 

@@ -18,7 +18,5 @@
 pub mod distributed;
 pub mod streaming;
 
-pub use distributed::{
-    nearest_neighbor, parse_release, parse_release_bytes, Party, PublicParams, Release,
-};
+pub use distributed::{parse_release, parse_release_bytes, Party, PublicParams, Release};
 pub use streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher};

@@ -69,7 +69,7 @@ fn run_protocol(params: &PublicParams) {
     // Coordinator: one persistent store owns the spec, the tag
     // interner, and every ingested sketch; the engine answers queries.
     // The all-pairs kernel runs on the env-driven Parallelism knob
-    // (DP_THREADS / DP_TILE); estimates are bit-identical regardless.
+    // (DP_THREADS); estimates are bit-identical for every thread count.
     let par = Parallelism::from_env();
     let store = SketchStore::with_spec(params.spec().clone()).expect("store");
     let mut engine = QueryEngine::new(store).with_parallelism(par);

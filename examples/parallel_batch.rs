@@ -7,8 +7,8 @@
 //! distance matrix are *bit-identical* for every thread count and tile
 //! size, because per-row noise seeds derive from the row index and each
 //! pair is computed exactly once with the same floating-point
-//! expression. The knob is also readable from the environment:
-//! `DP_THREADS=8 DP_TILE=32 cargo run --release --example parallel_batch`
+//! expression. The worker count is also readable from the environment:
+//! `DP_THREADS=8 cargo run --release --example parallel_batch`
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 

@@ -12,10 +12,13 @@
 //!   every ingest, and a fresh coordinator bound on the same directory
 //!   recovers the identical store before accepting a single connection.
 
+use dp_euclid::core::protocol::{
+    decode_response, encode_request, read_frame, write_frame, Request, Response, ERR_PLAN,
+};
 use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
-use dp_server::{Client, CoordinatorConfig, Endpoint, Server, WorkerEntry};
+use dp_server::{connect, Client, Conn, CoordinatorConfig, Endpoint, Server, WorkerEntry};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -261,5 +264,82 @@ fn a_durable_coordinator_recovers_its_store_from_disk() {
         handle.join().expect("joined");
     });
     let _ = std::fs::remove_file(&socket);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// Send one request on a raw connection and decode the next frame.
+fn exchange(conn: &mut Conn, request: &Request) -> Response {
+    write_frame(conn, &encode_request(request).expect("encode")).expect("write");
+    decode_response(&read_frame(conn).expect("read").expect("frame")).expect("decode")
+}
+
+/// A replica claiming more rows than the server holds has diverged
+/// (the server restarted from an older image, say). In both roles the
+/// fetch is refused with exactly one typed `ERR_PLAN` frame, never the
+/// empty stream that would tell a standby it is synced, and the
+/// connection keeps serving.
+#[test]
+fn a_replica_ahead_of_the_server_is_refused_in_both_roles() {
+    let spec = spec(64);
+    let rs = releases(&spec, 3);
+    let n = rs.len() as u64;
+    let data_dir = scratch_dir("ahead");
+    for coordinator in [false, true] {
+        let mut engine = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+        for r in &rs {
+            engine.ingest(r).expect("ingest");
+        }
+        let socket = scratch_socket(if coordinator {
+            "ahead-coord"
+        } else {
+            "ahead-plain"
+        });
+        let _ = std::fs::remove_file(&socket);
+        let endpoint = Endpoint::Unix(socket.clone());
+        let server = if coordinator {
+            let config = CoordinatorConfig {
+                tile: 4,
+                compact_threshold: 0,
+                data_dir: Some(data_dir.clone()),
+            };
+            Server::bind_coordinator_with(endpoint.clone(), engine, Vec::new(), config)
+        } else {
+            Server::bind(endpoint.clone(), engine)
+        }
+        .expect("bind");
+        assert_eq!(server.coordinator_stats().is_some(), coordinator);
+        let fetch = |have_rows| Request::FetchSnapshot {
+            have_rows,
+            part_len: 0,
+        };
+        // Shut the server down before asserting, so a wrong answer
+        // fails the test instead of leaving the scope waiting on it.
+        let (ahead, synced) = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve(1));
+            let mut conn = connect(&endpoint).expect("connect");
+            let replies = (
+                exchange(&mut conn, &fetch(n + 1)),
+                exchange(&mut conn, &fetch(n)),
+            );
+            write_frame(
+                &mut conn,
+                &encode_request(&Request::Shutdown).expect("encode"),
+            )
+            .expect("write");
+            handle.join().expect("joined");
+            replies
+        });
+        let _ = std::fs::remove_file(&socket);
+        assert!(
+            matches!(ahead, Response::Error { code: ERR_PLAN, .. }),
+            "coordinator {coordinator}: expected ERR_PLAN, got {ahead:?}"
+        );
+        // The very next frame answers the next request: a synced
+        // replica's empty stream, the summary alone.
+        assert!(
+            matches!(synced, Response::SnapshotSummary { rows, count: 0, .. } if rows == n),
+            "coordinator {coordinator}: expected an empty stream, got {synced:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&data_dir);
 }

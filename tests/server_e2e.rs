@@ -4,6 +4,7 @@
 //! the in-process `SketchStore`/`QueryEngine` answers for the same
 //! ingested releases — the server must be a pure transport shell.
 
+use dp_euclid::core::protocol::CAP_SKETCH_F32;
 use dp_euclid::core::release::Release;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
@@ -43,104 +44,122 @@ fn scratch_socket(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dp-e2e-{tag}-{}.sock", std::process::id()))
 }
 
+/// Both sketch framings a client may ingest with: the full `f64` wire,
+/// and the quantized `f32` one every server advertises
+/// ([`CAP_SKETCH_F32`]). The reference engine ingests the very frames
+/// the client sends, so the `f32` lane is pinned to the quantized bits.
 #[test]
 fn socket_answers_are_bit_identical_to_the_engine() {
     let spec = spec(192);
     let rs = releases(&spec, 8);
-
-    // The in-process reference engine.
-    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
-    for r in &rs {
-        reference.ingest(r).expect("ingest");
-    }
-
-    let socket = scratch_socket("main");
-    let endpoint = Endpoint::Unix(socket.clone());
-    let server =
-        Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.serve(2));
-
-        let mut client = Client::connect(&endpoint).expect("connect");
-
-        // Spec negotiation: fresh store adopts; re-Hello with the same
-        // spec is idempotent; a different spec is refused.
-        let (k, rows, tag) = client.hello(&spec).expect("hello");
-        assert_eq!(rows, 0);
-        assert_eq!(k as usize, reference.store().k().expect("k"));
-        assert_eq!(tag, reference.store().tag().expect("tag"));
-        let (_, _, tag_again) = client.hello(&spec).expect("re-hello");
-        assert_eq!(tag_again, tag);
-        let other = SketcherSpec::new(
-            Construction::SjltLaplace,
-            spec.config().clone(),
-            Seed::new(1),
-        );
-        assert!(matches!(
-            client.hello(&other),
-            Err(ClientError::Remote { .. })
-        ));
-
-        // Ingest through the socket.
-        for (i, r) in rs.iter().enumerate() {
-            let (row, n) = client.ingest(r).expect("ingest");
-            assert_eq!(row as usize, i);
-            assert_eq!(n as usize, i + 1);
-        }
-        // Duplicate ids and unknown queries surface as typed remote
-        // errors without poisoning the connection.
-        assert!(matches!(
-            client.ingest(&rs[0]),
-            Err(ClientError::Remote { .. })
-        ));
-        assert!(matches!(
-            client.knn(999, 2),
-            Err(ClientError::Remote { .. })
-        ));
-
-        // Full pairwise: bit-identical to the engine, ids in ingest order.
-        let (ids, values) = client.pairwise(&[]).expect("pairwise");
-        assert_eq!(ids, reference.store().party_ids());
-        let local = reference.pairwise_all();
-        assert_eq!(values.len(), local.as_flat().len());
-        for (a, b) in values.iter().zip(local.as_flat()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // Subset pairwise, in requested order.
-        let subset = [rs[5].party_id, rs[1].party_id, rs[2].party_id];
-        let (sub_ids, sub_values) = client.pairwise(&subset).expect("subset");
-        assert_eq!(sub_ids, subset);
-        let local_sub = reference.pairwise(&subset).expect("subset");
-        for (a, b) in sub_values.iter().zip(local_sub.as_flat()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // knn: same neighbors, same bits.
-        for &party in &[rs[0].party_id, rs[7].party_id] {
-            let remote = client.knn(party, 4).expect("knn");
-            let local = reference.knn(party, 4).expect("knn");
-            assert_eq!(remote.len(), local.len());
-            for (r, l) in remote.iter().zip(&local) {
-                assert_eq!(r.0, l.party_id);
-                assert_eq!(r.1.to_bits(), l.estimated_sq_distance.to_bits());
+    for f32_wire in [false, true] {
+        // The in-process reference engine.
+        let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+        for r in &rs {
+            if f32_wire {
+                reference.ingest_bytes(&r.to_bytes_f32().expect("f32 frame"))
+            } else {
+                reference.ingest(r)
             }
+            .expect("ingest");
         }
 
-        // top_pairs: same pairs, same bits.
-        let remote_top = client.top_pairs(5).expect("top");
-        let local_top = reference.top_pairs(5);
-        assert_eq!(remote_top.len(), local_top.len());
-        for (r, l) in remote_top.iter().zip(&local_top) {
-            assert_eq!((r.0, r.1), (l.0, l.1));
-            assert_eq!(r.2.to_bits(), l.2.to_bits());
-        }
+        let socket = scratch_socket(if f32_wire { "main-f32" } else { "main" });
+        let endpoint = Endpoint::Unix(socket.clone());
+        let server = Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting()))
+            .expect("bind");
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve(2));
 
-        // Clean shutdown: server thread joins.
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
-    });
-    let _ = std::fs::remove_file(&socket);
+            let mut client = Client::connect(&endpoint).expect("connect");
+
+            // Spec negotiation: fresh store adopts; re-Hello with the same
+            // spec is idempotent; a different spec is refused.
+            let (k, rows, tag, caps) = client.hello_caps(&spec).expect("hello");
+            assert_ne!(caps & CAP_SKETCH_F32, 0);
+            assert_eq!(rows, 0);
+            assert_eq!(k as usize, reference.store().k().expect("k"));
+            assert_eq!(tag, reference.store().tag().expect("tag"));
+            let (_, _, tag_again) = client.hello(&spec).expect("re-hello");
+            assert_eq!(tag_again, tag);
+            let other = SketcherSpec::new(
+                Construction::SjltLaplace,
+                spec.config().clone(),
+                Seed::new(1),
+            );
+            assert!(matches!(
+                client.hello(&other),
+                Err(ClientError::Remote { .. })
+            ));
+
+            // Ingest through the socket.
+            let ingest = |client: &mut Client, r: &Release| {
+                if f32_wire {
+                    client.ingest_f32(r)
+                } else {
+                    client.ingest(r)
+                }
+            };
+            for (i, r) in rs.iter().enumerate() {
+                let (row, n) = ingest(&mut client, r).expect("ingest");
+                assert_eq!(row as usize, i);
+                assert_eq!(n as usize, i + 1);
+            }
+            // Duplicate ids and unknown queries surface as typed remote
+            // errors without poisoning the connection.
+            assert!(matches!(
+                ingest(&mut client, &rs[0]),
+                Err(ClientError::Remote { .. })
+            ));
+            assert!(matches!(
+                client.knn(999, 2),
+                Err(ClientError::Remote { .. })
+            ));
+
+            // Full pairwise: bit-identical to the engine, ids in ingest order.
+            let (ids, values) = client.pairwise(&[]).expect("pairwise");
+            assert_eq!(ids, reference.store().party_ids());
+            let local = reference.pairwise_all();
+            assert_eq!(values.len(), local.as_flat().len());
+            for (a, b) in values.iter().zip(local.as_flat()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+
+            // Subset pairwise, in requested order.
+            let subset = [rs[5].party_id, rs[1].party_id, rs[2].party_id];
+            let (sub_ids, sub_values) = client.pairwise(&subset).expect("subset");
+            assert_eq!(sub_ids, subset);
+            let local_sub = reference.pairwise(&subset).expect("subset");
+            for (a, b) in sub_values.iter().zip(local_sub.as_flat()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+
+            // knn: same neighbors, same bits.
+            for &party in &[rs[0].party_id, rs[7].party_id] {
+                let remote = client.knn(party, 4).expect("knn");
+                let local = reference.knn(party, 4).expect("knn");
+                assert_eq!(remote.len(), local.len());
+                for (r, l) in remote.iter().zip(&local) {
+                    assert_eq!(r.0, l.party_id);
+                    assert_eq!(r.1.to_bits(), l.estimated_sq_distance.to_bits());
+                }
+            }
+
+            // top_pairs: same pairs, same bits.
+            let remote_top = client.top_pairs(5).expect("top");
+            let local_top = reference.top_pairs(5);
+            assert_eq!(remote_top.len(), local_top.len());
+            for (r, l) in remote_top.iter().zip(&local_top) {
+                assert_eq!((r.0, r.1), (l.0, l.1));
+                assert_eq!(r.2.to_bits(), l.2.to_bits());
+            }
+
+            // Clean shutdown: server thread joins.
+            client.shutdown().expect("shutdown");
+            handle.join().expect("server thread");
+        });
+        let _ = std::fs::remove_file(&socket);
+    }
 }
 
 #[test]
