@@ -1,4 +1,5 @@
-//! The versioned per-pair distance accumulator.
+//! The versioned per-pair distance accumulator, and its eight-pair
+//! group form for all-pairs tiles.
 //!
 //! Every pairwise estimate in the workspace reduces to one expression:
 //! the squared Euclidean distance between two sketch-value slices,
@@ -34,6 +35,29 @@
 //! proptest below). A fleet must therefore agree on one kernel per
 //! store: the kernel id travels in [`crate::sketcher::SketcherSpec`]
 //! and is negotiated on protocol `Hello` (mismatch → `ERR_KERNEL`).
+//!
+//! ## The group kernels
+//!
+//! The all-pairs tiles evaluate eight pairs per pass:
+//! `sq_distance_group` takes one row and eight column rows interleaved
+//! element-major (`group[e·8 + p]` is column `p`'s element `e`) and
+//! returns the eight raw sums. The contract is per pair, not per pass:
+//! each lane has its own accumulators and adds its terms in the
+//! per-pair order, so lane `p` is bit-identical to [`sq_distance`] of
+//! its pair.
+//!
+//! * **V1** keeps one unfused accumulator per lane, started where
+//!   `Iterator::sum` starts (−0.0), so eight independent add chains
+//!   replace one, and the per-pair latency bound is gone without
+//!   reassociating any sum.
+//! * **V2** keeps each lane's four fused accumulators (element `e`
+//!   feeds accumulator `e mod 4`), its fused tail and the
+//!   `((l₀ + l₂) + (l₁ + l₃)) + tail` combine.
+//!
+//! The safe generic bodies are the definition and the portable path.
+//! On `x86_64` an AVX2 (V1) or AVX2+FMA (V2) compilation of the same
+//! bodies is chosen once per process by CPU detection, as for
+//! [`v2_simd`]; the tests compare both against the per-pair sums.
 //!
 //! ## The sketching path
 //!
@@ -198,6 +222,142 @@ unsafe fn v2_avx2(a: &[f64], b: &[f64]) -> f64 {
         tail = d.mul_add(d, tail);
     }
     body_sum + tail
+}
+
+// ---------------------------------------------------------------------------
+// The group kernels: one row against GROUP_WIDTH columns per pass.
+// ---------------------------------------------------------------------------
+
+/// Columns per group: one pass of [`sq_distance_group`] over a row
+/// evaluates this many pairs.
+pub(crate) const GROUP_WIDTH: usize = 8;
+
+/// Interleave column rows element-major into groups of
+/// [`GROUP_WIDTH`]: group `g` is the `k · GROUP_WIDTH` values starting
+/// at `g · k · GROUP_WIDTH`, and holds element `e` of column
+/// `g · GROUP_WIDTH + p` at `e · GROUP_WIDTH + p`. A column longer
+/// than `k` is cut to `k` elements, a shorter one and the missing
+/// columns of the last group are padded with zeros.
+#[must_use]
+pub(crate) fn interleave_columns(cols: &[&[f64]], k: usize) -> Vec<f64> {
+    let mut groups = vec![0.0; cols.len().div_ceil(GROUP_WIDTH) * k * GROUP_WIDTH];
+    for (c, col) in cols.iter().enumerate() {
+        let (g, p) = (c / GROUP_WIDTH, c % GROUP_WIDTH);
+        let group = &mut groups[g * k * GROUP_WIDTH..(g + 1) * k * GROUP_WIDTH];
+        for (slot, &v) in group.iter_mut().skip(p).step_by(GROUP_WIDTH).zip(*col) {
+            *slot = v;
+        }
+    }
+    groups
+}
+
+/// The raw sums `Σ (a_e − col_p[e])²` of row `a` against the
+/// [`GROUP_WIDTH`] columns interleaved in `group` (see
+/// [`interleave_columns`]), over `min(a.len(), group.len() /
+/// GROUP_WIDTH)` elements, under kernel version `id`. Lane `p` is
+/// bit-identical to [`sq_distance`]`(id, a, col_p)` whenever `col_p`
+/// has that many elements: every lane keeps its own accumulators and
+/// adds its terms in exactly the per-pair order, so evaluating eight
+/// pairs per pass changes no pair's arithmetic. Dispatches to an AVX2
+/// (V1) or AVX2+FMA (V2) compilation of the same body when the CPU
+/// has it (detected once per process).
+#[inline]
+#[must_use]
+pub(crate) fn sq_distance_group(id: KernelId, a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match id {
+            KernelId::V1Scalar if avx2_available() => {
+                // SAFETY: AVX2 presence was verified at runtime.
+                return unsafe { v1_group_avx2(a, group) };
+            }
+            KernelId::V2Simd if avx2_fma_available() => {
+                // SAFETY: AVX2 and FMA presence was verified at runtime.
+                return unsafe { v2_group_avx2(a, group) };
+            }
+            _ => {}
+        }
+    }
+    match id {
+        KernelId::V1Scalar => v1_group(a, group),
+        KernelId::V2Simd => v2_group(a, group),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2_available() -> bool {
+    use std::sync::OnceLock;
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx2"))
+}
+
+/// V1 per lane: one unfused accumulator, started where
+/// `Iterator::sum` starts (−0.0) and fed `(a_e − b_e)²` in element
+/// order — [`v1_scalar`]'s expression. Lanes are independent, so the
+/// compiler vectorizes across them without reassociating any sum.
+#[inline(always)]
+fn v1_group(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
+    let mut acc = [-0.0f64; GROUP_WIDTH];
+    for (&x, col) in a.iter().zip(group.as_chunks::<GROUP_WIDTH>().0) {
+        for (s, &y) in acc.iter_mut().zip(col) {
+            let d = x - y;
+            *s += d * d;
+        }
+    }
+    acc
+}
+
+/// V2 per lane: [`v2_portable`]'s four fused accumulators (element `e`
+/// feeds accumulator `e mod 4`), its fused tail, and its
+/// `((l₀ + l₂) + (l₁ + l₃)) + tail` combine. The four accumulators of
+/// eight lanes are 32 independent fused chains.
+#[inline(always)]
+fn v2_group(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
+    let cols = group.as_chunks::<GROUP_WIDTH>().0;
+    let n = a.len().min(cols.len());
+    let body = n - n % 4;
+    let mut lanes = [[0.0f64; GROUP_WIDTH]; 4];
+    let quads = a[..body].as_chunks::<4>().0;
+    for (xs, quad) in quads.iter().zip(cols[..body].as_chunks::<4>().0) {
+        for ((lane, &x), col) in lanes.iter_mut().zip(xs).zip(quad) {
+            for (s, &y) in lane.iter_mut().zip(col) {
+                let d = x - y;
+                *s = d.mul_add(d, *s);
+            }
+        }
+    }
+    let mut tail = [0.0f64; GROUP_WIDTH];
+    for (&x, col) in a[body..n].iter().zip(&cols[body..n]) {
+        for (s, &y) in tail.iter_mut().zip(col) {
+            let d = x - y;
+            *s = d.mul_add(d, *s);
+        }
+    }
+    let [l0, l1, l2, l3] = lanes;
+    std::array::from_fn(|p| ((l0[p] + l2[p]) + (l1[p] + l3[p])) + tail[p])
+}
+
+/// [`v1_group`] compiled for AVX2: two 4-wide unfused chains.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must have verified AVX2 support at runtime (the only
+// caller is `sq_distance_group`, gated on `avx2_available`); the body
+// is safe Rust — the attribute alone makes this an unsafe fn.
+unsafe fn v1_group_avx2(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
+    v1_group(a, group)
+}
+
+/// [`v2_group`] compiled for AVX2+FMA, so `f64::mul_add` is an inline
+/// `vfmadd` instead of a libm call: same correctly rounded operation,
+/// same bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+// SAFETY: callers must have verified AVX2 and FMA support at runtime
+// (the only caller is `sq_distance_group`, gated on
+// `avx2_fma_available`); the body is safe Rust — the attribute alone
+// makes this an unsafe fn.
+unsafe fn v2_group_avx2(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
+    v2_group(a, group)
 }
 
 /// The documented V1-vs-V2 agreement bound: both schemes sum the same
@@ -680,6 +840,80 @@ mod tests {
                 v2_dot_portable(&a, &b).to_bits(),
                 "len = {len}"
             );
+        }
+    }
+
+    /// A row and `live` columns of `k` coordinates drawn from mixed
+    /// magnitudes, subnormals and both signed zeros; one column repeats
+    /// the row, so some lanes sum exact zeros.
+    fn group_inputs(seed: u64, k: usize, live: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        use dp_hashing::{Prng, Seed};
+        let mut rng = Seed::new(seed).rng();
+        let mut gen = || match rng.next_u64() % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::MIN_POSITIVE * (rng.next_f64() - 0.5),
+            _ => {
+                let exponent = (rng.next_f64() * 120.0 - 60.0) as i32;
+                (rng.next_f64() * 2.0 - 1.0) * f64::powi(2.0, exponent)
+            }
+        };
+        let a: Vec<f64> = (0..k).map(|_| gen()).collect();
+        let mut cols: Vec<Vec<f64>> = (0..live).map(|_| (0..k).map(|_| gen()).collect()).collect();
+        cols[seed as usize % live].clone_from(&a);
+        (a, cols)
+    }
+
+    /// Every lane of the dispatched group kernel and of its portable
+    /// body is bit-identical to the per-pair sum of its column; lanes
+    /// past `live` are zero-padded columns.
+    fn assert_group_matches_per_pair(seed: u64, k: usize, live: usize) {
+        let (a, cols) = group_inputs(seed, k, live);
+        let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let group = interleave_columns(&refs, k);
+        let zeros = vec![0.0; k];
+        for id in [KernelId::V1Scalar, KernelId::V2Simd] {
+            let portable = match id {
+                KernelId::V1Scalar => v1_group(&a, &group),
+                KernelId::V2Simd => v2_group(&a, &group),
+            };
+            let dispatched = sq_distance_group(id, &a, &group);
+            for p in 0..GROUP_WIDTH {
+                let col = refs.get(p).copied().unwrap_or(&zeros);
+                let want = match id {
+                    KernelId::V1Scalar => v1_scalar(&a, col),
+                    KernelId::V2Simd => v2_simd(&a, col),
+                };
+                for (path, got) in [("dispatched", dispatched[p]), ("portable", portable[p])] {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{id:?} {path} k = {k} lane {p} of {live} live: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_tails_and_empty_rows_match_per_pair() {
+        // k = 0 sums nothing: V1 keeps `Iterator::sum`'s −0.0, V2 +0.0.
+        for k in 0..=9usize {
+            assert_group_matches_per_pair(500 + k as u64, k, GROUP_WIDTH);
+        }
+        assert!(sq_distance_group(KernelId::V1Scalar, &[], &[])[0].is_sign_negative());
+        assert!(sq_distance_group(KernelId::V2Simd, &[], &[])[0].is_sign_positive());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn group_kernels_are_bit_identical_to_per_pair(
+            seed in 0u64..1_000_000,
+            k in 0usize..300,
+            live in 1usize..9,
+        ) {
+            assert_group_matches_per_pair(seed, k, live);
         }
     }
 }

@@ -1067,12 +1067,18 @@ pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
 /// keeps every matrix, local or gathered, bit-identical (within a
 /// kernel version).
 ///
-/// Both `row_values` lookups are hoisted out of the pair loop: every
-/// column slice is resolved once per tile (not once per pair) and each
-/// row slice plus its debias constant once per row. The hoists change
-/// no arithmetic — the per-pair expression is exactly
-/// [`kernel::sq_distance`] minus `debias[i]` — so V1 bit patterns are
-/// untouched (guarded by the bit-identity suites).
+/// The tile's column slices are interleaved once
+/// ([`kernel::interleave_columns`]) into ⌈cols / 8⌉ groups of
+/// [`kernel::GROUP_WIDTH`] = 8, the last one zero-padded. Each group
+/// then runs [`kernel::sq_distance_group`] against every row `i` that
+/// has a column `j > i` in it, and only the lanes with
+/// `i < j < col_end` are kept. Each lane is exactly
+/// [`kernel::sq_distance`] of its pair, minus `debias[i]`, so blocking
+/// changes no bit (guarded by the bit-identity suites). A pair whose
+/// slices differ in length from the tile's first column takes the
+/// per-pair call, which keeps zip truncation. Every all-pairs tile
+/// runs this loop: the cold matrix, a grown memo's frontier, a
+/// worker's `ExecuteTilesStream` shard and a subset recompute.
 fn fill_tile_segment<'a, R>(
     tile: &Tile,
     row_values: &R,
@@ -1082,19 +1088,41 @@ fn fill_tile_segment<'a, R>(
 ) where
     R: Fn(usize) -> &'a [f64],
 {
+    const W: usize = kernel::GROUP_WIDTH;
     let cols: Vec<&'a [f64]> = tile.cols().map(row_values).collect();
-    let col_start = tile.cols().start;
+    let k = cols.first().map_or(0, |c| c.len());
+    let groups = kernel::interleave_columns(&cols, k);
+    // Row i's pairs are columns `first..col_end`, `first = max(col_start,
+    // i + 1)`, written from `start` on: the row-major segment layout.
     let mut w = 0usize;
-    for i in tile.rows() {
-        let a = row_values(i);
-        let debias_i = debias[i];
-        for j in tile.cols() {
-            if j <= i {
-                continue;
+    let rows: Vec<(&'a [f64], usize, usize)> = tile
+        .rows()
+        .map(|i| {
+            let first = tile.col_start.max(i + 1).min(tile.col_end);
+            let start = w;
+            w += tile.col_end - first;
+            (row_values(i), first, start)
+        })
+        .collect();
+    // Group-outer order keeps one group in L1 while the tile's rows
+    // stream past it; every pair's sum is the same in any order.
+    for g in 0..cols.len().div_ceil(W) {
+        let base = tile.col_start + g * W;
+        let end = tile.col_end.min(base + W);
+        let group = &groups[g * k * W..(g + 1) * k * W];
+        for (i, &(a, first, start)) in tile.rows().zip(&rows) {
+            if first >= end {
+                break;
             }
-            let raw = kernel::sq_distance(kernel, a, cols[j - col_start]);
-            out[w] = raw - debias_i;
-            w += 1;
+            let raw = (a.len() == k).then(|| kernel::sq_distance_group(kernel, a, group));
+            for j in first.max(base)..end {
+                let col = cols[j - tile.col_start];
+                let sum = match raw {
+                    Some(lanes) if col.len() == k => lanes[j - base],
+                    _ => kernel::sq_distance(kernel, a, col),
+                };
+                out[start + j - first] = sum - debias[i];
+            }
         }
     }
     debug_assert_eq!(w, out.len(), "tile fills its segment exactly");

@@ -18,6 +18,9 @@ use dp_euclid::prelude::*;
 use dp_server::{Client, Endpoint, ServeMode, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+mod common;
+use common::ShutdownOnPanic;
+
 const ROWS: usize = 10;
 /// Rows ingested before the readers start (the ingest prefix the
 /// writer then extends row by row).
@@ -128,6 +131,7 @@ fn run_chaos(mode: ServeMode, workers: usize) {
 
     std::thread::scope(|scope| {
         let serve = scope.spawn(|| server.serve_mode(mode, workers));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
 
         // Seed the store so readers always have rows to query.
         let mut writer = Client::connect(&endpoint).expect("connect writer");

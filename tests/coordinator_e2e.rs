@@ -16,6 +16,9 @@ use dp_server::{Client, ClientError, Endpoint, Server, WorkerEntry};
 use std::path::PathBuf;
 use std::time::Duration;
 
+mod common;
+use common::ShutdownOnPanic;
+
 fn spec(d: usize) -> SketcherSpec {
     let config = SketchConfig::builder()
         .input_dim(d)
@@ -122,6 +125,7 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
         let ha = scope.spawn(|| worker_a.serve(2));
         let hb = scope.spawn(|| worker_b.serve(2));
         let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a, &ep_b]);
 
         let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
         let (_, rows, _) = client.hello(&spec).expect("hello relayed to workers");
@@ -366,6 +370,7 @@ fn dead_worker_is_redispatched_to_the_survivor() {
         let ha = scope.spawn(|| worker_a.serve(1));
         let hb = scope.spawn(|| fake_worker(listener_b, &silent, &stop));
         let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a]).raising(&stop);
 
         let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
         client.hello(&spec).expect("hello");
@@ -453,6 +458,7 @@ fn killed_worker_restarts_and_resyncs_from_the_journal() {
         let ha = scope.spawn(|| worker_a.serve(2));
         let hb1 = scope.spawn(|| fake_worker(listener_b, &silent, &stop));
         let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a, &ep_b]).raising(&stop);
 
         let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
         client.hello(&spec).expect("hello");
@@ -557,6 +563,7 @@ fn wedged_worker_poisons_without_failing_the_mutation() {
     std::thread::scope(|scope| {
         let hw = scope.spawn(|| fake_worker(hole, &silent, &stop));
         let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint]).raising(&stop);
 
         // The relayed Hello hits the silent worker; the read timeout
         // bounds the wait, the worker is poisoned — and the client's

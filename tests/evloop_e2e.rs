@@ -20,6 +20,9 @@ use dp_server::{connect, Client, ClientError, Conn, Endpoint, NetConfig, ServeMo
 use std::io::Write;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::ShutdownOnPanic;
+
 fn spec(d: usize) -> SketcherSpec {
     let config = SketchConfig::builder()
         .input_dim(d)
@@ -74,6 +77,7 @@ fn run_script(mode: ServeMode, steps: &[Step]) -> Vec<Vec<Vec<u8>>> {
     let mut replies = Vec::new();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(mode, 2));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut conn = connect(&endpoint).expect("connect");
         for step in steps {
             let (payload, counted) = match step {
@@ -400,6 +404,7 @@ fn install_staging_is_per_connection() {
         // inside the scope would leave the server thread serving.
         let (refusal, installed) = std::thread::scope(|scope| {
             let handle = scope.spawn(|| server.serve_mode(mode, 2));
+            let _guard = ShutdownOnPanic::new(&[&endpoint]);
             // Connection A stages every part; the answer to a request
             // sent after them proves they were all handled.
             let mut a = connect(&endpoint).expect("connect a");
@@ -442,6 +447,7 @@ fn evloop_client_surface_works_end_to_end() {
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 3));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         let (_, rows, _) = client.hello(&spec).expect("hello");
         assert_eq!(rows, 0);
@@ -519,6 +525,7 @@ fn oversized_reply_answers_err_busy_and_connection_survives() {
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
@@ -556,6 +563,7 @@ fn stats_expose_epoch_and_frame_counters() {
     assert_eq!(server.stats().snapshot_epoch, 1, "bind publishes epoch 1");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(ServeMode::EvLoop, 2));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
@@ -590,6 +598,7 @@ fn thread_mode_frees_wedged_connections_via_conn_timeout() {
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(ServeMode::Threads, 1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         // The wedge: a partial frame header, then silence. The single
         // serving thread blocks reading the rest of the header.
         let mut wedged = connect(&endpoint).expect("connect wedged");

@@ -25,6 +25,9 @@ use dp_server::{
 };
 use std::net::TcpListener;
 
+mod common;
+use common::ShutdownOnPanic;
+
 /// A spec whose sketch dimension `k` shrinks as `alpha` and `beta`
 /// approach their bound of 1/2.
 fn spec(d: usize, alpha: f64, beta: f64) -> SketcherSpec {
@@ -80,6 +83,7 @@ fn serve<T>(server: &Server, mode: ServeMode, session: impl FnOnce(&mut Client) 
     let endpoint = server.local_endpoint();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve_mode(mode, 2));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         let out = session(&mut client);
         client.shutdown().expect("shutdown");
@@ -248,6 +252,7 @@ fn the_coordinator_gather_streams_bit_identically_in_both_serve_modes() {
         let (answers, stats) = std::thread::scope(|scope| {
             let ha = scope.spawn(|| a.serve_mode(mode, 1));
             let hb = scope.spawn(|| b.serve_mode(mode, 1));
+            let _guard = ShutdownOnPanic::new(&[&a.local_endpoint(), &b.local_endpoint()]);
             let answers = serve(&coordinator, mode, |client| {
                 client.hello(&spec).expect("hello");
                 for r in &rs {
@@ -290,6 +295,7 @@ fn the_coordinator_grows_its_memo_across_panel_edges_bit_identically() {
     let (answers, stats) = std::thread::scope(|scope| {
         let ha = scope.spawn(|| a.serve_mode(ServeMode::Threads, 1));
         let hb = scope.spawn(|| b.serve_mode(ServeMode::Threads, 1));
+        let _guard = ShutdownOnPanic::new(&[&a.local_endpoint(), &b.local_endpoint()]);
         let answers = serve(&coordinator, ServeMode::Threads, |client| {
             client.hello(&spec).expect("hello");
             let mut ingested = 0;

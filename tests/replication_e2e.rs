@@ -22,6 +22,9 @@ use dp_server::{connect, Client, Conn, CoordinatorConfig, Endpoint, Server, Work
 use std::path::PathBuf;
 use std::time::Duration;
 
+mod common;
+use common::ShutdownOnPanic;
+
 fn spec(d: usize) -> SketcherSpec {
     let config = SketchConfig::builder()
         .input_dim(d)
@@ -136,6 +139,7 @@ fn a_restarted_worker_resyncs_via_snapshot_plus_suffix_after_compaction() {
         let ha = scope.spawn(|| worker_a.serve(2));
         let hb = scope.spawn(|| worker_b.serve(2));
         let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a, &ep_b]);
 
         let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
         client.hello(&spec).expect("hello");
@@ -229,6 +233,7 @@ fn a_durable_coordinator_recovers_its_store_from_disk() {
     .expect("bind durable coordinator");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
@@ -254,6 +259,7 @@ fn a_durable_coordinator_recovers_its_store_from_disk() {
     assert_eq!(stats.recoveries, 1, "the rebind must count as a recovery");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         // No Hello needed: the spec was recovered from disk too.
         let (_, values) = client.pairwise(&[]).expect("pairwise after recovery");
@@ -316,6 +322,7 @@ fn a_replica_ahead_of_the_server_is_refused_in_both_roles() {
         // fails the test instead of leaving the scope waiting on it.
         let (ahead, synced) = std::thread::scope(|scope| {
             let handle = scope.spawn(|| server.serve(1));
+            let _guard = ShutdownOnPanic::new(&[&endpoint]);
             let mut conn = connect(&endpoint).expect("connect");
             let replies = (
                 exchange(&mut conn, &fetch(n + 1)),

@@ -11,6 +11,9 @@ use dp_euclid::prelude::*;
 use dp_server::{Client, ClientError, Endpoint, Server};
 use std::path::PathBuf;
 
+mod common;
+use common::ShutdownOnPanic;
+
 fn spec(d: usize) -> SketcherSpec {
     let config = SketchConfig::builder()
         .input_dim(d)
@@ -70,6 +73,7 @@ fn socket_answers_are_bit_identical_to_the_engine() {
             .expect("bind");
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| server.serve(2));
+            let _guard = ShutdownOnPanic::new(&[&endpoint]);
 
             let mut client = Client::connect(&endpoint).expect("connect");
 
@@ -179,6 +183,7 @@ fn ingest_before_hello_adopts_and_serves() {
         Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         for r in &rs {
             client.ingest(r).expect("ingest");
@@ -205,6 +210,7 @@ fn shutdown_unblocks_every_worker() {
         Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(7));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let client = Client::connect(&endpoint).expect("connect");
         client.shutdown().expect("shutdown");
         handle.join().expect("all 7 workers unblocked and joined");
@@ -224,6 +230,7 @@ fn malformed_frames_get_error_responses_not_hangups() {
         Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         // A garbage payload (not a v3 frame at all).
         let garbage = b"this is not a protocol frame".to_vec();
@@ -268,6 +275,7 @@ fn wire_sized_ranked_reads_answer_every_candidate() {
         Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
         let mut client = Client::connect(&endpoint).expect("connect");
         client.hello(&spec).expect("hello");
         for r in &rs {
