@@ -8,12 +8,21 @@
 //!   i.i.d. Gaussian matvec), sweeping kernel version × batch size and
 //!   comparing against the pre-PR per-row `apply_into` baseline. This
 //!   is where the ns/element gate lives.
-//! * **sketcher** — end-to-end `AnySketcher::sketch_batch` (projection
-//!   plus per-row noise) for each construction × kernel × batch size,
-//!   so the ingest-path cost model stays visible even though noise
-//!   sampling dilutes the kernel-only speedup.
+//! * **sketcher** — end-to-end releases (projection plus noise) for
+//!   each construction × kernel: per-row `AnySketcher::sketch` (batch
+//!   0; the call a party makes), timed after warm-up, and
+//!   `sketch_batch` at each batch size, so the ingest-path cost model
+//!   stays visible even though noise sampling dilutes the kernel-only
+//!   speedup. **sketcher-first** records the first `sketch` of a
+//!   freshly built sketcher (median over fresh builds), which pays any
+//!   one-off set-up such as resolving the SJLT's column table.
+//!
+//! Every result carries `us_per_row` (`ns_per_element · d / 1000`).
 //!
 //! Usage: `bench_sketch [--quick] [--out <path>]`
+//!
+//! The run exits 1 when a per-row `sketch` differs from the same row of
+//! `sketch_batch` in any bit, for any construction × kernel.
 //!
 //! The acceptance gate follows the bench_pairwise convention: on hosts
 //! whose runtime-detected V2 backend is AVX2+FMA, the V2 batch apply
@@ -30,17 +39,19 @@ use dp_core::json::JsonValue;
 use dp_core::kenthapadi::SigmaCalibration;
 use dp_core::kernel::{self, BatchProjection};
 use dp_core::sketcher::{Construction, SketcherSpec};
-use dp_core::{KernelId, PrivateSketcher};
+use dp_core::{wire, KernelId, NoisySketch, PrivateSketcher};
 use dp_hashing::Seed;
 use dp_transforms::achlioptas::Achlioptas;
 use dp_transforms::gaussian_iid::GaussianIid;
 use dp_transforms::sjlt::Sjlt;
+use std::time::Instant;
 
 struct Measurement {
     section: &'static str,
     construction: String,
     kernel: KernelId,
-    /// 0 encodes the per-row baseline (one `apply_into` per vector).
+    /// 0 encodes the per-row baseline (one `apply_into` or one `sketch`
+    /// per vector).
     batch: usize,
     ns_per_element: f64,
 }
@@ -163,7 +174,7 @@ fn main() {
         }
     }
 
-    // -- Section 2: end-to-end sketch_batch per construction -----------
+    // -- Section 2: end-to-end sketching per construction --------------
     let cfg = SketchConfig::builder()
         .input_dim(d)
         .alpha(0.3)
@@ -178,16 +189,75 @@ fn main() {
         Construction::Kenthapadi(SigmaCalibration::ExactSensitivity),
         Construction::FjltOutput,
     ];
+    let noise = Seed::new(99);
+    let encoded = |sketches: &[NoisySketch]| -> Vec<Vec<u8>> {
+        sketches
+            .iter()
+            .map(|s| wire::encode_sketch(s).expect("encode"))
+            .collect()
+    };
+    let mut mismatches: Vec<String> = Vec::new();
     for &c in &constructions {
         for &kid in &kernels {
-            let sk = SketcherSpec::new(c, cfg.clone(), Seed::new(7))
-                .with_kernel(kid)
-                .build()
-                .expect("sketcher");
+            let spec = SketcherSpec::new(c, cfg.clone(), Seed::new(7)).with_kernel(kid);
+            let mut firsts: Vec<f64> = (0..iters * 2 + 1)
+                .map(|_| {
+                    let sk = spec.build().expect("sketcher");
+                    let t0 = Instant::now();
+                    let _ = sk.sketch(&rows[0], noise).expect("sketch");
+                    t0.elapsed().as_nanos() as f64
+                })
+                .collect();
+            firsts.sort_by(f64::total_cmp);
+            let first = firsts[firsts.len() / 2] / d as f64;
+            measurements.push(Measurement {
+                section: "sketcher-first",
+                construction: c.name().to_string(),
+                kernel: kid,
+                batch: 0,
+                ns_per_element: first,
+            });
+            println!(
+                "sketcher  {:14} {:9} first      {:7.2} us/sketch",
+                c.name(),
+                kid.name(),
+                first * d as f64 / 1e3
+            );
+
+            let sk = spec.build().expect("sketcher");
+            let per_row: Vec<NoisySketch> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, x)| sk.sketch(x, noise.index(i as u64)))
+                .collect::<Result<_, _>>()
+                .expect("sketch");
+            let batched = sk.sketch_batch(&rows, noise).expect("batch");
+            if encoded(&per_row) != encoded(&batched) {
+                mismatches.push(format!("{}/{}", c.name(), kid.name()));
+            }
+            let t = time_per_op(iters, || {
+                for (i, x) in rows.iter().enumerate() {
+                    let _ = sk.sketch(x, noise.index(i as u64)).expect("sketch");
+                }
+            });
+            let ns = t / (n * d) as f64;
+            measurements.push(Measurement {
+                section: "sketcher",
+                construction: c.name().to_string(),
+                kernel: kid,
+                batch: 0,
+                ns_per_element: ns,
+            });
+            println!(
+                "sketcher  {:14} {:9} per-row    {ns:7.2} ns/element  ({:7.2} us/sketch)",
+                c.name(),
+                kid.name(),
+                ns * d as f64 / 1e3
+            );
             for &b in batches {
                 let t = time_per_op(iters, || {
                     for chunk in rows.chunks(b) {
-                        let _ = sk.sketch_batch(chunk, Seed::new(99)).expect("batch");
+                        let _ = sk.sketch_batch(chunk, noise).expect("batch");
                     }
                 });
                 let ns = t / (n * d) as f64;
@@ -227,6 +297,17 @@ fn main() {
         "fail".to_string()
     };
 
+    let bits_check = if mismatches.is_empty() {
+        println!("CHECK [PASS] per-row sketch is bit-identical to sketch_batch");
+        "pass".to_string()
+    } else {
+        println!(
+            "CHECK [FAIL] per-row sketch is bit-identical to sketch_batch ({})",
+            mismatches.join(", ")
+        );
+        format!("fail ({})", mismatches.join(", "))
+    };
+
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
@@ -242,6 +323,10 @@ fn main() {
         (
             "gate_check".to_string(),
             JsonValue::String(gate_check.clone()),
+        ),
+        (
+            "sketch_bit_identity".to_string(),
+            JsonValue::String(bits_check),
         ),
         (
             "gate_ns_per_element_ratio_v2_batch_over_v1_per_row".to_string(),
@@ -280,6 +365,10 @@ fn main() {
                                 "ns_per_element".to_string(),
                                 JsonValue::Number(m.ns_per_element),
                             ),
+                            (
+                                "us_per_row".to_string(),
+                                JsonValue::Number(m.ns_per_element * d as f64 / 1e3),
+                            ),
                         ])
                     })
                     .collect(),
@@ -289,7 +378,7 @@ fn main() {
     std::fs::write(out_path, json.to_string() + "\n").expect("write BENCH_sketch.json");
     println!("wrote {out_path}");
 
-    if gate_check == "fail" {
+    if gate_check == "fail" || !mismatches.is_empty() {
         std::process::exit(1);
     }
 }

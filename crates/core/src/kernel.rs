@@ -71,7 +71,7 @@
 //!   pinned by the frozen [`v1_apply_batch_reference`] below. The
 //!   batch-aware `apply_batch_into` overrides in `dp-transforms` are
 //!   *cache* optimizations (row-blocked dense passes, SJLT columns
-//!   resolved once per batch) that keep each row's accumulation order
+//!   resolved once per transform) that keep each row's accumulation order
 //!   verbatim, so V1 batch output is bit-identical to V1 per-row
 //!   output.
 //! * **V2** — the PR 7 recipe applied to projections: dense rows go

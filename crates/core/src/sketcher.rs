@@ -593,10 +593,16 @@ impl AnySketcher {
     /// SJLT/Achlioptas, explicit dense matrix for Kenthapadi. `None`
     /// for the FJLT constructions — the in-place FWHT has no kernel
     /// variant, so both kernels produce its historic bits via the
-    /// per-row path.
+    /// per-row path. Every caller projects dense rows, so the SJLT's
+    /// column table is resolved here (once per transform) and the V2
+    /// column scatter reads it instead of hashing.
     fn batch_projection(&self) -> Option<kernel::BatchProjection<'_>> {
         match &self.inner {
-            Inner::Sjlt(s) => Some(kernel::BatchProjection::Columns(s.general().transform())),
+            Inner::Sjlt(s) => {
+                let t = s.general().transform();
+                t.resolve_columns();
+                Some(kernel::BatchProjection::Columns(t))
+            }
             Inner::Achlioptas(a) => Some(kernel::BatchProjection::Columns(a.general().transform())),
             Inner::Kenthapadi(kt) => {
                 let t = kt.general().transform();

@@ -5,6 +5,14 @@
 //! [`StreamingColumns::column_nnz`] rows — `s` for the SJLT versus `k`
 //! for dense transforms. Noise is added **at release time only**; the
 //! running projection is private state of the data owner.
+//!
+//! A stream built by [`StreamingSketcher::streaming_sketch`] holds a
+//! clone of the sketcher's transform. For the SJLT, clones share one
+//! lazily resolved column table: an update hashes its column's `s`
+//! entries (`O(t·s)` work, nothing stored) until a dense application
+//! through the sketcher or any other clone has resolved the table, and
+//! reads the table after that. Updates never resolve it themselves, and
+//! both sources give the same bits.
 
 use dp_core::error::CoreError;
 use dp_core::sketcher::{AnySketcher, PrivateSketcher};

@@ -15,12 +15,66 @@
 //! `∆₁ = s·(1/√s) = √s` and `∆₂ = √(s·(1/s)) = 1` — no initialization
 //! scan. Application costs `O(s·‖x‖₀ + k)` and a turnstile update touches
 //! `s` rows (Theorem 3, items 4–5).
+//!
+//! # Cost model
+//!
+//! Each entry comes from a degree-`t` polynomial hash plus a sign hash,
+//! tens of multiplications apiece, so a transform resolves its columns
+//! once. The first dense application (`apply_into`, `apply_batch_into`,
+//! or [`Sjlt::resolve_columns`], which dp-core calls before its batch
+//! kernels) hashes all `d·s` entries into a column table, `Θ(d·s·t)`
+//! work, and every later sketch costs `O(s·‖x‖₀ + k)` table reads.
+//! Clones share the table, including clones made before it was
+//! resolved. A sparse application or a turnstile update before any
+//! dense pass hashes its `s` entries per column, so the sparse and
+//! streaming paths keep their Theorem 3 costs and `O(t·s)` state until
+//! a dense pass has run. A resolved table holds `d·s` entries of 4
+//! bytes (the Achlioptas transform stores about `d·k/3`).
 
 use crate::error::TransformError;
 use crate::params::JlParams;
 use crate::traits::{check_batch, check_input, LinearTransform, StreamingColumns};
 use dp_hashing::{KWiseFamily, PolyHash, Seed, SignHash};
 use dp_linalg::SparseVector;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Bit 31 of a table entry: set when the entry's sign is negative. The
+/// low 31 bits hold the row, so `k` is capped at 2³¹.
+const SIGN_BIT: u32 = 1 << 31;
+
+/// A table entry's row.
+#[inline]
+fn row_of(e: u32) -> usize {
+    (e & !SIGN_BIT) as usize
+}
+
+/// A table entry's sign: 0 for `+1/√s`, 1 for `−1/√s`.
+#[inline]
+fn sign_of(e: u32) -> usize {
+    usize::from(e & SIGN_BIT != 0)
+}
+
+/// The resolved column structure, shared by every clone of a transform:
+/// `d·s` entries in `(j asc, r asc)` order, each the row of
+/// `entry_hashed(r, j)` with its sign in [`SIGN_BIT`].
+#[derive(Clone, Default)]
+struct ColumnTable(Arc<OnceLock<Box<[u32]>>>);
+
+impl ColumnTable {
+    /// The table, if some clone has resolved it.
+    fn get(&self) -> Option<&[u32]> {
+        self.0.get().map(|t| &t[..])
+    }
+}
+
+impl fmt::Debug for ColumnTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnTable")
+            .field("entries", &self.get().map(<[u32]>::len))
+            .finish()
+    }
+}
 
 /// The SJLT block construction with seed-reconstructible hash functions.
 #[derive(Debug, Clone)]
@@ -33,19 +87,18 @@ pub struct Sjlt {
     hashes: Vec<PolyHash>,
     signs: Vec<SignHash>,
     seed: Seed,
-    /// Optional precomputed column structure (`d*s` entries, column-major
-    /// `(row, value)`): trades `O(d*s)` memory for hash-free application.
-    /// The degree-`t` polynomial hashes cost tens of multiplications per
-    /// entry, so caching pays whenever the same transform is applied to
-    /// many vectors (the common batch case).
-    cache: Option<Box<[(u32, f64)]>>,
+    /// `1/√s`, the magnitude of every entry.
+    scale: f64,
+    columns: ColumnTable,
 }
 
 impl Sjlt {
     /// Build a `k × d` SJLT with sparsity `s` and hash independence `t`.
+    /// Nothing is hashed until the first application.
     ///
     /// # Errors
-    /// * [`TransformError::InvalidDimensions`] if `d` or `k` is zero;
+    /// * [`TransformError::InvalidDimensions`] if `d` or `k` is zero, or
+    ///   `k > 2³¹`;
     /// * [`TransformError::InvalidSparsity`] unless `1 ≤ s ≤ k` and `s | k`.
     pub fn new(
         d: usize,
@@ -54,7 +107,7 @@ impl Sjlt {
         independence: usize,
         seed: Seed,
     ) -> Result<Self, TransformError> {
-        if d == 0 || k == 0 {
+        if d == 0 || k == 0 || k > SIGN_BIT as usize {
             return Err(TransformError::InvalidDimensions { d, k });
         }
         if s == 0 || s > k || !k.is_multiple_of(s) {
@@ -71,46 +124,34 @@ impl Sjlt {
             hashes,
             signs,
             seed,
-            cache: None,
+            scale: 1.0 / (s as f64).sqrt(),
+            columns: ColumnTable::default(),
         })
     }
 
-    /// Build like [`Sjlt::new`] and precompute the column cache
-    /// (`O(d·s)` time and memory), eliminating per-application hashing.
-    ///
-    /// # Errors
-    /// Same as [`Sjlt::new`].
-    pub fn new_cached(
-        d: usize,
-        k: usize,
-        s: usize,
-        independence: usize,
-        seed: Seed,
-    ) -> Result<Self, TransformError> {
-        let mut t = Self::new(d, k, s, independence, seed)?;
-        t.precompute_columns();
-        Ok(t)
+    /// Resolve the column table if no clone has yet: `d·s` hash
+    /// evaluations once per transform, after which every application
+    /// reads the table. Dense applications call this themselves; a
+    /// caller that projects dense rows through
+    /// [`StreamingColumns::for_column`], which only reads a table that
+    /// exists, calls it first.
+    pub fn resolve_columns(&self) {
+        self.table();
     }
 
-    /// Precompute and store the column structure (idempotent).
-    pub fn precompute_columns(&mut self) {
-        if self.cache.is_some() {
-            return;
-        }
-        let mut cache = Vec::with_capacity(self.d * self.s);
-        for j in 0..self.d {
-            for r in 0..self.s {
-                let (row, v) = self.entry_hashed(r, j);
-                cache.push((u32::try_from(row).expect("k fits u32"), v));
+    /// The column table, resolved on first use.
+    fn table(&self) -> &[u32] {
+        self.columns.0.get_or_init(|| {
+            let mut table = Vec::with_capacity(self.d * self.s);
+            for j in 0..self.d {
+                for r in 0..self.s {
+                    let (row, v) = self.entry_hashed(r, j);
+                    let row = u32::try_from(row).expect("k <= 2^31 is checked at construction");
+                    table.push(if v < 0.0 { row | SIGN_BIT } else { row });
+                }
             }
-        }
-        self.cache = Some(cache.into_boxed_slice());
-    }
-
-    /// Whether the column cache is active.
-    #[must_use]
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
+            table.into_boxed_slice()
+        })
     }
 
     /// Build from JL parameters: `k = k_for_sjlt(α, β)`, `s = s(α, β)`,
@@ -149,15 +190,39 @@ impl Sjlt {
         (r * self.block + i, sign / (self.s as f64).sqrt())
     }
 
-    /// The row index and signed value of block `r`'s entry in column `j`
-    /// (cache-aware).
+    /// Decode one table entry. IEEE division is sign-symmetric, so
+    /// `±scale` is exactly the `±1/√s` that `entry_hashed` computes.
     #[inline]
-    fn entry(&self, r: usize, j: usize) -> (usize, f64) {
-        if let Some(cache) = &self.cache {
-            let (row, v) = cache[j * self.s + r];
-            (row as usize, v)
-        } else {
-            self.entry_hashed(r, j)
+    fn entry_of(&self, e: u32) -> (usize, f64) {
+        (row_of(e), [self.scale, -self.scale][sign_of(e)])
+    }
+
+    /// `w·v` for both values an entry can hold, indexed by
+    /// [`sign_of`]: the multiplication a scatter would make per entry,
+    /// on the same operands, so hoisting it out of a column moves no
+    /// bit.
+    #[inline]
+    fn products(&self, w: f64) -> [f64; 2] {
+        [w * self.scale, w * -self.scale]
+    }
+
+    /// Column `j`'s `s` entries in block order: from the table when one
+    /// has been resolved, hashed otherwise. Fetch `table` once per call.
+    #[inline]
+    fn visit_column(&self, table: Option<&[u32]>, j: usize, mut visit: impl FnMut(usize, f64)) {
+        match table {
+            Some(t) => {
+                for &e in &t[j * self.s..(j + 1) * self.s] {
+                    let (row, v) = self.entry_of(e);
+                    visit(row, v);
+                }
+            }
+            None => {
+                for r in 0..self.s {
+                    let (row, v) = self.entry_hashed(r, j);
+                    visit(row, v);
+                }
+            }
         }
     }
 }
@@ -174,11 +239,11 @@ impl LinearTransform for Sjlt {
         check_input(self.d, x.len())?;
         check_input(self.k, out.len())?;
         out.fill(0.0);
-        for (j, &w) in x.iter().enumerate() {
+        for (&w, column) in x.iter().zip(self.table().chunks_exact(self.s)) {
             if w != 0.0 {
-                for r in 0..self.s {
-                    let (row, v) = self.entry(r, j);
-                    out[row] += w * v;
+                let wv = self.products(w);
+                for &e in column {
+                    out[row_of(e)] += wv[sign_of(e)];
                 }
             }
         }
@@ -188,23 +253,17 @@ impl LinearTransform for Sjlt {
     fn apply_batch_into(&self, rows: &[&[f64]], out: &mut [f64]) -> Result<(), TransformError> {
         check_batch(self.d, self.k, rows, out)?;
         out.fill(0.0);
-        // Resolve each column's `s` hashed entries once and scatter them
-        // across the whole batch — one hash evaluation per entry instead
-        // of one per batch row. Per row the contributions still land in
-        // the exact `(j asc, r asc)` order of `apply_into` with the same
-        // `w != 0.0` skip, so every row is bit-identical to the per-row
-        // path.
-        let mut entries = vec![(0usize, 0.0f64); self.s];
-        for j in 0..self.d {
-            for (r, e) in entries.iter_mut().enumerate() {
-                *e = self.entry(r, j);
-            }
-            for (b, x) in rows.iter().enumerate() {
+        // Scatter each column's resolved entries across the whole batch.
+        // Per row the contributions land in the exact `(j asc, r asc)`
+        // order of `apply_into` with the same `w != 0.0` skip, so every
+        // row is bit-identical to the per-row path.
+        for (j, column) in self.table().chunks_exact(self.s).enumerate() {
+            for (x, dst) in rows.iter().zip(out.chunks_exact_mut(self.k)) {
                 let w = x[j];
                 if w != 0.0 {
-                    let dst = &mut out[b * self.k..(b + 1) * self.k];
-                    for &(row, v) in &entries {
-                        dst[row] += w * v;
+                    let wv = self.products(w);
+                    for &e in column {
+                        dst[row_of(e)] += wv[sign_of(e)];
                     }
                 }
             }
@@ -212,15 +271,14 @@ impl LinearTransform for Sjlt {
         Ok(())
     }
 
-    /// The `O(s·‖x‖₀ + k)` sparse path of Theorem 3, item 5.
+    /// The `O(s·‖x‖₀ + k)` sparse path of Theorem 3, item 5. Reads the
+    /// column table if a dense application resolved one; never resolves.
     fn apply_sparse(&self, x: &SparseVector) -> Result<Vec<f64>, TransformError> {
         check_input(self.d, x.dim())?;
         let mut out = vec![0.0; self.k];
+        let table = self.columns.get();
         for (j, w) in x.iter() {
-            for r in 0..self.s {
-                let (row, v) = self.entry(r, j);
-                out[row] += w * v;
-            }
+            self.visit_column(table, j, |row, v| out[row] += w * v);
         }
         Ok(out)
     }
@@ -250,6 +308,8 @@ impl StreamingColumns for Sjlt {
     }
 
     /// Theorem 3, item 4: a turnstile update touches exactly `s` rows.
+    /// Reads the column table if a dense application resolved one;
+    /// never resolves.
     fn for_column(
         &self,
         j: usize,
@@ -261,10 +321,7 @@ impl StreamingColumns for Sjlt {
                 actual: j,
             });
         }
-        for r in 0..self.s {
-            let (row, v) = self.entry(r, j);
-            visit(row, v);
-        }
+        self.visit_column(self.columns.get(), j, visit);
         Ok(())
     }
 }
@@ -397,33 +454,30 @@ mod tests {
 
     #[test]
     fn batch_apply_is_bit_identical_to_per_row() {
-        for t in [
-            small(),
-            Sjlt::new_cached(32, 24, 4, 6, Seed::new(77)).unwrap(),
-        ] {
-            for n in [0usize, 1, 2, 7, 9, 16] {
-                let rows: Vec<Vec<f64>> = (0..n)
-                    .map(|b| {
-                        (0..32)
-                            .map(|i| {
-                                if (i + b) % 3 == 0 {
-                                    0.0
-                                } else {
-                                    ((i * 7 + b * 13) % 11) as f64 / 3.0 - 1.5
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-                let mut out = vec![f64::NAN; n * 24];
-                t.apply_batch_into(&refs, &mut out).unwrap();
-                for (b, x) in rows.iter().enumerate() {
-                    let mut per_row = vec![0.0; 24];
-                    t.apply_into(x, &mut per_row).unwrap();
-                    for (got, want) in out[b * 24..(b + 1) * 24].iter().zip(&per_row) {
-                        assert_eq!(got.to_bits(), want.to_bits());
-                    }
+        for n in [0usize, 1, 2, 7, 9, 16] {
+            // A fresh transform, so the batch is the first dense apply.
+            let t = small();
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|b| {
+                    (0..32)
+                        .map(|i| {
+                            if (i + b) % 3 == 0 {
+                                0.0
+                            } else {
+                                ((i * 7 + b * 13) % 11) as f64 / 3.0 - 1.5
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+            let mut out = vec![f64::NAN; n * 24];
+            t.apply_batch_into(&refs, &mut out).unwrap();
+            for (b, x) in rows.iter().enumerate() {
+                let mut per_row = vec![0.0; 24];
+                t.apply_into(x, &mut per_row).unwrap();
+                for (got, want) in out[b * 24..(b + 1) * 24].iter().zip(&per_row) {
+                    assert_eq!(got.to_bits(), want.to_bits());
                 }
             }
         }
@@ -432,8 +486,10 @@ mod tests {
     #[test]
     fn streaming_materialize_is_bit_identical_to_slow_path() {
         let t = small();
-        let slow = materialize(&t).unwrap();
+        // Streaming first, so `fast` reads hashed entries and `slow`
+        // (dense applies) the resolved table.
         let fast = crate::traits::materialize_streaming(&t).unwrap();
+        let slow = materialize(&t).unwrap();
         for r in 0..slow.rows() {
             for c in 0..slow.cols() {
                 assert_eq!(fast.get(r, c).to_bits(), slow.get(r, c).to_bits());
@@ -469,37 +525,100 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cache_tests {
+mod table_tests {
     use super::*;
-    use dp_linalg::vector::sq_norm;
+    use std::sync::Barrier;
 
-    #[test]
-    fn cached_matches_hashed_exactly() {
-        let plain = Sjlt::new(64, 32, 4, 6, Seed::new(5)).unwrap();
-        let cached = Sjlt::new_cached(64, 32, 4, 6, Seed::new(5)).unwrap();
-        assert!(cached.is_cached());
-        assert!(!plain.is_cached());
-        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.31).cos()).collect();
-        assert_eq!(plain.apply(&x).unwrap(), cached.apply(&x).unwrap());
-        // Streaming columns agree too.
-        for j in [0usize, 13, 63] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            plain.for_column(j, &mut |r, v| a.push((r, v))).unwrap();
-            cached.for_column(j, &mut |r, v| b.push((r, v))).unwrap();
-            assert_eq!(a, b);
-        }
+    fn resolved(t: &Sjlt) -> Option<*const [u32]> {
+        t.columns.get().map(std::ptr::from_ref)
     }
 
     #[test]
-    fn precompute_is_idempotent() {
-        let mut t = Sjlt::new(16, 8, 2, 4, Seed::new(9)).unwrap();
-        t.precompute_columns();
-        let x = vec![1.0; 16];
-        let y1 = t.apply(&x).unwrap();
-        t.precompute_columns();
-        let y2 = t.apply(&x).unwrap();
-        assert_eq!(y1, y2);
-        assert!((sq_norm(&y1) > 0.0));
+    fn table_entries_equal_the_hashed_entries() {
+        for (d, k, s) in [(64, 32, 4), (37, 24, 1), (19, 48, 16), (5, 6, 6)] {
+            let t = Sjlt::new(d, k, s, 6, Seed::new(5)).unwrap();
+            let table = t.table();
+            assert_eq!(table.len(), d * s);
+            for j in 0..d {
+                for r in 0..s {
+                    let (row, v) = t.entry_of(table[j * s + r]);
+                    let (want_row, want_v) = t.entry_hashed(r, j);
+                    assert_eq!(row, want_row, "row of ({r}, {j})");
+                    assert_eq!(v.to_bits(), want_v.to_bits(), "value of ({r}, {j})");
+                }
+            }
+        }
+        assert!(Sjlt::new(4, (1 << 31) + 2, 2, 4, Seed::new(1)).is_err());
+    }
+
+    #[test]
+    fn only_a_dense_apply_resolves_and_clones_share_the_table() {
+        let t = Sjlt::new(64, 32, 4, 6, Seed::new(5)).unwrap();
+        let early_clone = t.clone();
+        assert_eq!(resolved(&t), None, "new resolves nothing");
+        let sparse = SparseVector::from_dense(&[1.5; 64]);
+        let hashed = t.apply_sparse(&sparse).unwrap();
+        t.for_column(13, &mut |_, _| {}).unwrap();
+        assert_eq!(resolved(&t), None, "sparse and streaming use hash");
+        assert!(format!("{t:?}").contains("entries: None"));
+
+        let x: Vec<f64> = (0..64).map(|i| (f64::from(i) * 0.31).cos()).collect();
+        let first = t.apply(&x).unwrap();
+        let table = resolved(&t).expect("the first dense apply resolves");
+        assert_eq!(
+            resolved(&early_clone),
+            Some(table),
+            "an earlier clone shares it"
+        );
+        assert_eq!(resolved(&t.clone()), Some(table), "a later clone shares it");
+        assert!(format!("{t:?}").contains("entries: Some(256)"));
+
+        // Later applies reuse the one table and keep the hashed bits.
+        let mut batch = vec![0.0; 32];
+        t.apply_batch_into(&[&x], &mut batch).unwrap();
+        t.resolve_columns();
+        assert_eq!(resolved(&t), Some(table));
+        assert_eq!(first, batch);
+        assert_eq!(t.apply_sparse(&sparse).unwrap(), hashed);
+
+        let fresh = Sjlt::new(64, 32, 4, 6, Seed::new(5)).unwrap();
+        fresh.apply_batch_into(&[&x], &mut batch).unwrap();
+        assert!(resolved(&fresh).is_some(), "a batch apply resolves too");
+        assert_eq!(first, batch);
+    }
+
+    #[test]
+    fn racing_first_applies_match_a_sequential_apply() {
+        let (d, k) = (300, 64);
+        let rows: Vec<Vec<f64>> = (0..4)
+            .map(|b| {
+                (0..d)
+                    .map(|i| ((i * 13 + b * 7) % 17) as f64 - 8.0)
+                    .collect()
+            })
+            .collect();
+        let shared = Sjlt::new(d, k, 8, 6, Seed::new(31)).unwrap();
+        let barrier = Barrier::new(rows.len());
+        let outputs: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = rows
+                .iter()
+                .map(|x| {
+                    let (t, barrier) = (&shared, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        t.apply(x).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (x, got) in rows.iter().zip(&outputs) {
+            let want = Sjlt::new(d, k, 8, 6, Seed::new(31))
+                .unwrap()
+                .apply(x)
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want));
+        }
     }
 }
