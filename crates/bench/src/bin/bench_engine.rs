@@ -17,10 +17,15 @@
 //! `top_pairs(100)` over the warm matrix memo and `knn(10)`, each
 //! versus scoring every candidate, stable-sorting and truncating.
 //!
+//! And one **k-NN scan** record on a 5,120-row store (`online_point`'s
+//! store mid-run): `knn(10)` in µs and ns per scored pair under a V1
+//! and a V2 engine, and their V1/V2 ratio. The ratio is recorded, not
+//! gated: timing ratios on a small shared host are noisy.
+//!
 //! Every engine answer is verified bit-identical to the slice path
 //! (pairs, under the engine's kernel) or to the stable-sort reference
-//! (ranked reads) before timing; any mismatch exits 1. Writes
-//! machine-readable `BENCH_engine.json`.
+//! (ranked reads and both k-NN scans) before timing; any mismatch
+//! exits 1. Writes machine-readable `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
@@ -30,6 +35,7 @@ use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
 use dp_core::release::Release;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
+use dp_core::KernelId;
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
 
@@ -39,6 +45,8 @@ const RANKED_ROWS: usize = 2048;
 const TOP_T: usize = 100;
 /// Neighbours per `knn` read, as `online_point` asks.
 const KNN_K: usize = 10;
+/// Rows in the k-NN scan store: `online_point`'s store mid-run.
+const SCAN_ROWS: usize = 5120;
 
 struct Measurement {
     rows: usize,
@@ -75,7 +83,9 @@ fn main() {
     let row_counts: &[usize] = if quick { &[64] } else { &[64, 256] };
     // One extra row beyond the largest sweep: the incremental bench
     // grows each store by one release.
-    let max_rows = (*row_counts.iter().max().expect("nonempty") + 1).max(RANKED_ROWS);
+    let max_rows = (*row_counts.iter().max().expect("nonempty") + 1)
+        .max(RANKED_ROWS)
+        .max(SCAN_ROWS);
     let rows: Vec<Vec<f64>> = (0..max_rows)
         .map(|r| gaussian_vec(d, Seed::new(1000 + r as u64)))
         .collect();
@@ -213,6 +223,23 @@ fn main() {
     );
     all_identical &= ranked.identical;
 
+    let scan = knn_scan(&releases[..SCAN_ROWS], quick);
+    let v1_over_v2 = scan.v1.us_knn / scan.v2.us_knn;
+    for (name, lane) in [("V1", &scan.v1), ("V2", &scan.v2)] {
+        println!(
+            "n = {SCAN_ROWS}  knn({KNN_K}) {name}: {:7.1} us ({:5.1} ns/pair)",
+            lane.us_knn, lane.ns_per_pair
+        );
+    }
+    println!(
+        "knn({KNN_K}) V1/V2 at {SCAN_ROWS} rows: {v1_over_v2:.2}x (target <= 1.2x; recorded, not gated)"
+    );
+    println!(
+        "CHECK [{}] k-NN scans under V1 and V2 bit-identical to the stable-sort reference",
+        if scan.identical { "PASS" } else { "FAIL" }
+    );
+    all_identical &= scan.identical;
+
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
@@ -244,6 +271,24 @@ fn main() {
                     "us_knn_sort".to_string(),
                     JsonValue::Number(ranked.us_knn_sort),
                 ),
+            ]),
+        ),
+        (
+            "knn_scan".to_string(),
+            JsonValue::Object(vec![
+                ("rows".to_string(), JsonValue::UInt(SCAN_ROWS as u64)),
+                ("k".to_string(), JsonValue::UInt(KNN_K as u64)),
+                ("us_knn_v1".to_string(), JsonValue::Number(scan.v1.us_knn)),
+                (
+                    "ns_per_pair_v1".to_string(),
+                    JsonValue::Number(scan.v1.ns_per_pair),
+                ),
+                ("us_knn_v2".to_string(), JsonValue::Number(scan.v2.us_knn)),
+                (
+                    "ns_per_pair_v2".to_string(),
+                    JsonValue::Number(scan.v2.ns_per_pair),
+                ),
+                ("v1_over_v2".to_string(), JsonValue::Number(v1_over_v2)),
             ]),
         ),
         (
@@ -322,32 +367,7 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
         pairs.truncate(TOP_T);
         pairs
     };
-    let knn_reference = |q: usize| {
-        let query = &releases[q];
-        let mut scored: Vec<(u64, f64)> = releases
-            .iter()
-            .filter(|c| c.party_id != query.party_id)
-            .map(|c| {
-                let d = query
-                    .sketch
-                    .estimate_sq_distance_with(&c.sketch, kernel)
-                    .expect("estimate");
-                (c.party_id, d)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
-        scored.truncate(KNN_K);
-        scored
-    };
-    let knn = |engine: &QueryEngine, q: usize| -> Vec<(u64, f64)> {
-        engine
-            .knn(q as u64, KNN_K)
-            .expect("knn")
-            .into_iter()
-            .map(|nb| (nb.party_id, nb.estimated_sq_distance))
-            .collect()
-    };
-    let queries: Vec<usize> = (0..16).map(|q| (q * 131 + 7) % n).collect();
+    let queries = knn_queries(n);
 
     let top = engine.top_pairs(TOP_T);
     let mut identical = top.len() == TOP_T.min(n * (n - 1) / 2)
@@ -355,15 +375,7 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
             .iter()
             .zip(top_pairs_reference())
             .all(|(a, b)| (a.0, a.1, a.2.to_bits()) == (b.0, b.1, b.2.to_bits()));
-    for &q in &queries {
-        let got = knn(&engine, q);
-        let want = knn_reference(q);
-        identical &= got.len() == want.len()
-            && got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| (a.0, a.1.to_bits()) == (b.0, b.1.to_bits()));
-    }
+    identical &= knn_matches_reference(&engine, releases, &queries);
 
     let iters = if quick { 2 } else { 5 };
     let ns_top_pairs = time_per_op(iters, || {
@@ -379,7 +391,7 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
     }) / queries.len() as f64;
     let ns_knn_sort = time_per_op(iters, || {
         for &q in &queries {
-            std::hint::black_box(knn_reference(q));
+            std::hint::black_box(knn_reference(releases, q, kernel));
         }
     }) / queries.len() as f64;
     RankedReads {
@@ -389,4 +401,96 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
         us_knn: ns_knn / 1e3,
         us_knn_sort: ns_knn_sort / 1e3,
     }
+}
+
+/// The query rows every k-NN read in this bench asks about.
+fn knn_queries(n: usize) -> Vec<usize> {
+    (0..16).map(|q| (q * 131 + 7) % n).collect()
+}
+
+/// `knn(KNN_K)` of row `q`'s party (party id = row) as `(id, estimate)`.
+fn knn(engine: &QueryEngine, q: usize) -> Vec<(u64, f64)> {
+    engine
+        .knn(q as u64, KNN_K)
+        .expect("knn")
+        .into_iter()
+        .map(|nb| (nb.party_id, nb.estimated_sq_distance))
+        .collect()
+}
+
+/// The k-NN reference: every other release scored with
+/// `estimate_sq_distance_with` under `kernel`, stable-sorted and
+/// truncated to `KNN_K`.
+fn knn_reference(releases: &[Release], q: usize, kernel: KernelId) -> Vec<(u64, f64)> {
+    let query = &releases[q];
+    let mut scored: Vec<(u64, f64)> = releases
+        .iter()
+        .filter(|c| c.party_id != query.party_id)
+        .map(|c| {
+            let d = query
+                .sketch
+                .estimate_sq_distance_with(&c.sketch, kernel)
+                .expect("estimate");
+            (c.party_id, d)
+        })
+        .collect();
+    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
+    scored.truncate(KNN_K);
+    scored
+}
+
+/// Whether the engine's `knn` answers every query with the reference's
+/// ids and estimate bits, under the engine's kernel.
+fn knn_matches_reference(engine: &QueryEngine, releases: &[Release], queries: &[usize]) -> bool {
+    let kernel = engine.parallelism().kernel();
+    queries.iter().all(|&q| {
+        let got = knn(engine, q);
+        let want = knn_reference(releases, q, kernel);
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| (a.0, a.1.to_bits()) == (b.0, b.1.to_bits()))
+    })
+}
+
+struct ScanLane {
+    us_knn: f64,
+    ns_per_pair: f64,
+}
+
+struct KnnScan {
+    identical: bool,
+    v1: ScanLane,
+    v2: ScanLane,
+}
+
+/// Time `knn(KNN_K)` on a store of `releases` (party id = row) under a
+/// V1 and a V2 engine, each checked bit-identical to the reference
+/// first. A query scores `n − 1` pairs.
+fn knn_scan(releases: &[Release], quick: bool) -> KnnScan {
+    let n = releases.len();
+    let queries = knn_queries(n);
+    let iters = if quick { 2 } else { 10 };
+    let mut identical = true;
+    let mut lane = |kernel: KernelId| {
+        let engine = QueryEngine::new(SketchStore::adopting());
+        let par = engine.parallelism().with_kernel(kernel);
+        let mut engine = engine.with_parallelism(par);
+        for r in releases {
+            engine.ingest(r).expect("ingest");
+        }
+        identical &= knn_matches_reference(&engine, releases, &queries);
+        let ns_knn = time_per_op(iters, || {
+            for &q in &queries {
+                std::hint::black_box(knn(&engine, q));
+            }
+        }) / queries.len() as f64;
+        ScanLane {
+            us_knn: ns_knn / 1e3,
+            ns_per_pair: ns_knn / (n - 1) as f64,
+        }
+    };
+    let (v1, v2) = (lane(KernelId::V1Scalar), lane(KernelId::V2Simd));
+    KnnScan { identical, v1, v2 }
 }

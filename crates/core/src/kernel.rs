@@ -1,5 +1,5 @@
-//! The versioned per-pair distance accumulator, and its eight-pair
-//! group form for all-pairs tiles.
+//! The versioned per-pair distance accumulator, its eight-pair group
+//! form for all-pairs tiles, and its eight-row run form for k-NN scans.
 //!
 //! Every pairwise estimate in the workspace reduces to one expression:
 //! the squared Euclidean distance between two sketch-value slices,
@@ -58,6 +58,20 @@
 //! On `x86_64` an AVX2 (V1) or AVX2+FMA (V2) compilation of the same
 //! bodies is chosen once per process by CPU detection, as for
 //! [`v2_simd`]; the tests compare both against the per-pair sums.
+//!
+//! ## The run kernel
+//!
+//! A k-NN scan scores one query row against every stored row, and the
+//! store keeps its rows back to back in runs. [`sq_distance_run`] reads
+//! such a run in place (no interleaving copy) and writes one raw sum
+//! per row, again bit-identical to [`sq_distance`] of each pair. Under
+//! V1 it scores [`RUN_BLOCK`] = 8 rows per pass: each lane keeps one
+//! unfused accumulator started at −0.0 and adds `(q_e − row_r[e])²` in
+//! element order. The safe generic block body is the definition; on
+//! `x86_64` with AVX2 (detected once per process) the block runs in
+//! registers through 4 × 4 transposes, multiplies and adds unfused, and
+//! prefetches the next block. A ragged last block runs per pair, and so
+//! does every V2 row.
 //!
 //! ## The sketching path
 //!
@@ -358,6 +372,164 @@ unsafe fn v1_group_avx2(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
 // makes this an unsafe fn.
 unsafe fn v2_group_avx2(a: &[f64], group: &[f64]) -> [f64; GROUP_WIDTH] {
     v2_group(a, group)
+}
+
+// ---------------------------------------------------------------------------
+// The run kernel: one query row against stored rows read in place.
+// ---------------------------------------------------------------------------
+
+/// Stored rows per pass of the V1 run kernel; a store whose row runs
+/// are multiples of this never takes the per-pair path.
+pub const RUN_BLOCK: usize = 8;
+
+/// The raw sums `Σ (q_e − row_r[e])²` of `query` against the `rows`
+/// stored rows laid out back to back in `run` (row `r` is
+/// `run[r·k..(r + 1)·k]`, `k = query.len()`), written to `out[r]` for
+/// `r < rows`. `out[r]` is bit-identical to [`sq_distance`]`(id, query,
+/// row r)`.
+///
+/// V1 scores [`RUN_BLOCK`] rows per pass, reading them in place: each
+/// lane keeps one unfused accumulator started at −0.0 and adds its
+/// terms in element order, [`v1_scalar`]'s expression, so eight
+/// independent add chains replace one. On `x86_64` an AVX2 build of the
+/// block is chosen once per process by CPU detection. A ragged last
+/// block, and every V2 row, runs per pair.
+///
+/// # Panics
+/// If `run.len() != rows · query.len()` or `out.len() < rows`.
+pub fn sq_distance_run(id: KernelId, query: &[f64], run: &[f64], rows: usize, out: &mut [f64]) {
+    let k = query.len();
+    assert_eq!(
+        rows.checked_mul(k),
+        Some(run.len()),
+        "a run of {rows} rows of {k} values"
+    );
+    let out = &mut out[..rows];
+    match id {
+        #[cfg(target_arch = "x86_64")]
+        KernelId::V1Scalar if avx2_available() => v1_run(query, run, out, |query, block, next| {
+            // SAFETY: AVX2 presence was verified at runtime.
+            unsafe { v1_block_avx2(query, block, next) }
+        }),
+        KernelId::V1Scalar => v1_run(query, run, out, |query, block, _| v1_block(query, block)),
+        KernelId::V2Simd => {
+            for (r, sum) in out.iter_mut().enumerate() {
+                *sum = v2_simd(query, &run[r * k..(r + 1) * k]);
+            }
+        }
+    }
+}
+
+/// The V1 run: each whole block of `run` through `block` (given the
+/// query, the block and the next whole block to prefetch, or an empty
+/// slice), the ragged rest per pair. `out.len()` is the row count.
+fn v1_run(
+    query: &[f64],
+    run: &[f64],
+    out: &mut [f64],
+    block: impl Fn(&[f64], &[f64], &[f64]) -> [f64; RUN_BLOCK],
+) {
+    let k = query.len();
+    let (blocks, rest) = out.as_chunks_mut::<RUN_BLOCK>();
+    let count = blocks.len();
+    for (b, sums) in blocks.iter_mut().enumerate() {
+        let (this, next) = run[b * RUN_BLOCK * k..].split_at(RUN_BLOCK * k);
+        *sums = block(query, this, if b + 1 < count { next } else { &[] });
+    }
+    let done = count * RUN_BLOCK;
+    for (r, sum) in rest.iter_mut().enumerate() {
+        *sum = v1_scalar(query, &run[(done + r) * k..(done + r + 1) * k]);
+    }
+}
+
+/// V1 per lane over one block of [`RUN_BLOCK`] rows of `query.len()`
+/// values: lane `r` starts at −0.0 (where `Iterator::sum` starts) and
+/// adds `(q_e − row_r[e])²` in element order. The portable definition
+/// of the run kernel's block.
+fn v1_block(query: &[f64], block: &[f64]) -> [f64; RUN_BLOCK] {
+    let k = query.len();
+    let rows: [&[f64]; RUN_BLOCK] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
+    let mut acc = [-0.0f64; RUN_BLOCK];
+    for (e, &x) in query.iter().enumerate() {
+        for (s, row) in acc.iter_mut().zip(&rows) {
+            let d = x - row[e];
+            *s += d * d;
+        }
+    }
+    acc
+}
+
+/// [`v1_block`] in AVX2 registers. Per four elements `e..e+4`, each row
+/// `r` loads its four values in place and forms `d = q − row_r` and
+/// `d·d` (the scalar lane's correctly rounded `sub` and `mul`); a 4 × 4
+/// transpose (`unpacklo/hi_pd` + `permute2f128_pd`) turns the squares of
+/// rows `0..4`, and of rows `4..8`, into one vector per element, which
+/// `add_pd` folds into that half's lanes in element order. The multiply
+/// and the add are never fused. The `k % 4` tail is added per lane in
+/// scalar code. Each step prefetches four lines of `next` (the following
+/// block, or empty), so the next block is in cache when its turn comes.
+///
+/// # Safety
+/// The CPU must support AVX2. The block shape is asserted, not assumed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must have verified AVX2 support at runtime (the only
+// caller is `sq_distance_run`, gated on `avx2_available`). The assert
+// below pins `block` to `RUN_BLOCK` rows of `k = query.len()` values,
+// so with `e + 4 <= k` every load reads inside `query` and inside row
+// `r < RUN_BLOCK` of `block`; each prefetched line lies inside `next`.
+unsafe fn v1_block_avx2(query: &[f64], block: &[f64], next: &[f64]) -> [f64; RUN_BLOCK] {
+    use core::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
+        _mm256_unpacklo_pd, _mm_prefetch, _MM_HINT_T0,
+    };
+    /// Add the squares of four rows at elements `e..e+4` (one vector
+    /// per row) into the four lanes of `acc`, element `e` first.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_transposed(acc: __m256d, a: __m256d, b: __m256d, c: __m256d, d: __m256d) -> __m256d {
+        let ab_even = _mm256_unpacklo_pd(a, b); // a0 b0 a2 b2
+        let ab_odd = _mm256_unpackhi_pd(a, b); // a1 b1 a3 b3
+        let cd_even = _mm256_unpacklo_pd(c, d); // c0 d0 c2 d2
+        let cd_odd = _mm256_unpackhi_pd(c, d); // c1 d1 c3 d3
+        let acc = _mm256_add_pd(acc, _mm256_permute2f128_pd::<0x20>(ab_even, cd_even));
+        let acc = _mm256_add_pd(acc, _mm256_permute2f128_pd::<0x20>(ab_odd, cd_odd));
+        let acc = _mm256_add_pd(acc, _mm256_permute2f128_pd::<0x31>(ab_even, cd_even));
+        _mm256_add_pd(acc, _mm256_permute2f128_pd::<0x31>(ab_odd, cd_odd))
+    }
+    let k = query.len();
+    assert_eq!(block.len(), RUN_BLOCK * k, "one block of whole rows");
+    let (q, p) = (query.as_ptr(), block.as_ptr());
+    let next_lines = next.len() / 8;
+    let mut lo = _mm256_set1_pd(-0.0);
+    let mut hi = _mm256_set1_pd(-0.0);
+    let mut e = 0;
+    while e + 4 <= k {
+        let qv = _mm256_loadu_pd(q.add(e));
+        let mut squares = [_mm256_setzero_pd(); RUN_BLOCK];
+        for (r, square) in squares.iter_mut().enumerate() {
+            let d = _mm256_sub_pd(qv, _mm256_loadu_pd(p.add(r * k + e)));
+            *square = _mm256_mul_pd(d, d);
+        }
+        let [s0, s1, s2, s3, s4, s5, s6, s7] = squares;
+        lo = add_transposed(lo, s0, s1, s2, s3);
+        hi = add_transposed(hi, s4, s5, s6, s7);
+        for line in e..(e + 4).min(next_lines) {
+            _mm_prefetch::<_MM_HINT_T0>(next.as_ptr().wrapping_add(line * 8).cast());
+        }
+        e += 4;
+    }
+    let mut acc = [0.0f64; RUN_BLOCK];
+    _mm256_storeu_pd(acc.as_mut_ptr(), lo);
+    _mm256_storeu_pd(acc.as_mut_ptr().add(4), hi);
+    for (e, &x) in query.iter().enumerate().skip(e) {
+        for (r, s) in acc.iter_mut().enumerate() {
+            let d = x - block[r * k + e];
+            *s += d * d;
+        }
+    }
+    acc
 }
 
 /// The documented V1-vs-V2 agreement bound: both schemes sum the same
@@ -914,6 +1086,73 @@ mod tests {
             live in 1usize..9,
         ) {
             assert_group_matches_per_pair(seed, k, live);
+        }
+    }
+
+    /// Every lane of the dispatched run kernel, and under V1 of its
+    /// portable body, is bit-identical to the per-pair sum of its row,
+    /// for `rows` stored rows of `k` values read in place; the slot past
+    /// `rows` stays untouched.
+    fn assert_run_matches_per_pair(seed: u64, k: usize, rows: usize) {
+        let (query, stored) = group_inputs(seed, k, rows.max(1));
+        let run = stored[..rows].concat();
+        for id in [KernelId::V1Scalar, KernelId::V2Simd] {
+            let mut dispatched = vec![f64::NAN; rows + 1];
+            sq_distance_run(id, &query, &run, rows, &mut dispatched);
+            assert!(dispatched[rows].is_nan(), "{id:?} wrote past {rows} rows");
+            let mut portable = vec![f64::NAN; rows];
+            match id {
+                KernelId::V1Scalar => {
+                    v1_run(&query, &run, &mut portable, |q, block, _| {
+                        v1_block(q, block)
+                    });
+                }
+                KernelId::V2Simd => portable.copy_from_slice(&dispatched[..rows]),
+            }
+            for (r, row) in stored[..rows].iter().enumerate() {
+                let want = sq_distance(id, &query, row);
+                for (path, got) in [("dispatched", dispatched[r]), ("portable", portable[r])] {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{id:?} {path} k = {k} row {r} of {rows}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_kernel_matches_per_pair_for_every_ragged_block_and_tail() {
+        for rows in 0..=64usize {
+            for k in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 208, 211] {
+                assert_run_matches_per_pair(900 + rows as u64 * 13 + k as u64, k, rows);
+            }
+        }
+        // k = 0 sums nothing, and the row count is taken as given: V1
+        // keeps `Iterator::sum`'s −0.0 in every lane, V2 gives +0.0.
+        let mut out = [f64::NAN; 9];
+        sq_distance_run(KernelId::V1Scalar, &[], &[], 9, &mut out);
+        assert!(
+            out.iter().all(|s| s.to_bits() == (-0.0f64).to_bits()),
+            "{out:?}"
+        );
+        sq_distance_run(KernelId::V2Simd, &[], &[], 9, &mut out);
+        assert!(
+            out.iter().all(|s| s.to_bits() == 0.0f64.to_bits()),
+            "{out:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn run_kernel_is_bit_identical_to_per_pair(
+            seed in 0u64..1_000_000,
+            k in 0usize..300,
+            rows in 0usize..65,
+        ) {
+            assert_run_matches_per_pair(seed, k, rows);
         }
     }
 }

@@ -18,13 +18,12 @@
 //!   solvers that the experiment harness gates against.
 //! * [`config`] — a builder that applies every decision rule in the paper
 //!   end-to-end (k, s, noise choice) from `(d, α, β, ε, δ)`.
-//! * [`repetition`] — extension: median-of-means boosting across `R`
-//!   independent releases with composed privacy accounting.
 //! * [`kernel`] — the versioned per-pair distance accumulator
 //!   ([`KernelId::V1Scalar`] scalar anchor, [`KernelId::V2Simd`]
-//!   AVX2/FMA with a bit-identical portable fallback); results are
-//!   bit-identical within a version, and a fleet negotiates one kernel
-//!   per store.
+//!   AVX2/FMA with a bit-identical portable fallback), with its
+//!   eight-pair group form for tiles and its eight-row run form for
+//!   k-NN scans; results are bit-identical within a version, and a
+//!   fleet negotiates one kernel per store.
 //! * [`sketcher`] — the unified release API: the object-safe
 //!   [`PrivateSketcher`] trait, the [`AnySketcher`] enum over every
 //!   construction, the serializable [`SketcherSpec`] public parameters,
@@ -47,13 +46,11 @@ pub mod error;
 pub mod estimator;
 pub mod fjlt_private;
 pub mod framework;
-pub mod hamming;
 pub mod json;
 pub mod kenthapadi;
 pub mod kernel;
 pub mod protocol;
 pub mod release;
-pub mod repetition;
 pub mod sjlt_private;
 pub mod sketcher;
 pub mod variance;

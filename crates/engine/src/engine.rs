@@ -37,7 +37,8 @@
 use crate::error::EngineError;
 use crate::gather::Gather;
 use crate::memo::PairwiseMemo;
-use crate::store::SketchStore;
+use crate::store::{SketchStore, CHUNK_ROWS};
+use dp_core::kernel::sq_distance_run;
 use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
 use dp_core::PrivateSketcher;
@@ -380,7 +381,10 @@ impl QueryEngine {
     /// sharing the query's party id), ascending by estimate, ties in
     /// ingest order. Estimates use the query row's debias constant,
     /// exactly like the per-query surface this engine replaced. One
-    /// pass over the candidates in O(k) memory ([`select_smallest`]).
+    /// pass over the candidates in O(k) memory ([`select_smallest`]),
+    /// scored in place by the run kernel
+    /// ([`dp_core::kernel::sq_distance_run`], eight stored rows per pass
+    /// under V1), each estimate bit-identical to the per-pair one.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
@@ -395,18 +399,23 @@ impl QueryEngine {
     /// [`QueryEngine::knn`] by row index: every candidate not sharing
     /// the query row's party id, scored with the **query row's** debias
     /// constant, ranked by [`select_smallest`] (ties in ingest order).
+    /// The store's value runs are scored one at a time, in place, by
+    /// [`sq_distance_run`] into a stack buffer, then fed to the selector
+    /// in row order.
     fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
         let store = &self.store;
         let kernel = self.par.kernel();
-        let query_id = store.party_at(row);
+        let party_ids = store.party_ids();
+        let query_id = party_ids[row];
         let query = store.row_values(row);
         let debias = store.debias_at(row);
-        let scored = (0..store.n())
-            .filter(|&c| store.party_at(c) != query_id)
-            .map(|c| {
-                let estimate = raw_sq_distance(kernel, query, store.row_values(c)) - debias;
-                (estimate, store.party_at(c))
-            });
+        let scored = store.value_runs().flat_map(|(rows, values)| {
+            let mut sums = [0.0f64; CHUNK_ROWS];
+            sq_distance_run(kernel, query, values, rows.len(), &mut sums);
+            rows.zip(sums).filter_map(move |(c, sum)| {
+                (party_ids[c] != query_id).then_some((sum - debias, party_ids[c]))
+            })
+        });
         select_smallest(k, scored)
             .into_iter()
             .map(|(estimated_sq_distance, party_id)| Neighbor {

@@ -489,29 +489,71 @@ mod tests {
         assert_ne!(sub.at(0, 1).to_bits(), matrix.at(1, 0).to_bits());
     }
 
+    /// `knn` against an independent reference: every candidate release
+    /// not sharing the query's party id, scored by
+    /// `NoisySketch::estimate_sq_distance_with`, stable-sorted and
+    /// truncated. The stores cover whole and ragged blocks, sealed
+    /// chunks and the tail. Lenient duplicates of row 0's party id sit
+    /// inside the first block, on both sides of the first chunk
+    /// boundary and in the ragged tail, and every third row repeats an
+    /// earlier row's sketch, so estimates tie.
     #[test]
-    fn knn_matches_per_query_estimates() {
-        let (_, rs) = releases(8, 48);
-        let mut engine = QueryEngine::new(SketchStore::adopting());
-        for r in &rs {
-            engine.ingest(r).unwrap();
+    fn knn_matches_the_independent_reference() {
+        let (_, base) = releases(130, 48);
+        let dup_id = base[0].party_id;
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+            let rows: Vec<Release> = (0..n)
+                .map(|i| {
+                    let duplicate = matches!(i, 3 | 63 | 64) || (i == n - 1 && n % 8 != 0);
+                    Release {
+                        party_id: if i > 0 && duplicate {
+                            dup_id
+                        } else {
+                            base[i].party_id
+                        },
+                        sketch: base[if i % 3 == 2 { i % 5 } else { i }].sketch.clone(),
+                    }
+                })
+                .collect();
+            for kernel in [KernelId::V1Scalar, KernelId::V2Simd] {
+                let mut store = SketchStore::adopting();
+                for r in &rows {
+                    store.ingest_row(r).unwrap();
+                }
+                let engine = QueryEngine::new(store)
+                    .with_parallelism(Parallelism::sequential().with_kernel(kernel));
+                for q in [0, 1.min(n - 1), n / 2, n - 1] {
+                    let query_id = rows[q].party_id;
+                    let query = rows.iter().find(|r| r.party_id == query_id).unwrap();
+                    let mut scored: Vec<(u64, f64)> = rows
+                        .iter()
+                        .filter(|c| c.party_id != query_id)
+                        .map(|c| {
+                            let d = query
+                                .sketch
+                                .estimate_sq_distance_with(&c.sketch, kernel)
+                                .unwrap();
+                            (c.party_id, d)
+                        })
+                        .collect();
+                    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
+                    for t in [1, 3, 10, n + 1] {
+                        let want: Vec<(u64, u64)> = scored
+                            .iter()
+                            .take(t)
+                            .map(|&(id, d)| (id, d.to_bits()))
+                            .collect();
+                        let got: Vec<(u64, u64)> = engine
+                            .knn(query_id, t)
+                            .unwrap()
+                            .iter()
+                            .map(|nb| (nb.party_id, nb.estimated_sq_distance.to_bits()))
+                            .collect();
+                        assert_eq!(got, want, "{kernel:?} n = {n}, query row {q}, t = {t}");
+                    }
+                }
+            }
         }
-        let got = engine.knn(rs[2].party_id, 3).unwrap();
-        assert_eq!(got.len(), 3);
-        // Estimates are the per-query estimator's (under the engine's
-        // kernel), bit for bit.
-        for n in &got {
-            let j = rs.iter().position(|r| r.party_id == n.party_id).unwrap();
-            let direct = rs[2]
-                .sketch
-                .estimate_sq_distance_with(&rs[j].sketch, engine.parallelism().kernel())
-                .unwrap();
-            assert_eq!(n.estimated_sq_distance.to_bits(), direct.to_bits());
-        }
-        // Ascending, excludes self, k capped by candidate count.
-        assert!(got[0].estimated_sq_distance <= got[1].estimated_sq_distance);
-        assert!(got.iter().all(|n| n.party_id != rs[2].party_id));
-        assert_eq!(engine.knn(rs[0].party_id, 100).unwrap().len(), 7);
     }
 
     #[test]

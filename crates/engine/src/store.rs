@@ -18,6 +18,7 @@ use dp_core::sketcher::{PrivateSketcher, SketcherSpec};
 use dp_core::wire::{fnv1a64, TagInterner, CHECKSUM_LEN};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Magic prefix of a binary store snapshot (`DPSS`).
@@ -82,6 +83,10 @@ struct Identity {
 
 /// Rows per sealed chunk of the value arena (106 KiB at k = 208).
 pub(crate) const CHUNK_ROWS: usize = 64;
+
+// A sealed chunk is a whole number of run-kernel blocks, so a k-NN scan
+// over the value runs never splits a block across two chunks.
+const _: () = assert!(CHUNK_ROWS.is_multiple_of(dp_core::kernel::RUN_BLOCK));
 
 /// The `n × k` sketch values in row order: immutable sealed chunks of
 /// exactly [`CHUNK_ROWS`] rows behind `Arc`, then one open tail that
@@ -276,6 +281,23 @@ impl SketchStore {
     pub fn row_values(&self, row: usize) -> &[f64] {
         let k = self.identity.as_ref().expect("rows imply identity").k;
         self.values.row(row, k)
+    }
+
+    /// The sketch values as contiguous runs of whole rows, in row
+    /// order: each sealed chunk of `CHUNK_ROWS` rows, then the open tail.
+    /// Each run comes with its row range (`values.len()` is the range's
+    /// length times `k`).
+    pub(crate) fn value_runs(&self) -> impl Iterator<Item = (Range<usize>, &[f64])> {
+        let sealed = self.values.sealed.iter().enumerate().map(|(c, chunk)| {
+            let rows = c * CHUNK_ROWS..(c + 1) * CHUNK_ROWS;
+            (rows, &**chunk)
+        });
+        let tail_start = self.values.sealed.len() * CHUNK_ROWS;
+        let tail = (
+            tail_start..tail_start + self.values.tail_rows,
+            self.values.tail.as_slice(),
+        );
+        sealed.chain(std::iter::once(tail))
     }
 
     /// A row's hoisted debias constant `2k·E[η²]`.

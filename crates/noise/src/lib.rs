@@ -26,7 +26,6 @@ pub mod mechanism;
 pub mod moments;
 pub mod privacy;
 pub mod randomized_response;
-pub mod renyi;
 pub mod snapping;
 
 pub use error::NoiseError;

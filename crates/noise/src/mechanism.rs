@@ -96,6 +96,13 @@ impl NoiseMechanism for LaplaceMechanism {
     fn fourth_moment(&self) -> f64 {
         self.dist.fourth_moment()
     }
+    /// Pure ε-DP, under exact real arithmetic. The sampler draws a
+    /// continuous Laplace in `f64`, and the gaps between floats leak:
+    /// which outputs can occur at all depends on the input, so a
+    /// released value can reveal more than ε allows (the paper's
+    /// §2.3.1, after Mironov, CCS 2012). [`crate::snapping`] implements
+    /// Mironov's repair, but no release path calls it; adopting it
+    /// would change release bits.
     fn guarantee(&self) -> PrivacyGuarantee {
         PrivacyGuarantee::Pure {
             epsilon: self.epsilon,
