@@ -18,14 +18,13 @@
 //! versus scoring every candidate, stable-sorting and truncating.
 //!
 //! And one **k-NN scan** record on a 5,120-row store (`online_point`'s
-//! store mid-run): `knn(10)` in µs and ns per scored pair under a V1
-//! and a V2 engine, and their V1/V2 ratio. The ratio is recorded, not
-//! gated: timing ratios on a small shared host are noisy.
+//! store mid-run): `knn(10)` in µs and ns per scored pair. It is
+//! recorded, not gated: timings on a small shared host are noisy.
 //!
 //! Every engine answer is verified bit-identical to the slice path
-//! (pairs, under the engine's kernel) or to the stable-sort reference
-//! (ranked reads and both k-NN scans) before timing; any mismatch
-//! exits 1. Writes machine-readable `BENCH_engine.json`.
+//! (pairs) or to the stable-sort reference (ranked reads and the k-NN
+//! scan) before timing; any mismatch exits 1. Writes machine-readable
+//! `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
@@ -35,7 +34,6 @@ use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
 use dp_core::release::Release;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
-use dp_core::KernelId;
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
 
@@ -109,9 +107,7 @@ fn main() {
             engine.ingest(r).expect("ingest");
         }
 
-        // Verify: every engine pair answer equals the slice path's
-        // under the engine's kernel.
-        let kernel = engine.parallelism().kernel();
+        // Verify: every engine pair answer equals the slice path's.
         for i in 0..n.min(16) {
             for j in 0..n.min(16) {
                 let via_engine = engine.pair(i as u64, j as u64).expect("pair");
@@ -121,7 +117,7 @@ fn main() {
                     let (lo, hi) = if i < j { (i, j) } else { (j, i) };
                     slice[lo]
                         .sketch
-                        .estimate_sq_distance_with(&slice[hi].sketch, kernel)
+                        .estimate_sq_distance(&slice[hi].sketch)
                         .expect("estimate")
                 };
                 all_identical &= via_engine.to_bits() == via_slice.to_bits();
@@ -224,18 +220,12 @@ fn main() {
     all_identical &= ranked.identical;
 
     let scan = knn_scan(&releases[..SCAN_ROWS], quick);
-    let v1_over_v2 = scan.v1.us_knn / scan.v2.us_knn;
-    for (name, lane) in [("V1", &scan.v1), ("V2", &scan.v2)] {
-        println!(
-            "n = {SCAN_ROWS}  knn({KNN_K}) {name}: {:7.1} us ({:5.1} ns/pair)",
-            lane.us_knn, lane.ns_per_pair
-        );
-    }
     println!(
-        "knn({KNN_K}) V1/V2 at {SCAN_ROWS} rows: {v1_over_v2:.2}x (target <= 1.2x; recorded, not gated)"
+        "n = {SCAN_ROWS}  knn({KNN_K}): {:7.1} us ({:5.1} ns/pair)",
+        scan.us_knn, scan.ns_per_pair
     );
     println!(
-        "CHECK [{}] k-NN scans under V1 and V2 bit-identical to the stable-sort reference",
+        "CHECK [{}] k-NN scan bit-identical to the stable-sort reference",
         if scan.identical { "PASS" } else { "FAIL" }
     );
     all_identical &= scan.identical;
@@ -278,17 +268,11 @@ fn main() {
             JsonValue::Object(vec![
                 ("rows".to_string(), JsonValue::UInt(SCAN_ROWS as u64)),
                 ("k".to_string(), JsonValue::UInt(KNN_K as u64)),
-                ("us_knn_v1".to_string(), JsonValue::Number(scan.v1.us_knn)),
+                ("us_knn".to_string(), JsonValue::Number(scan.us_knn)),
                 (
-                    "ns_per_pair_v1".to_string(),
-                    JsonValue::Number(scan.v1.ns_per_pair),
+                    "ns_per_pair".to_string(),
+                    JsonValue::Number(scan.ns_per_pair),
                 ),
-                ("us_knn_v2".to_string(), JsonValue::Number(scan.v2.us_knn)),
-                (
-                    "ns_per_pair_v2".to_string(),
-                    JsonValue::Number(scan.v2.ns_per_pair),
-                ),
-                ("v1_over_v2".to_string(), JsonValue::Number(v1_over_v2)),
             ]),
         ),
         (
@@ -353,7 +337,6 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
     for r in releases {
         engine.ingest(r).expect("ingest");
     }
-    let kernel = engine.parallelism().kernel();
     let matrix = engine.pairwise_all();
     let n = matrix.n();
     let top_pairs_reference = || {
@@ -391,7 +374,7 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
     }) / queries.len() as f64;
     let ns_knn_sort = time_per_op(iters, || {
         for &q in &queries {
-            std::hint::black_box(knn_reference(releases, q, kernel));
+            std::hint::black_box(knn_reference(releases, q));
         }
     }) / queries.len() as f64;
     RankedReads {
@@ -419,9 +402,8 @@ fn knn(engine: &QueryEngine, q: usize) -> Vec<(u64, f64)> {
 }
 
 /// The k-NN reference: every other release scored with
-/// `estimate_sq_distance_with` under `kernel`, stable-sorted and
-/// truncated to `KNN_K`.
-fn knn_reference(releases: &[Release], q: usize, kernel: KernelId) -> Vec<(u64, f64)> {
+/// `estimate_sq_distance`, stable-sorted and truncated to `KNN_K`.
+fn knn_reference(releases: &[Release], q: usize) -> Vec<(u64, f64)> {
     let query = &releases[q];
     let mut scored: Vec<(u64, f64)> = releases
         .iter()
@@ -429,7 +411,7 @@ fn knn_reference(releases: &[Release], q: usize, kernel: KernelId) -> Vec<(u64, 
         .map(|c| {
             let d = query
                 .sketch
-                .estimate_sq_distance_with(&c.sketch, kernel)
+                .estimate_sq_distance(&c.sketch)
                 .expect("estimate");
             (c.party_id, d)
         })
@@ -440,12 +422,11 @@ fn knn_reference(releases: &[Release], q: usize, kernel: KernelId) -> Vec<(u64, 
 }
 
 /// Whether the engine's `knn` answers every query with the reference's
-/// ids and estimate bits, under the engine's kernel.
+/// ids and estimate bits.
 fn knn_matches_reference(engine: &QueryEngine, releases: &[Release], queries: &[usize]) -> bool {
-    let kernel = engine.parallelism().kernel();
     queries.iter().all(|&q| {
         let got = knn(engine, q);
-        let want = knn_reference(releases, q, kernel);
+        let want = knn_reference(releases, q);
         got.len() == want.len()
             && got
                 .iter()
@@ -454,43 +435,31 @@ fn knn_matches_reference(engine: &QueryEngine, releases: &[Release], queries: &[
     })
 }
 
-struct ScanLane {
+struct KnnScan {
+    identical: bool,
     us_knn: f64,
     ns_per_pair: f64,
 }
 
-struct KnnScan {
-    identical: bool,
-    v1: ScanLane,
-    v2: ScanLane,
-}
-
-/// Time `knn(KNN_K)` on a store of `releases` (party id = row) under a
-/// V1 and a V2 engine, each checked bit-identical to the reference
-/// first. A query scores `n − 1` pairs.
+/// Time `knn(KNN_K)` on a store of `releases` (party id = row), checked
+/// bit-identical to the reference first. A query scores `n − 1` pairs.
 fn knn_scan(releases: &[Release], quick: bool) -> KnnScan {
     let n = releases.len();
     let queries = knn_queries(n);
     let iters = if quick { 2 } else { 10 };
-    let mut identical = true;
-    let mut lane = |kernel: KernelId| {
-        let engine = QueryEngine::new(SketchStore::adopting());
-        let par = engine.parallelism().with_kernel(kernel);
-        let mut engine = engine.with_parallelism(par);
-        for r in releases {
-            engine.ingest(r).expect("ingest");
+    let mut engine = QueryEngine::new(SketchStore::adopting());
+    for r in releases {
+        engine.ingest(r).expect("ingest");
+    }
+    let identical = knn_matches_reference(&engine, releases, &queries);
+    let ns_knn = time_per_op(iters, || {
+        for &q in &queries {
+            std::hint::black_box(knn(&engine, q));
         }
-        identical &= knn_matches_reference(&engine, releases, &queries);
-        let ns_knn = time_per_op(iters, || {
-            for &q in &queries {
-                std::hint::black_box(knn(&engine, q));
-            }
-        }) / queries.len() as f64;
-        ScanLane {
-            us_knn: ns_knn / 1e3,
-            ns_per_pair: ns_knn / (n - 1) as f64,
-        }
-    };
-    let (v1, v2) = (lane(KernelId::V1Scalar), lane(KernelId::V2Simd));
-    KnnScan { identical, v1, v2 }
+    }) / queries.len() as f64;
+    KnnScan {
+        identical,
+        us_knn: ns_knn / 1e3,
+        ns_per_pair: ns_knn / (n - 1) as f64,
+    }
 }

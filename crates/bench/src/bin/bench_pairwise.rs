@@ -1,28 +1,29 @@
 //! Benchmark the tiled all-pairs kernel and record the perf trajectory.
 //!
 //! Measures `pairwise_sq_distances` over released sketches for a sweep
-//! of matrix sizes, thread counts, tile sizes, and **kernel versions**
-//! (`v1-scalar` / `v2-simd`), verifies every configuration is
-//! bit-identical to its kernel's per-pair reference, and writes a
-//! machine-readable `BENCH_pairwise.json` so successive PRs can track
-//! ns/pair.
+//! of matrix sizes, thread counts and tile sizes, verifies every
+//! configuration is bit-identical to the per-pair reference
+//! (`pairwise_sq_distances_reference`, which runs none of the tiled
+//! code), and writes a machine-readable `BENCH_pairwise.json` so
+//! successive PRs can track ns/pair.
 //!
 //! Usage: `bench_pairwise [--quick] [--out <path>]`
 //!
 //! Two acceptance checks gate the exit code on any host:
 //!
-//! * bit identity within each kernel version, and
-//! * the SIMD kernel beating the scalar one: single-thread `v2-simd`
-//!   must run at ≤ 0.75× the `v1-scalar` ns/pair at the largest n. This
-//!   check times the tile executor alone — `execute_tiles` over every
-//!   id of the one-thread plan, on row slices extracted beforehand, the
-//!   median of interleaved rounds — because a whole
-//!   `pairwise_sq_distances_with_par` call adds a compatibility sweep,
-//!   an `n × n` allocation and a scatter that both kernels pay alike.
-//!   It is **thread-count independent** — it measures vectorization,
-//!   not parallelism — so it runs (and gates) even on 1-CPU containers
-//!   where the multi-thread speedup check below is skipped. The
-//!   whole-call ns/pair of every configuration stays in the JSON.
+//! * bit identity with the per-pair reference, and
+//! * the blocked tile kernel paying for itself: single-thread
+//!   `execute_tiles` must run at ≤ 0.5× the per-pair reference's
+//!   ns/pair at the largest n. The check times the tile executor alone
+//!   — `execute_tiles` over every id of the one-thread plan, on row
+//!   slices extracted beforehand, the median of several rounds —
+//!   because a whole `pairwise_sq_distances_with_par` call adds a
+//!   compatibility sweep, an `n × n` allocation and a scatter. It is
+//!   **thread-count independent** — it measures the eight-pair group
+//!   kernel and the hoisted per-row constants, not parallelism — so it
+//!   runs (and gates) even on 1-CPU containers where the multi-thread
+//!   speedup check below is skipped. The whole-call ns/pair of every
+//!   configuration stays in the JSON.
 //!
 //! The thread speedup check (≥2× at 4 threads for n ≥ 512) still only
 //! runs when the host actually has ≥ 4 hardware threads; single-core
@@ -54,7 +55,6 @@ struct Measurement {
     rows: usize,
     threads: usize,
     tile: usize,
-    kernel: KernelId,
     ns_per_pair: f64,
     speedup_vs_single: f64,
 }
@@ -67,69 +67,34 @@ fn gaussian_rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The flat `n × n` matrix of per-pair estimates under `kernel`: each
-/// pair is [`kernel::sq_distance`] minus row i's debias constant,
-/// mirrored, with a zero diagonal.
-fn per_pair_matrix(sketches: &[NoisySketch], kernel: KernelId) -> Vec<f64> {
-    let n = sketches.len();
-    let mut values = vec![0.0; n * n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let est = sketches[i]
-                .estimate_sq_distance_with(&sketches[j], kernel)
-                .expect("compatible");
-            values[i * n + j] = est;
-            values[j * n + i] = est;
-        }
-    }
-    values
-}
-
 /// Quartiles `(q1, median, q3)` of ns/pair for `execute_tiles` over
-/// every tile of the one-thread plan, per kernel in `kernels`: one
-/// warm-up, then `rounds` rounds that alternate the kernels, so host
-/// drift lands on both alike.
+/// every tile of the one-thread plan: one warm-up, then `rounds` timed
+/// rounds.
 fn tile_executor_ns_per_pair(
     sketches: &[NoisySketch],
     tile: usize,
-    kernels: &[KernelId],
     rounds: usize,
-) -> Vec<(f64, f64, f64)> {
+) -> (f64, f64, f64) {
     let n = sketches.len();
     let rows: Vec<&[f64]> = sketches.iter().map(NoisySketch::values).collect();
     let debias: Vec<f64> = sketches
         .iter()
         .map(|s| 2.0 * s.k() as f64 * s.noise_second_moment())
         .collect();
-    let pars: Vec<Parallelism> = kernels
-        .iter()
-        .map(|&kid| Parallelism::new(1).with_tile(tile).with_kernel(kid))
-        .collect();
-    let plan = effective_plan(n, &pars[0]);
+    let par = Parallelism::new(1).with_tile(tile);
+    let plan = effective_plan(n, &par);
     let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
     let pairs = (n * (n - 1) / 2) as f64;
-    let run = |par: &Parallelism| {
+    let run = || {
         let t0 = Instant::now();
-        black_box(execute_tiles(&plan, &ids, |i| rows[i], &debias, par));
+        black_box(execute_tiles(&plan, &ids, |i| rows[i], &debias, &par));
         t0.elapsed().as_nanos() as f64 / pairs
     };
-    for par in &pars {
-        run(par);
-    }
-    let mut samples = vec![Vec::with_capacity(rounds); pars.len()];
-    for _ in 0..rounds {
-        for (par, out) in pars.iter().zip(&mut samples) {
-            out.push(run(par));
-        }
-    }
-    samples
-        .into_iter()
-        .map(|mut v| {
-            v.sort_by(f64::total_cmp);
-            let at = |q: usize| v[(v.len() - 1) * q / 4];
-            (at(1), at(2), at(3))
-        })
-        .collect()
+    run();
+    let mut samples: Vec<f64> = (0..rounds).map(|_| run()).collect();
+    samples.sort_by(f64::total_cmp);
+    let at = |q: usize| samples[(samples.len() - 1) * q / 4];
+    (at(1), at(2), at(3))
 }
 
 /// The f32 wire round-trip: what a sketch's values look like after v3
@@ -248,7 +213,8 @@ fn main() {
     let hardware = Parallelism::new(0).threads();
     println!("== bench_pairwise: tiled all-pairs kernel ==");
     println!(
-        "d = {d}, k = {k}, hardware threads = {hardware}, v2 backend = {}",
+        "d = {d}, k = {k}, hardware threads = {hardware}, kernel = {}, block backend = {}",
+        KernelId::V1Scalar.name(),
         kernel::v2_backend()
     );
 
@@ -257,7 +223,6 @@ fn main() {
     thread_sweep.sort_unstable();
     thread_sweep.dedup();
     let tile = Parallelism::from_env().tile();
-    let kernels = [KernelId::V1Scalar, KernelId::V2Simd];
 
     let max_rows = *row_counts.iter().max().expect("nonempty");
     let rows = gaussian_rows(max_rows, d, 42);
@@ -265,9 +230,9 @@ fn main() {
 
     let mut measurements: Vec<Measurement> = Vec::new();
     let mut all_identical = true;
-    // Whole-call single-thread ns/pair per kernel at the largest n,
-    // recorded beside the kernel check.
-    let mut t1_by_kernel = [f64::NAN; 2];
+    // The naive reference's ns/pair at the largest n, the yardstick of
+    // the executor check.
+    let mut naive_ns_per_pair = f64::NAN;
     for &n in row_counts {
         let subset = &sketches[..n];
         let pairs = (n * (n - 1) / 2) as f64;
@@ -279,90 +244,70 @@ fn main() {
         let t_naive = time_per_op(iters, || {
             let _ = pairwise_sq_distances_reference(subset).expect("reference");
         });
-        let mut t_single_v1 = f64::NAN;
-        for (ki, &kid) in kernels.iter().enumerate() {
-            // Within-kernel reference: V1 is pinned to the historic
-            // naive estimator bits, V2 to a per-pair loop over its
-            // kernel, which runs none of the tiled group code.
-            let kernel_reference = if kid == KernelId::V1Scalar {
-                reference.as_flat().to_vec()
-            } else {
-                per_pair_matrix(subset, kid)
-            };
-            let mut t_single = f64::NAN;
-            for &threads in &thread_sweep {
-                let par = Parallelism::new(threads).with_tile(tile).with_kernel(kid);
-                let got = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
-                let identical = got
-                    .as_flat()
-                    .iter()
-                    .zip(&kernel_reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                all_identical &= identical;
-                let t = time_per_op(iters, || {
-                    let _ = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
-                });
-                if threads == 1 {
-                    t_single = t;
-                    if kid == KernelId::V1Scalar {
-                        t_single_v1 = t;
-                    }
-                    if n == max_rows {
-                        t1_by_kernel[ki] = t;
-                    }
-                }
-                measurements.push(Measurement {
-                    rows: n,
-                    threads,
-                    tile,
-                    kernel: kid,
-                    ns_per_pair: t / pairs,
-                    speedup_vs_single: t_single / t,
-                });
-                println!(
-                    "n = {n:5}  kernel = {:9}  threads = {threads:2}  tile = {tile:3}  \
-                     {:9.1} ns/pair  speedup {:4.2}x  bit-identical: {identical}",
-                    kid.name(),
-                    t / pairs,
-                    t_single / t
-                );
+        if n == max_rows {
+            naive_ns_per_pair = t_naive / pairs;
+        }
+        let mut t_single = f64::NAN;
+        for &threads in &thread_sweep {
+            let par = Parallelism::new(threads).with_tile(tile);
+            let got = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
+            let identical = got
+                .as_flat()
+                .iter()
+                .zip(reference.as_flat())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            all_identical &= identical;
+            let t = time_per_op(iters, || {
+                let _ = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
+            });
+            if threads == 1 {
+                t_single = t;
             }
+            measurements.push(Measurement {
+                rows: n,
+                threads,
+                tile,
+                ns_per_pair: t / pairs,
+                speedup_vs_single: t_single / t,
+            });
+            println!(
+                "n = {n:5}  threads = {threads:2}  tile = {tile:3}  {:9.1} ns/pair  \
+                 speedup {:4.2}x  bit-identical: {identical}",
+                t / pairs,
+                t_single / t
+            );
         }
         println!(
             "n = {n:5}  naive reference (per-pair estimator): {:9.1} ns/pair  \
              (tiled 1-thread hoisting gain {:4.2}x)",
             t_naive / pairs,
-            t_naive / t_single_v1
+            t_naive / t_single
         );
     }
 
-    // Acceptance 1 (any host): the SIMD kernel must actually be faster —
-    // single-thread v2-simd at ≤ 0.75× the v1-scalar ns/pair on the
-    // largest matrix, timed in the tile executor alone. Vectorization,
-    // not parallelism, so no core-count gate: this check cannot be
-    // "skipped (available_parallelism = 1)". Rounds: on a loaded 2-CPU
-    // host the per-round quartiles sit up to 30% apart, which puts the
-    // standard error of a 31-round median near 4% (7% for 11), so a
-    // 25% difference between the kernels' medians stands clear of it.
+    // Acceptance 1 (any host): the blocked tile kernel must pay for
+    // itself — single-thread `execute_tiles` at ≤ 0.5× the naive
+    // per-pair reference's ns/pair on the largest matrix. No core-count
+    // gate: this check cannot be "skipped (available_parallelism = 1)".
+    // It read about 0.2x on a 2-CPU AVX2 host, so host noise of the
+    // size a small shared VM shows does not decide it.
     let rounds = if quick { 11 } else { 31 };
-    let executor = tile_executor_ns_per_pair(&sketches[..max_rows], tile, &kernels, rounds);
-    for (kid, (q1, med, q3)) in kernels.iter().zip(&executor) {
+    let (q1, executor_ns, q3) = tile_executor_ns_per_pair(&sketches[..max_rows], tile, rounds);
+    println!(
+        "n = {max_rows:5}  execute_tiles, 1 thread: median {executor_ns:7.1} ns/pair  \
+         (quartiles {q1:.1}-{q3:.1}, {rounds} rounds)"
+    );
+    let executor_ratio = executor_ns / naive_ns_per_pair;
+    let executor_check = if executor_ratio <= 0.5 {
         println!(
-            "n = {max_rows:5}  kernel = {:9}  execute_tiles, 1 thread: median {med:7.1} ns/pair  \
-             (quartiles {q1:.1}-{q3:.1}, {rounds} rounds)",
-            kid.name()
-        );
-    }
-    let kernel_ratio = executor[1].1 / executor[0].1;
-    let whole_call_ratio = t1_by_kernel[1] / t1_by_kernel[0];
-    let kernel_check = if kernel_ratio <= 0.75 {
-        println!(
-            "CHECK [PASS] v2-simd <= 0.75x v1-scalar ns/pair at 1 thread ({kernel_ratio:.3}x)"
+            "CHECK [PASS] execute_tiles <= 0.5x the per-pair reference ns/pair at 1 thread \
+             ({executor_ratio:.3}x)"
         );
         "pass".to_string()
     } else {
         println!(
-            "CHECK [FAIL] v2-simd <= 0.75x v1-scalar ns/pair at 1 thread ({kernel_ratio:.3}x)"
+            "CHECK [FAIL] execute_tiles <= 0.5x the per-pair reference ns/pair at 1 thread \
+             ({executor_ratio:.3}x)"
         );
         "fail".to_string()
     };
@@ -371,7 +316,7 @@ fn main() {
     // meaningful when the hardware can actually run 4 workers.
     let target = measurements
         .iter()
-        .filter(|m| m.threads >= 4 && m.rows >= 512 && m.kernel == KernelId::V1Scalar)
+        .filter(|m| m.threads >= 4 && m.rows >= 512)
         .map(|m| m.speedup_vs_single)
         .fold(f64::NAN, f64::max);
     let speedup_check = if hardware < 4 {
@@ -390,7 +335,7 @@ fn main() {
         "fail".to_string()
     };
     println!(
-        "CHECK [{}] all configurations bit-identical to their kernel's per-pair reference",
+        "CHECK [{}] all configurations bit-identical to the per-pair reference",
         if all_identical { "PASS" } else { "FAIL" }
     );
 
@@ -413,7 +358,11 @@ fn main() {
             JsonValue::UInt(hardware as u64),
         ),
         (
-            "v2_backend".to_string(),
+            "kernel".to_string(),
+            JsonValue::String(KernelId::V1Scalar.name().to_string()),
+        ),
+        (
+            "block_backend".to_string(),
             JsonValue::String(kernel::v2_backend().to_string()),
         ),
         (
@@ -426,36 +375,28 @@ fn main() {
         ),
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
         (
-            "kernel_check".to_string(),
-            JsonValue::String(kernel_check.clone()),
+            "executor_check".to_string(),
+            JsonValue::String(executor_check.clone()),
         ),
         (
-            "kernel_ns_per_pair_ratio_v2_over_v1".to_string(),
-            JsonValue::Number(kernel_ratio),
+            "executor_over_naive_ratio".to_string(),
+            JsonValue::Number(executor_ratio),
         ),
         (
-            "kernel_execute_tiles_ns_per_pair".to_string(),
-            JsonValue::Object(
-                kernels
-                    .iter()
-                    .zip(&executor)
-                    .map(|(kid, &(q1, med, q3))| {
-                        (
-                            kid.name().to_string(),
-                            JsonValue::Object(vec![
-                                ("q1".to_string(), JsonValue::Number(q1)),
-                                ("median".to_string(), JsonValue::Number(med)),
-                                ("q3".to_string(), JsonValue::Number(q3)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
+            "execute_tiles_ns_per_pair".to_string(),
+            JsonValue::Object(vec![
+                ("q1".to_string(), JsonValue::Number(q1)),
+                ("median".to_string(), JsonValue::Number(executor_ns)),
+                ("q3".to_string(), JsonValue::Number(q3)),
+            ]),
         ),
-        ("kernel_rounds".to_string(), JsonValue::UInt(rounds as u64)),
         (
-            "whole_call_ns_per_pair_ratio_v2_over_v1".to_string(),
-            JsonValue::Number(whole_call_ratio),
+            "naive_ns_per_pair".to_string(),
+            JsonValue::Number(naive_ns_per_pair),
+        ),
+        (
+            "executor_rounds".to_string(),
+            JsonValue::UInt(rounds as u64),
         ),
         (
             "speedup_check".to_string(),
@@ -471,10 +412,6 @@ fn main() {
                         JsonValue::Object(vec![
                             ("rows".to_string(), JsonValue::UInt(m.rows as u64)),
                             ("k".to_string(), JsonValue::UInt(k as u64)),
-                            (
-                                "kernel".to_string(),
-                                JsonValue::String(m.kernel.name().to_string()),
-                            ),
                             ("threads".to_string(), JsonValue::UInt(m.threads as u64)),
                             ("tile".to_string(), JsonValue::UInt(m.tile as u64)),
                             ("ns_per_pair".to_string(), JsonValue::Number(m.ns_per_pair)),
@@ -491,7 +428,7 @@ fn main() {
     std::fs::write(out_path, json.to_string() + "\n").expect("write BENCH_pairwise.json");
     println!("wrote {out_path}");
 
-    if !all_identical || speedup_check == "fail" || kernel_check == "fail" {
+    if !all_identical || speedup_check == "fail" || executor_check == "fail" {
         std::process::exit(1);
     }
 }

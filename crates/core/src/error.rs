@@ -31,6 +31,11 @@ pub enum CoreError {
     /// The operation is not defined for this construction (e.g. releasing
     /// a maintained projection under input-perturbation noise).
     Unsupported(&'static str),
+    /// A spec names a distance kernel this build does not run (the
+    /// retired `v2-simd`, say); carries the name as given. Estimates
+    /// over such a spec's releases were computed under other bits, so
+    /// it is refused rather than read as `v1-scalar`.
+    UnknownKernel(String),
 }
 
 impl fmt::Display for CoreError {
@@ -49,6 +54,10 @@ impl fmt::Display for CoreError {
                 "wire checksum mismatch: stored {stored:016x}, computed {computed:016x}"
             ),
             Self::Unsupported(what) => write!(f, "unsupported operation: {what}"),
+            Self::UnknownKernel(name) => write!(
+                f,
+                "unknown distance kernel '{name}': this build serves only v1-scalar"
+            ),
         }
     }
 }

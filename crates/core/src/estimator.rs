@@ -13,7 +13,6 @@
 
 use crate::error::CoreError;
 use crate::json::{self, JsonValue};
-use crate::kernel::KernelId;
 use std::sync::Arc;
 
 /// A released, differentially private sketch.
@@ -135,25 +134,6 @@ impl NoisySketch {
         Ok(raw - 2.0 * self.k() as f64 * self.noise_m2)
     }
     // dp-lint: freeze(estimator-sq-distance) end
-
-    /// [`Self::estimate_sq_distance`] under an explicit kernel version:
-    /// the raw accumulation runs through
-    /// [`crate::kernel::sq_distance`], so point estimates stay
-    /// bit-identical to a matrix computed under the same
-    /// [`KernelId`]. `V1Scalar` reproduces `estimate_sq_distance`
-    /// bit-for-bit.
-    ///
-    /// # Errors
-    /// [`CoreError::IncompatibleSketches`] if the sketches don't combine.
-    pub fn estimate_sq_distance_with(
-        &self,
-        other: &Self,
-        kernel: KernelId,
-    ) -> Result<f64, CoreError> {
-        self.check_compatible(other)?;
-        let raw = crate::kernel::sq_distance(kernel, &self.values, &other.values);
-        Ok(raw - 2.0 * self.k() as f64 * self.noise_m2)
-    }
 
     /// Unbiased estimate of `‖x‖²`: `‖Sx + η‖² − k·E[η²]`.
     #[must_use]

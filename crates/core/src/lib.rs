@@ -18,12 +18,11 @@
 //!   solvers that the experiment harness gates against.
 //! * [`config`] — a builder that applies every decision rule in the paper
 //!   end-to-end (k, s, noise choice) from `(d, α, β, ε, δ)`.
-//! * [`kernel`] — the versioned per-pair distance accumulator
-//!   ([`KernelId::V1Scalar`] scalar anchor, [`KernelId::V2Simd`]
-//!   AVX2/FMA with a bit-identical portable fallback), with its
-//!   eight-pair group form for tiles and its eight-row run form for
-//!   k-NN scans; results are bit-identical within a version, and a
-//!   fleet negotiates one kernel per store.
+//! * [`kernel`] — the per-pair distance accumulator (the frozen
+//!   zip-order scalar sum, [`KernelId::V1Scalar`]) with its eight-pair
+//!   group form for tiles and its eight-row run form for k-NN scans,
+//!   AVX2 where the CPU has it and bit-identical everywhere. The spec
+//!   names the kernel; state naming the retired `v2-simd` is refused.
 //! * [`sketcher`] — the unified release API: the object-safe
 //!   [`PrivateSketcher`] trait, the [`AnySketcher`] enum over every
 //!   construction, the serializable [`SketcherSpec`] public parameters,

@@ -115,8 +115,8 @@
 //! request on a fresh store SHOULD be `Hello` carrying
 //! the shared [`crate::sketcher::SketcherSpec`]; a `Hello` against a
 //! store that already holds a different spec is answered with
-//! `Error(ERR_SPEC_MISMATCH)` — or, when the *only* difference is the
-//! kernel version, `Error(ERR_KERNEL)` — that is the whole
+//! `Error(ERR_SPEC_MISMATCH)`, and one whose spec names a kernel this
+//! build does not run with `Error(ERR_KERNEL)` — that is the whole
 //! negotiation. The `caps` bitfields on both `Hello` directions
 //! advertise optional protocol features ([`CAP_TILE_STREAM`],
 //! [`CAP_SKETCH_F32`]); a peer must not send `ExecuteTilesStream` or
@@ -214,7 +214,7 @@ pub const RESPONSE_MAGIC: [u8; 4] = *b"DPRS";
 /// bitfields on both `Hello` directions and the streamed tile-result
 /// frames (`ExecuteTilesStream` / `TileResultPart` /
 /// `TileResultSummary`). Version 5 made the kernel id part of the
-/// `Hello` spec identity (mismatch → [`ERR_KERNEL`], not
+/// `Hello` spec identity (an unknown kernel → [`ERR_KERNEL`], not
 /// [`ERR_SPEC_MISMATCH`]) and added the [`CAP_SKETCH_F32`] capability
 /// for quantized `f32` sketch frames. Version 6 answers `Pairwise` with
 /// a [`Response::PairwiseHead`] and a tile-part stream of the upper
@@ -279,11 +279,12 @@ pub const ERR_WORKER: u16 = 9;
 /// executed against the store; retrying later (or with a smaller
 /// subset) is safe.
 pub const ERR_BUSY: u16 = 10;
-/// A `Hello` spec matches the store's spec in everything *except* the
-/// kernel version ([`crate::kernel::KernelId`]). Split out from
-/// [`ERR_SPEC_MISMATCH`] so a mixed fleet can tell "wrong store" from
-/// "right store, wrong kernel build" and restart with the negotiated
-/// kernel instead of re-deriving parameters.
+/// A spec names a distance kernel this build does not run
+/// ([`crate::kernel::KernelId`] has one, `v1-scalar`; the retired
+/// `v2-simd` is refused), in a `Hello` — on an empty store too, which
+/// then adopts nothing — or in an installed snapshot. Split out from
+/// [`ERR_SPEC_MISMATCH`] so a peer can tell "wrong store" from "state
+/// minted under other bits".
 pub const ERR_KERNEL: u16 = 11;
 
 /// A client-to-server frame.

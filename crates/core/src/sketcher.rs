@@ -269,55 +269,44 @@ impl Construction {
 }
 
 /// Serializable public parameters rebuilding one exact sketcher:
-/// construction + validated config + public transform seed, plus the
-/// [`KernelId`] every estimate over this spec's releases runs under.
-///
-/// The kernel id is part of the spec identity because it changes
-/// estimate *bits* (see [`crate::kernel`]): two replicas agreeing on a
-/// spec agree on every matrix entry bit-for-bit, which is what the
-/// coordinator's journal replay and the chaos suites assert.
+/// construction + validated config + public transform seed. Its JSON
+/// also names the [`KernelId`] every estimate over the spec's releases
+/// runs under, `v1-scalar`, the only kernel there is: two replicas
+/// agreeing on a spec agree on every matrix entry bit-for-bit, which is
+/// what the coordinator's journal replay and the chaos suites assert,
+/// and a spec naming any other kernel does not parse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketcherSpec {
     construction: Construction,
     config: SketchConfig,
     transform_seed: u64,
-    kernel: KernelId,
 }
 
 impl SketcherSpec {
-    /// Bundle a construction choice with shared public parameters. The
-    /// kernel defaults from the environment knob (`DP_KERNEL`, V1
-    /// scalar when unset) — override with [`SketcherSpec::with_kernel`].
+    /// Bundle a construction choice with shared public parameters.
     #[must_use]
     pub fn new(construction: Construction, config: SketchConfig, transform_seed: Seed) -> Self {
         Self {
             construction,
             config,
             transform_seed: transform_seed.value(),
-            kernel: Parallelism::from_env().kernel(),
         }
     }
 
-    /// Replace the distance-kernel version this spec pins.
+    /// Pin the distance kernel. There is one, so this changes nothing;
+    /// callers that name their kernel explicitly keep compiling.
     #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelId) -> Self {
-        self.kernel = kernel;
-        self
+    pub fn with_kernel(self, kernel: KernelId) -> Self {
+        match kernel {
+            KernelId::V1Scalar => self,
+        }
     }
 
-    /// The distance-kernel version every estimate over this spec's
-    /// releases runs under.
+    /// The distance kernel every estimate over this spec's releases
+    /// runs under.
     #[must_use]
     pub fn kernel(&self) -> KernelId {
-        self.kernel
-    }
-
-    /// Whether `other` names the same sketcher but a different kernel
-    /// version — the case the protocol reports as `ERR_KERNEL` rather
-    /// than a generic spec mismatch.
-    #[must_use]
-    pub fn differs_only_in_kernel(&self, other: &Self) -> bool {
-        self.kernel != other.kernel && *self == other.clone().with_kernel(self.kernel)
+        KernelId::V1Scalar
     }
 
     /// The construction this spec selects.
@@ -348,8 +337,8 @@ impl SketcherSpec {
     pub fn build(&self) -> Result<AnySketcher, CoreError> {
         let mut sketcher =
             AnySketcher::new(self.construction, &self.config, self.transform_seed())?;
-        // Keep the caller's exact spec (kernel id included) so
-        // `sketcher.spec()` rebuilds this sketcher, not a variant.
+        // Keep the caller's exact spec so `sketcher.spec()` rebuilds
+        // this sketcher, not a variant.
         sketcher.spec = self.clone();
         Ok(sketcher)
     }
@@ -397,7 +386,7 @@ impl SketcherSpec {
             ),
             (
                 "kernel".to_string(),
-                JsonValue::String(self.kernel.name().to_string()),
+                JsonValue::String(self.kernel().name().to_string()),
             ),
         ])
         .to_string()
@@ -406,8 +395,10 @@ impl SketcherSpec {
     /// Parse the JSON wire format, re-validating the config.
     ///
     /// # Errors
-    /// [`CoreError::Wire`] on malformed input; config validation errors
-    /// on out-of-range parameters.
+    /// [`CoreError::Wire`] on malformed input;
+    /// [`CoreError::UnknownKernel`] when the `kernel` field names any
+    /// kernel but `v1-scalar` (the retired `v2-simd` included); config
+    /// validation errors on out-of-range parameters.
     pub fn from_json(text: &str) -> Result<Self, CoreError> {
         let v = json::parse(text).map_err(CoreError::Wire)?;
         let missing = |field: &str| CoreError::Wire(format!("missing/invalid field '{field}'"));
@@ -443,19 +434,16 @@ impl SketcherSpec {
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| missing("transform_seed"))?;
         // Specs predating kernel versioning carry no `kernel` field;
-        // they were minted by the V1-only codebase, so V1 it is.
-        let kernel = match v.get("kernel") {
-            None => KernelId::V1Scalar,
-            Some(k) => k
-                .as_str()
-                .and_then(KernelId::parse)
-                .ok_or_else(|| missing("kernel"))?,
-        };
+        // they were minted by the V1-only codebase, so V1 it is. Any
+        // other name is refused: its releases were estimated under
+        // other bits.
+        if let Some(k) = v.get("kernel") {
+            KernelId::parse(k.as_str().ok_or_else(|| missing("kernel"))?)?;
+        }
         Ok(Self {
             construction,
             config: builder.build()?,
             transform_seed,
-            kernel,
         })
     }
 }
@@ -579,47 +567,23 @@ impl AnySketcher {
         }
     }
 
-    /// The negotiated [`KernelId`] this sketcher computes under — part
-    /// of the spec identity that travels on the wire, *not* the local
-    /// execution knob. It governs both the distance accumulator and,
-    /// since the batch kernels landed, the projection accumulators.
-    #[must_use]
-    pub fn kernel(&self) -> KernelId {
-        self.spec.kernel()
-    }
-
-    /// The batchable projection structure, for constructions whose
-    /// projection the batch kernels understand: column-sparse for the
-    /// SJLT/Achlioptas, explicit dense matrix for Kenthapadi. `None`
-    /// for the FJLT constructions — the in-place FWHT has no kernel
-    /// variant, so both kernels produce its historic bits via the
-    /// per-row path. Every caller projects dense rows, so the SJLT's
-    /// column table is resolved here (once per transform) and the V2
-    /// column scatter reads it instead of hashing.
-    fn batch_projection(&self) -> Option<kernel::BatchProjection<'_>> {
+    /// The projection of the constructions that batch it: the SJLT,
+    /// Achlioptas and Kenthapadi transforms, whose `apply_batch_into`
+    /// is bit-identical to per-row `apply_into`. `None` for the FJLT
+    /// constructions, whose in-place FWHT has no batch form.
+    fn batch_transform(&self) -> Option<&dyn LinearTransform> {
         match &self.inner {
-            Inner::Sjlt(s) => {
-                let t = s.general().transform();
-                t.resolve_columns();
-                Some(kernel::BatchProjection::Columns(t))
-            }
-            Inner::Achlioptas(a) => Some(kernel::BatchProjection::Columns(a.general().transform())),
-            Inner::Kenthapadi(kt) => {
-                let t = kt.general().transform();
-                Some(kernel::BatchProjection::Dense {
-                    matrix: t.matrix(),
-                    transform: t,
-                })
-            }
+            Inner::Sjlt(s) => Some(s.general().transform()),
+            Inner::Achlioptas(a) => Some(a.general().transform()),
+            Inner::Kenthapadi(kt) => Some(kt.general().transform()),
             Inner::FjltOutput(_) | Inner::FjltInput(_) => None,
         }
     }
 
-    /// Kernel-aware noiseless projection `S·x`: the exact values this
-    /// sketcher's [`PrivateSketcher::sketch`] adds noise to under the
-    /// spec's kernel. External accumulators (and the bit-identity
-    /// suites) pair it with [`PrivateSketcher::finalize_projection`] to
-    /// reproduce a release.
+    /// Noiseless projection `S·x`: the exact values this sketcher's
+    /// [`PrivateSketcher::sketch`] adds noise to. External accumulators
+    /// (and the bit-identity suites) pair it with
+    /// [`PrivateSketcher::finalize_projection`] to reproduce a release.
     ///
     /// # Errors
     /// [`CoreError::Transform`] on dimension mismatch;
@@ -633,22 +597,21 @@ impl AnySketcher {
                  it has no noiseless projection to expose",
             )),
             _ => {
-                let p = self
-                    .batch_projection()
+                let t = self
+                    .batch_transform()
                     .expect("non-FJLT constructions are batchable");
                 let mut out = vec![0.0; self.k()];
-                kernel::apply_projection(self.spec.kernel(), &p, x, &mut out)?;
+                t.apply_into(x, &mut out)?;
                 Ok(out)
             }
         }
     }
 
     /// Sketch batch rows `offset..offset + slots.len()` through the
-    /// batch projection kernels in fixed-size blocks, filling `slots`.
+    /// transform's batch apply in fixed-size blocks, filling `slots`.
     /// Per-row results are independent of block and chunk boundaries
-    /// (V1 blocks are bit-frozen to the per-row loop; V2 rows never mix
-    /// lanes), so every thread count and chunking yields one bit
-    /// pattern.
+    /// (the batch apply is bit-frozen to the per-row loop), so every
+    /// thread count and chunking yields one bit pattern.
     fn sketch_chunk_kernel(
         &self,
         xs: &[Vec<f64>],
@@ -658,9 +621,7 @@ impl AnySketcher {
     ) -> Result<(), CoreError> {
         const BLOCK: usize = 8;
         let k = self.k();
-        let p = self
-            .batch_projection()
-            .expect("caller checked batchability");
+        let t = self.batch_transform().expect("caller checked batchability");
         let mut scratch = vec![0.0f64; BLOCK * k];
         let mut start = 0;
         while start < slots.len() {
@@ -670,7 +631,7 @@ impl AnySketcher {
                 .map(Vec::as_slice)
                 .collect();
             let buf = &mut scratch[..len * k];
-            kernel::apply_batch(self.spec.kernel(), &p, &rows, buf)?;
+            t.apply_batch_into(&rows, buf)?;
             for (i, slot) in slots[start..start + len].iter_mut().enumerate() {
                 let row = offset + start + i;
                 let projection = buf[i * k..(i + 1) * k].to_vec();
@@ -684,17 +645,6 @@ impl AnySketcher {
 
 impl PrivateSketcher for AnySketcher {
     fn sketch(&self, x: &[f64], noise_seed: Seed) -> Result<NoisySketch, CoreError> {
-        // V2 routes the projection through the versioned kernels so a
-        // single release, a batch release, and a streamed finalize all
-        // produce one bit pattern under one kernel id. V1 keeps the
-        // exact historic per-construction path (frozen bits).
-        if self.spec.kernel() != KernelId::V1Scalar {
-            if let Some(p) = self.batch_projection() {
-                let mut projection = vec![0.0; self.k()];
-                kernel::apply_projection(self.spec.kernel(), &p, x, &mut projection)?;
-                return self.finalize_projection(projection, noise_seed);
-            }
-        }
         match &self.inner {
             Inner::Sjlt(s) => s.try_sketch(x, noise_seed),
             Inner::FjltOutput(s) => s.sketch(x, noise_seed),
@@ -705,20 +655,6 @@ impl PrivateSketcher for AnySketcher {
     }
 
     fn sketch_sparse(&self, x: &SparseVector, noise_seed: Seed) -> Result<NoisySketch, CoreError> {
-        // Under V2 the column-streaming constructions keep their
-        // O(s·‖x‖₀ + k) advantage through the fused sparse scatter.
-        if self.spec.kernel() != KernelId::V1Scalar {
-            let streaming: Option<&dyn dp_transforms::StreamingColumns> = match &self.inner {
-                Inner::Sjlt(s) => Some(s.general().transform()),
-                Inner::Achlioptas(a) => Some(a.general().transform()),
-                _ => None,
-            };
-            if let Some(t) = streaming {
-                let mut projection = vec![0.0; self.k()];
-                kernel::v2_apply_columns_sparse(t, x, &mut projection)?;
-                return self.finalize_projection(projection, noise_seed);
-            }
-        }
         match &self.inner {
             Inner::Sjlt(s) => s.sketch_sparse(x, noise_seed),
             Inner::Achlioptas(s) => s.sketch_sparse(x, noise_seed),
@@ -808,16 +744,16 @@ impl PrivateSketcher for AnySketcher {
         xs: &[Vec<f64>],
         noise_seed: Seed,
     ) -> Result<Vec<NoisySketch>, CoreError> {
-        if self.batch_projection().is_none() {
+        if self.batch_transform().is_none() {
             // FJLT constructions: the FWHT has no batch kernel; the
             // per-row data-parallel path is already their fastest form.
             return sketch_batch_par(self, xs, noise_seed, &self.par);
         }
-        // Kernel-aware batching: rows chunked across workers, each
-        // chunk projected block-at-a-time through `kernel::apply_batch`
+        // Batched projection: rows chunked across workers, each chunk
+        // projected block-at-a-time through the transform's batch apply
         // and finalized with the unchanged per-row noise seed
         // `noise_seed.index(row)` — bit-identical to the per-row path
-        // for every thread count and batch size, in both kernels.
+        // for every thread count and batch size.
         let mut out: Vec<Option<NoisySketch>> = vec![None; xs.len()];
         if self.par.is_sequential() || xs.len() <= 1 {
             self.sketch_chunk_kernel(xs, 0, &mut out, noise_seed)?;
@@ -1068,10 +1004,9 @@ pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
 }
 
 /// The kernel's per-tile inner loop: write the tile's `(i, j)`, `i < j`
-/// pair estimates into `out` in row-major order under the given
-/// [`KernelId`]. It is the estimator's only tiled implementation, which
-/// keeps every matrix, local or gathered, bit-identical (within a
-/// kernel version).
+/// pair estimates into `out` in row-major order. It is the estimator's
+/// only tiled implementation, which keeps every matrix, local or
+/// gathered, bit-identical.
 ///
 /// The tile's column slices are interleaved once
 /// ([`kernel::interleave_columns`]) into ⌈cols / 8⌉ groups of
@@ -1079,19 +1014,14 @@ pub fn effective_plan(n: usize, par: &Parallelism) -> TilePlan {
 /// then runs [`kernel::sq_distance_group`] against every row `i` that
 /// has a column `j > i` in it, and only the lanes with
 /// `i < j < col_end` are kept. Each lane is exactly
-/// [`kernel::sq_distance`] of its pair, minus `debias[i]`, so blocking
+/// [`kernel::v1_scalar`] of its pair, minus `debias[i]`, so blocking
 /// changes no bit (guarded by the bit-identity suites). A pair whose
 /// slices differ in length from the tile's first column takes the
 /// per-pair call, which keeps zip truncation. Every all-pairs tile
 /// runs this loop: the cold matrix, a grown memo's frontier, a
 /// worker's `ExecuteTilesStream` shard and a subset recompute.
-fn fill_tile_segment<'a, R>(
-    tile: &Tile,
-    row_values: &R,
-    debias: &[f64],
-    kernel: KernelId,
-    out: &mut [f64],
-) where
+fn fill_tile_segment<'a, R>(tile: &Tile, row_values: &R, debias: &[f64], out: &mut [f64])
+where
     R: Fn(usize) -> &'a [f64],
 {
     const W: usize = kernel::GROUP_WIDTH;
@@ -1120,12 +1050,12 @@ fn fill_tile_segment<'a, R>(
             if first >= end {
                 break;
             }
-            let raw = (a.len() == k).then(|| kernel::sq_distance_group(kernel, a, group));
+            let raw = (a.len() == k).then(|| kernel::sq_distance_group(a, group));
             for j in first.max(base)..end {
                 let col = cols[j - tile.col_start];
                 let sum = match raw {
                     Some(lanes) if col.len() == k => lanes[j - base],
-                    _ => kernel::sq_distance(kernel, a, col),
+                    _ => kernel::v1_scalar(a, col),
                 };
                 out[start + j - first] = sum - debias[i];
             }
@@ -1205,13 +1135,12 @@ where
     R: Fn(usize) -> &'a [f64] + Sync,
 {
     assert_eq!(debias.len(), plan.n(), "one debias constant per row");
-    let kernel = par.kernel();
     par_map(ids, par.threads(), |_, &tile_id| {
         let tile = plan
             .tile_at(usize::try_from(tile_id).expect("id fits usize"))
             .expect("tile id validated against the plan");
         let mut values = vec![0.0f64; tile.pair_count()];
-        fill_tile_segment(&tile, &row_values, debias, kernel, &mut values);
+        fill_tile_segment(&tile, &row_values, debias, &mut values);
         TileSegment { tile_id, values }
     })
 }
@@ -1291,6 +1220,30 @@ mod tests {
         }
         assert!(SketcherSpec::from_json("{}").is_err());
         assert!(SketcherSpec::from_json("not json").is_err());
+    }
+
+    /// The kernel field: written as `v1-scalar`, read back when absent
+    /// (pre-versioning specs were V1), and any other name — the retired
+    /// `v2-simd` first — refused with the typed error naming it.
+    #[test]
+    fn spec_json_names_the_one_kernel_and_refuses_any_other() {
+        let spec = SketcherSpec::new(Construction::SjltAuto, config(None), Seed::new(42));
+        let text = spec.to_json();
+        assert!(text.ends_with(r#","kernel":"v1-scalar"}"#), "{text}");
+        let unversioned = text.replace(r#","kernel":"v1-scalar""#, "");
+        assert_eq!(SketcherSpec::from_json(&unversioned).unwrap(), spec);
+        for name in ["v2-simd", "simd", "v3"] {
+            let stamped = text.replace("v1-scalar", name);
+            assert_eq!(
+                SketcherSpec::from_json(&stamped),
+                Err(CoreError::UnknownKernel(name.to_string()))
+            );
+        }
+        let numeric = text.replace(r#""v1-scalar""#, "1");
+        assert!(matches!(
+            SketcherSpec::from_json(&numeric),
+            Err(CoreError::Wire(_))
+        ));
     }
 
     #[test]
@@ -1420,23 +1373,21 @@ mod tests {
         let cfg = config(None);
         let sk = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(2)).unwrap();
         let x: Vec<f64> = (0..48).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-        // The kernel-aware noiseless projection, finalized, must equal a
-        // direct sketch under the same noise seed — in both kernel lanes.
+        // The noiseless projection, finalized, must equal a direct
+        // sketch under the same noise seed.
         let projection = sk.project(&x).unwrap();
         let via_finalize = sk.finalize_projection(projection, Seed::new(9)).unwrap();
         let direct = sk.sketch(&x, Seed::new(9)).unwrap();
         assert_eq!(via_finalize, direct);
-        // Under V1 the projection is the historic transform apply,
-        // bit-for-bit.
-        let v1 = sk.spec().with_kernel(KernelId::V1Scalar).build().unwrap();
-        let historic = v1
+        // The projection is the historic transform apply, bit-for-bit.
+        let historic = sk
             .as_sjlt()
             .unwrap()
             .general()
             .transform()
             .apply(&x)
             .unwrap();
-        for (a, b) in v1.project(&x).unwrap().iter().zip(&historic) {
+        for (a, b) in sk.project(&x).unwrap().iter().zip(&historic) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Wrong length rejected; input-perturbed construction refuses.
@@ -1459,25 +1410,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_per_row_sketches_bit_identical_in_both_kernels() {
+    fn batch_and_per_row_sketches_bit_identical() {
         let cfg = config(Some(1e-6));
         for construction in Construction::all() {
-            for kernel in [KernelId::V1Scalar, KernelId::V2Simd] {
-                let spec =
-                    SketcherSpec::new(construction, cfg.clone(), Seed::new(3)).with_kernel(kernel);
-                let sk = spec.build().unwrap();
-                // Ragged batch sizes around the internal block: empty,
-                // single, and non-multiples of the block width.
-                for n in [0usize, 1, 7, 9] {
-                    let xs = rows(n, 48, 21);
-                    let batch = sk.sketch_batch(&xs, Seed::new(5)).unwrap();
-                    for (i, x) in xs.iter().enumerate() {
-                        let single = sk.sketch(x, Seed::new(5).index(i as u64)).unwrap();
-                        assert_eq!(
-                            batch[i], single,
-                            "{construction:?} {kernel:?} n={n} row {i}"
-                        );
-                    }
+            let sk = SketcherSpec::new(construction, cfg.clone(), Seed::new(3))
+                .build()
+                .unwrap();
+            // Ragged batch sizes around the internal block: empty,
+            // single, and non-multiples of the block width.
+            for n in [0usize, 1, 7, 9] {
+                let xs = rows(n, 48, 21);
+                let batch = sk.sketch_batch(&xs, Seed::new(5)).unwrap();
+                for (i, x) in xs.iter().enumerate() {
+                    let single = sk.sketch(x, Seed::new(5).index(i as u64)).unwrap();
+                    assert_eq!(batch[i], single, "{construction:?} n={n} row {i}");
                 }
             }
         }

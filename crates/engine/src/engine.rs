@@ -11,18 +11,15 @@
 //!
 //! ## Determinism
 //!
-//! All estimates run the versioned accumulator of [`dp_core::kernel`]
-//! under one [`KernelId`] per engine — a raw sum of squared
-//! differences minus a hoisted `2k·E[η²]` — so engine answers are
-//! bit-identical to the slice-based reference for every thread count,
-//! tile size, and ingest/query interleaving *within a kernel version*
-//! (the default `V1Scalar` reproduces
-//! [`dp_core::NoisySketch::estimate_sq_distance`] exactly). Point
-//! queries and the all-pairs matrix share the engine's kernel, so they
-//! agree bit-for-bit under `V2Simd` too. In the all-pairs matrix, pair
-//! `(i, j)` with `i < j` is debiased with row `i`'s constant (exactly
-//! like the tiled kernel); a k-NN query is debiased with the *query
-//! row's* constant (exactly like `query.estimate_sq_distance(candidate)`).
+//! All estimates run the one accumulator of [`dp_core::kernel`] — a raw
+//! sum of squared differences minus a hoisted `2k·E[η²]` — so engine
+//! answers are bit-identical to the slice-based reference for every
+//! thread count, tile size, and ingest/query interleaving: they
+//! reproduce [`dp_core::NoisySketch::estimate_sq_distance`] exactly.
+//! In the all-pairs matrix, pair `(i, j)` with `i < j` is debiased
+//! with row `i`'s constant (exactly like the tiled kernel); a k-NN
+//! query is debiased with the *query row's* constant (exactly like
+//! `query.estimate_sq_distance(candidate)`).
 //! The two agree bit-for-bit whenever the batch was released by one
 //! sketcher, which is the only kind the workspace produces.
 //!
@@ -38,11 +35,11 @@ use crate::error::EngineError;
 use crate::gather::Gather;
 use crate::memo::PairwiseMemo;
 use crate::store::{SketchStore, CHUNK_ROWS};
-use dp_core::kernel::sq_distance_run;
+use dp_core::kernel::{sq_distance_run, v1_scalar};
 use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
 use dp_core::PrivateSketcher;
-use dp_core::{KernelId, PairwiseDistances, Parallelism, TilePlan, TileSegment};
+use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
@@ -81,19 +78,12 @@ impl Default for QueryEngine {
 
 impl QueryEngine {
     /// Wrap a store (queries run on the environment-default
-    /// [`Parallelism`]). A spec-carrying store pins the engine's kernel
-    /// to the spec's [`KernelId`] — the spec is the negotiated identity
-    /// a fleet agrees on, so the executing kernel must follow it, not
-    /// the local environment.
+    /// [`Parallelism`]).
     #[must_use]
     pub fn new(store: SketchStore) -> Self {
-        let mut par = Parallelism::default();
-        if let Some(spec) = store.spec() {
-            par = par.with_kernel(spec.kernel());
-        }
         Self {
             store,
-            par,
+            par: Parallelism::default(),
             memo: no_memo(),
             generation: 0,
         }
@@ -138,17 +128,13 @@ impl QueryEngine {
 
     /// Replace the store wholesale — a spec adoption, a disk recovery, a
     /// snapshot install — under the one rule every such swap follows:
-    /// the threads and tile of the execution knob stay, a spec-carrying
-    /// store pins the kernel to its spec's (as in [`QueryEngine::new`]),
-    /// the memo empties (it covered other rows), and the generation
-    /// moves past both its current value and `stamped_generation` (the
-    /// generation the store was persisted at, `0` for a fresh store) —
-    /// to `max(current, stamped) + 1` — so the next publish notices the
-    /// swap and no later one reuses a generation.
+    /// the execution knob stays, the memo empties (it covered other
+    /// rows), and the generation moves past both its current value and
+    /// `stamped_generation` (the generation the store was persisted at,
+    /// `0` for a fresh store) — to `max(current, stamped) + 1` — so the
+    /// next publish notices the swap and no later one reuses a
+    /// generation.
     pub fn replace_store(&mut self, store: SketchStore, stamped_generation: u64) {
-        if let Some(spec) = store.spec() {
-            self.par = self.par.with_kernel(spec.kernel());
-        }
         self.store = store;
         self.memo = no_memo();
         self.generation = self.generation.max(stamped_generation) + 1;
@@ -191,11 +177,10 @@ impl QueryEngine {
         result
     }
 
-    /// Server-side bulk load: sketch raw rows under the store's spec —
-    /// the negotiated kernel rides the spec, so the batch projection
-    /// kernels of [`dp_core::kernel`] do the work — then ingest the
-    /// releases under the given party ids. Per-row noise seeds are
-    /// `noise_seed.index(row)`, exactly the `sketch_batch` contract, so
+    /// Server-side bulk load: sketch raw rows under the store's spec
+    /// (its `sketch_batch`), then ingest the releases under the given
+    /// party ids. Per-row noise seeds are `noise_seed.index(row)`,
+    /// exactly the `sketch_batch` contract, so
     /// the ingested bytes are bit-identical to sketching each row alone
     /// and ingesting one at a time.
     ///
@@ -251,12 +236,7 @@ impl QueryEngine {
             return 0.0;
         }
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let raw = raw_sq_distance(
-            self.par.kernel(),
-            self.store.row_values(lo),
-            self.store.row_values(hi),
-        );
-        raw - self.store.debias_at(lo)
+        v1_scalar(self.store.row_values(lo), self.store.row_values(hi)) - self.store.debias_at(lo)
     }
 
     /// The all-pairs memo over every ingested row — **incremental**:
@@ -318,7 +298,7 @@ impl QueryEngine {
     /// generation, so the next publish carries it).
     ///
     /// The caller vouches that the memo was computed over this store's
-    /// rows under this engine's kernel.
+    /// rows.
     pub fn adopt_matrix(&mut self, matrix: Arc<PairwiseMemo>) -> bool {
         let rows = matrix.n();
         if rows <= self.memo.n() || rows > self.store.n() {
@@ -383,8 +363,8 @@ impl QueryEngine {
     /// exactly like the per-query surface this engine replaced. One
     /// pass over the candidates in O(k) memory ([`select_smallest`]),
     /// scored in place by the run kernel
-    /// ([`dp_core::kernel::sq_distance_run`], eight stored rows per pass
-    /// under V1), each estimate bit-identical to the per-pair one.
+    /// ([`dp_core::kernel::sq_distance_run`], eight stored rows per
+    /// pass), each estimate bit-identical to the per-pair one.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
@@ -404,14 +384,13 @@ impl QueryEngine {
     /// in row order.
     fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
         let store = &self.store;
-        let kernel = self.par.kernel();
         let party_ids = store.party_ids();
         let query_id = party_ids[row];
         let query = store.row_values(row);
         let debias = store.debias_at(row);
         let scored = store.value_runs().flat_map(|(rows, values)| {
             let mut sums = [0.0f64; CHUNK_ROWS];
-            sq_distance_run(kernel, query, values, rows.len(), &mut sums);
+            sq_distance_run(query, values, rows.len(), &mut sums);
             rows.zip(sums).filter_map(move |(c, sum)| {
                 (party_ids[c] != query_id).then_some((sum - debias, party_ids[c]))
             })
@@ -652,11 +631,3 @@ impl<T> PartialEq for Ranked<T> {
 }
 
 impl<T> Eq for Ranked<T> {}
-
-/// The kernel's inner expression: the versioned accumulator from
-/// [`dp_core::kernel`]. `V1Scalar` is the historic zip-order sum of
-/// squared differences, bit for bit.
-#[inline]
-fn raw_sq_distance(kernel: KernelId, a: &[f64], b: &[f64]) -> f64 {
-    dp_core::kernel::sq_distance(kernel, a, b)
-}

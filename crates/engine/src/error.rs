@@ -39,15 +39,6 @@ pub enum EngineError {
         /// The plan's tile count (valid ids are `0..tile_count`).
         tile_count: u64,
     },
-    /// A proposed spec matches the served spec in everything except the
-    /// kernel version — the peer is on the right store but the wrong
-    /// kernel build (protocol `ERR_KERNEL`).
-    KernelMismatch {
-        /// The kernel the store serves (`KernelId::name()` form).
-        served: String,
-        /// The kernel the peer proposed.
-        proposed: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -69,12 +60,6 @@ impl fmt::Display for EngineError {
             ),
             Self::UnknownTile { id, tile_count } => {
                 write!(f, "tile id {id} outside the plan ({tile_count} tiles)")
-            }
-            Self::KernelMismatch { served, proposed } => {
-                write!(
-                    f,
-                    "kernel mismatch: store serves {served}, peer proposed {proposed}"
-                )
             }
         }
     }
@@ -105,9 +90,9 @@ impl From<EngineError> for CoreError {
             EngineError::DuplicateParty(id) => Self::Wire(format!("party {id} already ingested")),
             EngineError::UnknownParty(id) => Self::Wire(format!("party {id} not in the store")),
             EngineError::Empty => Self::Wire("the store holds no sketches".to_string()),
-            plan @ (EngineError::PlanMismatch { .. }
-            | EngineError::UnknownTile { .. }
-            | EngineError::KernelMismatch { .. }) => Self::Wire(plan.to_string()),
+            plan @ (EngineError::PlanMismatch { .. } | EngineError::UnknownTile { .. }) => {
+                Self::Wire(plan.to_string())
+            }
         }
     }
 }

@@ -72,7 +72,7 @@ mod tests {
     use dp_core::sketcher::{
         pairwise_sq_distances_reference, Construction, PrivateSketcher, SketcherSpec,
     };
-    use dp_core::{KernelId, NoisySketch, Parallelism};
+    use dp_core::{NoisySketch, Parallelism};
     use dp_hashing::{Prng, Seed};
     use std::sync::Arc;
 
@@ -209,13 +209,8 @@ mod tests {
         }
         let cold_matrix = cold.pairwise_all();
         // Engine B: interleave ingest and queries (1 row, 4 rows, all).
-        // Same kernel as the cold engine (which runs the env default),
-        // so the comparison is within one kernel version.
-        let mut warm = QueryEngine::new(SketchStore::adopting()).with_parallelism(
-            Parallelism::new(2)
-                .with_tile(3)
-                .with_kernel(cold.parallelism().kernel()),
-        );
+        let mut warm = QueryEngine::new(SketchStore::adopting())
+            .with_parallelism(Parallelism::new(2).with_tile(3));
         for r in &rs[..1] {
             warm.ingest(r).unwrap();
         }
@@ -297,10 +292,7 @@ mod tests {
     #[test]
     fn replacing_the_store_keeps_the_knob_and_moves_the_generation_past_both() {
         let (spec, rs) = releases(4, 48);
-        let spec = spec.with_kernel(KernelId::V1Scalar);
-        let par = Parallelism::new(3)
-            .with_tile(5)
-            .with_kernel(KernelId::V2Simd);
+        let par = Parallelism::new(3).with_tile(5);
         let warm = || {
             let mut engine = QueryEngine::new(SketchStore::adopting()).with_parallelism(par);
             for r in &rs {
@@ -310,15 +302,15 @@ mod tests {
             engine
         };
 
-        // A spec-carrying store stamped behind the engine: threads and
-        // tile stay, the spec pins the kernel, the memo empties, and the
-        // generation moves one past the engine's own.
+        // A spec-carrying store stamped behind the engine: the knob
+        // stays, the memo empties, and the generation moves one past the
+        // engine's own.
         let mut engine = warm();
         let generation = engine.generation();
         let mut store = SketchStore::with_spec(spec.clone()).unwrap();
         store.ingest(&rs[0]).unwrap();
         engine.replace_store(store, generation - 1);
-        assert_eq!(engine.parallelism(), par.with_kernel(KernelId::V1Scalar));
+        assert_eq!(engine.parallelism(), par);
         assert_eq!(engine.generation(), generation + 1);
         assert_eq!(engine.store().spec(), Some(&spec));
         assert_eq!(engine.store().n(), 1);
@@ -354,12 +346,8 @@ mod tests {
                 assert_eq!(via_pair.to_bits(), matrix.at(i, j).to_bits(), "({i},{j})");
             }
         }
-        // Single-sketcher batches: pair() equals the per-pair estimator
-        // run under the engine's kernel.
-        let direct = rs[0]
-            .sketch
-            .estimate_sq_distance_with(&rs[3].sketch, engine.parallelism().kernel())
-            .unwrap();
+        // Single-sketcher batches: pair() equals the per-pair estimator.
+        let direct = rs[0].sketch.estimate_sq_distance(&rs[3].sketch).unwrap();
         assert_eq!(
             engine
                 .pair(rs[0].party_id, rs[3].party_id)
@@ -387,16 +375,15 @@ mod tests {
             .iter()
             .map(|&i| rs[i].sketch.clone())
             .collect();
-        // Per-pair reference under the engine's kernel: symmetric,
-        // zero diagonal — exactly what the subset recompute produces.
-        let kernel = engine.parallelism().kernel();
+        // Per-pair reference: symmetric, zero diagonal — exactly what
+        // the subset recompute produces.
         for i in 0..picked.len() {
             for j in 0..picked.len() {
                 let expected = if i == j {
                     0.0
                 } else {
                     picked[i.min(j)]
-                        .estimate_sq_distance_with(&picked[i.max(j)], kernel)
+                        .estimate_sq_distance(&picked[i.max(j)])
                         .unwrap()
                 };
                 assert_eq!(expected.to_bits(), sub.at(i, j).to_bits(), "({i},{j})");
@@ -491,7 +478,7 @@ mod tests {
 
     /// `knn` against an independent reference: every candidate release
     /// not sharing the query's party id, scored by
-    /// `NoisySketch::estimate_sq_distance_with`, stable-sorted and
+    /// `NoisySketch::estimate_sq_distance`, stable-sorted and
     /// truncated. The stores cover whole and ragged blocks, sealed
     /// chunks and the tail. Lenient duplicates of row 0's party id sit
     /// inside the first block, on both sides of the first chunk
@@ -515,42 +502,38 @@ mod tests {
                     }
                 })
                 .collect();
-            for kernel in [KernelId::V1Scalar, KernelId::V2Simd] {
-                let mut store = SketchStore::adopting();
-                for r in &rows {
-                    store.ingest_row(r).unwrap();
-                }
-                let engine = QueryEngine::new(store)
-                    .with_parallelism(Parallelism::sequential().with_kernel(kernel));
-                for q in [0, 1.min(n - 1), n / 2, n - 1] {
-                    let query_id = rows[q].party_id;
-                    let query = rows.iter().find(|r| r.party_id == query_id).unwrap();
-                    let mut scored: Vec<(u64, f64)> = rows
+            let mut store = SketchStore::adopting();
+            for r in &rows {
+                store.ingest_row(r).unwrap();
+            }
+            let engine = QueryEngine::new(store).with_parallelism(Parallelism::sequential());
+            for q in [0, 1.min(n - 1), n / 2, n - 1] {
+                let query_id = rows[q].party_id;
+                let query = rows.iter().find(|r| r.party_id == query_id).unwrap();
+                let mut scored: Vec<(u64, f64)> = rows
+                    .iter()
+                    .filter(|c| c.party_id != query_id)
+                    .map(|c| {
+                        (
+                            c.party_id,
+                            query.sketch.estimate_sq_distance(&c.sketch).unwrap(),
+                        )
+                    })
+                    .collect();
+                scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
+                for t in [1, 3, 10, n + 1] {
+                    let want: Vec<(u64, u64)> = scored
                         .iter()
-                        .filter(|c| c.party_id != query_id)
-                        .map(|c| {
-                            let d = query
-                                .sketch
-                                .estimate_sq_distance_with(&c.sketch, kernel)
-                                .unwrap();
-                            (c.party_id, d)
-                        })
+                        .take(t)
+                        .map(|&(id, d)| (id, d.to_bits()))
                         .collect();
-                    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
-                    for t in [1, 3, 10, n + 1] {
-                        let want: Vec<(u64, u64)> = scored
-                            .iter()
-                            .take(t)
-                            .map(|&(id, d)| (id, d.to_bits()))
-                            .collect();
-                        let got: Vec<(u64, u64)> = engine
-                            .knn(query_id, t)
-                            .unwrap()
-                            .iter()
-                            .map(|nb| (nb.party_id, nb.estimated_sq_distance.to_bits()))
-                            .collect();
-                        assert_eq!(got, want, "{kernel:?} n = {n}, query row {q}, t = {t}");
-                    }
+                    let got: Vec<(u64, u64)> = engine
+                        .knn(query_id, t)
+                        .unwrap()
+                        .iter()
+                        .map(|nb| (nb.party_id, nb.estimated_sq_distance.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "n = {n}, query row {q}, t = {t}");
                 }
             }
         }
@@ -716,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_sketch_and_ingest_rides_the_spec_kernel() {
+    fn bulk_sketch_and_ingest_matches_the_client_path() {
         let (spec, _) = releases(0, 48);
         let raw: Vec<Vec<f64>> = (0..5)
             .map(|i| (0..48).map(|j| ((i * 48 + j) % 5) as f64 - 2.0).collect())
@@ -726,7 +709,7 @@ mod tests {
         bulk.sketch_and_ingest_batch(&ids, &raw, Seed::new(77))
             .unwrap();
         // Bit-identical to the client-side sketch_batch + ingest path
-        // under the same spec (kernel id included).
+        // under the same spec.
         let sk = spec.build().unwrap();
         let expect = sk.sketch_batch(&raw, Seed::new(77)).unwrap();
         for (i, want) in expect.iter().enumerate() {

@@ -726,7 +726,6 @@ mod tests {
     use super::*;
     use dp_core::config::SketchConfig;
     use dp_core::sketcher::Construction;
-    use dp_core::KernelId;
     use dp_hashing::Seed;
 
     fn spec(d: usize) -> SketcherSpec {
@@ -849,10 +848,11 @@ mod tests {
     fn snapshot_bytes_match_the_golden_digest() {
         // The freeze lint pins the codec's source text, not the bytes
         // it writes for a given arena type. This digest pins the DPSS
-        // bytes of a V1-pinned store with two sealed chunks and an open
-        // tail; it was taken from the single flat `Vec<f64>` arena, so
-        // the chunked arena must write exactly what that one wrote.
-        let spec = spec(24).with_kernel(KernelId::V1Scalar);
+        // bytes of a spec-carrying store with two sealed chunks and an
+        // open tail; it was taken from the single flat `Vec<f64>` arena
+        // of a V1-pinned store, so the chunked arena must write exactly
+        // what that one wrote, spec JSON included.
+        let spec = spec(24);
         let mut store = SketchStore::with_spec(spec.clone()).unwrap();
         for r in releases_under(&spec, 133) {
             store.ingest(&r).unwrap();

@@ -1,8 +1,8 @@
 //! dp-lint: the workspace invariant checker.
 //!
 //! The reproduction's value rests on contracts no compiler enforces:
-//! one `(SketcherSpec, KernelId)` must produce one bit pattern on every
-//! CPU and thread count, privacy noise must come only from seeded
+//! one `SketcherSpec` must produce one bit pattern on every CPU and
+//! thread count, privacy noise must come only from seeded
 //! mechanisms, a panicking connection thread must never poison a lock
 //! into a permanent denial of service, and every protocol error code
 //! must stay documented and tested. This crate makes those contracts

@@ -1,7 +1,7 @@
 //! Determinism lints for result-producing crates.
 //!
-//! The bit-identity contract says one `(SketcherSpec, KernelId)`
-//! produces one bit pattern everywhere. Three token families can break
+//! The bit-identity contract says one `SketcherSpec` produces one bit
+//! pattern everywhere. Three token families can break
 //! that silently:
 //!
 //! * `HashMap`/`HashSet` — iteration order varies per process, so any

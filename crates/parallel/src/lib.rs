@@ -36,7 +36,7 @@ pub mod plan;
 pub mod pool;
 pub mod tile;
 
-pub use config::{KernelId, Parallelism, DEFAULT_TILE, MAX_THREADS};
+pub use config::{Parallelism, DEFAULT_TILE, MAX_THREADS};
 pub use plan::{TilePlan, TileSegment};
 pub use pool::{par_chunks_mut, par_map, scope_workers};
 pub use tile::Tile;

@@ -1,18 +1,20 @@
-//! Multi-process kernel-negotiation smoke: a worker pinned to one
-//! kernel build refuses a peer `Hello`ing with the other, with the
-//! typed `ERR_KERNEL` answer — and a coordinator over such a worker
-//! degrades to typed errors instead of hanging.
+//! Multi-process kernel smoke: the one kernel a `dp-server` runs is
+//! `v1-scalar`, and state naming the retired `v2-simd` is refused,
+//! typed — and a coordinator over a worker that refuses its relayed
+//! `Hello` degrades to typed errors instead of hanging.
 //!
 //! Drives real `dp-server` *processes* (path to the binary as the
 //! first argument):
 //!
-//! 1. a worker preloaded via `--spec` with the `v2-simd` kernel
-//!    refuses a direct `v1-scalar` `Hello` with `ERR_KERNEL` naming
-//!    both kernels, then accepts the matching `v2-simd` spec;
-//! 2. a coordinator pooled over that worker accepts a `v1-scalar`
-//!    client locally, but the `Hello` relay is refused by the worker,
-//!    poisoning its slot — the subsequent sharded query answers the
-//!    typed `ERR_WORKER` within the read timeout, never a hang.
+//! 1. a `--spec` file naming `v2-simd` makes `dp-server` exit non-zero,
+//!    naming the kernel on stderr;
+//! 2. a worker preloaded via `--spec` with a `v1-scalar` spec answers a
+//!    raw `v2-simd` `Hello` with `ERR_KERNEL` naming both kernels;
+//! 3. a coordinator pooled over that worker adopts a *different* spec
+//!    from its client, the worker refuses the relayed `Hello` (it
+//!    serves another spec), poisoning its slot — the subsequent sharded
+//!    query answers the typed `ERR_WORKER` within the read timeout,
+//!    never a hang.
 //!
 //! ```text
 //! cargo build --release -p dp-server
@@ -21,14 +23,13 @@
 //! ```
 
 use dp_core::config::SketchConfig;
-use dp_core::protocol::{ERR_KERNEL, ERR_WORKER};
+use dp_core::protocol::{Request, Response, ERR_KERNEL, ERR_WORKER};
 use dp_core::release::Release;
 use dp_core::sketcher::{Construction, PrivateSketcher, SketcherSpec};
-use dp_core::{wire, KernelId};
 use dp_hashing::Seed;
 use dp_server::{Client, ClientError, Endpoint};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn scratch_path(tag: &str, ext: &str) -> PathBuf {
@@ -53,8 +54,16 @@ fn main() {
 
     let sock_worker = scratch_path("worker", "sock");
     let sock_coord = scratch_path("coord", "sock");
+    let sock_refused = scratch_path("refused", "sock");
     let spec_file = scratch_path("spec", "json");
-    for s in [&sock_worker, &sock_coord, &spec_file] {
+    let spec_v2_file = scratch_path("spec-v2", "json");
+    for s in [
+        &sock_worker,
+        &sock_coord,
+        &sock_refused,
+        &spec_file,
+        &spec_v2_file,
+    ] {
         let _ = std::fs::remove_file(s);
     }
 
@@ -66,104 +75,71 @@ fn main() {
         .epsilon(2.0)
         .build()
         .expect("config");
-    // Pin both kernels explicitly: `SketcherSpec::new` defaults its
-    // kernel from `DP_KERNEL`, and this smoke must mean the same thing
-    // in every CI matrix lane.
-    let spec_v1 = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(1717))
-        .with_kernel(KernelId::V1Scalar);
-    let spec_v2 = spec_v1.clone().with_kernel(KernelId::V2Simd);
-    std::fs::write(&spec_file, spec_v2.to_json()).expect("write spec file");
+    let served = SketcherSpec::new(Construction::SjltAuto, config.clone(), Seed::new(1717));
+    let other = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(1718));
+    let stamped = served.to_json().replace("v1-scalar", "v2-simd");
+    std::fs::write(&spec_file, served.to_json()).expect("write spec file");
+    std::fs::write(&spec_v2_file, &stamped).expect("write v2 spec file");
 
-    // Phase 0: a worker preloaded with the v2-simd spec. Two accept
-    // loops: one for the coordinator's pooled connection, one for this
-    // harness's direct probes.
+    // Check 1: a v2-simd spec file is refused at start-up, non-zero,
+    // with the kernel named.
+    let refused = Command::new(&bin)
+        .args(["--listen", &format!("unix:{}", sock_refused.display())])
+        .args(["--spec", &spec_v2_file.display().to_string()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run dp-server with a v2-simd spec");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        !refused.status.success(),
+        "a v2-simd spec was served: {stderr}"
+    );
+    assert!(stderr.contains("v2-simd"), "kernel unnamed: {stderr}");
+    println!("kernel_smoke: --spec naming v2-simd refused at start-up");
+
+    // Check 2: a worker preloaded with the v1-scalar spec answers a raw
+    // v2-simd Hello with the dedicated code naming both kernels, then
+    // accepts its own spec. Two accept loops: one for the coordinator's
+    // pooled connection, one for this harness's direct probes.
     let mut worker = Command::new(&bin)
         .args(["--listen", &format!("unix:{}", sock_worker.display())])
         .args(["--spec", &spec_file.display().to_string()])
         .args(["--workers", "2"])
         .spawn()
         .expect("spawn worker dp-server");
-
-    // Phase 1: a direct v1-scalar Hello is refused with the dedicated
-    // code, and the refusal names both kernels — enough for the peer
-    // to re-Hello with the served kernel, which must then succeed.
     let worker_endpoint = Endpoint::Unix(sock_worker.clone());
     let mut probe = connect_retry(&worker_endpoint, "worker");
     probe
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
-    match probe.hello(&spec_v1) {
-        Err(ClientError::Remote { code, message }) => {
+    let hello = Request::Hello {
+        spec_json: stamped,
+        caps: 0,
+    };
+    match probe.call(&hello).expect("hello exchange") {
+        Response::Error { code, message } => {
             assert_eq!(code, ERR_KERNEL, "wrong error code: {message}");
             assert!(
                 message.contains("v2-simd"),
-                "served kernel unnamed: {message}"
+                "proposed kernel unnamed: {message}"
             );
             assert!(
                 message.contains("v1-scalar"),
-                "proposed kernel unnamed: {message}"
+                "served kernel unnamed: {message}"
             );
         }
         other => panic!("expected ERR_KERNEL, got {other:?}"),
     }
-    let (_, rows, _) = probe.hello(&spec_v2).expect("matching-kernel hello");
+    let (_, rows, _) = probe.hello(&served).expect("matching hello");
     assert_eq!(rows, 0, "worker store not fresh");
-    println!("kernel_smoke: direct mismatched hello refused with ERR_KERNEL");
+    drop(probe); // frees the accept slot for the coordinator's pool
+    println!("kernel_smoke: raw v2-simd hello refused with ERR_KERNEL");
 
-    // Phase 1.5: the batch sketch path is the wire path. In both
-    // kernel lanes the batch sketches must encode to the same bytes as
-    // the historic per-row path, and the v2 batch is then bulk-ingested
-    // into the worker *process* — a fresh hello must see every row.
-    let rows_data: Vec<Vec<f64>> = (0..6)
-        .map(|i| (0..d).map(|j| ((2 * i + j) % 7) as f64 - 3.0).collect())
-        .collect();
-    for (spec, lane) in [(&spec_v1, "v1-scalar"), (&spec_v2, "v2-simd")] {
-        let sk = spec.build().expect("sketcher");
-        let batch = sk.sketch_batch(&rows_data, Seed::new(5)).expect("batch");
-        for (i, sketch) in batch.iter().enumerate() {
-            let per_row = sk
-                .sketch(&rows_data[i], Seed::new(5).index(i as u64))
-                .expect("sketch");
-            assert_eq!(
-                wire::encode_sketch(sketch).expect("encode"),
-                wire::encode_sketch(&per_row).expect("encode"),
-                "batch/per-row sketch bytes diverged in the {lane} lane at row {i}"
-            );
-        }
-    }
-    let v2_batch = spec_v2
-        .build()
-        .expect("sketcher")
-        .sketch_batch(&rows_data, Seed::new(5))
-        .expect("batch");
-    for (i, sketch) in v2_batch.into_iter().enumerate() {
-        probe
-            .ingest(&Release {
-                party_id: i as u64,
-                sketch,
-            })
-            .expect("batch ingest into worker");
-    }
-    drop(probe); // frees the accept slot for the recount probe
-    let mut recount = connect_retry(&worker_endpoint, "worker recount");
-    recount
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    let (_, rows, _) = recount.hello(&spec_v2).expect("recount hello");
-    assert_eq!(
-        rows,
-        rows_data.len() as u64,
-        "batch-ingested rows not visible"
-    );
-    drop(recount); // frees the accept slot for the coordinator's pool
-    println!(
-        "kernel_smoke: batch sketches byte-identical to per-row in both lanes, bulk ingest visible"
-    );
-
-    // Phase 2: a coordinator over the v2 worker, spoken to by a
-    // v1-scalar client. The local Hello adopts v1; the relay to the
-    // worker is refused, poisoning the only slot. The sharded query
-    // must then fail *typed* — ERR_WORKER, not a hang.
+    // Check 3: a coordinator over that worker, spoken to with another
+    // spec. The local Hello adopts it; the relay to the worker is
+    // refused, poisoning the only slot. The sharded query must then
+    // fail *typed* — ERR_WORKER, not a hang.
     let mut coord = Command::new(&bin)
         .args(["--listen", &format!("unix:{}", sock_coord.display())])
         .args(["--worker", &format!("unix:{}", sock_worker.display())])
@@ -177,10 +153,13 @@ fn main() {
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
-    let (_, rows, _) = client.hello(&spec_v1).expect("coordinator hello");
+    let (_, rows, _) = client.hello(&other).expect("coordinator hello");
     assert_eq!(rows, 0, "coordinator store not fresh");
 
-    let sketcher = spec_v1.build().expect("sketcher");
+    let rows_data: Vec<Vec<f64>> = (0..6)
+        .map(|i| (0..d).map(|j| ((2 * i + j) % 7) as f64 - 3.0).collect())
+        .collect();
+    let sketcher = other.build().expect("sketcher");
     for (i, sketch) in sketcher
         .sketch_batch(&rows_data, Seed::new(5))
         .expect("batch")
@@ -205,10 +184,10 @@ fn main() {
     }
     assert!(
         started.elapsed() < Duration::from_secs(30),
-        "mismatched-kernel query was not bounded: {:?}",
+        "query over the refusing worker was not bounded: {:?}",
         started.elapsed()
     );
-    println!("kernel_smoke: sharded query over the refused worker failed typed, no hang");
+    println!("kernel_smoke: sharded query over the refusing worker failed typed, no hang");
 
     client.shutdown().expect("shutdown coordinator");
     let coord_status = coord.wait().expect("coordinator exit");
@@ -216,7 +195,13 @@ fn main() {
     let direct = connect_retry(&worker_endpoint, "worker for shutdown");
     direct.shutdown().expect("shutdown worker");
     worker.wait().expect("worker exit");
-    for s in [&sock_worker, &sock_coord, &spec_file] {
+    for s in [
+        &sock_worker,
+        &sock_coord,
+        &sock_refused,
+        &spec_file,
+        &spec_v2_file,
+    ] {
         let _ = std::fs::remove_file(s);
     }
     println!("kernel_smoke: PASS");

@@ -90,6 +90,7 @@ fn error_response(e: &EngineError) -> Response {
         EngineError::Core(CoreError::Wire(_) | CoreError::ChecksumMismatch { .. }) => {
             (ERR_MALFORMED, e.to_string())
         }
+        EngineError::Core(CoreError::UnknownKernel(_)) => (ERR_KERNEL, e.to_string()),
         EngineError::Core(_) => (ERR_INTERNAL, e.to_string()),
         EngineError::Incompatible { .. } => (ERR_INCOMPATIBLE, e.to_string()),
         EngineError::DuplicateParty(_) => (ERR_DUPLICATE_PARTY, e.to_string()),
@@ -98,7 +99,6 @@ fn error_response(e: &EngineError) -> Response {
         EngineError::PlanMismatch { .. } | EngineError::UnknownTile { .. } => {
             (ERR_PLAN, e.to_string())
         }
-        EngineError::KernelMismatch { .. } => (ERR_KERNEL, e.to_string()),
     };
     Response::Error { code, message }
 }
@@ -867,7 +867,11 @@ impl Server {
     /// locally.
     ///
     /// # Errors
-    /// Propagates bind failures and data-directory creation failures.
+    /// Propagates bind failures and data-directory creation failures. A
+    /// data directory whose snapshot or journal names a kernel this
+    /// build does not run (the retired `v2-simd`) is refused with an
+    /// [`io::ErrorKind::InvalidData`] error wrapping
+    /// [`CoreError::UnknownKernel`], before any file is rewritten.
     pub fn bind_coordinator_with(
         endpoint: Endpoint,
         engine: QueryEngine,
@@ -888,7 +892,8 @@ impl Server {
         let mut frames: Vec<Vec<u8>> = Vec::new();
         if let Some(dir) = &data_dir {
             std::fs::create_dir_all(dir)?;
-            let state = replication::load_dir(dir);
+            let state = replication::load_dir(dir)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             recovered = state.holds_state();
             notes = state.notes;
             spec_json = state.spec_json;
@@ -1763,14 +1768,14 @@ const SERVER_CAPS: u32 = CAP_TILE_STREAM | CAP_SKETCH_F32 | CAP_SNAPSHOT;
 const CLIENT_CAPS: u32 = CAP_TILE_STREAM | CAP_SKETCH_F32 | CAP_SNAPSHOT;
 
 /// The `Hello` negotiation: adopt the spec on a fresh store, accept a
-/// matching re-`Hello`, refuse a different spec. A spec differing
-/// *only* in the kernel version gets the dedicated `ERR_KERNEL` answer
-/// — the peer is on the right store but the wrong kernel build, and
-/// can re-`Hello` with the served kernel instead of re-deriving
-/// parameters.
+/// matching re-`Hello`, refuse a different spec. A spec naming a kernel
+/// this build does not run (the retired `v2-simd`) gets the dedicated
+/// `ERR_KERNEL` answer, on an empty store too, and adopts nothing: its
+/// releases were estimated under other bits.
 fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
     let proposed = match SketcherSpec::from_json(spec_json) {
         Ok(spec) => spec,
+        Err(e @ CoreError::UnknownKernel(_)) => return error_response(&EngineError::Core(e)),
         Err(e) => {
             return Response::Error {
                 code: ERR_SPEC,
@@ -1780,12 +1785,6 @@ fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
     };
     match engine.store().spec() {
         Some(current) if *current == proposed => {}
-        Some(current) if current.differs_only_in_kernel(&proposed) => {
-            return error_response(&EngineError::KernelMismatch {
-                served: current.kernel().name().to_string(),
-                proposed: proposed.kernel().name().to_string(),
-            })
-        }
         Some(_) => {
             return Response::Error {
                 code: ERR_SPEC_MISMATCH,
@@ -1793,11 +1792,8 @@ fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
             }
         }
         None if engine.store().is_empty() => {
-            // Adopt: the spec's kernel becomes the engine's executing
-            // kernel (the negotiated identity wins over the local
-            // environment's DP_KERNEL), and the replacement's generation
-            // bump makes the mutation path publish a snapshot carrying
-            // the adopted spec.
+            // Adopt: the replacement's generation bump makes the
+            // mutation path publish a snapshot carrying the spec.
             match SketchStore::with_spec(proposed) {
                 Ok(store) => engine.replace_store(store, 0),
                 Err(e) => return error_response(&e),
@@ -2365,7 +2361,6 @@ mod tests {
     use super::*;
     use dp_core::config::SketchConfig;
     use dp_core::sketcher::Construction;
-    use dp_core::KernelId;
     use dp_hashing::Seed;
     use std::path::PathBuf;
 
@@ -2500,10 +2495,7 @@ mod tests {
                 ERR_PLAN,
             ),
             (
-                EngineError::KernelMismatch {
-                    served: "v1-scalar".to_string(),
-                    proposed: "v2-simd".to_string(),
-                },
+                EngineError::Core(CoreError::UnknownKernel("v2-simd".to_string())),
                 ERR_KERNEL,
             ),
         ];
@@ -2515,13 +2507,13 @@ mod tests {
         }
     }
 
-    /// The `Hello` negotiation distinguishes "wrong spec" from "right
-    /// spec, wrong kernel build": the latter gets the dedicated
-    /// `ERR_KERNEL` answer naming both kernels, so the peer can
-    /// re-`Hello` with the served kernel instead of re-deriving
-    /// parameters. A matching kernel still round-trips.
+    /// A spec naming the retired `v2-simd` kernel gets the dedicated
+    /// `ERR_KERNEL` answer naming both kernels, from an empty store and
+    /// from one serving the same parameters under `v1-scalar`, and
+    /// changes nothing: the empty store adopts no spec, and the served
+    /// spec still round-trips.
     #[test]
-    fn hello_refuses_kernel_mismatch_with_a_typed_error() {
+    fn hello_refuses_a_retired_kernel_with_a_typed_error() {
         let config = SketchConfig::builder()
             .input_dim(64)
             .alpha(0.3)
@@ -2529,37 +2521,27 @@ mod tests {
             .epsilon(1.0)
             .build()
             .expect("config");
-        let served = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(7))
-            .with_kernel(KernelId::V2Simd);
-        let mut engine = QueryEngine::new(SketchStore::with_spec(served.clone()).expect("store"));
-
-        // Same parameters, V1 kernel: the dedicated refusal.
-        let proposed = served.clone().with_kernel(KernelId::V1Scalar);
-        match hello(&mut engine, &proposed.to_json()) {
+        let served = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(7));
+        let stamped = served.to_json().replace("v1-scalar", "v2-simd");
+        let refused = |engine: &mut QueryEngine| match hello(engine, &stamped) {
             Response::Error { code, message } => {
-                assert_eq!(code, ERR_KERNEL);
+                assert_eq!(code, ERR_KERNEL, "{message}");
                 assert!(message.contains("v2-simd"), "{message}");
                 assert!(message.contains("v1-scalar"), "{message}");
             }
             other => panic!("expected ERR_KERNEL, got {other:?}"),
-        }
-        // The served kernel is accepted, and the engine executes it.
+        };
+
+        let mut fresh = QueryEngine::new(SketchStore::adopting());
+        refused(&mut fresh);
+        assert!(fresh.store().spec().is_none(), "nothing adopted");
+        assert_eq!(fresh.generation(), 0);
+
+        let mut engine = QueryEngine::new(SketchStore::with_spec(served.clone()).expect("store"));
+        refused(&mut engine);
         match hello(&mut engine, &served.to_json()) {
             Response::Hello { rows, .. } => assert_eq!(rows, 0),
             other => panic!("expected Hello, got {other:?}"),
         }
-        assert_eq!(engine.parallelism().kernel(), KernelId::V2Simd);
-
-        // An empty spec-less store adopts the proposed kernel wholesale.
-        let mut fresh = QueryEngine::new(SketchStore::adopting());
-        match hello(&mut fresh, &proposed.to_json()) {
-            Response::Hello { .. } => {}
-            other => panic!("expected Hello, got {other:?}"),
-        }
-        assert_eq!(fresh.parallelism().kernel(), KernelId::V1Scalar);
-        assert_eq!(
-            fresh.store().spec().expect("adopted").kernel(),
-            KernelId::V1Scalar
-        );
     }
 }

@@ -34,10 +34,14 @@
 //! Loading never panics and never silently diverges: a corrupt
 //! snapshot, a torn journal tail, or a journal whose base the snapshot
 //! does not reach each degrade to the **valid prefix** of the state,
-//! with a typed [`RecoveryNote`] describing what was dropped.
+//! with a typed [`RecoveryNote`] describing what was dropped. State
+//! whose spec names a kernel this build does not run (the retired
+//! `v2-simd`) does not degrade: loading refuses it whole, typed.
 
+use dp_core::sketcher::SketcherSpec;
 use dp_core::wire::fnv1a64;
-use dp_engine::SketchStore;
+use dp_core::CoreError;
+use dp_engine::{EngineError, SketchStore};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -278,12 +282,20 @@ fn parse_journal(
 /// replicated state. Missing files are simply absent state (a fresh
 /// directory loads as empty with no notes); corruption degrades with
 /// typed notes, never a panic.
-pub(crate) fn load_dir(dir: &Path) -> LoadedState {
+///
+/// # Errors
+/// [`CoreError::UnknownKernel`] when the snapshot's spec or the journal
+/// header's names a kernel this build does not run. Such state is not
+/// corrupt, so it is not degraded: dropping the snapshot would lose
+/// acked rows, and replaying the journal would answer them under other
+/// bits than they were acked under.
+pub(crate) fn load_dir(dir: &Path) -> Result<LoadedState, CoreError> {
     let mut notes = Vec::new();
     let mut snapshot = None;
     if let Ok(bytes) = fs::read(dir.join(SNAPSHOT_FILE)) {
         match SketchStore::decode_snapshot(&bytes) {
             Ok((store, generation)) => snapshot = Some((bytes, store, generation)),
+            Err(EngineError::Core(e @ CoreError::UnknownKernel(_))) => return Err(e),
             Err(e) => notes.push(RecoveryNote::SnapshotCorrupt(e.to_string())),
         }
     }
@@ -293,6 +305,11 @@ pub(crate) fn load_dir(dir: &Path) -> LoadedState {
     match fs::read(dir.join(JOURNAL_FILE)) {
         Ok(bytes) if !bytes.is_empty() => match parse_journal(&bytes) {
             Ok((base, spec, parsed, truncation)) => {
+                if let Some(Err(e @ CoreError::UnknownKernel(_))) =
+                    spec.as_deref().map(SketcherSpec::from_json)
+                {
+                    return Err(e);
+                }
                 journal_base = base;
                 spec_json = spec;
                 frames = parsed;
@@ -325,15 +342,15 @@ pub(crate) fn load_dir(dir: &Path) -> LoadedState {
     };
     if spec_json.is_none() {
         if let Some((_, store, _)) = &snapshot {
-            spec_json = store.spec().map(dp_core::sketcher::SketcherSpec::to_json);
+            spec_json = store.spec().map(SketcherSpec::to_json);
         }
     }
-    LoadedState {
+    Ok(LoadedState {
         spec_json,
         snapshot,
         suffix,
         notes,
-    }
+    })
 }
 
 /// Write `bytes` to `path` atomically: a sibling temp file renamed into
@@ -593,7 +610,7 @@ mod tests {
         }
         drop(log);
 
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         assert!(state.notes.is_empty(), "{:?}", state.notes);
         assert_eq!(state.spec_json.as_deref(), Some(spec_json.as_str()));
         let (bytes, store, generation) = state.snapshot.expect("snapshot");
@@ -621,7 +638,7 @@ mod tests {
         let last_record = journal_record(&frames[3]).len();
         for cut in 1..last_record {
             fs::write(&path, &pristine[..pristine.len() - cut]).expect("truncate");
-            let state = load_dir(&dir);
+            let state = load_dir(&dir).expect("loads");
             assert_eq!(state.suffix, frames[..3], "cut {cut}");
             assert_eq!(
                 state.notes,
@@ -638,7 +655,7 @@ mod tests {
             + journal_record(&frames[1]).len();
         flipped[third_at + 6] ^= 0x01;
         fs::write(&path, &flipped).expect("flip");
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         assert_eq!(state.suffix, frames[..2]);
         assert_eq!(
             state.notes,
@@ -673,7 +690,7 @@ mod tests {
         // The snapshot is refused; the journal (base 2) then has no
         // state to attach to, so its frames are dropped too — degraded,
         // typed, and panic-free.
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         assert!(state.snapshot.is_none());
         assert!(state.suffix.is_empty());
         assert!(
@@ -705,7 +722,7 @@ mod tests {
         write_atomic(&dir.join(SNAPSHOT_FILE), &snapshot).expect("snapshot");
         fs::write(dir.join(JOURNAL_FILE), &bytes).expect("journal");
 
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         let (_, store, _) = state.snapshot.expect("snapshot survives");
         assert_eq!(store.n(), 2);
         assert!(state.suffix.is_empty());
@@ -732,7 +749,7 @@ mod tests {
         bytes.extend_from_slice(&journal_record(&frames[0]));
         fs::write(dir.join(JOURNAL_FILE), &bytes).expect("journal");
 
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         let (_, store, _) = state.snapshot.expect("snapshot survives");
         assert_eq!(store.n(), 3);
         assert!(state.suffix.is_empty());
@@ -753,7 +770,7 @@ mod tests {
         write_atomic(&dir.join(SNAPSHOT_FILE), &snapshot).expect("snapshot");
         fs::write(dir.join(JOURNAL_FILE), b"not a journal at all").expect("garbage");
 
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         assert!(state.snapshot.is_some());
         assert!(state.suffix.is_empty());
         assert!(
@@ -763,7 +780,7 @@ mod tests {
         );
         // An empty directory, by contrast, is clean absence: no notes.
         let fresh = scratch_dir("fresh");
-        let state = load_dir(&fresh);
+        let state = load_dir(&fresh).expect("loads");
         assert!(!state.holds_state());
         assert!(state.notes.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -791,7 +808,7 @@ mod tests {
         assert_eq!(log.tip(), 6);
         drop(log);
 
-        let state = load_dir(&dir);
+        let state = load_dir(&dir).expect("loads");
         assert!(state.notes.is_empty(), "{:?}", state.notes);
         let (bytes, store, generation) = state.snapshot.expect("snapshot");
         assert_eq!(bytes, snapshot);

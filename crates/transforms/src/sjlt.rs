@@ -20,10 +20,10 @@
 //!
 //! Each entry comes from a degree-`t` polynomial hash plus a sign hash,
 //! tens of multiplications apiece, so a transform resolves its columns
-//! once. The first dense application (`apply_into`, `apply_batch_into`,
-//! or [`Sjlt::resolve_columns`], which dp-core calls before its batch
-//! kernels) hashes all `d·s` entries into a column table, `Θ(d·s·t)`
-//! work, and every later sketch costs `O(s·‖x‖₀ + k)` table reads.
+//! once. The first dense application (`apply_into` or
+//! `apply_batch_into`) hashes all `d·s` entries into a column table,
+//! `Θ(d·s·t)` work, and every later sketch costs `O(s·‖x‖₀ + k)` table
+//! reads.
 //! Clones share the table, including clones made before it was
 //! resolved. A sparse application or a turnstile update before any
 //! dense pass hashes its `s` entries per column, so the sparse and
@@ -129,17 +129,9 @@ impl Sjlt {
         })
     }
 
-    /// Resolve the column table if no clone has yet: `d·s` hash
-    /// evaluations once per transform, after which every application
-    /// reads the table. Dense applications call this themselves; a
-    /// caller that projects dense rows through
-    /// [`StreamingColumns::for_column`], which only reads a table that
-    /// exists, calls it first.
-    pub fn resolve_columns(&self) {
-        self.table();
-    }
-
-    /// The column table, resolved on first use.
+    /// The column table, resolved on the first dense application (if no
+    /// clone has yet): `d·s` hash evaluations once per transform, after
+    /// which every application reads the table.
     fn table(&self) -> &[u32] {
         self.columns.0.get_or_init(|| {
             let mut table = Vec::with_capacity(self.d * self.s);
@@ -576,7 +568,6 @@ mod table_tests {
         // Later applies reuse the one table and keep the hashed bits.
         let mut batch = vec![0.0; 32];
         t.apply_batch_into(&[&x], &mut batch).unwrap();
-        t.resolve_columns();
         assert_eq!(resolved(&t), Some(table));
         assert_eq!(first, batch);
         assert_eq!(t.apply_sparse(&sparse).unwrap(), hashed);

@@ -98,6 +98,7 @@ pub mod prelude {
         fjlt_private::{PrivateFjltInput, PrivateFjltOutput},
         framework::GenSketcher,
         kenthapadi::{Kenthapadi, SigmaCalibration},
+        kernel::KernelId,
         sjlt_private::PrivateSjlt,
         sketcher::{
             pairwise_sq_distances, pairwise_sq_distances_with_par, sketch_batch_par, AnySketcher,
@@ -110,7 +111,7 @@ pub mod prelude {
         mechanism::{GaussianMechanism, LaplaceMechanism, NoiseMechanism},
         privacy::PrivacyGuarantee,
     };
-    pub use dp_parallel::{KernelId, Parallelism, TilePlan, TileSegment};
+    pub use dp_parallel::{Parallelism, TilePlan, TileSegment};
     pub use dp_stream::{
         distributed::{Party, PublicParams, Release},
         streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher},

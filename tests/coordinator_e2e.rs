@@ -48,17 +48,10 @@ fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
         .collect()
 }
 
-/// The bit-identity anchor: the spec's own kernel, run sequentially.
-/// The suite runs in the `DP_KERNEL` CI matrix, so the spec (and with
-/// it every server in these tests) may carry either kernel — the
-/// reference must follow it, never assume `v1-scalar`.
-fn reference_matrix(sketches: &[NoisySketch], spec: &SketcherSpec) -> PairwiseDistances {
-    pairwise_sq_distances_with_par(
-        sketches,
-        |s| s,
-        &Parallelism::sequential().with_kernel(spec.kernel()),
-    )
-    .expect("reference")
+/// The bit-identity anchor: the historic per-pair estimator, which
+/// runs none of the tiled code.
+fn reference_matrix(sketches: &[NoisySketch]) -> PairwiseDistances {
+    dp_euclid::core::pairwise_sq_distances_reference(sketches).expect("reference")
 }
 
 fn scratch_socket(tag: &str) -> PathBuf {
@@ -97,7 +90,7 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
     let all = releases(&spec, 18);
     let (rs, held_back) = all.split_at(17);
     let sketches: Vec<_> = rs.iter().map(|r| r.sketch.clone()).collect();
-    let reference = reference_matrix(&sketches, &spec);
+    let reference = reference_matrix(&sketches);
 
     let (worker_a, ep_a, sock_a) = bind_worker("wa");
     let (worker_b, ep_b, sock_b) = bind_worker("wb");
@@ -191,7 +184,7 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
         // re-executed, not the whole plan.
         client.ingest(&held_back[0]).expect("ingest");
         let grown: Vec<_> = all.iter().map(|r| r.sketch.clone()).collect();
-        let grown_reference = reference_matrix(&grown, &spec);
+        let grown_reference = reference_matrix(&grown);
         let (grown_ids, grown_values) = client.pairwise(&[]).expect("regather");
         assert_eq!(grown_ids.len(), 18);
         assert_bits(&grown_values, grown_reference.as_flat());
@@ -328,7 +321,7 @@ fn dead_worker_is_redispatched_to_the_survivor() {
     let spec = spec(96);
     let rs = releases(&spec, 6);
     let sketches: Vec<_> = rs.iter().map(|r| r.sketch.clone()).collect();
-    let reference = reference_matrix(&sketches, &spec);
+    let reference = reference_matrix(&sketches);
 
     let (worker_a, ep_a, sock_a) = bind_worker("da");
     // Worker B is the fake: healthy during setup, silent at query time.
@@ -473,7 +466,7 @@ fn killed_worker_restarts_and_resyncs_from_the_journal() {
         // the first exchange, poisons it (revival times out — nothing
         // answers), and re-dispatches to A. Bit-identity holds.
         let sketches: Vec<_> = rs.iter().map(|r| r.sketch.clone()).collect();
-        let reference = reference_matrix(&sketches, &spec);
+        let reference = reference_matrix(&sketches);
         let (ids, values) = client.pairwise(&[]).expect("pairwise with dead worker");
         assert_eq!(ids.len(), 10);
         assert_bits(&values, reference.as_flat());
@@ -501,7 +494,7 @@ fn killed_worker_restarts_and_resyncs_from_the_journal() {
         // journaled Hello, catch up all 12 ingests — without restarting
         // the coordinator — then shards the frontier across A and B.
         let grown: Vec<_> = all.iter().map(|r| r.sketch.clone()).collect();
-        let grown_reference = reference_matrix(&grown, &spec);
+        let grown_reference = reference_matrix(&grown);
         let (ids, values) = client.pairwise(&[]).expect("pairwise after restart");
         assert_eq!(ids.len(), 12);
         assert_bits(&values, grown_reference.as_flat());

@@ -80,39 +80,21 @@ proptest! {
         let sketches = sk
             .sketch_batch(&rows(n, 32, seed), Seed::new(seed.wrapping_add(1)))
             .unwrap();
-        // The contract is *per kernel*: within each kernel version the
-        // gather/scatter layout (threads × tile) must never move a bit
-        // relative to a reference that runs none of the tiled code. V1
-        // is pinned to the historic naive estimator, V2 to a per-pair
-        // loop over its kernel. Tiles of up to 20 columns cover
-        // diagonal tiles, zero-padded ragged groups and rows that span
-        // several groups of the blocked kernel.
-        for kernel in [KernelId::V1Scalar, KernelId::V2Simd] {
-            let reference: Vec<f64> = if kernel == KernelId::V1Scalar {
-                pairwise_sq_distances_reference(&sketches).unwrap().as_flat().to_vec()
-            } else {
-                let mut values = vec![0.0; n * n];
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        let est = sketches[i]
-                            .estimate_sq_distance_with(&sketches[j], kernel)
-                            .unwrap();
-                        values[i * n + j] = est;
-                        values[j * n + i] = est;
-                    }
-                }
-                values
-            };
-            let tiled = pairwise_sq_distances_with_par(
-                &sketches,
-                |s| s,
-                &Parallelism::new(threads).with_tile(tile).with_kernel(kernel),
-            )
-            .unwrap();
-            prop_assert_eq!(tiled.n(), n);
-            for (a, b) in reference.iter().zip(tiled.as_flat()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+        // The gather/scatter layout (threads × tile) must never move a
+        // bit relative to the historic naive estimator, which runs none
+        // of the tiled code. Tiles of up to 20 columns cover diagonal
+        // tiles, zero-padded ragged groups and rows that span several
+        // groups of the blocked kernel.
+        let reference = pairwise_sq_distances_reference(&sketches).unwrap();
+        let tiled = pairwise_sq_distances_with_par(
+            &sketches,
+            |s| s,
+            &Parallelism::new(threads).with_tile(tile),
+        )
+        .unwrap();
+        prop_assert_eq!(tiled.n(), n);
+        for (a, b) in reference.as_flat().iter().zip(tiled.as_flat()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }
@@ -136,21 +118,21 @@ fn empty_and_singleton_batches() {
     }
 }
 
+/// `DP_KERNEL` selected the retired V2 kernel. A value left in an
+/// operator's environment must change nothing: the environment knob is
+/// the thread count alone, and a spec built without naming a kernel
+/// names `v1-scalar`.
 #[test]
 fn dp_kernel_env_contract_is_exercised() {
-    // CI runs the suite under DP_KERNEL=scalar and DP_KERNEL=simd;
-    // this test pins what the variable means so both lanes check it.
     let par = Parallelism::from_env();
-    match std::env::var("DP_KERNEL") {
-        Ok(v) if ["simd", "v2", "v2-simd"].contains(&v.trim().to_ascii_lowercase().as_str()) => {
-            assert_eq!(par.kernel(), KernelId::V2Simd)
-        }
-        Ok(_) | Err(_) => assert_eq!(par.kernel(), KernelId::V1Scalar),
-    }
-    // Explicit construction never inherits the environment's kernel:
-    // deterministic pipelines opt in via the spec, not ambiently.
-    assert_eq!(Parallelism::new(4).kernel(), KernelId::V1Scalar);
-    assert_eq!(Parallelism::sequential().kernel(), KernelId::V1Scalar);
+    assert_eq!(par, Parallelism::new(par.threads()));
+    let spec = sketcher(5).spec();
+    assert_eq!(spec.kernel(), KernelId::V1Scalar);
+    assert!(
+        spec.to_json().ends_with(r#","kernel":"v1-scalar"}"#),
+        "{}",
+        spec.to_json()
+    );
 }
 
 #[test]

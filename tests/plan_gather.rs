@@ -26,17 +26,10 @@ use dp_euclid::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// The bit-identity anchor: the ambient kernel (what an adopting
-/// [`QueryEngine`] executes, V2 in the `DP_KERNEL=simd` CI lane), run
-/// sequentially. In the scalar lane this is bit-identical to
-/// `pairwise_sq_distances_reference`.
+/// The bit-identity anchor: the historic per-pair estimator, which
+/// runs none of the tiled code.
 fn reference_matrix(sketches: &[NoisySketch]) -> PairwiseDistances {
-    pairwise_sq_distances_with_par(
-        sketches,
-        |s| s,
-        &Parallelism::sequential().with_kernel(Parallelism::from_env().kernel()),
-    )
-    .expect("reference")
+    dp_euclid::core::pairwise_sq_distances_reference(sketches).expect("reference")
 }
 
 /// A pool of real releases the gather cases slice from (built once:

@@ -16,6 +16,7 @@ use dp_euclid::core::protocol::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, ERR_PLAN,
 };
 use dp_euclid::core::release::Release;
+use dp_euclid::core::CoreError;
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
 use dp_server::{connect, Client, Conn, CoordinatorConfig, Endpoint, Server, WorkerEntry};
@@ -54,13 +55,10 @@ fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
         .collect()
 }
 
-fn reference_matrix(sketches: &[NoisySketch], spec: &SketcherSpec) -> PairwiseDistances {
-    pairwise_sq_distances_with_par(
-        sketches,
-        |s| s,
-        &Parallelism::sequential().with_kernel(spec.kernel()),
-    )
-    .expect("reference")
+/// The bit-identity anchor: the historic per-pair estimator, which
+/// runs none of the tiled code.
+fn reference_matrix(sketches: &[NoisySketch]) -> PairwiseDistances {
+    dp_euclid::core::pairwise_sq_distances_reference(sketches).expect("reference")
 }
 
 fn scratch_socket(tag: &str) -> PathBuf {
@@ -91,7 +89,7 @@ fn a_restarted_worker_resyncs_via_snapshot_plus_suffix_after_compaction() {
     let spec = spec(96);
     let rs = releases(&spec, 10);
     let sketches: Vec<_> = rs.iter().map(|r| r.sketch.clone()).collect();
-    let reference = reference_matrix(&sketches, &spec);
+    let reference = reference_matrix(&sketches);
 
     let sock_a = scratch_socket("snap-wa");
     let sock_b = scratch_socket("snap-wb");
@@ -211,7 +209,7 @@ fn a_durable_coordinator_recovers_its_store_from_disk() {
     let spec = spec(64);
     let rs = releases(&spec, 8);
     let sketches: Vec<_> = rs.iter().map(|r| r.sketch.clone()).collect();
-    let reference = reference_matrix(&sketches, &spec);
+    let reference = reference_matrix(&sketches);
 
     let socket = scratch_socket("disk-coord");
     let _ = std::fs::remove_file(&socket);
@@ -271,6 +269,142 @@ fn a_durable_coordinator_recovers_its_store_from_disk() {
     });
     let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// The spec JSON embedded in a persisted file — a `u32` LE length at
+/// `len_at`, then the JSON, right after a spec flag of 1 — rewritten to
+/// name kernel `to` instead of `from`, with the FNV-1a-64 checksum at
+/// `sum_at(end, len)` recomputed over everything before it (`end` is
+/// where the rewritten JSON ends, `len` the file length). The layouts
+/// are the on-disk ones of the replication log and the DPSS snapshot.
+fn restamp_kernel(
+    bytes: &[u8],
+    len_at: usize,
+    (from, to): (&str, &str),
+    sum_at: impl Fn(usize, usize) -> usize,
+) -> Vec<u8> {
+    assert_eq!(bytes[len_at - 1], 1, "a spec follows");
+    let len = u32::from_le_bytes(bytes[len_at..len_at + 4].try_into().expect("4 bytes")) as usize;
+    let json = std::str::from_utf8(&bytes[len_at + 4..len_at + 4 + len]).expect("UTF-8");
+    let named = format!(r#""kernel":"{from}""#);
+    assert!(json.contains(&named), "{json}");
+    let json = json.replace(&named, &format!(r#""kernel":"{to}""#));
+    let mut out = bytes[..len_at].to_vec();
+    out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    out.extend_from_slice(json.as_bytes());
+    let end = out.len();
+    out.extend_from_slice(&bytes[len_at + 4 + len..]);
+    let at = sum_at(end, out.len());
+    let sum = dp_euclid::core::wire::fnv1a64(&out[..at]);
+    out[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// A data directory stamped with the retired `v2-simd` kernel, in its
+/// snapshot or in its journal header, is refused at bind with the typed
+/// `CoreError::UnknownKernel`, and no file is rewritten: not degraded
+/// to a dropped snapshot (losing acked rows) nor replayed into a store
+/// answering under `v1-scalar`. Were the name read as `v1-scalar`, the
+/// bind would recover the directory and rewrite it; restamped back, it
+/// does exactly that.
+#[test]
+fn a_data_dir_stamped_with_a_retired_kernel_is_refused_typed_and_untouched() {
+    let spec = spec(64);
+    let rs = releases(&spec, 3);
+    let socket = scratch_socket("retired-kernel");
+    let _ = std::fs::remove_file(&socket);
+    let endpoint = Endpoint::Unix(socket.clone());
+    let config = |dir: &PathBuf| CoordinatorConfig {
+        tile: 4,
+        compact_threshold: 0,
+        data_dir: Some(dir.clone()),
+    };
+    // Every bind clears the socket path first: a refused bind never
+    // reaches the listener, a successful one leaves the path behind.
+    let bind = |dir: &PathBuf, engine: QueryEngine| {
+        let _ = std::fs::remove_file(&socket);
+        Server::bind_coordinator_with(endpoint.clone(), engine, Vec::new(), config(dir))
+    };
+    let fresh = || QueryEngine::new(SketchStore::adopting());
+
+    // A snapshot: binding a seeded engine writes `snapshot.bin` over
+    // its three rows (and a journal header at base 3).
+    let snap_dir = scratch_dir("retired-snap");
+    let mut seeded = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        seeded.ingest(r).expect("ingest");
+    }
+    drop(bind(&snap_dir, seeded).expect("bind seeded"));
+
+    // A journal alone: a durable coordinator over an empty engine
+    // journals the Hello's spec in its header and one frame per ingest.
+    let journal_dir = scratch_dir("retired-journal");
+    let server = bind(&journal_dir, fresh()).expect("bind durable coordinator");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.hello(&spec).expect("hello");
+        for r in &rs {
+            client.ingest(r).expect("ingest");
+        }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("joined");
+    });
+    assert!(!journal_dir.join("snapshot.bin").exists());
+
+    let files = |dir: &PathBuf| -> Vec<Option<Vec<u8>>> {
+        ["snapshot.bin", "journal.log"]
+            .iter()
+            .map(|f| std::fs::read(dir.join(f)).ok())
+            .collect()
+    };
+    // DPSS: magic 4 | version 1 | spec flag 1 | len u32 | JSON | ... |
+    // FNV-1a-64 trailer over everything before it. DPJL header: magic
+    // 4 | version 1 | base u64 | spec flag 1 | len u32 | JSON | FNV-1a-64
+    // of the header so far; then the records.
+    let cases = [
+        (&snap_dir, "snapshot.bin", 6, true),
+        (&journal_dir, "journal.log", 14, false),
+    ];
+    for (dir, file, len_at, trailer) in cases {
+        let stamp = |kernels: (&str, &str)| {
+            let path = dir.join(file);
+            let bytes = std::fs::read(&path).expect(file);
+            let sum_at = |end: usize, len: usize| if trailer { len - 8 } else { end };
+            std::fs::write(&path, restamp_kernel(&bytes, len_at, kernels, sum_at)).expect(file);
+        };
+        stamp(("v1-scalar", "v2-simd"));
+        let stamped = files(dir);
+        let err = match bind(dir, fresh()) {
+            Err(e) => e,
+            Ok(_) => panic!("{}: a v2-simd data dir was recovered", dir.display()),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let typed = err.get_ref().and_then(|e| e.downcast_ref::<CoreError>());
+        assert_eq!(
+            typed,
+            Some(&CoreError::UnknownKernel("v2-simd".to_string())),
+            "{err}"
+        );
+        assert_eq!(
+            files(dir),
+            stamped,
+            "{}: a file was rewritten",
+            dir.display()
+        );
+
+        // The control: restamped back to v1-scalar, the directory
+        // recovers.
+        stamp(("v2-simd", "v1-scalar"));
+        let server = bind(dir, fresh()).expect("a v1-scalar data dir recovers");
+        let stats = server.coordinator_stats().expect("coordinator role");
+        assert_eq!(stats.recoveries, 1, "{}", dir.display());
+    }
+    let _ = std::fs::remove_file(&socket);
+    for dir in [&snap_dir, &journal_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Send one request on a raw connection and decode the next frame.

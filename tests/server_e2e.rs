@@ -199,6 +199,49 @@ fn ingest_before_hello_adopts_and_serves() {
     let _ = std::fs::remove_file(&socket);
 }
 
+/// A `Hello` whose spec names the retired `v2-simd` kernel is answered
+/// with the typed `ERR_KERNEL` naming both kernels, by an empty server
+/// too, and adopts nothing: the connection keeps serving, and the next
+/// `Hello`, with different parameters under `v1-scalar`, is adopted.
+/// Were the name read as `v1-scalar`, the first `Hello` would adopt
+/// and the second would be refused as a spec mismatch.
+#[test]
+fn a_retired_kernel_hello_is_refused_typed_and_adopts_nothing() {
+    use dp_euclid::core::protocol::{Request, Response, ERR_KERNEL};
+
+    let stamped = spec(64).to_json().replace("v1-scalar", "v2-simd");
+    let socket = scratch_socket("retired-kernel");
+    let endpoint = Endpoint::Unix(socket.clone());
+    let server =
+        Server::bind(endpoint.clone(), QueryEngine::new(SketchStore::adopting())).expect("bind");
+    let (refusal, adopted) = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&endpoint]);
+        let mut client = Client::connect(&endpoint).expect("connect");
+        let refusal = client
+            .call(&Request::Hello {
+                spec_json: stamped,
+                caps: 0,
+            })
+            .expect("exchange");
+        let adopted = client.hello(&spec(96));
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+        (refusal, adopted)
+    });
+    let _ = std::fs::remove_file(&socket);
+    match refusal {
+        Response::Error { code, message } => {
+            assert_eq!(code, ERR_KERNEL, "{message}");
+            assert!(message.contains("v2-simd"), "{message}");
+            assert!(message.contains("v1-scalar"), "{message}");
+        }
+        other => panic!("expected ERR_KERNEL, got {other:?}"),
+    }
+    let (_, rows, _) = adopted.expect("the store adopted nothing from the refused Hello");
+    assert_eq!(rows, 0);
+}
+
 #[test]
 fn shutdown_unblocks_every_worker() {
     // Regression: with more accept loops than the wake-up default, a

@@ -1,27 +1,19 @@
-//! Kernel-contract tests for the batch sketching path: the negotiated
-//! `KernelId` now governs the projection accumulators as well as the
-//! distance accumulators, so this suite pins the three promises the
-//! versioned split makes on the ingest side:
+//! Kernel-contract tests for the batch sketching path. There is one
+//! projection accumulation order, the historic per-row one, and this
+//! suite pins it on the ingest side:
 //!
-//! * **V1 is frozen** — batch sketching in the V1 lane is bit- *and*
+//! * **batch is per-row** — batch sketching is bit- *and*
 //!   wire-byte-identical to the historic per-row path, for every
 //!   construction and for ragged batch sizes (0, 1, and sizes that do
 //!   not divide the internal block).
-//! * **V2 is close** — the reassociated fused-multiply-add projection
-//!   stays within the signed ulp bound of the V1 expression, per output
-//!   coordinate, with the slack scaled by the sum of |terms| (dots with
-//!   cancellation, unlike the nonnegative squared-difference sums the
-//!   distance kernels bound).
-//! * **`DP_KERNEL` reaches the sketch path** — a spec built without an
-//!   explicit kernel inherits the environment's, and sketches exactly
-//!   like a spec pinned to that kernel.
+//! * **no ambient kernel** — a spec built without naming its kernel
+//!   sketches exactly like one pinned to `v1-scalar`, whatever the
+//!   environment holds (the retired `DP_KERNEL` knob included).
 #![recursion_limit = "256"]
 
-use dp_euclid::core::kernel::{self, BatchProjection};
 use dp_euclid::core::wire::encode_sketch;
 use dp_euclid::hashing::Prng;
 use dp_euclid::prelude::*;
-use dp_euclid::transforms::traits::materialize;
 use proptest::prelude::*;
 
 const D: usize = 32;
@@ -45,8 +37,8 @@ fn config(d: usize) -> SketchConfig {
         .expect("config")
 }
 
-fn spec_with(c: Construction, kernel: KernelId) -> SketcherSpec {
-    SketcherSpec::new(c, config(D), Seed::new(7)).with_kernel(kernel)
+fn spec(c: Construction) -> SketcherSpec {
+    SketcherSpec::new(c, config(D), Seed::new(7))
 }
 
 fn rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -59,18 +51,17 @@ fn rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // The acceptance-criterion test: V1-lane batch sketches encode to
-    // wire bytes identical to the per-row path (which PR 7's freeze
-    // pins to the pre-batch bit patterns), across all five
-    // constructions and ragged batch sizes — 0, 1, and sizes that do
-    // not divide the sketcher's internal block of 8.
+    // Batch sketches encode to wire bytes identical to the per-row path
+    // (which the freeze lint pins to the pre-batch bit patterns), across
+    // all five constructions and ragged batch sizes — 0, 1, and sizes
+    // that do not divide the sketcher's internal block of 8.
     #[test]
     fn v1_batch_sketches_are_wire_byte_identical_to_per_row(
         n in 0usize..12,
         seed in any::<u64>(),
     ) {
         for c in CONSTRUCTIONS {
-            let sk = spec_with(c, KernelId::V1Scalar).build().unwrap();
+            let sk = spec(c).build().unwrap();
             let xs = rows(n, D, seed ^ 0x5eed);
             let noise = Seed::new(seed);
             let batch = sk.sketch_batch(&xs, noise).unwrap();
@@ -89,115 +80,24 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // Cross-kernel closeness, mirroring the PR 7 distance-kernel
-    // suites: per output coordinate the V2 projection stays within the
-    // signed ulp bound of V1, with slack scaled by `Σ|S_rj·x_j|`.
-    #[test]
-    fn v2_projection_is_within_signed_ulp_bound_of_v1(
-        seed in any::<u64>(),
-        batch in 1usize..6,
-    ) {
-        let (d, k) = (48, 24);
-        let sjlt = Sjlt::new(d, k, 4, 4, Seed::new(seed)).unwrap();
-        let achlioptas = Achlioptas::new(d, k, Seed::new(seed ^ 1)).unwrap();
-        let gaussian = GaussianIid::new(d, k, Seed::new(seed ^ 2)).unwrap();
-        let projections: [(&dyn LinearTransform, BatchProjection<'_>); 3] = [
-            (&sjlt, BatchProjection::Columns(&sjlt)),
-            (&achlioptas, BatchProjection::Columns(&achlioptas)),
-            (
-                &gaussian,
-                BatchProjection::Dense {
-                    matrix: gaussian.matrix(),
-                    transform: &gaussian,
-                },
-            ),
-        ];
-        let xs = rows(batch, d, seed ^ 0xabc);
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        for (t, p) in &projections {
-            let m = materialize(*t).unwrap();
-            let mut v1 = vec![0.0; batch * k];
-            let mut v2 = vec![0.0; batch * k];
-            kernel::apply_batch(KernelId::V1Scalar, p, &refs, &mut v1).unwrap();
-            kernel::apply_batch(KernelId::V2Simd, p, &refs, &mut v2).unwrap();
-            for b in 0..batch {
-                for r in 0..k {
-                    let abs_sum: f64 = m
-                        .row(r)
-                        .iter()
-                        .zip(&xs[b])
-                        .map(|(s, x)| (s * x).abs())
-                        .sum();
-                    prop_assert!(
-                        kernel::within_signed_ulp_bound(v1[b * k + r], v2[b * k + r], abs_sum, d),
-                        "row {} output {}: v1 {} vs v2 {}",
-                        b,
-                        r,
-                        v1[b * k + r],
-                        v2[b * k + r]
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// CI runs this suite under `DP_KERNEL=scalar` and `DP_KERNEL=simd`:
-/// a spec built without an explicit kernel must inherit the
-/// environment's choice and sketch exactly like a spec pinned to it.
+/// A spec built without naming its kernel is the spec pinned to
+/// `v1-scalar`, and sketches exactly like it, byte for byte, in batch
+/// and per row: no environment variable reaches the sketch path.
 #[test]
 fn dp_kernel_env_contract_extends_to_sketch_path() {
-    let par = Parallelism::from_env();
-    let ambient_spec = SketcherSpec::new(Construction::SjltAuto, config(D), Seed::new(7));
-    assert_eq!(ambient_spec.kernel(), par.kernel());
-    let ambient = ambient_spec.build().unwrap();
-    assert_eq!(ambient.kernel(), par.kernel());
-    let pinned = spec_with(Construction::SjltAuto, par.kernel())
-        .build()
-        .unwrap();
+    let ambient = spec(Construction::SjltAuto);
+    let pinned = spec(Construction::SjltAuto).with_kernel(KernelId::V1Scalar);
+    assert_eq!(ambient, pinned);
+    assert_eq!(ambient.to_json(), pinned.to_json());
+    let (ambient, pinned) = (ambient.build().unwrap(), pinned.build().unwrap());
     let xs = rows(7, D, 77);
     let a = ambient.sketch_batch(&xs, Seed::new(9)).unwrap();
     let b = pinned.sketch_batch(&xs, Seed::new(9)).unwrap();
-    for (x, y) in a.iter().zip(&b) {
+    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(encode_sketch(x).unwrap(), encode_sketch(y).unwrap());
-    }
-    // In the scalar lane the ambient batch additionally reproduces the
-    // frozen per-row reference bits.
-    if par.kernel() == KernelId::V1Scalar {
-        for (i, got) in a.iter().enumerate() {
-            let want = ambient
-                .sketch(&xs[i], Seed::new(9).index(i as u64))
-                .unwrap();
-            assert_eq!(encode_sketch(got).unwrap(), encode_sketch(&want).unwrap());
-        }
-    }
-}
-
-/// The V2 sketch path is self-consistent: batch composition never moves
-/// a bit (each row's projection depends only on that row), so batch
-/// sketching equals per-row sketching within the V2 lane too.
-#[test]
-fn v2_batch_is_bit_identical_to_v2_per_row() {
-    for c in CONSTRUCTIONS {
-        let sk = spec_with(c, KernelId::V2Simd).build().unwrap();
-        for n in [0usize, 1, 7, 9] {
-            let xs = rows(n, D, 1000 + n as u64);
-            let noise = Seed::new(3);
-            let batch = sk.sketch_batch(&xs, noise).unwrap();
-            for (i, got) in batch.iter().enumerate() {
-                let want = sk.sketch(&xs[i], noise.index(i as u64)).unwrap();
-                assert_eq!(
-                    encode_sketch(got).unwrap(),
-                    encode_sketch(&want).unwrap(),
-                    "construction {} n {} row {}",
-                    c.name(),
-                    n,
-                    i
-                );
-            }
-        }
+        let per_row = ambient
+            .sketch(&xs[i], Seed::new(9).index(i as u64))
+            .unwrap();
+        assert_eq!(encode_sketch(x).unwrap(), encode_sketch(&per_row).unwrap());
     }
 }
