@@ -12,19 +12,25 @@
 //!   recomputing the whole matrix the way the slice-based surface had
 //!   to.
 //!
-//! Plus one measurement of **ranked reads** on a 2,048-row store (the
-//! size of the benchmark of record's `analyst_matrix` workload):
-//! `top_pairs(100)` over the warm matrix memo and `knn(10)`, each
-//! versus scoring every candidate, stable-sorting and truncating.
+//! Plus **ranked reads** on a 2,048-row store (the size of the
+//! benchmark of record's `analyst_matrix` workload): `top_pairs(100)`
+//! over the warm matrix memo and `knn(10)`, each versus scoring every
+//! candidate, stable-sorting and truncating.
 //!
-//! And one **k-NN scan** record on a 5,120-row store (`online_point`'s
-//! store mid-run): `knn(10)` in µs and ns per scored pair. It is
-//! recorded, not gated: timings on a small shared host are noisy.
+//! And the **k-NN scan**: `knn(10)` at 2,048, 3,072 and 5,120 rows
+//! (`online_point`'s store mid-run), under `Parallelism::sequential()`
+//! and under the default, which splits a large enough store across its
+//! workers.
+//!
+//! Ranked reads and the scan are recorded as the median and IQR of
+//! interleaved rounds (each round runs every side once, in rotating
+//! order), because one mean per process says which mode a small shared
+//! host was in, not the code's speed. They are a record, not a gate.
 //!
 //! Every engine answer is verified bit-identical to the slice path
-//! (pairs) or to the stable-sort reference (ranked reads and the k-NN
-//! scan) before timing; any mismatch exits 1. Writes machine-readable
-//! `BENCH_engine.json`.
+//! (pairs) or to the stable-sort reference (ranked reads, and the scan
+//! under both settings) before timing; any mismatch exits 1. Writes
+//! machine-readable `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
@@ -34,8 +40,11 @@ use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
 use dp_core::release::Release;
 use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
+use dp_core::Parallelism;
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
+use dp_stats::quantile;
+use std::time::Instant;
 
 /// Rows in the ranked-read store: `analyst_matrix`'s full matrix.
 const RANKED_ROWS: usize = 2048;
@@ -43,8 +52,13 @@ const RANKED_ROWS: usize = 2048;
 const TOP_T: usize = 100;
 /// Neighbours per `knn` read, as `online_point` asks.
 const KNN_K: usize = 10;
-/// Rows in the k-NN scan store: `online_point`'s store mid-run.
-const SCAN_ROWS: usize = 5120;
+/// Rows in the k-NN scan stores: below, at and past the size from
+/// which a two-worker `knn` splits, up to `online_point`'s store
+/// mid-run.
+const SCAN_ROWS: [usize; 3] = [2048, 3072, 5120];
+/// Interleaved rounds per ranked-read and k-NN scan timing.
+const ROUNDS_QUICK: usize = 7;
+const ROUNDS_FULL: usize = 15;
 
 struct Measurement {
     rows: usize,
@@ -83,7 +97,8 @@ fn main() {
     // grows each store by one release.
     let max_rows = (*row_counts.iter().max().expect("nonempty") + 1)
         .max(RANKED_ROWS)
-        .max(SCAN_ROWS);
+        .max(SCAN_ROWS[2]);
+    let rounds = if quick { ROUNDS_QUICK } else { ROUNDS_FULL };
     let rows: Vec<Vec<f64>> = (0..max_rows)
         .map(|r| gaussian_vec(d, Seed::new(1000 + r as u64)))
         .collect();
@@ -202,16 +217,18 @@ fn main() {
         if all_identical { "PASS" } else { "FAIL" }
     );
 
-    let ranked = ranked_reads(&releases[..RANKED_ROWS], quick);
+    let ranked = ranked_reads(&releases[..RANKED_ROWS], rounds);
     println!(
-        "n = {RANKED_ROWS}  top_pairs({TOP_T}): engine {:8.2} ms vs sort {:8.2} ms ({:5.1}x)  \
-         knn({KNN_K}): engine {:7.1} us vs sort {:7.1} us ({:4.2}x)",
-        ranked.ms_top_pairs,
-        ranked.ms_top_pairs_sort,
-        ranked.ms_top_pairs_sort / ranked.ms_top_pairs,
-        ranked.us_knn,
-        ranked.us_knn_sort,
-        ranked.us_knn_sort / ranked.us_knn,
+        "n = {RANKED_ROWS}  top_pairs({TOP_T}): engine {:8.2} ms (IQR {:.2}) vs sort {:8.2} ms ({:5.1}x)  \
+         knn({KNN_K}): engine {:7.1} us (IQR {:.1}) vs sort {:7.1} us ({:4.2}x)",
+        ranked.top_pairs.median,
+        ranked.top_pairs.iqr(),
+        ranked.top_pairs_sort.median,
+        ranked.top_pairs_sort.median / ranked.top_pairs.median,
+        ranked.knn.median,
+        ranked.knn.iqr(),
+        ranked.knn_sort.median,
+        ranked.knn_sort.median / ranked.knn.median,
     );
     println!(
         "CHECK [{}] ranked reads bit-identical to the stable-sort reference",
@@ -219,16 +236,30 @@ fn main() {
     );
     all_identical &= ranked.identical;
 
-    let scan = knn_scan(&releases[..SCAN_ROWS], quick);
+    let threads = Parallelism::default().threads();
+    let mut scans = Vec::new();
+    for n in SCAN_ROWS {
+        let scan = knn_scan(&releases[..n], rounds);
+        println!(
+            "n = {n}  knn({KNN_K}): sequential {:7.1} us (IQR {:5.1})  default, {threads} threads \
+             {:7.1} us (IQR {:5.1})  ({:4.2}x)",
+            scan.sequential.median,
+            scan.sequential.iqr(),
+            scan.default.median,
+            scan.default.iqr(),
+            scan.sequential.median / scan.default.median,
+        );
+        all_identical &= scan.identical;
+        scans.push((n, scan));
+    }
     println!(
-        "n = {SCAN_ROWS}  knn({KNN_K}): {:7.1} us ({:5.1} ns/pair)",
-        scan.us_knn, scan.ns_per_pair
+        "CHECK [{}] k-NN scans bit-identical to the stable-sort reference",
+        if scans.iter().all(|(_, s)| s.identical) {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     );
-    println!(
-        "CHECK [{}] k-NN scan bit-identical to the stable-sort reference",
-        if scan.identical { "PASS" } else { "FAIL" }
-    );
-    all_identical &= scan.identical;
 
     let json = JsonValue::Object(vec![
         (
@@ -248,30 +279,36 @@ fn main() {
                 ("rows".to_string(), JsonValue::UInt(RANKED_ROWS as u64)),
                 ("t".to_string(), JsonValue::UInt(TOP_T as u64)),
                 ("k".to_string(), JsonValue::UInt(KNN_K as u64)),
-                (
-                    "ms_top_pairs".to_string(),
-                    JsonValue::Number(ranked.ms_top_pairs),
-                ),
+                ("rounds".to_string(), JsonValue::UInt(rounds as u64)),
+                ("ms_top_pairs".to_string(), ranked.top_pairs.json()),
                 (
                     "ms_top_pairs_sort".to_string(),
-                    JsonValue::Number(ranked.ms_top_pairs_sort),
+                    ranked.top_pairs_sort.json(),
                 ),
-                ("us_knn".to_string(), JsonValue::Number(ranked.us_knn)),
-                (
-                    "us_knn_sort".to_string(),
-                    JsonValue::Number(ranked.us_knn_sort),
-                ),
+                ("us_knn".to_string(), ranked.knn.json()),
+                ("us_knn_sort".to_string(), ranked.knn_sort.json()),
             ]),
         ),
         (
             "knn_scan".to_string(),
             JsonValue::Object(vec![
-                ("rows".to_string(), JsonValue::UInt(SCAN_ROWS as u64)),
                 ("k".to_string(), JsonValue::UInt(KNN_K as u64)),
-                ("us_knn".to_string(), JsonValue::Number(scan.us_knn)),
+                ("threads".to_string(), JsonValue::UInt(threads as u64)),
+                ("rounds".to_string(), JsonValue::UInt(rounds as u64)),
                 (
-                    "ns_per_pair".to_string(),
-                    JsonValue::Number(scan.ns_per_pair),
+                    "stores".to_string(),
+                    JsonValue::Array(
+                        scans
+                            .iter()
+                            .map(|(n, scan)| {
+                                JsonValue::Object(vec![
+                                    ("rows".to_string(), JsonValue::UInt(*n as u64)),
+                                    ("us_sequential".to_string(), scan.sequential.json()),
+                                    ("us_default".to_string(), scan.default.json()),
+                                ])
+                            })
+                            .collect(),
+                    ),
                 ),
             ]),
         ),
@@ -320,19 +357,71 @@ fn main() {
     }
 }
 
+/// The median and quartiles of one timing's rounds.
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// Quartiles of `samples`, each divided by `scale`.
+    fn of(samples: Vec<f64>, scale: f64) -> Self {
+        let at = |q: f64| quantile(&samples, q) / scale;
+        Self {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+
+    fn json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("median".to_string(), JsonValue::Number(self.median)),
+            ("iqr".to_string(), JsonValue::Number(self.iqr())),
+        ])
+    }
+}
+
+/// Wall-clock nanoseconds of each side, one sample per round: after one
+/// warm-up call of every side, each round runs every side once,
+/// starting one side later than the round before, so a host that
+/// drifts during the run shifts every side alike.
+fn interleaved(rounds: usize, sides: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    for side in sides.iter_mut() {
+        side();
+    }
+    let count = sides.len();
+    let mut samples = vec![Vec::with_capacity(rounds); count];
+    for round in 0..rounds {
+        for s in (0..count).map(|s| (s + round) % count) {
+            let t0 = Instant::now();
+            sides[s]();
+            samples[s].push(t0.elapsed().as_nanos() as f64);
+        }
+    }
+    samples
+}
+
 struct RankedReads {
     identical: bool,
-    ms_top_pairs: f64,
-    ms_top_pairs_sort: f64,
-    us_knn: f64,
-    us_knn_sort: f64,
+    /// Milliseconds per `top_pairs` read.
+    top_pairs: Spread,
+    top_pairs_sort: Spread,
+    /// Microseconds per `knn` read.
+    knn: Spread,
+    knn_sort: Spread,
 }
 
 /// Time `top_pairs(TOP_T)` over a warm matrix memo and `knn(KNN_K)` on
 /// a store of `releases` (party id = row), each checked bit-identical
 /// to, and timed against, scoring every candidate, stable-sorting and
-/// truncating.
-fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
+/// truncating, over `rounds` interleaved rounds.
+fn ranked_reads(releases: &[Release], rounds: usize) -> RankedReads {
     let mut engine = QueryEngine::new(SketchStore::adopting());
     for r in releases {
         engine.ingest(r).expect("ingest");
@@ -351,6 +440,9 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
         pairs
     };
     let queries = knn_queries(n);
+    // `top_pairs` takes the engine mutably (it may grow the memo), so
+    // the k-NN reads run on a second engine over the same store.
+    let reader = QueryEngine::new(engine.store().clone());
 
     let top = engine.top_pairs(TOP_T);
     let mut identical = top.len() == TOP_T.min(n * (n - 1) / 2)
@@ -358,31 +450,37 @@ fn ranked_reads(releases: &[Release], quick: bool) -> RankedReads {
             .iter()
             .zip(top_pairs_reference())
             .all(|(a, b)| (a.0, a.1, a.2.to_bits()) == (b.0, b.1, b.2.to_bits()));
-    identical &= knn_matches_reference(&engine, releases, &queries);
+    identical &= knn_matches_reference(&reader, releases, &queries);
 
-    let iters = if quick { 2 } else { 5 };
-    let ns_top_pairs = time_per_op(iters, || {
-        std::hint::black_box(engine.top_pairs(TOP_T));
-    });
-    let ns_top_pairs_sort = time_per_op(iters, || {
-        std::hint::black_box(top_pairs_reference());
-    });
-    let ns_knn = time_per_op(iters, || {
-        for &q in &queries {
-            std::hint::black_box(knn(&engine, q));
-        }
-    }) / queries.len() as f64;
-    let ns_knn_sort = time_per_op(iters, || {
-        for &q in &queries {
-            std::hint::black_box(knn_reference(releases, q));
-        }
-    }) / queries.len() as f64;
+    let samples = interleaved(
+        rounds,
+        &mut [
+            &mut || {
+                std::hint::black_box(engine.top_pairs(TOP_T));
+            },
+            &mut || {
+                std::hint::black_box(top_pairs_reference());
+            },
+            &mut || {
+                for &q in &queries {
+                    std::hint::black_box(knn(&reader, q));
+                }
+            },
+            &mut || {
+                for &q in &queries {
+                    std::hint::black_box(knn_reference(releases, q));
+                }
+            },
+        ],
+    );
+    let [top_pairs, top_pairs_sort, knn, knn_sort] = samples.try_into().expect("four sides");
+    let per_knn = 1e3 * queries.len() as f64;
     RankedReads {
         identical,
-        ms_top_pairs: ns_top_pairs / 1e6,
-        ms_top_pairs_sort: ns_top_pairs_sort / 1e6,
-        us_knn: ns_knn / 1e3,
-        us_knn_sort: ns_knn_sort / 1e3,
+        top_pairs: Spread::of(top_pairs, 1e6),
+        top_pairs_sort: Spread::of(top_pairs_sort, 1e6),
+        knn: Spread::of(knn, per_knn),
+        knn_sort: Spread::of(knn_sort, per_knn),
     }
 }
 
@@ -437,29 +535,39 @@ fn knn_matches_reference(engine: &QueryEngine, releases: &[Release], queries: &[
 
 struct KnnScan {
     identical: bool,
-    us_knn: f64,
-    ns_per_pair: f64,
+    /// Microseconds per `knn` read on one thread.
+    sequential: Spread,
+    /// Microseconds per `knn` read under the default parallelism.
+    default: Spread,
 }
 
-/// Time `knn(KNN_K)` on a store of `releases` (party id = row), checked
-/// bit-identical to the reference first. A query scores `n − 1` pairs.
-fn knn_scan(releases: &[Release], quick: bool) -> KnnScan {
-    let n = releases.len();
-    let queries = knn_queries(n);
-    let iters = if quick { 2 } else { 10 };
-    let mut engine = QueryEngine::new(SketchStore::adopting());
+/// Time `knn(KNN_K)` on a store of `releases` (party id = row) on one
+/// thread and under the default parallelism, over `rounds` interleaved
+/// rounds, each engine checked bit-identical to the reference first.
+fn knn_scan(releases: &[Release], rounds: usize) -> KnnScan {
+    let queries = knn_queries(releases.len());
+    let mut store = SketchStore::adopting();
     for r in releases {
-        engine.ingest(r).expect("ingest");
+        store.ingest(r).expect("ingest");
     }
-    let identical = knn_matches_reference(&engine, releases, &queries);
-    let ns_knn = time_per_op(iters, || {
+    let sequential = QueryEngine::new(store.clone()).with_parallelism(Parallelism::sequential());
+    let default = QueryEngine::new(store);
+    let identical = knn_matches_reference(&sequential, releases, &queries)
+        && knn_matches_reference(&default, releases, &queries);
+    let read_all = |engine: &QueryEngine| {
         for &q in &queries {
-            std::hint::black_box(knn(&engine, q));
+            std::hint::black_box(knn(engine, q));
         }
-    }) / queries.len() as f64;
+    };
+    let samples = interleaved(
+        rounds,
+        &mut [&mut || read_all(&sequential), &mut || read_all(&default)],
+    );
+    let [on_one, on_default] = samples.try_into().expect("two sides");
+    let per_knn = 1e3 * queries.len() as f64;
     KnnScan {
         identical,
-        us_knn: ns_knn / 1e3,
-        ns_per_pair: ns_knn / (n - 1) as f64,
+        sequential: Spread::of(on_one, per_knn),
+        default: Spread::of(on_default, per_knn),
     }
 }

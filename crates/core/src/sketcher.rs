@@ -158,8 +158,21 @@ pub fn sketch_batch_sequential<S: PrivateSketcher + ?Sized>(
         .collect()
 }
 
+/// Rows each worker must sketch before a batch splits across workers:
+/// smaller batches stay on the calling thread, where a scoped spawn and
+/// the wake of an idle core cost more than the rows they take over.
+/// Read from `bench_sketch` on the 2-CPU host (d = 256, two workers):
+/// at 4 rows per worker (its full run's batch = 8) sjlt-auto and
+/// fjlt-output read 68.8 and 43.6 ns/element against 43.6 and 24.1 for
+/// one row at a time; at 8 rows per worker (its `--quick` batch = 16)
+/// every construction read at or below its one-row cost in two runs
+/// (sjlt-auto 35.6/43.8 against 37.4/61.2 ns/element).
+const SKETCH_ROWS_PER_WORKER: usize = 8;
+
 /// Data-parallel batch release: rows are split into contiguous chunks
-/// across `par.threads()` workers. Bit-identical to
+/// across up to `par.threads()` workers, each given at least
+/// `SKETCH_ROWS_PER_WORKER` (8) rows, so a smaller batch runs on the
+/// calling thread. Bit-identical to
 /// [`sketch_batch_sequential`] for every thread count, because each
 /// row's noise seed is `noise_seed.index(row)` regardless of which
 /// worker sketches it. On failure the error is the one the sequential
@@ -176,11 +189,12 @@ pub fn sketch_batch_par<S>(
 where
     S: PrivateSketcher + Sync + ?Sized,
 {
-    if par.is_sequential() || xs.len() <= 1 {
+    let workers = par.workers_for(xs.len(), SKETCH_ROWS_PER_WORKER);
+    if workers == 1 {
         return sketch_batch_sequential(sketcher, xs, noise_seed);
     }
     let mut out: Vec<Option<NoisySketch>> = vec![None; xs.len()];
-    par_chunks_mut(&mut out, par.threads(), |offset, chunk| {
+    par_chunks_mut(&mut out, workers, |offset, chunk| {
         for (local, slot) in chunk.iter_mut().enumerate() {
             let row = offset + local;
             *slot = Some(sketcher.sketch(&xs[row], noise_seed.index(row as u64))?);
@@ -749,19 +763,17 @@ impl PrivateSketcher for AnySketcher {
             // per-row data-parallel path is already their fastest form.
             return sketch_batch_par(self, xs, noise_seed, &self.par);
         }
-        // Batched projection: rows chunked across workers, each chunk
-        // projected block-at-a-time through the transform's batch apply
-        // and finalized with the unchanged per-row noise seed
-        // `noise_seed.index(row)` — bit-identical to the per-row path
-        // for every thread count and batch size.
+        // Batched projection: rows chunked across workers (a batch of
+        // fewer than two workers' minimum stays on the calling thread),
+        // each chunk projected block-at-a-time through the transform's
+        // batch apply and finalized with the unchanged per-row noise
+        // seed `noise_seed.index(row)` — bit-identical to the per-row
+        // path for every thread count and batch size.
         let mut out: Vec<Option<NoisySketch>> = vec![None; xs.len()];
-        if self.par.is_sequential() || xs.len() <= 1 {
-            self.sketch_chunk_kernel(xs, 0, &mut out, noise_seed)?;
-        } else {
-            par_chunks_mut(&mut out, self.par.threads(), |offset, chunk| {
-                self.sketch_chunk_kernel(xs, offset, chunk, noise_seed)
-            })?;
-        }
+        let workers = self.par.workers_for(xs.len(), SKETCH_ROWS_PER_WORKER);
+        par_chunks_mut(&mut out, workers, |offset, chunk| {
+            self.sketch_chunk_kernel(xs, offset, chunk, noise_seed)
+        })?;
         Ok(out
             .into_iter()
             .map(|s| s.expect("every row filled"))
@@ -1434,16 +1446,20 @@ mod tests {
         let cfg = config(Some(1e-6));
         for construction in Construction::all() {
             let sk = AnySketcher::new(construction, &cfg, Seed::new(3)).unwrap();
-            let xs = rows(7, 48, 11);
-            let reference = sketch_batch_sequential(&sk, &xs, Seed::new(5)).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let par =
-                    sketch_batch_par(&sk, &xs, Seed::new(5), &Parallelism::new(threads)).unwrap();
-                assert_eq!(par.len(), reference.len());
-                for (a, b) in reference.iter().zip(&par) {
-                    assert_eq!(a, b, "{construction:?}, threads = {threads}");
-                    for (x, y) in a.values().iter().zip(b.values()) {
-                        assert_eq!(x.to_bits(), y.to_bits());
+            // 7 rows stay on the calling thread; 37 split into ragged
+            // chunks across up to four workers.
+            for n in [7, 37] {
+                let xs = rows(n, 48, 11);
+                let reference = sketch_batch_sequential(&sk, &xs, Seed::new(5)).unwrap();
+                for threads in [1usize, 2, 3, 8] {
+                    let par = sketch_batch_par(&sk, &xs, Seed::new(5), &Parallelism::new(threads))
+                        .unwrap();
+                    assert_eq!(par.len(), reference.len());
+                    for (a, b) in reference.iter().zip(&par) {
+                        assert_eq!(a, b, "{construction:?}, {n} rows, threads = {threads}");
+                        for (x, y) in a.values().iter().zip(b.values()) {
+                            assert_eq!(x.to_bits(), y.to_bits());
+                        }
                     }
                 }
             }
@@ -1453,7 +1469,7 @@ mod tests {
     #[test]
     fn trait_batch_routes_through_the_knob() {
         let cfg = config(None);
-        let xs = rows(5, 48, 2);
+        let xs = rows(20, 48, 2);
         let seq = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(1))
             .unwrap()
             .with_parallelism(Parallelism::sequential());

@@ -30,6 +30,12 @@
 //! never a full sort, with ties kept in input order (ingest order for
 //! k-NN, row then column for pairs). Answers equal a stable sort by
 //! estimate truncated to `t`, bit for bit.
+//!
+//! A `knn` over a store large enough to pay for the spawn splits across
+//! the engine's workers: each ranks a contiguous share of the rows, and
+//! the share lists are ranked once more. `top_pairs` skips every memo
+//! run whose smallest estimate is not strictly below the current `t`-th
+//! smallest, because no pair in it can place.
 
 use crate::error::EngineError;
 use crate::gather::Gather;
@@ -40,9 +46,21 @@ use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
 use dp_core::PrivateSketcher;
 use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
+use dp_parallel::par_map;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
+
+/// Rows each worker must score before a `knn` splits across the
+/// engine's workers: below that, a scoped spawn and the wake of an idle
+/// core cost more than the share they take over. Measured on the 2-CPU
+/// host (k = 208, median of 40 interleaved reads, each after a 20 ms
+/// idle, as `online_point` spaces its reads), two workers against one:
+/// 499 vs 454 µs at 2,048 rows, 563 vs 577 at 2,560, 602 vs 686 at
+/// 3,072 and 832 vs 1,065 at 5,120; back to back, 220 vs 178 µs at
+/// 2,048 and 291 vs 354 at 3,072.
+pub(crate) const KNN_ROWS_PER_WORKER: usize = 1536;
 
 /// A scored neighbor returned by [`QueryEngine::knn`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,11 +356,16 @@ impl QueryEngine {
             .collect::<Result<Vec<usize>, _>>()?;
         if let Some(matrix) = self.full_matrix() {
             if store.debias_uniform() && rows_distinct(&rows, store.n()) {
+                // Each pair is read once and written to both of its
+                // cells (`at` is the same bits in either orientation);
+                // the diagonal stays 0.0.
                 let m = rows.len();
-                let mut flat = Vec::with_capacity(m * m);
-                for &a in &rows {
-                    for &b in &rows {
-                        flat.push(matrix.at(a, b));
+                let mut flat = vec![0.0; m * m];
+                for (a, &ra) in rows.iter().enumerate() {
+                    for (b, &rb) in rows.iter().enumerate().skip(a + 1) {
+                        let estimate = matrix.at(ra, rb);
+                        flat[a * m + b] = estimate;
+                        flat[b * m + a] = estimate;
                     }
                 }
                 return Ok(PairwiseDistances::from_flat(m, flat));
@@ -364,7 +387,9 @@ impl QueryEngine {
     /// pass over the candidates in O(k) memory ([`select_smallest`]),
     /// scored in place by the run kernel
     /// ([`dp_core::kernel::sq_distance_run`], eight stored rows per
-    /// pass), each estimate bit-identical to the per-pair one.
+    /// pass), each estimate bit-identical to the per-pair one. With two
+    /// or more workers, a store of 3,072 rows or more (1,536 per worker)
+    /// is scored across them; the answer does not change.
     ///
     /// # Errors
     /// [`EngineError::UnknownParty`] if the id was never ingested.
@@ -382,20 +407,38 @@ impl QueryEngine {
     /// The store's value runs are scored one at a time, in place, by
     /// [`sq_distance_run`] into a stack buffer, then fed to the selector
     /// in row order.
+    ///
+    /// With more than one worker due ([`Parallelism::workers_for`]),
+    /// the runs are cut into contiguous shares, each ranked alone on
+    /// its own worker, and the concatenated share lists are ranked once
+    /// more. Each list is ordered by (estimate, row) and the shares
+    /// ascend by row, so that is exactly the one-pass answer.
     fn knn_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
         let store = &self.store;
         let party_ids = store.party_ids();
         let query_id = party_ids[row];
         let query = store.row_values(row);
         let debias = store.debias_at(row);
-        let scored = store.value_runs().flat_map(|(rows, values)| {
-            let mut sums = [0.0f64; CHUNK_ROWS];
-            sq_distance_run(query, values, rows.len(), &mut sums);
-            rows.zip(sums).filter_map(move |(c, sum)| {
-                (party_ids[c] != query_id).then_some((sum - debias, party_ids[c]))
-            })
-        });
-        select_smallest(k, scored)
+        let nearest = |share: &[(Range<usize>, &[f64])]| {
+            let scored = share.iter().flat_map(|(rows, values)| {
+                let mut sums = [0.0f64; CHUNK_ROWS];
+                sq_distance_run(query, values, rows.len(), &mut sums);
+                rows.clone().zip(sums).filter_map(move |(c, sum)| {
+                    (party_ids[c] != query_id).then_some((sum - debias, party_ids[c]))
+                })
+            });
+            select_smallest(k, scored)
+        };
+        let runs: Vec<_> = store.value_runs().collect();
+        let workers = self.par.workers_for(store.n(), KNN_ROWS_PER_WORKER);
+        let ranked = if workers == 1 {
+            nearest(&runs)
+        } else {
+            let shares: Vec<_> = runs.chunks(runs.len().div_ceil(workers)).collect();
+            let lists = par_map(&shares, workers, |_, share| nearest(share));
+            select_smallest(k, lists.into_iter().flatten())
+        };
+        ranked
             .into_iter()
             .map(|(estimated_sq_distance, party_id)| Neighbor {
                 party_id,
@@ -407,7 +450,7 @@ impl QueryEngine {
     /// The `t` globally closest pairs `(party a, party b, estimate)`,
     /// ascending by estimate, ties by row then column in ingest order.
     /// Runs on the incremental all-pairs memo: one pass over its upper
-    /// triangle in O(t) memory ([`select_smallest`]).
+    /// triangle in O(t) memory, skipping the runs that cannot place.
     #[must_use]
     pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
         let memo = self.pairwise_memo();
@@ -415,12 +458,25 @@ impl QueryEngine {
     }
 
     /// The `t` globally closest pairs over a memo of this store's rows,
-    /// ranked by [`select_smallest`] over its pairs row by row, then
-    /// column by column (ties by row, then column, as a row-major scan
-    /// of the dense matrix lists them). Party ids are looked up only for
-    /// the survivors.
+    /// ranked by [`Smallest`] over its pairs row by row, then column by
+    /// column (ties by row, then column, as a row-major scan of the
+    /// dense matrix lists them). A run of a row's pairs whose minimum
+    /// is not strictly below the current `t`-th smallest estimate is
+    /// skipped whole: an equal estimate never displaces an earlier
+    /// candidate, so no pair in it can place. Party ids are looked up
+    /// only for the survivors.
     pub(crate) fn closest_pairs(&self, memo: &PairwiseMemo, t: usize) -> Vec<(u64, u64, f64)> {
-        select_smallest(t, memo.upper_pairs())
+        let n = memo.n();
+        let mut closest = Smallest::new(t, n * n.saturating_sub(1) / 2);
+        memo.upper_runs().for_each(|(i, first, run)| {
+            if closest.places(run_min(run)) {
+                for (j, &estimate) in (first..).zip(run) {
+                    closest.push(estimate, (i, j));
+                }
+            }
+        });
+        closest
+            .into_sorted()
             .into_iter()
             .map(|(estimate, (i, j))| (self.store.party_at(i), self.store.party_at(j), estimate))
             .collect()
@@ -573,36 +629,99 @@ pub fn select_smallest<T>(
     candidates: impl IntoIterator<Item = (f64, T)>,
 ) -> Vec<(f64, T)> {
     let candidates = candidates.into_iter();
-    let mut heap = BinaryHeap::with_capacity(t.min(candidates.size_hint().0));
-    // Internal iteration: a nested candidate iterator (the memo's rows
-    // of panel runs) runs as plain loops.
-    candidates
-        .enumerate()
-        .for_each(|(position, (estimate, item))| {
-            let ranked = Ranked {
-                estimate,
-                position,
-                item,
-            };
-            if heap.len() < t {
-                heap.push(ranked);
-            } else if let Some(mut worst) = heap.peek_mut() {
-                if estimate
+    let mut smallest = Smallest::new(t, candidates.size_hint().0);
+    // Internal iteration: a nested candidate iterator (a k-NN share's
+    // scored runs) runs as plain loops.
+    candidates.for_each(|(estimate, item)| smallest.push(estimate, item));
+    smallest.into_sorted()
+}
+
+/// The bounded selector behind [`select_smallest`], fed one candidate
+/// at a time in input order, which also tells a caller whether a
+/// candidate could place before it is scored or fed
+/// ([`Smallest::places`]).
+pub(crate) struct Smallest<T> {
+    t: usize,
+    fed: usize,
+    heap: BinaryHeap<Ranked<T>>,
+}
+
+impl<T> Smallest<T> {
+    /// Keep the `t` smallest of about `expected` candidates: the heap
+    /// starts at `min(t, expected)` entries, never at `t` alone.
+    pub(crate) fn new(t: usize, expected: usize) -> Self {
+        Self {
+            t,
+            fed: 0,
+            heap: BinaryHeap::with_capacity(t.min(expected)),
+        }
+    }
+
+    /// Whether a candidate with this estimate would be kept if fed now:
+    /// fewer than `t` are held, or it is strictly below the current
+    /// `t`-th smallest estimate.
+    ///
+    /// # Panics
+    /// `"finite estimates"` when a NaN meets that comparison.
+    pub(crate) fn places(&self, estimate: f64) -> bool {
+        self.heap.len() < self.t
+            || self.heap.peek().is_some_and(|worst| {
+                estimate
                     .partial_cmp(&worst.estimate)
                     .expect("finite estimates")
                     .is_lt()
-                {
-                    *worst = ranked;
-                }
-            }
-        });
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|r| (r.estimate, r.item))
-        .collect()
+            })
+    }
+
+    /// Feed the next candidate in input order.
+    pub(crate) fn push(&mut self, estimate: f64, item: T) {
+        let ranked = Ranked {
+            estimate,
+            position: self.fed,
+            item,
+        };
+        self.fed += 1;
+        if self.heap.len() < self.t {
+            self.heap.push(ranked);
+        } else if self.places(estimate) {
+            *self
+                .heap
+                .peek_mut()
+                .expect("a candidate places over a held one") = ranked;
+        }
+    }
+
+    /// The kept candidates, ascending by estimate, ties in input order.
+    pub(crate) fn into_sorted(self) -> Vec<(f64, T)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| (r.estimate, r.item))
+            .collect()
+    }
 }
 
-/// A [`select_smallest`] heap entry, ordered by (estimate, position).
+/// The smallest estimate of a run, or NaN when the run holds one (a NaN
+/// sticks), so a NaN still reaches the selector's comparison and its
+/// panic. Eight independent lanes keep the scan at vector width: with
+/// one running minimum, `top_pairs(100)` at 2,048 rows read 6.7–7.9 ms
+/// against 2.6–3.1 ms (`bench_engine --quick`, 2-CPU host).
+fn run_min(run: &[f64]) -> f64 {
+    let keep_smaller = |min: f64, x: f64| if x < min || x.is_nan() { x } else { min };
+    let (blocks, rest) = run.as_chunks::<8>();
+    let mut lanes = [f64::INFINITY; 8];
+    for block in blocks {
+        for (lane, &x) in lanes.iter_mut().zip(block) {
+            *lane = keep_smaller(*lane, x);
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(rest.iter().copied())
+        .fold(f64::INFINITY, keep_smaller)
+}
+
+/// A [`Smallest`] heap entry, ordered by (estimate, position).
 struct Ranked<T> {
     estimate: f64,
     position: usize,

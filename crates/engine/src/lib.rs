@@ -479,26 +479,56 @@ mod tests {
     /// `knn` against an independent reference: every candidate release
     /// not sharing the query's party id, scored by
     /// `NoisySketch::estimate_sq_distance`, stable-sorted and
-    /// truncated. The stores cover whole and ragged blocks, sealed
-    /// chunks and the tail. Lenient duplicates of row 0's party id sit
-    /// inside the first block, on both sides of the first chunk
-    /// boundary and in the ragged tail, and every third row repeats an
-    /// earlier row's sketch, so estimates tie.
+    /// truncated, under one, two, three and eight workers. The stores
+    /// cover whole and ragged blocks, sealed chunks and the tail, and
+    /// reach sizes a read splits into two, three and eight shares.
+    /// Shares are cut at 64-row chunk edges, so every chunk edge gets
+    /// lenient duplicates of row 0's party id on both sides, and row 1's
+    /// sketch two rows out on both sides, so the query of row 1 ties
+    /// across every share edge. More duplicates sit inside the first
+    /// block and in a ragged tail, and every third row repeats one of
+    /// the first five rows' sketches.
     #[test]
     fn knn_matches_the_independent_reference() {
         let (_, base) = releases(130, 48);
         let dup_id = base[0].party_id;
-        for n in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+        let pars = [
+            Parallelism::sequential(),
+            Parallelism::new(2),
+            Parallelism::new(3),
+            Parallelism::new(8),
+        ];
+        for (n, workers) in [(3072, 2), (4700, 3), (12_300, 8)] {
+            assert_eq!(
+                Parallelism::new(8).workers_for(n, engine::KNN_ROWS_PER_WORKER),
+                workers,
+                "{n} rows no longer split {workers} ways"
+            );
+        }
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 130, 3072, 4700, 12_300] {
             let rows: Vec<Release> = (0..n)
                 .map(|i| {
-                    let duplicate = matches!(i, 3 | 63 | 64) || (i == n - 1 && n % 8 != 0);
+                    let edge = i % 64;
+                    let duplicate =
+                        i > 0 && (i == 3 || edge == 63 || edge == 0 || (i == n - 1 && n % 8 != 0));
+                    let sketch = if edge == 62 || (edge == 1 && i > 64) {
+                        base[1].sketch.clone()
+                    } else if i % 3 == 2 {
+                        base[i % 5].sketch.clone()
+                    } else {
+                        // Rows past the base repeat it, shifted per lap.
+                        let like = &base[i % 130].sketch;
+                        let shift = (i / 130) as f64 / 64.0;
+                        NoisySketch::new(
+                            like.values().iter().map(|v| v + shift).collect(),
+                            like.transform_tag(),
+                            like.noise_second_moment(),
+                            like.noise_fourth_moment(),
+                        )
+                    };
                     Release {
-                        party_id: if i > 0 && duplicate {
-                            dup_id
-                        } else {
-                            base[i].party_id
-                        },
-                        sketch: base[if i % 3 == 2 { i % 5 } else { i }].sketch.clone(),
+                        party_id: if duplicate { dup_id } else { 100 + i as u64 },
+                        sketch,
                     }
                 })
                 .collect();
@@ -506,7 +536,6 @@ mod tests {
             for r in &rows {
                 store.ingest_row(r).unwrap();
             }
-            let engine = QueryEngine::new(store).with_parallelism(Parallelism::sequential());
             for q in [0, 1.min(n - 1), n / 2, n - 1] {
                 let query_id = rows[q].party_id;
                 let query = rows.iter().find(|r| r.party_id == query_id).unwrap();
@@ -521,22 +550,50 @@ mod tests {
                     })
                     .collect();
                 scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
-                for t in [1, 3, 10, n + 1] {
-                    let want: Vec<(u64, u64)> = scored
-                        .iter()
-                        .take(t)
-                        .map(|&(id, d)| (id, d.to_bits()))
-                        .collect();
-                    let got: Vec<(u64, u64)> = engine
-                        .knn(query_id, t)
-                        .unwrap()
-                        .iter()
-                        .map(|nb| (nb.party_id, nb.estimated_sq_distance.to_bits()))
-                        .collect();
-                    assert_eq!(got, want, "n = {n}, query row {q}, t = {t}");
+                for par in pars {
+                    let engine = QueryEngine::new(store.clone()).with_parallelism(par);
+                    for t in [1, 3, 10, n + 1] {
+                        let want: Vec<(u64, u64)> = scored
+                            .iter()
+                            .take(t)
+                            .map(|&(id, d)| (id, d.to_bits()))
+                            .collect();
+                        let got: Vec<(u64, u64)> = engine
+                            .knn(query_id, t)
+                            .unwrap()
+                            .iter()
+                            .map(|nb| (nb.party_id, nb.estimated_sq_distance.to_bits()))
+                            .collect();
+                        assert_eq!(got, want, "n = {n}, query row {q}, t = {t}, {par:?}");
+                    }
                 }
             }
         }
+    }
+
+    /// A NaN estimate panics as the stable sort's comparison would, even
+    /// when every run holding it could otherwise be skipped: a run's
+    /// minimum keeps the NaN.
+    #[test]
+    #[should_panic(expected = "finite estimates")]
+    fn top_pairs_still_meet_a_nan_estimate() {
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        for i in 0..300u64 {
+            let mut values = vec![i as f64, 1.0, 2.0];
+            if i == 299 {
+                values[1] = f64::NAN;
+            }
+            let sketch = NoisySketch::new(values, "t", 0.5, 0.75);
+            engine
+                .ingest(&Release {
+                    party_id: i,
+                    sketch,
+                })
+                .unwrap();
+        }
+        // Pair (0, 1) holds the smallest finite estimate, so every later
+        // run's finite minimum is not below it.
+        let _ = engine.top_pairs(1);
     }
 
     #[test]

@@ -106,15 +106,17 @@ impl PairwiseMemo {
         })
     }
 
-    /// Every stored pair as `(estimate, (i, j))`, row by row, then
-    /// column by column: the order of a row-major scan of the dense
-    /// matrix's upper triangle.
-    pub(crate) fn upper_pairs(&self) -> impl Iterator<Item = (f64, (usize, usize))> + '_ {
+    /// Every stored pair as runs `(i, j, run)`, where `run` holds pairs
+    /// `(i, j..j + run.len())`: row by row, then column by column (one
+    /// run per panel a row crosses), the order of a row-major scan of
+    /// the dense matrix's upper triangle.
+    pub(crate) fn upper_runs(&self) -> impl Iterator<Item = (usize, usize, &[f64])> + '_ {
         (0..self.n).flat_map(move |i| {
-            self.row_runs(i, 0..self.n)
-                .flatten()
-                .zip(i + 1..)
-                .map(move |(&estimate, j)| (estimate, (i, j)))
+            self.row_runs(i, 0..self.n).scan(i + 1, move |j, run| {
+                let first = *j;
+                *j += run.len();
+                Some((i, first, run))
+            })
         })
     }
 
@@ -430,40 +432,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn top_pair_ties_across_panels_list_in_row_then_column_order() {
-        // Two groups of repeated sketches spread over three panels: each
-        // group's pairs tie at the smallest estimate (raw distance 0).
-        let group = |i: usize| match i {
-            3 | 100 | 127 | 128 | 200 | 256 | 299 => 3,
-            50 | 129 | 255 => 50,
-            i => i,
-        };
+    /// Ingest 300 rows, row `i` repeating row `copy_of(i)`'s sketch, and
+    /// check `top_pairs(t)` on the engine and on a snapshot against the
+    /// dense scan (the upper triangle row by row, stably sorted).
+    fn assert_top_pairs_match_the_scan(
+        copy_of: impl Fn(usize) -> usize,
+        ts: &[usize],
+    ) -> SharedEngine {
         let shared = SharedEngine::new(QueryEngine::new(SketchStore::adopting()));
         let reference = shared.mutate(|engine| {
             for i in 0..300 {
-                engine.ingest(&release(i, group)).unwrap();
+                engine.ingest(&release(i, &copy_of)).unwrap();
             }
             engine.pairwise_all()
         });
-        // The dense scan: the upper triangle row by row, stably sorted.
         let mut scan: Vec<(f64, (u64, u64))> = (0..300)
             .flat_map(|i| (i + 1..300).map(move |j| (i, j)))
             .map(|(i, j)| (reference.at(i, j), (1000 + i as u64, 1000 + j as u64)))
             .collect();
         scan.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimates"));
         let snapshot = shared.snapshot();
-        for t in [1, 5, 21, 24, 25, 400] {
-            let want: Vec<(u64, u64, u64)> = scan[..t]
+        let bits = |pairs: Vec<(u64, u64, f64)>| -> Vec<(u64, u64, u64)> {
+            pairs
+                .into_iter()
+                .map(|(a, b, d)| (a, b, d.to_bits()))
+                .collect()
+        };
+        for &t in ts {
+            let want: Vec<(u64, u64, u64)> = scan
                 .iter()
+                .take(t)
                 .map(|&(d, (a, b))| (a, b, d.to_bits()))
                 .collect();
-            let bits = |pairs: Vec<(u64, u64, f64)>| -> Vec<(u64, u64, u64)> {
-                pairs
-                    .into_iter()
-                    .map(|(a, b, d)| (a, b, d.to_bits()))
-                    .collect()
-            };
             assert_eq!(
                 bits(shared.mutate(|e| e.top_pairs(t))),
                 want,
@@ -475,9 +475,32 @@ mod tests {
                 "snapshot, t = {t}"
             );
         }
+        shared
+    }
+
+    #[test]
+    fn top_pair_ties_across_panels_list_in_row_then_column_order() {
+        // Two groups of repeated sketches spread over three panels: each
+        // group's pairs tie at the smallest estimate (raw distance 0).
+        let group = |i: usize| match i {
+            3 | 100 | 127 | 128 | 200 | 256 | 299 => 3,
+            50 | 129 | 255 => 50,
+            i => i,
+        };
+        let shared = assert_top_pairs_match_the_scan(group, &[1, 5, 21, 24, 25, 400]);
         // The first tie crosses panel 0 into panels 1 and 2.
         let top = shared.mutate(|e| e.top_pairs(3));
         let ids: Vec<(u64, u64)> = top.iter().map(|&(a, b, _)| (a, b)).collect();
         assert_eq!(ids, [(1003, 1100), (1003, 1127), (1003, 1128)]);
+    }
+
+    /// Every sketch equal, so every pair ties: once `t` pairs are held,
+    /// no later run is strictly below the `t`-th smallest, and the
+    /// answer is the first `t` pairs of the row-major scan, for cuts
+    /// inside, at and past panel edges.
+    #[test]
+    fn top_pairs_when_every_pair_ties_match_the_stable_sort() {
+        let pairs = 300 * 299 / 2;
+        assert_top_pairs_match_the_scan(|_| 0, &[0, 1, 127, 128, 129, pairs, pairs + 1]);
     }
 }

@@ -98,6 +98,17 @@ impl Parallelism {
     pub fn is_sequential(&self) -> bool {
         self.threads == 1
     }
+
+    /// How many workers to split `items` units of work across when each
+    /// worker must get at least `min_per_worker` of them to pay for its
+    /// spawn: `items / min_per_worker`, clamped to `1..=threads()`. One
+    /// means "stay on the calling thread". Callers pass a measured
+    /// constant, never a knob, so the choice depends only on the work
+    /// and the worker count.
+    #[must_use]
+    pub fn workers_for(&self, items: usize, min_per_worker: usize) -> usize {
+        (items / min_per_worker.max(1)).clamp(1, self.threads)
+    }
 }
 
 impl Default for Parallelism {
@@ -157,6 +168,18 @@ mod tests {
     fn tile_clamped_to_one() {
         assert_eq!(Parallelism::sequential().with_tile(0).tile(), 1);
         assert_eq!(Parallelism::sequential().with_tile(17).tile(), 17);
+    }
+
+    #[test]
+    fn workers_for_gives_each_worker_the_minimum() {
+        let two = Parallelism::new(2);
+        assert_eq!(two.workers_for(0, 16), 1);
+        assert_eq!(two.workers_for(31, 16), 1);
+        assert_eq!(two.workers_for(32, 16), 2);
+        assert_eq!(two.workers_for(1 << 20, 16), 2);
+        assert_eq!(Parallelism::new(8).workers_for(50, 16), 3);
+        assert_eq!(Parallelism::sequential().workers_for(1 << 20, 1), 1);
+        assert_eq!(Parallelism::new(8).workers_for(5, 0), 5);
     }
 
     #[test]

@@ -45,7 +45,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     #[test]
     fn sketch_batch_is_bit_identical_across_thread_counts(
-        n in 0usize..10,
+        // Up to five workers' minimum of rows, so batches both stay on
+        // the calling thread and split.
+        n in 0usize..40,
         threads in 1usize..9,
         noise_seed in any::<u64>(),
     ) {
