@@ -1,10 +1,11 @@
 //! Benchmark the tiled all-pairs kernel and record the perf trajectory.
 //!
-//! Measures `pairwise_sq_distances` over released sketches for a sweep
-//! of matrix sizes, thread counts and tile sizes, verifies every
-//! configuration is bit-identical to the per-pair reference
-//! (`pairwise_sq_distances_reference`, which runs none of the tiled
-//! code), and writes a machine-readable `BENCH_pairwise.json` so
+//! Measures the engine's cold all-pairs memo (`QueryEngine::pairwise_memo`
+//! on a fresh engine over a store of released sketches) for a sweep of
+//! matrix sizes, thread counts and tile sizes, verifies every
+//! configuration's `pairwise_all` is bit-identical to the per-pair
+//! reference (`pairwise_sq_distances_reference`, which runs none of the
+//! tiled code), and writes a machine-readable `BENCH_pairwise.json` so
 //! successive PRs can track ns/pair.
 //!
 //! Usage: `bench_pairwise [--quick] [--out <path>]`
@@ -17,8 +18,8 @@
 //!   ns/pair at the largest n. The check times the tile executor alone
 //!   — `execute_tiles` over every id of the one-thread plan, on row
 //!   slices extracted beforehand, the median of several rounds —
-//!   because a whole `pairwise_sq_distances_with_par` call adds a
-//!   compatibility sweep, an `n × n` allocation and a scatter. It is
+//!   because a cold `pairwise_memo` adds the gather of every segment
+//!   into the memo's panels. It is
 //!   **thread-count independent** — it measures the eight-pair group
 //!   kernel and the hoisted per-row constants, not parallelism — so it
 //!   runs (and gates) even on 1-CPU containers where the multi-thread
@@ -43,10 +44,11 @@ use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
 use dp_core::kernel;
 use dp_core::sketcher::{
-    effective_plan, execute_tiles, pairwise_sq_distances_reference, pairwise_sq_distances_with_par,
-    AnySketcher, Construction, PrivateSketcher,
+    effective_plan, execute_tiles, pairwise_sq_distances_reference, AnySketcher, Construction,
+    PrivateSketcher,
 };
-use dp_core::{wire, KernelId, NoisySketch, Parallelism};
+use dp_core::{wire, KernelId, NoisySketch, Parallelism, Release};
+use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
 use std::hint::black_box;
 use std::time::Instant;
@@ -236,8 +238,16 @@ fn main() {
     for &n in row_counts {
         let subset = &sketches[..n];
         let pairs = (n * (n - 1) / 2) as f64;
+        let mut store = SketchStore::adopting();
+        for (party_id, sketch) in (0u64..).zip(subset) {
+            let release = Release {
+                party_id,
+                sketch: sketch.clone(),
+            };
+            store.ingest(&release).expect("ingest");
+        }
         let reference = pairwise_sq_distances_reference(subset).expect("reference");
-        // Hoisting gain: the tiled single-thread kernel vs the naive
+        // Hoisting gain: the tiled single-thread memo vs the naive
         // per-pair estimator (which re-checks compatibility and
         // recomputes the debias constant for every pair).
         let iters = if quick { 2 } else { 3 };
@@ -250,7 +260,8 @@ fn main() {
         let mut t_single = f64::NAN;
         for &threads in &thread_sweep {
             let par = Parallelism::new(threads).with_tile(tile);
-            let got = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
+            let cold = || QueryEngine::new(store.clone()).with_parallelism(par);
+            let got = cold().pairwise_all();
             let identical = got
                 .as_flat()
                 .iter()
@@ -258,7 +269,7 @@ fn main() {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             all_identical &= identical;
             let t = time_per_op(iters, || {
-                let _ = pairwise_sq_distances_with_par(subset, |s| s, &par).expect("pairwise");
+                black_box(cold().pairwise_memo());
             });
             if threads == 1 {
                 t_single = t;
@@ -345,7 +356,7 @@ fn main() {
     let json = JsonValue::Object(vec![
         (
             "bench".to_string(),
-            JsonValue::String("pairwise_sq_distances".to_string()),
+            JsonValue::String("tiled_pairwise".to_string()),
         ),
         (
             "construction".to_string(),

@@ -12,7 +12,6 @@
 //!   (Definition 4) points out.
 
 use crate::error::CoreError;
-use crate::json::{self, JsonValue};
 use std::sync::Arc;
 
 /// A released, differentially private sketch.
@@ -151,70 +150,6 @@ impl NoisySketch {
         let dxy = self.estimate_sq_distance(other)?;
         Ok(0.5 * (self.estimate_sq_norm() + other.estimate_sq_norm() - dxy))
     }
-
-    /// Serialize to the JSON compatibility wire format
-    /// (`{"values":[…],"transform_tag":"…","noise_m2":…,"noise_m4":…}`).
-    /// The compact binary format in [`crate::wire`] is the preferred path.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// The JSON representation as a [`JsonValue`] (for embedding inside
-    /// enclosing wire objects without re-parsing).
-    #[must_use]
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "values".to_string(),
-                JsonValue::Array(self.values.iter().map(|&v| JsonValue::Number(v)).collect()),
-            ),
-            (
-                "transform_tag".to_string(),
-                JsonValue::String(self.transform_tag.to_string()),
-            ),
-            ("noise_m2".to_string(), JsonValue::Number(self.noise_m2)),
-            ("noise_m4".to_string(), JsonValue::Number(self.noise_m4)),
-        ])
-    }
-
-    /// Parse the JSON wire format.
-    ///
-    /// # Errors
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, CoreError> {
-        let v = json::parse(text).map_err(CoreError::Wire)?;
-        Self::from_json_value(&v)
-    }
-
-    /// Build from an already-parsed [`JsonValue`] (used by enclosing
-    /// wire types such as the protocol's `Release`).
-    ///
-    /// # Errors
-    /// [`CoreError::Wire`] if fields are missing or mistyped.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, CoreError> {
-        let missing = |field: &str| CoreError::Wire(format!("missing/invalid field '{field}'"));
-        let values = v
-            .get("values")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("values"))?
-            .iter()
-            .map(|item| item.as_f64().ok_or_else(|| missing("values[i]")))
-            .collect::<Result<Vec<f64>, CoreError>>()?;
-        let tag = v
-            .get("transform_tag")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| missing("transform_tag"))?;
-        let noise_m2 = v
-            .get("noise_m2")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| missing("noise_m2"))?;
-        let noise_m4 = v
-            .get("noise_m4")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| missing("noise_m4"))?;
-        Ok(Self::new(values, tag, noise_m2, noise_m4))
-    }
 }
 
 /// A point estimate with its predicted standard deviation, so callers can
@@ -285,16 +220,6 @@ mod tests {
         assert!(a.estimate_sq_distance(&c).is_err());
         let d = sketch(vec![1.0], "t1", 0.9);
         assert!(a.estimate_sq_distance(&d).is_err());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let a = sketch(vec![1.5, -2.5, 1e-300], "sjlt#42", 0.25);
-        let json = a.to_json();
-        let back = NoisySketch::from_json(&json).unwrap();
-        assert_eq!(a, back);
-        assert!(NoisySketch::from_json("{not json").is_err());
-        assert!(NoisySketch::from_json(r#"{"values":[1.0]}"#).is_err());
     }
 
     #[test]

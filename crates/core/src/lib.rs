@@ -26,18 +26,17 @@
 //! * [`sketcher`] — the unified release API: the object-safe
 //!   [`PrivateSketcher`] trait, the [`AnySketcher`] enum over every
 //!   construction, the serializable [`SketcherSpec`] public parameters,
-//!   and the batch/pairwise estimate surface — data-parallel on the
-//!   [`Parallelism`] knob, bit-identical to the sequential reference for
-//!   every thread count and tile size.
-//! * [`wire`] — the versioned compact binary codec for released sketches
-//!   (JSON via [`NoisySketch::to_json`] stays as a compatibility path).
-//! * [`release`] — the `DPRL` release frame (sketch + party id) shared
-//!   by the distributed protocol, the sketch store, and the server.
+//!   batch release, and the tile executor every all-pairs matrix runs —
+//!   data-parallel on the [`Parallelism`] knob, bit-identical to the
+//!   sequential reference for every thread count and tile size.
+//! * [`wire`] — the versioned compact binary codec for released sketches.
+//! * [`release`] — the `DPRL` release frame (sketch + party id) every
+//!   party sends and the sketch store and the server parse.
 //! * [`protocol`] — wire codec v3: the length-prefixed
 //!   request/response frames a sketch service speaks (Hello/Ingest/
 //!   Pairwise/Knn/TopPairs and their responses).
-//! * [`json`] — the dependency-free JSON reader/writer backing the
-//!   compatibility path.
+//! * [`json`] — the dependency-free JSON reader/writer behind the spec
+//!   JSON.
 
 pub mod achlioptas_private;
 pub mod config;
@@ -64,8 +63,7 @@ pub use kernel::KernelId;
 pub use release::Release;
 pub use sjlt_private::PrivateSjlt;
 pub use sketcher::{
-    effective_plan, execute_tiles, pairwise_sq_distances, pairwise_sq_distances_reference,
-    pairwise_sq_distances_rows, pairwise_sq_distances_with, pairwise_sq_distances_with_par,
+    effective_plan, execute_tiles, pairwise_sq_distances_reference, pairwise_sq_distances_rows,
     scatter_tile_segment, sketch_batch_par, sketch_batch_sequential, AnySketcher, Construction,
     PairwiseDistances, PrivateSketcher, SketcherSpec,
 };

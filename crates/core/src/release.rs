@@ -1,5 +1,5 @@
 //! The released frame of the distributed protocol: a sketch plus the
-//! sender's identity, with binary and JSON wire forms.
+//! sender's identity, and its binary wire form.
 //!
 //! A [`Release`] is what actually crosses a trust boundary: one
 //! differentially private [`NoisySketch`] attributed to a `party_id`.
@@ -17,16 +17,13 @@
 //! additionally covers the release header, so a corrupted `party_id`
 //! cannot silently misattribute a sketch.
 //!
-//! This module lives in `dp_core` (rather than the streaming layer) so
-//! that every consumer of releases — the distributed protocol in
-//! `dp_stream`, the `dp-engine` sketch store, and the `dp-server`
-//! protocol — shares one parser and one [`TagInterner`] discipline.
-//! `dp_stream::distributed` re-exports everything here for
-//! compatibility.
+//! Every party encodes its release here ([`Release::to_bytes`]), and
+//! every consumer of releases — the `dp-engine` sketch store and the
+//! `dp-server` protocol — shares one parser and one [`TagInterner`]
+//! discipline.
 
 use crate::error::CoreError;
 use crate::estimator::NoisySketch;
-use crate::json::{self, JsonValue};
 use crate::wire::{self, TagInterner};
 
 /// Magic prefix of a binary-framed [`Release`].
@@ -83,35 +80,6 @@ impl Release {
         out.extend_from_slice(&checksum.to_le_bytes());
         Ok(out)
     }
-
-    /// Encode as the JSON compatibility wire format.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        JsonValue::Object(vec![
-            ("party_id".to_string(), JsonValue::UInt(self.party_id)),
-            ("sketch".to_string(), self.sketch.to_json_value()),
-        ])
-        .to_string()
-    }
-}
-
-/// Parse a JSON release from the wire.
-///
-/// # Errors
-/// [`CoreError::Wire`] on malformed input.
-pub fn parse_release(text: &str) -> Result<Release, CoreError> {
-    let v = json::parse(text).map_err(CoreError::Wire)?;
-    let party_id = v
-        .get("party_id")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| CoreError::Wire("missing/invalid field 'party_id'".to_string()))?;
-    let sketch_value = v
-        .get("sketch")
-        .ok_or_else(|| CoreError::Wire("missing field 'sketch'".to_string()))?;
-    Ok(Release {
-        party_id,
-        sketch: NoisySketch::from_json_value(sketch_value)?,
-    })
 }
 
 /// Parse a binary release from the wire, interning the transform tag.
@@ -214,9 +182,24 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_agrees() {
-        let r = sample(7);
-        assert_eq!(parse_release(&r.to_json()).unwrap(), r);
+    fn release_checksum_covers_the_party_id() {
+        let good = sample(7).to_bytes().unwrap();
+        let mut interner = TagInterner::new();
+        assert!(parse_release_bytes(&good, &mut interner).is_ok());
+        // A bit flip in the party_id (bytes 5..13, outside the embedded
+        // sketch frame's own trailer) must not silently misattribute the
+        // sketch: the outer frame checksum catches it.
+        for byte in 5..13 {
+            let mut bad = good.clone();
+            bad[byte] ^= 0x10;
+            assert!(
+                matches!(
+                    parse_release_bytes(&bad, &mut interner),
+                    Err(CoreError::ChecksumMismatch { .. })
+                ),
+                "party_id byte {byte}"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   makes releases interoperable; the JSON form travels on the wire.
 //! * [`AnySketcher`] — the trait's canonical implementation: an enum over
 //!   all constructions, built from a [`SketcherSpec`].
-//! * [`pairwise_sq_distances`] — the all-pairs estimate surface over
-//!   released sketches, returning a flat row-major matrix.
+//! * [`execute_tiles`] — the one tile executor behind every all-pairs
+//!   matrix. The all-pairs surface over released sketches is
+//!   `dp_engine::QueryEngine`; [`pairwise_sq_distances_reference`] is the
+//!   frozen per-pair loop every matrix is tested bit-identical against.
 //!
 //! The Note 5 mechanism-selection rule applies uniformly here: a
 //! [`Construction::SjltAuto`] spec resolves Laplace-vs-Gaussian from the
@@ -32,8 +34,8 @@
 //! [`dp_parallel`]: [`AnySketcher`] carries one (env-driven by default,
 //! explicit via [`AnySketcher::with_parallelism`] /
 //! [`SketcherSpec::build_with`]), batch releases split rows across
-//! workers ([`sketch_batch_par`]), and the all-pairs surface runs a
-//! cache-blocked tile kernel ([`pairwise_sq_distances_with_par`]).
+//! workers ([`sketch_batch_par`]), and every all-pairs matrix runs a
+//! cache-blocked tile kernel ([`execute_tiles`]).
 //! Results are **bit-identical** for every thread count and tile size:
 //! per-row noise seeds derive from the row *index* (`noise_seed.index(row)`),
 //! never from the executing worker, and each pair's estimate is computed
@@ -533,14 +535,6 @@ impl AnySketcher {
         self.par
     }
 
-    /// Rebuild from a spec (equivalent to [`SketcherSpec::build`]).
-    ///
-    /// # Errors
-    /// Propagates construction failures.
-    pub fn from_spec(spec: &SketcherSpec) -> Result<Self, CoreError> {
-        spec.build()
-    }
-
     /// The wrapped private SJLT, when this is an SJLT construction
     /// (gives access to the streaming-capable transform).
     #[must_use]
@@ -835,30 +829,6 @@ impl PairwiseDistances {
     }
 }
 
-/// Estimate every pairwise squared distance among released sketches,
-/// using the tiled kernel on the environment-default [`Parallelism`].
-///
-/// # Errors
-/// [`CoreError::IncompatibleSketches`] if any sketch doesn't combine
-/// with the first (see [`pairwise_sq_distances_with_par`] for how this
-/// sweep relates to the reference's per-pair check).
-pub fn pairwise_sq_distances(sketches: &[NoisySketch]) -> Result<PairwiseDistances, CoreError> {
-    pairwise_sq_distances_with(sketches, |s| s)
-}
-
-/// [`pairwise_sq_distances`] over any slice whose items carry a sketch
-/// (e.g. protocol `Release`s), without copying the sketches out.
-///
-/// # Errors
-/// [`CoreError::IncompatibleSketches`] if any sketch doesn't combine
-/// with the first (see [`pairwise_sq_distances_with_par`]).
-pub fn pairwise_sq_distances_with<T: Sync>(
-    items: &[T],
-    sketch_of: impl Fn(&T) -> &NoisySketch + Sync,
-) -> Result<PairwiseDistances, CoreError> {
-    pairwise_sq_distances_with_par(items, sketch_of, &Parallelism::default())
-}
-
 // dp-lint: freeze(pairwise-reference) begin
 /// The naive sequential double loop over
 /// [`NoisySketch::estimate_sq_distance`] — kept as the reference
@@ -882,97 +852,15 @@ pub fn pairwise_sq_distances_reference(
 }
 // dp-lint: freeze(pairwise-reference) end
 
-/// The cache-blocked tile kernel behind the all-pairs surface.
-///
-/// The matrix's upper triangle is decomposed by a [`TilePlan`] into
-/// `par.tile()`-sided `(row_block, col_block)` tiles, which
-/// [`pairwise_sq_distances_rows`] executes and scatters (plus mirrors)
-/// into the row-major matrix. Per-sketch invariants are hoisted out
-/// of the inner loop: compatibility is checked once per sketch against
-/// the first (n−1 checks instead of one per pair), and each sketch's
-/// debias constant `2k·E[η²]` is computed once per *row* instead of
-/// once per pair. Debias stays per-row (not a single batch constant)
-/// because [`NoisySketch::check_compatible`] tolerates tiny `E[η²]`
-/// differences; using row `i`'s own constant reproduces the reference
-/// bit-for-bit even for such hand-built batches.
-///
-/// Bit-identical to [`pairwise_sq_distances_reference`] for every
-/// thread count and tile size: each pair is computed exactly once, by
-/// the same zip-order sum and the same `raw − 2k·E[η²]` expression the
-/// per-pair estimator uses.
-///
-/// # Errors
-/// [`CoreError::IncompatibleSketches`] if the batch doesn't combine:
-/// each sketch is checked against the first (pinning the transform tag
-/// and `k` exactly, which are transitive), and the *span* of noise
-/// moments across the batch must itself fit the compatibility
-/// tolerance — so any batch the per-pair reference would reject is
-/// rejected here too (never silently accepted). The one divergence is
-/// a sliver on the tolerance boundary where this check is marginally
-/// *stricter* than the reference, and which pair an error names.
-/// Batches released by one sketcher — the only kind the workspace
-/// produces — carry identical moments, where the two checks agree
-/// exactly.
-pub fn pairwise_sq_distances_with_par<'a, T: Sync>(
-    items: &'a [T],
-    sketch_of: impl Fn(&'a T) -> &'a NoisySketch + Sync,
-    par: &Parallelism,
-) -> Result<PairwiseDistances, CoreError> {
-    let n = items.len();
-    if n == 0 {
-        return Ok(PairwiseDistances {
-            n: 0,
-            values: Vec::new(),
-        });
-    }
-    // Hoisted invariants: one compatibility sweep pins the transform
-    // tag, k, and noise moment for the whole batch, and each row's
-    // debias constant is evaluated once here — the inner loop is a pure
-    // fused subtract-square-accumulate over the value slices. The
-    // constant is per-row (row i's own E[η²], exactly what the per-pair
-    // estimator uses for the (i, j), i < j pair), which keeps the
-    // bit-identity contract even when moments differ within tolerance.
-    let first = sketch_of(&items[0]);
-    let mut m2_min = first.noise_second_moment();
-    let mut m2_max = m2_min;
-    for item in items.iter().skip(1) {
-        let s = sketch_of(item);
-        first.check_compatible(s)?;
-        m2_min = m2_min.min(s.noise_second_moment());
-        m2_max = m2_max.max(s.noise_second_moment());
-    }
-    // The vs-first sweep alone would admit moments at opposite edges of
-    // the tolerance band (a pair the per-pair reference rejects); bound
-    // the batch *span* by the tolerance at its weakest scale so every
-    // pair provably passes the per-pair check.
-    if (m2_max - m2_min).abs() > 1e-12 * (1.0 + m2_min.abs()) {
-        return Err(CoreError::IncompatibleSketches(format!(
-            "noise moment span {m2_min} vs {m2_max} exceeds the batch tolerance"
-        )));
-    }
-    let debias: Vec<f64> = items
-        .iter()
-        .map(|item| {
-            let s = sketch_of(item);
-            2.0 * s.k() as f64 * s.noise_second_moment()
-        })
-        .collect();
-    Ok(pairwise_sq_distances_rows(
-        n,
-        |i| sketch_of(&items[i]).values(),
-        &debias,
-        par,
-    ))
-}
-
 /// The raw tiled kernel over row slices: pair `(i, j)`, `i < j`, is
 /// `Σ (row_i − row_j)² − debias[i]`, written symmetrically into a flat
-/// row-major matrix with a zero diagonal. This is the layer shared by
-/// [`pairwise_sq_distances_with_par`] (which first validates sketch
-/// compatibility and hoists the debias constants) and the `dp-engine`
-/// subset recompute (whose arena validates at ingest time); both are
-/// bit-identical to [`pairwise_sq_distances_reference`] because the
-/// inner expression is exactly the per-pair estimator's.
+/// row-major matrix with a zero diagonal. The `dp-engine` subset
+/// recompute runs it (its store validates compatibility at ingest), and
+/// it is bit-identical to [`pairwise_sq_distances_reference`] because
+/// the inner expression is exactly the per-pair estimator's. Row `i`
+/// is debiased with its own constant, so a batch whose noise moments
+/// differ within the compatibility tolerance still matches the
+/// reference bit for bit.
 ///
 /// It runs the one tile pipeline every all-pairs matrix runs:
 /// [`execute_tiles`] over every tile of [`effective_plan`], then
@@ -1124,10 +1012,10 @@ pub fn slice_tile_segment(tile: &Tile, values: &[f64], n: usize) -> Vec<f64> {
 
 /// Execute an explicit set of a plan's tiles over row slices, returning
 /// one [`TileSegment`] per id (in the given order). This is the one
-/// all-pairs executor: the slice API and the engine's fills run it
-/// in process, and a worker server runs it over its own store and
-/// ships the segments back keyed by tile id, so every matrix is
-/// bit-identical however its tiles were distributed.
+/// all-pairs executor: the engine's fills run it in process, and a
+/// worker server runs it over its own store and ships the segments
+/// back keyed by tile id, so every matrix is bit-identical however its
+/// tiles were distributed.
 ///
 /// Tiles are executed as dynamic tasks on `par.threads()` workers;
 /// output order is id-list order regardless of scheduling.
@@ -1360,7 +1248,7 @@ mod tests {
         for rep in 0..300u64 {
             let sk = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(rep)).unwrap();
             let sketches = sk.sketch_batch(&rows, Seed::new(1000 + rep)).unwrap();
-            let m = pairwise_sq_distances(&sketches).unwrap();
+            let m = pairwise_sq_distances_reference(&sketches).unwrap();
             assert_eq!(m.n(), 3);
             assert_eq!(m.as_flat().len(), 9);
             assert_eq!(m.at(0, 1), m.at(1, 0), "symmetry");
@@ -1479,109 +1367,6 @@ mod tests {
             seq.sketch_batch(&xs, Seed::new(9)).unwrap(),
             par.sketch_batch(&xs, Seed::new(9)).unwrap()
         );
-    }
-
-    #[test]
-    fn tiled_pairwise_is_bit_identical_to_reference() {
-        let cfg = config(None);
-        let sk = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(8)).unwrap();
-        for n in [0usize, 1, 2, 3, 5, 13] {
-            let sketches = sk
-                .sketch_batch(&rows(n, 48, n as u64), Seed::new(21))
-                .unwrap();
-            let reference = pairwise_sq_distances_reference(&sketches).unwrap();
-            for threads in [1usize, 2, 5] {
-                for tile in [1usize, 2, 3, 4, 7, 64] {
-                    let tiled = pairwise_sq_distances_with_par(
-                        &sketches,
-                        |s| s,
-                        &Parallelism::new(threads).with_tile(tile),
-                    )
-                    .unwrap();
-                    assert_eq!(tiled.n(), reference.n());
-                    for (a, b) in reference.as_flat().iter().zip(tiled.as_flat()) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "n = {n}, threads = {threads}, tile = {tile}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_pairwise_uses_each_rows_own_debias_constant() {
-        // check_compatible tolerates relative E[η²] differences up to
-        // 1e-12; a hand-built batch exercising that tolerance must
-        // still match the reference bit-for-bit, which requires the
-        // kernel to debias with row i's own constant, not the first's.
-        let m2 = 0.5;
-        let m2_perturbed = m2 * (1.0 + 5e-13);
-        let sketches = vec![
-            NoisySketch::new(vec![1.0, 2.0, 3.0], "t", m2, 0.75),
-            NoisySketch::new(vec![0.5, -1.0, 2.0], "t", m2_perturbed, 0.75),
-            NoisySketch::new(vec![-2.0, 0.0, 1.5], "t", m2, 0.75),
-        ];
-        assert_ne!(m2.to_bits(), m2_perturbed.to_bits());
-        let reference = pairwise_sq_distances_reference(&sketches).unwrap();
-        for threads in [1usize, 4] {
-            let tiled = pairwise_sq_distances_with_par(
-                &sketches,
-                |s| s,
-                &Parallelism::new(threads).with_tile(2),
-            )
-            .unwrap();
-            for (a, b) in reference.as_flat().iter().zip(tiled.as_flat()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn pairwise_rejects_moment_spans_the_reference_rejects() {
-        // Each perturbed moment passes the vs-first check, but the
-        // extreme pair (1, 2) exceeds the per-pair tolerance, so the
-        // reference rejects the batch — the tiled kernel's span check
-        // must reject it too, never silently accept.
-        let m2 = 0.5;
-        let sketches = vec![
-            NoisySketch::new(vec![1.0, 2.0], "t", m2, 0.75),
-            NoisySketch::new(vec![0.5, 1.0], "t", m2 + 1.2e-12, 0.75),
-            NoisySketch::new(vec![0.0, 1.5], "t", m2 - 1.2e-12, 0.75),
-        ];
-        assert!(matches!(
-            pairwise_sq_distances_reference(&sketches),
-            Err(CoreError::IncompatibleSketches(_))
-        ));
-        for threads in [1usize, 4] {
-            assert!(
-                matches!(
-                    pairwise_sq_distances_with_par(&sketches, |s| s, &Parallelism::new(threads)),
-                    Err(CoreError::IncompatibleSketches(_))
-                ),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn pairwise_rejects_incompatible_batches_like_the_reference() {
-        let cfg = config(None);
-        let a = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(1)).unwrap();
-        let b = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(2)).unwrap();
-        let xs = rows(2, 48, 3);
-        let mut sketches = a.sketch_batch(&xs, Seed::new(4)).unwrap();
-        sketches.extend(b.sketch_batch(&xs, Seed::new(5)).unwrap());
-        assert!(matches!(
-            pairwise_sq_distances_reference(&sketches),
-            Err(CoreError::IncompatibleSketches(_))
-        ));
-        assert!(matches!(
-            pairwise_sq_distances(&sketches),
-            Err(CoreError::IncompatibleSketches(_))
-        ));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Versioned compact binary wire codec for released sketches.
 //!
-//! JSON (see [`crate::estimator::NoisySketch::to_json`]) is kept as the
-//! human-readable compatibility path; this codec is the preferred wire
-//! format for the distributed protocol and any sketch service. Layout
-//! (all integers and floats little-endian):
+//! This codec is the one encoding of a released sketch, for the
+//! distributed protocol and any sketch service. Layout (all integers
+//! and floats little-endian):
 //!
 //! ```text
 //! magic    4 bytes  b"DPNS"

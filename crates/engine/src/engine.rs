@@ -1,21 +1,21 @@
 //! The incremental query surface over a [`SketchStore`].
 //!
 //! Every query is post-processing of already-private releases, so no
-//! query costs privacy budget. The engine adds what the slice-based
-//! free functions could not: **persistence** (the all-pairs matrix is
-//! memoized as its upper triangle, a [`PairwiseMemo`], and only the
-//! pairs involving newly ingested rows are computed on the next query)
-//! and **hoisting** (compatibility and debias constants were resolved
-//! at ingest, so a point query is a pure O(k) fused
-//! subtract-square-accumulate).
+//! query costs privacy budget. Over the per-pair estimator the engine
+//! adds **persistence** (the all-pairs matrix is memoized as its upper
+//! triangle, a [`PairwiseMemo`], and only the pairs involving newly
+//! ingested rows are computed on the next query) and **hoisting**
+//! (compatibility and debias constants were resolved at ingest, so a
+//! point query is a pure O(k) fused subtract-square-accumulate).
 //!
 //! ## Determinism
 //!
 //! All estimates run the one accumulator of [`dp_core::kernel`] — a raw
 //! sum of squared differences minus a hoisted `2k·E[η²]` — so engine
-//! answers are bit-identical to the slice-based reference for every
-//! thread count, tile size, and ingest/query interleaving: they
-//! reproduce [`dp_core::NoisySketch::estimate_sq_distance`] exactly.
+//! answers are bit-identical to the per-pair reference
+//! ([`dp_core::pairwise_sq_distances_reference`]) for every thread
+//! count, tile size, and ingest/query interleaving: they reproduce
+//! [`dp_core::NoisySketch::estimate_sq_distance`] exactly.
 //! In the all-pairs matrix, pair `(i, j)` with `i < j` is debiased
 //! with row `i`'s constant (exactly like the tiled kernel); a k-NN
 //! query is debiased with the *query row's* constant (exactly like

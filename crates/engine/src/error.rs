@@ -80,23 +80,6 @@ impl From<CoreError> for EngineError {
     }
 }
 
-/// Lossy mapping back onto the core error vocabulary, for the legacy
-/// slice-based wrappers whose signatures predate the engine.
-impl From<EngineError> for CoreError {
-    fn from(e: EngineError) -> Self {
-        match e {
-            EngineError::Core(c) => c,
-            EngineError::Incompatible { detail, .. } => Self::IncompatibleSketches(detail),
-            EngineError::DuplicateParty(id) => Self::Wire(format!("party {id} already ingested")),
-            EngineError::UnknownParty(id) => Self::Wire(format!("party {id} not in the store")),
-            EngineError::Empty => Self::Wire("the store holds no sketches".to_string()),
-            plan @ (EngineError::PlanMismatch { .. } | EngineError::UnknownTile { .. }) => {
-                Self::Wire(plan.to_string())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +88,6 @@ mod tests {
     fn display_and_conversions() {
         let e = EngineError::DuplicateParty(7);
         assert!(e.to_string().contains('7'));
-        let c: CoreError = EngineError::Incompatible {
-            party_id: 1,
-            detail: "tag".to_string(),
-        }
-        .into();
-        assert!(matches!(c, CoreError::IncompatibleSketches(_)));
         let back: EngineError = CoreError::MissingField("delta").into();
         assert!(matches!(back, EngineError::Core(_)));
         assert!(std::error::Error::source(&back).is_some());

@@ -794,21 +794,72 @@ mod tests {
         ));
     }
 
+    /// The store's ingest rule — a vs-anchor tolerance check plus a
+    /// bound on the batch's moment span — accepts exactly the hand-built
+    /// batches the frozen per-pair reference accepts: `E[η²]` perturbed
+    /// within and beyond the 1e-12 tolerance, against the anchor row and
+    /// as a span, and a foreign tag. Every accepted batch's matrix is
+    /// the reference's, bit for bit, under one worker and under four
+    /// with two-row tiles, so each row is debiased with its own constant.
     #[test]
-    fn moment_span_rejected_like_the_kernel() {
+    fn ingest_accepts_exactly_the_batches_the_reference_accepts() {
         let m2 = 0.5;
-        let mk = |id: u64, m2: f64| Release {
-            party_id: id,
-            sketch: NoisySketch::new(vec![1.0, 2.0], "t", m2, 0.75),
+        let row = |i: usize, m2: f64, tag: &str| {
+            let x = i as f64;
+            NoisySketch::new(vec![1.0 - x, 2.0 + 0.5 * x, x * x - 1.5], tag, m2, 0.75)
         };
-        let mut store = SketchStore::adopting();
-        store.ingest(&mk(0, m2)).unwrap();
-        store.ingest(&mk(1, m2 + 1.2e-12)).unwrap();
-        // Passes the vs-anchor check but blows the batch span, exactly
-        // like the tiled kernel's rejection.
-        assert!(matches!(
-            store.ingest(&mk(2, m2 - 1.2e-12)),
-            Err(EngineError::Incompatible { party_id: 2, .. })
-        ));
+        let batch = |moments: &[f64]| -> Vec<NoisySketch> {
+            moments
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| row(i, m, "t"))
+                .collect()
+        };
+        let mut foreign = batch(&[m2; 4]);
+        foreign[2] = row(2, m2, "u");
+        let cases = [
+            ("uniform", batch(&[m2; 4]), true),
+            (
+                "within vs anchor",
+                batch(&[m2, m2 * (1.0 + 5e-13), m2, m2]),
+                true,
+            ),
+            ("beyond vs anchor", batch(&[m2, m2, m2 + 2e-12, m2]), false),
+            (
+                "span within",
+                batch(&[m2, m2 + 6e-13, m2 - 6e-13, m2]),
+                true,
+            ),
+            (
+                "span beyond",
+                batch(&[m2, m2 + 1.2e-12, m2 - 1.2e-12, m2]),
+                false,
+            ),
+            ("foreign tag", foreign, false),
+        ];
+        for (case, sketches, accepts) in &cases {
+            let reference = pairwise_sq_distances_reference(sketches);
+            assert_eq!(reference.is_ok(), *accepts, "{case}");
+            let mut store = SketchStore::adopting();
+            let ingested = (0u64..).zip(sketches).all(|(party_id, sketch)| {
+                let release = Release {
+                    party_id,
+                    sketch: sketch.clone(),
+                };
+                store.ingest(&release).is_ok()
+            });
+            assert_eq!(ingested, *accepts, "{case}");
+            let Ok(reference) = reference else { continue };
+            assert_eq!(store.debias_uniform(), *case == "uniform", "{case}");
+            for par in [Parallelism::sequential(), Parallelism::new(4).with_tile(2)] {
+                let got = QueryEngine::new(store.clone())
+                    .with_parallelism(par)
+                    .pairwise_all();
+                assert_eq!(got.n(), reference.n(), "{case}");
+                for (a, b) in reference.as_flat().iter().zip(got.as_flat()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}, {par:?}");
+                }
+            }
+        }
     }
 }

@@ -67,9 +67,8 @@ type PartyIndex = HashMap<u64, usize, BuildHasherDefault<PartyIdHasher>>;
 
 /// The relative tolerance under which two noise second moments are
 /// considered the same calibration — identical to
-/// [`dp_core::NoisySketch::check_compatible`] and the batch span check
-/// of the tiled kernel, so a store accepts exactly the batches the
-/// slice-based surface accepted.
+/// [`dp_core::NoisySketch::check_compatible`], the per-pair check of
+/// [`dp_core::pairwise_sq_distances_reference`].
 fn moments_compatible(anchor: f64, other: f64) -> bool {
     (anchor - other).abs() <= 1e-12 * (1.0 + anchor.abs())
 }
@@ -209,9 +208,8 @@ impl SketchStore {
     }
 
     /// A store that adopts the identity (tag, dimension, noise anchor)
-    /// of the **first** release it ingests — the behaviour of the old
-    /// slice-based query surface, kept for its wrappers and for
-    /// observers who receive releases without the spec.
+    /// of the **first** release it ingests, for observers who receive
+    /// releases without the spec.
     #[must_use]
     pub fn adopting() -> Self {
         Self {
@@ -415,10 +413,11 @@ impl SketchStore {
             self.m2_max = m2;
             self.debias_uniform = true;
         } else {
-            // Mirror the tiled kernel exactly: a vs-anchor tolerance
+            // The one batch-compatibility rule: a vs-anchor tolerance
             // check plus a bound on the whole batch's moment span, so
-            // the store accepts precisely the batches the per-pair
-            // reference accepted.
+            // the store rejects every batch the per-pair reference
+            // rejects (and is marginally stricter only on the
+            // tolerance boundary).
             let anchor = self.m2[0];
             if !moments_compatible(anchor, m2) {
                 return Err(EngineError::Incompatible {

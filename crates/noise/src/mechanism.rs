@@ -100,9 +100,9 @@ impl NoiseMechanism for LaplaceMechanism {
     /// continuous Laplace in `f64`, and the gaps between floats leak:
     /// which outputs can occur at all depends on the input, so a
     /// released value can reveal more than ε allows (the paper's
-    /// §2.3.1, after Mironov, CCS 2012). [`crate::snapping`] implements
-    /// Mironov's repair, but no release path calls it; adopting it
-    /// would change release bits.
+    /// §2.3.1, after Mironov, CCS 2012). Mironov's snapping mechanism
+    /// repairs it, but adopting any repair changes release bits, so it
+    /// is parked (ROADMAP.md, *Floating-point-safe Laplace releases*).
     fn guarantee(&self) -> PrivacyGuarantee {
         PrivacyGuarantee::Pure {
             epsilon: self.epsilon,

@@ -1,4 +1,4 @@
-//! Streaming maintenance and the distributed release protocol.
+//! Turnstile streaming sketch maintenance.
 //!
 //! Theorem 3, item 4: the SJLT sketch of a data stream can be updated in
 //! `O(s)` per turnstile update — [`streaming::StreamingSketch`] maintains
@@ -6,17 +6,15 @@
 //! at release time (the stream contents stay inside the party's trust
 //! boundary until then).
 //!
-//! §1/§2's distributed setting — several parties, shared *public*
-//! projection, private noise — is [`distributed`]: parties exchange
-//! serialized [`dp_core::NoisySketch`] values and anyone can estimate any
-//! pairwise distance from the released objects alone. The protocol is
-//! mechanism-agnostic: the shared [`dp_core::SketcherSpec`] names the
-//! construction, and every release path goes through the
-//! [`dp_core::PrivateSketcher`] trait, so the SJLT, FJLT, and baseline
-//! constructions all run the identical multi-party code.
+//! A stream releases through the shared sketcher
+//! ([`StreamingSketch::release_via`]), so its release carries the
+//! sketcher's tag and calibration and combines with the sketcher's
+//! batch releases. The distributed protocol itself needs nothing from
+//! this crate: every party builds the same sketcher from the public
+//! [`dp_core::SketcherSpec`], sketches its own vector, and sends a
+//! [`dp_core::Release`] frame (`to_bytes`); an observer ingests the
+//! frames into a `dp_engine::QueryEngine`.
 
-pub mod distributed;
 pub mod streaming;
 
-pub use distributed::{parse_release, parse_release_bytes, Party, PublicParams, Release};
 pub use streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher};

@@ -19,7 +19,6 @@ use dp_core::sketcher::{AnySketcher, PrivateSketcher};
 use dp_core::NoisySketch;
 use dp_hashing::Seed;
 use dp_linalg::SparseVector;
-use dp_noise::mechanism::NoiseMechanism;
 use dp_transforms::achlioptas::Achlioptas;
 use dp_transforms::gaussian_iid::GaussianIid;
 use dp_transforms::sjlt::Sjlt;
@@ -94,15 +93,14 @@ impl<T: StreamingColumns> StreamingSketch<T> {
     /// Merge another stream over the *same* transform (linearity).
     ///
     /// # Errors
-    /// [`TransformError::DimensionMismatch`] if the tags differ.
-    pub fn merge(&mut self, other: &Self) -> Result<(), TransformError> {
+    /// [`CoreError::IncompatibleSketches`] naming both tags if they
+    /// differ.
+    pub fn merge(&mut self, other: &Self) -> Result<(), CoreError> {
         if self.tag != other.tag {
-            // Reuse DimensionMismatch as "incompatible" signal with the
-            // two accumulator lengths — tags differing is the real cause.
-            return Err(TransformError::DimensionMismatch {
-                expected: self.acc.len(),
-                actual: other.acc.len(),
-            });
+            return Err(CoreError::IncompatibleSketches(format!(
+                "stream tag '{}' vs '{}'",
+                self.tag, other.tag
+            )));
         }
         for (a, b) in self.acc.iter_mut().zip(&other.acc) {
             *a += b;
@@ -115,24 +113,6 @@ impl<T: StreamingColumns> StreamingSketch<T> {
     #[must_use]
     pub fn current_projection(&self) -> &[f64] {
         &self.acc
-    }
-
-    /// Release a differentially private sketch of the current state under
-    /// an explicitly calibrated mechanism (mechanism-agnostic: any
-    /// [`NoiseMechanism`] trait object works).
-    #[must_use]
-    pub fn release(&self, mechanism: &dyn NoiseMechanism, noise_seed: Seed) -> NoisySketch {
-        let mut values = self.acc.clone();
-        let mut rng = noise_seed.child("stream-release").rng();
-        for v in values.iter_mut() {
-            *v += mechanism.sample(&mut rng);
-        }
-        NoisySketch::new(
-            values,
-            self.tag.clone(),
-            mechanism.second_moment(),
-            mechanism.fourth_moment(),
-        )
     }
 
     /// Release through a [`PrivateSketcher`]: the sketcher adds its own
@@ -294,7 +274,6 @@ impl StreamingSketcher for AnySketcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_noise::mechanism::{LaplaceMechanism, ZeroNoise};
     use dp_transforms::sjlt::Sjlt;
     use dp_transforms::LinearTransform;
 
@@ -359,17 +338,34 @@ mod tests {
     fn merge_refuses_different_tags() {
         let mut a = StreamingSketch::new(sjlt(), "tag-a".into());
         let b = StreamingSketch::new(sjlt(), "tag-b".into());
-        assert!(a.merge(&b).is_err());
+        match a.merge(&b) {
+            Err(CoreError::IncompatibleSketches(detail)) => {
+                assert!(
+                    detail.contains("'tag-a'") && detail.contains("'tag-b'"),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected IncompatibleSketches, got {other:?}"),
+        }
     }
 
     #[test]
     fn release_is_noisy_and_deterministic_per_seed() {
-        let mut stream = StreamingSketch::new(sjlt(), "tag".into());
+        use dp_core::config::SketchConfig;
+        use dp_core::sketcher::{AnySketcher, Construction};
+        let cfg = SketchConfig::builder()
+            .input_dim(64)
+            .alpha(0.3)
+            .beta(0.1)
+            .epsilon(1.0)
+            .build()
+            .unwrap();
+        let sketcher = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(5)).unwrap();
+        let mut stream = sketcher.streaming_sketch().unwrap();
         stream.update(0, 1.0).unwrap();
-        let mech = LaplaceMechanism::new(2.0, 1.0).unwrap();
-        let r1 = stream.release(&mech, Seed::new(1));
-        let r2 = stream.release(&mech, Seed::new(1));
-        let r3 = stream.release(&mech, Seed::new(2));
+        let r1 = stream.release_via(&sketcher, Seed::new(1)).unwrap();
+        let r2 = stream.release_via(&sketcher, Seed::new(1)).unwrap();
+        let r3 = stream.release_via(&sketcher, Seed::new(2)).unwrap();
         assert_eq!(r1, r2);
         assert_ne!(r1, r3);
         // Noisy: differs from the raw projection.
@@ -541,22 +537,5 @@ mod tests {
         let direct = sketcher.sketch(&vec![0.0; 64], Seed::new(11)).unwrap();
         assert_eq!(streamed.transform_tag(), sketcher.tag());
         assert!(streamed.estimate_sq_distance(&direct).is_ok());
-    }
-
-    #[test]
-    fn zero_noise_release_estimates_distance() {
-        let t = sjlt();
-        let x: Vec<f64> = (0..32).map(|i| f64::from(u32::from(i % 4 == 0))).collect();
-        let y = vec![0.0; 32];
-        let mut sx = StreamingSketch::new(t.clone(), "tag".into());
-        let mut sy = StreamingSketch::new(t, "tag".into());
-        sx.absorb_dense(&x).unwrap();
-        sy.absorb_dense(&y).unwrap();
-        let a = sx.release(&ZeroNoise, Seed::new(1));
-        let b = sy.release(&ZeroNoise, Seed::new(2));
-        let est = a.estimate_sq_distance(&b).unwrap();
-        let true_d = dp_linalg::vector::sq_distance(&x, &y);
-        // Single projection: JL error only.
-        assert!((est - true_d).abs() < 0.8 * true_d, "est {est} vs {true_d}");
     }
 }

@@ -42,28 +42,30 @@ fn profile(d: usize, group: usize, idx: u64) -> Vec<f64> {
     .to_dense()
 }
 
-fn run_protocol(params: &PublicParams) {
-    let d = params.config().input_dim();
-    println!(
-        "\n== construction: {} ==",
-        params.spec().construction().name()
-    );
+fn run_protocol(spec: &SketcherSpec) {
+    let d = spec.config().input_dim();
+    println!("\n== construction: {} ==", spec.construction().name());
 
-    // Two clusters of five parties each.
-    let parties: Vec<Party> = (0..10)
-        .map(|i| Party::new(i, profile(d, (i / 5) as usize, i), Seed::new(900 + i)))
-        .collect();
+    // Every party builds the identical sketcher from the public spec.
+    let sketcher = spec.build().expect("sketcher");
 
-    // Each party serializes its release over the compact binary wire.
-    let wire: Vec<Vec<u8>> = parties
-        .iter()
-        .map(|p| p.release_bytes(params).expect("release"))
+    // Two clusters of five parties each. Each party sketches its own
+    // profile under its private noise seed and sends the release over
+    // the compact binary wire.
+    let wire: Vec<Vec<u8>> = (0..10)
+        .map(|party_id| {
+            let x = profile(d, (party_id / 5) as usize, party_id);
+            let sketch = sketcher
+                .sketch(&x, Seed::new(900 + party_id))
+                .expect("sketch");
+            Release { party_id, sketch }.to_bytes().expect("release")
+        })
         .collect();
     println!(
         "released {} sketches, {} bytes each (k = {})",
         wire.len(),
         wire[0].len(),
-        params.sketcher().expect("sketcher").k()
+        sketcher.k()
     );
 
     // Coordinator: one persistent store owns the spec, the tag
@@ -71,7 +73,7 @@ fn run_protocol(params: &PublicParams) {
     // The all-pairs kernel runs on the env-driven Parallelism knob
     // (DP_THREADS); estimates are bit-identical for every thread count.
     let par = Parallelism::from_env();
-    let store = SketchStore::with_spec(params.spec().clone()).expect("store");
+    let store = SketchStore::with_spec(spec.clone()).expect("store");
     let mut engine = QueryEngine::new(store).with_parallelism(par);
     for bytes in &wire {
         engine.ingest_bytes(bytes).expect("ingest");
@@ -134,7 +136,11 @@ fn main() {
         .epsilon(2.0)
         .build()
         .expect("valid configuration");
-    run_protocol(&PublicParams::new(pure_config, Seed::new(77)));
+    run_protocol(&SketcherSpec::new(
+        Construction::SjltAuto,
+        pure_config,
+        Seed::new(77),
+    ));
 
     // The Kenthapadi baseline, selected purely by the spec — identical
     // protocol code, (ε, δ) guarantee.
@@ -146,7 +152,7 @@ fn main() {
         .delta(1e-6)
         .build()
         .expect("valid configuration");
-    run_protocol(&PublicParams::with_construction(
+    run_protocol(&SketcherSpec::new(
         Construction::Kenthapadi(SigmaCalibration::ExactSensitivity),
         approx_config,
         Seed::new(78),

@@ -3,19 +3,21 @@
 //!
 //! One sketcher releases a batch of rows, first on the sequential
 //! fallback and then on every hardware thread, and the example verifies
-//! the determinism contract: released sketches and the all-pairs
-//! distance matrix are *bit-identical* for every thread count and tile
-//! size, because per-row noise seeds derive from the row index and each
-//! pair is computed exactly once with the same floating-point
-//! expression. The worker count is also readable from the environment:
+//! the determinism contract: released sketches and the engine's
+//! all-pairs distance matrix are *bit-identical* for every thread count
+//! and tile size (and to the frozen per-pair reference), because
+//! per-row noise seeds derive from the row index and each pair is
+//! computed exactly once with the same floating-point expression. The
+//! worker count is also readable from the environment:
 //! `DP_THREADS=8 cargo run --release --example parallel_batch`
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 
+use dp_euclid::core::pairwise_sq_distances_reference;
 use dp_euclid::prelude::*;
 use std::time::Instant;
 
-fn main() -> Result<(), dp_euclid::core::CoreError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d = 1 << 10;
     let n = 256;
     let config = SketchConfig::builder()
@@ -59,15 +61,19 @@ fn main() -> Result<(), dp_euclid::core::CoreError> {
         t_par.as_secs_f64() * 1e3
     );
 
-    // The all-pairs surface: tiled kernel, any thread count, any tile
-    // size — one matrix.
-    let reference = pairwise_sq_distances(&batch_seq)?;
+    // The all-pairs surface: the engine's tiled matrix over the
+    // released batch, any thread count, any tile size — one matrix, the
+    // per-pair reference's.
+    let reference = pairwise_sq_distances_reference(&batch_seq)?;
+    let releases: Vec<Release> = (0u64..)
+        .zip(batch_par)
+        .map(|(party_id, sketch)| Release { party_id, sketch })
+        .collect();
     for (threads, tile) in [(1, 64), (2, 64), (4, 16), (8, 7)] {
-        let m = pairwise_sq_distances_with_par(
-            &batch_par,
-            |s| s,
-            &Parallelism::new(threads).with_tile(tile),
-        )?;
+        let mut engine = QueryEngine::new(SketchStore::with_spec(spec.clone())?)
+            .with_parallelism(Parallelism::new(threads).with_tile(tile));
+        engine.ingest_batch(&releases)?;
+        let m = engine.pairwise_all();
         let identical = m
             .as_flat()
             .iter()

@@ -72,7 +72,7 @@
 //! | [`dp_parallel`] | scoped thread pool, `Parallelism` knob, pairwise tile plan |
 //! | [`dp_core`] | the `PrivateSketcher` trait, `AnySketcher`/`SketcherSpec`, estimators, variance theory, wire codecs (v2 frames + v7 protocol) |
 //! | [`dp_engine`] | the persistent `SketchStore` and incremental `QueryEngine` over released sketches |
-//! | [`dp_stream`] | streaming (turnstile) sketches and the spec-driven distributed protocol |
+//! | [`dp_stream`] | streaming (turnstile) sketches, released through the shared sketcher |
 //! | [`dp_stats`] | measurement utilities used by tests and the experiment harness |
 //!
 //! A standalone `dp-server` crate (not re-exported here) serves the
@@ -99,10 +99,11 @@ pub mod prelude {
         framework::GenSketcher,
         kenthapadi::{Kenthapadi, SigmaCalibration},
         kernel::KernelId,
+        release::Release,
         sjlt_private::PrivateSjlt,
         sketcher::{
-            pairwise_sq_distances, pairwise_sq_distances_with_par, sketch_batch_par, AnySketcher,
-            Construction, PairwiseDistances, PrivateSketcher, SketcherSpec,
+            sketch_batch_par, AnySketcher, Construction, PairwiseDistances, PrivateSketcher,
+            SketcherSpec,
         },
     };
     pub use dp_engine::{EngineError, Gather, GatherError, Neighbor, QueryEngine, SketchStore};
@@ -112,10 +113,7 @@ pub mod prelude {
         privacy::PrivacyGuarantee,
     };
     pub use dp_parallel::{Parallelism, TilePlan, TileSegment};
-    pub use dp_stream::{
-        distributed::{Party, PublicParams, Release},
-        streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher},
-    };
+    pub use dp_stream::streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher};
     pub use dp_transforms::{
         achlioptas::Achlioptas, fjlt::Fjlt, gaussian_iid::GaussianIid, params::JlParams,
         sjlt::Sjlt, traits::LinearTransform,

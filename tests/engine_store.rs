@@ -5,7 +5,7 @@
 use dp_euclid::hashing::Seed;
 use dp_euclid::prelude::*;
 
-fn params(d: usize) -> PublicParams {
+fn spec(d: usize) -> SketcherSpec {
     let config = SketchConfig::builder()
         .input_dim(d)
         .alpha(0.25)
@@ -13,28 +13,31 @@ fn params(d: usize) -> PublicParams {
         .epsilon(2.0)
         .build()
         .expect("config");
-    PublicParams::new(config, Seed::new(31))
+    SketcherSpec::new(Construction::SjltAuto, config, Seed::new(31))
 }
 
-fn releases(p: &PublicParams, n: usize) -> Vec<Release> {
-    let sketcher = p.sketcher().expect("sketcher");
+fn releases(spec: &SketcherSpec, n: usize) -> Vec<Release> {
+    let sketcher = spec.build().expect("sketcher");
+    let d = spec.config().input_dim();
     (0..n as u64)
-        .map(|i| {
-            let d = p.config().input_dim();
-            let data: Vec<f64> = (0..d).map(|j| ((i as usize + j) % 5) as f64).collect();
-            Party::new(i, data, Seed::new(600 + i))
-                .release_with(&sketcher)
-                .expect("release")
+        .map(|party_id| {
+            let data: Vec<f64> = (0..d)
+                .map(|j| ((party_id as usize + j) % 5) as f64)
+                .collect();
+            let sketch = sketcher
+                .sketch(&data, Seed::new(600 + party_id))
+                .expect("sketch");
+            Release { party_id, sketch }
         })
         .collect()
 }
 
 #[test]
 fn repeated_ingest_never_grows_the_interner() {
-    let p = params(64);
-    let rs = releases(&p, 12);
+    let spec = spec(64);
+    let rs = releases(&spec, 12);
     let wire: Vec<Vec<u8>> = rs.iter().map(|r| r.to_bytes().expect("bytes")).collect();
-    let mut engine = QueryEngine::new(SketchStore::with_spec(p.spec().clone()).expect("store"));
+    let mut engine = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
     // The spec itself interned the tag once; ingesting any number of
     // frames through the store's decode path must not add to that.
     assert_eq!(engine.store().interner_len(), 1);
@@ -45,11 +48,13 @@ fn repeated_ingest_never_grows_the_interner() {
     assert_eq!(engine.store().n(), 12);
     // Decoding adjacent payloads through the store's shared interner
     // (instead of a private one) keeps the count at one too.
-    let extra = releases(&p, 1);
+    let extra = releases(&spec, 1);
     let extra_bytes = extra[0].to_bytes().expect("bytes");
-    let parsed =
-        dp_euclid::stream::parse_release_bytes(&extra_bytes, engine.store_mut().interner_mut())
-            .expect("parse");
+    let parsed = dp_euclid::core::release::parse_release_bytes(
+        &extra_bytes,
+        engine.store_mut().interner_mut(),
+    )
+    .expect("parse");
     assert_eq!(parsed.party_id, 0);
     assert_eq!(engine.store().interner_len(), 1);
 }
@@ -59,8 +64,7 @@ fn engine_is_incremental_across_wrapper_sized_batches() {
     // Ingest in three waves with queries in between; the final matrix
     // must equal a one-shot cold engine's over every release, bit for
     // bit.
-    let p = params(96);
-    let rs = releases(&p, 10);
+    let rs = releases(&spec(96), 10);
     let mut cold = QueryEngine::new(SketchStore::adopting());
     for r in &rs {
         cold.ingest(r).expect("ingest");
@@ -93,8 +97,7 @@ fn engine_is_incremental_across_wrapper_sized_batches() {
 
 #[test]
 fn knn_and_top_pairs_agree_with_the_matrix() {
-    let p = params(64);
-    let rs = releases(&p, 7);
+    let rs = releases(&spec(64), 7);
     let mut engine = QueryEngine::new(SketchStore::adopting());
     for r in &rs {
         engine.ingest(r).expect("ingest");

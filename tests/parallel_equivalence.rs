@@ -1,17 +1,17 @@
 //! Property tests for the parallel execution layer's determinism
-//! contract: data-parallel `sketch_batch` and the tiled
-//! `pairwise_sq_distances` kernel must be **bit-identical** to their
-//! sequential references for every thread count and tile size —
-//! including empty and single-row batches and tile/row sizes that do
-//! not divide evenly.
+//! contract: data-parallel `sketch_batch` and the engine's tiled
+//! all-pairs matrix (`QueryEngine::pairwise_all`) must be
+//! **bit-identical** to their sequential references for every thread
+//! count and tile size — including empty and single-row batches and
+//! tile/row sizes that do not divide evenly.
 
 use dp_euclid::core::sketcher::{
-    pairwise_sq_distances_reference, pairwise_sq_distances_with_par, sketch_batch_par,
-    sketch_batch_sequential,
+    pairwise_sq_distances_reference, sketch_batch_par, sketch_batch_sequential,
 };
 use dp_euclid::hashing::Prng;
 use dp_euclid::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn sketcher(transform_seed: u64) -> AnySketcher {
     let config = SketchConfig::builder()
@@ -29,6 +29,20 @@ fn rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n)
         .map(|_| (0..d).map(|_| rng.next_f64() * 6.0 - 3.0).collect())
         .collect()
+}
+
+/// The all-pairs matrix of a batch, ingested in order into an engine
+/// running on `par`.
+fn engine_matrix(sketches: &[NoisySketch], par: Parallelism) -> Arc<PairwiseDistances> {
+    let mut engine = QueryEngine::new(SketchStore::adopting()).with_parallelism(par);
+    for (party_id, sketch) in (0u64..).zip(sketches) {
+        let release = Release {
+            party_id,
+            sketch: sketch.clone(),
+        };
+        engine.ingest(&release).unwrap();
+    }
+    engine.pairwise_all()
 }
 
 fn assert_sketches_bit_identical(a: &[NoisySketch], b: &[NoisySketch]) {
@@ -88,12 +102,7 @@ proptest! {
         // tiles, zero-padded ragged groups and rows that span several
         // groups of the blocked kernel.
         let reference = pairwise_sq_distances_reference(&sketches).unwrap();
-        let tiled = pairwise_sq_distances_with_par(
-            &sketches,
-            |s| s,
-            &Parallelism::new(threads).with_tile(tile),
-        )
-        .unwrap();
+        let tiled = engine_matrix(&sketches, Parallelism::new(threads).with_tile(tile));
         prop_assert_eq!(tiled.n(), n);
         for (a, b) in reference.as_flat().iter().zip(tiled.as_flat()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -110,7 +119,7 @@ fn empty_and_singleton_batches() {
             let par = Parallelism::new(threads).with_tile(3);
             let batch = sketch_batch_par(&sk, &xs, Seed::new(2), &par).unwrap();
             assert_eq!(batch.len(), n);
-            let m = pairwise_sq_distances_with_par(&batch, |s| s, &par).unwrap();
+            let m = engine_matrix(&batch, par);
             assert_eq!(m.n(), n);
             assert_eq!(m.as_flat().len(), n * n);
             if n == 1 {

@@ -169,7 +169,7 @@ fn socket_answers_are_bit_identical_to_the_engine() {
 #[test]
 fn ingest_before_hello_adopts_and_serves() {
     // A client may skip negotiation entirely: the adopting store takes
-    // the identity of the first release, like the slice-based surface.
+    // the identity of the first release.
     let spec = spec(96);
     let rs = releases(&spec, 4);
     let mut reference = QueryEngine::new(SketchStore::adopting());

@@ -1,10 +1,11 @@
 //! Round-trip property tests for the sketch wire formats: the versioned
 //! binary codec must be the identity under encode→decode (byte-identical
-//! on re-encode), and the JSON compatibility path must agree with it.
+//! on re-encode), and the quantized `f32` framing must change nothing
+//! but each value's rounding to the nearest `f32`.
 
 use dp_euclid::core::wire::{
-    decode_sketch, decode_sketch_interned, encode_sketch, encoded_len, fnv1a64, TagInterner,
-    CHECKSUM_LEN,
+    decode_sketch, decode_sketch_interned, encode_sketch, encode_sketch_f32, encoded_len, fnv1a64,
+    TagInterner, CHECKSUM_LEN,
 };
 use dp_euclid::hashing::{Prng, Seed};
 use dp_euclid::prelude::*;
@@ -46,21 +47,6 @@ fn binary_roundtrip_is_identity() {
 }
 
 #[test]
-fn json_fallback_agrees_with_binary() {
-    for seed in 0u64..25 {
-        let k = 1 + (seed as usize * 5) % 64;
-        let sketch = random_sketch(seed, k, "tag with spaces, =signs, ünïcode");
-        let via_binary = decode_sketch(&encode_sketch(&sketch).expect("encode")).expect("decode");
-        let via_json = NoisySketch::from_json(&sketch.to_json()).expect("json");
-        assert_eq!(via_binary, via_json, "seed {seed}");
-        assert_eq!(sketch, via_json, "seed {seed}");
-        for (a, b) in via_binary.values().iter().zip(via_json.values()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-        }
-    }
-}
-
-#[test]
 fn real_releases_roundtrip_through_both_formats() {
     let cfg = SketchConfig::builder()
         .input_dim(64)
@@ -76,11 +62,28 @@ fn real_releases_roundtrip_through_both_formats() {
         let sketch = sk.sketch(&x, Seed::new(3)).expect("sketch");
         let bytes = encode_sketch(&sketch).expect("encode");
         assert_eq!(decode_sketch(&bytes).expect("decode"), sketch);
+        // The f32 frame rounds each value to its nearest f32 and keeps
+        // the tag and both noise moments exactly.
+        let f32_bytes = encode_sketch_f32(&sketch).expect("encode f32");
+        let quantized = decode_sketch(&f32_bytes).expect("decode f32");
+        assert_eq!(quantized.transform_tag(), sketch.transform_tag());
         assert_eq!(
-            NoisySketch::from_json(&sketch.to_json()).expect("json"),
-            sketch,
-            "{construction:?}"
+            quantized.noise_second_moment().to_bits(),
+            sketch.noise_second_moment().to_bits()
         );
+        assert_eq!(
+            quantized.noise_fourth_moment().to_bits(),
+            sketch.noise_fourth_moment().to_bits()
+        );
+        assert_eq!(quantized.k(), sketch.k(), "{construction:?}");
+        for (q, v) in quantized.values().iter().zip(sketch.values()) {
+            assert_eq!(
+                q.to_bits(),
+                f64::from(*v as f32).to_bits(),
+                "{construction:?}"
+            );
+        }
+        assert_eq!(encode_sketch_f32(&quantized).expect("re-encode"), f32_bytes);
     }
 }
 
