@@ -34,7 +34,7 @@
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
-use dp_bench::runner::time_per_op;
+use dp_bench::runner::{interleaved, time_per_op, Spread};
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
@@ -43,8 +43,6 @@ use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
 use dp_core::Parallelism;
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
-use dp_stats::quantile;
-use std::time::Instant;
 
 /// Rows in the ranked-read store: `analyst_matrix`'s full matrix.
 const RANKED_ROWS: usize = 2048;
@@ -222,11 +220,11 @@ fn main() {
         "n = {RANKED_ROWS}  top_pairs({TOP_T}): engine {:8.2} ms (IQR {:.2}) vs sort {:8.2} ms ({:5.1}x)  \
          knn({KNN_K}): engine {:7.1} us (IQR {:.1}) vs sort {:7.1} us ({:4.2}x)",
         ranked.top_pairs.median,
-        ranked.top_pairs.iqr(),
+        ranked.top_pairs.iqr,
         ranked.top_pairs_sort.median,
         ranked.top_pairs_sort.median / ranked.top_pairs.median,
         ranked.knn.median,
-        ranked.knn.iqr(),
+        ranked.knn.iqr,
         ranked.knn_sort.median,
         ranked.knn_sort.median / ranked.knn.median,
     );
@@ -244,9 +242,9 @@ fn main() {
             "n = {n}  knn({KNN_K}): sequential {:7.1} us (IQR {:5.1})  default, {threads} threads \
              {:7.1} us (IQR {:5.1})  ({:4.2}x)",
             scan.sequential.median,
-            scan.sequential.iqr(),
+            scan.sequential.iqr,
             scan.default.median,
-            scan.default.iqr(),
+            scan.default.iqr,
             scan.sequential.median / scan.default.median,
         );
         all_identical &= scan.identical;
@@ -357,56 +355,6 @@ fn main() {
     }
 }
 
-/// The median and quartiles of one timing's rounds.
-struct Spread {
-    q1: f64,
-    median: f64,
-    q3: f64,
-}
-
-impl Spread {
-    /// Quartiles of `samples`, each divided by `scale`.
-    fn of(samples: Vec<f64>, scale: f64) -> Self {
-        let at = |q: f64| quantile(&samples, q) / scale;
-        Self {
-            q1: at(0.25),
-            median: at(0.5),
-            q3: at(0.75),
-        }
-    }
-
-    fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    fn json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("median".to_string(), JsonValue::Number(self.median)),
-            ("iqr".to_string(), JsonValue::Number(self.iqr())),
-        ])
-    }
-}
-
-/// Wall-clock nanoseconds of each side, one sample per round: after one
-/// warm-up call of every side, each round runs every side once,
-/// starting one side later than the round before, so a host that
-/// drifts during the run shifts every side alike.
-fn interleaved(rounds: usize, sides: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
-    for side in sides.iter_mut() {
-        side();
-    }
-    let count = sides.len();
-    let mut samples = vec![Vec::with_capacity(rounds); count];
-    for round in 0..rounds {
-        for s in (0..count).map(|s| (s + round) % count) {
-            let t0 = Instant::now();
-            sides[s]();
-            samples[s].push(t0.elapsed().as_nanos() as f64);
-        }
-    }
-    samples
-}
-
 struct RankedReads {
     identical: bool,
     /// Milliseconds per `top_pairs` read.
@@ -477,10 +425,10 @@ fn ranked_reads(releases: &[Release], rounds: usize) -> RankedReads {
     let per_knn = 1e3 * queries.len() as f64;
     RankedReads {
         identical,
-        top_pairs: Spread::of(top_pairs, 1e6),
-        top_pairs_sort: Spread::of(top_pairs_sort, 1e6),
-        knn: Spread::of(knn, per_knn),
-        knn_sort: Spread::of(knn_sort, per_knn),
+        top_pairs: Spread::of(&top_pairs, 1e6),
+        top_pairs_sort: Spread::of(&top_pairs_sort, 1e6),
+        knn: Spread::of(&knn, per_knn),
+        knn_sort: Spread::of(&knn_sort, per_knn),
     }
 }
 
@@ -567,7 +515,7 @@ fn knn_scan(releases: &[Release], rounds: usize) -> KnnScan {
     let per_knn = 1e3 * queries.len() as f64;
     KnnScan {
         identical,
-        sequential: Spread::of(on_one, per_knn),
-        default: Spread::of(on_default, per_knn),
+        sequential: Spread::of(&on_one, per_knn),
+        default: Spread::of(&on_default, per_knn),
     }
 }

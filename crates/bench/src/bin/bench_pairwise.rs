@@ -10,25 +10,32 @@
 //!
 //! Usage: `bench_pairwise [--quick] [--out <path>]`
 //!
+//! Every timing at one n — the per-pair reference, `execute_tiles`
+//! alone, and the cold memo at each thread count — is a side of the
+//! same interleaved rounds (`dp_bench::runner::interleaved`), recorded
+//! as the median and IQR of its rounds, because one mean per process
+//! says which mode a small shared host was in, not the code's speed.
+//!
 //! Two acceptance checks gate the exit code on any host:
 //!
 //! * bit identity with the per-pair reference, and
-//! * the blocked tile kernel paying for itself: single-thread
-//!   `execute_tiles` must run at ≤ 0.5× the per-pair reference's
-//!   ns/pair at the largest n. The check times the tile executor alone
-//!   — `execute_tiles` over every id of the one-thread plan, on row
-//!   slices extracted beforehand, the median of several rounds —
-//!   because a cold `pairwise_memo` adds the gather of every segment
-//!   into the memo's panels. It is
+//! * the blocked tile kernel paying for itself: the median
+//!   single-thread `execute_tiles` must run at ≤ 0.5× the per-pair
+//!   reference's median ns/pair at the largest n. The check times the
+//!   tile executor alone — `execute_tiles` over every id of the
+//!   one-thread plan, on row slices extracted beforehand — because a
+//!   cold `pairwise_memo` adds the gather of every segment into the
+//!   memo's panels. It is
 //!   **thread-count independent** — it measures the eight-pair group
 //!   kernel and the hoisted per-row constants, not parallelism — so it
 //!   runs (and gates) even on 1-CPU containers where the multi-thread
 //!   speedup check below is skipped. The whole-call ns/pair of every
 //!   configuration stays in the JSON.
 //!
-//! The thread speedup check (≥2× at 4 threads for n ≥ 512) still only
-//! runs when the host actually has ≥ 4 hardware threads; single-core
-//! hosts record the measurement and mark that check skipped.
+//! The thread speedup check (≥2× at 4 threads for n ≥ 512, on medians)
+//! still only runs when the host actually has ≥ 4 hardware threads;
+//! single-core hosts record the measurement and mark that check
+//! skipped.
 //!
 //! The run also records the **f32 wire quantization experiment**: every
 //! sketch is round-tripped through the v3 (`f32` values) wire frame and
@@ -38,7 +45,7 @@
 //! prediction, and the relative estimation error is set against the
 //! configured `alpha` (the paper's `(1±α)` multiplicative bound).
 
-use dp_bench::runner::time_per_op;
+use dp_bench::runner::{interleaved, Spread};
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
@@ -51,13 +58,12 @@ use dp_core::{wire, KernelId, NoisySketch, Parallelism, Release};
 use dp_engine::{QueryEngine, SketchStore};
 use dp_hashing::Seed;
 use std::hint::black_box;
-use std::time::Instant;
 
 struct Measurement {
     rows: usize,
     threads: usize,
     tile: usize,
-    ns_per_pair: f64,
+    ns_per_pair: Spread,
     speedup_vs_single: f64,
 }
 
@@ -67,36 +73,6 @@ fn gaussian_rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n)
         .map(|r| gaussian_vec(d, Seed::new(seed + r as u64)))
         .collect()
-}
-
-/// Quartiles `(q1, median, q3)` of ns/pair for `execute_tiles` over
-/// every tile of the one-thread plan: one warm-up, then `rounds` timed
-/// rounds.
-fn tile_executor_ns_per_pair(
-    sketches: &[NoisySketch],
-    tile: usize,
-    rounds: usize,
-) -> (f64, f64, f64) {
-    let n = sketches.len();
-    let rows: Vec<&[f64]> = sketches.iter().map(NoisySketch::values).collect();
-    let debias: Vec<f64> = sketches
-        .iter()
-        .map(|s| 2.0 * s.k() as f64 * s.noise_second_moment())
-        .collect();
-    let par = Parallelism::new(1).with_tile(tile);
-    let plan = effective_plan(n, &par);
-    let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
-    let pairs = (n * (n - 1) / 2) as f64;
-    let run = || {
-        let t0 = Instant::now();
-        black_box(execute_tiles(&plan, &ids, |i| rows[i], &debias, &par));
-        t0.elapsed().as_nanos() as f64 / pairs
-    };
-    run();
-    let mut samples: Vec<f64> = (0..rounds).map(|_| run()).collect();
-    samples.sort_by(f64::total_cmp);
-    let at = |q: usize| samples[(samples.len() - 1) * q / 4];
-    (at(1), at(2), at(3))
 }
 
 /// The f32 wire round-trip: what a sketch's values look like after v3
@@ -230,11 +206,13 @@ fn main() {
     let rows = gaussian_rows(max_rows, d, 42);
     let sketches = sketcher.sketch_batch(&rows, Seed::new(99)).expect("batch");
 
+    let rounds = if quick { 11 } else { 31 };
     let mut measurements: Vec<Measurement> = Vec::new();
     let mut all_identical = true;
-    // The naive reference's ns/pair at the largest n, the yardstick of
-    // the executor check.
-    let mut naive_ns_per_pair = f64::NAN;
+    // The naive reference and `execute_tiles` at the largest n, the
+    // two sides of the executor check.
+    let mut naive = None;
+    let mut executor = None;
     for &n in row_counts {
         let subset = &sketches[..n];
         let pairs = (n * (n - 1) / 2) as f64;
@@ -247,81 +225,96 @@ fn main() {
             store.ingest(&release).expect("ingest");
         }
         let reference = pairwise_sq_distances_reference(subset).expect("reference");
-        // Hoisting gain: the tiled single-thread memo vs the naive
-        // per-pair estimator (which re-checks compatibility and
-        // recomputes the debias constant for every pair).
-        let iters = if quick { 2 } else { 3 };
-        let t_naive = time_per_op(iters, || {
-            let _ = pairwise_sq_distances_reference(subset).expect("reference");
-        });
-        if n == max_rows {
-            naive_ns_per_pair = t_naive / pairs;
-        }
-        let mut t_single = f64::NAN;
-        for &threads in &thread_sweep {
-            let par = Parallelism::new(threads).with_tile(tile);
-            let cold = || QueryEngine::new(store.clone()).with_parallelism(par);
-            let got = cold().pairwise_all();
-            let identical = got
+        let cold = |threads: usize| {
+            QueryEngine::new(store.clone())
+                .with_parallelism(Parallelism::new(threads).with_tile(tile))
+        };
+        // The tile executor alone, over row slices extracted beforehand.
+        let rows: Vec<&[f64]> = subset.iter().map(NoisySketch::values).collect();
+        let debias: Vec<f64> = subset
+            .iter()
+            .map(|s| 2.0 * s.k() as f64 * s.noise_second_moment())
+            .collect();
+        let one = Parallelism::new(1).with_tile(tile);
+        let plan = effective_plan(n, &one);
+        let ids: Vec<u64> = (0..plan.tile_count() as u64).collect();
+        let mut naive_side = || {
+            black_box(pairwise_sq_distances_reference(subset).expect("reference"));
+        };
+        let mut executor_side = || {
+            black_box(execute_tiles(&plan, &ids, |i| rows[i], &debias, &one));
+        };
+        let mut memo_sides: Vec<_> = thread_sweep
+            .iter()
+            .map(|&threads| {
+                move || {
+                    black_box(cold(threads).pairwise_memo());
+                }
+            })
+            .collect();
+        let mut sides: Vec<&mut dyn FnMut()> = vec![&mut naive_side, &mut executor_side];
+        sides.extend(memo_sides.iter_mut().map(|side| side as &mut dyn FnMut()));
+        let mut samples = interleaved(rounds, &mut sides).into_iter();
+        let mut next = || Spread::of(&samples.next().expect("one sample set per side"), pairs);
+        let (naive_n, executor_n) = (next(), next());
+        let memo: Vec<Spread> = thread_sweep.iter().map(|_| next()).collect();
+        let single = memo[0].median;
+        for (&threads, spread) in thread_sweep.iter().zip(memo) {
+            let identical = cold(threads)
+                .pairwise_all()
                 .as_flat()
                 .iter()
                 .zip(reference.as_flat())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             all_identical &= identical;
-            let t = time_per_op(iters, || {
-                black_box(cold().pairwise_memo());
-            });
-            if threads == 1 {
-                t_single = t;
-            }
+            let speedup = single / spread.median;
+            println!(
+                "n = {n:5}  threads = {threads:2}  tile = {tile:3}  {:9.1} ns/pair \
+                 (IQR {:5.1})  speedup {speedup:4.2}x  bit-identical: {identical}",
+                spread.median, spread.iqr
+            );
             measurements.push(Measurement {
                 rows: n,
                 threads,
                 tile,
-                ns_per_pair: t / pairs,
-                speedup_vs_single: t_single / t,
+                ns_per_pair: spread,
+                speedup_vs_single: speedup,
             });
-            println!(
-                "n = {n:5}  threads = {threads:2}  tile = {tile:3}  {:9.1} ns/pair  \
-                 speedup {:4.2}x  bit-identical: {identical}",
-                t / pairs,
-                t_single / t
-            );
         }
         println!(
-            "n = {n:5}  naive reference (per-pair estimator): {:9.1} ns/pair  \
+            "n = {n:5}  naive reference (per-pair estimator): {:9.1} ns/pair (IQR {:5.1})  \
              (tiled 1-thread hoisting gain {:4.2}x)",
-            t_naive / pairs,
-            t_naive / t_single
+            naive_n.median,
+            naive_n.iqr,
+            naive_n.median / single
         );
+        println!(
+            "n = {n:5}  execute_tiles, 1 thread: {:9.1} ns/pair (IQR {:5.1})",
+            executor_n.median, executor_n.iqr
+        );
+        if n == max_rows {
+            naive = Some(naive_n);
+            executor = Some(executor_n);
+        }
     }
+    let naive = naive.expect("the largest n was timed");
+    let executor = executor.expect("the largest n was timed");
 
     // Acceptance 1 (any host): the blocked tile kernel must pay for
     // itself — single-thread `execute_tiles` at ≤ 0.5× the naive
-    // per-pair reference's ns/pair on the largest matrix. No core-count
-    // gate: this check cannot be "skipped (available_parallelism = 1)".
-    // It read about 0.2x on a 2-CPU AVX2 host, so host noise of the
-    // size a small shared VM shows does not decide it.
-    let rounds = if quick { 11 } else { 31 };
-    let (q1, executor_ns, q3) = tile_executor_ns_per_pair(&sketches[..max_rows], tile, rounds);
+    // per-pair reference's ns/pair on the largest matrix, medians of
+    // the same interleaved rounds. No core-count gate: this check
+    // cannot be "skipped (available_parallelism = 1)". It read about
+    // 0.2x on a 2-CPU AVX2 host, so host noise of the size a small
+    // shared VM shows does not decide it.
+    let executor_ratio = executor.median / naive.median;
+    let executor_pass = executor_ratio <= 0.5;
     println!(
-        "n = {max_rows:5}  execute_tiles, 1 thread: median {executor_ns:7.1} ns/pair  \
-         (quartiles {q1:.1}-{q3:.1}, {rounds} rounds)"
+        "CHECK [{}] execute_tiles <= 0.5x the per-pair reference ns/pair at 1 thread \
+         ({executor_ratio:.3}x, medians of {rounds} rounds at n = {max_rows})",
+        if executor_pass { "PASS" } else { "FAIL" }
     );
-    let executor_ratio = executor_ns / naive_ns_per_pair;
-    let executor_check = if executor_ratio <= 0.5 {
-        println!(
-            "CHECK [PASS] execute_tiles <= 0.5x the per-pair reference ns/pair at 1 thread \
-             ({executor_ratio:.3}x)"
-        );
-        "pass".to_string()
-    } else {
-        println!(
-            "CHECK [FAIL] execute_tiles <= 0.5x the per-pair reference ns/pair at 1 thread \
-             ({executor_ratio:.3}x)"
-        );
-        "fail".to_string()
-    };
+    let executor_check = if executor_pass { "pass" } else { "fail" };
 
     // Acceptance 2: ≥2× speedup on ≥4 threads for n ≥ 512 — only
     // meaningful when the hardware can actually run 4 workers.
@@ -387,28 +380,15 @@ fn main() {
         ("bit_identical".to_string(), JsonValue::Bool(all_identical)),
         (
             "executor_check".to_string(),
-            JsonValue::String(executor_check.clone()),
+            JsonValue::String(executor_check.to_string()),
         ),
         (
             "executor_over_naive_ratio".to_string(),
             JsonValue::Number(executor_ratio),
         ),
-        (
-            "execute_tiles_ns_per_pair".to_string(),
-            JsonValue::Object(vec![
-                ("q1".to_string(), JsonValue::Number(q1)),
-                ("median".to_string(), JsonValue::Number(executor_ns)),
-                ("q3".to_string(), JsonValue::Number(q3)),
-            ]),
-        ),
-        (
-            "naive_ns_per_pair".to_string(),
-            JsonValue::Number(naive_ns_per_pair),
-        ),
-        (
-            "executor_rounds".to_string(),
-            JsonValue::UInt(rounds as u64),
-        ),
+        ("execute_tiles_ns_per_pair".to_string(), executor.json()),
+        ("naive_ns_per_pair".to_string(), naive.json()),
+        ("rounds".to_string(), JsonValue::UInt(rounds as u64)),
         (
             "speedup_check".to_string(),
             JsonValue::String(speedup_check.clone()),
@@ -425,7 +405,7 @@ fn main() {
                             ("k".to_string(), JsonValue::UInt(k as u64)),
                             ("threads".to_string(), JsonValue::UInt(m.threads as u64)),
                             ("tile".to_string(), JsonValue::UInt(m.tile as u64)),
-                            ("ns_per_pair".to_string(), JsonValue::Number(m.ns_per_pair)),
+                            ("ns_per_pair".to_string(), m.ns_per_pair.json()),
                             (
                                 "speedup_vs_single".to_string(),
                                 JsonValue::Number(m.speedup_vs_single),
@@ -439,7 +419,7 @@ fn main() {
     std::fs::write(out_path, json.to_string() + "\n").expect("write BENCH_pairwise.json");
     println!("wrote {out_path}");
 
-    if !all_identical || speedup_check == "fail" || executor_check == "fail" {
+    if !all_identical || speedup_check == "fail" || !executor_pass {
         std::process::exit(1);
     }
 }

@@ -1,7 +1,8 @@
 //! Shared experiment-running utilities.
 
+use dp_core::json::JsonValue;
 use dp_parallel::{par_map, Parallelism};
-use dp_stats::Summary;
+use dp_stats::{quantile, Summary};
 use std::time::Instant;
 
 /// Monte-Carlo summary of `f(rep)` over `reps` repetitions.
@@ -45,6 +46,55 @@ pub fn time_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
         .collect();
     rounds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     rounds[2]
+}
+
+/// Wall-clock nanoseconds of each side, one sample per round: after one
+/// warm-up call of every side, each round runs every side once,
+/// starting one side later than the round before, so a host that
+/// drifts during the run shifts every side alike.
+pub fn interleaved(rounds: usize, sides: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    for side in sides.iter_mut() {
+        side();
+    }
+    let count = sides.len();
+    let mut samples = vec![Vec::with_capacity(rounds); count];
+    for round in 0..rounds {
+        for s in (0..count).map(|s| (s + round) % count) {
+            let t0 = Instant::now();
+            sides[s]();
+            samples[s].push(t0.elapsed().as_nanos() as f64);
+        }
+    }
+    samples
+}
+
+/// The median and interquartile range of one side's [`interleaved`]
+/// rounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub median: f64,
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`, each divided by `scale`.
+    #[must_use]
+    pub fn of(samples: &[f64], scale: f64) -> Self {
+        let at = |q| quantile(samples, q) / scale;
+        Self {
+            median: at(0.5),
+            iqr: at(0.75) - at(0.25),
+        }
+    }
+
+    /// `{"median": …, "iqr": …}`, as every bench record writes it.
+    #[must_use]
+    pub fn json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("median".to_string(), JsonValue::Number(self.median)),
+            ("iqr".to_string(), JsonValue::Number(self.iqr)),
+        ])
+    }
 }
 
 /// A pass/fail ledger for an experiment binary. Prints one `CHECK` line
@@ -132,6 +182,17 @@ mod tests {
         let mut acc = 0u64;
         let t = time_per_op(100, || acc = acc.wrapping_add(1));
         assert!(t >= 0.0);
+    }
+
+    #[test]
+    fn interleaved_rounds_sample_every_side_once_per_round() {
+        let mut calls = [0usize; 3];
+        let [a, b, c] = &mut calls;
+        let samples = interleaved(5, &mut [&mut || *a += 1, &mut || *b += 1, &mut || *c += 1]);
+        assert_eq!(calls, [6, 6, 6], "one warm-up call, then one per round");
+        assert!(samples.iter().all(|s| s.len() == 5));
+        let spread = Spread::of(&[4.0, 1.0, 3.0, 2.0, 5.0], 2.0);
+        assert_eq!((spread.median, spread.iqr), (1.5, 1.0));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::error::CoreError;
 use crate::estimator::{DistanceEstimate, NoisySketch};
 use crate::framework::GenSketcher;
 use crate::sjlt_private::SjltNoise;
+use crate::sketcher::{identity_of, Construction};
 use crate::variance::{lemma3_variance, var_transform_iid};
 use dp_hashing::Seed;
 use dp_linalg::SparseVector;
@@ -52,6 +53,7 @@ impl PrivateAchlioptas {
     /// # Errors
     /// Propagates transform/noise construction failures.
     pub fn new(config: &SketchConfig, transform_seed: Seed) -> Result<Self, CoreError> {
+        let identity = identity_of(Construction::Achlioptas, config, transform_seed)?;
         let transform = Achlioptas::new(config.input_dim(), config.k(), transform_seed)
             .map_err(CoreError::Transform)?;
         let mech = match config.delta() {
@@ -65,14 +67,8 @@ impl PrivateAchlioptas {
                 delta,
             )?),
         };
-        let tag = format!(
-            "achlioptas(k={},seed={},noise={})",
-            transform.output_dim(),
-            transform_seed.value(),
-            mech.name()
-        );
         Ok(Self {
-            inner: GenSketcher::new(transform, mech, tag),
+            inner: GenSketcher::new(transform, mech, identity.tag),
         })
     }
 
@@ -80,12 +76,6 @@ impl PrivateAchlioptas {
     #[must_use]
     pub fn k(&self) -> usize {
         self.inner.k()
-    }
-
-    /// Which noise family was selected.
-    #[must_use]
-    pub fn noise_name(&self) -> &'static str {
-        self.inner.mechanism().name()
     }
 
     /// The released sketches' DP guarantee.
@@ -161,10 +151,10 @@ mod tests {
     #[test]
     fn noise_family_follows_the_budget() {
         let lap = PrivateAchlioptas::new(&config(None), Seed::new(1)).unwrap();
-        assert_eq!(lap.noise_name(), "laplace");
+        assert_eq!(lap.general().mechanism().name(), "laplace");
         assert!(lap.guarantee().is_pure());
         let gauss = PrivateAchlioptas::new(&config(Some(1e-6)), Seed::new(1)).unwrap();
-        assert_eq!(gauss.noise_name(), "gaussian");
+        assert_eq!(gauss.general().mechanism().name(), "gaussian");
         assert!(!gauss.guarantee().is_pure());
     }
 

@@ -19,6 +19,7 @@ use crate::config::SketchConfig;
 use crate::error::CoreError;
 use crate::estimator::{DistanceEstimate, NoisySketch};
 use crate::framework::GenSketcher;
+use crate::sketcher::{identity_of, Construction};
 use crate::variance::{lemma3_variance, var_fjlt_input_bound, var_transform_fjlt};
 use dp_hashing::Seed;
 use dp_noise::gaussian::Gaussian;
@@ -39,18 +40,14 @@ impl PrivateFjltOutput {
     /// # Errors
     /// [`CoreError::MissingField`] without a δ budget; transform errors.
     pub fn new(config: &SketchConfig, transform_seed: Seed) -> Result<Self, CoreError> {
-        let delta = config.delta().ok_or(CoreError::MissingField("delta"))?;
+        let identity = identity_of(Construction::FjltOutput, config, transform_seed)?;
+        let delta = config.delta().expect("the identity requires δ");
         let transform = Fjlt::new(config.input_dim(), config.k(), config.jl(), transform_seed)?;
         // Note 6: the initialization cost — exact ∆₂ of the realized Φ.
         let l2 = transform.exact_l2_sensitivity();
         let mech = GaussianMechanism::new(l2, config.epsilon(), delta)?;
-        let tag = format!(
-            "fjlt-out(k={},seed={})",
-            transform.output_dim(),
-            transform_seed.value()
-        );
         Ok(Self {
-            inner: GenSketcher::new(transform, mech, tag),
+            inner: GenSketcher::new(transform, mech, identity.tag),
         })
     }
 
@@ -129,20 +126,16 @@ impl PrivateFjltInput {
     /// # Errors
     /// [`CoreError::MissingField`] without a δ budget; transform errors.
     pub fn new(config: &SketchConfig, transform_seed: Seed) -> Result<Self, CoreError> {
-        let delta = config.delta().ok_or(CoreError::MissingField("delta"))?;
+        let identity = identity_of(Construction::FjltInput, config, transform_seed)?;
+        let delta = config.delta().expect("the identity requires δ");
         let transform = Fjlt::new(config.input_dim(), config.k(), config.jl(), transform_seed)?;
         let sigma = (2.0 * (1.25f64 / delta).ln()).sqrt() / config.epsilon();
-        let tag = format!(
-            "fjlt-in(k={},seed={})",
-            transform.output_dim(),
-            transform_seed.value()
-        );
         Ok(Self {
             transform,
             noise: Gaussian::new(sigma)?,
             epsilon: config.epsilon(),
             delta,
-            tag: tag.into(),
+            tag: identity.tag.into(),
         })
     }
 
@@ -150,12 +143,6 @@ impl PrivateFjltInput {
     #[must_use]
     pub fn k(&self) -> usize {
         self.transform.output_dim()
-    }
-
-    /// The transform identity tag.
-    #[must_use]
-    pub fn tag(&self) -> &str {
-        &self.tag
     }
 
     /// Input dimension `d`.

@@ -18,6 +18,7 @@ use crate::config::SketchConfig;
 use crate::error::CoreError;
 use crate::estimator::{DistanceEstimate, NoisySketch};
 use crate::framework::GenSketcher;
+use crate::sketcher::{identity_of, Construction};
 use crate::variance::var_iid_gaussian;
 use dp_hashing::Seed;
 use dp_noise::mechanism::GaussianMechanism;
@@ -58,34 +59,30 @@ impl Kenthapadi {
         calibration: SigmaCalibration,
         transform_seed: Seed,
     ) -> Result<Self, CoreError> {
-        let delta = config.delta().ok_or(CoreError::MissingField("delta"))?;
+        let identity = identity_of(
+            Construction::Kenthapadi(calibration),
+            config,
+            transform_seed,
+        )?;
+        let delta = config.delta().expect("the identity requires δ");
         let eps = config.epsilon();
         // O(dk) construction incl. the exact sensitivity scan (Note 1).
         let transform = GaussianIid::new(config.input_dim(), config.k(), transform_seed)?;
-        let (mech, sound) = match calibration {
-            SigmaCalibration::ExactSensitivity => (
+        let sigma = match calibration {
+            SigmaCalibration::ExactSensitivity => None,
+            // `identity_of` refused ε ≥ ln(1/δ).
+            SigmaCalibration::Theorem1 => Some(4.0 / eps * (1.0 / delta).ln().sqrt()),
+            SigmaCalibration::AssumedUnit => Some((2.0 * (1.25f64 / delta).ln()).sqrt() / eps),
+        };
+        let (mech, sound) = match sigma {
+            None => (
                 GaussianMechanism::new(transform.l2_sensitivity(), eps, delta)?,
                 true,
             ),
-            SigmaCalibration::Theorem1 => {
-                if eps >= (1.0 / delta).ln() {
-                    return Err(CoreError::CalibrationPrecondition(format!(
-                        "Theorem 1 needs eps < ln(1/delta): eps = {eps}, ln(1/delta) = {}",
-                        (1.0 / delta).ln()
-                    )));
-                }
-                let sigma = 4.0 / eps * (1.0 / delta).ln().sqrt();
-                // Sound iff the realized ∆₂ is within the ≤2 bound σ was
-                // built for (σ ≥ ∆₂ε⁻¹√(2 ln 1.25/δ) with ∆₂ ≤ 2).
-                let needed =
-                    transform.l2_sensitivity() / eps * (2.0 * (1.25f64 / delta).ln()).sqrt();
-                (
-                    GaussianMechanism::with_sigma(sigma, eps, delta)?,
-                    sigma >= needed,
-                )
-            }
-            SigmaCalibration::AssumedUnit => {
-                let sigma = (2.0 * (1.25f64 / delta).ln()).sqrt() / eps;
+            // Sound iff the realized ∆₂ is covered: for Theorem 1, within
+            // the ≤2 bound σ was built for (σ ≥ ∆₂ε⁻¹√(2 ln 1.25/δ) with
+            // ∆₂ ≤ 2); for the assumed unit ∆₂, at most 1.
+            Some(sigma) => {
                 let needed =
                     transform.l2_sensitivity() / eps * (2.0 * (1.25f64 / delta).ln()).sqrt();
                 (
@@ -94,13 +91,8 @@ impl Kenthapadi {
                 )
             }
         };
-        let tag = format!(
-            "kenthapadi(k={},seed={},cal={calibration:?})",
-            transform.output_dim(),
-            transform_seed.value()
-        );
         Ok(Self {
-            inner: GenSketcher::new(transform, mech, tag),
+            inner: GenSketcher::new(transform, mech, identity.tag),
             calibration,
             sound,
         })

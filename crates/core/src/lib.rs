@@ -65,7 +65,7 @@ pub use sjlt_private::PrivateSjlt;
 pub use sketcher::{
     effective_plan, execute_tiles, pairwise_sq_distances_reference, pairwise_sq_distances_rows,
     scatter_tile_segment, sketch_batch_par, sketch_batch_sequential, AnySketcher, Construction,
-    PairwiseDistances, PrivateSketcher, SketcherSpec,
+    PairwiseDistances, PrivateSketcher, SketcherSpec, SpecIdentity,
 };
 // The execution knob and tile plan, re-exported so downstream
 // crates need not depend on dp-parallel directly.

@@ -13,6 +13,7 @@ use crate::config::SketchConfig;
 use crate::error::CoreError;
 use crate::estimator::{DistanceEstimate, NoisySketch};
 use crate::framework::GenSketcher;
+use crate::sketcher::{identity_of, Construction};
 use crate::variance::{lemma3_variance, var_sjlt_gaussian, var_sjlt_laplace, var_transform_sjlt};
 use dp_hashing::{Prng, Seed};
 use dp_linalg::SparseVector;
@@ -88,10 +89,11 @@ impl PrivateSjlt {
     /// # Errors
     /// Propagates transform/noise construction failures.
     pub fn with_laplace(config: &SketchConfig, transform_seed: Seed) -> Result<Self, CoreError> {
+        let identity = identity_of(Construction::SjltLaplace, config, transform_seed)?;
         let transform = Sjlt::from_params(config.input_dim(), config.jl(), transform_seed)?;
         let l1 = transform.l1_sensitivity(); // √s, a priori
         let mech = SjltNoise::Laplace(LaplaceMechanism::new(l1, config.epsilon())?);
-        Ok(Self::assemble(transform, mech, transform_seed, config))
+        Ok(Self::assemble(transform, mech, identity.tag, config))
     }
 
     /// Force the Gaussian variant ((ε,δ)-DP; requires a δ budget).
@@ -99,21 +101,15 @@ impl PrivateSjlt {
     /// # Errors
     /// [`CoreError::MissingField`] if the config has no δ.
     pub fn with_gaussian(config: &SketchConfig, transform_seed: Seed) -> Result<Self, CoreError> {
-        let delta = config.delta().ok_or(CoreError::MissingField("delta"))?;
+        let identity = identity_of(Construction::SjltGaussian, config, transform_seed)?;
+        let delta = config.delta().expect("the identity requires δ");
         let transform = Sjlt::from_params(config.input_dim(), config.jl(), transform_seed)?;
         let l2 = transform.l2_sensitivity(); // 1, a priori
         let mech = SjltNoise::Gaussian(GaussianMechanism::new(l2, config.epsilon(), delta)?);
-        Ok(Self::assemble(transform, mech, transform_seed, config))
+        Ok(Self::assemble(transform, mech, identity.tag, config))
     }
 
-    fn assemble(transform: Sjlt, mech: SjltNoise, seed: Seed, config: &SketchConfig) -> Self {
-        let tag = format!(
-            "sjlt(k={},s={},seed={},noise={})",
-            transform.output_dim(),
-            transform.sparsity(),
-            seed.value(),
-            mech.name()
-        );
+    fn assemble(transform: Sjlt, mech: SjltNoise, tag: String, config: &SketchConfig) -> Self {
         Self {
             inner: GenSketcher::new(transform, mech, tag),
             epsilon: config.epsilon(),
@@ -131,12 +127,6 @@ impl PrivateSjlt {
     #[must_use]
     pub fn s(&self) -> usize {
         self.inner.transform().sparsity()
-    }
-
-    /// Which noise family was selected.
-    #[must_use]
-    pub fn noise_name(&self) -> &'static str {
-        self.inner.mechanism().name()
     }
 
     /// The released sketches' DP guarantee.
@@ -246,14 +236,14 @@ mod tests {
     #[test]
     fn note5_selects_laplace_without_delta() {
         let s = PrivateSjlt::new(&config(None), Seed::new(1)).unwrap();
-        assert_eq!(s.noise_name(), "laplace");
+        assert_eq!(s.general().mechanism().name(), "laplace");
         assert!(s.guarantee().is_pure());
     }
 
     #[test]
     fn note5_selects_gaussian_for_moderate_delta() {
         let s = PrivateSjlt::new(&config(Some(1e-5)), Seed::new(1)).unwrap();
-        assert_eq!(s.noise_name(), "gaussian");
+        assert_eq!(s.general().mechanism().name(), "gaussian");
         assert!(!s.guarantee().is_pure());
     }
 

@@ -53,8 +53,10 @@ use crate::kernel::{self, KernelId};
 use crate::sjlt_private::PrivateSjlt;
 use dp_hashing::Seed;
 use dp_linalg::SparseVector;
+use dp_noise::mechanism::MechanismChoice;
 use dp_noise::PrivacyGuarantee;
 use dp_parallel::{par_chunks_mut, par_map, Parallelism, Tile, TilePlan, TileSegment};
+use dp_transforms::sjlt::Sjlt;
 use dp_transforms::LinearTransform;
 
 /// One object-safe interface over every private-sketch construction.
@@ -343,20 +345,31 @@ impl SketcherSpec {
         Seed::new(self.transform_seed)
     }
 
+    /// The identity every release of this spec's sketcher carries,
+    /// derived from the spec alone: no transform is built, and nothing
+    /// is allocated but the tag. Every construction takes its tag and
+    /// these refusals from here, so a store adopting the spec and a
+    /// party building it agree on both.
+    ///
+    /// # Errors
+    /// [`CoreError::MissingField`] (`delta`) for `sjlt-gaussian`, both
+    /// FJLT variants and every Kenthapadi calibration under a config
+    /// without δ; [`CoreError::CalibrationPrecondition`] when Theorem 1's
+    /// `ε < ln(1/δ)` fails; [`CoreError::Transform`] when the SJLT
+    /// shape is out of range (`k > 2³¹`).
+    pub fn identity(&self) -> Result<SpecIdentity, CoreError> {
+        identity_of(self.construction, &self.config, self.transform_seed())
+    }
+
     /// Rebuild the sketcher this spec describes. Deterministic: every
     /// party calling this with an equal spec obtains an interoperable
     /// sketcher (identical transform, identical calibration).
     ///
     /// # Errors
-    /// Propagates construction failures (e.g. a δ-requiring construction
-    /// under a pure-DP config).
+    /// The refusals of [`SketcherSpec::identity`], then construction
+    /// failures of the transform or the noise.
     pub fn build(&self) -> Result<AnySketcher, CoreError> {
-        let mut sketcher =
-            AnySketcher::new(self.construction, &self.config, self.transform_seed())?;
-        // Keep the caller's exact spec so `sketcher.spec()` rebuilds
-        // this sketcher, not a variant.
-        sketcher.spec = self.clone();
-        Ok(sketcher)
+        AnySketcher::new(self.construction, &self.config, self.transform_seed())
     }
 
     /// [`SketcherSpec::build`] with an explicit [`Parallelism`] knob.
@@ -464,11 +477,64 @@ impl SketcherSpec {
     }
 }
 
+/// A spec's release identity, from [`SketcherSpec::identity`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecIdentity {
+    /// The transform tag, byte for byte as every release carries it.
+    pub tag: String,
+    /// The sketch dimension `k`.
+    pub k: usize,
+    /// The noise family, `"laplace"` or `"gaussian"` (the one the SJLT
+    /// and Achlioptas tags name).
+    pub noise: &'static str,
+}
+
+/// [`SketcherSpec::identity`] over its parts, for the constructions'
+/// own constructors.
+pub(crate) fn identity_of(
+    construction: Construction,
+    config: &SketchConfig,
+    transform_seed: Seed,
+) -> Result<SpecIdentity, CoreError> {
+    use Construction as C;
+    let delta = config.delta();
+    if delta.is_none() && !matches!(construction, C::SjltAuto | C::SjltLaplace | C::Achlioptas) {
+        return Err(CoreError::MissingField("delta"));
+    }
+    if let (C::Kenthapadi(SigmaCalibration::Theorem1), Some(delta)) = (construction, delta) {
+        let (eps, bound) = (config.epsilon(), (1.0 / delta).ln());
+        if eps >= bound {
+            return Err(CoreError::CalibrationPrecondition(format!(
+                "Theorem 1 needs eps < ln(1/delta): eps = {eps}, ln(1/delta) = {bound}"
+            )));
+        }
+    }
+    let noise = match (construction, delta) {
+        (C::SjltLaplace, _) | (C::Achlioptas, None) => "laplace",
+        (C::SjltAuto, _) if config.sjlt_noise_choice() == MechanismChoice::Laplace => "laplace",
+        _ => "gaussian",
+    };
+    let (k, seed) = (config.k(), transform_seed.value());
+    let (tag, k) = match construction {
+        C::SjltAuto | C::SjltLaplace | C::SjltGaussian => {
+            let (k, s) = (config.k_sjlt(), config.s());
+            Sjlt::check_shape(config.input_dim(), k, s)?;
+            (format!("sjlt(k={k},s={s},seed={seed},noise={noise})"), k)
+        }
+        C::FjltOutput => (format!("fjlt-out(k={k},seed={seed})"), k),
+        C::FjltInput => (format!("fjlt-in(k={k},seed={seed})"), k),
+        C::Kenthapadi(cal) => (format!("kenthapadi(k={k},seed={seed},cal={cal:?})"), k),
+        C::Achlioptas => (format!("achlioptas(k={k},seed={seed},noise={noise})"), k),
+    };
+    Ok(SpecIdentity { tag, k, noise })
+}
+
 /// The trait's canonical implementation: any of the paper's constructions
 /// behind one type, rebuilt from a [`SketcherSpec`].
 #[derive(Debug, Clone)]
 pub struct AnySketcher {
     spec: SketcherSpec,
+    identity: SpecIdentity,
     inner: Inner,
     par: Parallelism,
 }
@@ -492,6 +558,8 @@ impl AnySketcher {
         config: &SketchConfig,
         transform_seed: Seed,
     ) -> Result<Self, CoreError> {
+        let spec = SketcherSpec::new(construction, config.clone(), transform_seed);
+        let identity = spec.identity()?;
         let inner = match construction {
             Construction::SjltAuto => Inner::Sjlt(PrivateSjlt::new(config, transform_seed)?),
             Construction::SjltLaplace => {
@@ -514,7 +582,8 @@ impl AnySketcher {
             }
         };
         Ok(Self {
-            spec: SketcherSpec::new(construction, config.clone(), transform_seed),
+            spec,
+            identity,
             inner,
             par: Parallelism::default(),
         })
@@ -568,11 +637,7 @@ impl AnySketcher {
     /// Short name of the noise family in effect.
     #[must_use]
     pub fn noise_name(&self) -> &'static str {
-        match &self.inner {
-            Inner::Sjlt(s) => s.noise_name(),
-            Inner::Achlioptas(a) => a.noise_name(),
-            Inner::FjltOutput(_) | Inner::FjltInput(_) | Inner::Kenthapadi(_) => "gaussian",
-        }
+        self.identity.noise
     }
 
     /// The projection of the constructions that batch it: the SJLT,
@@ -676,23 +741,11 @@ impl PrivateSketcher for AnySketcher {
     }
 
     fn k(&self) -> usize {
-        match &self.inner {
-            Inner::Sjlt(s) => s.k(),
-            Inner::FjltOutput(s) => s.k(),
-            Inner::FjltInput(s) => s.k(),
-            Inner::Kenthapadi(s) => s.k(),
-            Inner::Achlioptas(s) => s.k(),
-        }
+        self.identity.k
     }
 
     fn tag(&self) -> &str {
-        match &self.inner {
-            Inner::Sjlt(s) => s.general().tag(),
-            Inner::FjltOutput(s) => s.general().tag(),
-            Inner::FjltInput(s) => s.tag(),
-            Inner::Kenthapadi(s) => s.general().tag(),
-            Inner::Achlioptas(s) => s.general().tag(),
-        }
+        &self.identity.tag
     }
 
     fn guarantee(&self) -> PrivacyGuarantee {

@@ -44,7 +44,6 @@ use crate::store::{SketchStore, CHUNK_ROWS};
 use dp_core::kernel::{sq_distance_run, v1_scalar};
 use dp_core::release::Release;
 use dp_core::sketcher::{effective_plan, execute_tiles, pairwise_sq_distances_rows};
-use dp_core::PrivateSketcher;
 use dp_core::{PairwiseDistances, Parallelism, TilePlan, TileSegment};
 use dp_parallel::par_map;
 use std::cmp::Ordering;
@@ -193,45 +192,6 @@ impl QueryEngine {
             self.generation += 1;
         }
         result
-    }
-
-    /// Server-side bulk load: sketch raw rows under the store's spec
-    /// (its `sketch_batch`), then ingest the releases under the given
-    /// party ids. Per-row noise seeds are `noise_seed.index(row)`,
-    /// exactly the `sketch_batch` contract, so
-    /// the ingested bytes are bit-identical to sketching each row alone
-    /// and ingesting one at a time.
-    ///
-    /// # Errors
-    /// [`EngineError::Core`] if the store has no spec, the id/row
-    /// counts differ, or sketching fails; ingest errors as for
-    /// [`QueryEngine::ingest_batch`].
-    pub fn sketch_and_ingest_batch(
-        &mut self,
-        party_ids: &[u64],
-        xs: &[Vec<f64>],
-        noise_seed: dp_hashing::Seed,
-    ) -> Result<Vec<usize>, EngineError> {
-        if party_ids.len() != xs.len() {
-            return Err(EngineError::Core(dp_core::CoreError::Unsupported(
-                "sketch_and_ingest_batch needs one party id per row",
-            )));
-        }
-        let spec = self
-            .store
-            .spec()
-            .ok_or(EngineError::Core(dp_core::CoreError::Unsupported(
-                "sketch_and_ingest_batch needs a store built with a spec",
-            )))?
-            .clone();
-        let sketcher = spec.build_with(self.par)?;
-        let sketches = sketcher.sketch_batch(xs, noise_seed)?;
-        let releases: Vec<Release> = party_ids
-            .iter()
-            .zip(sketches)
-            .map(|(&party_id, sketch)| Release { party_id, sketch })
-            .collect();
-        self.ingest_batch(&releases)
     }
 
     /// The debiased squared-distance estimate between two ingested

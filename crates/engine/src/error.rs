@@ -7,7 +7,7 @@ use std::fmt;
 /// [`crate::SketchStore`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The spec could not build a sketcher, or a wire payload failed to
+    /// The spec's identity refused it, or a wire payload failed to
     /// decode (carries the underlying core error).
     Core(CoreError),
     /// A release's sketch does not combine with the store (wrong tag,
@@ -22,8 +22,6 @@ pub enum EngineError {
     DuplicateParty(u64),
     /// A queried party id has never been ingested.
     UnknownParty(u64),
-    /// The store is empty and the query needs at least one row.
-    Empty,
     /// A tile plan's matrix side does not match the store's row count
     /// (e.g. a worker that missed an ingest broadcast).
     PlanMismatch {
@@ -50,7 +48,6 @@ impl fmt::Display for EngineError {
             }
             Self::DuplicateParty(id) => write!(f, "party {id} already ingested"),
             Self::UnknownParty(id) => write!(f, "party {id} not in the store"),
-            Self::Empty => write!(f, "the store holds no sketches"),
             Self::PlanMismatch {
                 store_rows,
                 plan_rows,
@@ -88,9 +85,9 @@ mod tests {
     fn display_and_conversions() {
         let e = EngineError::DuplicateParty(7);
         assert!(e.to_string().contains('7'));
+        assert!(std::error::Error::source(&e).is_none());
         let back: EngineError = CoreError::MissingField("delta").into();
         assert!(matches!(back, EngineError::Core(_)));
         assert!(std::error::Error::source(&back).is_some());
-        assert!(std::error::Error::source(&EngineError::Empty).is_none());
     }
 }

@@ -756,34 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_sketch_and_ingest_matches_the_client_path() {
-        let (spec, _) = releases(0, 48);
-        let raw: Vec<Vec<f64>> = (0..5)
-            .map(|i| (0..48).map(|j| ((i * 48 + j) % 5) as f64 - 2.0).collect())
-            .collect();
-        let ids: Vec<u64> = (900..905).collect();
-        let mut bulk = QueryEngine::new(SketchStore::with_spec(spec.clone()).unwrap());
-        bulk.sketch_and_ingest_batch(&ids, &raw, Seed::new(77))
-            .unwrap();
-        // Bit-identical to the client-side sketch_batch + ingest path
-        // under the same spec.
-        let sk = spec.build().unwrap();
-        let expect = sk.sketch_batch(&raw, Seed::new(77)).unwrap();
-        for (i, want) in expect.iter().enumerate() {
-            assert_eq!(&bulk.store().sketch_at(i), want);
-            assert_eq!(bulk.store().row_of(900 + i as u64), Some(i));
-        }
-        // Mismatched id/row counts and spec-less stores are typed errors.
-        assert!(bulk
-            .sketch_and_ingest_batch(&[1], &raw, Seed::new(1))
-            .is_err());
-        let mut specless = QueryEngine::new(SketchStore::adopting());
-        assert!(specless
-            .sketch_and_ingest_batch(&[1], &raw[..1], Seed::new(1))
-            .is_err());
-    }
-
-    #[test]
     fn empty_store_answers_empty() {
         let mut engine = QueryEngine::new(SketchStore::adopting());
         assert_eq!(engine.pairwise_all().n(), 0);

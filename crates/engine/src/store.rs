@@ -14,7 +14,7 @@
 use crate::error::EngineError;
 use dp_core::error::CoreError;
 use dp_core::release::{parse_release_bytes, Release};
-use dp_core::sketcher::{PrivateSketcher, SketcherSpec};
+use dp_core::sketcher::SketcherSpec;
 use dp_core::wire::{fnv1a64, TagInterner, CHECKSUM_LEN};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -155,7 +155,7 @@ impl<'a> IntoIterator for &'a Arena {
 pub struct SketchStore {
     /// The shared public parameters, when the store was built from them.
     spec: Option<SketcherSpec>,
-    /// Expected transform tag + dimension (from the spec's sketcher, or
+    /// Expected transform tag + dimension (the spec's identity, or
     /// adopted from the first release).
     identity: Option<Identity>,
     /// The store's single tag interner: every decode path routes
@@ -189,20 +189,18 @@ pub struct SketchStore {
 }
 
 impl SketchStore {
-    /// A store bound to shared public parameters: the spec is built once
-    /// and pins the transform tag and sketch dimension every ingested
-    /// release must carry.
+    /// A store bound to shared public parameters: the spec's identity
+    /// ([`SketcherSpec::identity`]) pins the transform tag and sketch
+    /// dimension every ingested release must carry. No transform is
+    /// built, so adopting a spec costs its tag.
     ///
     /// # Errors
-    /// [`EngineError::Core`] if the spec cannot build its sketcher.
+    /// [`EngineError::Core`] if the spec's identity refuses it.
     pub fn with_spec(spec: SketcherSpec) -> Result<Self, EngineError> {
-        let sketcher = spec.build()?;
+        let identity = spec.identity()?;
         let mut store = Self::adopting();
-        let tag = store.interner.intern(sketcher.tag());
-        store.identity = Some(Identity {
-            tag,
-            k: sketcher.k(),
-        });
+        let tag = store.interner.intern(&identity.tag);
+        store.identity = Some(Identity { tag, k: identity.k });
         store.spec = Some(spec);
         Ok(store)
     }
@@ -724,7 +722,7 @@ impl SketchStore {
 mod tests {
     use super::*;
     use dp_core::config::SketchConfig;
-    use dp_core::sketcher::Construction;
+    use dp_core::sketcher::{Construction, PrivateSketcher};
     use dp_hashing::Seed;
 
     fn spec(d: usize) -> SketcherSpec {

@@ -67,6 +67,7 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/core/src/kernel.rs",
     "crates/parallel/src/pool.rs",
     "crates/parallel/src/lib.rs",
+    "crates/engine/tests/spec_adoption_alloc.rs",
 ];
 
 /// Crates whose non-test code produces results that must be

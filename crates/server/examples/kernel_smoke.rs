@@ -1,16 +1,20 @@
-//! Multi-process kernel smoke: the one kernel a `dp-server` runs is
-//! `v1-scalar`, and state naming the retired `v2-simd` is refused,
-//! typed — and a coordinator over a worker that refuses its relayed
-//! `Hello` degrades to typed errors instead of hanging.
+//! Multi-process kernel and spec smoke: the one kernel a `dp-server`
+//! runs is `v1-scalar`, state naming the retired `v2-simd` is refused,
+//! typed, and so is a spec whose identity refuses it — and a
+//! coordinator over a worker that refuses its relayed `Hello` degrades
+//! to typed errors instead of hanging.
 //!
 //! Drives real `dp-server` *processes* (path to the binary as the
 //! first argument):
 //!
 //! 1. a `--spec` file naming `v2-simd` makes `dp-server` exit non-zero,
-//!    naming the kernel on stderr;
-//! 2. a worker preloaded via `--spec` with a `v1-scalar` spec answers a
+//!    naming the kernel on stderr, and a `--spec` file for
+//!    `fjlt-output` without δ exits non-zero naming the missing δ;
+//! 2. an empty `dp-server` answers a raw `Hello` with that `fjlt-output`
+//!    spec with `ERR_SPEC` and adopts nothing;
+//! 3. a worker preloaded via `--spec` with a `v1-scalar` spec answers a
 //!    raw `v2-simd` `Hello` with `ERR_KERNEL` naming both kernels;
-//! 3. a coordinator pooled over that worker adopts a *different* spec
+//! 4. a coordinator pooled over that worker adopts a *different* spec
 //!    from its client, the worker refuses the relayed `Hello` (it
 //!    serves another spec), poisoning its slot — the subsequent sharded
 //!    query answers the typed `ERR_WORKER` within the read timeout,
@@ -23,7 +27,7 @@
 //! ```
 
 use dp_core::config::SketchConfig;
-use dp_core::protocol::{Request, Response, ERR_KERNEL, ERR_WORKER};
+use dp_core::protocol::{Request, Response, ERR_KERNEL, ERR_SPEC, ERR_WORKER};
 use dp_core::release::Release;
 use dp_core::sketcher::{Construction, PrivateSketcher, SketcherSpec};
 use dp_hashing::Seed;
@@ -55,15 +59,20 @@ fn main() {
     let sock_worker = scratch_path("worker", "sock");
     let sock_coord = scratch_path("coord", "sock");
     let sock_refused = scratch_path("refused", "sock");
+    let sock_empty = scratch_path("empty", "sock");
     let spec_file = scratch_path("spec", "json");
     let spec_v2_file = scratch_path("spec-v2", "json");
-    for s in [
+    let spec_no_delta_file = scratch_path("spec-no-delta", "json");
+    let scratch = [
         &sock_worker,
         &sock_coord,
         &sock_refused,
+        &sock_empty,
         &spec_file,
         &spec_v2_file,
-    ] {
+        &spec_no_delta_file,
+    ];
+    for s in scratch {
         let _ = std::fs::remove_file(s);
     }
 
@@ -76,29 +85,64 @@ fn main() {
         .build()
         .expect("config");
     let served = SketcherSpec::new(Construction::SjltAuto, config.clone(), Seed::new(1717));
-    let other = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(1718));
+    let other = SketcherSpec::new(Construction::SjltAuto, config.clone(), Seed::new(1718));
+    // Pure ε only, so the Gaussian FJLT's identity refuses it.
+    let no_delta = SketcherSpec::new(Construction::FjltOutput, config, Seed::new(1719));
     let stamped = served.to_json().replace("v1-scalar", "v2-simd");
     std::fs::write(&spec_file, served.to_json()).expect("write spec file");
     std::fs::write(&spec_v2_file, &stamped).expect("write v2 spec file");
+    std::fs::write(&spec_no_delta_file, no_delta.to_json()).expect("write no-delta spec file");
 
-    // Check 1: a v2-simd spec file is refused at start-up, non-zero,
-    // with the kernel named.
-    let refused = Command::new(&bin)
-        .args(["--listen", &format!("unix:{}", sock_refused.display())])
-        .args(["--spec", &spec_v2_file.display().to_string()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .output()
-        .expect("run dp-server with a v2-simd spec");
-    let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert!(
-        !refused.status.success(),
-        "a v2-simd spec was served: {stderr}"
+    // Check 1: a v2-simd spec file and an fjlt-output spec file without
+    // δ are refused at start-up, non-zero, with the refusal named.
+    for (file, named) in [(&spec_v2_file, "v2-simd"), (&spec_no_delta_file, "delta")] {
+        let refused = Command::new(&bin)
+            .args(["--listen", &format!("unix:{}", sock_refused.display())])
+            .args(["--spec", &file.display().to_string()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run dp-server with a refused spec");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(
+            !refused.status.success(),
+            "a refused spec was served: {stderr}"
+        );
+        assert!(stderr.contains(named), "refusal unnamed: {stderr}");
+    }
+    println!(
+        "kernel_smoke: --spec naming v2-simd or fjlt-output without delta refused at start-up"
     );
-    assert!(stderr.contains("v2-simd"), "kernel unnamed: {stderr}");
-    println!("kernel_smoke: --spec naming v2-simd refused at start-up");
 
-    // Check 2: a worker preloaded with the v1-scalar spec answers a raw
+    // Check 2: an empty server answers a raw Hello with the fjlt-output
+    // spec without δ with ERR_SPEC, and adopts nothing.
+    let mut empty = Command::new(&bin)
+        .args(["--listen", &format!("unix:{}", sock_empty.display())])
+        .args(["--workers", "1"])
+        .spawn()
+        .expect("spawn empty dp-server");
+    let mut probe = connect_retry(&Endpoint::Unix(sock_empty.clone()), "empty server");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let hello = Request::Hello {
+        spec_json: no_delta.to_json(),
+        caps: 0,
+    };
+    match probe.call(&hello).expect("hello exchange") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ERR_SPEC, "wrong error code: {message}");
+            assert!(message.contains("delta"), "refusal unnamed: {message}");
+        }
+        other => panic!("expected ERR_SPEC, got {other:?}"),
+    }
+    let (_, rows, _) = probe.hello(&served).expect("hello after the refusal");
+    assert_eq!(rows, 0, "empty store not fresh");
+    probe.shutdown().expect("shutdown empty server");
+    assert!(empty.wait().expect("empty server exit").success());
+    println!("kernel_smoke: raw fjlt-output hello without delta refused with ERR_SPEC");
+
+    // Check 3: a worker preloaded with the v1-scalar spec answers a raw
     // v2-simd Hello with the dedicated code naming both kernels, then
     // accepts its own spec. Two accept loops: one for the coordinator's
     // pooled connection, one for this harness's direct probes.
@@ -136,7 +180,7 @@ fn main() {
     drop(probe); // frees the accept slot for the coordinator's pool
     println!("kernel_smoke: raw v2-simd hello refused with ERR_KERNEL");
 
-    // Check 3: a coordinator over that worker, spoken to with another
+    // Check 4: a coordinator over that worker, spoken to with another
     // spec. The local Hello adopts it; the relay to the worker is
     // refused, poisoning the only slot. The sharded query must then
     // fail *typed* — ERR_WORKER, not a hang.
@@ -195,13 +239,7 @@ fn main() {
     let direct = connect_retry(&worker_endpoint, "worker for shutdown");
     direct.shutdown().expect("shutdown worker");
     worker.wait().expect("worker exit");
-    for s in [
-        &sock_worker,
-        &sock_coord,
-        &sock_refused,
-        &spec_file,
-        &spec_v2_file,
-    ] {
+    for s in scratch {
         let _ = std::fs::remove_file(s);
     }
     println!("kernel_smoke: PASS");

@@ -95,7 +95,6 @@ fn error_response(e: &EngineError) -> Response {
         EngineError::Incompatible { .. } => (ERR_INCOMPATIBLE, e.to_string()),
         EngineError::DuplicateParty(_) => (ERR_DUPLICATE_PARTY, e.to_string()),
         EngineError::UnknownParty(_) => (ERR_UNKNOWN_PARTY, e.to_string()),
-        EngineError::Empty => (ERR_INTERNAL, e.to_string()),
         EngineError::PlanMismatch { .. } | EngineError::UnknownTile { .. } => {
             (ERR_PLAN, e.to_string())
         }
@@ -1768,14 +1767,19 @@ const SERVER_CAPS: u32 = CAP_TILE_STREAM | CAP_SKETCH_F32 | CAP_SNAPSHOT;
 const CLIENT_CAPS: u32 = CAP_TILE_STREAM | CAP_SKETCH_F32 | CAP_SNAPSHOT;
 
 /// The `Hello` negotiation: adopt the spec on a fresh store, accept a
-/// matching re-`Hello`, refuse a different spec. A spec naming a kernel
-/// this build does not run (the retired `v2-simd`) gets the dedicated
-/// `ERR_KERNEL` answer, on an empty store too, and adopts nothing: its
-/// releases were estimated under other bits.
+/// matching re-`Hello`, refuse a different spec. Adopting reads the
+/// spec's identity and builds no transform. Whatever the store holds, a
+/// spec that does not parse or whose identity refuses it gets
+/// `ERR_SPEC`, and one naming a kernel this build does not run (the
+/// retired `v2-simd`) gets the dedicated `ERR_KERNEL`: its releases
+/// were estimated under other bits. Neither adopts anything.
 fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
-    let proposed = match SketcherSpec::from_json(spec_json) {
-        Ok(spec) => spec,
-        Err(e @ CoreError::UnknownKernel(_)) => return error_response(&EngineError::Core(e)),
+    let proposed = match SketcherSpec::from_json(spec_json)
+        .map_err(EngineError::Core)
+        .and_then(SketchStore::with_spec)
+    {
+        Ok(store) => store,
+        Err(e @ EngineError::Core(CoreError::UnknownKernel(_))) => return error_response(&e),
         Err(e) => {
             return Response::Error {
                 code: ERR_SPEC,
@@ -1784,21 +1788,16 @@ fn hello(engine: &mut QueryEngine, spec_json: &str) -> Response {
         }
     };
     match engine.store().spec() {
-        Some(current) if *current == proposed => {}
+        Some(current) if Some(current) == proposed.spec() => {}
         Some(_) => {
             return Response::Error {
                 code: ERR_SPEC_MISMATCH,
                 message: "store already serves a different spec".to_string(),
             }
         }
-        None if engine.store().is_empty() => {
-            // Adopt: the replacement's generation bump makes the
-            // mutation path publish a snapshot carrying the spec.
-            match SketchStore::with_spec(proposed) {
-                Ok(store) => engine.replace_store(store, 0),
-                Err(e) => return error_response(&e),
-            }
-        }
+        // Adopt: the replacement's generation bump makes the mutation
+        // path publish a snapshot carrying the spec.
+        None if engine.store().is_empty() => engine.replace_store(proposed, 0),
         None => {
             return Response::Error {
                 code: ERR_SPEC_MISMATCH,
@@ -2479,7 +2478,6 @@ mod tests {
                 EngineError::Core(CoreError::MissingField("delta")),
                 ERR_INTERNAL,
             ),
-            (EngineError::Empty, ERR_INTERNAL),
             (
                 EngineError::PlanMismatch {
                     store_rows: 4,

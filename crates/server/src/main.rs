@@ -353,7 +353,7 @@ fn main() -> ExitCode {
             };
             match SketchStore::with_spec(spec) {
                 Ok(s) => s,
-                Err(e) => return fail(&format!("spec cannot build a sketcher: {e}")),
+                Err(e) => return fail(&format!("spec in {path} refused: {e}")),
             }
         }
         None => SketchStore::adopting(),

@@ -107,12 +107,7 @@ impl Sjlt {
         independence: usize,
         seed: Seed,
     ) -> Result<Self, TransformError> {
-        if d == 0 || k == 0 || k > SIGN_BIT as usize {
-            return Err(TransformError::InvalidDimensions { d, k });
-        }
-        if s == 0 || s > k || !k.is_multiple_of(s) {
-            return Err(TransformError::InvalidSparsity { s, k });
-        }
+        Self::check_shape(d, k, s)?;
         let family = KWiseFamily::new(independence.max(2), seed.child("sjlt"));
         let hashes = (0..s as u64).map(|r| family.hash_fn(r)).collect();
         let signs = (0..s as u64).map(|r| family.sign_fn(r)).collect();
@@ -144,6 +139,21 @@ impl Sjlt {
             }
             table.into_boxed_slice()
         })
+    }
+
+    /// The shape refusals of [`Sjlt::new`], checked without building
+    /// anything.
+    ///
+    /// # Errors
+    /// As for [`Sjlt::new`].
+    pub fn check_shape(d: usize, k: usize, s: usize) -> Result<(), TransformError> {
+        if d == 0 || k == 0 || k > SIGN_BIT as usize {
+            return Err(TransformError::InvalidDimensions { d, k });
+        }
+        if s == 0 || s > k || !k.is_multiple_of(s) {
+            return Err(TransformError::InvalidSparsity { s, k });
+        }
+        Ok(())
     }
 
     /// Build from JL parameters: `k = k_for_sjlt(α, β)`, `s = s(α, β)`,

@@ -242,6 +242,108 @@ fn a_retired_kernel_hello_is_refused_typed_and_adopts_nothing() {
     assert_eq!(rows, 0);
 }
 
+/// A `Hello` whose spec's identity refuses it (an `fjlt-output` spec
+/// without δ, or Kenthapadi's Theorem 1 at ε = 16 ≥ ln(1/δ) with
+/// δ = 1e-5) gets `ERR_SPEC` naming the refusal, from a plain server and
+/// from a coordinator, and adopts nothing: both then adopt a buildable
+/// spec, which the coordinator relays to its worker.
+#[test]
+fn an_unbuildable_spec_hello_is_refused_err_spec_by_server_and_coordinator() {
+    use dp_euclid::core::protocol::{Request, Response, ERR_SPEC, ERR_SPEC_MISMATCH};
+    use dp_server::WorkerEntry;
+    use std::time::Duration;
+
+    let unbuildable = |construction, epsilon, delta: Option<f64>| {
+        let mut config = SketchConfig::builder()
+            .input_dim(64)
+            .alpha(0.3)
+            .beta(0.1)
+            .epsilon(epsilon);
+        if let Some(delta) = delta {
+            config = config.delta(delta);
+        }
+        let config = config.build().expect("config");
+        SketcherSpec::new(construction, config, Seed::new(7)).to_json()
+    };
+    let refusals = [
+        (unbuildable(Construction::FjltOutput, 1.0, None), "delta"),
+        (
+            unbuildable(
+                Construction::Kenthapadi(SigmaCalibration::Theorem1),
+                16.0,
+                Some(1e-5),
+            ),
+            "Theorem 1",
+        ),
+    ];
+    let assert_refused = |client: &mut Client| {
+        for (spec_json, named) in &refusals {
+            let hello = Request::Hello {
+                spec_json: spec_json.clone(),
+                caps: 0,
+            };
+            match client.call(&hello).expect("exchange") {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ERR_SPEC, "{message}");
+                    assert!(message.contains(named), "{message}");
+                }
+                other => panic!("expected ERR_SPEC, got {other:?}"),
+            }
+        }
+    };
+
+    let worker_socket = scratch_socket("unbuildable-worker");
+    let coord_socket = scratch_socket("unbuildable-coord");
+    let worker_endpoint = Endpoint::Unix(worker_socket.clone());
+    let coord_endpoint = Endpoint::Unix(coord_socket.clone());
+    let worker = Server::bind(
+        worker_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+    )
+    .expect("bind worker");
+    let timeout = Some(Duration::from_secs(30));
+    let pooled = Client::connect(&worker_endpoint).expect("connect worker");
+    pooled.set_read_timeout(timeout).expect("timeout");
+    let coordinator = Server::bind_coordinator(
+        coord_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+        vec![WorkerEntry::reconnectable(
+            pooled,
+            worker_endpoint.clone(),
+            timeout,
+        )],
+        8,
+    )
+    .expect("bind coordinator");
+    std::thread::scope(|scope| {
+        // Two accept loops on the worker: the coordinator's pooled
+        // connection and the direct probe.
+        let hw = scope.spawn(|| worker.serve(2));
+        let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &worker_endpoint]);
+        let mut direct = Client::connect(&worker_endpoint).expect("connect worker");
+        assert_refused(&mut direct);
+        let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
+        assert_refused(&mut client);
+
+        let served = spec(64);
+        let (_, rows, _) = client.hello(&served).expect("coordinator adopts");
+        assert_eq!(rows, 0);
+        let (_, rows, _) = direct.hello(&served).expect("the relayed spec");
+        assert_eq!(rows, 0);
+        match direct.hello(&spec(96)) {
+            Err(ClientError::Remote { code, .. }) => assert_eq!(code, ERR_SPEC_MISMATCH),
+            other => panic!("the worker adopted no relayed spec: {other:?}"),
+        }
+        client.shutdown().expect("shutdown coordinator");
+        hc.join().expect("coordinator thread");
+        direct.shutdown().expect("shutdown worker");
+        hw.join().expect("worker thread");
+    });
+    let _ = std::fs::remove_file(&worker_socket);
+    let _ = std::fs::remove_file(&coord_socket);
+}
+
 #[test]
 fn shutdown_unblocks_every_worker() {
     // Regression: with more accept loops than the wake-up default, a
