@@ -17,20 +17,26 @@
 //! over the warm matrix memo and `knn(10)`, each versus scoring every
 //! candidate, stable-sorting and truncating.
 //!
+//! And **subset reads** on the same store: eight 256-party `pairwise`
+//! subsets, as `analyst_matrix` reads each round, sliced from the warm
+//! memo versus recomputed over the same parties.
+//!
 //! And the **k-NN scan**: `knn(10)` at 2,048, 3,072 and 5,120 rows
 //! (`online_point`'s store mid-run), under `Parallelism::sequential()`
 //! and under the default, which splits a large enough store across its
 //! workers.
 //!
-//! Ranked reads and the scan are recorded as the median and IQR of
-//! interleaved rounds (each round runs every side once, in rotating
-//! order), because one mean per process says which mode a small shared
-//! host was in, not the code's speed. They are a record, not a gate.
+//! Ranked reads, subset reads and the scan are recorded as the median
+//! and IQR of interleaved rounds (each round runs every side once, in
+//! rotating order), because one mean per process says which mode a
+//! small shared host was in, not the code's speed. They are a record,
+//! not a gate.
 //!
 //! Every engine answer is verified bit-identical to the slice path
-//! (pairs) or to the stable-sort reference (ranked reads, and the scan
-//! under both settings) before timing; any mismatch exits 1. Writes
-//! machine-readable `BENCH_engine.json`.
+//! (pairs), to the stable-sort reference (ranked reads, and the scan
+//! under both settings) or to the dense matrix (both subset sides)
+//! before timing; any mismatch exits 1. Writes machine-readable
+//! `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out <path>]`
 
@@ -50,6 +56,10 @@ const RANKED_ROWS: usize = 2048;
 const TOP_T: usize = 100;
 /// Neighbours per `knn` read, as `online_point` asks.
 const KNN_K: usize = 10;
+/// Subsets per subset-read sample, and parties per subset, as
+/// `analyst_matrix` asks each round.
+const SUBSETS: usize = 8;
+const SUBSET_PARTIES: usize = 256;
 /// Rows in the k-NN scan stores: below, at and past the size from
 /// which a two-worker `knn` splits, up to `online_point`'s store
 /// mid-run.
@@ -234,6 +244,22 @@ fn main() {
     );
     all_identical &= ranked.identical;
 
+    let subset = subset_reads(&releases[..RANKED_ROWS], rounds);
+    println!(
+        "n = {RANKED_ROWS}  {SUBSET_PARTIES}-party subset: memo {:7.1} us (IQR {:.1}) vs recompute \
+         {:7.1} us (IQR {:.1}) ({:4.2}x)",
+        subset.memo.median,
+        subset.memo.iqr,
+        subset.recompute.median,
+        subset.recompute.iqr,
+        subset.recompute.median / subset.memo.median,
+    );
+    println!(
+        "CHECK [{}] subset reads bit-identical to the dense matrix",
+        if subset.identical { "PASS" } else { "FAIL" }
+    );
+    all_identical &= subset.identical;
+
     let threads = Parallelism::default().threads();
     let mut scans = Vec::new();
     for n in SCAN_ROWS {
@@ -285,6 +311,19 @@ fn main() {
                 ),
                 ("us_knn".to_string(), ranked.knn.json()),
                 ("us_knn_sort".to_string(), ranked.knn_sort.json()),
+            ]),
+        ),
+        (
+            "subset".to_string(),
+            JsonValue::Object(vec![
+                ("rows".to_string(), JsonValue::UInt(RANKED_ROWS as u64)),
+                (
+                    "parties".to_string(),
+                    JsonValue::UInt(SUBSET_PARTIES as u64),
+                ),
+                ("rounds".to_string(), JsonValue::UInt(rounds as u64)),
+                ("us_memo".to_string(), subset.memo.json()),
+                ("us_recompute".to_string(), subset.recompute.json()),
             ]),
         ),
         (
@@ -429,6 +468,69 @@ fn ranked_reads(releases: &[Release], rounds: usize) -> RankedReads {
         top_pairs_sort: Spread::of(&top_pairs_sort, 1e6),
         knn: Spread::of(&knn, per_knn),
         knn_sort: Spread::of(&knn_sort, per_knn),
+    }
+}
+
+struct SubsetReads {
+    identical: bool,
+    /// Microseconds per subset read sliced from the warm memo.
+    memo: Spread,
+    /// Microseconds per recompute of the same subset.
+    recompute: Spread,
+}
+
+/// Time `SUBSETS` reads of `SUBSET_PARTIES` distinct parties on a store
+/// of `releases` (party id = row): sliced from the warm matrix memo,
+/// against the recompute over the same parties (an engine over the same
+/// store with no memo), over `rounds` interleaved rounds. Both sides are
+/// checked bit-identical to the dense matrix first.
+fn subset_reads(releases: &[Release], rounds: usize) -> SubsetReads {
+    let mut engine = QueryEngine::new(SketchStore::adopting());
+    for r in releases {
+        engine.ingest(r).expect("ingest");
+    }
+    assert!(
+        engine.store().debias_uniform(),
+        "one sketcher's releases share one debias constant, so subsets slice the memo"
+    );
+    let matrix = engine.pairwise_all();
+    let recompute = QueryEngine::new(engine.store().clone());
+    let n = matrix.n();
+    // Each subset: an odd stride over a power-of-two store, so its
+    // parties are distinct, in scrambled order.
+    assert!(n.is_power_of_two() && SUBSET_PARTIES <= n);
+    let subsets: Vec<Vec<u64>> = (0..SUBSETS)
+        .map(|s| {
+            (0..SUBSET_PARTIES)
+                .map(|q| ((q * 797 + s * 263 + 11) % n) as u64)
+                .collect()
+        })
+        .collect();
+    let identical = subsets.iter().all(|parties| {
+        [&engine, &recompute].iter().all(|reader| {
+            let sub = reader.pairwise(parties).expect("subset");
+            parties.iter().enumerate().all(|(a, &pa)| {
+                parties.iter().enumerate().all(|(b, &pb)| {
+                    sub.at(a, b).to_bits() == matrix.at(pa as usize, pb as usize).to_bits()
+                })
+            })
+        })
+    });
+    let read_all = |reader: &QueryEngine| {
+        for parties in &subsets {
+            std::hint::black_box(reader.pairwise(parties).expect("subset"));
+        }
+    };
+    let samples = interleaved(
+        rounds,
+        &mut [&mut || read_all(&engine), &mut || read_all(&recompute)],
+    );
+    let [memo, recomputed] = samples.try_into().expect("two sides");
+    let per_read = 1e3 * SUBSETS as f64;
+    SubsetReads {
+        identical,
+        memo: Spread::of(&memo, per_read),
+        recompute: Spread::of(&recomputed, per_read),
     }
 }
 

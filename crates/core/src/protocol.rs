@@ -263,7 +263,9 @@ pub const ERR_INCOMPATIBLE: u16 = 3;
 pub const ERR_DUPLICATE_PARTY: u16 = 4;
 /// A queried party id is not in the store.
 pub const ERR_UNKNOWN_PARTY: u16 = 5;
-/// A frame failed to decode (bad magic/version/checksum/body).
+/// A frame failed to decode (bad magic/version/checksum/body), or a
+/// `Pairwise` subset names more parties than the store holds rows (so
+/// some party repeats), refused before its matrix is allocated.
 pub const ERR_MALFORMED: u16 = 6;
 /// Any other server-side failure.
 pub const ERR_INTERNAL: u16 = 7;

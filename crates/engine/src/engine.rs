@@ -35,7 +35,11 @@
 //! the engine's workers: each ranks a contiguous share of the rows, and
 //! the share lists are ranked once more. `top_pairs` skips every memo
 //! run whose smallest estimate is not strictly below the current `t`-th
-//! smallest, because no pair in it can place.
+//! smallest, because no pair in it can place. It reads that smallest
+//! estimate from the minima the memo recorded as it grew (one per row
+//! per panel), so a skipped run is never read: a read touches the
+//! runs that can place and the minima, not the memo's 17 MiB at 2,048
+//! rows.
 
 use crate::error::EngineError;
 use crate::gather::Gather;
@@ -287,10 +291,12 @@ impl QueryEngine {
         true
     }
 
-    /// All pairwise estimates among an explicit subset of parties, in
-    /// the given order. The answer is sliced out of the memo in
-    /// O(|subset|²) only when that is **provably bit-identical** to a
-    /// cold tiled recompute over the subset, which runs otherwise:
+    /// All pairwise estimates among an explicit subset of at most `n`
+    /// parties (repeats allowed), in the given order. The answer is
+    /// sliced out of the memo ([`PairwiseMemo::subset`], which walks
+    /// the panels in storage order) only when that is **provably
+    /// bit-identical** to a cold tiled recompute over the subset, which
+    /// runs otherwise:
     ///
     /// * the memo covers every store row ([`QueryEngine::full_matrix`]),
     ///   and
@@ -307,28 +313,26 @@ impl QueryEngine {
     /// entry `(a, b)` equals the subset's `(b, a)` exactly.
     ///
     /// # Errors
-    /// [`EngineError::UnknownParty`] on an id that was never ingested.
+    /// [`EngineError::UnknownParty`] on an id that was never ingested;
+    /// [`EngineError::SubsetTooLarge`] on more parties than the store
+    /// holds rows (some party repeats), refused before anything is
+    /// allocated. Only the first `n + 1` parties are resolved before
+    /// that refusal, so an unknown one among them is named instead.
     pub fn pairwise(&self, parties: &[u64]) -> Result<PairwiseDistances, EngineError> {
         let store = &self.store;
-        let rows = parties
-            .iter()
-            .map(|&p| store.row_of(p).ok_or(EngineError::UnknownParty(p)))
-            .collect::<Result<Vec<usize>, _>>()?;
-        if let Some(matrix) = self.full_matrix() {
-            if store.debias_uniform() && rows_distinct(&rows, store.n()) {
-                // Each pair is read once and written to both of its
-                // cells (`at` is the same bits in either orientation);
-                // the diagonal stays 0.0.
-                let m = rows.len();
-                let mut flat = vec![0.0; m * m];
-                for (a, &ra) in rows.iter().enumerate() {
-                    for (b, &rb) in rows.iter().enumerate().skip(a + 1) {
-                        let estimate = matrix.at(ra, rb);
-                        flat[a * m + b] = estimate;
-                        flat[b * m + a] = estimate;
-                    }
-                }
-                return Ok(PairwiseDistances::from_flat(m, flat));
+        let n = store.n();
+        let row_of = |&p: &u64| store.row_of(p).ok_or(EngineError::UnknownParty(p));
+        if parties.len() > n {
+            parties[..=n].iter().try_for_each(|p| row_of(p).map(drop))?;
+            return Err(EngineError::SubsetTooLarge {
+                parties: parties.len(),
+                rows: n,
+            });
+        }
+        let rows = parties.iter().map(row_of).collect::<Result<Vec<_>, _>>()?;
+        if let Some(memo) = self.full_matrix().filter(|_| store.debias_uniform()) {
+            if let Some(matrix) = memo.subset(&rows) {
+                return Ok(matrix);
             }
         }
         let debias: Vec<f64> = rows.iter().map(|&r| store.debias_at(r)).collect();
@@ -409,8 +413,8 @@ impl QueryEngine {
 
     /// The `t` globally closest pairs `(party a, party b, estimate)`,
     /// ascending by estimate, ties by row then column in ingest order.
-    /// Runs on the incremental all-pairs memo: one pass over its upper
-    /// triangle in O(t) memory, skipping the runs that cannot place.
+    /// Runs on the incremental all-pairs memo: one pass over its run
+    /// minima in O(t) memory, reading only the runs that can place.
     #[must_use]
     pub fn top_pairs(&mut self, t: usize) -> Vec<(u64, u64, f64)> {
         let memo = self.pairwise_memo();
@@ -420,16 +424,16 @@ impl QueryEngine {
     /// The `t` globally closest pairs over a memo of this store's rows,
     /// ranked by [`Smallest`] over its pairs row by row, then column by
     /// column (ties by row, then column, as a row-major scan of the
-    /// dense matrix lists them). A run of a row's pairs whose minimum
-    /// is not strictly below the current `t`-th smallest estimate is
-    /// skipped whole: an equal estimate never displaces an earlier
-    /// candidate, so no pair in it can place. Party ids are looked up
-    /// only for the survivors.
+    /// dense matrix lists them). A run of a row's pairs whose minimum,
+    /// recorded when the memo grew, is not strictly below the current
+    /// `t`-th smallest estimate is skipped unread: an equal estimate
+    /// never displaces an earlier candidate, so no pair in it can place.
+    /// Party ids are looked up only for the survivors.
     pub(crate) fn closest_pairs(&self, memo: &PairwiseMemo, t: usize) -> Vec<(u64, u64, f64)> {
         let n = memo.n();
         let mut closest = Smallest::new(t, n * n.saturating_sub(1) / 2);
-        memo.upper_runs().for_each(|(i, first, run)| {
-            if closest.places(run_min(run)) {
+        memo.upper_runs().for_each(|(i, first, min, run)| {
+            if closest.places(min) {
                 for (j, &estimate) in (first..).zip(run) {
                     closest.push(estimate, (i, j));
                 }
@@ -559,13 +563,6 @@ fn no_memo() -> Arc<PairwiseMemo> {
     Arc::clone(EMPTY.get_or_init(Arc::default))
 }
 
-/// Whether every row index appears at most once (`n` = store rows, for
-/// a one-pass bitmap instead of a hash set).
-fn rows_distinct(rows: &[usize], n: usize) -> bool {
-    let mut seen = vec![false; n];
-    rows.iter().all(|&r| !std::mem::replace(&mut seen[r], true))
-}
-
 /// The `t` candidates with the smallest estimates, ascending — the one
 /// ranking rule behind every k-NN and closest-pairs answer.
 ///
@@ -659,26 +656,6 @@ impl<T> Smallest<T> {
             .map(|r| (r.estimate, r.item))
             .collect()
     }
-}
-
-/// The smallest estimate of a run, or NaN when the run holds one (a NaN
-/// sticks), so a NaN still reaches the selector's comparison and its
-/// panic. Eight independent lanes keep the scan at vector width: with
-/// one running minimum, `top_pairs(100)` at 2,048 rows read 6.7–7.9 ms
-/// against 2.6–3.1 ms (`bench_engine --quick`, 2-CPU host).
-fn run_min(run: &[f64]) -> f64 {
-    let keep_smaller = |min: f64, x: f64| if x < min || x.is_nan() { x } else { min };
-    let (blocks, rest) = run.as_chunks::<8>();
-    let mut lanes = [f64::INFINITY; 8];
-    for block in blocks {
-        for (lane, &x) in lanes.iter_mut().zip(block) {
-            *lane = keep_smaller(*lane, x);
-        }
-    }
-    lanes
-        .into_iter()
-        .chain(rest.iter().copied())
-        .fold(f64::INFINITY, keep_smaller)
 }
 
 /// A [`Smallest`] heap entry, ordered by (estimate, position).

@@ -22,6 +22,14 @@ pub enum EngineError {
     DuplicateParty(u64),
     /// A queried party id has never been ingested.
     UnknownParty(u64),
+    /// A subset names more parties than the store holds rows, so some
+    /// party repeats; refused before its matrix is allocated.
+    SubsetTooLarge {
+        /// Parties the subset names.
+        parties: usize,
+        /// Rows the store holds.
+        rows: usize,
+    },
     /// A tile plan's matrix side does not match the store's row count
     /// (e.g. a worker that missed an ingest broadcast).
     PlanMismatch {
@@ -48,6 +56,10 @@ impl fmt::Display for EngineError {
             }
             Self::DuplicateParty(id) => write!(f, "party {id} already ingested"),
             Self::UnknownParty(id) => write!(f, "party {id} not in the store"),
+            Self::SubsetTooLarge { parties, rows } => write!(
+                f,
+                "a subset of {parties} parties exceeds the store's {rows} rows"
+            ),
             Self::PlanMismatch {
                 store_rows,
                 plan_rows,

@@ -28,7 +28,10 @@
 //!   arrive, so growth shares every complete panel with the previous
 //!   memo (and every snapshot holding it), copies at most the last
 //!   partial panel, and costs `O(new·n)`. A `Pairwise` reply tile of
-//!   `TilePlan(n, 128)` is a run of rows of one panel.
+//!   `TilePlan(n, 128)` is a run of rows of one panel. Each panel
+//!   carries one minimum per row, recorded as its cells land, so
+//!   `top_pairs` reads only the runs that can place; a subset slice
+//!   ([`PairwiseMemo::subset`]) walks the panels in storage order.
 //! * [`Gather`] — assembles out-of-order executed [`dp_core::TileSegment`]s
 //!   with typed [`GatherError`]s for missing/duplicate/misshapen tiles,
 //!   into either the dense matrix (what a client rebuilds a streamed

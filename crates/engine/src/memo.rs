@@ -20,6 +20,19 @@
 //! The panels are the tiles of `TilePlan(n, W)`, the plan a `Pairwise`
 //! reply streams: tile `(r, c)`'s segment is a run of rows of panel
 //! `c`, and a full off-diagonal tile is one contiguous block of it.
+//!
+//! Beside each panel sits one minimum per panel row: the smallest
+//! estimate of the row's run in that panel (NaN when the run holds
+//! one), recorded as the cells land ([`MemoGrowth`]) and shared by
+//! `Arc` wherever the panel is. A complete panel's minima never change,
+//! a copied partial panel's are combined with each new run, and a
+//! fresh panel's start at +∞. They add at most `8·n` bytes per panel
+//! (17,392 minima, 136 KiB, at 2,048 rows), and let a `top_pairs` read
+//! skip a run without reading it.
+//!
+//! Reads that return a part of the matrix walk it in this storage
+//! order: a subset slice ([`PairwiseMemo::subset`]) reads panel by
+//! panel, each subset row's run once, in ascending address order.
 
 use crate::gather::GatherSink;
 use dp_core::{PairwiseDistances, Tile};
@@ -44,12 +57,16 @@ fn panel_len(c: usize, n: usize) -> usize {
 }
 
 /// The upper triangle of an all-pairs matrix over the first `n` rows of
-/// a store, as immutable `Arc`-shared column panels (see the module
-/// docs for the layout). Cloning shares every panel.
+/// a store, as immutable `Arc`-shared column panels with their run
+/// minima (see the module docs for the layout). Cloning shares every
+/// panel.
 #[derive(Debug, Clone, Default)]
 pub struct PairwiseMemo {
     n: usize,
     panels: Vec<Arc<[f64]>>,
+    /// `minima[c][i]`: the smallest estimate of row `i`'s run in panel
+    /// `c`, NaN when the run holds one.
+    minima: Vec<Arc<[f64]>>,
 }
 
 impl PairwiseMemo {
@@ -106,18 +123,68 @@ impl PairwiseMemo {
         })
     }
 
-    /// Every stored pair as runs `(i, j, run)`, where `run` holds pairs
-    /// `(i, j..j + run.len())`: row by row, then column by column (one
-    /// run per panel a row crosses), the order of a row-major scan of
-    /// the dense matrix's upper triangle.
-    pub(crate) fn upper_runs(&self) -> impl Iterator<Item = (usize, usize, &[f64])> + '_ {
-        (0..self.n).flat_map(move |i| {
-            self.row_runs(i, 0..self.n).scan(i + 1, move |j, run| {
-                let first = *j;
-                *j += run.len();
-                Some((i, first, run))
+    /// Every stored pair as runs `(i, j, min, run)`, where `run` holds
+    /// pairs `(i, j..j + run.len())` and `min` is its recorded minimum:
+    /// row by row, then column by column (one run per panel a row
+    /// crosses), the order of a row-major scan of the dense matrix's
+    /// upper triangle. Yielding a run reads none of its cells.
+    pub(crate) fn upper_runs(&self) -> impl Iterator<Item = (usize, usize, f64, &[f64])> + '_ {
+        let n = self.n;
+        (0..n.saturating_sub(1)).flat_map(move |i| {
+            ((i + 1) / W..self.panels.len()).map(move |c| {
+                let base = c * W;
+                let (first, end) = ((i + 1).max(base), n.min(base + W));
+                let run = &self.panels[c][i * W + first - base..i * W + end - base];
+                (i, first, self.minima[c][i], run)
             })
         })
+    }
+
+    /// The dense matrix over the store rows `rows`, in request order:
+    /// entry `(a, b)` is [`PairwiseMemo::at`]`(rows[a], rows[b])`, bit
+    /// for bit, so the diagonal is `0.0`. `None` when a row repeats: a
+    /// recompute scores a repeated row's pair as `−debias`, not as the
+    /// diagonal's `0.0`, so the caller must recompute.
+    ///
+    /// The memo is read in storage order: the rows are sorted once,
+    /// then panel by panel, each subset row below the panel's subset
+    /// columns reads its run once, in ascending row order, and each
+    /// value is written to both of its cells.
+    ///
+    /// # Panics
+    /// If a row is out of range.
+    #[must_use]
+    pub fn subset(&self, rows: &[usize]) -> Option<PairwiseDistances> {
+        let m = rows.len();
+        // (store row, request position), ascending by row: a repeated
+        // row sits next to itself, and each panel's columns are a run.
+        let mut order: Vec<(usize, usize)> = rows.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        if order.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
+        if let Some(&(last, _)) = order.last() {
+            assert!(last < self.n, "row {last} out of {}", self.n);
+        }
+        let mut flat = vec![0.0; m * m];
+        let mut start = 0;
+        while start < m {
+            let base = order[start].0 / W * W;
+            let end = start + order[start..].partition_point(|&(j, _)| j < base + W);
+            let (panel, columns) = (&self.panels[base / W], &order[start..end]);
+            // Rows below the panel pair with all its columns; a row
+            // among them only with the columns past it.
+            for (s, &(i, a)) in order[..end - 1].iter().enumerate() {
+                let run = &panel[i * W..(i + 1) * W];
+                for &(j, b) in &columns[(s + 1).saturating_sub(start)..] {
+                    let estimate = run[j - base];
+                    flat[a * m + b] = estimate;
+                    flat[b * m + a] = estimate;
+                }
+            }
+            start = end;
+        }
+        Some(PairwiseDistances::from_flat(m, flat))
     }
 
     /// One tile's row-major segment (its pairs `(i, j)`, `i < j`), bit
@@ -165,14 +232,16 @@ impl PairwiseMemo {
 
 /// A memo being grown to `n` rows, the destination of
 /// [`crate::Gather::grow`]: the complete panels of the memo it grows
-/// from, shared, then one panel per column block from the first column
-/// the old memo did not complete — its partial last panel copied, the
-/// rest fresh — each uniquely owned until the gather finishes.
+/// from, shared with their minima, then one panel per column block
+/// from the first column the old memo did not complete — its partial
+/// last panel and minima copied, the rest fresh — each uniquely owned
+/// until the gather finishes.
 #[derive(Debug)]
 pub struct MemoGrowth {
     /// Rows of the memo grown from: only columns `old..n` are written.
     old: usize,
     panels: Vec<Arc<[f64]>>,
+    minima: Vec<Arc<[f64]>>,
 }
 
 impl MemoGrowth {
@@ -184,26 +253,65 @@ impl MemoGrowth {
         assert!(old.n <= n, "a memo of {} rows cannot grow to {n}", old.n);
         let first_open = old.n / W;
         let mut panels = old.panels[..first_open].to_vec();
+        let mut minima = old.minima[..first_open].to_vec();
         for c in first_open..n.div_ceil(W) {
-            let kept: &[f64] = old.panels.get(c).map_or(&[], |p| p);
-            let fresh = std::iter::repeat_n(0.0, panel_len(c, n) - kept.len());
-            panels.push(kept.iter().copied().chain(fresh).collect());
+            let len = panel_len(c, n);
+            panels.push(extended(old.panels.get(c), len, 0.0));
+            minima.push(extended(old.minima.get(c), len / W, f64::INFINITY));
         }
-        Self { old: old.n, panels }
+        Self {
+            old: old.n,
+            panels,
+            minima,
+        }
     }
 
-    /// Write the pairs `(i, j..j + run.len())`, all in new columns.
+    /// Write the pairs `(i, j..j + run.len())`, all in new columns, and
+    /// fold each panel's share into row `i`'s minimum there.
     fn write(&mut self, i: usize, mut j: usize, mut run: &[f64]) {
         while !run.is_empty() {
             let c = j / W;
-            let take = run.len().min((c + 1) * W - j);
-            let panel = Arc::get_mut(&mut self.panels[c]).expect("new columns land in open panels");
+            let (cells, rest) = run.split_at(run.len().min((c + 1) * W - j));
+            let open = "new columns land in open panels";
+            let panel = Arc::get_mut(&mut self.panels[c]).expect(open);
             let at = i * W + j - c * W;
-            panel[at..at + take].copy_from_slice(&run[..take]);
-            j += take;
-            run = &run[take..];
+            panel[at..at + cells.len()].copy_from_slice(cells);
+            let min = &mut Arc::get_mut(&mut self.minima[c]).expect(open)[i];
+            *min = run_min(*min, cells);
+            j += cells.len();
+            run = rest;
         }
     }
+}
+
+/// `kept` (absent for a fresh panel) extended with `fill` to `len`
+/// values, uniquely owned.
+fn extended(kept: Option<&Arc<[f64]>>, len: usize, fill: f64) -> Arc<[f64]> {
+    let kept: &[f64] = kept.map_or(&[], |k| k);
+    let fresh = std::iter::repeat_n(fill, len - kept.len());
+    kept.iter().copied().chain(fresh).collect()
+}
+
+/// The smallest of `from` and a run's estimates, or NaN when either
+/// holds one (a NaN sticks), so a NaN still reaches the selector's
+/// comparison and its panic. Eight independent lanes keep the scan at
+/// vector width: one running minimum is a serial chain, and a
+/// `top_pairs(100)` that scanned every run of a 2,048-row memo read
+/// 6.7–7.9 ms with it against 2.6–3.1 ms with the lanes
+/// (`bench_engine --quick`, 2-CPU host).
+fn run_min(from: f64, run: &[f64]) -> f64 {
+    let keep_smaller = |min: f64, x: f64| if x < min || x.is_nan() { x } else { min };
+    let (blocks, rest) = run.as_chunks::<8>();
+    let mut lanes = [f64::INFINITY; 8];
+    for block in blocks {
+        for (lane, &x) in lanes.iter_mut().zip(block) {
+            *lane = keep_smaller(*lane, x);
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(rest.iter().copied())
+        .fold(from, keep_smaller)
 }
 
 impl GatherSink for MemoGrowth {
@@ -233,6 +341,7 @@ impl GatherSink for MemoGrowth {
         PairwiseMemo {
             n,
             panels: self.panels,
+            minima: self.minima,
         }
     }
 }
@@ -244,6 +353,8 @@ mod tests {
     use dp_core::release::Release;
     use dp_core::sketcher::{pairwise_sq_distances_rows, slice_tile_segment};
     use dp_core::{NoisySketch, Parallelism, TilePlan};
+    use dp_hashing::{Prng, Seed};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Growth steps crossing every kind of panel edge.
     const STEPS: [usize; 10] = [0, 1, 2, 100, 127, 128, 129, 255, 256, 300];
@@ -279,32 +390,43 @@ mod tests {
         )
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Every `TilePlan(n, W)` segment of the memo equals the dense
     /// reference's, bit for bit, and so does the memo's dense copy.
     fn assert_slices_match(memo: &PairwiseMemo, reference: &PairwiseDistances, what: &str) {
         let n = reference.n();
         assert_eq!(memo.n(), n, "{what}");
         for (id, tile) in TilePlan::new(n, W).tiles() {
-            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(
-                bits(memo.segment(&tile)),
-                bits(slice_tile_segment(&tile, reference.as_flat(), n)),
+                bits(&memo.segment(&tile)),
+                bits(&slice_tile_segment(&tile, reference.as_flat(), n)),
                 "{what}: tile {id} of {n} rows"
             );
         }
-        let bits =
-            |m: &PairwiseDistances| m.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&memo.to_dense()), bits(reference), "{what}: dense");
+        assert_eq!(
+            bits(memo.to_dense().as_flat()),
+            bits(reference.as_flat()),
+            "{what}: dense"
+        );
     }
 
-    /// A growth step shares every complete panel of `old`, copies at
-    /// most its partial last panel, and allocates `O(new·n)` cells.
+    /// A growth step shares every complete panel of `old` and its
+    /// minima, copies at most its partial last panel, and allocates
+    /// `O(new·n)` cells.
     fn assert_grown_from(old: &PairwiseMemo, new: &PairwiseMemo) {
         let (complete, n) = (old.n() / W, new.n());
         for c in 0..complete {
             assert!(
                 Arc::ptr_eq(&old.panels()[c], &new.panels()[c]),
                 "panel {c} copied growing {} → {n} rows",
+                old.n()
+            );
+            assert!(
+                Arc::ptr_eq(&old.minima[c], &new.minima[c]),
+                "minima of panel {c} copied growing {} → {n} rows",
                 old.n()
             );
         }
@@ -326,6 +448,24 @@ mod tests {
         );
     }
 
+    /// Each recorded minimum is, bit for bit, `run_min` of its row's run
+    /// recomputed from the panels: one per row the panel holds.
+    fn assert_minima_recorded(memo: &PairwiseMemo) {
+        assert_eq!(memo.minima.len(), memo.panels.len(), "one minima per panel");
+        for (c, (panel, minima)) in memo.panels.iter().zip(&memo.minima).enumerate() {
+            assert_eq!(minima.len() * W, panel.len(), "panel {c}: one per row");
+            for (i, min) in minima.iter().enumerate() {
+                let run = memo.row_runs(i, c * W..(c + 1) * W).next().expect("a run");
+                assert_eq!(
+                    min.to_bits(),
+                    run_min(f64::INFINITY, run).to_bits(),
+                    "row {i} of panel {c} at {} rows",
+                    memo.n()
+                );
+            }
+        }
+    }
+
     #[test]
     fn local_growth_slices_like_the_dense_matrix_across_panel_edges() {
         for par in [
@@ -338,6 +478,7 @@ mod tests {
                 ingest_to(&mut engine, n);
                 let memo = engine.pairwise_memo();
                 assert_grown_from(&previous, &memo);
+                assert_minima_recorded(&memo);
                 assert_slices_match(&memo, &dense(&engine), &format!("local, {par:?}"));
                 previous = memo;
             }
@@ -375,6 +516,7 @@ mod tests {
             let grown = Arc::new(gather.finish().unwrap());
             assert_eq!(coordinator.adopt_matrix(Arc::clone(&grown)), n > 0);
             assert_grown_from(&previous, &coordinator.memo());
+            assert_minima_recorded(&coordinator.memo());
             assert_slices_match(&coordinator.memo(), &dense(&coordinator), "adopted");
         }
     }
@@ -393,8 +535,159 @@ mod tests {
             cells <= n * (n - 1) / 2 + n * W / 2,
             "{cells} cells at {n} rows"
         );
-        // 17.0 MiB of panels against the dense matrix's 32 MiB.
+        // 17.0 MiB of panels against the dense matrix's 32 MiB, plus
+        // 136 KiB of minima, one per panel row.
         assert_eq!(cells, 2_226_176);
+        let minima: usize = memo.minima.iter().map(|m| m.len()).sum();
+        assert_eq!(minima, cells / W);
+    }
+
+    /// A `Pairwise` subset over `rows` through the engine and straight
+    /// from the memo, each bit-identical to the dense reference.
+    fn assert_subset_matches(
+        engine: &QueryEngine,
+        memo: &PairwiseMemo,
+        reference: &PairwiseDistances,
+        rows: &[usize],
+    ) {
+        let ids: Vec<u64> = rows.iter().map(|&r| 1000 + r as u64).collect();
+        let sliced = memo.subset(rows).expect("distinct rows slice the memo");
+        let answered = engine.pairwise(&ids).unwrap();
+        for sub in [&sliced, &answered] {
+            assert_eq!(sub.n(), rows.len());
+            for (a, &ra) in rows.iter().enumerate() {
+                for (b, &rb) in rows.iter().enumerate() {
+                    assert_eq!(
+                        sub.at(a, b).to_bits(),
+                        reference.at(ra, rb).to_bits(),
+                        "subset ({ra},{rb}) of {} rows",
+                        reference.n()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subsets_of_random_permutations_slice_like_the_dense_matrix() {
+        let mut rng = Seed::new(31).rng();
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        for n in [1, 127, 128, 129, 300] {
+            ingest_to(&mut engine, n);
+            let memo = engine.pairwise_memo();
+            let reference = dense(&engine);
+            assert!(engine.store().debias_uniform());
+            let mut shuffled = |mut rows: Vec<usize>| {
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, rng.next_range(i as u64 + 1) as usize);
+                }
+                rows
+            };
+            // Rows 0 and n − 1 and both sides of every panel edge.
+            let mut edges = vec![0, n - 1];
+            edges.extend((W..n).step_by(W).flat_map(|e| [e - 1, e]));
+            edges.sort_unstable();
+            edges.dedup();
+            let edges = shuffled(edges);
+            let everyone = shuffled((0..n).collect());
+            let mut subsets = vec![vec![0], vec![n - 1], edges, everyone.clone()];
+            subsets.extend([2, 17, n / 2].map(|m| everyone[..m.min(n)].to_vec()));
+            for rows in &subsets {
+                assert_subset_matches(&engine, &memo, &reference, rows);
+            }
+        }
+    }
+
+    #[test]
+    fn subsets_repeating_a_row_take_the_recompute() {
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        ingest_to(&mut engine, 300);
+        let memo = engine.pairwise_memo();
+        let store = engine.store();
+        for rows in [vec![5, 0, 5], vec![200, 3, 129, 200], vec![7, 7]] {
+            assert!(memo.subset(&rows).is_none(), "{rows:?} sliced");
+            let ids: Vec<u64> = rows.iter().map(|&r| 1000 + r as u64).collect();
+            let debias: Vec<f64> = rows.iter().map(|&r| store.debias_at(r)).collect();
+            let recompute = pairwise_sq_distances_rows(
+                rows.len(),
+                |i| store.row_values(rows[i]),
+                &debias,
+                &engine.parallelism(),
+            );
+            let answered = engine.pairwise(&ids).unwrap();
+            assert_eq!(
+                bits(answered.as_flat()),
+                bits(recompute.as_flat()),
+                "{rows:?}"
+            );
+            // The repeated row's pair is raw 0.0 minus the debias, not
+            // the matrix diagonal's exact 0.0.
+            let last = rows.len() - 1;
+            assert_eq!(answered.at(0, last).to_bits(), (0.0 - debias[0]).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_subset_longer_than_the_store_is_refused_before_it_is_sliced() {
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        assert!(matches!(
+            engine.pairwise(&[1000]),
+            Err(crate::EngineError::UnknownParty(1000))
+        ));
+        ingest_to(&mut engine, 3);
+        let _ = engine.pairwise_memo();
+        assert_eq!(engine.pairwise(&[1000, 1000, 1002]).unwrap().n(), 3);
+        assert!(matches!(
+            engine.pairwise(&[1000; 4]),
+            Err(crate::EngineError::SubsetTooLarge {
+                parties: 4,
+                rows: 3
+            })
+        ));
+        // An unknown party among the first n + 1 is named as such.
+        assert!(matches!(
+            engine.pairwise(&[1000, 1000, 9, 1000, 1000]),
+            Err(crate::EngineError::UnknownParty(9))
+        ));
+    }
+
+    /// A NaN in a kept partial panel keeps its row's minimum NaN
+    /// through growth, so `top_pairs` still meets it and panics as the
+    /// stable sort would, rather than skipping its run.
+    #[test]
+    fn a_nan_in_a_kept_partial_panel_still_panics_top_pairs() {
+        let (old, n, nan_at) = (120, 300, (5, 100));
+        let mut engine = QueryEngine::new(SketchStore::adopting());
+        let mut worker = QueryEngine::new(SketchStore::adopting());
+        ingest_to(&mut engine, old);
+        ingest_to(&mut worker, old);
+        // One tile: row i holds pairs (i, i + 1..old), row-major.
+        let plan = TilePlan::new(old, W);
+        let mut gather = Gather::grow(plan, &engine.memo());
+        let mut segments = worker.execute_tiles(old, W, &gather.missing_ids()).unwrap();
+        let (i, j) = nan_at;
+        let at: usize = (0..i).map(|r| old - r - 1).sum::<usize>() + j - i - 1;
+        assert_eq!(
+            segments[0].values[at].to_bits(),
+            dense(&worker).at(i, j).to_bits()
+        );
+        segments[0].values[at] = f64::NAN;
+        gather.accept(&segments[0]).unwrap();
+        assert!(engine.adopt_matrix(Arc::new(gather.finish().unwrap())));
+        assert!(engine.memo().minima[0][i].is_nan());
+
+        ingest_to(&mut engine, n);
+        let grown = engine.pairwise_memo();
+        assert_eq!(grown.n(), n);
+        assert!(grown.at(i, j).is_nan(), "the NaN was kept");
+        assert!(grown.minima[0][i].is_nan(), "the NaN's minimum stuck");
+        let panic = catch_unwind(AssertUnwindSafe(|| engine.top_pairs(1))).unwrap_err();
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("finite estimates"), "{message}");
     }
 
     #[test]

@@ -96,10 +96,11 @@ impl EngineSnapshot {
 
     /// The `t` globally closest pairs, when the snapshot carries the
     /// memo — bit-identical to [`QueryEngine::top_pairs`]: ascending,
-    /// ties by row then column, one pass over the memo's upper triangle
-    /// in O(t) memory. `None` signals the stale-memo fallback, exactly
-    /// like [`QueryEngine::full_matrix`]: a frozen engine never grows
-    /// its memo.
+    /// ties by row then column, one pass over the memo's run minima in
+    /// O(t) memory, reading only the runs that can place. `None`
+    /// signals the stale-memo fallback, exactly like
+    /// [`QueryEngine::full_matrix`]: a frozen engine never grows its
+    /// memo.
     #[must_use]
     pub fn top_pairs(&self, t: usize) -> Option<Vec<(u64, u64, f64)>> {
         self.full_matrix()

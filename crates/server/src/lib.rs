@@ -95,6 +95,7 @@ fn error_response(e: &EngineError) -> Response {
         EngineError::Incompatible { .. } => (ERR_INCOMPATIBLE, e.to_string()),
         EngineError::DuplicateParty(_) => (ERR_DUPLICATE_PARTY, e.to_string()),
         EngineError::UnknownParty(_) => (ERR_UNKNOWN_PARTY, e.to_string()),
+        EngineError::SubsetTooLarge { .. } => (ERR_MALFORMED, e.to_string()),
         EngineError::PlanMismatch { .. } | EngineError::UnknownTile { .. } => {
             (ERR_PLAN, e.to_string())
         }
@@ -1128,7 +1129,8 @@ impl Server {
     /// The matrix a `Pairwise` request is answered from, with the party
     /// ids it is indexed by — shared, never copied:
     ///
-    /// * a subset: the snapshot's slice of the memo, or a recompute;
+    /// * a subset: the snapshot's slice of the memo, or a recompute (a
+    ///   subset longer than the store is refused `ERR_MALFORMED`);
     /// * the full matrix, warm: the published snapshot's memo;
     /// * cold, coordinating: the sharded gather across the pool (2+
     ///   rows; below that the plan has no pairs), adopted as the memo;
@@ -2463,6 +2465,13 @@ mod tests {
         let cases = [
             (EngineError::DuplicateParty(1), ERR_DUPLICATE_PARTY),
             (EngineError::UnknownParty(2), ERR_UNKNOWN_PARTY),
+            (
+                EngineError::SubsetTooLarge {
+                    parties: 2,
+                    rows: 1,
+                },
+                ERR_MALFORMED,
+            ),
             (
                 EngineError::Incompatible {
                     party_id: 3,

@@ -12,7 +12,7 @@
 use dp_euclid::core::error::CoreError;
 use dp_euclid::core::protocol::{
     decode_request, encode_response, read_frame, stream_checksum, write_frame, Request, Response,
-    ERR_BUSY, ERR_UNKNOWN_PARTY, MAX_FRAME_LEN,
+    ERR_BUSY, ERR_MALFORMED, ERR_UNKNOWN_PARTY, MAX_FRAME_LEN,
 };
 use dp_euclid::core::release::Release;
 use dp_euclid::core::sketcher::slice_tile_segment;
@@ -143,8 +143,9 @@ fn a_matrix_past_the_frame_limit_streams_in_thread_mode() {
 /// the engine bit for bit: the cold fill, the warm memo, a subset
 /// sliced from the memo, and a subset recomputed because it repeats a
 /// party — at sizes with no pairs, one tile, and a ragged last tile.
-/// A subset naming an unknown party is refused with one error frame in
-/// place of the stream, and the connection keeps answering.
+/// A subset naming an unknown party, or more parties than the store
+/// holds rows, is refused with one error frame in place of the stream,
+/// and the connection keeps answering.
 #[test]
 fn every_local_matrix_path_is_bit_identical_in_both_serve_modes() {
     let tile = PAIRWISE_REPLY_TILE as usize;
@@ -157,7 +158,16 @@ fn every_local_matrix_path_is_bit_identical_in_both_serve_modes() {
         let ids = reference.store().party_ids().to_vec();
         let full = reference.pairwise_all();
         let subset: Vec<u64> = ids.iter().rev().step_by(2).copied().collect();
-        let repeated: Vec<u64> = ids.iter().chain(ids.first()).copied().collect();
+        // At most n parties (a longer subset is refused), the first
+        // named twice from two rows up.
+        let repeated: Vec<u64> = ids
+            .first()
+            .into_iter()
+            .chain(&ids)
+            .take(n)
+            .copied()
+            .collect();
+        let oversized: Vec<u64> = ids.first().map_or(vec![], |&id| vec![id; n + 1]);
         let want_subset = reference.pairwise(&subset).expect("subset");
         let want_repeated = reference.pairwise(&repeated).expect("repeated");
         for mode in [ServeMode::Threads, ServeMode::EvLoop] {
@@ -174,10 +184,11 @@ fn every_local_matrix_path_is_bit_identical_in_both_serve_modes() {
                     client.pairwise(&subset),
                     client.pairwise(&repeated),
                     client.pairwise(&[1]),
+                    client.pairwise(&oversized),
                     client.pairwise(&[]),
                 ]
             });
-            let [cold, warm, sliced, recomputed, unknown, after] = &answers;
+            let [cold, warm, sliced, recomputed, unknown, too_long, after] = &answers;
             let what = |path: &str| format!("{path}, n = {n}, {mode:?}");
             assert_matrix(cold, &ids, &full, &what("cold fill"));
             assert_matrix(warm, &ids, &full, &what("warm memo"));
@@ -193,6 +204,15 @@ fn every_local_matrix_path_is_bit_identical_in_both_serve_modes() {
                 "{}: {unknown:?}",
                 what("unknown party")
             );
+            if oversized.is_empty() {
+                assert_matrix(too_long, &ids, &full, &what("no parties"));
+            } else {
+                assert!(
+                    matches!(too_long, Err(ClientError::Remote { code, .. }) if *code == ERR_MALFORMED),
+                    "{}: {too_long:?}",
+                    what("n + 1 parties")
+                );
+            }
             assert_matrix(after, &ids, &full, &what("after a refusal"));
         }
     }
@@ -208,7 +228,8 @@ fn nonuniform_debias_subsets_recompute_bit_identically() {
         party_id: id,
         sketch: NoisySketch::new(vec![1.0 + id as f64, 2.0, -0.5 * id as f64], "t", m2, 0.75),
     };
-    let rs = vec![mk(0, m2), mk(1, m2 + 1e-13), mk(2, m2)];
+    // Four rows, so the four-party subset is within the store's size.
+    let rs = vec![mk(0, m2), mk(1, m2 + 1e-13), mk(2, m2), mk(3, m2)];
     let mut reference = engine_over(&rs, SketchStore::adopting());
     assert!(!reference.store().debias_uniform());
     let _ = reference.pairwise_all();

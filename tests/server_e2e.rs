@@ -344,6 +344,110 @@ fn an_unbuildable_spec_hello_is_refused_err_spec_by_server_and_coordinator() {
     let _ = std::fs::remove_file(&coord_socket);
 }
 
+/// A `Pairwise` subset naming more parties than the store holds rows
+/// (so some party repeats) is refused `ERR_MALFORMED` before its matrix
+/// is allocated, by a plain server and by a coordinator; a subset of up
+/// to `n` parties, repeats included, answers as the engine does, and
+/// the connection keeps serving after the refusal.
+#[test]
+fn a_subset_longer_than_the_store_is_refused_err_malformed_by_server_and_coordinator() {
+    use dp_euclid::core::protocol::ERR_MALFORMED;
+    use dp_server::WorkerEntry;
+    use std::time::Duration;
+
+    let spec = spec(64);
+    let rs = releases(&spec, 3);
+    let mut reference = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        reference.ingest(r).expect("reference ingest");
+    }
+    let ids: Vec<u64> = rs.iter().map(|r| r.party_id).collect();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // Subsets of up to n parties, each with the ids and values it must
+    // answer: the engine's subset, or for `[]` the full matrix.
+    let answered: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> =
+        [vec![ids[0], ids[0], ids[1]], vec![ids[2], ids[0]], vec![]]
+            .into_iter()
+            .map(|parties| {
+                let (want_ids, want) = if parties.is_empty() {
+                    (ids.clone(), reference.pairwise_all().as_flat().to_vec())
+                } else {
+                    let sub = reference.pairwise(&parties).expect("reference");
+                    (parties.clone(), sub.as_flat().to_vec())
+                };
+                (parties, want_ids, bits(&want))
+            })
+            .collect();
+    let check = |client: &mut Client| {
+        client.hello(&spec).expect("hello");
+        for r in &rs {
+            client.ingest(r).expect("ingest");
+        }
+        for parties in [vec![ids[0]; 1024], vec![ids[0], ids[0], ids[1], ids[2]]] {
+            match client.pairwise(&parties) {
+                Err(ClientError::Remote { code, message }) => {
+                    assert_eq!(code, ERR_MALFORMED, "{message}");
+                    assert!(message.contains(&format!("{} parties", parties.len())));
+                }
+                other => panic!(
+                    "{} parties over 3 rows: {:?}",
+                    parties.len(),
+                    other.map(|(ids, values)| (ids.len(), values.len()))
+                ),
+            }
+        }
+        for (parties, want_ids, want) in &answered {
+            let (got_ids, values) = client.pairwise(parties).expect("a subset of n parties");
+            assert_eq!(&got_ids, want_ids, "{parties:?}");
+            assert_eq!(&bits(&values), want, "{parties:?}");
+        }
+    };
+
+    let worker_socket = scratch_socket("oversized-worker");
+    let coord_socket = scratch_socket("oversized-coord");
+    let worker_endpoint = Endpoint::Unix(worker_socket.clone());
+    let coord_endpoint = Endpoint::Unix(coord_socket.clone());
+    let worker = Server::bind(
+        worker_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+    )
+    .expect("bind worker");
+    let timeout = Some(Duration::from_secs(30));
+    let pooled = Client::connect(&worker_endpoint).expect("connect worker");
+    pooled.set_read_timeout(timeout).expect("timeout");
+    let coordinator = Server::bind_coordinator(
+        coord_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+        vec![WorkerEntry::new(pooled)],
+        8,
+    )
+    .expect("bind coordinator");
+    let plain_socket = scratch_socket("oversized-plain");
+    let plain_endpoint = Endpoint::Unix(plain_socket.clone());
+    let plain = Server::bind(
+        plain_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+    )
+    .expect("bind plain server");
+    std::thread::scope(|scope| {
+        let hw = scope.spawn(|| worker.serve(1));
+        let hc = scope.spawn(|| coordinator.serve(1));
+        let hp = scope.spawn(|| plain.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&plain_endpoint, &coord_endpoint, &worker_endpoint]);
+        for (endpoint, handle) in [(&plain_endpoint, hp), (&coord_endpoint, hc)] {
+            let mut client = Client::connect(endpoint).expect("connect");
+            check(&mut client);
+            client.shutdown().expect("shutdown");
+            handle.join().expect("server thread");
+        }
+        // The coordinator's shutdown winds its worker down with it.
+        hw.join().expect("worker thread");
+    });
+    for socket in [worker_socket, coord_socket, plain_socket] {
+        let _ = std::fs::remove_file(socket);
+    }
+}
+
 #[test]
 fn shutdown_unblocks_every_worker() {
     // Regression: with more accept loops than the wake-up default, a
