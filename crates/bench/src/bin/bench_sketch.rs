@@ -27,7 +27,7 @@ use dp_bench::runner::time_per_op;
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
-use dp_core::kenthapadi::SigmaCalibration;
+use dp_core::sketcher::SigmaCalibration;
 use dp_core::sketcher::{Construction, SketcherSpec};
 use dp_core::{wire, KernelId, NoisySketch, PrivateSketcher};
 use dp_hashing::Seed;

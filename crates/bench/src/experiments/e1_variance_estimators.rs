@@ -11,10 +11,8 @@ use crate::experiments::scaled;
 use crate::runner::{mc_summary, CheckList};
 use crate::workload::pair_at_distance;
 use dp_core::config::SketchConfig;
-use dp_core::fjlt_private::{PrivateFjltInput, PrivateFjltOutput};
-use dp_core::kenthapadi::{Kenthapadi, SigmaCalibration};
-use dp_core::sjlt_private::PrivateSjlt;
-use dp_core::variance::{var_iid_gaussian, var_sjlt_gaussian, var_sjlt_laplace};
+use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher, SigmaCalibration};
+use dp_core::variance::{var_sjlt_gaussian, var_sjlt_laplace};
 use dp_hashing::Seed;
 use dp_linalg::vector::{l4_norm, sq_distance};
 use dp_stats::table::fmt_g;
@@ -93,35 +91,34 @@ pub fn run(scale: f64) -> bool {
     };
 
     // E1: Kenthapadi baseline (Theorem 2, exact variance).
-    let ken_sigma = {
-        let b = Kenthapadi::new(&cfg, SigmaCalibration::ExactSensitivity, Seed::new(0))
-            .expect("baseline");
-        b.sigma()
-    };
+    let kenthapadi = Construction::Kenthapadi(SigmaCalibration::ExactSensitivity);
+    let v_ken = AnySketcher::new(kenthapadi, &cfg, Seed::new(0))
+        .expect("baseline")
+        .predicted_variance(true_d)
+        .predicted_variance;
     let s_ken = mc_summary(reps, |rep| {
-        let b = Kenthapadi::new(&cfg, SigmaCalibration::ExactSensitivity, Seed::new(rep))
-            .expect("baseline");
+        let b = AnySketcher::new(kenthapadi, &cfg, Seed::new(rep)).expect("baseline");
         let a = b.sketch(&x, Seed::new(1_000_000 + rep)).expect("sketch");
         let c = b.sketch(&y, Seed::new(2_000_000 + rep)).expect("sketch");
         b.estimate_sq_distance(&a, &c).expect("estimate")
     });
-    let k_ken = cfg.k();
     gate(
         "kenthapadi(exact)",
         &mut table,
         &mut checks,
         s_ken,
-        var_iid_gaussian(k_ken, ken_sigma, true_d),
+        v_ken,
         true,
     );
 
     // E2: SJLT + Laplace (Theorem 3, exact Lemma 3 variance).
     let (k_sj, s_sj) = (cfg_pure.k_sjlt(), cfg_pure.s());
     let s_lap = mc_summary(reps, |rep| {
-        let s = PrivateSjlt::with_laplace(&cfg_pure, Seed::new(rep)).expect("sjlt");
-        let a = s.sketch(&x, Seed::new(3_000_000 + rep));
-        let b = s.sketch(&y, Seed::new(4_000_000 + rep));
-        s.estimate_sq_distance(&a, &b)
+        let s =
+            AnySketcher::new(Construction::SjltLaplace, &cfg_pure, Seed::new(rep)).expect("sjlt");
+        let a = s.sketch(&x, Seed::new(3_000_000 + rep)).expect("sketch");
+        let b = s.sketch(&y, Seed::new(4_000_000 + rep)).expect("sketch");
+        s.estimate_sq_distance(&a, &b).expect("estimate")
     });
     gate(
         "sjlt+laplace",
@@ -134,10 +131,10 @@ pub fn run(scale: f64) -> bool {
 
     // E2b: SJLT + Gaussian (§6.2.3 variant, exact Lemma 3 variance).
     let s_gau = mc_summary(reps, |rep| {
-        let s = PrivateSjlt::with_gaussian(&cfg, Seed::new(rep)).expect("sjlt");
-        let a = s.sketch(&x, Seed::new(5_000_000 + rep));
-        let b = s.sketch(&y, Seed::new(6_000_000 + rep));
-        s.estimate_sq_distance(&a, &b)
+        let s = AnySketcher::new(Construction::SjltGaussian, &cfg, Seed::new(rep)).expect("sjlt");
+        let a = s.sketch(&x, Seed::new(5_000_000 + rep)).expect("sketch");
+        let b = s.sketch(&y, Seed::new(6_000_000 + rep)).expect("sketch");
+        s.estimate_sq_distance(&a, &b).expect("estimate")
     });
     gate(
         "sjlt+gaussian",
@@ -149,12 +146,12 @@ pub fn run(scale: f64) -> bool {
     );
 
     // E3: FJLT input perturbation (Lemma 8, bound).
-    let fjlt_in_bound = PrivateFjltInput::new(&cfg, Seed::new(0))
+    let fjlt_in_bound = AnySketcher::new(Construction::FjltInput, &cfg, Seed::new(0))
         .expect("fjlt")
-        .variance_bound(true_d)
+        .predicted_variance(true_d)
         .predicted_variance;
     let s_fin = mc_summary(reps.min(1500), |rep| {
-        let f = PrivateFjltInput::new(&cfg, Seed::new(rep)).expect("fjlt");
+        let f = AnySketcher::new(Construction::FjltInput, &cfg, Seed::new(rep)).expect("fjlt");
         let a = f.sketch(&x, Seed::new(7_000_000 + rep)).expect("sketch");
         let b = f.sketch(&y, Seed::new(8_000_000 + rep)).expect("sketch");
         f.estimate_sq_distance(&a, &b).expect("estimate")
@@ -169,12 +166,12 @@ pub fn run(scale: f64) -> bool {
     );
 
     // E3b: FJLT output perturbation (Corollary 1, bound).
-    let fjlt_out_bound = PrivateFjltOutput::new(&cfg, Seed::new(0))
+    let fjlt_out_bound = AnySketcher::new(Construction::FjltOutput, &cfg, Seed::new(0))
         .expect("fjlt")
-        .variance_bound(true_d)
+        .predicted_variance(true_d)
         .predicted_variance;
     let s_fout = mc_summary(reps.min(1500), |rep| {
-        let f = PrivateFjltOutput::new(&cfg, Seed::new(rep)).expect("fjlt");
+        let f = AnySketcher::new(Construction::FjltOutput, &cfg, Seed::new(rep)).expect("fjlt");
         let a = f.sketch(&x, Seed::new(9_000_000 + rep)).expect("sketch");
         let b = f.sketch(&y, Seed::new(10_000_000 + rep)).expect("sketch");
         f.estimate_sq_distance(&a, &b).expect("estimate")
@@ -204,8 +201,7 @@ pub fn run(scale: f64) -> bool {
         let big_d = 4096;
         let sigma = dp_core::variance::gaussian_sigma(1.0, 1.0, 1e-6);
         let q = cfg.jl().fjlt_q(big_d);
-        let v_fjlt = var_fjlt_input_bound(k_ken, big_d, q, sigma, true_d);
-        let v_ken = var_iid_gaussian(k_ken, ken_sigma, true_d);
+        let v_fjlt = var_fjlt_input_bound(cfg.k(), big_d, q, sigma, true_d);
         checks.check(
             "ordering (k < d regime): kenthapadi var < fjlt-input var",
             v_ken < v_fjlt,

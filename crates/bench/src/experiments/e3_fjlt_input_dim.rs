@@ -13,8 +13,7 @@ use crate::experiments::scaled;
 use crate::runner::{mc_summary, CheckList};
 use crate::workload::pair_at_distance;
 use dp_core::config::SketchConfig;
-use dp_core::fjlt_private::PrivateFjltInput;
-use dp_core::sjlt_private::PrivateSjlt;
+use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
 use dp_hashing::Seed;
 use dp_linalg::vector::sq_distance;
 use dp_stats::table::fmt_g;
@@ -50,20 +49,21 @@ pub fn run(scale: f64) -> bool {
         let (x, y) = pair_at_distance(d, dist_sq, Seed::new(d as u64));
         let true_d = sq_distance(&x, &y);
         let fin = mc_summary(reps, |rep| {
-            let f = PrivateFjltInput::new(&cfg, Seed::new(rep)).expect("fjlt");
+            let f = AnySketcher::new(Construction::FjltInput, &cfg, Seed::new(rep)).expect("fjlt");
             let a = f.sketch(&x, Seed::new(41_000_000 + rep)).expect("sketch");
             let b = f.sketch(&y, Seed::new(42_000_000 + rep)).expect("sketch");
             f.estimate_sq_distance(&a, &b).expect("estimate")
         });
         let sj = mc_summary(reps, |rep| {
-            let s = PrivateSjlt::with_laplace(&cfg, Seed::new(rep)).expect("sjlt");
-            let a = s.sketch(&x, Seed::new(43_000_000 + rep));
-            let b = s.sketch(&y, Seed::new(44_000_000 + rep));
-            s.estimate_sq_distance(&a, &b)
+            let s =
+                AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(rep)).expect("sjlt");
+            let a = s.sketch(&x, Seed::new(43_000_000 + rep)).expect("sketch");
+            let b = s.sketch(&y, Seed::new(44_000_000 + rep)).expect("sketch");
+            s.estimate_sq_distance(&a, &b).expect("estimate")
         });
-        let bound = PrivateFjltInput::new(&cfg, Seed::new(0))
+        let bound = AnySketcher::new(Construction::FjltInput, &cfg, Seed::new(0))
             .expect("fjlt")
-            .variance_bound(true_d)
+            .predicted_variance(true_d)
             .predicted_variance;
         table.row(vec![
             d.to_string(),

@@ -11,7 +11,7 @@ use crate::experiments::scaled;
 use crate::runner::{mc_summary, CheckList};
 use crate::workload::pair_at_distance;
 use dp_core::config::SketchConfig;
-use dp_core::sjlt_private::PrivateSjlt;
+use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
 use dp_core::variance::{delta_crossover, var_sjlt_gaussian, var_sjlt_laplace};
 use dp_hashing::Seed;
 use dp_linalg::vector::{l4_norm, sq_distance};
@@ -84,14 +84,15 @@ pub fn run(scale: f64) -> bool {
             b.build().expect("config")
         };
         mc_summary(reps, |rep| {
-            let sk = if noise_tag == "laplace" {
-                PrivateSjlt::with_laplace(&cfg, Seed::new(rep)).expect("sjlt")
+            let construction = if noise_tag == "laplace" {
+                Construction::SjltLaplace
             } else {
-                PrivateSjlt::with_gaussian(&cfg, Seed::new(rep)).expect("sjlt")
+                Construction::SjltGaussian
             };
-            let a = sk.sketch(&x, Seed::new(11_000_000 + rep));
-            let b = sk.sketch(&y, Seed::new(12_000_000 + rep));
-            sk.estimate_sq_distance(&a, &b)
+            let sk = AnySketcher::new(construction, &cfg, Seed::new(rep)).expect("sjlt");
+            let a = sk.sketch(&x, Seed::new(11_000_000 + rep)).expect("sketch");
+            let b = sk.sketch(&y, Seed::new(12_000_000 + rep)).expect("sketch");
+            sk.estimate_sq_distance(&a, &b).expect("estimate")
         })
     };
     let v_lap = emp(None, "laplace").variance();

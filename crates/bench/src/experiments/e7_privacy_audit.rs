@@ -16,13 +16,11 @@ use crate::experiments::scaled;
 use crate::runner::{mc_summary, CheckList};
 use crate::workload::neighboring_pair;
 use dp_core::config::SketchConfig;
-use dp_core::kenthapadi::{Kenthapadi, SigmaCalibration};
-use dp_core::sjlt_private::PrivateSjlt;
+use dp_core::sketcher::{AnySketcher, Construction, SigmaCalibration};
 use dp_hashing::Seed;
 use dp_noise::gaussian::Gaussian;
 use dp_noise::laplace::Laplace;
 use dp_stats::audit::{gaussian_loss_tail, LossAudit};
-use dp_transforms::LinearTransform;
 
 /// Run the experiment; returns overall pass.
 pub fn run(scale: f64) -> bool {
@@ -42,10 +40,12 @@ pub fn run(scale: f64) -> bool {
         .epsilon(eps)
         .build()
         .expect("config");
-    let sk = PrivateSjlt::with_laplace(&cfg_pure, Seed::new(1)).expect("sjlt");
-    let t = sk.general().transform();
-    let (sx, sxp) = (t.apply(&x).expect("apply"), t.apply(&xp).expect("apply"));
-    let b = (sk.s() as f64).sqrt() / eps; // Lap scale ∆₁/ε
+    let sk = AnySketcher::new(Construction::SjltLaplace, &cfg_pure, Seed::new(1)).expect("sjlt");
+    let (sx, sxp) = (
+        sk.project(&x).expect("apply"),
+        sk.project(&xp).expect("apply"),
+    );
+    let b = (cfg_pure.s() as f64).sqrt() / eps; // Lap scale ∆₁/ε
     let lap = Laplace::new(b).expect("scale");
     let mut audit = LossAudit::new();
     let mut rng = Seed::new(0xA1).rng();
@@ -79,9 +79,11 @@ pub fn run(scale: f64) -> bool {
         .delta(delta)
         .build()
         .expect("config");
-    let skg = PrivateSjlt::with_gaussian(&cfg_apx, Seed::new(2)).expect("sjlt");
-    let tg = skg.general().transform();
-    let (gx, gxp) = (tg.apply(&x).expect("apply"), tg.apply(&xp).expect("apply"));
+    let skg = AnySketcher::new(Construction::SjltGaussian, &cfg_apx, Seed::new(2)).expect("sjlt");
+    let (gx, gxp) = (
+        skg.project(&x).expect("apply"),
+        skg.project(&xp).expect("apply"),
+    );
     let sigma = eps.recip() * (2.0 * (1.25f64 / delta).ln()).sqrt(); // ∆₂ = 1
     let gauss = Gaussian::new(sigma).expect("sigma");
     let mut audit_g = LossAudit::new();
@@ -110,8 +112,8 @@ pub fn run(scale: f64) -> bool {
 
     // --- AssumedUnit calibration: unsound whenever realized ∆₂ > 1. ---
     let unsound_frac = mc_summary(scaled(200, scale), |rep| {
-        let b = Kenthapadi::new(&cfg_apx, SigmaCalibration::AssumedUnit, Seed::new(rep))
-            .expect("baseline");
+        let assumed_unit = Construction::Kenthapadi(SigmaCalibration::AssumedUnit);
+        let b = AnySketcher::new(assumed_unit, &cfg_apx, Seed::new(rep)).expect("baseline");
         f64::from(u8::from(!b.calibration_is_sound()))
     });
     println!(
@@ -124,8 +126,8 @@ pub fn run(scale: f64) -> bool {
     );
     // Exact-sensitivity calibration is always sound.
     let sound_frac = mc_summary(scaled(100, scale), |rep| {
-        let b = Kenthapadi::new(&cfg_apx, SigmaCalibration::ExactSensitivity, Seed::new(rep))
-            .expect("baseline");
+        let exact = Construction::Kenthapadi(SigmaCalibration::ExactSensitivity);
+        let b = AnySketcher::new(exact, &cfg_apx, Seed::new(rep)).expect("baseline");
         f64::from(u8::from(b.calibration_is_sound()))
     });
     checks.check(

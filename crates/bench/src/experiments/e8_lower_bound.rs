@@ -12,7 +12,7 @@ use crate::experiments::scaled;
 use crate::runner::{mc_summary, CheckList};
 use crate::workload::{binary_vec, flip_bits};
 use dp_core::config::SketchConfig;
-use dp_core::sjlt_private::PrivateSjlt;
+use dp_core::sketcher::{AnySketcher, Construction, PrivateSketcher};
 use dp_hashing::Seed;
 use dp_noise::randomized_response::RandomizedResponse;
 use dp_stats::{loglog_slope, Table};
@@ -61,10 +61,11 @@ pub fn run(scale: f64) -> bool {
             .expect("config");
         let k = cfg.k_sjlt();
         let sk_sq = mc_summary(reps, |rep| {
-            let s = PrivateSjlt::with_laplace(&cfg, Seed::new(rep)).expect("sjlt");
-            let a = s.sketch(&x, Seed::new(21_000_000 + rep));
-            let b = s.sketch(&y, Seed::new(22_000_000 + rep));
-            let e = s.estimate_sq_distance(&a, &b) - h as f64;
+            let s =
+                AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(rep)).expect("sjlt");
+            let a = s.sketch(&x, Seed::new(21_000_000 + rep)).expect("sketch");
+            let b = s.sketch(&y, Seed::new(22_000_000 + rep)).expect("sketch");
+            let e = s.estimate_sq_distance(&a, &b).expect("estimate") - h as f64;
             e * e
         });
         let sk_rmse = sk_sq.mean().sqrt();

@@ -5,20 +5,139 @@
 //! concrete: it wires an arbitrary [`LinearTransform`] (which must satisfy
 //! LPP — all transforms in `dp-transforms` do) to an arbitrary
 //! [`NoiseMechanism`], producing released sketches whose pairwise
-//! estimator is unbiased with the Lemma 3 variance. The named
-//! constructions of the paper ([`crate::sjlt_private::PrivateSjlt`],
-//! [`crate::fjlt_private`], [`crate::kenthapadi::Kenthapadi`]) are thin
-//! wrappers over this type with their calibration rules applied.
+//! estimator is unbiased with the Lemma 3 variance. Every
+//! output-perturbed construction of the paper is one
+//! `GenSketcher<Projection, Noise>`: a [`Projection`] (the SJLT,
+//! Achlioptas, i.i.d. Gaussian or FJLT transform) and a [`Noise`]
+//! (Laplace or Gaussian), calibrated by `crate::sketcher::AnySketcher`.
 
 use crate::error::CoreError;
 use crate::estimator::{DistanceEstimate, NoisySketch};
 use crate::variance::lemma3_variance;
-use dp_hashing::Seed;
+use dp_hashing::{Prng, Seed};
 use dp_linalg::SparseVector;
-use dp_noise::mechanism::NoiseMechanism;
+use dp_noise::mechanism::{GaussianMechanism, LaplaceMechanism, NoiseMechanism};
 use dp_noise::PrivacyGuarantee;
-use dp_transforms::{LinearTransform, TransformError};
+use dp_transforms::achlioptas::Achlioptas;
+use dp_transforms::fjlt::Fjlt;
+use dp_transforms::gaussian_iid::GaussianIid;
+use dp_transforms::sjlt::Sjlt;
+use dp_transforms::{LinearTransform, StreamingColumns, TransformError};
 use std::sync::Arc;
+
+/// The public projection of an output-perturbed construction: one
+/// transform type over the four the constructions use, each applied
+/// exactly as on its own.
+#[derive(Debug, Clone)]
+pub enum Projection {
+    /// The Kane–Nelson sparser JL transform (the private SJLT).
+    Sjlt(Sjlt),
+    /// The Achlioptas database-friendly sparse ±1 projection.
+    Achlioptas(Achlioptas),
+    /// The dense i.i.d. `N(0, 1/k)` projection (the Kenthapadi baseline).
+    GaussianIid(GaussianIid),
+    /// The Ailon–Chazelle fast JL transform (the output-perturbed FJLT).
+    Fjlt(Fjlt),
+}
+
+impl Projection {
+    fn transform(&self) -> &dyn LinearTransform {
+        match self {
+            Self::Sjlt(t) => t,
+            Self::Achlioptas(t) => t,
+            Self::GaussianIid(t) => t,
+            Self::Fjlt(t) => t,
+        }
+    }
+
+    /// A clone of the transform with column access, for a turnstile
+    /// stream: an update `x_j += w` adds `w` times column `j` (`s` rows
+    /// for the SJLT, about `k/3` for Achlioptas, all `k` for the dense
+    /// Gaussian). An SJLT clone shares the original's lazily resolved
+    /// column table. `None` for the FJLT, whose implicit transform has
+    /// no per-column form.
+    #[must_use]
+    pub fn streaming_columns(&self) -> Option<Box<dyn StreamingColumns + Send + Sync>> {
+        match self {
+            Self::Sjlt(t) => Some(Box::new(t.clone())),
+            Self::Achlioptas(t) => Some(Box::new(t.clone())),
+            Self::GaussianIid(t) => Some(Box::new(t.clone())),
+            Self::Fjlt(_) => None,
+        }
+    }
+}
+
+impl LinearTransform for Projection {
+    fn input_dim(&self) -> usize {
+        self.transform().input_dim()
+    }
+    fn output_dim(&self) -> usize {
+        self.transform().output_dim()
+    }
+    fn apply_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), TransformError> {
+        self.transform().apply_into(x, out)
+    }
+    fn apply_sparse(&self, x: &SparseVector) -> Result<Vec<f64>, TransformError> {
+        self.transform().apply_sparse(x)
+    }
+    fn apply_batch_into(&self, rows: &[&[f64]], out: &mut [f64]) -> Result<(), TransformError> {
+        self.transform().apply_batch_into(rows, out)
+    }
+    fn l1_sensitivity(&self) -> f64 {
+        self.transform().l1_sensitivity()
+    }
+    fn l2_sensitivity(&self) -> f64 {
+        self.transform().l2_sensitivity()
+    }
+    fn sensitivity_is_a_priori(&self) -> bool {
+        self.transform().sensitivity_is_a_priori()
+    }
+    fn name(&self) -> &'static str {
+        self.transform().name()
+    }
+}
+
+/// The output noise of a construction: Laplace (pure ε-DP, Lemma 1) or
+/// Gaussian ((ε, δ)-DP, Lemma 2).
+#[derive(Debug, Clone)]
+pub enum Noise {
+    /// `Lap(∆₁/ε)` per coordinate.
+    Laplace(LaplaceMechanism),
+    /// `N(0, σ²)` per coordinate.
+    Gaussian(GaussianMechanism),
+}
+
+impl Noise {
+    fn mechanism(&self) -> &dyn NoiseMechanism {
+        match self {
+            Self::Laplace(m) => m,
+            Self::Gaussian(m) => m,
+        }
+    }
+}
+
+impl NoiseMechanism for Noise {
+    // Drawn once per sketch coordinate: matched, so each arm's sampler
+    // inlines into the release loop.
+    fn sample(&self, rng: &mut dyn Prng) -> f64 {
+        match self {
+            Self::Laplace(m) => m.sample(rng),
+            Self::Gaussian(m) => m.sample(rng),
+        }
+    }
+    fn second_moment(&self) -> f64 {
+        self.mechanism().second_moment()
+    }
+    fn fourth_moment(&self) -> f64 {
+        self.mechanism().fourth_moment()
+    }
+    fn guarantee(&self) -> PrivacyGuarantee {
+        self.mechanism().guarantee()
+    }
+    fn name(&self) -> &'static str {
+        self.mechanism().name()
+    }
+}
 
 /// A private sketcher pairing a public LPP transform with a calibrated
 /// noise mechanism.
@@ -184,9 +303,8 @@ pub fn noise_margin(l1_sensitivity: f64, l2_sensitivity: f64, delta: Option<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_noise::mechanism::{LaplaceMechanism, ZeroNoise};
+    use dp_noise::mechanism::ZeroNoise;
     use dp_stats::Summary;
-    use dp_transforms::sjlt::Sjlt;
 
     fn sketcher_zero() -> GenSketcher<Sjlt, ZeroNoise> {
         let t = Sjlt::new(32, 16, 4, 6, Seed::new(1)).unwrap();

@@ -4,16 +4,8 @@
 //! * [`framework`] — the general Lemma 3/4 machinery: any LPP transform
 //!   combined with any zero-mean noise mechanism yields the unbiased
 //!   estimator `Ê = ‖(Sx+η) − (Sy+µ)‖² − 2k·E[η²]` with the exact variance
-//!   decomposition of Lemma 3.
-//! * [`sjlt_private`] — Theorem 3: the private SJLT with Laplace noise
-//!   (pure ε-DP) or Gaussian noise, selected by the Note 5 rule.
-//! * [`fjlt_private`] — §5.2: the two private FJLT variants
-//!   (output-perturbed / Corollary 1, input-perturbed / Lemma 8).
-//! * [`kenthapadi`] — the Theorems 1–2 baseline with its three σ
-//!   calibration modes.
-//! * [`achlioptas_private`] — the sparse ±1 Achlioptas projection under
-//!   the same output-noise framework (the second column-streaming
-//!   construction).
+//!   decomposition of Lemma 3. Its [`Projection`] and [`Noise`] are the
+//!   transforms and noises every output-perturbed construction pairs.
 //! * [`variance`] — closed-form variance predictors and the §7 crossover
 //!   solvers that the experiment harness gates against.
 //! * [`config`] — a builder that applies every decision rule in the paper
@@ -24,11 +16,16 @@
 //!   AVX2 where the CPU has it and bit-identical everywhere. The spec
 //!   names the kernel; state naming the retired `v2-simd` is refused.
 //! * [`sketcher`] — the unified release API: the object-safe
-//!   [`PrivateSketcher`] trait, the [`AnySketcher`] enum over every
-//!   construction, the serializable [`SketcherSpec`] public parameters,
-//!   batch release, and the tile executor every all-pairs matrix runs —
-//!   data-parallel on the [`Parallelism`] knob, bit-identical to the
-//!   sequential reference for every thread count and tile size.
+//!   [`PrivateSketcher`] trait; [`AnySketcher`], the one construction
+//!   type, calibrating every construction of the paper in one function
+//!   (the private SJLT of Theorem 3 under the Note 5 rule, the two §5.2
+//!   FJLT variants of Corollary 1 and Lemma 8, the Theorems 1–2
+//!   Kenthapadi baseline in its three [`SigmaCalibration`]s, and the
+//!   private Achlioptas projection) with each one's variance prediction;
+//!   the serializable [`SketcherSpec`] public parameters; batch release;
+//!   and the tile executor every all-pairs matrix runs — data-parallel
+//!   on the [`Parallelism`] knob, bit-identical to the sequential
+//!   reference for every thread count and tile size.
 //! * [`wire`] — the versioned compact binary codec for released sketches.
 //! * [`release`] — the `DPRL` release frame (sketch + party id) every
 //!   party sends and the sketch store and the server parse.
@@ -38,34 +35,28 @@
 //! * [`json`] — the dependency-free JSON reader/writer behind the spec
 //!   JSON.
 
-pub mod achlioptas_private;
 pub mod config;
 pub mod error;
 pub mod estimator;
-pub mod fjlt_private;
 pub mod framework;
 pub mod json;
-pub mod kenthapadi;
 pub mod kernel;
 pub mod protocol;
 pub mod release;
-pub mod sjlt_private;
 pub mod sketcher;
 pub mod variance;
 pub mod wire;
 
-pub use achlioptas_private::PrivateAchlioptas;
 pub use config::SketchConfig;
 pub use error::CoreError;
 pub use estimator::{DistanceEstimate, NoisySketch};
-pub use framework::GenSketcher;
+pub use framework::{GenSketcher, Noise, Projection};
 pub use kernel::KernelId;
 pub use release::Release;
-pub use sjlt_private::PrivateSjlt;
 pub use sketcher::{
     effective_plan, execute_tiles, pairwise_sq_distances_reference, pairwise_sq_distances_rows,
     scatter_tile_segment, sketch_batch_par, sketch_batch_sequential, AnySketcher, Construction,
-    PairwiseDistances, PrivateSketcher, SketcherSpec, SpecIdentity,
+    PairwiseDistances, PrivateSketcher, SigmaCalibration, SketcherSpec, SpecIdentity,
 };
 // The execution knob and tile plan, re-exported so downstream
 // crates need not depend on dp-parallel directly.

@@ -1,23 +1,28 @@
-//! A golden digest over every SJLT release path.
+//! Golden digests over every release path of every construction.
 //!
-//! The freeze lint pins the projection source text; this digest pins
-//! the bits the releases carry. `SjltLaplace` and `SjltGaussian`
-//! release through per-row `sketch`, `sketch_batch` at batch 1 and 8
-//! with one and two threads, `sketch_sparse`, and a turnstile stream
+//! The freeze lint pins the projection source text; these digests pin
+//! the bits the releases carry. Each spec releases through per-row
+//! `sketch`, `sketch_batch` at batch 1 and 8 with one and two threads,
+//! `sketch_sparse`, and, where its transform streams, a turnstile stream
 //! (`streaming_sketch` + `release_via`). The sparse and streaming
 //! releases run twice on each fresh sketcher: once before any dense
-//! application (hashed entries) and once after (the resolved column
-//! table), so both sources of a column's entries are pinned to one bit
-//! pattern. The constant was computed on the tree before the V2 kernel
-//! was retired, with this loop restricted to V1: the same 76 releases,
-//! so retiring V2 moved no V1 release bit. (The pin before that folded
-//! the V2 releases in too; it was taken when every release still hashed
-//! its entries.)
+//! application (for the SJLT, hashed entries) and once after (the
+//! resolved column table), so both sources of a column's entries are
+//! pinned to one bit pattern.
+//!
+//! The SJLT constant was computed on the tree before the V2 kernel was
+//! retired, with this loop restricted to V1: the same 76 releases, so
+//! retiring V2 moved no V1 release bit. (The pin before that folded the
+//! V2 releases in too; it was taken when every release still hashed its
+//! entries.) The every-construction constant was computed on the tree
+//! whose five per-construction sketcher types `AnySketcher` wrapped,
+//! before they folded into it; it also folds each spec's `k()`,
+//! `debias_constant()`, `guarantee()` and `predicted_variance(1.0)`.
 
 use dp_core::config::SketchConfig;
 use dp_core::sketcher::{AnySketcher, Construction, SketcherSpec};
 use dp_core::wire::{encode_sketch, fnv1a64_update, FNV1A64_INIT};
-use dp_core::{NoisySketch, Parallelism, PrivateSketcher};
+use dp_core::{CoreError, NoisySketch, Parallelism, PrivateSketcher};
 use dp_hashing::Seed;
 use dp_linalg::SparseVector;
 use dp_stream::StreamingSketcher;
@@ -52,27 +57,35 @@ const UPDATES: [(usize, f64); 7] = [
     (0, -1.0),
 ];
 
-/// The sparse and streaming releases of one sketcher.
+/// The sparse and, where the transform streams, streaming releases of
+/// one sketcher. The FJLT constructions refuse the stream, typed.
 fn sparse_and_streamed(sk: &AnySketcher, out: &mut Vec<NoisySketch>) {
     let x = SparseVector::from_dense(&rows(3)[2]);
     out.push(sk.sketch_sparse(&x, Seed::new(41)).unwrap());
-    let mut stream = sk.streaming_sketch().unwrap();
+    let mut stream = match sk.streaming_sketch() {
+        Ok(stream) => stream,
+        Err(CoreError::Unsupported(_)) if sk.tag().starts_with("fjlt") => return,
+        Err(e) => panic!("{}: {e:?}", sk.tag()),
+    };
     for (j, w) in UPDATES {
         stream.update(j, w).unwrap();
     }
     out.push(stream.release_via(sk, Seed::new(43)).unwrap());
 }
 
-fn releases(construction: Construction) -> Vec<NoisySketch> {
-    let cfg = SketchConfig::builder()
+fn spec(construction: Construction, delta: Option<f64>) -> SketcherSpec {
+    let mut cfg = SketchConfig::builder()
         .input_dim(D)
         .alpha(0.3)
         .beta(0.1)
-        .epsilon(1.0)
-        .delta(1e-6)
-        .build()
-        .unwrap();
-    let spec = SketcherSpec::new(construction, cfg, Seed::new(2024));
+        .epsilon(1.0);
+    if let Some(delta) = delta {
+        cfg = cfg.delta(delta);
+    }
+    SketcherSpec::new(construction, cfg.build().unwrap(), Seed::new(2024))
+}
+
+fn releases(spec: &SketcherSpec) -> Vec<NoisySketch> {
     let xs = rows(8);
     let mut out = Vec::new();
 
@@ -102,11 +115,65 @@ fn sjlt_releases_match_the_golden_digest() {
     let mut h = FNV1A64_INIT;
     let mut count = 0;
     for construction in [Construction::SjltLaplace, Construction::SjltGaussian] {
-        for sketch in releases(construction) {
+        for sketch in releases(&spec(construction, Some(1e-6))) {
             h = fnv1a64_update(h, &encode_sketch(&sketch).unwrap());
             count += 1;
         }
     }
     assert_eq!(count, 2 * (2 + 8 + 2 + 2 * (1 + 2 + 8 + 2)));
     assert_eq!(h, 0x852c_ce40_18ab_dc6d, "digest {h:#018x}");
+}
+
+/// Every construction by its wire name, each Kenthapadi calibration
+/// included.
+const NAMES: [&str; 9] = [
+    "sjlt-auto",
+    "sjlt-laplace",
+    "sjlt-gaussian",
+    "fjlt-output",
+    "fjlt-input",
+    "kenthapadi-exact",
+    "kenthapadi-theorem1",
+    "kenthapadi-assumed-unit",
+    "achlioptas",
+];
+
+#[test]
+fn every_construction_matches_the_golden_digest() {
+    let mut h = FNV1A64_INIT;
+    let (mut specs, mut count) = (0, 0);
+    for name in NAMES {
+        let construction = Construction::from_name(name).unwrap();
+        for delta in [None, Some(1e-6)] {
+            let spec = spec(construction, delta);
+            match spec.identity() {
+                Err(CoreError::MissingField("delta")) if delta.is_none() => continue,
+                refusal => assert!(refusal.is_ok(), "{name}: {refusal:?}"),
+            }
+            let sk = spec.build().unwrap();
+            let guarantee = sk.guarantee();
+            for scalar in [
+                sk.k() as u64,
+                sk.debias_constant().to_bits(),
+                guarantee.epsilon().to_bits(),
+                guarantee.delta().to_bits(),
+                u64::from(guarantee.is_pure()),
+                sk.predicted_variance(1.0).predicted_variance.to_bits(),
+            ] {
+                h = fnv1a64_update(h, &scalar.to_le_bytes());
+            }
+            for sketch in releases(&spec) {
+                h = fnv1a64_update(h, &encode_sketch(&sketch).unwrap());
+                count += 1;
+            }
+            specs += 1;
+        }
+    }
+    // With δ, all nine; without, the SJLTs that allow it (auto and
+    // Laplace) and Achlioptas. Streams: seven of nine constructions.
+    assert_eq!(specs, 12);
+    let streamed = 2 + 8 + 2 + 2 * (1 + 2 + 8 + 2);
+    let unstreamed = 1 + 8 + 1 + 2 * (1 + 1 + 8 + 1);
+    assert_eq!(count, 10 * streamed + 2 * unstreamed);
+    assert_eq!(h, 0x9e72_5cdc_f8c4_4709, "digest {h:#018x}");
 }

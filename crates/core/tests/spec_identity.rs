@@ -4,14 +4,15 @@
 //! sketcher's tag and its releases' tag, so deriving the identity moved
 //! no byte a store or a peer compares. Over a grid of budgets, shapes
 //! and one ε that breaks Theorem 1, the identity refuses exactly the
-//! specs a build refuses, with the same error.
+//! specs a build refuses, with the same error, and it refuses the
+//! noise scales that need no realized transform as the build does.
 
 use dp_core::config::SketchConfig;
-use dp_core::kenthapadi::SigmaCalibration;
-use dp_core::sketcher::{AnySketcher, Construction, SketcherSpec};
+use dp_core::sketcher::{Construction, SigmaCalibration, SketcherSpec};
 use dp_core::{CoreError, PrivateSketcher};
 use dp_hashing::Seed;
 use dp_noise::mechanism::NoiseMechanism;
+use dp_noise::NoiseError;
 use dp_transforms::TransformError;
 
 /// Every construction, each Kenthapadi calibration included.
@@ -43,16 +44,6 @@ fn spec(
         config = config.delta(delta);
     }
     SketcherSpec::new(construction, config.build().expect("config"), Seed::new(7))
-}
-
-/// The noise family the built mechanism itself reports, where a tag
-/// names one.
-fn built_noise(sketcher: &AnySketcher) -> Option<&'static str> {
-    match (sketcher.as_sjlt(), sketcher.as_achlioptas()) {
-        (Some(s), _) => Some(s.general().mechanism().name()),
-        (_, Some(a)) => Some(a.general().mechanism().name()),
-        _ => None,
-    }
 }
 
 #[test]
@@ -116,9 +107,20 @@ fn every_tag_is_pinned_and_is_the_built_and_released_tag() {
         let sketcher = spec.build().expect("build");
         assert_eq!(sketcher.tag(), tag, "{construction:?}");
         assert_eq!(identity.k, sketcher.k(), "{construction:?}");
-        if let Some(noise) = built_noise(&sketcher) {
-            assert_eq!(identity.noise, noise, "{construction:?}");
-            assert!(tag.ends_with(&format!("noise={noise})")), "{tag}");
+        // The noise family the built mechanism itself reports, and the
+        // one the SJLT and Achlioptas tags name.
+        if let Some(general) = sketcher.general() {
+            assert_eq!(
+                identity.noise,
+                general.mechanism().name(),
+                "{construction:?}"
+            );
+        }
+        if tag.contains("noise=") {
+            assert!(
+                tag.ends_with(&format!("noise={})", identity.noise)),
+                "{tag}"
+            );
         }
         let release = sketcher.sketch(&x, Seed::new(11)).expect("sketch");
         assert_eq!(release.transform_tag(), tag, "{construction:?}");
@@ -170,4 +172,33 @@ fn identity_refuses_exactly_what_build_refuses() {
         "{refusal:?}"
     );
     assert_eq!(Some(refusal), huge.build().err());
+}
+
+/// ε = 1e-310 is a subnormal a config accepts, and every noise scale
+/// over it overflows to infinity. The six constructions whose scale
+/// needs no realized transform are refused by the identity with the
+/// build's own error, so no store adopts a spec no party can build.
+/// (Achlioptas, `kenthapadi-exact` and `fjlt-output` scale with the
+/// realized sensitivity; only their build refuses.)
+#[test]
+fn identity_refuses_the_noise_scales_that_need_no_transform() {
+    let a_priori = [
+        ("sjlt-auto", None),
+        ("sjlt-laplace", None),
+        ("sjlt-gaussian", Some(1e-5)),
+        ("fjlt-input", Some(1e-5)),
+        ("kenthapadi-theorem1", Some(1e-5)),
+        ("kenthapadi-assumed-unit", Some(1e-5)),
+    ];
+    for (name, delta) in a_priori {
+        let construction = Construction::from_name(name).expect("name");
+        let spec = spec(construction, 96, 0.3, 1e-310, delta);
+        let refusal = spec.identity().expect_err(name);
+        assert_eq!(
+            refusal,
+            CoreError::Noise(NoiseError::InvalidScale(f64::INFINITY)),
+            "{name}"
+        );
+        assert_eq!(spec.build().err(), Some(refusal), "{name}");
+    }
 }

@@ -11,7 +11,7 @@
 //! this test has a binary of its own.
 
 use dp_core::config::SketchConfig;
-use dp_core::kenthapadi::SigmaCalibration;
+use dp_core::sketcher::SigmaCalibration;
 use dp_core::sketcher::{Construction, SketcherSpec};
 use dp_engine::SketchStore;
 use dp_hashing::Seed;

@@ -6,8 +6,11 @@
 //! at release time (the stream contents stay inside the party's trust
 //! boundary until then).
 //!
-//! A stream releases through the shared sketcher
-//! ([`StreamingSketch::release_via`]), so its release carries the
+//! A stream takes its column transform from the sketcher's output
+//! projection ([`StreamingSketcher::streaming_sketch`]; the FJLT
+//! constructions have none) and releases through the same sketcher
+//! ([`StreamingSketch::release_via`], which refuses a sketcher under
+//! another tag or input dimension), so its release carries the
 //! sketcher's tag and calibration and combines with the sketcher's
 //! batch releases. The distributed protocol itself needs nothing from
 //! this crate: every party builds the same sketcher from the public
@@ -17,4 +20,4 @@
 
 pub mod streaming;
 
-pub use streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher};
+pub use streaming::{StreamingSketch, StreamingSketcher};

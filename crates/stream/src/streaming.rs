@@ -7,7 +7,7 @@
 //! running projection is private state of the data owner.
 //!
 //! A stream built by [`StreamingSketcher::streaming_sketch`] holds a
-//! clone of the sketcher's transform. For the SJLT, clones share one
+//! clone of the sketcher's projection. For the SJLT, clones share one
 //! lazily resolved column table: an update hashes its column's `s`
 //! entries (`O(t·s)` work, nothing stored) until a dense application
 //! through the sketcher or any other clone has resolved the table, and
@@ -18,26 +18,37 @@ use dp_core::error::CoreError;
 use dp_core::sketcher::{AnySketcher, PrivateSketcher};
 use dp_core::NoisySketch;
 use dp_hashing::Seed;
-use dp_linalg::SparseVector;
-use dp_transforms::achlioptas::Achlioptas;
-use dp_transforms::gaussian_iid::GaussianIid;
-use dp_transforms::sjlt::Sjlt;
-use dp_transforms::{LinearTransform, StreamingColumns, TransformError};
+use dp_transforms::{StreamingColumns, TransformError};
+use std::fmt;
 
 /// An incrementally maintained (noiseless) projection of a turnstile
 /// stream, releasable as a noisy sketch at any point.
-#[derive(Debug, Clone)]
-pub struct StreamingSketch<T: StreamingColumns> {
-    transform: T,
+pub struct StreamingSketch {
+    transform: Box<dyn StreamingColumns + Send + Sync>,
     acc: Vec<f64>,
     tag: String,
     updates: u64,
 }
 
-impl<T: StreamingColumns> StreamingSketch<T> {
-    /// Start an empty stream over the given public transform.
+impl fmt::Debug for StreamingSketch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StreamingSketch")
+            .field("transform", &self.transform.name())
+            .field("tag", &self.tag)
+            .field("updates", &self.updates)
+            .finish_non_exhaustive()
+    }
+}
+
+impl StreamingSketch {
+    /// Start an empty stream over the given public transform, whose
+    /// releases carry `tag`.
     #[must_use]
-    pub fn new(transform: T, tag: String) -> Self {
+    pub fn new(transform: impl StreamingColumns + Send + Sync + 'static, tag: String) -> Self {
+        Self::over(Box::new(transform), tag)
+    }
+
+    fn over(transform: Box<dyn StreamingColumns + Send + Sync>, tag: String) -> Self {
         let k = transform.output_dim();
         Self {
             transform,
@@ -49,8 +60,8 @@ impl<T: StreamingColumns> StreamingSketch<T> {
 
     /// The public transform.
     #[must_use]
-    pub fn transform(&self) -> &T {
-        &self.transform
+    pub fn transform(&self) -> &dyn StreamingColumns {
+        self.transform.as_ref()
     }
 
     /// Number of turnstile updates applied.
@@ -116,126 +127,38 @@ impl<T: StreamingColumns> StreamingSketch<T> {
     }
 
     /// Release through a [`PrivateSketcher`]: the sketcher adds its own
-    /// calibrated noise and packages the result under *its* tag, so the
+    /// calibrated noise and packages the result under its tag, so the
     /// release interoperates with the sketcher's batch releases. The
-    /// stream must have been maintained over the same public transform
-    /// (same spec) — the sketcher cannot verify that, only the dimension.
+    /// sketcher's tag and input dimension together name its public
+    /// transform (a tag leaves out `d`), so a sketcher whose tag or
+    /// input dimension differs from the stream's (another construction,
+    /// seed, shape or `d`) is refused: its noise would be packaged over
+    /// a projection of another transform.
     ///
     /// # Errors
-    /// [`CoreError::Transform`] on a `k` mismatch;
-    /// [`CoreError::Unsupported`] for input-perturbation constructions.
+    /// [`CoreError::IncompatibleSketches`] naming both tags, or both
+    /// input dimensions, when they differ; [`CoreError::Unsupported`]
+    /// for input-perturbation constructions.
     pub fn release_via(
         &self,
         sketcher: &dyn PrivateSketcher,
         noise_seed: Seed,
     ) -> Result<NoisySketch, CoreError> {
+        if sketcher.tag() != self.tag {
+            return Err(CoreError::IncompatibleSketches(format!(
+                "stream tag '{}' vs sketcher tag '{}'",
+                self.tag,
+                sketcher.tag()
+            )));
+        }
+        let d = self.transform.input_dim();
+        if sketcher.input_dim() != d {
+            return Err(CoreError::IncompatibleSketches(format!(
+                "stream input dimension {d} vs sketcher input dimension {}",
+                sketcher.input_dim()
+            )));
+        }
         sketcher.finalize_projection(self.acc.clone(), noise_seed.child("stream-release"))
-    }
-}
-
-/// Any column-streaming transform a construction can hand a stream
-/// over: the SJLT (paper Theorem 3 item 4), the Achlioptas sparse ±1
-/// projection, or the Kenthapadi baseline's dense i.i.d. Gaussian. One
-/// enum, so [`StreamingSketcher::streaming_sketch`] has a single return
-/// type across constructions while the accumulator's update cost stays
-/// the underlying transform's (`s` rows for the SJLT, ~`k/3` for
-/// Achlioptas, all `k` for the dense Gaussian — streaming the baseline
-/// is about API uniformity, not sparsity).
-#[derive(Debug, Clone)]
-pub enum AnyStreamingTransform {
-    /// The Kane–Nelson sparser JL transform.
-    Sjlt(Sjlt),
-    /// The Achlioptas database-friendly ±1 projection.
-    Achlioptas(Achlioptas),
-    /// The Kenthapadi baseline's dense i.i.d. `N(0, 1/k)` projection.
-    Gaussian(GaussianIid),
-}
-
-impl LinearTransform for AnyStreamingTransform {
-    fn input_dim(&self) -> usize {
-        match self {
-            Self::Sjlt(t) => t.input_dim(),
-            Self::Achlioptas(t) => t.input_dim(),
-            Self::Gaussian(t) => t.input_dim(),
-        }
-    }
-
-    fn output_dim(&self) -> usize {
-        match self {
-            Self::Sjlt(t) => t.output_dim(),
-            Self::Achlioptas(t) => t.output_dim(),
-            Self::Gaussian(t) => t.output_dim(),
-        }
-    }
-
-    fn apply_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), TransformError> {
-        match self {
-            Self::Sjlt(t) => t.apply_into(x, out),
-            Self::Achlioptas(t) => t.apply_into(x, out),
-            Self::Gaussian(t) => t.apply_into(x, out),
-        }
-    }
-
-    fn apply_sparse(&self, x: &SparseVector) -> Result<Vec<f64>, TransformError> {
-        match self {
-            Self::Sjlt(t) => t.apply_sparse(x),
-            Self::Achlioptas(t) => t.apply_sparse(x),
-            Self::Gaussian(t) => t.apply_sparse(x),
-        }
-    }
-
-    fn l1_sensitivity(&self) -> f64 {
-        match self {
-            Self::Sjlt(t) => t.l1_sensitivity(),
-            Self::Achlioptas(t) => t.l1_sensitivity(),
-            Self::Gaussian(t) => t.l1_sensitivity(),
-        }
-    }
-
-    fn l2_sensitivity(&self) -> f64 {
-        match self {
-            Self::Sjlt(t) => t.l2_sensitivity(),
-            Self::Achlioptas(t) => t.l2_sensitivity(),
-            Self::Gaussian(t) => t.l2_sensitivity(),
-        }
-    }
-
-    fn sensitivity_is_a_priori(&self) -> bool {
-        match self {
-            Self::Sjlt(t) => t.sensitivity_is_a_priori(),
-            Self::Achlioptas(t) => t.sensitivity_is_a_priori(),
-            Self::Gaussian(t) => t.sensitivity_is_a_priori(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Self::Sjlt(t) => t.name(),
-            Self::Achlioptas(t) => t.name(),
-            Self::Gaussian(t) => t.name(),
-        }
-    }
-}
-
-impl StreamingColumns for AnyStreamingTransform {
-    fn column_nnz(&self) -> usize {
-        match self {
-            Self::Sjlt(t) => t.column_nnz(),
-            Self::Achlioptas(t) => t.column_nnz(),
-            Self::Gaussian(t) => t.column_nnz(),
-        }
-    }
-
-    fn for_column(
-        &self,
-        j: usize,
-        visit: &mut dyn FnMut(usize, f64),
-    ) -> Result<(), TransformError> {
-        match self {
-            Self::Sjlt(t) => t.for_column(j, visit),
-            Self::Achlioptas(t) => t.for_column(j, visit),
-            Self::Gaussian(t) => t.for_column(j, visit),
-        }
     }
 }
 
@@ -249,31 +172,34 @@ pub trait StreamingSketcher {
     ///
     /// # Errors
     /// [`CoreError::Unsupported`] when the construction's transform has
-    /// no streaming column access (today: the FJLT constructions, whose
+    /// no streaming column access (the FJLT constructions, whose
     /// implicit transform has no per-column form).
-    fn streaming_sketch(&self) -> Result<StreamingSketch<AnyStreamingTransform>, CoreError>;
+    fn streaming_sketch(&self) -> Result<StreamingSketch, CoreError>;
 }
 
+/// The stream takes its column transform from the sketcher's output
+/// projection: the SJLT (paper Theorem 3 item 4), the Achlioptas sparse
+/// ±1 projection, or the Kenthapadi baseline's dense i.i.d. Gaussian,
+/// each at its own update cost (`s` rows, about `k/3`, all `k`:
+/// streaming the baseline is about API uniformity, not sparsity).
 impl StreamingSketcher for AnySketcher {
-    fn streaming_sketch(&self) -> Result<StreamingSketch<AnyStreamingTransform>, CoreError> {
-        let transform = if let Some(sjlt) = self.as_sjlt() {
-            AnyStreamingTransform::Sjlt(sjlt.general().transform().clone())
-        } else if let Some(achlioptas) = self.as_achlioptas() {
-            AnyStreamingTransform::Achlioptas(achlioptas.general().transform().clone())
-        } else if let Some(kenthapadi) = self.as_kenthapadi() {
-            AnyStreamingTransform::Gaussian(kenthapadi.general().transform().clone())
-        } else {
-            return Err(CoreError::Unsupported(
+    fn streaming_sketch(&self) -> Result<StreamingSketch, CoreError> {
+        let columns = self
+            .general()
+            .and_then(|general| general.transform().streaming_columns())
+            .ok_or(CoreError::Unsupported(
                 "this construction's transform exposes no streaming column access",
-            ));
-        };
-        Ok(StreamingSketch::new(transform, self.tag().to_string()))
+            ))?;
+        Ok(StreamingSketch::over(columns, self.tag().to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_core::config::SketchConfig;
+    use dp_core::sketcher::{Construction, SigmaCalibration};
+    use dp_core::{GenSketcher, Projection};
     use dp_transforms::sjlt::Sjlt;
     use dp_transforms::LinearTransform;
 
@@ -349,18 +275,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn release_is_noisy_and_deterministic_per_seed() {
-        use dp_core::config::SketchConfig;
-        use dp_core::sketcher::{AnySketcher, Construction};
-        let cfg = SketchConfig::builder()
+    /// The sketchers' shared config: d = 64, k = 208 for the SJLT.
+    fn config(delta: Option<f64>) -> SketchConfig {
+        let mut cfg = SketchConfig::builder()
             .input_dim(64)
             .alpha(0.3)
             .beta(0.1)
-            .epsilon(1.0)
-            .build()
-            .unwrap();
-        let sketcher = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(5)).unwrap();
+            .epsilon(1.0);
+        if let Some(delta) = delta {
+            cfg = cfg.delta(delta);
+        }
+        cfg.build().unwrap()
+    }
+
+    #[test]
+    fn release_is_noisy_and_deterministic_per_seed() {
+        let sketcher =
+            AnySketcher::new(Construction::SjltLaplace, &config(None), Seed::new(5)).unwrap();
         let mut stream = sketcher.streaming_sketch().unwrap();
         stream.update(0, 1.0).unwrap();
         let r1 = stream.release_via(&sketcher, Seed::new(1)).unwrap();
@@ -374,43 +305,82 @@ mod tests {
 
     #[test]
     fn release_via_sketcher_interoperates_with_batch_release() {
-        use dp_core::config::SketchConfig;
-        use dp_core::sketcher::{AnySketcher, Construction};
-        let cfg = SketchConfig::builder()
-            .input_dim(64)
-            .alpha(0.3)
-            .beta(0.1)
-            .epsilon(1.0)
-            .build()
-            .unwrap();
-        let sketcher = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(5)).unwrap();
-        let transform = sketcher.as_sjlt().unwrap().general().transform().clone();
+        let sketcher =
+            AnySketcher::new(Construction::SjltLaplace, &config(None), Seed::new(5)).unwrap();
+        let Some(Projection::Sjlt(transform)) = sketcher.general().map(GenSketcher::transform)
+        else {
+            panic!("an SJLT construction projects through its SJLT");
+        };
         let x: Vec<f64> = (0..64).map(|i| (i % 3) as f64).collect();
         let y = vec![0.0; 64];
-        let mut stream = StreamingSketch::new(transform, sketcher.tag().to_string());
+        let mut stream = StreamingSketch::new(transform.clone(), sketcher.tag().to_string());
         stream.absorb_dense(&x).unwrap();
         let streamed = stream.release_via(&sketcher, Seed::new(10)).unwrap();
         let batch = sketcher.sketch(&y, Seed::new(11)).unwrap();
         // Same tag, same noise calibration → combinable.
         assert_eq!(streamed.transform_tag(), batch.transform_tag());
         assert!(streamed.estimate_sq_distance(&batch).is_ok());
-        // Dimension mismatches are refused.
+        // A stream under another tag is refused.
         let short = StreamingSketch::new(sjlt(), "other".into());
         assert!(short.release_via(&sketcher, Seed::new(1)).is_err());
     }
 
+    /// A stream over one public transform never releases through a
+    /// sketcher of another with the same `k`: the release would carry
+    /// the second sketcher's tag over the first one's projection, and
+    /// every estimate against it would be silently wrong. Another seed
+    /// changes the tag; another `d` does not (the Kenthapadi baseline's
+    /// `k` follows from `α` and `β` alone), so the input dimension is
+    /// compared too.
     #[test]
-    fn sketcher_hands_out_ready_made_stream() {
-        use dp_core::config::SketchConfig;
-        use dp_core::sketcher::{AnySketcher, Construction};
-        let cfg = SketchConfig::builder()
-            .input_dim(64)
+    fn release_via_refuses_a_sketcher_of_another_transform() {
+        let kenthapadi = Construction::Kenthapadi(SigmaCalibration::ExactSensitivity);
+        let wide = SketchConfig::builder()
+            .input_dim(128)
             .alpha(0.3)
             .beta(0.1)
             .epsilon(1.0)
+            .delta(1e-6)
             .build()
             .unwrap();
-        let sketcher = AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(5)).unwrap();
+        let sketcher = |construction, cfg: &SketchConfig, seed| {
+            AnySketcher::new(construction, cfg, Seed::new(seed)).unwrap()
+        };
+        let cases = [
+            (
+                sketcher(Construction::SjltLaplace, &config(None), 5),
+                sketcher(Construction::SjltLaplace, &config(None), 6),
+            ),
+            (
+                sketcher(kenthapadi, &config(Some(1e-6)), 5),
+                sketcher(kenthapadi, &wide, 5),
+            ),
+        ];
+        for (started, other) in cases {
+            assert_eq!(started.k(), other.k());
+            let named = if started.tag() == other.tag() {
+                [started.input_dim(), other.input_dim()].map(|d| d.to_string())
+            } else {
+                [started.tag(), other.tag()].map(|tag| format!("'{tag}'"))
+            };
+            let mut stream = started.streaming_sketch().unwrap();
+            stream.update(3, 1.5).unwrap();
+            match stream.release_via(&other, Seed::new(1)) {
+                Err(CoreError::IncompatibleSketches(detail)) => {
+                    for name in named {
+                        assert!(detail.contains(&name), "{detail}");
+                    }
+                }
+                other => panic!("expected IncompatibleSketches, got {other:?}"),
+            }
+            assert!(stream.release_via(&started, Seed::new(1)).is_ok());
+        }
+    }
+
+    #[test]
+    fn sketcher_hands_out_ready_made_stream() {
+        let sketcher =
+            AnySketcher::new(Construction::SjltLaplace, &config(None), Seed::new(5)).unwrap();
         let mut stream = sketcher.streaming_sketch().unwrap();
         let x: Vec<f64> = (0..64).map(|i| (i % 5) as f64 - 2.0).collect();
         stream.absorb_dense(&x).unwrap();
@@ -420,122 +390,62 @@ mod tests {
         assert_eq!(streamed.transform_tag(), sketcher.tag());
         let direct = sketcher.sketch(&x, Seed::new(11)).unwrap();
         assert!(streamed.estimate_sq_distance(&direct).is_ok());
-        // Non-streaming constructions refuse with a typed error (the
-        // FJLT's implicit transform has no per-column form).
-        let fjlt = AnySketcher::new(
-            Construction::FjltOutput,
-            &SketchConfig::builder()
-                .input_dim(64)
-                .alpha(0.3)
-                .beta(0.1)
-                .epsilon(1.0)
-                .delta(1e-6)
-                .build()
-                .unwrap(),
+        // The FJLT constructions refuse with a typed error (the FJLT's
+        // implicit transform has no per-column form).
+        for construction in [Construction::FjltOutput, Construction::FjltInput] {
+            let fjlt = AnySketcher::new(construction, &config(Some(1e-6)), Seed::new(5)).unwrap();
+            assert!(matches!(
+                fjlt.streaming_sketch(),
+                Err(CoreError::Unsupported(_))
+            ));
+        }
+    }
+
+    /// The Kenthapadi baseline's dense columns and the Achlioptas
+    /// projection's sparse ones stream like the SJLT's: turnstile
+    /// updates (with cancellation) reproduce the sketcher's own
+    /// projection, and releases combine with its batch releases.
+    #[test]
+    fn dense_and_achlioptas_constructions_stream_like_the_sjlt() {
+        let cases = [
+            (
+                Construction::Kenthapadi(SigmaCalibration::ExactSensitivity),
+                Some(1e-6),
+                "gaussian-iid",
+            ),
+            (Construction::Achlioptas, None, "achlioptas"),
+        ];
+        for (construction, delta, name) in cases {
+            let sketcher = AnySketcher::new(construction, &config(delta), Seed::new(5)).unwrap();
+            let mut stream = sketcher.streaming_sketch().unwrap();
+            assert_eq!(stream.transform().name(), name);
+            // Dense columns touch all k rows; Achlioptas about k/3.
+            assert!(stream.transform().column_nnz() <= sketcher.k());
+            let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 - 3.0).collect();
+            for (j, &w) in x.iter().enumerate() {
+                stream.update(j, w + 1.0).unwrap();
+            }
+            for j in 0..64 {
+                stream.update(j, -1.0).unwrap();
+            }
+            let batch = sketcher.project(&x).unwrap();
+            for (a, b) in stream.current_projection().iter().zip(&batch) {
+                assert!((a - b).abs() < 1e-12, "{name}");
+            }
+            let streamed = stream.release_via(&sketcher, Seed::new(9)).unwrap();
+            let direct = sketcher.sketch(&vec![0.0; 64], Seed::new(11)).unwrap();
+            assert_eq!(streamed.transform_tag(), sketcher.tag());
+            assert!(streamed.estimate_sq_distance(&direct).is_ok());
+        }
+        let dense = AnySketcher::new(
+            Construction::Kenthapadi(SigmaCalibration::ExactSensitivity),
+            &config(Some(1e-6)),
             Seed::new(5),
         )
         .unwrap();
-        assert!(matches!(
-            fjlt.streaming_sketch(),
-            Err(CoreError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn kenthapadi_construction_streams_through_the_same_enum() {
-        use dp_core::config::SketchConfig;
-        use dp_core::sketcher::{AnySketcher, Construction};
-        let cfg = SketchConfig::builder()
-            .input_dim(64)
-            .alpha(0.3)
-            .beta(0.1)
-            .epsilon(1.0)
-            .delta(1e-6)
-            .build()
-            .unwrap();
-        let sketcher = AnySketcher::new(
-            Construction::Kenthapadi(dp_core::kenthapadi::SigmaCalibration::ExactSensitivity),
-            &cfg,
-            Seed::new(5),
-        )
-        .unwrap();
-        let mut stream = sketcher.streaming_sketch().unwrap();
-        assert!(matches!(
-            stream.transform(),
-            AnyStreamingTransform::Gaussian(_)
-        ));
-        // Dense columns: every update touches all k rows.
-        assert_eq!(stream.transform().column_nnz(), sketcher.k());
-        // Turnstile updates (with cancellation) reproduce the batch
-        // projection of the sketcher's own transform.
-        let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 - 3.0).collect();
-        for (j, &w) in x.iter().enumerate() {
-            stream.update(j, w + 1.0).unwrap();
-        }
-        for j in 0..64 {
-            stream.update(j, -1.0).unwrap();
-        }
-        let batch = sketcher
-            .as_kenthapadi()
-            .unwrap()
-            .general()
-            .transform()
-            .apply(&x)
-            .unwrap();
-        for (a, b) in stream.current_projection().iter().zip(&batch) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        // Releases through the sketcher interoperate with its batch
-        // releases: same tag, combinable estimates.
-        let streamed = stream.release_via(&sketcher, Seed::new(9)).unwrap();
-        let direct = sketcher.sketch(&vec![0.0; 64], Seed::new(11)).unwrap();
-        assert_eq!(streamed.transform_tag(), sketcher.tag());
-        assert!(streamed.estimate_sq_distance(&direct).is_ok());
-    }
-
-    #[test]
-    fn achlioptas_construction_streams_like_the_sjlt() {
-        use dp_core::config::SketchConfig;
-        use dp_core::sketcher::{AnySketcher, Construction};
-        let cfg = SketchConfig::builder()
-            .input_dim(64)
-            .alpha(0.3)
-            .beta(0.1)
-            .epsilon(1.0)
-            .build()
-            .unwrap();
-        let sketcher = AnySketcher::new(Construction::Achlioptas, &cfg, Seed::new(5)).unwrap();
-        let mut stream = sketcher.streaming_sketch().unwrap();
-        assert!(matches!(
-            stream.transform(),
-            AnyStreamingTransform::Achlioptas(_)
-        ));
-        // Sparse update cost: about k/3 rows per column, never all k.
-        assert!(stream.transform().column_nnz() <= sketcher.k());
-        let x: Vec<f64> = (0..64).map(|i| (i % 5) as f64 - 2.0).collect();
-        // Turnstile updates (with cancellation) reproduce the batch
-        // projection of the sketcher's own transform.
-        for (j, &w) in x.iter().enumerate() {
-            stream.update(j, w + 2.0).unwrap();
-        }
-        for j in 0..64 {
-            stream.update(j, -2.0).unwrap();
-        }
-        let batch = sketcher
-            .as_achlioptas()
-            .unwrap()
-            .general()
-            .transform()
-            .apply(&x)
-            .unwrap();
-        for (a, b) in stream.current_projection().iter().zip(&batch) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        // Releases through the sketcher interoperate with its batch
-        // releases: same tag, combinable estimates.
-        let streamed = stream.release_via(&sketcher, Seed::new(9)).unwrap();
-        let direct = sketcher.sketch(&vec![0.0; 64], Seed::new(11)).unwrap();
-        assert_eq!(streamed.transform_tag(), sketcher.tag());
-        assert!(streamed.estimate_sq_distance(&direct).is_ok());
+        assert_eq!(
+            dense.streaming_sketch().unwrap().transform().column_nnz(),
+            dense.k()
+        );
     }
 }

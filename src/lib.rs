@@ -19,11 +19,11 @@
 //! variance than the Gaussian-noise baseline whenever `δ < e^{−s}`.
 //!
 //! The public API is the mechanism-agnostic [`prelude::PrivateSketcher`]
-//! trait: a [`prelude::SketcherSpec`] names a construction (SJLT, either
-//! FJLT variant, or the Kenthapadi baseline), a config, and the public
-//! transform seed; [`prelude::AnySketcher`] built from it releases
-//! sketches, and the Note 5 noise-selection rule is applied uniformly
-//! behind the trait.
+//! trait: a [`prelude::SketcherSpec`] names a construction (the SJLT,
+//! either FJLT variant, the Kenthapadi baseline, or the Achlioptas
+//! projection), a config, and the public transform seed;
+//! [`prelude::AnySketcher`] built from it releases sketches, and the
+//! Note 5 noise-selection rule is applied uniformly behind the trait.
 //!
 //! ## Quickstart
 //!
@@ -92,18 +92,14 @@ pub use dp_transforms as transforms;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use dp_core::{
-        achlioptas_private::PrivateAchlioptas,
         config::SketchConfig,
         estimator::{DistanceEstimate, NoisySketch},
-        fjlt_private::{PrivateFjltInput, PrivateFjltOutput},
-        framework::GenSketcher,
-        kenthapadi::{Kenthapadi, SigmaCalibration},
+        framework::{GenSketcher, Noise, Projection},
         kernel::KernelId,
         release::Release,
-        sjlt_private::PrivateSjlt,
         sketcher::{
             sketch_batch_par, AnySketcher, Construction, PairwiseDistances, PrivateSketcher,
-            SketcherSpec,
+            SigmaCalibration, SketcherSpec,
         },
     };
     pub use dp_engine::{EngineError, Gather, GatherError, Neighbor, QueryEngine, SketchStore};
@@ -113,7 +109,7 @@ pub mod prelude {
         privacy::PrivacyGuarantee,
     };
     pub use dp_parallel::{Parallelism, TilePlan, TileSegment};
-    pub use dp_stream::streaming::{AnyStreamingTransform, StreamingSketch, StreamingSketcher};
+    pub use dp_stream::streaming::{StreamingSketch, StreamingSketcher};
     pub use dp_transforms::{
         achlioptas::Achlioptas, fjlt::Fjlt, gaussian_iid::GaussianIid, params::JlParams,
         sjlt::Sjlt, traits::LinearTransform,

@@ -271,15 +271,12 @@ fn streaming_party_releases_through_the_trait() {
     // producing sketches that combine with ordinary batch releases.
     let d = 128;
     let sketcher = spec(d).build().expect("sketcher");
-    let transform = sketcher
-        .as_sjlt()
-        .expect("headline construction")
-        .general()
-        .transform()
-        .clone();
+    let Some(Projection::Sjlt(transform)) = sketcher.general().map(GenSketcher::transform) else {
+        panic!("the headline construction projects through its SJLT");
+    };
 
     let x: Vec<f64> = (0..d).map(|j| f64::from(u8::from(j % 5 == 0))).collect();
-    let mut stream = StreamingSketch::new(transform, sketcher.tag().to_string());
+    let mut stream = StreamingSketch::new(transform.clone(), sketcher.tag().to_string());
     stream.absorb_dense(&x).expect("absorb");
     let streamed = stream
         .release_via(&sketcher, Seed::new(41))

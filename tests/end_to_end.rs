@@ -1,8 +1,6 @@
 //! End-to-end integration tests spanning every crate: configuration →
 //! transforms → noise → sketches → distributed estimation.
 
-use dp_euclid::core::fjlt_private::{PrivateFjltInput, PrivateFjltOutput};
-use dp_euclid::core::kenthapadi::{Kenthapadi, SigmaCalibration};
 use dp_euclid::hashing::Seed;
 use dp_euclid::linalg::vector::sq_distance;
 use dp_euclid::prelude::*;
@@ -30,40 +28,24 @@ fn every_construction_estimates_the_same_pair() {
     let cfg_pure = config(d, None);
     let reps = 400u64;
 
-    let mut results: Vec<(&str, Summary)> = Vec::new();
-
-    let mut s_lap = Summary::new();
-    let mut s_ken = Summary::new();
-    let mut s_fin = Summary::new();
-    let mut s_fout = Summary::new();
-    for rep in 0..reps {
-        let sk = PrivateSjlt::with_laplace(&cfg_pure, Seed::new(rep)).expect("sjlt");
-        let a = sk.sketch(&x, Seed::new(rep * 4 + 1));
-        let b = sk.sketch(&y, Seed::new(rep * 4 + 2));
-        s_lap.push(sk.estimate_sq_distance(&a, &b));
-
-        let ken =
-            Kenthapadi::new(&cfg, SigmaCalibration::ExactSensitivity, Seed::new(rep)).expect("ken");
-        let a = ken.sketch(&x, Seed::new(rep * 4 + 1)).expect("sketch");
-        let b = ken.sketch(&y, Seed::new(rep * 4 + 2)).expect("sketch");
-        s_ken.push(ken.estimate_sq_distance(&a, &b).expect("estimate"));
-
-        let fin = PrivateFjltInput::new(&cfg, Seed::new(rep)).expect("fjlt");
-        let a = fin.sketch(&x, Seed::new(rep * 4 + 1)).expect("sketch");
-        let b = fin.sketch(&y, Seed::new(rep * 4 + 2)).expect("sketch");
-        s_fin.push(fin.estimate_sq_distance(&a, &b).expect("estimate"));
-
-        let fout = PrivateFjltOutput::new(&cfg, Seed::new(rep)).expect("fjlt");
-        let a = fout.sketch(&x, Seed::new(rep * 4 + 1)).expect("sketch");
-        let b = fout.sketch(&y, Seed::new(rep * 4 + 2)).expect("sketch");
-        s_fout.push(fout.estimate_sq_distance(&a, &b).expect("estimate"));
-    }
-    results.push(("sjlt+laplace", s_lap));
-    results.push(("kenthapadi", s_ken));
-    results.push(("fjlt-input", s_fin));
-    results.push(("fjlt-output", s_fout));
-
-    for (name, s) in results {
+    let cases = [
+        ("sjlt+laplace", Construction::SjltLaplace, &cfg_pure),
+        (
+            "kenthapadi",
+            Construction::Kenthapadi(SigmaCalibration::ExactSensitivity),
+            &cfg,
+        ),
+        ("fjlt-input", Construction::FjltInput, &cfg),
+        ("fjlt-output", Construction::FjltOutput, &cfg),
+    ];
+    for (name, construction, cfg) in cases {
+        let mut s = Summary::new();
+        for rep in 0..reps {
+            let sk = AnySketcher::new(construction, cfg, Seed::new(rep)).expect("construct");
+            let a = sk.sketch(&x, Seed::new(rep * 4 + 1)).expect("sketch");
+            let b = sk.sketch(&y, Seed::new(rep * 4 + 2)).expect("sketch");
+            s.push(sk.estimate_sq_distance(&a, &b).expect("estimate"));
+        }
         let z = (s.mean() - true_d).abs() / s.stderr();
         assert!(
             z < 5.0,
@@ -78,9 +60,10 @@ fn cross_construction_sketches_do_not_mix() {
     let d = 64;
     let cfg = config(d, Some(1e-6));
     let x = vec![1.0; d];
-    let sj = PrivateSjlt::new(&cfg, Seed::new(1)).expect("sjlt");
-    let ken = Kenthapadi::new(&cfg, SigmaCalibration::ExactSensitivity, Seed::new(1)).expect("ken");
-    let a = sj.sketch(&x, Seed::new(2));
+    let sj = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(1)).expect("sjlt");
+    let exact = Construction::Kenthapadi(SigmaCalibration::ExactSensitivity);
+    let ken = AnySketcher::new(exact, &cfg, Seed::new(1)).expect("ken");
+    let a = sj.sketch(&x, Seed::new(2)).expect("sketch");
     let b = ken.sketch(&x, Seed::new(3)).expect("sketch");
     assert!(a.estimate_sq_distance(&b).is_err());
 }
@@ -160,11 +143,13 @@ fn trait_surface_is_uniform_across_constructions() {
 fn guarantee_surface_matches_configuration() {
     let d = 32;
     // Pure DP without delta.
-    let sk = PrivateSjlt::new(&config(d, None), Seed::new(1)).expect("sjlt");
+    let sk =
+        AnySketcher::new(Construction::SjltAuto, &config(d, None), Seed::new(1)).expect("sjlt");
     assert!(sk.guarantee().is_pure());
     assert!((sk.guarantee().epsilon() - 1.5).abs() < 1e-12);
     // Moderate delta flips to Gaussian / approximate DP.
-    let sk = PrivateSjlt::new(&config(d, Some(1e-4)), Seed::new(1)).expect("sjlt");
+    let sk = AnySketcher::new(Construction::SjltAuto, &config(d, Some(1e-4)), Seed::new(1))
+        .expect("sjlt");
     assert!(!sk.guarantee().is_pure());
     // Composition across two releases (basic).
     let two = sk.guarantee().compose(&sk.guarantee());
@@ -181,9 +166,9 @@ fn norm_and_inner_product_estimates() {
     let mut s_norm = Summary::new();
     let mut s_ip = Summary::new();
     for rep in 0..500u64 {
-        let sk = PrivateSjlt::new(&cfg, Seed::new(rep)).expect("sjlt");
-        let a = sk.sketch(&x, Seed::new(rep * 2 + 1));
-        let b = sk.sketch(&y, Seed::new(rep * 2 + 2));
+        let sk = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(rep)).expect("sjlt");
+        let a = sk.sketch(&x, Seed::new(rep * 2 + 1)).expect("sketch");
+        let b = sk.sketch(&y, Seed::new(rep * 2 + 2)).expect("sketch");
         s_norm.push(a.estimate_sq_norm());
         s_ip.push(a.estimate_inner_product(&b).expect("compatible"));
     }
@@ -197,12 +182,12 @@ fn norm_and_inner_product_estimates() {
 fn sparse_dense_release_equivalence() {
     let d = 512;
     let cfg = config(d, None);
-    let sk = PrivateSjlt::new(&cfg, Seed::new(42)).expect("sjlt");
+    let sk = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(42)).expect("sjlt");
     let mut x = vec![0.0; d];
     x[10] = 3.0;
     x[100] = -2.0;
     let sv = dp_euclid::linalg::SparseVector::from_dense(&x);
-    let a = sk.sketch(&x, Seed::new(5));
+    let a = sk.sketch(&x, Seed::new(5)).expect("sketch");
     let b = sk.sketch_sparse(&sv, Seed::new(5)).expect("sketch");
     assert_eq!(a, b, "same noise seed, same vector → identical release");
 }

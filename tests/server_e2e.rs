@@ -243,8 +243,9 @@ fn a_retired_kernel_hello_is_refused_typed_and_adopts_nothing() {
 }
 
 /// A `Hello` whose spec's identity refuses it (an `fjlt-output` spec
-/// without δ, or Kenthapadi's Theorem 1 at ε = 16 ≥ ln(1/δ) with
-/// δ = 1e-5) gets `ERR_SPEC` naming the refusal, from a plain server and
+/// without δ, Kenthapadi's Theorem 1 at ε = 16 ≥ ln(1/δ) with
+/// δ = 1e-5, or an `sjlt-laplace` spec at ε = 1e-310, whose noise scale
+/// overflows) gets `ERR_SPEC` naming the refusal, from a plain server and
 /// from a coordinator, and adopts nothing: both then adopt a buildable
 /// spec, which the coordinator relays to its worker.
 #[test]
@@ -274,6 +275,10 @@ fn an_unbuildable_spec_hello_is_refused_err_spec_by_server_and_coordinator() {
                 Some(1e-5),
             ),
             "Theorem 1",
+        ),
+        (
+            unbuildable(Construction::SjltLaplace, 1e-310, None),
+            "scale",
         ),
     ];
     let assert_refused = |client: &mut Client| {

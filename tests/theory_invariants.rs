@@ -44,11 +44,12 @@ fn debias_constant_is_twice_k_second_moment() {
                 .epsilon(eps)
                 .build()
                 .expect("config");
-            let sk = PrivateSjlt::with_laplace(&cfg, Seed::new(seed)).expect("sjlt");
+            let sk =
+                AnySketcher::new(Construction::SjltLaplace, &cfg, Seed::new(seed)).expect("sjlt");
             // Lap(√s/ε): E[η²] = 2s/ε².
-            let want = 2.0 * sk.k() as f64 * 2.0 * sk.s() as f64 / (eps * eps);
+            let want = 2.0 * sk.k() as f64 * 2.0 * cfg.s() as f64 / (eps * eps);
             assert!(
-                (sk.general().debias_constant() - want).abs() < 1e-6 * want,
+                (sk.debias_constant() - want).abs() < 1e-6 * want,
                 "seed {seed}, eps {eps}"
             );
         }
@@ -106,22 +107,19 @@ fn estimator_symmetry() {
             .epsilon(1.0)
             .build()
             .expect("config");
-        let sk = PrivateSjlt::new(&cfg, Seed::new(seed)).expect("sjlt");
+        let sk = AnySketcher::new(Construction::SjltAuto, &cfg, Seed::new(seed)).expect("sjlt");
         let x: Vec<f64> = (0..d).map(|i| (i % 3) as f64).collect();
         let y: Vec<f64> = (0..d).map(|i| (i % 4) as f64).collect();
-        let a = sk.sketch(&x, Seed::new(seed + 1));
-        let b = sk.sketch(&y, Seed::new(seed + 2));
-        let ab = sk.estimate_sq_distance(&a, &b);
-        let ba = sk.estimate_sq_distance(&b, &a);
+        let a = sk.sketch(&x, Seed::new(seed + 1)).expect("sketch");
+        let b = sk.sketch(&y, Seed::new(seed + 2)).expect("sketch");
+        let ab = sk.estimate_sq_distance(&a, &b).expect("estimate");
+        let ba = sk.estimate_sq_distance(&b, &a).expect("estimate");
         assert!((ab - ba).abs() < 1e-9, "seed {seed}");
         // Self-distance estimates the noise-only quantity: debiased to ~0
         // in expectation, and exactly 0 against an identical release.
-        let a2 = sk.sketch(&x, Seed::new(seed + 1));
-        let self_d = sk.estimate_sq_distance(&a, &a2);
-        assert!(
-            (self_d + sk.general().debias_constant()).abs() < 1e-9,
-            "seed {seed}"
-        );
+        let a2 = sk.sketch(&x, Seed::new(seed + 1)).expect("sketch");
+        let self_d = sk.estimate_sq_distance(&a, &a2).expect("estimate");
+        assert!((self_d + sk.debias_constant()).abs() < 1e-9, "seed {seed}");
     }
 }
 
