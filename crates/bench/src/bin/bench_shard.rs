@@ -15,6 +15,11 @@
 //!   engine adopted the gathered matrix as its all-pairs memo, so the
 //!   published snapshot answers with no worker I/O.
 //!
+//! Each shard count also records the coordinator's ingest round trip
+//! (local ingest, journal, and one overlapped broadcast to every
+//! worker) as the median and IQR of the ingests that fill its store: a
+//! timing, not a gate.
+//!
 //! Every coordinator answer is verified **bit-identical** to the local
 //! matrix before timing. On a single-core host the sharded path is
 //! expected to *lose* (same arithmetic plus framing and scatter); the
@@ -24,7 +29,7 @@
 //!
 //! Usage: `bench_shard [--quick] [--out <path>]`
 
-use dp_bench::runner::time_per_op;
+use dp_bench::runner::{time_per_op, Spread};
 use dp_bench::workload::gaussian_vec;
 use dp_core::config::SketchConfig;
 use dp_core::json::JsonValue;
@@ -46,6 +51,9 @@ struct Measurement {
     /// cold pass was adopted into answers; no worker I/O).
     ns_per_pair_warm: f64,
     sharded_over_local: f64,
+    /// The ingests that fill the store, µs each: the client's round
+    /// trip through the coordinator's replicated mutation.
+    ingest_us: Spread,
 }
 
 struct GrowthMeasurement {
@@ -98,7 +106,6 @@ fn with_coordinator<T>(
         .iter()
         .map(|(_, endpoint, _)| {
             let client = Client::connect(endpoint).expect("connect worker");
-            client.set_read_timeout(Some(timeout)).expect("timeout");
             WorkerEntry::reconnectable(client, endpoint.clone(), Some(timeout))
         })
         .collect();
@@ -164,7 +171,6 @@ fn resync_cost(
         .iter()
         .map(|ep| {
             let client = Client::connect(ep).expect("connect worker");
-            client.set_read_timeout(Some(timeout)).expect("timeout");
             WorkerEntry::reconnectable(client, (*ep).clone(), Some(timeout))
         })
         .collect();
@@ -283,12 +289,17 @@ fn main() {
     let mut measurements = Vec::new();
     let mut all_identical = true;
     for shards in [1usize, 2, 4] {
-        let (ns_sharded, ns_warm, identical) =
+        let (ns_sharded, ns_warm, identical, ingest_us) =
             with_coordinator(&format!("s{shards}"), shards, shard_tile, |client, _| {
                 client.hello(&spec).expect("hello");
-                for r in releases {
-                    client.ingest(r).expect("ingest");
-                }
+                let ingests: Vec<f64> = releases
+                    .iter()
+                    .map(|r| {
+                        let started = Instant::now();
+                        client.ingest(r).expect("ingest");
+                        started.elapsed().as_nanos() as f64
+                    })
+                    .collect();
                 // The cold query (plan → fan-out → gather) is what a
                 // growing deployment pays; it also verifies
                 // bit-identity against the local engine before any
@@ -305,14 +316,17 @@ fn main() {
                 let ns_warm = time_per_op(iters, || {
                     std::hint::black_box(client.pairwise(&[]).expect("warm pairwise"));
                 }) / pairs as f64;
-                (ns_cold, ns_warm, identical)
+                (ns_cold, ns_warm, identical, Spread::of(&ingests, 1e3))
             });
 
         all_identical &= identical;
         println!(
             "shards = {shards}  local {ns_local:8.1} ns/pair  sharded cold {ns_sharded:8.1} \
-             ns/pair ({:5.2}x local)  warm {ns_warm:8.1} ns/pair  bit-identical: {identical}",
+             ns/pair ({:5.2}x local)  warm {ns_warm:8.1} ns/pair  ingest {:7.1} µs \
+             (IQR {:5.1})  bit-identical: {identical}",
             ns_sharded / ns_local,
+            ingest_us.median,
+            ingest_us.iqr,
         );
         measurements.push(Measurement {
             shards,
@@ -320,6 +334,7 @@ fn main() {
             ns_per_pair_sharded: ns_sharded,
             ns_per_pair_warm: ns_warm,
             sharded_over_local: ns_sharded / ns_local,
+            ingest_us,
         });
     }
 
@@ -552,6 +567,7 @@ fn main() {
                                 "sharded_over_local".to_string(),
                                 JsonValue::Number(m.sharded_over_local),
                             ),
+                            ("ingest_us".to_string(), m.ingest_us.json()),
                         ])
                     })
                     .collect(),

@@ -428,14 +428,22 @@ impl QueryEngine {
     /// recorded when the memo grew, is not strictly below the current
     /// `t`-th smallest estimate is skipped unread: an equal estimate
     /// never displaces an earlier candidate, so no pair in it can place.
-    /// Party ids are looked up only for the survivors.
+    /// In a run that is read, each pair is first compared with that
+    /// estimate, cached as [`Smallest::bar`], and only a pair below it,
+    /// or a NaN on either side (whose comparison in
+    /// [`Smallest::push`] panics, as the sort's would), is fed. Party
+    /// ids are looked up only for the survivors.
     pub(crate) fn closest_pairs(&self, memo: &PairwiseMemo, t: usize) -> Vec<(u64, u64, f64)> {
         let n = memo.n();
         let mut closest = Smallest::new(t, n * n.saturating_sub(1) / 2);
         memo.upper_runs().for_each(|(i, first, min, run)| {
             if closest.places(min) {
+                let mut bar = closest.bar();
                 for (j, &estimate) in (first..).zip(run) {
-                    closest.push(estimate, (i, j));
+                    if estimate < bar || estimate.is_nan() || bar.is_nan() {
+                        closest.push(estimate, (i, j));
+                        bar = closest.bar();
+                    }
                 }
             }
         });
@@ -628,6 +636,20 @@ impl<T> Smallest<T> {
                     .expect("finite estimates")
                     .is_lt()
             })
+    }
+
+    /// The estimate a candidate must be strictly below to place, for a
+    /// caller that compares before it feeds: the current `t`-th
+    /// smallest estimate once `t` are held, and NaN while fewer are
+    /// held, when every candidate places. The caller feeds a candidate
+    /// when it is below the bar or either is NaN; skipping any other
+    /// changes nothing: [`Smallest::push`] would drop it, and input
+    /// positions only order the candidates that are fed.
+    pub(crate) fn bar(&self) -> f64 {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() >= self.t => worst.estimate,
+            _ => f64::NAN,
+        }
     }
 
     /// Feed the next candidate in input order.

@@ -120,7 +120,7 @@ struct WorkerState {
     /// Where to reconnect after a failure; `None` disables revival for
     /// this worker (the slot stays poisoned until coordinator restart).
     endpoint: Option<Endpoint>,
-    /// Read timeout applied to revived connections.
+    /// Read and write timeout applied to revived connections.
     timeout: Option<Duration>,
 }
 
@@ -219,7 +219,7 @@ impl StatsCells {
 }
 
 /// One worker handed to [`Server::bind_coordinator`]: a connected
-/// [`Client`], and optionally the endpoint + read timeout that let the
+/// [`Client`], and optionally the endpoint + timeout that let the
 /// coordinator **revive** the worker after a failure (reconnect, replay
 /// `Hello` + the ingest journal). Without an endpoint the slot stays
 /// poisoned once it fails, exactly like the pre-resync coordinator.
@@ -228,7 +228,9 @@ pub struct WorkerEntry {
     pub client: Client,
     /// Reconnect address for revival; `None` disables revival.
     pub endpoint: Option<Endpoint>,
-    /// Read timeout applied to revived connections.
+    /// Read and write timeout of this worker's connections: the bind
+    /// applies it to `client`, and revival to each fresh connection.
+    /// `None` leaves `client` as the caller configured it.
     pub timeout: Option<Duration>,
 }
 
@@ -243,8 +245,9 @@ impl WorkerEntry {
         }
     }
 
-    /// Enable revival: reconnect to `endpoint` (with `timeout` on the
-    /// fresh socket) after a poisoning failure.
+    /// Enable revival: reconnect to `endpoint` after a poisoning
+    /// failure. `timeout` bounds every read and write on `client` and
+    /// on each fresh socket.
     #[must_use]
     pub fn reconnectable(client: Client, endpoint: Endpoint, timeout: Option<Duration>) -> Self {
         Self {
@@ -265,7 +268,10 @@ impl WorkerEntry {
 /// query: fresh connection, `Hello` replay, journal catch-up. Sharded
 /// queries survive worker failure by re-dispatching the failed shard's
 /// missing tile ids to surviving workers; mutations survive it because
-/// the journal lets the replica catch up later.
+/// the journal lets the replica catch up later. A mutation reaches the
+/// live workers in one overlapped round trip
+/// ([`Shards::broadcast_mutation`]): every copy is written before any
+/// ack is read.
 struct Shards {
     workers: Vec<WorkerState>,
     tile: usize,
@@ -346,27 +352,44 @@ impl Shards {
         *self.slot_lock(w) = None;
     }
 
-    /// Forward a replicated mutation to every **live** worker. A
-    /// poisoned slot is skipped — the journal holds what it missed, and
-    /// revival replays it. A worker that fails the exchange, refuses,
-    /// or echoes a row count `accept` rejects is poisoned; the mutation
-    /// itself still succeeds for the client (the coordinator's local
-    /// engine is the source of truth).
+    /// Forward a replicated mutation to every **live** worker in one
+    /// overlapped round trip: the request is encoded once and written
+    /// to every live worker, and only then is each ack read, so the
+    /// workers apply it side by side and the mutation waits about one
+    /// worker round trip, not one per worker. A poisoned slot is
+    /// skipped — the journal holds what it missed, and revival replays
+    /// it. A worker whose write fails (the pool's write timeout bounds
+    /// a worker that stops reading), whose read fails or times out,
+    /// whose reply does not decode, or whose reply `accept` rejects (a
+    /// refusal or a diverged row echo) is poisoned; the mutation itself
+    /// still succeeds for the client (the coordinator's local engine is
+    /// the source of truth).
+    ///
+    /// Every slot lock is held from the first write to the last ack,
+    /// taken in index order under the order lock every caller holds.
+    /// That cannot deadlock: [`Shards::run_shard`] holds one slot and
+    /// waits for no other, and [`Shards::ensure_live`] (with
+    /// [`Shards::resync`]) runs under the order lock, so it never
+    /// overlaps a broadcast.
     fn broadcast_mutation(&self, request: &Request, accept: &dyn Fn(&Response) -> bool) {
-        for w in 0..self.workers.len() {
-            let mut slot = self.slot_lock(w);
-            let Some(worker) = slot.as_mut() else {
-                continue;
-            };
-            match worker.call(request) {
-                Ok(response) => {
-                    if !accept(&response) {
-                        // Refused or diverged (wrong row echo): the
-                        // replica no longer mirrors the local store.
-                        *slot = None;
-                    }
+        let mut slots: Vec<_> = (0..self.workers.len()).map(|w| self.slot_lock(w)).collect();
+        let payload = encode_request(request).ok();
+        for slot in &mut slots {
+            if let Some(worker) = slot.as_mut() {
+                let sent = payload.as_ref().is_some_and(|p| worker.send(p).is_ok());
+                if !sent {
+                    **slot = None;
                 }
-                Err(_) => *slot = None,
+            }
+        }
+        for slot in &mut slots {
+            if let Some(worker) = slot.as_mut() {
+                let acked = worker
+                    .receive(|response, _| Ok(Some(response)))
+                    .is_ok_and(|response| accept(&response));
+                if !acked {
+                    **slot = None;
+                }
             }
         }
     }
@@ -411,9 +434,11 @@ impl Shards {
     /// length, never the full ingest history. A replica ahead of the
     /// log's tip (see [`replay_skip`]) is refused.
     ///
-    /// The connect itself is bounded by the worker's configured timeout
-    /// (this runs under the order lock, so an unbounded TCP connect to
-    /// a black-holed host would stall every mutation with it).
+    /// The connect itself, and every read and write on the fresh
+    /// connection, is bounded by the worker's configured timeout (this
+    /// runs under the order lock, so an unbounded TCP connect to a
+    /// black-holed host, or a snapshot push to a worker that stopped
+    /// reading, would stall every mutation with it).
     fn resync(&self, endpoint: &Endpoint, timeout: Option<Duration>) -> Result<Client, String> {
         let mut client = match timeout {
             Some(t) => Client::connect_timeout(endpoint, t),
@@ -422,8 +447,8 @@ impl Shards {
         .map_err(|e| format!("reconnect {endpoint}: {e}"))?;
         if let Some(t) = timeout {
             client
-                .set_read_timeout(Some(t))
-                .map_err(|e| format!("set timeout: {e}"))?;
+                .set_timeouts(t)
+                .map_err(|e| format!("set timeouts: {e}"))?;
         }
         let journal = self.journal_lock();
         let mut have;
@@ -814,9 +839,14 @@ impl Server {
     /// truth; workers are caches of it.
     ///
     /// * A mutation (`Hello`/`Ingest`) is journaled locally and
-    ///   broadcast to live workers; a worker that fails, refuses, or
-    ///   echoes a diverged row count is poisoned, but the mutation
-    ///   still succeeds for the client.
+    ///   broadcast to live workers in one overlapped round trip (every
+    ///   worker gets its copy before any ack is awaited); a worker that
+    ///   fails, refuses, or echoes a diverged row count is poisoned, but
+    ///   the mutation still succeeds for the client.
+    /// * A [`WorkerEntry`] timeout bounds every read and write on that
+    ///   worker's connection, so a worker that stops answering or stops
+    ///   reading is poisoned within it instead of holding the mutation
+    ///   order lock forever.
     /// * A sharded query that loses a worker re-dispatches that shard's
     ///   missing tiles to the survivors (bounded rounds); it answers
     ///   `ERR_WORKER` only when *no* worker can serve.
@@ -949,17 +979,23 @@ impl Server {
         stats
             .snapshot_generation
             .store(journal.snapshot_generation, Ordering::SeqCst);
+        let workers = workers
+            .into_iter()
+            .map(|entry| {
+                if let Some(timeout) = entry.timeout {
+                    entry.client.set_timeouts(timeout)?;
+                }
+                Ok(WorkerState {
+                    slot: Mutex::new(Some(entry.client)),
+                    endpoint: entry.endpoint,
+                    timeout: entry.timeout,
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         let mut server = Self::bind(endpoint, engine)?;
         if !workers.is_empty() || data_dir.is_some() || compact_threshold > 0 {
             server.shards = Some(Shards {
-                workers: workers
-                    .into_iter()
-                    .map(|entry| WorkerState {
-                        slot: Mutex::new(Some(entry.client)),
-                        endpoint: entry.endpoint,
-                        timeout: entry.timeout,
-                    })
-                    .collect(),
+                workers,
                 tile: tile.max(1),
                 order: Mutex::new(()),
                 journal: Mutex::new(journal),
@@ -1602,8 +1638,10 @@ impl FrameService for Service<'_> {
             ),
             Request::Shutdown => {
                 // A coordinator winds its worker pool down with it
-                // (best-effort: a dead worker can't block shutdown).
+                // (best-effort: a dead worker can't block shutdown),
+                // under the order lock, as every broadcast runs.
                 if let Some(shards) = &server.shards {
+                    let _order = shards.order_lock();
                     shards.broadcast_mutation(&request, &|r| matches!(r, Response::Bye));
                 }
                 server.shutdown.store(true, Ordering::SeqCst);
@@ -1821,7 +1859,9 @@ pub enum ClientError {
     /// Transport failure.
     Io(io::Error),
     /// The server did not answer within the configured read timeout
-    /// ([`Client::set_read_timeout`]) — a dead or wedged peer.
+    /// ([`Client::set_read_timeout`]) — a dead or wedged peer. A
+    /// coordinator's worker connections also carry a write timeout, so
+    /// a worker that stops reading a request lands here too.
     Timeout,
     /// A frame failed to encode or decode locally.
     Codec(CoreError),
@@ -1912,6 +1952,17 @@ impl Client {
         self.conn.set_read_timeout(timeout)
     }
 
+    /// Bound every read and every write on this connection by
+    /// `timeout`, as a coordinator does for each worker connection: the
+    /// read side catches a worker that stops answering, the write side
+    /// one that stops reading (a frame larger than the socket buffer
+    /// would otherwise block the writer, and the order lock it holds,
+    /// forever).
+    fn set_timeouts(&self, timeout: Duration) -> io::Result<()> {
+        self.conn.set_read_timeout(Some(timeout))?;
+        self.conn.set_write_timeout(Some(timeout))
+    }
+
     /// The underlying connection, for custom frame exchanges (tests,
     /// protocol fuzzing).
     pub fn conn_mut(&mut self) -> &mut Conn {
@@ -1927,16 +1978,33 @@ impl Client {
         self.exchange(request, |response, _| Ok(Some(response)))
     }
 
-    /// The one reply reader: write `request`, then hand each decoded
-    /// reply frame, with the raw payload its trailer was verified
-    /// over, to `on_frame` until it returns `Some` — the exchange's
-    /// result. The server hanging up first is a transport error.
+    /// One exchange: write `request` ([`Client::send`]), then read its
+    /// reply ([`Client::receive`]).
     fn exchange<T>(
         &mut self,
         request: &Request,
+        on_frame: impl FnMut(Response, &[u8]) -> Result<Option<T>, ClientError>,
+    ) -> Result<T, ClientError> {
+        self.send(&encode_request(request)?)?;
+        self.receive(on_frame)
+    }
+
+    /// The request half of an exchange: write one encoded request
+    /// frame. A coordinator's broadcast sends one payload to every
+    /// worker before it reads any reply.
+    fn send(&mut self, payload: &[u8]) -> Result<(), ClientError> {
+        Ok(write_frame(&mut self.conn, payload)?)
+    }
+
+    /// The one reply reader, the reply half of an exchange: hand each
+    /// decoded reply frame, with the raw payload its trailer was
+    /// verified over, to `on_frame` until it returns `Some` — the
+    /// exchange's result. The server hanging up first is a transport
+    /// error.
+    fn receive<T>(
+        &mut self,
         mut on_frame: impl FnMut(Response, &[u8]) -> Result<Option<T>, ClientError>,
     ) -> Result<T, ClientError> {
-        write_frame(&mut self.conn, &encode_request(request)?)?;
         loop {
             let reply = read_frame(&mut self.conn)?.ok_or_else(|| {
                 ClientError::Io(io::Error::new(

@@ -25,11 +25,15 @@
 //! **coordinator mode**: ingests are broadcast to every worker server,
 //! and full all-pairs queries are answered by sharding the tile plan
 //! (`--shard-tile` tiles, default 64) across the pool and gathering the
-//! scattered segments. Each worker connection carries a read timeout
-//! (`--worker-timeout`, default 30 s) so a dead worker fails a query
-//! with a typed error instead of hanging the coordinator. Worker
-//! servers are plain `dp-server` instances — start them first, or
-//! within the coordinator's connect-retry window (~5 s).
+//! scattered segments. A mutation costs one overlapped worker round
+//! trip: the coordinator writes every worker its copy before it waits
+//! for any ack. Each worker connection carries read and write timeouts
+//! (`--worker-timeout`, default 30 s): a dead worker, or one that stops
+//! answering, fails a query with a typed error instead of hanging the
+//! coordinator, and a worker that stops reading is poisoned when a
+//! write to it times out, instead of blocking every later mutation.
+//! Worker servers are plain `dp-server` instances — start them first,
+//! or within the coordinator's connect-retry window (~5 s).
 //!
 //! `--data-dir` makes the coordinator **durable**: every accepted
 //! ingest is appended to an on-disk journal, snapshots are written on
@@ -185,14 +189,11 @@ fn run_standby(
 /// Connect to a worker endpoint, retrying briefly: coordinator and
 /// workers are typically launched together, and the workers may not be
 /// listening yet.
-fn connect_worker(endpoint: &Endpoint, timeout: Duration) -> std::io::Result<Client> {
+fn connect_worker(endpoint: &Endpoint) -> std::io::Result<Client> {
     let mut last_err = None;
     for _ in 0..20 {
         match Client::connect(endpoint) {
-            Ok(client) => {
-                client.set_read_timeout(Some(timeout))?;
-                return Ok(client);
-            }
+            Ok(client) => return Ok(client),
             Err(e) => {
                 last_err = Some(e);
                 std::thread::sleep(Duration::from_millis(250));
@@ -204,13 +205,15 @@ fn connect_worker(endpoint: &Endpoint, timeout: Duration) -> std::io::Result<Cli
 
 /// Connect the `--worker` pool. Keeping each endpoint makes its slot
 /// revivable: after a failure the coordinator reconnects and replays
-/// its ingest journal instead of requiring a restart.
+/// its ingest journal instead of requiring a restart. The coordinator
+/// bounds every read and write on each worker connection, first and
+/// revived, by `timeout` (`--worker-timeout`).
 fn connect_workers(endpoints: &[String], timeout: Duration) -> Result<Vec<WorkerEntry>, String> {
     endpoints
         .iter()
         .map(|text| {
             let endpoint = Endpoint::parse(text)?;
-            let client = connect_worker(&endpoint, timeout)
+            let client = connect_worker(&endpoint)
                 .map_err(|e| format!("cannot reach worker {endpoint}: {e}"))?;
             Ok(WorkerEntry::reconnectable(client, endpoint, Some(timeout)))
         })

@@ -71,7 +71,6 @@ fn reconnectable_pool(endpoints: &[&Endpoint], timeout: Duration) -> Vec<WorkerE
         .iter()
         .map(|ep| {
             let client = Client::connect(ep).expect("connect worker");
-            client.set_read_timeout(Some(timeout)).expect("timeout");
             WorkerEntry::reconnectable(client, (*ep).clone(), Some(timeout))
         })
         .collect()
@@ -250,14 +249,36 @@ fn sharded_pairwise_is_bit_identical_to_the_reference() {
     }
 }
 
-/// A protocol-speaking fake worker: answers `Hello`/`Ingest`/`Shutdown`
-/// well enough to join a pool, then — once `silent` flips — reads
-/// requests and never answers, like a wedged process. Exits promptly on
-/// `stop` via a short socket read timeout.
+/// What a fake worker does with a request it has read.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Act {
+    /// Answer as a healthy replica would.
+    Answer,
+    /// Answer nothing, like a wedged process.
+    Swallow,
+    /// Answer an `Ingest` with a row count one past the replica's.
+    WrongRows,
+    /// Close the connection without answering.
+    HangUp,
+    /// Answer, then never read again, like a process that stopped
+    /// draining its socket: a large enough frame then blocks its
+    /// writer. After [`DEAF_WATCHDOG`] the fake closes the connection,
+    /// so a writer with no write timeout fails instead of hanging.
+    AnswerThenDeaf,
+}
+
+/// How long a deaf fake worker keeps its connection open.
+const DEAF_WATCHDOG: Duration = Duration::from_secs(10);
+
+/// A protocol-speaking fake worker: it answers `Hello`/`Ingest`/
+/// `Shutdown` well enough to join a pool, and `act` decides, request by
+/// request, whether it answers, swallows, misanswers, hangs up or stops
+/// reading. It exits after answering `Shutdown`, and promptly on `stop`
+/// via a short socket read timeout.
 fn fake_worker(
     listener: std::os::unix::net::UnixListener,
-    silent: &std::sync::atomic::AtomicBool,
     stop: &std::sync::atomic::AtomicBool,
+    mut act: impl FnMut(&dp_euclid::core::protocol::Request) -> Act,
 ) {
     use dp_euclid::core::protocol::{
         decode_request, encode_response, read_frame, write_frame, Request, Response,
@@ -287,29 +308,51 @@ fn fake_worker(
             }
             Err(_) => return,
         };
-        if silent.load(Ordering::SeqCst) {
-            continue; // swallow the request, answer nothing
-        }
-        let response = match decode_request(&payload) {
-            Ok(Request::Hello { .. }) => Response::Hello {
+        let Ok(request) = decode_request(&payload) else {
+            return;
+        };
+        let step = act(&request);
+        let response = match (&request, step) {
+            (_, Act::Swallow) => continue,
+            (_, Act::HangUp) => return,
+            (Request::Hello { .. }, _) => Response::Hello {
                 k: 0,
                 rows,
                 tag: String::new(),
                 caps: 0,
             },
-            Ok(Request::Ingest { .. }) => {
+            (Request::Ingest { .. }, _) => {
                 rows += 1;
                 Response::Ingested {
                     row: rows - 1,
-                    rows,
+                    rows: rows + u64::from(step == Act::WrongRows),
                 }
             }
-            Ok(Request::Shutdown) => Response::Bye,
             _ => Response::Bye,
         };
         let bytes = encode_response(&response).expect("encode");
-        if write_frame(&mut conn, &bytes).is_err() {
+        if write_frame(&mut conn, &bytes).is_err() || matches!(request, Request::Shutdown) {
             return;
+        }
+        if step == Act::AnswerThenDeaf {
+            let deaf = std::time::Instant::now();
+            while !stop.load(Ordering::SeqCst) && deaf.elapsed() < DEAF_WATCHDOG {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            return;
+        }
+    }
+}
+
+/// Healthy until `silent` flips, then reads requests and never answers.
+fn answer_until(
+    silent: &std::sync::atomic::AtomicBool,
+) -> impl FnMut(&dp_euclid::core::protocol::Request) -> Act + '_ {
+    |_| {
+        if silent.load(std::sync::atomic::Ordering::SeqCst) {
+            Act::Swallow
+        } else {
+            Act::Answer
         }
     }
 }
@@ -361,7 +404,7 @@ fn dead_worker_is_redispatched_to_the_survivor() {
 
     std::thread::scope(|scope| {
         let ha = scope.spawn(|| worker_a.serve(1));
-        let hb = scope.spawn(|| fake_worker(listener_b, &silent, &stop));
+        let hb = scope.spawn(|| fake_worker(listener_b, &stop, answer_until(&silent)));
         let hc = scope.spawn(|| coordinator.serve(1));
         let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a]).raising(&stop);
 
@@ -449,7 +492,7 @@ fn killed_worker_restarts_and_resyncs_from_the_journal() {
 
     std::thread::scope(|scope| {
         let ha = scope.spawn(|| worker_a.serve(2));
-        let hb1 = scope.spawn(|| fake_worker(listener_b, &silent, &stop));
+        let hb1 = scope.spawn(|| fake_worker(listener_b, &stop, answer_until(&silent)));
         let hc = scope.spawn(|| coordinator.serve(1));
         let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_a, &ep_b]).raising(&stop);
 
@@ -554,7 +597,7 @@ fn wedged_worker_poisons_without_failing_the_mutation() {
     .expect("bind coordinator");
 
     std::thread::scope(|scope| {
-        let hw = scope.spawn(|| fake_worker(hole, &silent, &stop));
+        let hw = scope.spawn(|| fake_worker(hole, &stop, answer_until(&silent)));
         let hc = scope.spawn(|| coordinator.serve(1));
         let _guard = ShutdownOnPanic::new(&[&coord_endpoint]).raising(&stop);
 
@@ -602,4 +645,291 @@ fn wedged_worker_poisons_without_failing_the_mutation() {
         let _ = std::fs::remove_file(&coord_socket);
     });
     let _ = std::fs::remove_file(&hole_socket);
+}
+
+/// A fake worker's socket, removed first in case a crashed run left it.
+fn fake_listener(tag: &str) -> (std::os::unix::net::UnixListener, Endpoint, PathBuf) {
+    let socket = scratch_socket(tag);
+    let _ = std::fs::remove_file(&socket);
+    let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind fake");
+    (listener, Endpoint::Unix(socket.clone()), socket)
+}
+
+#[test]
+fn a_broadcast_writes_every_worker_before_it_waits_for_an_ack() {
+    use dp_euclid::core::protocol::Request;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let spec = spec(64);
+    let rs = releases(&spec, 2);
+    let (listener_0, ep_0, sock_0) = fake_listener("ov0");
+    let (listener_1, ep_1, sock_1) = fake_listener("ov1");
+    let stop = AtomicBool::new(false);
+    // Worker 1 reports each ingest copy it reads on `copied`; worker 0
+    // counts the ingests whose report came while it held back its ack.
+    // Each worker counts the Shutdown it gets in `byes`.
+    let (copied, copies) = std::sync::mpsc::channel::<()>();
+    let overlapped = AtomicU64::new(0);
+    let byes = AtomicU64::new(0);
+    let coord_socket = scratch_socket("ovcoord");
+    let coord_endpoint = Endpoint::Unix(coord_socket.clone());
+    // The read timeout outlasts worker 0's fallback below, so a serial
+    // broadcast is seen as "no overlap", not as a timed-out worker.
+    let pool = reconnectable_pool(&[&ep_0, &ep_1], Duration::from_secs(30));
+    let coordinator = Server::bind_coordinator(
+        coord_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+        pool,
+        4,
+    )
+    .expect("bind coordinator");
+
+    std::thread::scope(|scope| {
+        let (stop, overlapped, byes) = (&stop, &overlapped, &byes);
+        // Worker 0 holds back each `Ingested` until worker 1 has read
+        // its copy of the same frame; after 5 s it answers anyway and
+        // records no overlap.
+        let h0 = scope.spawn(move || {
+            fake_worker(listener_0, stop, |request| {
+                match request {
+                    Request::Ingest { .. } => {
+                        let copy = copies.recv_timeout(Duration::from_secs(5));
+                        overlapped.fetch_add(u64::from(copy.is_ok()), Ordering::SeqCst);
+                    }
+                    Request::Shutdown => {
+                        byes.fetch_add(1, Ordering::SeqCst);
+                    }
+                    _ => {}
+                }
+                Act::Answer
+            });
+        });
+        let h1 = scope.spawn(move || {
+            fake_worker(listener_1, stop, |request| {
+                match request {
+                    Request::Ingest { .. } => {
+                        let _ = copied.send(());
+                    }
+                    Request::Shutdown => {
+                        byes.fetch_add(1, Ordering::SeqCst);
+                    }
+                    _ => {}
+                }
+                Act::Answer
+            });
+        });
+        let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint]).raising(stop);
+
+        let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
+        client.hello(&spec).expect("hello");
+        for (i, r) in rs.iter().enumerate() {
+            let (row, rows) = client.ingest(r).expect("ingest");
+            assert_eq!((row, rows), (i as u64, i as u64 + 1));
+        }
+        client.shutdown().expect("shutdown");
+        hc.join().expect("coordinator joined");
+        h0.join().expect("worker 0 joined");
+        h1.join().expect("worker 1 joined");
+
+        assert_eq!(
+            overlapped.load(Ordering::SeqCst),
+            2,
+            "worker 1 got no copy while worker 0 held back its ack"
+        );
+        // Only a live slot gets the Shutdown: both workers' row echoes
+        // were accepted at every ingest.
+        assert_eq!(byes.load(Ordering::SeqCst), 2, "a worker was poisoned");
+    });
+    for socket in [sock_0, sock_1, coord_socket] {
+        let _ = std::fs::remove_file(socket);
+    }
+}
+
+#[test]
+fn a_failing_worker_is_poisoned_alone_and_revives_bit_identically() {
+    let spec = spec(96);
+    let rs = releases(&spec, 6);
+    let mut local = QueryEngine::new(SketchStore::with_spec(spec.clone()).expect("store"));
+    for r in &rs {
+        local.ingest(r).expect("ingest");
+    }
+    let expected = local.pairwise_all();
+
+    // Each failure during the fourth ingest's broadcast, once from each
+    // pool slot.
+    for (failing, failure) in [(0, Act::HangUp), (1, Act::WrongRows)] {
+        let (worker, ep_real, sock_real) = bind_worker(&format!("mr{failing}"));
+        let (listener, ep_fake, sock_fake) = fake_listener(&format!("mf{failing}"));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let coord_socket = scratch_socket(&format!("mcoord{failing}"));
+        let coord_endpoint = Endpoint::Unix(coord_socket.clone());
+        let order = if failing == 0 {
+            [&ep_fake, &ep_real]
+        } else {
+            [&ep_real, &ep_fake]
+        };
+        let pool = reconnectable_pool(&order, Duration::from_secs(30));
+        let coordinator = Server::bind_coordinator(
+            coord_endpoint.clone(),
+            QueryEngine::new(SketchStore::adopting()),
+            pool,
+            4,
+        )
+        .expect("bind coordinator");
+
+        std::thread::scope(|scope| {
+            let hr = scope.spawn(|| worker.serve(2));
+            let hf = scope.spawn(|| {
+                let mut ingests = 0;
+                fake_worker(listener, &stop, |request| {
+                    if matches!(request, dp_euclid::core::protocol::Request::Ingest { .. }) {
+                        ingests += 1;
+                        if ingests == 4 {
+                            return failure;
+                        }
+                    }
+                    Act::Answer
+                });
+            });
+            let hc = scope.spawn(|| coordinator.serve(1));
+            let _guard =
+                ShutdownOnPanic::new(&[&coord_endpoint, &ep_real, &ep_fake]).raising(&stop);
+
+            let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
+            client.hello(&spec).expect("hello");
+            for (i, r) in rs.iter().enumerate() {
+                let (row, rows) = client.ingest(r).expect("ingest survives the failure");
+                assert_eq!((row, rows), (i as u64, i as u64 + 1));
+            }
+            // The fake left on its failure (a hang-up) or when the
+            // coordinator dropped its poisoned connection.
+            hf.join().expect("fake worker joined");
+
+            // The healthy worker got and acked every row, the failing
+            // broadcast's included, and stayed live for the rest.
+            let mut direct = Client::connect(&ep_real).expect("connect worker");
+            assert_eq!(direct.plan_pairwise(4).expect("plan").0, 6);
+            drop(direct);
+
+            // A real server takes the failed worker's endpoint; the next
+            // sharded query revives that slot alone and answers
+            // bit-identically to the local engine.
+            let restarted =
+                Server::bind(ep_fake.clone(), QueryEngine::new(SketchStore::adopting()))
+                    .expect("rebind the failed worker");
+            let hb = scope.spawn(move || restarted.serve(2));
+            let (ids, values) = client.pairwise(&[]).expect("sharded pairwise");
+            assert_eq!(ids, rs.iter().map(|r| r.party_id).collect::<Vec<_>>());
+            assert_bits(&values, expected.as_flat());
+            let stats = coordinator.coordinator_stats().expect("coordinator role");
+            assert_eq!(
+                stats.revives, 1,
+                "only the failing slot was poisoned: {stats:?}"
+            );
+            assert_eq!(stats.resyncs, 1, "{stats:?}");
+            let mut direct = Client::connect(&ep_fake).expect("connect revived worker");
+            assert_eq!(direct.plan_pairwise(4).expect("plan").0, 6);
+            drop(direct);
+
+            client.shutdown().expect("shutdown");
+            hc.join().expect("coordinator joined");
+            hr.join().expect("worker joined");
+            hb.join().expect("revived worker joined");
+        });
+        for socket in [sock_real, sock_fake, coord_socket] {
+            let _ = std::fs::remove_file(socket);
+        }
+    }
+}
+
+#[test]
+fn a_worker_that_stops_reading_is_poisoned_within_the_write_timeout() {
+    use dp_euclid::core::protocol::Request;
+
+    // A release far larger than a socket buffer (k ≈ 60,000, ~480 KB):
+    // a write of it to a worker that stops reading blocks until the
+    // write timeout fires. Without one it blocks until the deaf
+    // worker's watchdog closes the socket, past the bound below.
+    let config = SketchConfig::builder()
+        .input_dim(16)
+        .alpha(0.02)
+        .beta(0.05)
+        .epsilon(2.0)
+        .build()
+        .expect("config");
+    let spec = SketcherSpec::new(Construction::SjltAuto, config, Seed::new(778));
+    let rs = releases(&spec, 2);
+    assert!(rs[0].to_bytes().expect("encode").len() > 400_000);
+
+    let (worker, ep_real, sock_real) = bind_worker("dr");
+    let (listener, ep_deaf, sock_deaf) = fake_listener("dd");
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let coord_socket = scratch_socket("dcoord2");
+    let coord_endpoint = Endpoint::Unix(coord_socket.clone());
+    let timeout = Duration::from_secs(1);
+    // The deaf worker holds slot 0, so its copy is written first. It
+    // has a timeout but no endpoint: once poisoned it stays out.
+    let deaf_entry = WorkerEntry {
+        client: Client::connect(&ep_deaf).expect("connect deaf worker"),
+        endpoint: None,
+        timeout: Some(timeout),
+    };
+    let mut pool = vec![deaf_entry];
+    pool.extend(reconnectable_pool(&[&ep_real], timeout));
+    let coordinator = Server::bind_coordinator(
+        coord_endpoint.clone(),
+        QueryEngine::new(SketchStore::adopting()),
+        pool,
+        4,
+    )
+    .expect("bind coordinator");
+
+    std::thread::scope(|scope| {
+        let hr = scope.spawn(|| worker.serve(2));
+        let hd = scope.spawn(|| {
+            fake_worker(listener, &stop, |request| {
+                if matches!(request, Request::Hello { .. }) {
+                    Act::AnswerThenDeaf
+                } else {
+                    Act::Answer
+                }
+            });
+        });
+        let hc = scope.spawn(|| coordinator.serve(1));
+        let _guard = ShutdownOnPanic::new(&[&coord_endpoint, &ep_real]).raising(&stop);
+
+        let mut client = Client::connect(&coord_endpoint).expect("connect coordinator");
+        client.hello(&spec).expect("hello");
+        let started = std::time::Instant::now();
+        client
+            .ingest(&rs[0])
+            .expect("ingest survives a deaf worker");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the write to the deaf worker was not bounded by the timeout ({:?})",
+            started.elapsed()
+        );
+        // Poisoned: the next mutation skips the deaf worker, paying no
+        // second timeout.
+        let started = std::time::Instant::now();
+        client.ingest(&rs[1]).expect("ingest");
+        assert!(
+            started.elapsed() < timeout,
+            "the poisoned worker was written to again ({:?})",
+            started.elapsed()
+        );
+        let mut direct = Client::connect(&ep_real).expect("connect worker");
+        assert_eq!(direct.plan_pairwise(4).expect("plan").0, 2);
+        drop(direct);
+
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        client.shutdown().expect("shutdown");
+        hc.join().expect("coordinator joined");
+        hr.join().expect("worker joined");
+        hd.join().expect("deaf worker joined");
+    });
+    for socket in [sock_real, sock_deaf, coord_socket] {
+        let _ = std::fs::remove_file(socket);
+    }
 }

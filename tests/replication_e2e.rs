@@ -115,7 +115,6 @@ fn a_restarted_worker_resyncs_via_snapshot_plus_suffix_after_compaction() {
         .iter()
         .map(|ep| {
             let client = Client::connect(ep).expect("connect worker");
-            client.set_read_timeout(Some(timeout)).expect("timeout");
             WorkerEntry::reconnectable(client, (*ep).clone(), Some(timeout))
         })
         .collect();

@@ -308,7 +308,6 @@ fn an_unbuildable_spec_hello_is_refused_err_spec_by_server_and_coordinator() {
     .expect("bind worker");
     let timeout = Some(Duration::from_secs(30));
     let pooled = Client::connect(&worker_endpoint).expect("connect worker");
-    pooled.set_read_timeout(timeout).expect("timeout");
     let coordinator = Server::bind_coordinator(
         coord_endpoint.clone(),
         QueryEngine::new(SketchStore::adopting()),
